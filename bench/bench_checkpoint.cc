@@ -1,7 +1,8 @@
 // Durability-overhead benchmark (docs/ARCHITECTURE.md §8): replays the §6.1
-// workload three ways — no durability, WAL-only, WAL + snapshot cadence — and
-// reports the WAL append tax over the baseline, snapshot write latency and
-// size, cold Restore latency, and RecoverEngine's WAL-replay throughput.
+// workload three ways — no durability, WAL-only, WAL + checkpoint cadence —
+// and reports the WAL append tax over the baseline, checkpoint write latency
+// and size, cold Restore latency, and RecoverShardedEngine's WAL-replay
+// throughput, at one shard and at four.
 // Durability must never change the answer: every run's result count is
 // asserted equal to the baseline, and the restored/recovered engines must
 // hash identical to the engines they replace. Writes BENCH_checkpoint.json
@@ -15,8 +16,6 @@
 
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
-#include "persist/durability.h"
-#include "persist/snapshot.h"
 #include "shard/shard_durability.h"
 #include "shard/sharded_engine.h"
 #include "stream/pipeline.h"
@@ -51,45 +50,10 @@ ScubaOptions MakeOptions(const ExperimentData& data,
   return options;
 }
 
+/// One durable replay of the trace: one WAL chain per shard under
+/// manifest-committed checkpoint generations.
 DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
-                          const CheckpointPolicy& policy) {
-  ScubaOptions options = MakeOptions(data, policy);
-  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(options);
-  SCUBA_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
-  Result<std::unique_ptr<DurabilityManager>> durability =
-      DurabilityManager::Open(dir, policy, engine->get(), /*validator=*/nullptr,
-                              /*rng=*/nullptr, /*crash=*/nullptr);
-  SCUBA_CHECK_MSG(durability.ok(), durability.status().ToString().c_str());
-
-  DurableOutcome out;
-  ResultSink sink = [&out](Timestamp, const ResultSet& results) {
-    out.total_results += results.size();
-  };
-  Stopwatch watch;
-  Status run = ReplayTrace(data.trace, engine->get(), /*delta=*/2, sink,
-                           /*validator=*/nullptr, durability->get());
-  out.wall_seconds = watch.ElapsedSeconds();
-  SCUBA_CHECK_MSG(run.ok(), run.ToString().c_str());
-
-  const EvalStats stats = (*engine)->StatsSnapshot().eval;
-  out.wal_records = stats.wal_records_appended;
-  out.wal_bytes = stats.wal_bytes_appended;
-  out.wal_fsyncs = stats.wal_fsyncs;
-  out.checkpoints_written = stats.checkpoints_written;
-  out.last_checkpoint_bytes = stats.last_checkpoint_bytes;
-  out.last_checkpoint_seconds = stats.last_checkpoint_seconds;
-  out.total_checkpoint_seconds = stats.total_checkpoint_seconds;
-  out.state_hash = EngineStateHash(**engine);
-  out.clusters = (*engine)->ClusterCount();
-  return out;
-}
-
-/// The sharded twin of RunDurable: same trace, same policy, one WAL chain
-/// per shard under manifest-committed checkpoints.
-DurableOutcome RunShardedDurable(const ExperimentData& data,
-                                 const std::string& dir,
-                                 const CheckpointPolicy& policy,
-                                 uint32_t shards) {
+                          const CheckpointPolicy& policy, uint32_t shards = 1) {
   ScubaOptions options = MakeOptions(data, policy);
   options.shards = shards;
   Result<std::unique_ptr<ShardedEngine>> engine =
@@ -179,12 +143,11 @@ int Main() {
                   "checkpointing must not change the answer");
   SCUBA_CHECK_MSG(ckpt.checkpoints_written > 0, "no snapshots were written");
 
-  // 3b. Sharded durability: the same policy over 4 shards — one WAL chain
-  // per shard, manifest-committed generations. Same answer, same state hash
-  // as the single-engine run (the sharded determinism contract).
+  // 3b. The same policy over 4 shards: same answer, same state hash as the
+  // one-shard run (the sharded determinism contract).
   constexpr uint32_t kBenchShards = 4;
   DurableOutcome sharded =
-      RunShardedDurable(data, sharded_dir, ckpt_policy, kBenchShards);
+      RunDurable(data, sharded_dir, ckpt_policy, kBenchShards);
   double sharded_overhead_pct =
       base.wall_seconds > 0.0
           ? (sharded.wall_seconds / base.wall_seconds - 1.0) * 100.0
@@ -196,14 +159,14 @@ int Main() {
   SCUBA_CHECK_MSG(sharded.total_results == base.total_results,
                   "sharded durability must not change the answer");
   SCUBA_CHECK_MSG(sharded.state_hash == ckpt.state_hash,
-                  "sharded durable run diverged from the single-engine run");
+                  "4-shard durable run diverged from the one-shard run");
   SCUBA_CHECK_MSG(sharded.checkpoints_written > 0,
                   "sharded run wrote no checkpoint generations");
 
-  // 4. Cold restore of the newest snapshot into a fresh engine.
+  // 4. Cold restore of the newest generation into a fresh engine.
   ScubaOptions restore_options = MakeOptions(data, ckpt_policy);
-  Result<std::unique_ptr<ScubaEngine>> restored =
-      ScubaEngine::Create(restore_options);
+  Result<std::unique_ptr<ShardedEngine>> restored =
+      ShardedEngine::Create(restore_options);
   SCUBA_CHECK_MSG(restored.ok(), restored.status().ToString().c_str());
   Stopwatch restore_watch;
   Status restore = (*restored)->Restore(ckpt_dir);
@@ -218,8 +181,8 @@ int Main() {
   // 5. Recovery replay throughput: rebuild the WAL-only run purely from its
   // log (no snapshot exists, so every record is re-ingested/re-evaluated).
   ScubaOptions recover_options = MakeOptions(data, wal_policy);
-  Result<std::unique_ptr<ScubaEngine>> recovered =
-      ScubaEngine::Create(recover_options);
+  Result<std::unique_ptr<ShardedEngine>> recovered =
+      ShardedEngine::Create(recover_options);
   SCUBA_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
   uint64_t recovered_results = 0;
   ResultSink recover_sink = [&recovered_results](Timestamp,
@@ -227,12 +190,13 @@ int Main() {
     recovered_results += results.size();
   };
   Stopwatch recover_watch;
-  Result<RecoveryReport> report =
-      RecoverEngine(wal_dir, recovered->get(), /*validator=*/nullptr,
-                    /*rng=*/nullptr, recover_sink);
+  Result<ShardedRecoveryReport> report =
+      RecoverShardedEngine(wal_dir, recovered->get(), /*validator=*/nullptr,
+                           /*rng=*/nullptr, recover_sink);
   const double recover_seconds = recover_watch.ElapsedSeconds();
   SCUBA_CHECK_MSG(report.ok(), report.status().ToString().c_str());
-  SCUBA_CHECK_MSG(report->records_replayed == wal.wal_records,
+  // One shard: one chain record per batch.
+  SCUBA_CHECK_MSG(report->batches_replayed == wal.wal_records,
                   "recovery must replay every WAL record");
   SCUBA_CHECK_MSG(recovered_results == wal.total_results,
                   "WAL replay must reproduce the original answer");
@@ -240,11 +204,11 @@ int Main() {
                   "recovered engine state diverged from the original run");
   const double records_per_second =
       recover_seconds > 0.0
-          ? static_cast<double>(report->records_replayed) / recover_seconds
+          ? static_cast<double>(report->batches_replayed) / recover_seconds
           : 0.0;
   std::printf("recovery: %llu records / %llu rounds in %.4fs (%.0f "
               "records/s), state hash ok\n",
-              static_cast<unsigned long long>(report->records_replayed),
+              static_cast<unsigned long long>(report->batches_replayed),
               static_cast<unsigned long long>(report->rounds_replayed),
               recover_seconds, records_per_second);
 
@@ -319,7 +283,7 @@ int Main() {
       "  \"recovery\": {\"seconds\": %.6f, \"records_replayed\": %llu, "
       "\"rounds_replayed\": %llu, \"records_per_second\": %.0f}\n"
       "}\n",
-      recover_seconds, static_cast<unsigned long long>(report->records_replayed),
+      recover_seconds, static_cast<unsigned long long>(report->batches_replayed),
       static_cast<unsigned long long>(report->rounds_replayed),
       records_per_second);
   std::fclose(json);

@@ -12,7 +12,6 @@
 
 #include "common/memory_usage.h"
 #include "core/scuba_engine.h"
-#include "eval/engine_stats.h"
 #include "eval/experiment.h"
 #include "gen/workload_generator.h"
 #include "network/grid_city.h"

@@ -127,7 +127,6 @@ class LeaderFollowerClusterer {
   const ClustererOptions& options() const { return options_; }
 
  private:
-  friend struct PersistAccess;  ///< Snapshot serialization (src/persist).
   /// Shared implementation; `kind` selects absorb/update member calls.
   Status ProcessUpdate(EntityKind kind, const LocationUpdate* obj,
                        const QueryUpdate* qry);

@@ -1,12 +1,11 @@
-// EngineSnapshotStats: the one-stop immutable aggregate of everything the
-// SCUBA engine counts, returned by ScubaEngine::StatsSnapshot(). Replaced the
-// four legacy per-subsystem accessors (stats / phase_stats / clusterer_stats
-// / join_counters), whose deprecated public shims are now removed; only the
-// QueryProcessor-interface stats() override remains, private on ScubaEngine.
+// EngineSnapshotStats: the one-stop immutable aggregate of everything a SCUBA
+// engine counts, returned by ScubaEngine::StatsSnapshot() and
+// ShardedEngine::StatsSnapshot(). The QueryProcessor-interface stats()
+// override remains for code that reads engines through the base interface.
 //
 // Reporting helpers (Format, averages, speedups) live here as methods so the
 // derived figures come from one struct instead of reaching into EvalStats
-// internals; the free functions in eval/engine_stats.h forward to them.
+// internals.
 
 #ifndef SCUBA_CORE_ENGINE_SNAPSHOT_H_
 #define SCUBA_CORE_ENGINE_SNAPSHOT_H_

@@ -68,9 +68,9 @@ struct EvalStats {
   uint64_t invariant_audits = 0;
   uint64_t invariant_violations = 0;
   uint64_t invariant_repairs = 0;
-  /// Durability (docs/ARCHITECTURE.md §8): snapshot checkpoints written, the
+  /// Durability (docs/ARCHITECTURE.md §8): checkpoints written, the
   /// size/latency of the last one, WAL append/fsync accounting, and — after a
-  /// RecoverEngine — how many evaluation rounds the WAL replay re-executed.
+  /// recovery — how many evaluation rounds the WAL replay re-executed.
   /// After a recovery the counters resume from the snapshot's values, so they
   /// are lower bounds on the lifetime totals (work between the snapshot and
   /// the crash that the WAL does not re-execute is not re-counted).

@@ -66,158 +66,10 @@ Result<std::unique_ptr<ScubaEngine>> ScubaEngine::Create(
 void ScubaEngine::InstallTelemetry(std::unique_ptr<EngineTelemetry> telemetry) {
   telemetry_ = std::move(telemetry);
   MetricsRegistry& reg = telemetry_->registry();
-  metrics_.rounds =
-      reg.RegisterCounter("scuba_rounds_total", "Completed evaluation rounds");
-  metrics_.results = reg.RegisterCounter("scuba_results_total",
-                                         "Query-object matches produced");
-  metrics_.join_comparisons = reg.RegisterCounter(
-      "scuba_join_comparisons_total", "Member-level predicate evaluations");
-  metrics_.join_bounds_checks = reg.RegisterCounter(
-      "scuba_join_bounds_checks_total", "Per-query fine-filter pre-checks");
-  metrics_.join_pairs_tested = reg.RegisterCounter(
-      "scuba_join_pairs_tested_total", "Join-between cluster-pair tests");
-  metrics_.join_pairs_overlapping = reg.RegisterCounter(
-      "scuba_join_pairs_overlapping_total", "Join-between positives");
-  metrics_.join_within_single = reg.RegisterCounter(
-      "scuba_join_within_single_total", "Same-cluster join-within runs");
-  metrics_.join_within_pair = reg.RegisterCounter(
-      "scuba_join_within_pair_total", "Cross-cluster join-within runs");
-  metrics_.clusters_created = reg.RegisterCounter(
-      "scuba_clusters_created_total", "Moving clusters created");
-  metrics_.members_absorbed = reg.RegisterCounter(
-      "scuba_members_absorbed_total", "Members absorbed into clusters");
-  metrics_.members_refreshed = reg.RegisterCounter(
-      "scuba_members_refreshed_total", "Members refreshed in place");
-  metrics_.members_departed = reg.RegisterCounter(
-      "scuba_members_departed_total", "Members that left their cluster");
-  metrics_.clusters_dissolved_empty = reg.RegisterCounter(
-      "scuba_clusters_dissolved_empty_total", "Clusters dissolved empty");
-  metrics_.members_shed_ingest = reg.RegisterCounter(
-      "scuba_members_shed_ingest_total", "Positions shed at ingest");
-  metrics_.clusters_dissolved_expired =
-      reg.RegisterCounter("scuba_clusters_dissolved_expired_total",
-                          "Clusters dissolved at their destination");
-  metrics_.members_shed_maintenance = reg.RegisterCounter(
-      "scuba_members_shed_maintenance_total", "Positions shed in maintenance");
-  metrics_.clusters_split = reg.RegisterCounter(
-      "scuba_clusters_split_total", "Oversized clusters split");
-  metrics_.updates_quarantined = reg.RegisterCounter(
-      "scuba_updates_quarantined_total", "Updates dropped by validation");
-  metrics_.invariant_audits = reg.RegisterCounter(
-      "scuba_invariant_audits_total", "Invariant audit passes");
-  metrics_.invariant_violations = reg.RegisterCounter(
-      "scuba_invariant_violations_total", "Invariant violations found");
-  metrics_.invariant_repairs = reg.RegisterCounter(
-      "scuba_invariant_repairs_total", "Grid rebuilds that healed an audit");
-  metrics_.wal_records = reg.RegisterCounter("scuba_wal_records_total",
-                                             "WAL records appended");
-  metrics_.wal_bytes =
-      reg.RegisterCounter("scuba_wal_bytes_total", "WAL bytes appended");
-  metrics_.wal_fsyncs =
-      reg.RegisterCounter("scuba_wal_fsyncs_total", "WAL fsync calls");
-  metrics_.checkpoints = reg.RegisterCounter("scuba_checkpoints_total",
-                                             "Snapshot checkpoints written");
-  metrics_.clusters =
-      reg.RegisterGauge("scuba_clusters", "Live moving clusters");
-  const std::vector<double> kTimeBuckets = {1e-5, 1e-4, 1e-3, 1e-2,
-                                            1e-1, 1.0,  10.0};
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_join_wall_seconds", "Join phase wall time per round",
-          kTimeBuckets);
-      h.ok()) {
-    metrics_.join_wall_seconds = *h;
-  }
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_ingest_wall_seconds", "Pre-join ingest wall time per round",
-          kTimeBuckets);
-      h.ok()) {
-    metrics_.ingest_wall_seconds = *h;
-  }
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_postjoin_wall_seconds",
-          "Post-join maintenance wall time per round", kTimeBuckets);
-      h.ok()) {
-    metrics_.postjoin_wall_seconds = *h;
-  }
+  metrics_.Register(&reg);
   join_executor_.AttachTelemetry(&reg);
   shedder_.AttachMetrics(&reg);
-  metrics_.clusters.Set(static_cast<double>(store_.ClusterCount()));
-  telemetry_->SetRoundHook([this] { PushTelemetryDeltas(); });
-}
-
-void ScubaEngine::PushTelemetryDeltas() {
-  const ClusterJoinExecutor::Counters& join = join_executor_.counters();
-  const ClustererStats& clu = clusterer_.stats();
-  metrics_.rounds.Increment(stats_.evaluations - pushed_.eval.evaluations);
-  metrics_.results.Increment(stats_.total_results -
-                             pushed_.eval.total_results);
-  metrics_.join_comparisons.Increment(join.comparisons -
-                                      pushed_.join.comparisons);
-  metrics_.join_bounds_checks.Increment(join.bounds_checks -
-                                        pushed_.join.bounds_checks);
-  metrics_.join_pairs_tested.Increment(join.pairs_tested -
-                                       pushed_.join.pairs_tested);
-  metrics_.join_pairs_overlapping.Increment(join.pairs_overlapping -
-                                            pushed_.join.pairs_overlapping);
-  metrics_.join_within_single.Increment(join.within_joins_single -
-                                        pushed_.join.within_joins_single);
-  metrics_.join_within_pair.Increment(join.within_joins_pair -
-                                      pushed_.join.within_joins_pair);
-  metrics_.clusters_created.Increment(clu.clusters_created -
-                                      pushed_.clusterer.clusters_created);
-  metrics_.members_absorbed.Increment(clu.members_absorbed -
-                                      pushed_.clusterer.members_absorbed);
-  metrics_.members_refreshed.Increment(clu.members_refreshed -
-                                       pushed_.clusterer.members_refreshed);
-  metrics_.members_departed.Increment(clu.members_departed -
-                                      pushed_.clusterer.members_departed);
-  metrics_.clusters_dissolved_empty.Increment(
-      clu.clusters_dissolved_empty - pushed_.clusterer.clusters_dissolved_empty);
-  metrics_.members_shed_ingest.Increment(clu.members_shed -
-                                         pushed_.clusterer.members_shed);
-  metrics_.clusters_dissolved_expired.Increment(
-      phase_stats_.clusters_dissolved_expired -
-      pushed_.phase.clusters_dissolved_expired);
-  metrics_.members_shed_maintenance.Increment(
-      phase_stats_.members_shed_maintenance -
-      pushed_.phase.members_shed_maintenance);
-  metrics_.clusters_split.Increment(phase_stats_.clusters_split -
-                                    pushed_.phase.clusters_split);
-  metrics_.updates_quarantined.Increment(stats_.updates_quarantined -
-                                         pushed_.eval.updates_quarantined);
-  metrics_.invariant_audits.Increment(stats_.invariant_audits -
-                                      pushed_.eval.invariant_audits);
-  metrics_.invariant_violations.Increment(stats_.invariant_violations -
-                                          pushed_.eval.invariant_violations);
-  metrics_.invariant_repairs.Increment(stats_.invariant_repairs -
-                                       pushed_.eval.invariant_repairs);
-  metrics_.wal_records.Increment(stats_.wal_records_appended -
-                                 pushed_.eval.wal_records_appended);
-  metrics_.wal_bytes.Increment(stats_.wal_bytes_appended -
-                               pushed_.eval.wal_bytes_appended);
-  metrics_.wal_fsyncs.Increment(stats_.wal_fsyncs - pushed_.eval.wal_fsyncs);
-  metrics_.checkpoints.Increment(stats_.checkpoints_written -
-                                 pushed_.eval.checkpoints_written);
-  metrics_.clusters.Set(static_cast<double>(store_.ClusterCount()));
-  if (stats_.total_join_seconds > pushed_.join_wall) {
-    metrics_.join_wall_seconds.Observe(stats_.total_join_seconds -
-                                       pushed_.join_wall);
-  }
-  if (stats_.total_ingest_seconds > pushed_.ingest_wall) {
-    metrics_.ingest_wall_seconds.Observe(stats_.total_ingest_seconds -
-                                         pushed_.ingest_wall);
-  }
-  if (stats_.total_postjoin_seconds > pushed_.postjoin_wall) {
-    metrics_.postjoin_wall_seconds.Observe(stats_.total_postjoin_seconds -
-                                           pushed_.postjoin_wall);
-  }
-  pushed_.eval = stats_;
-  pushed_.phase = phase_stats_;
-  pushed_.clusterer = clu;
-  pushed_.join = join;
-  pushed_.join_wall = stats_.total_join_seconds;
-  pushed_.ingest_wall = stats_.total_ingest_seconds;
-  pushed_.postjoin_wall = stats_.total_postjoin_seconds;
+  telemetry_->SetRoundHook([this] { metrics_.Push(StatsSnapshot()); });
 }
 
 EngineSnapshotStats ScubaEngine::StatsSnapshot() const {
@@ -424,12 +276,7 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
     TraceCollector& tc = telemetry_->trace();
     const int32_t pj = tc.EnsureSpan(tc.root(), "postjoin");
     tc.Accumulate(pj, stats_.last_postjoin_seconds, postjoin_worker);
-    tc.Accumulate(tc.EnsureSpan(pj, "tighten"),
-                  postjoin_timings.tighten_seconds);
-    tc.Accumulate(tc.EnsureSpan(pj, "shed"), postjoin_timings.shed_seconds);
-    tc.Accumulate(tc.EnsureSpan(pj, "expire"), postjoin_timings.expire_seconds);
-    tc.Accumulate(tc.EnsureSpan(pj, "translate"),
-                  postjoin_timings.translate_seconds);
+    postjoin_timings.AccumulateSpans(tc, pj);
   }
   if (s.ok() && options_.audit_every_n_rounds > 0 &&
       stats_.evaluations % options_.audit_every_n_rounds == 0) {
@@ -582,9 +429,11 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
   if (resolved_ingest_threads_ <= 1 || cids.size() <= 1) {
     Stopwatch serial;
     Stopwatch lap;
-    auto take_lap = [&](double* into) {
+    // A member pointer, not `&timings->field`: untraced rounds pass a null
+    // `timings`, and forming a member address through it is undefined.
+    auto take_lap = [&](double PostJoinTimings::*into) {
       if (timed) {
-        *into += lap.ElapsedSeconds();
+        timings->*into += lap.ElapsedSeconds();
         lap.Start();
       }
     };
@@ -593,12 +442,12 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
       SCUBA_CHECK(cluster != nullptr);
       if (timed) lap.Start();
       cluster->RecomputeTightBounds();
-      take_lap(&timings->tighten_seconds);
+      take_lap(&PostJoinTimings::tighten_seconds);
       if (nucleus > 0.0) {
         phase_stats_.members_shed_maintenance +=
             cluster->ShedPositions(nucleus);
       }
-      take_lap(&timings->shed_seconds);
+      take_lap(&PostJoinTimings::shed_seconds);
       // Dissolve clusters that pass their destination before the next round
       // (paper: "If at time T + Delta the cluster passes its destination
       // node, the cluster gets dissolved."). Members re-cluster with their
@@ -608,17 +457,17 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
         SCUBA_RETURN_IF_ERROR(grid_.Remove(cid));
         SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cid));
         ++phase_stats_.clusters_dissolved_expired;
-        take_lap(&timings->expire_seconds);
+        take_lap(&PostJoinTimings::expire_seconds);
         continue;
       }
-      take_lap(&timings->expire_seconds);
+      take_lap(&PostJoinTimings::expire_seconds);
       // Relocate to the expected position at the next evaluation time.
       cluster->Translate(cluster->Velocity() *
                          static_cast<double>(options_.delta));
       SCUBA_RETURN_IF_ERROR(SyncClusterGrid(&grid_, cluster,
                                             options_.query_reach_aware,
                                             options_.grid_sync_padding));
-      take_lap(&timings->translate_seconds);
+      take_lap(&PostJoinTimings::translate_seconds);
     }
     *worker_seconds = serial.ElapsedSeconds();
   } else {
@@ -681,14 +530,7 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
             }
           }
         }, worker_seconds));
-    if (timed) {
-      for (const PostJoinTimings& tt : task_timings) {
-        timings->tighten_seconds += tt.tighten_seconds;
-        timings->shed_seconds += tt.shed_seconds;
-        timings->expire_seconds += tt.expire_seconds;
-        timings->translate_seconds += tt.translate_seconds;
-      }
-    }
+    for (const PostJoinTimings& tt : task_timings) *timings += tt;
     for (size_t i = 0; i < cids.size(); ++i) {
       phase_stats_.members_shed_maintenance += outcomes[i].shed;
       if (outcomes[i].dissolve) {

@@ -27,6 +27,7 @@
 #include "cluster/leader_follower.h"
 #include "common/thread_pool.h"
 #include "core/cluster_join.h"
+#include "core/engine_metrics.h"
 #include "core/engine_snapshot.h"
 #include "core/load_shedder.h"
 #include "core/query_processor.h"
@@ -35,8 +36,6 @@
 #include "obs/telemetry.h"
 
 namespace scuba {
-
-struct PersistAccess;  // snapshot serialization back door (src/persist)
 
 /// Outcome of one ScubaEngine::AuditInvariants() pass: what was checked and
 /// every divergence found (messages capped at kMaxViolationMessages;
@@ -102,20 +101,8 @@ class ScubaEngine : public QueryProcessor {
   /// maps, home table) is not repairable and keeps failing the audit.
   Status RebuildGridFromStore();
 
-  /// Durability (defined in the persist library; docs/ARCHITECTURE.md §8).
-  /// Checkpoint writes one versioned, CRC-protected snapshot of the full
-  /// engine state into `dir` (created if needed), atomically (tmp + rename).
-  /// Restore loads the newest snapshot in `dir` into this engine, replacing
-  /// all cluster/grid/stats state; the snapshot's options fingerprint must
-  /// match this engine's options (kFailedPrecondition otherwise), a checksum
-  /// mismatch is kDataLoss, an empty dir is kNotFound. Restore does not
-  /// replay any WAL — RecoverEngine (persist/durability.h) layers that on.
-  Status Checkpoint(const std::string& dir);
-  Status Restore(const std::string& dir);
-
   /// Observability (docs/ARCHITECTURE.md §9): non-null iff
-  /// options.telemetry.Enabled(). DurabilityManager and the CLI use it to
-  /// attach checkpoint spans and flush round telemetry.
+  /// options.telemetry.Enabled().
   EngineTelemetry* telemetry() { return telemetry_.get(); }
 
   /// Flushes the in-flight telemetry round and the final exposition dump;
@@ -124,7 +111,6 @@ class ScubaEngine : public QueryProcessor {
 
  private:
   friend class ScubaEngineAuditPeer;  ///< Test back door: deliberate desync.
-  friend struct PersistAccess;  ///< Snapshot serialization (src/persist).
   ScubaEngine(const ScubaOptions& options, GridIndex grid);
 
   /// QueryProcessor's polymorphic stats surface (the experiment harness reads
@@ -133,14 +119,6 @@ class ScubaEngine : public QueryProcessor {
   /// forwarding shims (stats/phase_stats/clusterer_stats/join_counters) are
   /// gone after their one release of grace.
   const EvalStats& stats() const override { return stats_; }
-
-  /// Wall-time split of one PostJoinMaintenance call (telemetry only).
-  struct PostJoinTimings {
-    double tighten_seconds = 0.0;
-    double shed_seconds = 0.0;
-    double expire_seconds = 0.0;
-    double translate_seconds = 0.0;
-  };
 
   /// Phase 3 (see class comment). Per-cluster upkeep (tighten, shed, expiry,
   /// translate) is sharded over ingest_threads tasks; dissolutions and grid
@@ -170,11 +148,6 @@ class ScubaEngine : public QueryProcessor {
   /// pre-flush hook that pushes cumulative-counter deltas.
   void InstallTelemetry(std::unique_ptr<EngineTelemetry> telemetry);
 
-  /// Pre-flush hook body: pushes the per-round deltas of every semantic
-  /// counter (join, clusterer, phase, durability, validator) and refreshes
-  /// the gauges. Runs on the engine thread.
-  void PushTelemetryDeltas();
-
   /// Opens the telemetry round for the next activity; no-op when off.
   void TelemetryEnsureRound() {
     if (telemetry_ != nullptr) telemetry_->EnsureRound(stats_.evaluations + 1);
@@ -198,48 +171,7 @@ class ScubaEngine : public QueryProcessor {
   /// Observability (null unless options.telemetry.Enabled()). The handles
   /// are no-op value types, so instrumentation sites stay unconditional.
   std::unique_ptr<EngineTelemetry> telemetry_;
-  struct EngineMetrics {
-    Counter rounds;
-    Counter results;
-    Counter join_comparisons;
-    Counter join_bounds_checks;
-    Counter join_pairs_tested;
-    Counter join_pairs_overlapping;
-    Counter join_within_single;
-    Counter join_within_pair;
-    Counter clusters_created;
-    Counter members_absorbed;
-    Counter members_refreshed;
-    Counter members_departed;
-    Counter clusters_dissolved_empty;
-    Counter members_shed_ingest;
-    Counter clusters_dissolved_expired;
-    Counter members_shed_maintenance;
-    Counter clusters_split;
-    Counter updates_quarantined;
-    Counter invariant_audits;
-    Counter invariant_violations;
-    Counter invariant_repairs;
-    Counter wal_records;
-    Counter wal_bytes;
-    Counter wal_fsyncs;
-    Counter checkpoints;
-    Gauge clusters;
-    HistogramMetric join_wall_seconds;
-    HistogramMetric ingest_wall_seconds;
-    HistogramMetric postjoin_wall_seconds;
-  } metrics_;
-  /// Cumulative values already pushed into the registry; the pre-flush hook
-  /// adds only the delta since the last round.
-  struct TelemetryBaseline {
-    EvalStats eval;
-    ScubaPhaseStats phase;
-    ClustererStats clusterer;
-    ClusterJoinExecutor::Counters join;
-    double join_wall = 0.0;
-    double ingest_wall = 0.0;
-    double postjoin_wall = 0.0;
-  } pushed_;
+  EngineMetrics metrics_;
 };
 
 }  // namespace scuba

@@ -133,15 +133,17 @@ struct LoadSheddingOptions {
   double relax_fraction = 0.7;
 };
 
-/// When and how much durable state a DurabilityManager retains (see
-/// docs/ARCHITECTURE.md §8). Orthogonal to query semantics: the checkpoint
-/// policy never changes what an engine computes, only what survives a crash.
+/// When and how much durable state a ShardedDurabilityManager retains (see
+/// docs/ARCHITECTURE.md §8, §12). Orthogonal to query semantics: the
+/// checkpoint policy never changes what an engine computes, only what
+/// survives a crash.
 struct CheckpointPolicy {
-  /// Write a snapshot after every N-th completed evaluation round. 0 disables
-  /// automatic checkpoints (explicit Checkpoint() / final checkpoints only).
+  /// Commit a checkpoint generation after every N-th completed evaluation
+  /// round. 0 disables automatic checkpoints (explicit Checkpoint() only).
   uint32_t every_n_rounds = 0;
-  /// Snapshots retained in the durable directory; older ones (and the WAL
-  /// segments no retained snapshot needs) are pruned after each checkpoint.
+  /// Manifest generations retained in the durable directory; older ones
+  /// (their shard snapshots, and the WAL segments no retained generation
+  /// needs) are pruned after each checkpoint.
   uint32_t keep_last_k = 2;
   /// WAL segment rotation threshold, bytes. A record always lands in one
   /// segment; rotation happens between records.
@@ -185,18 +187,18 @@ struct ScubaOptions {
   /// serial execution on the calling thread, bit-identical to the historical
   /// single-threaded engine. Results are deterministic for every value.
   uint32_t join_threads = 1;
-  /// Worker tasks for batched ingestion and post-join maintenance: updates
-  /// are classified and clusters maintained in parallel against a read-only
-  /// snapshot, with all mutations applied in a deterministic serial merge.
-  /// 0 = hardware concurrency; 1 (default) = the historical serial
-  /// per-update path. Output is bit-identical for every value.
+  /// Worker tasks for the reference ScubaEngine's batched ingestion and
+  /// post-join maintenance: updates are classified and clusters maintained
+  /// in parallel against a read-only snapshot, with all mutations applied in
+  /// a deterministic serial merge. 0 = hardware concurrency; 1 (default) =
+  /// the serial per-update path. Output is bit-identical for every value.
+  /// The production ShardedEngine ingests serially and ignores it.
   uint32_t ingest_threads = 1;
-  /// Spatial shards for ShardedEngine execution: the grid's rows are carved
+  /// Spatial shards of the production engine: the grid's rows are carved
   /// into this many contiguous stripes, each owned by one EngineShard with
   /// its own ClusterStore slice, grid, shedder and join arena
-  /// (docs/ARCHITECTURE.md §11). 1 (default) = the single-engine layout.
-  /// Ignored by a plain ScubaEngine; results are bit-identical for every
-  /// value.
+  /// (docs/ARCHITECTURE.md §11). 1 (default) = one stripe over the whole
+  /// map. Results are bit-identical for every value.
   uint32_t shards = 1;
   /// Per-shard load handling for ShardedEngine runs. kObserve logs
   /// recommended stripe splits from the per-round load imbalance; kOff
@@ -209,20 +211,20 @@ struct ScubaOptions {
   /// production streams).
   BadUpdatePolicy on_bad_update = BadUpdatePolicy::kStrict;
   /// Run AuditInvariants() after every N-th evaluation round and self-heal
-  /// grid/store divergence via RebuildGridFromStore(). 0 (default) disables
-  /// the continuous audit; 1 audits every round.
+  /// grid-side divergence by rebuilding the grid(s) from the store(s). 0
+  /// (default) disables the continuous audit; 1 audits every round.
   uint32_t audit_every_n_rounds = 0;
 
   /// Shard fault isolation for ShardedEngine runs (docs/ARCHITECTURE.md §13):
   /// failure policy, recovery retry schedule, round deadline, deterministic
-  /// fault injection. Plain ScubaEngine ignores it. Excluded from the
-  /// snapshot options fingerprint — a clean run is bit-identical under every
-  /// setting.
+  /// fault injection. The reference ScubaEngine ignores it. Excluded from
+  /// the snapshot options fingerprint — a clean run is bit-identical under
+  /// every setting.
   ShardSupervisionOptions supervision;
 
-  /// Snapshot cadence / retention for runs with a durable directory attached
-  /// (StreamPipeline / ReplayTrace with a DurabilityManager). Ignored — and
-  /// harmless — when no durability is wired up.
+  /// Checkpoint cadence / retention for runs with a durable directory
+  /// attached (StreamPipeline / ReplayTrace with a ShardedDurabilityManager).
+  /// Ignored — and harmless — when no durability is wired up.
   CheckpointPolicy checkpoint;
 
   LoadSheddingOptions shedding;

@@ -8,6 +8,38 @@ namespace scuba {
 
 namespace {
 
+/// JSON number for a double; non-finite values (which valid JSON cannot
+/// carry) clamp to 0, but instrumented timings are never non-finite.
+std::string JsonDouble(double v) {
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+Status WriteLine(std::ofstream& file, const std::string& line,
+                 std::string_view path_kind) {
+  file << line << '\n';
+  if (!file.good()) {
+    return Status::IoError(std::string("telemetry write failed (") +
+                           std::string(path_kind) + " stream)");
+  }
+  return Status::OK();
+}
+
+std::string MetaLine(std::string_view stream, std::string_view engine_name) {
+  std::string out = "{\"schema_version\":";
+  out += std::to_string(kTelemetrySchemaVersion);
+  out += ",\"kind\":\"meta\",\"stream\":\"";
+  out += JsonEscape(stream);
+  out += "\",\"engine\":\"";
+  out += JsonEscape(engine_name);
+  out += "\"}";
+  return out;
+}
+
+}  // namespace
+
 std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -41,38 +73,6 @@ std::string JsonEscape(std::string_view s) {
   }
   return out;
 }
-
-/// JSON number for a double; non-finite values (which valid JSON cannot
-/// carry) clamp to 0, but instrumented timings are never non-finite.
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-Status WriteLine(std::ofstream& file, const std::string& line,
-                 std::string_view path_kind) {
-  file << line << '\n';
-  if (!file.good()) {
-    return Status::IoError(std::string("telemetry write failed (") +
-                           std::string(path_kind) + " stream)");
-  }
-  return Status::OK();
-}
-
-std::string MetaLine(std::string_view stream, std::string_view engine_name) {
-  std::string out = "{\"schema_version\":";
-  out += std::to_string(kTelemetrySchemaVersion);
-  out += ",\"kind\":\"meta\",\"stream\":\"";
-  out += JsonEscape(stream);
-  out += "\",\"engine\":\"";
-  out += JsonEscape(engine_name);
-  out += "\"}";
-  return out;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<RoundTelemetryEmitter>> RoundTelemetryEmitter::Open(
     const TelemetryOptions& options, std::string_view engine_name) {

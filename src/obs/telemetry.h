@@ -71,6 +71,10 @@ namespace scuba {
 
 inline constexpr int kTelemetrySchemaVersion = 4;
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and control
+/// characters escaped. Shared by every JSON emitter in the tree.
+std::string JsonEscape(std::string_view s);
+
 /// ScubaOptions::telemetry. Purely observational: never changes what the
 /// engine computes, and is excluded from the snapshot options fingerprint.
 struct TelemetryOptions {

@@ -14,14 +14,6 @@ std::string_view CrashPointName(CrashPoint point) {
       return "after-wal-append";
     case CrashPoint::kBeforeSnapshotWrite:
       return "before-snapshot-write";
-    case CrashPoint::kMidSnapshotWrite:
-      return "mid-snapshot-write";
-    case CrashPoint::kTornSnapshotRename:
-      return "torn-snapshot-rename";
-    case CrashPoint::kAfterSnapshotWrite:
-      return "after-snapshot-write";
-    case CrashPoint::kAfterWalPrune:
-      return "after-wal-prune";
     case CrashPoint::kMidShardSnapshotWrite:
       return "mid-shard-snapshot-write";
     case CrashPoint::kBetweenShardSnapshots:

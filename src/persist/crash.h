@@ -4,8 +4,8 @@
 // Follows the FaultInjector's discipline: a crash is planned up front (which
 // point, which occurrence), fires deterministically, and leaves behind
 // exactly the on-disk state a real crash at that point would — a half-written
-// WAL record, an orphaned snapshot temp file, a checksum-torn snapshot. The
-// harness then abandons the in-memory engine and proves RecoverEngine
+// WAL record, an orphaned snapshot temp file, a checksum-torn manifest. The
+// harness then abandons the in-memory engine and proves RecoverShardedEngine
 // reconstructs it bit-identically from the durable directory alone. The
 // injection is in-process: the injected "crash" surfaces as
 // Status::Internal("crash injected ...") so tests (and the CLI's --crash-at)
@@ -36,20 +36,10 @@ enum class CrashPoint : uint8_t {
   kMidWalAppend,
   /// After append + fsync: the batch is durable but was never ingested.
   kAfterWalAppend,
-  /// Before any snapshot byte is written: the previous snapshot (if any)
-  /// remains the recovery base.
+  /// Before any checkpoint byte is written: the previous manifest generation
+  /// (if any) remains the recovery base.
   kBeforeSnapshotWrite,
-  /// Mid snapshot write: an orphaned temp file holds a partial payload; the
-  /// final snapshot name was never created.
-  kMidSnapshotWrite,
-  /// A torn publish: the final snapshot file exists but holds a truncated
-  /// payload (its CRC cannot match). Recovery must skip it as kDataLoss.
-  kTornSnapshotRename,
-  /// After the snapshot is durable, before old snapshots/WAL are pruned.
-  kAfterSnapshotWrite,
-  /// After pruning completes (the checkpoint is fully finished).
-  kAfterWalPrune,
-  // --- Sharded durability points (docs/ARCHITECTURE.md §12). ---
+  // --- Checkpoint generations and per-shard chains (§12). ---
   /// Mid-write of one shard's snapshot: a partial temp file in that shard's
   /// directory, no final file, no manifest — the previous generation stays
   /// the recovery base.
@@ -83,7 +73,7 @@ enum class CrashPoint : uint8_t {
   kMidManifestPrune,
 };
 
-inline constexpr size_t kCrashPointCount = 17;
+inline constexpr size_t kCrashPointCount = 13;
 
 /// Stable kebab-case name ("mid-wal-append", ...).
 std::string_view CrashPointName(CrashPoint point);

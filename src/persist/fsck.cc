@@ -9,8 +9,9 @@
 #include <sstream>
 #include <utility>
 
-#include "persist/manifest.h"
 #include "common/serializer.h"
+#include "obs/telemetry.h"
+#include "persist/manifest.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 
@@ -25,29 +26,6 @@ void Problem(FsckReport* report, int code, std::string message) {
   report->exit_code = std::max(report->exit_code, code);
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void AppendJsonStrings(std::ostringstream* out, const char* key,
                        const std::vector<std::string>& values) {
   *out << "\"" << key << "\":[";
@@ -56,27 +34,6 @@ void AppendJsonStrings(std::ostringstream* out, const char* key,
     *out << "\"" << JsonEscape(values[i]) << "\"";
   }
   *out << "]";
-}
-
-/// "shard-<index>" directories under `dir`, ascending index.
-std::vector<std::pair<uint32_t, std::string>> FsckShardDirs(
-    const std::string& dir) {
-  std::vector<std::pair<uint32_t, std::string>> out;
-  std::error_code ec;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_directory(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("shard-", 0) != 0) continue;
-    const std::string digits = name.substr(6);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    out.emplace_back(
-        static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr, 10)),
-        entry.path().string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void ScanTempOrphans(const std::string& dir, FsckReport* report) {
@@ -91,15 +48,13 @@ void ScanTempOrphans(const std::string& dir, FsckReport* report) {
 }
 
 /// Scans one WAL directory; returns its records for cross-chain checks.
-std::vector<WalRecord> ScanWalDir(const std::string& dir, bool routed_chain,
-                                  FsckReport* report) {
+std::vector<WalRecord> ScanWalDir(const std::string& dir, FsckReport* report) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
   if (segments.ok()) {
     report->wal_segments_scanned += segments->size();
   }
-  Result<WalContents> contents =
-      ReadWal(dir, /*tolerate_routed_segment_gaps=*/routed_chain);
+  Result<WalContents> contents = ReadWal(dir);
   if (!contents.ok()) {
     Problem(report, kFsckWalGap, dir + ": " + contents.status().message());
     return {};
@@ -114,40 +69,7 @@ std::vector<WalRecord> ScanWalDir(const std::string& dir, bool routed_chain,
   return std::move(contents->records);
 }
 
-void FsckSingleLayout(const std::string& dir, FsckReport* report) {
-  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir);
-  if (!snapshots.ok()) {
-    Problem(report, kFsckBadSnapshot, snapshots.status().message());
-    return;
-  }
-  for (const auto& [seq, path] : *snapshots) {
-    ++report->snapshots_scanned;
-    Result<std::string> payload = ReadSnapshotPayload(path);
-    if (!payload.ok()) {
-      Problem(report, kFsckBadSnapshot,
-              path + ": " + payload.status().message());
-      continue;
-    }
-    Result<SnapshotMeta> meta = PeekSnapshotMeta(*payload);
-    if (!meta.ok()) {
-      Problem(report, kFsckBadSnapshot, path + ": " + meta.status().message());
-      continue;
-    }
-    if (meta->wal_next_seq != seq) {
-      Problem(report, kFsckBadSnapshot,
-              path + ": file name seq " + std::to_string(seq) +
-                  " != payload wal_next_seq " +
-                  std::to_string(meta->wal_next_seq));
-      continue;
-    }
-    ++report->snapshots_valid;
-  }
-  ScanWalDir(dir, /*routed_chain=*/false, report);
-  ScanTempOrphans(dir, report);
-}
-
-void FsckShardedLayout(
+void FsckLayout(
     const std::string& dir,
     const std::vector<std::pair<uint64_t, std::string>>& manifests,
     FsckReport* report) {
@@ -213,7 +135,13 @@ void FsckShardedLayout(
     bool mismatch = false;
   };
   std::map<uint64_t, SeqTally> tally;
-  for (const auto& [index, shard_dir] : FsckShardDirs(dir)) {
+  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
+      ListShardDirs(dir);
+  if (!shard_dirs.ok()) {
+    Problem(report, kFsckOrphan, shard_dirs.status().message());
+    return;
+  }
+  for (const auto& [index, shard_dir] : *shard_dirs) {
     if (have_valid && index >= newest_valid_shards) {
       report->notes.push_back(shard_dir +
                               ": extinct shard layout (newest manifest has " +
@@ -231,15 +159,8 @@ void FsckShardedLayout(
         }
       }
     }
-    for (const WalRecord& record :
-         ScanWalDir(shard_dir, /*routed_chain=*/true, report)) {
+    for (const WalRecord& record : ScanWalDir(shard_dir, report)) {
       if (record.seq < newest_valid_base) continue;
-      if (!record.routed) {
-        Problem(report, kFsckWalGap,
-                shard_dir + ": unrouted record at seq " +
-                    std::to_string(record.seq) + " in a sharded chain");
-        continue;
-      }
       SeqTally& t = tally[record.seq];
       if (t.count == 0) {
         t.declared = record.shard_count;
@@ -278,12 +199,8 @@ void FsckShardedLayout(
 
 std::string FsckReport::ToString() const {
   std::ostringstream out;
-  out << "fsck: " << (sharded ? "sharded" : "single-engine") << " layout";
-  if (sharded) {
-    out << ", " << manifests_valid << "/" << manifests_scanned
-        << " manifests valid";
-  }
-  out << ", " << snapshots_valid << "/" << snapshots_scanned
+  out << "fsck: " << manifests_valid << "/" << manifests_scanned
+      << " manifests valid, " << snapshots_valid << "/" << snapshots_scanned
       << " snapshots valid, " << wal_records_scanned << " wal records in "
       << wal_segments_scanned << " segments";
   out << (problems.empty() ? "\nclean" : "");
@@ -294,8 +211,7 @@ std::string FsckReport::ToString() const {
 
 std::string FsckReport::ToJson() const {
   std::ostringstream out;
-  out << "{\"sharded\":" << (sharded ? "true" : "false")
-      << ",\"manifests_scanned\":" << manifests_scanned
+  out << "{\"manifests_scanned\":" << manifests_scanned
       << ",\"manifests_valid\":" << manifests_valid
       << ",\"snapshots_scanned\":" << snapshots_scanned
       << ",\"snapshots_valid\":" << snapshots_valid
@@ -322,12 +238,11 @@ Result<FsckReport> FsckDurableDir(const std::string& dir) {
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
   if (!manifests.ok()) return manifests.status();
-  report.sharded = !manifests->empty() || !FsckShardDirs(dir).empty();
-  if (report.sharded) {
-    FsckShardedLayout(dir, *manifests, &report);
-  } else {
-    FsckSingleLayout(dir, &report);
+  if (Status retired = RejectRetiredLayout(dir); !retired.ok()) {
+    if (!retired.IsFailedPrecondition()) return retired;
+    Problem(&report, kFsckRetiredLayout, retired.message());
   }
+  FsckLayout(dir, *manifests, &report);
   return report;
 }
 

@@ -1,10 +1,11 @@
 // Read-only verification of a durable directory (`scuba_cli fsck <dir>`).
 //
-// Walks every artifact a durable directory can hold — snapshots and WAL
-// segments in the single-engine layout; manifests, per-shard snapshots and
-// per-shard WAL chains in the sharded layout (persist/manifest.h) — and
-// verifies framing CRCs, manifest-recorded payload hashes, chain sequence
-// contiguity and cross-chain batch completeness. Never writes a byte: torn
+// Walks every artifact a durable directory can hold — manifests, per-shard
+// snapshots and per-shard WAL chains (persist/manifest.h) — and verifies
+// framing CRCs, manifest-recorded payload hashes, chain sequence contiguity
+// and cross-chain batch completeness. A directory in the retired
+// single-engine layout (bare snapshots and WAL at the root) gets its own
+// verdict: no current build reads it. Never writes a byte: torn
 // tails and unacknowledged fanout tails are *reported*, exactly as recovery
 // would repair them, but the repair itself is left to recovery.
 
@@ -38,9 +39,11 @@ inline constexpr int kFsckWalGap = 23;
 inline constexpr int kFsckBadManifest = 24;
 /// A manifest references a snapshot file that does not exist.
 inline constexpr int kFsckMissingArtifact = 25;
+/// The root holds the retired single-engine layout (bare snapshot-*.scuba /
+/// wal-*.log files); run, restore and recover refuse it.
+inline constexpr int kFsckRetiredLayout = 26;
 
 struct FsckReport {
-  bool sharded = false;  ///< Which layout the directory holds.
   uint64_t manifests_scanned = 0;
   uint64_t manifests_valid = 0;
   uint64_t snapshots_scanned = 0;
@@ -56,7 +59,7 @@ struct FsckReport {
 
   std::string ToString() const;
   /// One JSON object (stable key order) for `scuba_cli fsck --json`:
-  /// {"sharded":...,"manifests_scanned":...,"manifests_valid":...,
+  /// {"manifests_scanned":...,"manifests_valid":...,
   ///  "snapshots_scanned":...,"snapshots_valid":...,
   ///  "wal_segments_scanned":...,"wal_records_scanned":...,
   ///  "exit_code":...,"clean":...,"problems":[...],"notes":[...]}

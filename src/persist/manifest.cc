@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
-#include "persist/fsio.h"
 #include "common/serializer.h"
+#include "persist/fsio.h"
+#include "persist/snapshot.h"
+#include "persist/wal.h"
 
 namespace scuba {
 
@@ -85,6 +88,31 @@ std::string ShardDirName(uint32_t shard_index) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "shard-%04u", shard_index);
   return buf;
+}
+
+Result<std::vector<std::pair<uint32_t, std::string>>> ListShardDirs(
+    const std::string& dir) {
+  std::vector<std::pair<uint32_t, std::string>> out;
+  std::error_code ec;
+  if (!fs::exists(dir, ec)) return out;
+  fs::directory_iterator it(dir, ec);
+  if (ec) {
+    return Status::IoError("cannot list " + dir + ": " + ec.message());
+  }
+  for (const fs::directory_entry& entry : it) {
+    if (!entry.is_directory(ec)) continue;
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("shard-", 0) != 0) continue;
+    const std::string digits = name.substr(6);
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos)
+      continue;
+    out.emplace_back(
+        static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr, 10)),
+        entry.path().string());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 Result<std::vector<std::pair<uint64_t, std::string>>> ListManifests(
@@ -191,6 +219,22 @@ Result<ManifestInfo> ReadManifest(const std::string& path) {
     return Status::DataLoss(path + ": " + s.message());
   }
   return info;
+}
+
+Status RejectRetiredLayout(const std::string& dir) {
+  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
+      ListSnapshots(dir);
+  if (!snapshots.ok()) return snapshots.status();
+  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
+      ListWalSegments(dir);
+  if (!segments.ok()) return segments.status();
+  if (snapshots->empty() && segments->empty()) return Status::OK();
+  return Status::FailedPrecondition(
+      dir + " holds the retired single-engine durable layout (" +
+      std::to_string(snapshots->size()) + " bare snapshot-*.scuba and " +
+      std::to_string(segments->size()) +
+      " wal-*.log files at the root); only the manifest layout is readable — "
+      "re-create the directory with a current run");
 }
 
 }  // namespace scuba

@@ -69,6 +69,12 @@ std::string ManifestFileName(uint64_t generation);
 /// durable root (holds that shard's snapshots and WAL chain).
 std::string ShardDirName(uint32_t shard_index);
 
+/// All "shard-<index>" artifact directories under `dir` as (index, path),
+/// ascending — extinct layouts' directories included (recovery reads the
+/// union). A missing directory lists as empty.
+Result<std::vector<std::pair<uint32_t, std::string>>> ListShardDirs(
+    const std::string& dir);
+
 /// All manifest files in `dir` as (generation, path), ascending. A missing
 /// directory lists as empty.
 Result<std::vector<std::pair<uint64_t, std::string>>> ListManifests(
@@ -84,6 +90,13 @@ Status WriteManifestFile(const std::string& dir, const ManifestInfo& info,
 /// Reads and validates one manifest file: magic, version, exact size, CRC.
 /// Any mismatch is kDataLoss (the caller falls back a generation).
 Result<ManifestInfo> ReadManifest(const std::string& path);
+
+/// kFailedPrecondition when `dir` holds the retired single-engine layout:
+/// bare snapshot-*.scuba or wal-*.log files at the root, where the manifest
+/// layout keeps every snapshot and WAL chain under shard-NNNN/. OK otherwise
+/// (a missing directory included). Every path that opens a durable root
+/// calls this first, so an old directory is refused, never misread.
+Status RejectRetiredLayout(const std::string& dir);
 
 }  // namespace scuba
 

@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
 #include "persist/fsio.h"
 
 namespace scuba {
@@ -44,84 +43,6 @@ void PutCircle(ByteWriter* w, const Circle& c) {
 Status GetCircle(ByteReader* r, Circle* c) {
   SCUBA_RETURN_IF_ERROR(GetPoint(r, &c->center));
   return r->GetDouble(&c->radius);
-}
-
-void PutEvalStats(ByteWriter* w, const EvalStats& s) {
-  // Fixed field order — extend only by appending (bump kSnapshotVersion when
-  // the layout changes incompatibly).
-  w->PutU64(s.evaluations);
-  w->PutDouble(s.total_join_seconds);
-  w->PutDouble(s.total_maintenance_seconds);
-  w->PutDouble(s.last_join_seconds);
-  w->PutDouble(s.last_maintenance_seconds);
-  w->PutU64(s.total_results);
-  w->PutU64(s.last_result_count);
-  w->PutU64(s.comparisons);
-  w->PutU64(s.bounds_checks);
-  w->PutU64(s.cluster_pairs_tested);
-  w->PutU64(s.cluster_pairs_overlapping);
-  w->PutU32(s.join_threads);
-  w->PutDouble(s.last_join_worker_seconds);
-  w->PutDouble(s.total_join_worker_seconds);
-  w->PutU32(s.ingest_threads);
-  w->PutDouble(s.last_ingest_seconds);
-  w->PutDouble(s.total_ingest_seconds);
-  w->PutDouble(s.last_postjoin_seconds);
-  w->PutDouble(s.total_postjoin_seconds);
-  w->PutDouble(s.last_ingest_worker_seconds);
-  w->PutDouble(s.total_ingest_worker_seconds);
-  w->PutDouble(s.last_postjoin_worker_seconds);
-  w->PutDouble(s.total_postjoin_worker_seconds);
-  w->PutU64(s.updates_quarantined);
-  w->PutU64(s.invariant_audits);
-  w->PutU64(s.invariant_violations);
-  w->PutU64(s.invariant_repairs);
-  w->PutU64(s.checkpoints_written);
-  w->PutU64(s.last_checkpoint_bytes);
-  w->PutDouble(s.last_checkpoint_seconds);
-  w->PutDouble(s.total_checkpoint_seconds);
-  w->PutU64(s.wal_records_appended);
-  w->PutU64(s.wal_fsyncs);
-  w->PutU64(s.wal_bytes_appended);
-  w->PutU64(s.recovery_replay_rounds);
-}
-
-Status GetEvalStats(ByteReader* r, EvalStats* s) {
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->evaluations));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_maintenance_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_maintenance_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->total_results));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_result_count));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->comparisons));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->bounds_checks));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_tested));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_overlapping));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->join_threads));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->ingest_threads));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->updates_quarantined));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_audits));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_violations));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_repairs));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->checkpoints_written));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_checkpoint_bytes));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_checkpoint_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_checkpoint_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_records_appended));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_fsyncs));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_bytes_appended));
-  return r->GetU64(&s->recovery_replay_rounds);
 }
 
 template <typename Id>
@@ -301,28 +222,13 @@ Result<MovingCluster> PersistAccess::LoadCluster(ByteReader* r) {
   return c;
 }
 
-void PersistAccess::SaveStoreState(const ScubaEngine& e, ByteWriter* w) {
-  const ClusterStore& store = e.store_;
-  w->PutU32(store.next_cid_);
-  PutAttrTable(w, store.objects_);
-  PutAttrTable(w, store.queries_);
-  const std::vector<ClusterId> cids = store.SortedClusterIds();
-  w->PutU64(cids.size());
-  for (ClusterId cid : cids) {
-    const MovingCluster* cluster = store.GetCluster(cid);
-    SCUBA_CHECK(cluster != nullptr);
-    SaveCluster(*cluster, w);
-    w->PutBool(e.grid_.Contains(cid));
-  }
-}
-
 void PersistAccess::SaveShardedStoreState(
     const ClusterStore& meta, const std::vector<const ClusterStore*>& stores,
     const std::vector<const GridIndex*>& grids, ByteWriter* w) {
-  // Byte-for-byte the SaveStoreState layout: the meta store carries the id
-  // allocator and attr tables, the shard stores partition the clusters, and
-  // a cluster counts as grid-registered when any shard grid holds it (the
-  // mirror invariant makes that equivalent to the single grid's Contains).
+  // The meta store carries the id allocator and attr tables, the shard
+  // stores partition the clusters, and a cluster counts as grid-registered
+  // when any shard grid holds it (the mirror invariant makes that equivalent
+  // to one whole-map grid's Contains).
   w->PutU32(meta.next_cid_);
   PutAttrTable(w, meta.objects_);
   PutAttrTable(w, meta.queries_);
@@ -350,109 +256,6 @@ void PersistAccess::SaveShardedStoreState(
     }
     w->PutBool(registered);
   }
-}
-
-void PersistAccess::SaveEngineState(const ScubaEngine& e, ByteWriter* w) {
-  SaveStoreState(e, w);
-  PutEvalStats(w, e.stats_);
-  w->PutU64(e.phase_stats_.clusters_dissolved_expired);
-  w->PutU64(e.phase_stats_.members_shed_maintenance);
-  w->PutU64(e.phase_stats_.clusters_split);
-  const ClustererStats& cs = e.clusterer_.stats_;
-  w->PutU64(cs.clusters_created);
-  w->PutU64(cs.members_absorbed);
-  w->PutU64(cs.members_refreshed);
-  w->PutU64(cs.members_departed);
-  w->PutU64(cs.clusters_dissolved_empty);
-  w->PutU64(cs.members_shed);
-  w->PutDouble(e.shedder_.eta_);
-  w->PutU64(e.shedder_.adjustments_);
-  const ClusterJoinExecutor::Counters& jc = e.join_executor_.counters_;
-  w->PutU64(jc.comparisons);
-  w->PutU64(jc.bounds_checks);
-  w->PutU64(jc.pairs_tested);
-  w->PutU64(jc.pairs_overlapping);
-  w->PutU64(jc.within_joins_single);
-  w->PutU64(jc.within_joins_pair);
-  w->PutDouble(e.pending_prejoin_seconds_);
-  w->PutDouble(e.pending_prejoin_worker_seconds_);
-}
-
-Status PersistAccess::LoadEngineState(ByteReader* r, ScubaEngine* e) {
-  ClusterStore& store = e->store_;
-  store.Clear();
-  e->grid_.Clear();
-  uint32_t next_cid = 0;
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&next_cid));
-  for (int table = 0; table < 2; ++table) {
-    uint64_t rows = 0;
-    SCUBA_RETURN_IF_ERROR(r->GetU64(&rows));
-    for (uint64_t i = 0; i < rows; ++i) {
-      uint32_t id = 0;
-      uint64_t attrs = 0;
-      SCUBA_RETURN_IF_ERROR(r->GetU32(&id));
-      SCUBA_RETURN_IF_ERROR(r->GetU64(&attrs));
-      if (table == 0) {
-        store.UpsertObjectAttrs(id, attrs);
-      } else {
-        store.UpsertQueryAttrs(id, attrs);
-      }
-    }
-  }
-  uint64_t cluster_count = 0;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cluster_count));
-  for (uint64_t i = 0; i < cluster_count; ++i) {
-    Result<MovingCluster> cluster = LoadCluster(r);
-    if (!cluster.ok()) return cluster.status();
-    bool in_grid = false;
-    SCUBA_RETURN_IF_ERROR(r->GetBool(&in_grid));
-    const ClusterId cid = cluster->cid();
-    const Circle registration = cluster->registered_bounds();
-    if (Status s = store.AddCluster(std::move(cluster).value()); !s.ok()) {
-      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
-                              " rejected by the store: " + s.message());
-    }
-    if (in_grid) {
-      // Placement is a pure function of the saved registered bounds; ascending
-      // cid insertion keeps cell-entry order deterministic (and unobservable
-      // anyway, by the join/clusterer contracts).
-      if (Status s = e->grid_.Insert(cid, registration); !s.ok()) {
-        return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
-                                " rejected by the grid: " + s.message());
-      }
-    }
-  }
-  store.next_cid_ = next_cid;
-  SCUBA_RETURN_IF_ERROR(GetEvalStats(r, &e->stats_));
-  // The restored engine reports its own parallelism, not the checkpointed
-  // run's (results are identical across thread counts by contract).
-  e->stats_.join_threads = e->join_executor_.resolved_threads();
-  e->stats_.ingest_threads = e->resolved_ingest_threads_;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_dissolved_expired));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.members_shed_maintenance));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_split));
-  ClustererStats& cs = e->clusterer_.stats_;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_created));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_absorbed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_refreshed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_departed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_dissolved_empty));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_shed));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->shedder_.eta_));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->shedder_.adjustments_));
-  ClusterJoinExecutor::Counters& jc = e->join_executor_.counters_;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.comparisons));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.bounds_checks));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.pairs_tested));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.pairs_overlapping));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.within_joins_single));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&jc.within_joins_pair));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_seconds_));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_worker_seconds_));
-  // The adaptive shedder's eta was restored; propagate the nucleus radius to
-  // the ingest path exactly as PostJoinMaintenance would have.
-  e->clusterer_.set_nucleus_radius(e->shedder_.nucleus_radius());
-  return Status::OK();
 }
 
 void PersistAccess::SaveValidatorState(const UpdateValidator& v,
@@ -554,40 +357,86 @@ void PersistAccess::NoteAdmitted(UpdateValidator* v, EntityKind kind,
   if (!inserted && time > it->second) it->second = time;
 }
 
-EvalStats* PersistAccess::MutableStats(ScubaEngine* e) { return &e->stats_; }
-
-void PersistAccess::SaveEvalStats(const EvalStats& stats, ByteWriter* w) {
-  PutEvalStats(w, stats);
+void PersistAccess::SaveEvalStats(const EvalStats& s, ByteWriter* w) {
+  // Fixed field order — extend only by appending (bump the manifest version
+  // when the layout changes incompatibly).
+  w->PutU64(s.evaluations);
+  w->PutDouble(s.total_join_seconds);
+  w->PutDouble(s.total_maintenance_seconds);
+  w->PutDouble(s.last_join_seconds);
+  w->PutDouble(s.last_maintenance_seconds);
+  w->PutU64(s.total_results);
+  w->PutU64(s.last_result_count);
+  w->PutU64(s.comparisons);
+  w->PutU64(s.bounds_checks);
+  w->PutU64(s.cluster_pairs_tested);
+  w->PutU64(s.cluster_pairs_overlapping);
+  w->PutU32(s.join_threads);
+  w->PutDouble(s.last_join_worker_seconds);
+  w->PutDouble(s.total_join_worker_seconds);
+  w->PutU32(s.ingest_threads);
+  w->PutDouble(s.last_ingest_seconds);
+  w->PutDouble(s.total_ingest_seconds);
+  w->PutDouble(s.last_postjoin_seconds);
+  w->PutDouble(s.total_postjoin_seconds);
+  w->PutDouble(s.last_ingest_worker_seconds);
+  w->PutDouble(s.total_ingest_worker_seconds);
+  w->PutDouble(s.last_postjoin_worker_seconds);
+  w->PutDouble(s.total_postjoin_worker_seconds);
+  w->PutU64(s.updates_quarantined);
+  w->PutU64(s.invariant_audits);
+  w->PutU64(s.invariant_violations);
+  w->PutU64(s.invariant_repairs);
+  w->PutU64(s.checkpoints_written);
+  w->PutU64(s.last_checkpoint_bytes);
+  w->PutDouble(s.last_checkpoint_seconds);
+  w->PutDouble(s.total_checkpoint_seconds);
+  w->PutU64(s.wal_records_appended);
+  w->PutU64(s.wal_fsyncs);
+  w->PutU64(s.wal_bytes_appended);
+  w->PutU64(s.recovery_replay_rounds);
 }
 
-Status PersistAccess::LoadEvalStats(ByteReader* r, EvalStats* stats) {
-  return GetEvalStats(r, stats);
-}
-
-std::string SerializeEngineSnapshot(const ScubaEngine& engine,
-                                    uint64_t wal_next_seq,
-                                    const UpdateValidator* validator,
-                                    const Rng* rng) {
-  ByteWriter w;
-  w.PutU64(OptionsFingerprint(engine.options()));
-  w.PutU64(wal_next_seq);
-  w.PutU64(engine.StatsSnapshot().eval.evaluations);
-  PersistAccess::SaveEngineState(engine, &w);
-  w.PutBool(validator != nullptr);
-  if (validator != nullptr) PersistAccess::SaveValidatorState(*validator, &w);
-  w.PutBool(rng != nullptr);
-  if (rng != nullptr) {
-    const RngState state = rng->SaveState();
-    for (uint64_t word : state.s) w.PutU64(word);
-    w.PutBool(state.has_cached_gaussian);
-    w.PutDouble(state.cached_gaussian);
-  }
-  return w.Release();
+Status PersistAccess::LoadEvalStats(ByteReader* r, EvalStats* s) {
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->evaluations));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_maintenance_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_maintenance_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->total_results));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_result_count));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->comparisons));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->bounds_checks));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_tested));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_overlapping));
+  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->join_threads));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->ingest_threads));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_worker_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->updates_quarantined));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_audits));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_violations));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_repairs));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->checkpoints_written));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_checkpoint_bytes));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_checkpoint_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_checkpoint_seconds));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_records_appended));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_fsyncs));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_bytes_appended));
+  return r->GetU64(&s->recovery_replay_rounds);
 }
 
 Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
-                         const std::string& payload, CrashInjector* crash,
-                         uint64_t* bytes_written) {
+                         const std::string& payload, uint64_t* bytes_written) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -603,18 +452,6 @@ Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
   const std::string final_path =
       (fs::path(dir) / SnapshotFileName(wal_next_seq)).string();
   const std::string tmp_path = final_path + ".tmp";
-  if (crash != nullptr && crash->ShouldCrash(CrashPoint::kMidSnapshotWrite)) {
-    // A crash mid-write leaves a partial temp file and no final snapshot.
-    SCUBA_RETURN_IF_ERROR(WriteFileDurably(tmp_path, bytes, bytes.size() / 2));
-    return crash->CrashStatus();
-  }
-  if (crash != nullptr && crash->ShouldCrash(CrashPoint::kTornSnapshotRename)) {
-    // A torn publish: the final name exists but its payload is truncated, so
-    // the CRC check must reject it at recovery time.
-    SCUBA_RETURN_IF_ERROR(
-        WriteFileDurably(final_path, bytes, bytes.size() - bytes.size() / 3));
-    return crash->CrashStatus();
-  }
   SCUBA_RETURN_IF_ERROR(WriteFileDurably(tmp_path, bytes));
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
@@ -666,9 +503,8 @@ Result<std::string> ReadSnapshotPayload(const std::string& path) {
 }
 
 uint64_t EngineStateHash(const ScubaEngine& engine) {
-  ByteWriter w;
-  PersistAccess::SaveStoreState(engine, &w);
-  return Fnv1a64(w.bytes());
+  return ShardedStateHash(engine.store(), {&engine.store()},
+                          {&engine.cluster_grid()});
 }
 
 uint64_t ShardedStateHash(const ClusterStore& meta,
@@ -686,96 +522,6 @@ Result<SnapshotMeta> PeekSnapshotMeta(const std::string& payload) {
   SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.wal_next_seq));
   SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.rounds));
   return meta;
-}
-
-Result<SnapshotMeta> ApplySnapshot(const std::string& payload,
-                                   ScubaEngine* engine,
-                                   UpdateValidator* validator, Rng* rng) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("engine must be non-null");
-  }
-  ByteReader r(payload);
-  SnapshotMeta meta;
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.options_fingerprint));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.wal_next_seq));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.rounds));
-  const uint64_t expected = OptionsFingerprint(engine->options());
-  if (meta.options_fingerprint != expected) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under different engine options (fingerprint " +
-        std::to_string(meta.options_fingerprint) + " vs " +
-        std::to_string(expected) +
-        "); restore requires semantically identical ScubaOptions");
-  }
-  SCUBA_RETURN_IF_ERROR(PersistAccess::LoadEngineState(&r, engine));
-  bool has_validator = false;
-  SCUBA_RETURN_IF_ERROR(r.GetBool(&has_validator));
-  if (has_validator) {
-    if (validator != nullptr) {
-      SCUBA_RETURN_IF_ERROR(PersistAccess::LoadValidatorState(&r, validator));
-    } else {
-      // Parse-and-discard keeps the reader aligned for the rng section.
-      UpdateValidator scratch(ValidatorConfig{});
-      Status s = PersistAccess::LoadValidatorState(&r, &scratch);
-      // Capacity mismatch against the scratch config is expected — only real
-      // payload damage aborts.
-      if (!s.ok() && !s.IsFailedPrecondition()) return s;
-      if (s.IsFailedPrecondition()) {
-        // Re-align: the scratch validator rejected before consuming the ring
-        // entries, so the payload cannot be skipped safely.
-        return Status::DataLoss(
-            "snapshot carries validator state; pass a validator configured "
-            "with the original quarantine capacity to restore it");
-      }
-    }
-  }
-  bool has_rng = false;
-  SCUBA_RETURN_IF_ERROR(r.GetBool(&has_rng));
-  if (has_rng) {
-    RngState state;
-    for (uint64_t& word : state.s) SCUBA_RETURN_IF_ERROR(r.GetU64(&word));
-    SCUBA_RETURN_IF_ERROR(r.GetBool(&state.has_cached_gaussian));
-    SCUBA_RETURN_IF_ERROR(r.GetDouble(&state.cached_gaussian));
-    if (rng != nullptr) rng->RestoreState(state);
-  }
-  if (!r.AtEnd()) {
-    return Status::DataLoss("snapshot payload carries " +
-                            std::to_string(r.Remaining()) +
-                            " unexpected trailing bytes");
-  }
-  return meta;
-}
-
-Status ScubaEngine::Checkpoint(const std::string& dir) {
-  Stopwatch sw;
-  const std::string payload =
-      SerializeEngineSnapshot(*this, /*wal_next_seq=*/0,
-                              /*validator=*/nullptr, /*rng=*/nullptr);
-  uint64_t bytes = 0;
-  SCUBA_RETURN_IF_ERROR(WriteSnapshotFile(dir, /*wal_next_seq=*/0, payload,
-                                          /*crash=*/nullptr, &bytes));
-  ++stats_.checkpoints_written;
-  stats_.last_checkpoint_bytes = bytes;
-  stats_.last_checkpoint_seconds = sw.ElapsedSeconds();
-  stats_.total_checkpoint_seconds += stats_.last_checkpoint_seconds;
-  return Status::OK();
-}
-
-Status ScubaEngine::Restore(const std::string& dir) {
-  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir);
-  if (!snapshots.ok()) return snapshots.status();
-  if (snapshots->empty()) {
-    return Status::NotFound("no snapshot in " + dir);
-  }
-  // Newest only — no silent fallback to older state. RecoverEngine
-  // (persist/durability.h) implements the explicit-fallback policy.
-  const std::string& path = snapshots->back().second;
-  Result<std::string> payload = ReadSnapshotPayload(path);
-  if (!payload.ok()) return payload.status();
-  Result<SnapshotMeta> meta =
-      ApplySnapshot(*payload, this, /*validator=*/nullptr, /*rng=*/nullptr);
-  return meta.ok() ? Status::OK() : meta.status();
 }
 
 }  // namespace scuba

@@ -1,21 +1,19 @@
-// Engine snapshots: versioned, checksummed serialization of the full SCUBA
-// engine state (docs/ARCHITECTURE.md §8).
+// Snapshot files: versioned, checksummed containers for one shard's engine
+// state at a checkpoint generation (docs/ARCHITECTURE.md §8, §12).
 //
 // File layout (all integers little-endian):
 //
 //   magic "SCUBSNP1" (8 bytes) | version u32 | payload_len u64
 //   payload (payload_len bytes) | crc32(payload) u32
 //
-// The payload carries, in order: the ScubaOptions fingerprint, the WAL
-// sequence number the snapshot is consistent as of, the evaluation-round
-// count, the ClusterStore (next_cid, attr tables sorted by id, every cluster
-// with its members in order and its grid-registration memo), the engine's
-// EvalStats / phase stats / clusterer stats / shedder state / join counters,
-// and optional UpdateValidator and Rng sections. Every double is persisted as
-// its IEEE-754 bit pattern, so a restored engine is *bit-identical* to the
-// checkpointed one: same digests, same future results.
+// Every payload starts with the SnapshotMeta fields (ScubaOptions
+// fingerprint, the WAL sequence number the snapshot is consistent as of, the
+// evaluation-round count); the rest is the shard's clusters, counters and
+// shedder state (PersistAccess::SerializeShardSnapshot). Every double is
+// persisted as its IEEE-754 bit pattern, so a restored engine is
+// *bit-identical* to the checkpointed one: same digests, same future results.
 //
-// Restore re-registers each cluster in the ClusterGrid from its saved
+// Restore re-registers each cluster in the grids from its saved
 // registered_bounds in ascending cid order. Grid cell placement is a pure
 // function of those bounds (GridIndex::CellsForCircle) and cell-entry order
 // is unobservable by contract (FindCompatibleCluster picks the lowest cid;
@@ -32,9 +30,8 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "core/scuba_engine.h"
-#include "persist/crash.h"
 #include "common/serializer.h"
+#include "core/scuba_engine.h"
 #include "stream/update_validator.h"
 
 namespace scuba {
@@ -52,8 +49,8 @@ struct SnapshotMeta {
 };
 
 /// Fingerprint of the *semantic* engine options: every field that can change
-/// results. join_threads / ingest_threads / the checkpoint policy are
-/// excluded — results are bit-identical across them by the parallel
+/// results. join_threads / ingest_threads / shards / the checkpoint policy
+/// are excluded — results are bit-identical across them by the parallel
 /// executors' contract, so a snapshot taken at threads=4 restores cleanly
 /// into a threads=1 engine (and the crash harness relies on exactly that).
 uint64_t OptionsFingerprint(const ScubaOptions& options);
@@ -66,21 +63,11 @@ std::string SnapshotFileName(uint64_t wal_next_seq);
 Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
     const std::string& dir);
 
-/// Serializes the complete engine state (plus optional validator / rng
-/// sections) into a snapshot payload.
-std::string SerializeEngineSnapshot(const ScubaEngine& engine,
-                                    uint64_t wal_next_seq,
-                                    const UpdateValidator* validator,
-                                    const Rng* rng);
-
 /// Writes header + payload + CRC to `dir`/SnapshotFileName(seq) atomically
-/// (temp file, fsync, rename, directory fsync). `crash` (nullable) injects
-/// kMidSnapshotWrite (partial temp file, no final file) and
-/// kTornSnapshotRename (final file with a truncated, checksum-failing
-/// payload). Returns the total file size via `*bytes_written` (nullable).
+/// (temp file, fsync, rename, directory fsync). Returns the total file size
+/// via `*bytes_written` (nullable).
 Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
-                         const std::string& payload, CrashInjector* crash,
-                         uint64_t* bytes_written);
+                         const std::string& payload, uint64_t* bytes_written);
 
 /// Reads a snapshot file and verifies magic, version, length and CRC.
 /// kDataLoss on any mismatch or truncation; the payload otherwise.
@@ -94,6 +81,8 @@ Result<SnapshotMeta> PeekSnapshotMeta(const std::string& payload);
 /// excluding wall-clock timing stats. Two engines with equal hashes are
 /// indistinguishable to every later round; a recovered engine must hash
 /// equal to the uninterrupted one (the CLI prints this for the CI smoke).
+/// The reference engine hashes as a one-stripe ShardedStateHash, so it and
+/// the production engine agree whenever their states do.
 uint64_t EngineStateHash(const ScubaEngine& engine);
 
 /// EngineStateHash over a spatially sharded engine: the same FNV-1a 64 over
@@ -106,36 +95,20 @@ uint64_t ShardedStateHash(const ClusterStore& meta,
                           const std::vector<const ClusterStore*>& stores,
                           const std::vector<const GridIndex*>& grids);
 
-/// Replaces `engine`'s entire state with the payload's. The payload's
-/// options fingerprint must match the engine's (kFailedPrecondition); the
-/// engine's thread counts are kept. When the payload carries a validator /
-/// rng section and the matching pointer is non-null, that state is restored
-/// too (a null pointer skips the section). A payload that fails to parse is
-/// kDataLoss; the engine must then be considered unusable (partially
-/// mutated) and discarded.
-Result<SnapshotMeta> ApplySnapshot(const std::string& payload,
-                                   ScubaEngine* engine,
-                                   UpdateValidator* validator, Rng* rng);
-
 /// Serialization back doors into the private state of the engine's
-/// components. Befriended by ScubaEngine, ClusterStore, MovingCluster,
-/// LeaderFollowerClusterer, LoadShedder, ClusterJoinExecutor,
-/// UpdateValidator and QuarantineLog; everything durable flows through these
-/// static helpers so the friend surface stays in one place.
+/// components. Befriended by ShardedEngine, ClusterStore, MovingCluster,
+/// LoadShedder, ClusterJoinExecutor, UpdateValidator and QuarantineLog;
+/// everything durable flows through these static helpers so the friend
+/// surface stays in one place.
 struct PersistAccess {
-  /// The deterministic subset of SaveEngineState: store tables, clusters and
-  /// grid-registration flags — everything EngineStateHash covers.
-  static void SaveStoreState(const ScubaEngine& engine, ByteWriter* w);
-  /// SaveStoreState's byte layout assembled from a sharded engine's parts:
-  /// meta store (id allocator, attr tables) + per-shard stores and grids.
-  /// Clusters serialize in globally ascending cid order; the registered flag
-  /// is true when any shard grid holds the cluster.
+  /// The deterministic store state EngineStateHash covers, assembled from an
+  /// engine's parts: meta store (id allocator, attr tables) + per-stripe
+  /// stores and grids. Clusters serialize in globally ascending cid order;
+  /// the registered flag is true when any grid holds the cluster.
   static void SaveShardedStoreState(const ClusterStore& meta,
                                     const std::vector<const ClusterStore*>& stores,
                                     const std::vector<const GridIndex*>& grids,
                                     ByteWriter* w);
-  static void SaveEngineState(const ScubaEngine& engine, ByteWriter* w);
-  static Status LoadEngineState(ByteReader* r, ScubaEngine* engine);
   static void SaveCluster(const MovingCluster& cluster, ByteWriter* w);
   static Result<MovingCluster> LoadCluster(ByteReader* r);
   static void SaveValidatorState(const UpdateValidator& v, ByteWriter* w);
@@ -144,12 +117,8 @@ struct PersistAccess {
   /// last-timestamp floor exactly as the original screening did.
   static void NoteAdmitted(UpdateValidator* v, EntityKind kind, uint32_t id,
                            Timestamp time);
-  /// Durability counters live in the engine's EvalStats; the manager and
-  /// RecoverEngine update them through this accessor.
-  static EvalStats* MutableStats(ScubaEngine* engine);
 
-  /// The snapshot payload's EvalStats section, exposed so the sharded
-  /// coordinator-state blob shares one field order with engine snapshots.
+  /// The coordinator-state blob's EvalStats section (fixed field order).
   static void SaveEvalStats(const EvalStats& stats, ByteWriter* w);
   static Status LoadEvalStats(ByteReader* r, EvalStats* stats);
 
@@ -195,12 +164,10 @@ struct PersistAccess {
                                             ShardedEngine* engine,
                                             UpdateValidator* validator,
                                             Rng* rng);
+  /// Durability counters live in the engine's EvalStats; the manager and
+  /// recovery update them through this accessor.
   static EvalStats* MutableShardedStats(ShardedEngine* engine);
 };
-
-// ScubaEngine::Checkpoint / ::Restore are declared in core/scuba_engine.h and
-// defined in this library (snapshot.cc): core stays independent of persist,
-// and any binary linking the `scuba` umbrella resolves them.
 
 }  // namespace scuba
 

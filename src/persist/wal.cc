@@ -21,7 +21,6 @@ namespace fs = std::filesystem;
 
 constexpr char kWalPrefix[] = "wal-";
 constexpr char kWalSuffix[] = ".log";
-constexpr uint8_t kRecordTypeBatch = 1;
 constexpr uint8_t kRecordTypeRouted = 2;
 constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);  // len + crc
 
@@ -86,22 +85,6 @@ Status GetQueryUpdate(ByteReader* r, QueryUpdate* u) {
   return r->GetU64(&u->required_attrs);
 }
 
-std::string EncodeRecordPayload(uint64_t seq, Timestamp batch_time,
-                                bool evaluate_after,
-                                std::span<const LocationUpdate> objects,
-                                std::span<const QueryUpdate> queries) {
-  ByteWriter w;
-  w.PutU8(kRecordTypeBatch);
-  w.PutU64(seq);
-  w.PutI64(batch_time);
-  w.PutBool(evaluate_after);
-  w.PutU64(objects.size());
-  for (const LocationUpdate& u : objects) PutLocationUpdate(&w, u);
-  w.PutU64(queries.size());
-  for (const QueryUpdate& u : queries) PutQueryUpdate(&w, u);
-  return w.Release();
-}
-
 std::string EncodeRoutedPayload(uint64_t seq, Timestamp batch_time,
                                 bool evaluate_after, uint32_t shard_index,
                                 uint32_t shard_count, uint64_t total_objects,
@@ -136,25 +119,24 @@ Status DecodeRecordPayload(std::string_view payload, WalRecord* record) {
   ByteReader r(payload);
   uint8_t type = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU8(&type));
-  if (type != kRecordTypeBatch && type != kRecordTypeRouted) {
-    return Status::DataLoss("WAL record has unknown type byte " +
-                            std::to_string(type));
+  if (type != kRecordTypeRouted) {
+    return Status::DataLoss("WAL record has type byte " +
+                            std::to_string(type) +
+                            "; only routed sub-batch records (type 2) are "
+                            "readable");
   }
-  record->routed = (type == kRecordTypeRouted);
   SCUBA_RETURN_IF_ERROR(r.GetU64(&record->seq));
   SCUBA_RETURN_IF_ERROR(r.GetI64(&record->batch_time));
   SCUBA_RETURN_IF_ERROR(r.GetBool(&record->evaluate_after));
-  if (record->routed) {
-    SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_index));
-    SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_count));
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_objects));
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_queries));
-    if (record->shard_count == 0 ||
-        record->shard_index >= record->shard_count) {
-      return Status::DataLoss("routed WAL record names shard " +
-                              std::to_string(record->shard_index) + " of " +
-                              std::to_string(record->shard_count));
-    }
+  SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_index));
+  SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_count));
+  SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_objects));
+  SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_queries));
+  if (record->shard_count == 0 ||
+      record->shard_index >= record->shard_count) {
+    return Status::DataLoss("routed WAL record names shard " +
+                            std::to_string(record->shard_index) + " of " +
+                            std::to_string(record->shard_count));
   }
   uint64_t count = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU64(&count));
@@ -162,11 +144,9 @@ Status DecodeRecordPayload(std::string_view payload, WalRecord* record) {
     return Status::DataLoss("WAL record object count overruns the payload");
   }
   record->objects.resize(static_cast<size_t>(count));
-  if (record->routed) record->object_slots.resize(static_cast<size_t>(count));
+  record->object_slots.resize(static_cast<size_t>(count));
   for (size_t i = 0; i < record->objects.size(); ++i) {
-    if (record->routed) {
-      SCUBA_RETURN_IF_ERROR(r.GetU64(&record->object_slots[i]));
-    }
+    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->object_slots[i]));
     SCUBA_RETURN_IF_ERROR(GetLocationUpdate(&r, &record->objects[i]));
   }
   SCUBA_RETURN_IF_ERROR(r.GetU64(&count));
@@ -174,11 +154,9 @@ Status DecodeRecordPayload(std::string_view payload, WalRecord* record) {
     return Status::DataLoss("WAL record query count overruns the payload");
   }
   record->queries.resize(static_cast<size_t>(count));
-  if (record->routed) record->query_slots.resize(static_cast<size_t>(count));
+  record->query_slots.resize(static_cast<size_t>(count));
   for (size_t i = 0; i < record->queries.size(); ++i) {
-    if (record->routed) {
-      SCUBA_RETURN_IF_ERROR(r.GetU64(&record->query_slots[i]));
-    }
+    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->query_slots[i]));
     SCUBA_RETURN_IF_ERROR(GetQueryUpdate(&r, &record->queries[i]));
   }
   if (!r.AtEnd()) {
@@ -304,8 +282,7 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListWalSegments(
   return out;
 }
 
-Result<WalContents> ReadWal(const std::string& dir,
-                            bool tolerate_routed_segment_gaps) {
+Result<WalContents> ReadWal(const std::string& dir) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
   if (!segments.ok()) return segments.status();
@@ -343,14 +320,13 @@ Result<WalContents> ReadWal(const std::string& dir,
     const WalRecord& prev = contents.records[i - 1];
     const WalRecord& cur = contents.records[i];
     if (cur.seq == prev.seq + 1) continue;
-    // A routed chain may jump forward exactly at a segment boundary: the
+    // A chain may jump forward exactly at a segment boundary: the
     // chain sat out the epochs between two shard layouts (see wal.h). Any
     // other discontinuity is corruption.
     const bool at_boundary =
         std::find(segment_starts.begin(), segment_starts.end(), i) !=
         segment_starts.end();
-    if (tolerate_routed_segment_gaps && cur.seq > prev.seq + 1 &&
-        at_boundary && prev.routed && cur.routed) {
+    if (cur.seq > prev.seq + 1 && at_boundary) {
       contents.route_gap_notes.push_back(
           "routed chain skips seqs " + std::to_string(prev.seq + 1) + ".." +
           std::to_string(cur.seq - 1) + " at a segment boundary");
@@ -542,16 +518,6 @@ Status WalWriter::AppendFrame(const std::string& payload) {
     return crash_->CrashStatus();
   }
   return Status::OK();
-}
-
-Status WalWriter::Append(Timestamp batch_time, bool evaluate_after,
-                         std::span<const LocationUpdate> objects,
-                         std::span<const QueryUpdate> queries) {
-  if (crash_ != nullptr && crash_->ShouldCrash(CrashPoint::kBeforeWalAppend)) {
-    return crash_->CrashStatus();
-  }
-  return AppendFrame(EncodeRecordPayload(next_seq_, batch_time, evaluate_after,
-                                         objects, queries));
 }
 
 Status WalWriter::AppendRouted(Timestamp batch_time, bool evaluate_after,

@@ -11,18 +11,21 @@
 //
 //   len u32 | crc32(payload) u32 | payload (len bytes)
 //
-// Payload: type u8 (1 = batch) | seq u64 | batch_time i64 | evaluate_after u8
-//          | object count u64 | objects | query count u64 | queries
+// Payload (type 2, "routed sub-batch", docs/ARCHITECTURE.md §12) — one
+// shard's slice of a batch in a per-shard chain:
 //
-// Type 2 ("routed sub-batch", docs/ARCHITECTURE.md §12) carries one shard's
-// slice of a batch in a per-shard chain: after evaluate_after it adds
-// shard_index u32 | shard_count u32 | total_objects u64 | total_queries u64,
-// and every tuple is preceded by its u64 slot — the tuple's position in the
-// original batch. Recovery merges the sub-records of a seq across all chains
-// back into the exact original batch; the slots must form a full permutation
-// of [0, total), which doubles as the batch-completeness check (a crash
-// mid-fanout leaves the final seq short of shard_count sub-records and it is
-// discarded — that batch was never acknowledged).
+//   type u8 (2) | seq u64 | batch_time i64 | evaluate_after u8
+//   | shard_index u32 | shard_count u32 | total_objects u64 | total_queries u64
+//   | object count u64 | (slot u64, object)* | query count u64
+//   | (slot u64, query)*
+//
+// Every tuple's slot is its position in the original batch. Recovery merges
+// the sub-records of a seq across all chains back into the exact original
+// batch; the slots must form a full permutation of [0, total), which doubles
+// as the batch-completeness check (a crash mid-fanout leaves the final seq
+// short of shard_count sub-records and it is discarded — that batch was never
+// acknowledged). Type 1 (a whole batch in one unsharded log) belonged to the
+// retired single-engine layout and now reads as kDataLoss.
 //
 // A torn frame at the very tail of the *last* segment is the expected residue
 // of a crash mid-append: ReadWal tolerates it, reports it, and never ingests
@@ -48,7 +51,7 @@
 
 namespace scuba {
 
-/// One durable batch, as written to (or read back from) the log.
+/// One durable sub-batch, as written to (or read back from) a chain.
 struct WalRecord {
   uint64_t seq = 0;
   Timestamp batch_time = 0;
@@ -58,12 +61,10 @@ struct WalRecord {
   std::vector<LocationUpdate> objects;
   std::vector<QueryUpdate> queries;
 
-  /// Type-2 fields (routed sub-batch in a per-shard chain); unset on type-1
-  /// records. `object_slots` / `query_slots` run parallel to `objects` /
-  /// `queries` and name each tuple's position in the original batch;
-  /// `total_*` count the whole batch across all chains; `shard_count` says
-  /// how many sibling sub-records the seq fanned out to.
-  bool routed = false;
+  /// `object_slots` / `query_slots` run parallel to `objects` / `queries`
+  /// and name each tuple's position in the original batch; `total_*` count
+  /// the whole batch across all chains; `shard_count` says how many sibling
+  /// sub-records the seq fanned out to.
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;
   uint64_t total_objects = 0;
@@ -97,19 +98,12 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one record (stamped with next_seq()) and fdatasyncs the segment.
-  /// Injects kBeforeWalAppend (nothing written), kMidWalAppend (half the
-  /// frame written and synced — a torn tail) and kAfterWalAppend (fully
-  /// durable, but the caller's ingestion never happens).
-  Status Append(Timestamp batch_time, bool evaluate_after,
-                std::span<const LocationUpdate> objects,
-                std::span<const QueryUpdate> queries);
-
-  /// Appends one type-2 routed sub-batch record (stamped with next_seq()).
-  /// `object_slots` / `query_slots` must parallel `objects` / `queries`.
-  /// Injects the same three append points plus kMidShardWalAppend (the
-  /// sharded-fanout torn tail — identical on-disk residue to kMidWalAppend,
-  /// counted per chain append).
+  /// Appends one routed sub-batch record (stamped with next_seq()) and
+  /// fdatasyncs the segment. `object_slots` / `query_slots` must parallel
+  /// `objects` / `queries`. Injects kBeforeWalAppend (nothing written),
+  /// kMidWalAppend / kMidShardWalAppend (half the frame written and synced —
+  /// a torn tail) and kAfterWalAppend (fully durable, but the caller's
+  /// ingestion never happens).
   Status AppendRouted(Timestamp batch_time, bool evaluate_after,
                       uint32_t shard_index, uint32_t shard_count,
                       uint64_t total_objects, uint64_t total_queries,
@@ -118,7 +112,7 @@ class WalWriter {
                       std::span<const uint64_t> query_slots,
                       std::span<const QueryUpdate> queries);
 
-  /// Sequence number the next Append will write.
+  /// Sequence number the next AppendRouted will write.
   uint64_t next_seq() const { return next_seq_; }
   const Stats& stats() const { return stats_; }
 
@@ -131,8 +125,8 @@ class WalWriter {
   WalWriter(std::string dir, uint64_t segment_bytes, CrashInjector* crash)
       : dir_(std::move(dir)), segment_bytes_(segment_bytes), crash_(crash) {}
 
-  /// Shared frame path behind Append / AppendRouted: rotation, crash
-  /// injection, write + fdatasync, counters.
+  /// Frame path behind AppendRouted: rotation, crash injection, write +
+  /// fdatasync, counters.
   Status AppendFrame(const std::string& payload);
 
   /// Opens (or creates) the segment that starts at `first_seq` for append.
@@ -157,8 +151,8 @@ struct WalContents {
   /// The torn bytes are reported, never parsed into a record.
   bool torn_tail = false;
   std::string torn_detail;
-  /// Tolerated forward seq jumps at segment boundaries of routed chains
-  /// (re-partition residue); empty unless ReadWal was asked to allow them.
+  /// Tolerated forward seq jumps at segment boundaries (re-partition
+  /// residue, see ReadWal).
   std::vector<std::string> route_gap_notes;
 };
 
@@ -168,17 +162,16 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListWalSegments(
 
 /// Reads every record in seq order across all segments. A bad frame at the
 /// tail of the final segment is tolerated as a torn tail; a bad frame
-/// anywhere else, a CRC/parse failure mid-log, or a seq discontinuity is
-/// kDataLoss. A missing directory reads as an empty log.
+/// anywhere else, a CRC/parse failure mid-log, a record that is not a routed
+/// sub-batch, or a seq discontinuity is kDataLoss. A missing directory reads
+/// as an empty log.
 ///
-/// `tolerate_routed_segment_gaps`: a per-shard chain of routed records may
-/// legitimately skip forward exactly at a segment boundary — the chain sat
-/// out the epochs between two shard layouts (N→M re-partition). When set, a
-/// forward jump at a segment boundary between two routed records is noted
-/// instead of failing; every other discontinuity is still kDataLoss. The
-/// sharded recovery's cross-chain slot merge supplies the integrity check.
-Result<WalContents> ReadWal(const std::string& dir,
-                            bool tolerate_routed_segment_gaps = false);
+/// One exception to seq contiguity: a per-shard chain may legitimately skip
+/// forward exactly at a segment boundary — the chain sat out the epochs
+/// between two shard layouts (N→M re-partition). Such a jump is noted in
+/// route_gap_notes instead of failing; the recovery's cross-chain slot merge
+/// supplies the integrity check.
+Result<WalContents> ReadWal(const std::string& dir);
 
 /// Physically drops every record with seq >= `first_seq_to_drop`: truncates
 /// the segment holding the first such record at its frame boundary (removing

@@ -4,37 +4,24 @@
 
 #include "baseline/grid_join_engine.h"
 #include "baseline/naive_join_engine.h"
-#include "persist/durability.h"
-#include "persist/snapshot.h"
 
 namespace scuba {
 
 uint64_t EngineHandle::StateHash() const {
-  if (sharded != nullptr) return EngineStateHash(*sharded);
-  if (scuba != nullptr) return EngineStateHash(*scuba);
-  return 0;
+  return sharded != nullptr ? EngineStateHash(*sharded) : 0;
 }
 
 Status EngineHandle::FlushTelemetry() const {
-  if (sharded != nullptr) return sharded->FlushTelemetry();
-  if (scuba != nullptr) return scuba->FlushTelemetry();
-  return Status::OK();
+  return sharded != nullptr ? sharded->FlushTelemetry() : Status::OK();
 }
 
 Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
                                 std::string_view name) {
   EngineHandle handle;
-  if (name == "scuba" && opt.shards > 1) {
+  if (name == "scuba") {
     Result<std::unique_ptr<ShardedEngine>> e = ShardedEngine::Create(opt);
     if (!e.ok()) return e.status();
     handle.sharded = e->get();
-    handle.engine = std::move(e).value();
-    return handle;
-  }
-  if (name == "scuba") {
-    Result<std::unique_ptr<ScubaEngine>> e = ScubaEngine::Create(opt);
-    if (!e.ok()) return e.status();
-    handle.scuba = e->get();
     handle.engine = std::move(e).value();
     return handle;
   }
@@ -63,29 +50,21 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
                                         CrashInjector* crash) {
   DurabilityHandle handle;
   if (dir.empty()) return handle;
-  if (engine->sharded != nullptr) {
-    Result<std::unique_ptr<ShardedDurabilityManager>> d =
-        ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->sharded,
-                                       screen, /*rng=*/nullptr, crash);
-    if (!d.ok()) return d.status();
-    handle.sharded = d->get();
-    handle.sink = std::move(d).value();
-  } else if (engine->scuba != nullptr) {
-    Result<std::unique_ptr<DurabilityManager>> d =
-        DurabilityManager::Open(dir, opt.checkpoint, engine->scuba, screen,
-                                /*rng=*/nullptr, crash);
-    if (!d.ok()) return d.status();
-    handle.sink = std::move(d).value();
-  } else {
+  if (engine->sharded == nullptr) {
     return Status::InvalidArgument(
         "--durable-dir requires --engine scuba (snapshots cover SCUBA "
         "engine state)");
   }
-  // A supervised durable sharded run can heal a failed stripe online: the
-  // recovery hook rebuilds it from the durable root between rounds, and a
-  // reassign eviction realigns the WAL chains with the reduced layout.
-  if (engine->sharded != nullptr && engine->sharded->supervisor() != nullptr &&
-      handle.sharded != nullptr) {
+  Result<std::unique_ptr<ShardedDurabilityManager>> d =
+      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->sharded,
+                                     screen, /*rng=*/nullptr, crash);
+  if (!d.ok()) return d.status();
+  handle.sharded = d->get();
+  handle.sink = std::move(d).value();
+  // A supervised durable run can heal a failed stripe online: the recovery
+  // hook rebuilds it from the durable root between rounds, and a reassign
+  // eviction realigns the WAL chains with the reduced layout.
+  if (engine->sharded->supervisor() != nullptr) {
     // The durable root carries validator state only when the run screens
     // (screen was passed to Open above); the twin must mirror that.
     const bool has_validator = screen != nullptr;

@@ -1,12 +1,12 @@
 // One place where ScubaOptions become a runnable engine.
 //
-// scuba_cli run/checkpoint/restore/recover, the serve subcommand, benches,
-// and examples all need the same mapping: engine name + options → a
-// QueryProcessor (single ScubaEngine, ShardedEngine when opt.shards > 1, or a
-// baseline), optionally wrapped with durability (snapshot/WAL sink plus the
-// supervised-stripe online-recovery hooks). Before this factory each caller
-// hand-assembled that chain and they drifted; now the option-to-engine
-// mapping lives here and callers keep only their command-specific I/O.
+// scuba_cli run/checkpoint/restore/recover/compare, the serve subcommand and
+// benches all need the same mapping: engine name + options → a
+// QueryProcessor (the production ShardedEngine at opt.shards >= 1 stripes, or
+// a baseline), optionally wrapped with durability (manifest + per-shard WAL
+// sink plus the supervised-stripe online-recovery hooks). The
+// option-to-engine mapping lives here and callers keep only their
+// command-specific I/O.
 
 #ifndef SCUBA_SHARD_ENGINE_FACTORY_H_
 #define SCUBA_SHARD_ENGINE_FACTORY_H_
@@ -25,39 +25,41 @@
 
 namespace scuba {
 
-/// An engine plus typed views into it. `engine` owns; the raw pointers alias
-/// it (non-null only for the matching concrete type) so callers can reach
-/// type-specific surfaces — state hashes, telemetry, shard health — without
-/// dynamic_cast.
+/// An engine plus a typed view into it. `engine` owns; `sharded` aliases it
+/// (non-null for "scuba") so callers can reach engine surfaces — state
+/// hashes, telemetry, shard health — without dynamic_cast.
 struct EngineHandle {
   std::unique_ptr<QueryProcessor> engine;
-  ScubaEngine* scuba = nullptr;      ///< set when engine is a single ScubaEngine
-  ShardedEngine* sharded = nullptr;  ///< set when engine is a ShardedEngine
+  /// Always null: MakeEngine no longer builds the reference engine. Kept
+  /// because bench_e2e still names it.
+  ScubaEngine* scuba = nullptr;
+  ShardedEngine* sharded = nullptr;  ///< set when engine is "scuba"
 
-  /// State hash for determinism checks: engine-snapshot hash for scuba /
-  /// sharded engines, 0 for baselines (which define no snapshot form).
+  /// State hash for determinism checks: EngineStateHash for the SCUBA
+  /// engine, 0 for baselines (which define no snapshot form).
   uint64_t StateHash() const;
 
-  /// Flushes buffered telemetry (scuba/sharded only; baselines emit none).
+  /// Flushes buffered telemetry (SCUBA engine only; baselines emit none).
   Status FlushTelemetry() const;
 };
 
-/// Builds the engine `name` selects: "scuba" (ShardedEngine when
-/// opt.shards > 1, else ScubaEngine), "grid" (GridJoinEngine over opt.region
-/// / opt.grid_cells), or "naive". Unknown names → kInvalidArgument.
+/// Builds the engine `name` selects: "scuba" (a ShardedEngine over
+/// opt.shards >= 1 stripes), "grid" (GridJoinEngine over opt.region /
+/// opt.grid_cells), or "naive". Unknown names → kInvalidArgument.
 Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
                                 std::string_view name = "scuba");
 
-/// A durability sink bound to an engine, plus the typed sharded view.
+/// A durability sink bound to an engine, plus its typed view.
 struct DurabilityHandle {
   std::unique_ptr<DurabilitySink> sink;  ///< null when no durable dir was given
   ShardedDurabilityManager* sharded = nullptr;
 };
 
-/// Opens snapshot/WAL durability under `dir` for `engine` (which must be a
-/// scuba or sharded engine — baselines have no snapshot form) and, for a
-/// supervised sharded engine, installs the online stripe-recovery hooks that
-/// rebuild a failed stripe from `dir` between rounds. `screen` (nullable) is
+/// Opens manifest + per-shard WAL durability under `dir` for `engine` (which
+/// must be the SCUBA engine — baselines have no snapshot form) and, for a
+/// supervised engine, installs the online stripe-recovery hooks that rebuild
+/// a failed stripe from `dir` between rounds. A directory in the retired
+/// single-engine layout is kFailedPrecondition. `screen` (nullable) is
 /// the validator whose state rides the snapshots; `vconfig` must describe it
 /// when non-null. `crash` (nullable) arms crash injection. An empty `dir`
 /// returns an empty handle, so callers can wire durability unconditionally.

@@ -12,6 +12,7 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "obs/telemetry.h"
 #include "persist/fsio.h"
 #include "persist/snapshot.h"
 
@@ -31,33 +32,6 @@ void PutSortedAttrTable(ByteWriter* w,
     w->PutU32(id);
     w->PutU64(attrs);
   }
-}
-
-/// All "shard-<index>" artifact directories under `dir`, ascending index.
-/// Includes extinct layouts' directories — recovery reads the union.
-Result<std::vector<std::pair<uint32_t, std::string>>> ListShardDirs(
-    const std::string& dir) {
-  std::vector<std::pair<uint32_t, std::string>> out;
-  std::error_code ec;
-  if (!fs::exists(dir, ec)) return out;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot list " + dir + ": " + ec.message());
-  }
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_directory(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("shard-", 0) != 0) continue;
-    const std::string digits = name.substr(6);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    out.emplace_back(
-        static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr, 10)),
-        entry.path().string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::string ChainDir(const std::string& root, uint32_t shard_index) {
@@ -85,12 +59,6 @@ struct SeqBucket {
 
 Status AccumulateRouted(uint32_t dir_index, const WalRecord& record,
                         std::map<uint64_t, SeqBucket>* buckets) {
-  if (!record.routed) {
-    return Status::DataLoss("shard chain " + std::to_string(dir_index) +
-                            " holds an unrouted record at seq " +
-                            std::to_string(record.seq) +
-                            "; sharded chains carry only routed sub-records");
-  }
   SeqBucket& b = (*buckets)[record.seq];
   if (b.count == 0) {
     b.declared_shards = record.shard_count;
@@ -192,8 +160,8 @@ Status WriteShardedCheckpoint(const std::string& dir, const ShardedEngine& engin
       return crash->CrashStatus();
     }
     uint64_t bytes = 0;
-    SCUBA_RETURN_IF_ERROR(WriteSnapshotFile(shard_dir, generation, payload,
-                                            /*crash=*/nullptr, &bytes));
+    SCUBA_RETURN_IF_ERROR(
+        WriteSnapshotFile(shard_dir, generation, payload, &bytes));
     bytes_sum += bytes;
     info.shards.push_back(ManifestShardEntry{generation, Fnv1a64(payload)});
   }
@@ -242,29 +210,6 @@ Result<std::vector<std::string>> ReadGenerationPayloads(
     payloads.push_back(std::move(*payload));
   }
   return payloads;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -584,6 +529,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
 }
 
 Status ShardedEngine::Restore(const std::string& dir) {
+  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
   if (!manifests.ok()) return manifests.status();
@@ -622,6 +568,7 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   if (policy.keep_last_k == 0) {
     return Status::InvalidArgument("keep_last_k must be at least 1");
   }
+  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
@@ -663,8 +610,7 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   std::map<uint64_t, SeqBucket> buckets;
   std::vector<std::unique_ptr<WalContents>> keep_alive;
   for (const auto& [index, chain_dir] : *shard_dirs) {
-    Result<WalContents> contents =
-        ReadWal(chain_dir, /*tolerate_routed_segment_gaps=*/true);
+    Result<WalContents> contents = ReadWal(chain_dir);
     if (!contents.ok()) return contents.status();
     auto held = std::make_unique<WalContents>(std::move(*contents));
     for (const WalRecord& record : held->records) {
@@ -737,6 +683,14 @@ Status ShardedDurabilityManager::LogBatch(
     query_slot_scratch_[s].clear();
     query_scratch_[s].clear();
   }
+  EngineTelemetry* telemetry = engine_->telemetry();
+  Stopwatch sw;
+  if (telemetry != nullptr) {
+    // The append is activity for the upcoming round (the batch it logs).
+    telemetry->EnsureRound(
+        PersistAccess::MutableShardedStats(engine_)->evaluations + 1);
+    sw.Start();
+  }
   const ShardRouter& router = engine_->router();
   for (size_t i = 0; i < objects.size(); ++i) {
     const uint32_t s = router.ShardOfPoint(objects[i].position);
@@ -765,6 +719,13 @@ Status ShardedDurabilityManager::LogBatch(
   }
   if (status.ok()) ++next_seq_;
   MirrorWalCounters();
+  if (telemetry != nullptr) {
+    const double elapsed = sw.ElapsedSeconds();
+    TraceCollector& tc = telemetry->trace();
+    const int32_t checkpoint = tc.EnsureSpan(tc.root(), "checkpoint");
+    tc.Accumulate(checkpoint, elapsed);
+    tc.Accumulate(tc.EnsureSpan(checkpoint, "wal"), elapsed);
+  }
   return status;
 }
 
@@ -803,6 +764,16 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
   stats->last_checkpoint_bytes = bytes;
   stats->last_checkpoint_seconds = sw.ElapsedSeconds();
   stats->total_checkpoint_seconds += stats->last_checkpoint_seconds;
+  if (EngineTelemetry* telemetry = engine_->telemetry();
+      telemetry != nullptr) {
+    // Post-Evaluate checkpoints belong to the round that just completed.
+    telemetry->EnsureRound(std::max<uint64_t>(1, stats->evaluations));
+    TraceCollector& tc = telemetry->trace();
+    const int32_t checkpoint = tc.EnsureSpan(tc.root(), "checkpoint");
+    tc.Accumulate(checkpoint, stats->last_checkpoint_seconds);
+    tc.Accumulate(tc.EnsureSpan(checkpoint, "snapshot"),
+                  stats->last_checkpoint_seconds);
+  }
   SCUBA_RETURN_IF_ERROR(Prune());
   rounds_since_checkpoint_ = 0;
   return Status::OK();
@@ -954,6 +925,7 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
+  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   ShardedRecoveryReport report;
   report.engine_shards = engine->shard_count();
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
@@ -1013,8 +985,7 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
   chain_contents.reserve(shard_dirs->size());
   uint32_t max_dir_index = 0;
   for (const auto& [index, chain_dir] : *shard_dirs) {
-    Result<WalContents> contents =
-        ReadWal(chain_dir, /*tolerate_routed_segment_gaps=*/true);
+    Result<WalContents> contents = ReadWal(chain_dir);
     if (!contents.ok()) return contents.status();
     if (contents->torn_tail) {
       report.any_torn_tail = true;

@@ -46,8 +46,10 @@
 
 namespace scuba {
 
-/// DurabilityManager's sharded sibling: one durable root, one WAL chain per
-/// shard, manifest-committed checkpoints per CheckpointPolicy.
+/// The engine's durability sink: one durable root, one WAL chain per shard,
+/// manifest-committed checkpoints per CheckpointPolicy. With engine telemetry
+/// on, appends land in the round's checkpoint.wal span and checkpoints in
+/// checkpoint.snapshot.
 class ShardedDurabilityManager : public DurabilitySink {
  public:
   /// Opens (creating if needed) the durable root for `engine`. Aligns every

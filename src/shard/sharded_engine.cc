@@ -14,8 +14,9 @@ namespace scuba {
 
 namespace {
 
-/// Mirrors the single-engine audit tolerance (core/scuba_engine.cc): audits
-/// recompute derived quantities in a different floating-point order.
+/// Absolute slack for the audit's distance comparisons (the reference
+/// engine's tolerance): audits recompute derived quantities in a different
+/// floating-point order.
 constexpr double kAuditEps = 1e-6;
 
 void AddViolation(InvariantAuditReport* report, std::string msg) {
@@ -487,7 +488,6 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
     ApplyInjectedCorruption();
   }
 
-  results->Reserve(stats_.last_result_count);
   Stopwatch join_sw;
   std::vector<Status> shard_status(n);
   // Stale slices: quarantined before the round, or failed during it under a
@@ -542,38 +542,29 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
     for (uint32_t s = 0; s < n; ++s) SCUBA_RETURN_IF_ERROR(shard_status[s]);
   }
   double busy = 0.0;
-  size_t merged = 0;
   uint64_t round_ghosts = 0;
   uint32_t stale_count = 0;
+  // A stale slice serves the shard's last published results; a fresh one,
+  // under supervision, becomes the next round's fallback.
+  std::vector<const ResultSet*> slices(n);
   for (uint32_t s = 0; s < n; ++s) {
     if (stale[s]) {
       ++stale_count;
-      merged += shards_[s]->last_good_results.size();
+      slices[s] = &shards_[s]->last_good_results;
       continue;
     }
     busy += shards_[s]->last_busy_seconds;
-    merged += shards_[s]->results.size();
     round_ghosts += shards_[s]->last_ghosts;
+    if (supervised) shards_[s]->last_good_results = shards_[s]->results;
+    slices[s] = &shards_[s]->results;
   }
   ghosts_published_ += round_ghosts;
-  // The single engine's Execute clears the caller's set every round; a
-  // reused ResultSet must not accumulate across rounds here either.
+  // Every slice is normalized, and owner-cell dedup makes fresh slices
+  // disjoint; a stale slice may overlap fresh ones (its pairs' owner cells
+  // can have migrated since it was published). Merging the sorted slices and
+  // deduplicating seals the round's set without a full re-sort.
   results->Clear();
-  // Owner-cell dedup makes per-shard slices disjoint up to the duplicates
-  // Normalize removes in the single engine too; one normalize seals the
-  // merged set. A stale slice may overlap fresh ones (its pairs' owner cells
-  // can have migrated since it was published) — Normalize covers that too.
-  results->Reserve(merged);
-  for (uint32_t s = 0; s < n; ++s) {
-    if (stale[s]) {
-      ResultSet slice = shards_[s]->last_good_results;
-      results->AppendFrom(std::move(slice));
-      continue;
-    }
-    if (supervised) shards_[s]->last_good_results = shards_[s]->results;
-    results->AppendFrom(std::move(shards_[s]->results));
-  }
-  results->Normalize();
+  results->MergeNormalized(slices);
   for (uint32_t s = 0; s < n; ++s) {
     if (stale[s]) results->MarkDegraded(s);
   }
@@ -596,8 +587,19 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
     TraceCollector& tc = telemetry_->trace();
     const int32_t join_span = tc.EnsureSpan(tc.root(), "join");
     tc.Accumulate(join_span, stats_.last_join_seconds, busy);
+    double between = 0.0;
+    double within = 0.0;
     for (uint32_t s = 0; s < n; ++s) {
       if (stale[s]) continue;  // no fresh work this round
+      const ClusterJoinExecutor& join = shards_[s]->join;
+      within += join.last_within_seconds();
+      between += std::max(0.0, join.last_worker_seconds() -
+                                   join.last_within_seconds());
+    }
+    tc.Accumulate(tc.EnsureSpan(join_span, "between"), between);
+    tc.Accumulate(tc.EnsureSpan(join_span, "within"), within);
+    for (uint32_t s = 0; s < n; ++s) {
+      if (stale[s]) continue;
       tc.Accumulate(
           tc.EnsureSpan(join_span, "engine_shard", static_cast<int32_t>(s)),
           shards_[s]->last_busy_seconds, shards_[s]->last_busy_seconds);
@@ -607,7 +609,9 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
   Stopwatch maint_sw;
   double postjoin_worker = 0.0;
   last_handoff_seconds_ = 0.0;
-  Status s = PostJoinMaintenance(now, &postjoin_worker);
+  PostJoinTimings postjoin_timings;
+  Status s = PostJoinMaintenance(
+      now, &postjoin_worker, telemetry_ != nullptr ? &postjoin_timings : nullptr);
   stats_.last_postjoin_seconds = maint_sw.ElapsedSeconds();
   stats_.total_postjoin_seconds += stats_.last_postjoin_seconds;
   stats_.last_postjoin_worker_seconds = postjoin_worker;
@@ -623,8 +627,9 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
   pending_prejoin_worker_seconds_ = 0.0;
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
-    tc.Accumulate(tc.EnsureSpan(tc.root(), "postjoin"),
-                  stats_.last_postjoin_seconds, postjoin_worker);
+    const int32_t pj = tc.EnsureSpan(tc.root(), "postjoin");
+    tc.Accumulate(pj, stats_.last_postjoin_seconds, postjoin_worker);
+    postjoin_timings.AccumulateSpans(tc, pj);
     tc.Accumulate(tc.EnsureSpan(tc.root(), "handoff"), last_handoff_seconds_);
   }
   if (s.ok() && options_.rebalance == RebalanceMode::kObserve) {
@@ -635,6 +640,10 @@ Status ShardedEngine::Evaluate(Timestamp now, ResultSet* results) {
     // at the end of the SAME round — no ingest has interleaved, so a
     // successful rebuild converges exactly to the uninterrupted twin.
     SCUBA_RETURN_IF_ERROR(RunScheduledRecoveries());
+  }
+  if (s.ok() && options_.audit_every_n_rounds > 0 &&
+      stats_.evaluations % options_.audit_every_n_rounds == 0) {
+    SCUBA_RETURN_IF_ERROR(AuditAndHeal());
   }
   return s;
 }
@@ -648,7 +657,7 @@ Status ShardedEngine::SplitOversizedClusters() {
     SCUBA_CHECK(cluster != nullptr);
     cluster->RecomputeTightBounds();
     if (!ShouldSplit(*cluster, max_radius)) continue;
-    // Named locals: id assignment order must match the single engine's.
+    // Named locals: id assignment order must match the reference engine's.
     const ClusterId left_id = meta_.NextClusterId();
     const ClusterId right_id = meta_.NextClusterId();
     Result<SplitResult> split = SplitCluster(*cluster, left_id, right_id);
@@ -692,15 +701,15 @@ Status ShardedEngine::MigrateOwnership() {
 }
 
 Status ShardedEngine::PostJoinMaintenance(Timestamp now,
-                                          double* worker_seconds) {
+                                          double* worker_seconds,
+                                          PostJoinTimings* timings) {
   *worker_seconds = 0.0;
   if (options_.enable_cluster_splitting) {
     SCUBA_RETURN_IF_ERROR(SplitOversizedClusters());
   }
   // Per-cluster upkeep runs as one task per shard over that shard's own
   // clusters (clusters are store-disjoint; grids are only read); the
-  // mutations below apply serially in globally ascending cid order, exactly
-  // the single engine's sequence.
+  // mutations below apply serially in globally ascending cid order.
   const std::vector<ClusterId> cids = GlobalSortedClusterIds();
   struct Outcome {
     uint64_t shed = 0;
@@ -710,8 +719,19 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
   };
   std::vector<Outcome> outcomes(cids.size());
   std::vector<EngineShard*> owners(cids.size(), nullptr);
+  std::vector<PostJoinTimings> shard_timings(
+      timings != nullptr ? shard_count() : 0);
   auto upkeep = [&](uint32_t s) {
     EngineShard& shard = *shards_[s];
+    PostJoinTimings* tt = timings != nullptr ? &shard_timings[s] : nullptr;
+    Stopwatch lap;
+    // Adds the time since the last lap to one sub-step (telemetry only).
+    auto take_lap = [&](double PostJoinTimings::*into) {
+      if (tt != nullptr) {
+        tt->*into += lap.ElapsedSeconds();
+        lap.Start();
+      }
+    };
     for (ClusterId cid : shard.store.SortedClusterIds()) {
       const size_t slot = static_cast<size_t>(
           std::lower_bound(cids.begin(), cids.end(), cid) - cids.begin());
@@ -719,27 +739,32 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
       MovingCluster* cluster = shard.store.GetCluster(cid);
       SCUBA_CHECK(cluster != nullptr);
       Outcome& out = outcomes[slot];
+      if (tt != nullptr) lap.Start();
       cluster->RecomputeTightBounds();
+      take_lap(&PostJoinTimings::tighten_seconds);
       if (shard.nucleus_radius > 0.0) {
         out.shed = cluster->ShedPositions(shard.nucleus_radius);
       }
+      take_lap(&PostJoinTimings::shed_seconds);
       if (cluster->ComputeExpiryTime(now) <= now + options_.delta) {
         out.dissolve = true;
+        take_lap(&PostJoinTimings::expire_seconds);
         continue;
       }
+      take_lap(&PostJoinTimings::expire_seconds);
       cluster->Translate(cluster->Velocity() *
                          static_cast<double>(options_.delta));
       const Circle needed = options_.query_reach_aware ? cluster->JoinBounds()
                                                        : cluster->Bounds();
-      if (AnyGridContains(cid) &&
-          ContainsCircle(cluster->registered_bounds(), needed)) {
-        continue;  // still covered by the previous registration
+      if (!AnyGridContains(cid) ||
+          !ContainsCircle(cluster->registered_bounds(), needed)) {
+        const Circle padded{needed.center,
+                            needed.radius + options_.grid_sync_padding};
+        cluster->set_registered_bounds(padded);
+        out.resync = true;
+        out.registration = padded;
       }
-      const Circle padded{needed.center,
-                          needed.radius + options_.grid_sync_padding};
-      cluster->set_registered_bounds(padded);
-      out.resync = true;
-      out.registration = padded;
+      take_lap(&PostJoinTimings::translate_seconds);
     }
   };
   const uint32_t n = shard_count();
@@ -750,6 +775,7 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
     for (uint32_t s = 0; s < n; ++s) upkeep(s);
     *worker_seconds = serial.ElapsedSeconds();
   }
+  for (const PostJoinTimings& tt : shard_timings) *timings += tt;
   for (size_t i = 0; i < cids.size(); ++i) {
     phase_stats_.members_shed_maintenance += outcomes[i].shed;
     if (outcomes[i].dissolve) {
@@ -767,7 +793,8 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
 
   // Per-shard shedder feedback with shard-local memory estimates. kFixed /
   // kNone radii are position-independent constants (bit-identical to the
-  // single engine); kAdaptive legitimately diverges — see the class comment.
+  // reference engine); kAdaptive legitimately diverges — see the class
+  // comment.
   for (auto& sp : shards_) {
     sp->shedder.ObserveMemoryUsage(
         sizeof(EngineShard) + sp->store.EstimateMemoryUsage() +
@@ -835,7 +862,7 @@ InvariantAuditReport ShardedEngine::AuditShardStripe(uint32_t shard) const {
   const EngineShard& self = *shards_[shard];
   const std::string prefix = "stripe " + std::to_string(shard);
 
-  // Store side: this stripe's own clusters, with the single engine's
+  // Store side: this stripe's own clusters, with the reference engine's
   // per-cluster rules (core/scuba_engine.cc AuditInvariants).
   if (Status s = self.store.ValidateConsistency(); !s.ok()) {
     AddViolation(&report, prefix + " store: " + s.message());
@@ -937,6 +964,37 @@ InvariantAuditReport ShardedEngine::AuditShardStripe(uint32_t shard) const {
     }
   }
   return report;
+}
+
+Status ShardedEngine::AuditAndHeal() {
+  ++stats_.invariant_audits;
+  const InvariantAuditReport report = AuditInvariants();
+  if (report.clean()) return Status::OK();
+  stats_.invariant_violations += report.violations_total;
+  SCUBA_RETURN_IF_ERROR(RebuildGridsFromStores());
+  ++stats_.invariant_repairs;
+  ++stats_.invariant_audits;
+  const InvariantAuditReport recheck = AuditInvariants();
+  if (!recheck.clean()) {
+    return Status::Corruption(
+        "invariant audit still failing after grid rebuild: " +
+        recheck.ToString());
+  }
+  return Status::OK();
+}
+
+Status ShardedEngine::RebuildGridsFromStores() {
+  for (auto& sp : shards_) sp->grid.Clear();
+  for (ClusterId cid : GlobalSortedClusterIds()) {
+    EngineShard* owner = nullptr;
+    MovingCluster* cluster = GetClusterAnywhere(cid, &owner);
+    SCUBA_CHECK(cluster != nullptr);
+    // Reset the lazy-registration memo so the sync re-registers from scratch
+    // instead of trusting stale bounds.
+    cluster->set_registered_bounds(Circle{});
+    SCUBA_RETURN_IF_ERROR(SyncAllGrids(cluster));
+  }
+  return Status::OK();
 }
 
 void ShardedEngine::ApplyInjectedCorruption() {
@@ -1072,6 +1130,7 @@ Status ShardedEngine::EvictShard(uint32_t victim) {
   for (const std::string& payload : payloads) {
     SCUBA_RETURN_IF_ERROR(PersistAccess::ApplyShardSnapshot(payload, this));
   }
+  if (telemetry_ != nullptr) AttachShardTelemetry();
   supervisor_->OnLayoutChanged(new_count);
   if (on_layout_changed_) {
     SCUBA_RETURN_IF_ERROR(on_layout_changed_());
@@ -1107,12 +1166,7 @@ void ShardedEngine::InstallTelemetry(
     std::unique_ptr<EngineTelemetry> telemetry) {
   telemetry_ = std::move(telemetry);
   MetricsRegistry& reg = telemetry_->registry();
-  metrics_.rounds =
-      reg.RegisterCounter("scuba_rounds_total", "Completed evaluation rounds");
-  metrics_.results = reg.RegisterCounter("scuba_results_total",
-                                         "Query-object matches produced");
-  metrics_.join_comparisons = reg.RegisterCounter(
-      "scuba_join_comparisons_total", "Member-level predicate evaluations");
+  engine_metrics_.Register(&reg);
   metrics_.handoffs = reg.RegisterCounter(
       "scuba_shard_handoffs_total",
       "Cluster ownership migrations between shards");
@@ -1134,8 +1188,6 @@ void ShardedEngine::InstallTelemetry(
   metrics_.degraded_rounds = reg.RegisterCounter(
       "scuba_degraded_rounds_total",
       "Rounds answered with at least one stale shard slice");
-  metrics_.clusters =
-      reg.RegisterGauge("scuba_clusters", "Live moving clusters");
   metrics_.shards =
       reg.RegisterGauge("scuba_shards", "Engine shards (row stripes)");
   metrics_.shard_health.resize(shard_count());
@@ -1146,20 +1198,24 @@ void ShardedEngine::InstallTelemetry(
     metrics_.shard_health[s].Set(0.0);
   }
   metrics_.shards.Set(static_cast<double>(shard_count()));
-  metrics_.clusters.Set(static_cast<double>(ClusterCount()));
+  AttachShardTelemetry();
   telemetry_->SetRoundHook([this] { PushTelemetryDeltas(); });
 }
 
+void ShardedEngine::AttachShardTelemetry() {
+  MetricsRegistry& reg = telemetry_->registry();
+  for (auto& sp : shards_) sp->join.AttachTelemetry(&reg);
+  // The shedder gauges name one shedder, so they follow the one
+  // StatsSnapshot() reports: stripe 0's (stripes diverge under kAdaptive).
+  shards_[0]->shedder.AttachMetrics(&reg);
+}
+
 void ShardedEngine::PushTelemetryDeltas() {
-  metrics_.rounds.Increment(stats_.evaluations - pushed_.rounds);
-  metrics_.results.Increment(stats_.total_results - pushed_.results);
-  metrics_.join_comparisons.Increment(stats_.comparisons -
-                                      pushed_.comparisons);
+  engine_metrics_.Push(StatsSnapshot());
   metrics_.handoffs.Increment(handoffs_ - pushed_.handoffs);
   metrics_.ghosts.Increment(ghosts_published_ - pushed_.ghosts);
   metrics_.recommendations.Increment(recommendations_ -
                                      pushed_.recommendations);
-  metrics_.clusters.Set(static_cast<double>(ClusterCount()));
   metrics_.shards.Set(static_cast<double>(shard_count()));
   if (supervisor_ != nullptr) {
     const SupervisionStats& sup = supervisor_->stats();
@@ -1188,9 +1244,6 @@ void ShardedEngine::PushTelemetryDeltas() {
     }
     metrics_.shard_health[s].Set(level);
   }
-  pushed_.rounds = stats_.evaluations;
-  pushed_.results = stats_.total_results;
-  pushed_.comparisons = stats_.comparisons;
   pushed_.handoffs = handoffs_;
   pushed_.ghosts = ghosts_published_;
   pushed_.recommendations = recommendations_;

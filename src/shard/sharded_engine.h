@@ -1,10 +1,11 @@
-// ShardedEngine: spatially sharded multi-engine execution of the SCUBA round
-// (docs/ARCHITECTURE.md §11).
+// ShardedEngine: the production SCUBA engine — the paper's three-phase round
+// executed over N >= 1 spatial row stripes (docs/ARCHITECTURE.md §11).
+// MakeEngine builds it for every shard count; shards == 1 is the one-stripe
+// deployment, not a separate engine.
 //
 // The map is carved into N contiguous row stripes (ShardRouter); each stripe
 // is an EngineShard with its own ClusterStore slice, GridIndex mirror, load
-// shedder and join executor. A round runs the same three phases as
-// ScubaEngine:
+// shedder and join executor. A round runs the paper's three phases:
 //
 //  1. *Ingest* replays the Leader-Follower procedure serially at the
 //     coordinator, with every grid operation mirrored into the shard grids a
@@ -14,9 +15,10 @@
 //     read-only ghosts of border-crossing clusters owned by neighbors
 //     (serializer round trip — bit-exact), then scans only its own cell
 //     window. No cross-shard locking anywhere on this path; the only barrier
-//     is the fork/join around the task set. Per-shard ResultSets merge under
-//     the owner-cell dedup discipline (each pair's MinCommonCell lies in
-//     exactly one stripe), then one Normalize.
+//     is the fork/join around the task set. The per-shard ResultSets are
+//     normalized slices, disjoint under the owner-cell dedup discipline (each
+//     pair's MinCommonCell lies in exactly one stripe); the coordinator
+//     merges them.
 //  3. *Post-join* computes per-cluster upkeep as one task per shard and
 //     applies dissolutions/re-registrations serially in globally ascending
 //     cid order; ownership migration (handoff) then walks the same global
@@ -25,10 +27,10 @@
 //
 // Determinism contract: for identical input streams, a ShardedEngine at any
 // (shards, join_threads) produces per-round ResultSets, join counters and
-// state hashes bit-identical to a single ScubaEngine — with one documented
-// exception: kAdaptive load shedding feeds each shard's shedder shard-local
-// memory estimates, so adaptive eta trajectories legitimately diverge.
-// kNone/kFixed shedding stay bit-identical.
+// state hashes bit-identical to the in-process reference ScubaEngine — with
+// one documented exception: kAdaptive load shedding feeds each shard's
+// shedder shard-local memory estimates, so adaptive eta trajectories
+// legitimately diverge. kNone/kFixed shedding stay bit-identical.
 
 #ifndef SCUBA_SHARD_SHARDED_ENGINE_H_
 #define SCUBA_SHARD_SHARDED_ENGINE_H_
@@ -42,6 +44,7 @@
 #include "cluster/cluster_store.h"
 #include "cluster/leader_follower.h"
 #include "common/thread_pool.h"
+#include "core/engine_metrics.h"
 #include "core/engine_snapshot.h"
 #include "core/query_processor.h"
 #include "core/scuba_engine.h"
@@ -55,26 +58,24 @@ namespace scuba {
 
 class ShardedEngine : public QueryProcessor {
  public:
-  /// Validates options and builds a coordinator with options.shards stripes.
-  /// shards == 1 is valid (one stripe owning the whole map) and useful as the
-  /// determinism matrix's base case.
+  /// Validates options and builds a coordinator with options.shards stripes
+  /// (shards == 1: one stripe owning the whole map).
   static Result<std::unique_ptr<ShardedEngine>> Create(
       const ScubaOptions& options);
 
-  std::string_view name() const override { return "scuba-sharded"; }
+  std::string_view name() const override { return "scuba"; }
   Status IngestObjectUpdate(const LocationUpdate& update) override;
   Status IngestQueryUpdate(const QueryUpdate& update) override;
-  /// Batched ingest: validated up front exactly like ScubaEngine::IngestBatch
-  /// (strict rejects the batch, quarantine drops the bad tuples), then
-  /// replayed serially in delivery order — bit-identical to the per-update
-  /// calls by construction.
+  /// Batched ingest: the whole batch is validated up front (strict rejects
+  /// it, quarantine drops the bad tuples), then replayed serially in delivery
+  /// order — bit-identical to the per-update calls by construction.
   Status IngestBatch(std::span<const LocationUpdate> objects,
                      std::span<const QueryUpdate> queries) override;
   Status Evaluate(Timestamp now, ResultSet* results) override;
   size_t EstimateMemoryUsage() const override;
 
-  /// Unified stats aggregate (same shape as ScubaEngine::StatsSnapshot):
-  /// join counters are the sum over shards, shedder state is shard 0's.
+  /// Unified stats aggregate: join counters are the sum over shards, shedder
+  /// state is shard 0's.
   EngineSnapshotStats StatsSnapshot() const;
 
   const ScubaOptions& options() const { return options_; }
@@ -108,14 +109,15 @@ class ShardedEngine : public QueryProcessor {
 
   /// Writes one complete manifest-committed checkpoint of the sharded state
   /// into `dir` (per-shard snapshots first, manifest last). Stand-alone
-  /// convenience mirroring ScubaEngine::Checkpoint; runs with a durable
-  /// directory should use ShardedDurabilityManager instead. Declared here,
-  /// defined in shard_durability.cc.
+  /// convenience; runs with a durable directory should use
+  /// ShardedDurabilityManager instead. Declared here, defined in
+  /// shard_durability.cc.
   Status Checkpoint(const std::string& dir);
   /// Restores from the NEWEST manifest in `dir` only — no silent fallback to
   /// older generations (RecoverShardedEngine implements the explicit-fallback
   /// policy). A checkpoint taken at any shard count restores into this
-  /// engine's layout.
+  /// engine's layout; a directory in the retired single-engine layout is
+  /// kFailedPrecondition.
   Status Restore(const std::string& dir);
 
   // --- Shard supervision (docs/ARCHITECTURE.md §13) ---
@@ -128,9 +130,11 @@ class ShardedEngine : public QueryProcessor {
 
   /// Full-engine invariant audit: the union of AuditShardStripe over every
   /// stripe (counters summed, violations concatenated up to the report cap).
+  /// Evaluate runs it every options.audit_every_n_rounds rounds and heals a
+  /// dirty result by rebuilding every stripe grid from the stores.
   InvariantAuditReport AuditInvariants() const;
-  /// Scoped audit of one stripe: the per-cluster store checks of
-  /// ScubaEngine::AuditInvariants over the stripe's own clusters, plus the
+  /// Scoped audit of one stripe: the per-cluster store checks (member index,
+  /// radius coverage, registered bounds) over the stripe's own clusters, plus the
   /// stripe's grid mirror — every registered cluster (any owner) whose
   /// circle touches the stripe must appear in its grid under the full global
   /// cell list, no cluster that touches it nowhere may, and no key may be an
@@ -157,6 +161,7 @@ class ShardedEngine : public QueryProcessor {
 
  private:
   friend struct PersistAccess;
+  friend class ShardedEngineAuditPeer;  ///< Test back door: deliberate desync.
   ShardedEngine(const ScubaOptions& options, ShardRouter router);
 
   const EvalStats& stats() const override { return stats_; }
@@ -202,10 +207,21 @@ class ShardedEngine : public QueryProcessor {
 
   /// Phase 3 across shards: per-shard parallel upkeep compute, serial
   /// cid-ordered apply, serial cid-ordered ownership handoff, per-shard
-  /// shedder feedback.
-  Status PostJoinMaintenance(Timestamp now, double* worker_seconds);
+  /// shedder feedback. `*timings` (nullable) receives the per-sub-step split
+  /// summed over shards; null skips every extra clock read.
+  Status PostJoinMaintenance(Timestamp now, double* worker_seconds,
+                             PostJoinTimings* timings);
   Status SplitOversizedClusters();
   Status MigrateOwnership();
+
+  /// Periodic audit hook (audit_every_n_rounds): audits every stripe and, on
+  /// violations, rebuilds every grid from the stores and audits again.
+  /// kCorruption if still dirty — the divergence is in a store itself.
+  Status AuditAndHeal();
+  /// Clears every stripe grid and re-registers each stored cluster from
+  /// scratch (fresh padded bounds, global cid order). Heals grid-side
+  /// divergence; store-side damage keeps failing the audit.
+  Status RebuildGridsFromStores();
 
   /// --rebalance=observe: compares per-shard load (join comparisons, falling
   /// back to cluster counts) and logs a recommended stripe split when the
@@ -231,6 +247,9 @@ class ShardedEngine : public QueryProcessor {
 
   ThreadPool* JoinPool();
   void InstallTelemetry(std::unique_ptr<EngineTelemetry> telemetry);
+  /// Points every stripe's join executor and shedder at the registry (again
+  /// after a reshard builds fresh stripes).
+  void AttachShardTelemetry();
   void PushTelemetryDeltas();
   void TelemetryEnsureRound() {
     if (telemetry_ != nullptr) telemetry_->EnsureRound(stats_.evaluations + 1);
@@ -264,10 +283,8 @@ class ShardedEngine : public QueryProcessor {
   std::vector<char> scratch_touched_;
 
   std::unique_ptr<EngineTelemetry> telemetry_;
+  EngineMetrics engine_metrics_;
   struct ShardMetrics {
-    Counter rounds;
-    Counter results;
-    Counter join_comparisons;
     Counter handoffs;
     Counter ghosts;
     Counter recommendations;
@@ -275,7 +292,6 @@ class ShardedEngine : public QueryProcessor {
     Counter shard_recoveries;
     Counter shard_evictions;
     Counter degraded_rounds;
-    Gauge clusters;
     Gauge shards;
     /// One per stripe of the ORIGINAL layout: 0 healthy, 1 degraded,
     /// 2 recovering, 3 evicted. Indices beyond the current layout (after a
@@ -283,9 +299,6 @@ class ShardedEngine : public QueryProcessor {
     std::vector<Gauge> shard_health;
   } metrics_;
   struct TelemetryBaseline {
-    uint64_t rounds = 0;
-    uint64_t results = 0;
-    uint64_t comparisons = 0;
     uint64_t handoffs = 0;
     uint64_t ghosts = 0;
     uint64_t recommendations = 0;
@@ -296,9 +309,9 @@ class ShardedEngine : public QueryProcessor {
   } pushed_;
 };
 
-/// EngineStateHash for the sharded engine: same hash, same byte layout as the
-/// single-engine overload (persist/snapshot.h), assembled from the meta store
-/// and the per-shard stores/grids. Equal hashes across shard counts are the
+/// EngineStateHash for the production engine (persist/snapshot.h),
+/// assembled from the meta store and the per-shard stores/grids. Equal
+/// hashes across shard counts — and with the reference ScubaEngine — are the
 /// determinism matrix's acceptance bar.
 uint64_t EngineStateHash(const ShardedEngine& engine);
 

@@ -23,8 +23,8 @@ namespace scuba {
 using ResultSink = std::function<void(Timestamp, const ResultSet&)>;
 
 /// Durability hooks the stream drivers call around ingestion. Implemented by
-/// the persist library's DurabilityManager (WAL append + periodic snapshot
-/// checkpoints); declared here as an abstract interface so the stream layer
+/// ShardedDurabilityManager (per-shard WAL append + periodic checkpoint
+/// generations); declared here as an abstract interface so the stream layer
 /// stays independent of persistence.
 class DurabilitySink {
  public:

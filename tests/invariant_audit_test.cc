@@ -4,7 +4,8 @@
 // pinpoint the exact divergence, RebuildGridFromStore() to restore a clean
 // audit with unchanged join results, and the periodic Evaluate hook to
 // self-heal grid damage (or surface unrepairable store damage as
-// kCorruption).
+// kCorruption). The periodic-hook cases also run on the production engine
+// at shards {1,4}, through ShardedEngineAuditPeer.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/scuba_engine.h"
+#include "shard/sharded_engine.h"
 #include "state_digest.h"
 
 namespace scuba {
@@ -33,11 +35,24 @@ class ScubaEngineAuditPeer {
   ScubaEngine* engine_;
 };
 
+/// The production engine's back door, matching `friend class
+/// ShardedEngineAuditPeer`: mutable access to one stripe's store.
+class ShardedEngineAuditPeer {
+ public:
+  explicit ShardedEngineAuditPeer(ShardedEngine* engine) : engine_(engine) {}
+
+  ClusterStore& store(uint32_t shard) { return engine_->shards_[shard]->store; }
+
+ private:
+  ShardedEngine* engine_;
+};
+
 namespace {
 
 /// Deterministic clustered workload: `kGroups` co-travelling groups of
 /// objects and queries, one update round per call.
-void IngestRound(ScubaEngine* engine, int round) {
+template <typename Engine>
+void IngestRound(Engine* engine, int round) {
   const int kGroups = 4;
   for (uint32_t i = 0; i < 48; ++i) {
     // Blocks of four consecutive ids (three objects + one query) share a
@@ -218,77 +233,6 @@ TEST(InvariantAuditTest, PostJoinHealsMissingRegistrationBeforeAudit) {
   EXPECT_EQ(engine->StatsSnapshot().eval.invariant_repairs, 0u);
 }
 
-TEST(InvariantAuditTest, EvaluateSelfHealsGridDivergence) {
-  ScubaOptions options;
-  options.audit_every_n_rounds = 1;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
-  IngestRound(engine.get(), 1);
-  ResultSet results;
-  ASSERT_TRUE(engine->Evaluate(2, &results).ok());
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_audits, 1u);
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_violations, 0u);
-
-  // Inflate one cluster's registered-bounds memo without touching its actual
-  // cell placement. Post-join cannot notice (the memo claims the cluster is
-  // generously covered, so no resync is planned), but the audit's cell
-  // placement cross-check catches the divergence — only the hook heals this.
-  ScubaEngineAuditPeer peer(engine.get());
-  const ClusterId victim = engine->store().SortedClusterIds().front();
-  MovingCluster* cluster = peer.store().GetCluster(victim);
-  ASSERT_NE(cluster, nullptr);
-  cluster->set_registered_bounds(
-      Circle{cluster->centroid(), cluster->radius() + 5000.0});
-
-  // The round's audit hook finds the divergence, rebuilds the grid and
-  // re-audits clean — Evaluate itself succeeds.
-  ASSERT_TRUE(engine->Evaluate(4, &results).ok());
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_repairs, 1u);
-  EXPECT_GE(engine->StatsSnapshot().eval.invariant_violations, 1u);
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_audits, 3u);  // 1 clean + audit/re-audit
-  EXPECT_TRUE(engine->AuditInvariants().clean());
-
-  // Subsequent rounds audit clean without further repairs.
-  ASSERT_TRUE(engine->Evaluate(6, &results).ok());
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_repairs, 1u);
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_audits, 4u);
-}
-
-TEST(InvariantAuditTest, AuditCadenceFollowsOption) {
-  ScubaOptions options;
-  options.audit_every_n_rounds = 2;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
-  ResultSet results;
-  for (int round = 1; round <= 4; ++round) {
-    IngestRound(engine.get(), round);
-    ASSERT_TRUE(engine->Evaluate(2 * round, &results).ok());
-  }
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_audits, 2u);  // rounds 2 and 4 only
-}
-
-TEST(InvariantAuditTest, StoreCorruptionSurfacesAsCorruption) {
-  ScubaOptions options;
-  options.audit_every_n_rounds = 1;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
-  IngestRound(engine.get(), 1);
-
-  // Damage the store itself: erase one member's home-table entry. A grid
-  // rebuild cannot recover that, so the self-heal path must give up loudly.
-  ScubaEngineAuditPeer peer(engine.get());
-  const ClusterId victim = engine->store().SortedClusterIds().front();
-  const MovingCluster* cluster = engine->store().GetCluster(victim);
-  ASSERT_NE(cluster, nullptr);
-  ASSERT_FALSE(cluster->members().empty());
-  const ClusterMember& member = cluster->members().front();
-  ASSERT_TRUE(
-      peer.store().ClearHome(EntityRef{member.kind, member.id}).ok());
-
-  ResultSet results;
-  Status s = engine->Evaluate(2, &results);
-  EXPECT_FALSE(s.ok());
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(engine->StatsSnapshot().eval.invariant_repairs, 1u);  // the rebuild was tried
-}
-
 TEST(InvariantAuditTest, EmptyEngineAuditsClean) {
   // No clusters, no grid keys: the audit must report clean (not trip over
   // empty tables) — this is also the state right after a fresh Restore of an
@@ -333,6 +277,122 @@ TEST(InvariantAuditTest, RebuildIsIdempotent) {
   ASSERT_TRUE(control->Evaluate(4, &control_after).ok());
   EXPECT_EQ(after, control_after);
 }
+
+// --- The periodic audit hook, on the reference engine (param 0) and on the
+// production engine at shards {1, 4}. ---
+
+class PeriodicAuditTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  /// Builds the engine under test with the given audit cadence.
+  void Make(uint32_t audit_every) {
+    ScubaOptions options;
+    options.audit_every_n_rounds = audit_every;
+    if (GetParam() == 0) {
+      reference_ = MakeEngine(options);
+      engine_ = reference_.get();
+      return;
+    }
+    options.shards = GetParam();
+    sharded_ = std::move(ShardedEngine::Create(options).value());
+    engine_ = sharded_.get();
+  }
+
+  /// The lowest cluster id and the store (stripe) that owns it.
+  std::pair<ClusterStore*, ClusterId> FirstCluster() {
+    if (reference_ != nullptr) {
+      ClusterStore& store = ScubaEngineAuditPeer(reference_.get()).store();
+      return {&store, store.SortedClusterIds().front()};
+    }
+    const ClusterId cid = sharded_->GlobalSortedClusterIds().front();
+    ShardedEngineAuditPeer peer(sharded_.get());
+    for (uint32_t s = 0; s < sharded_->shard_count(); ++s) {
+      if (peer.store(s).GetCluster(cid) != nullptr) {
+        return {&peer.store(s), cid};
+      }
+    }
+    ADD_FAILURE() << "cluster " << cid << " has no owner";
+    return {nullptr, cid};
+  }
+
+  bool AuditsClean() const {
+    return reference_ != nullptr ? reference_->AuditInvariants().clean()
+                                 : sharded_->AuditInvariants().clean();
+  }
+
+  QueryProcessor* engine_ = nullptr;
+  std::unique_ptr<ScubaEngine> reference_;
+  std::unique_ptr<ShardedEngine> sharded_;
+};
+
+TEST_P(PeriodicAuditTest, EvaluateSelfHealsGridDivergence) {
+  Make(/*audit_every=*/1);
+  IngestRound(engine_, 1);
+  ResultSet results;
+  ASSERT_TRUE(engine_->Evaluate(2, &results).ok());
+  EXPECT_EQ(engine_->stats().invariant_audits, 1u);
+  EXPECT_EQ(engine_->stats().invariant_violations, 0u);
+
+  // Inflate one cluster's registered-bounds memo without touching its actual
+  // cell placement. Post-join cannot notice (the memo claims the cluster is
+  // generously covered, so no resync is planned), but the audit's cell
+  // placement cross-check catches the divergence — only the hook heals this.
+  const auto [store, victim] = FirstCluster();
+  ASSERT_NE(store, nullptr);
+  MovingCluster* cluster = store->GetCluster(victim);
+  ASSERT_NE(cluster, nullptr);
+  cluster->set_registered_bounds(
+      Circle{cluster->centroid(), cluster->radius() + 5000.0});
+
+  // The round's audit hook finds the divergence, rebuilds the grid and
+  // re-audits clean — Evaluate itself succeeds.
+  ASSERT_TRUE(engine_->Evaluate(4, &results).ok());
+  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);
+  EXPECT_GE(engine_->stats().invariant_violations, 1u);
+  EXPECT_EQ(engine_->stats().invariant_audits, 3u);  // 1 clean + audit/re-audit
+  EXPECT_TRUE(AuditsClean());
+
+  // Subsequent rounds audit clean without further repairs.
+  ASSERT_TRUE(engine_->Evaluate(6, &results).ok());
+  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);
+  EXPECT_EQ(engine_->stats().invariant_audits, 4u);
+}
+
+TEST_P(PeriodicAuditTest, AuditCadenceFollowsOption) {
+  Make(/*audit_every=*/2);
+  ResultSet results;
+  for (int round = 1; round <= 4; ++round) {
+    IngestRound(engine_, round);
+    ASSERT_TRUE(engine_->Evaluate(2 * round, &results).ok());
+  }
+  EXPECT_EQ(engine_->stats().invariant_audits, 2u);  // rounds 2 and 4 only
+}
+
+TEST_P(PeriodicAuditTest, StoreCorruptionSurfacesAsCorruption) {
+  Make(/*audit_every=*/1);
+  IngestRound(engine_, 1);
+
+  // Damage the store itself: erase one member's home-table entry. A grid
+  // rebuild cannot recover that, so the self-heal path must give up loudly.
+  const auto [store, victim] = FirstCluster();
+  ASSERT_NE(store, nullptr);
+  const MovingCluster* cluster = store->GetCluster(victim);
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_FALSE(cluster->members().empty());
+  const ClusterMember& member = cluster->members().front();
+  ASSERT_TRUE(store->ClearHome(EntityRef{member.kind, member.id}).ok());
+
+  ResultSet results;
+  Status s = engine_->Evaluate(2, &results);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);  // the rebuild was tried
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, PeriodicAuditTest, ::testing::Values(0u, 1u, 4u),
+    [](const ::testing::TestParamInfo<uint32_t>& info) {
+      return info.param == 0 ? std::string("reference")
+                             : "shards" + std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace scuba

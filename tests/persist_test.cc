@@ -1,8 +1,9 @@
 // Durability unit coverage (docs/ARCHITECTURE.md §8): serializer primitives,
-// snapshot round-trips (digest-identical restore, clean audit, fingerprint
-// gating, corruption detection) and the WAL (append/read round-trip, segment
-// rotation, torn-tail tolerance, mid-log corruption, reopen, pruning). The
-// end-to-end crash matrix lives in crash_recovery_test.cc.
+// checkpoint round-trips of the production engine at one stripe
+// (digest-identical restore, clean audit, fingerprint gating, corruption
+// detection) and the WAL (append/read round-trip, segment rotation, torn-tail
+// tolerance, mid-log corruption, reopen, pruning). The end-to-end crash
+// matrix lives in sharded_crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,12 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/scuba_engine.h"
 #include "common/serializer.h"
+#include "persist/manifest.h"
 #include "persist/snapshot.h"
-#include "persist/durability.h"
 #include "persist/wal.h"
+#include "shard/shard_durability.h"
+#include "shard/sharded_engine.h"
 #include "state_digest.h"
 #include "stream/update_validator.h"
 
@@ -106,14 +108,14 @@ std::vector<Round> MakeRounds(uint64_t seed, int rounds) {
   return out;
 }
 
-std::unique_ptr<ScubaEngine> MakeEngine(const ScubaOptions& opt) {
-  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
+std::unique_ptr<ShardedEngine> MakeEngine(const ScubaOptions& opt) {
+  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
 }
 
 /// Ingests rounds [from, to) and evaluates after each, collecting results.
-void Drive(ScubaEngine* engine, const std::vector<Round>& rounds, int from,
+void Drive(ShardedEngine* engine, const std::vector<Round>& rounds, int from,
            int to, std::vector<ResultSet>* results_out = nullptr) {
   for (int r = from; r < to; ++r) {
     ASSERT_TRUE(
@@ -198,13 +200,13 @@ TEST(SnapshotTest, RestoreReproducesDigestAndFutureRounds) {
   ScopedTempDir dir("persist_test_roundtrip");
   std::vector<Round> rounds = MakeRounds(91, 10);
   ScubaOptions opt;
-  std::unique_ptr<ScubaEngine> original = MakeEngine(opt);
+  std::unique_ptr<ShardedEngine> original = MakeEngine(opt);
   Drive(original.get(), rounds, 0, 6);
   ASSERT_TRUE(original->Checkpoint(dir.path()).ok());
   EXPECT_EQ(original->StatsSnapshot().eval.checkpoints_written, 1u);
   EXPECT_GT(original->StatsSnapshot().eval.last_checkpoint_bytes, 0u);
 
-  std::unique_ptr<ScubaEngine> restored = MakeEngine(opt);
+  std::unique_ptr<ShardedEngine> restored = MakeEngine(opt);
   ASSERT_TRUE(restored->Restore(dir.path()).ok());
   EXPECT_EQ(StateDigest(*restored), StateDigest(*original));
   EXPECT_EQ(EngineStateHash(*restored), EngineStateHash(*original));
@@ -229,26 +231,23 @@ TEST(SnapshotTest, SnapshotIsPortableAcrossThreadCounts) {
   std::vector<Round> rounds = MakeRounds(17, 6);
   ScubaOptions serial_opt;
   serial_opt.join_threads = 1;
-  serial_opt.ingest_threads = 1;
-  std::unique_ptr<ScubaEngine> serial = MakeEngine(serial_opt);
+  std::unique_ptr<ShardedEngine> serial = MakeEngine(serial_opt);
   Drive(serial.get(), rounds, 0, 6);
   ASSERT_TRUE(serial->Checkpoint(dir.path()).ok());
 
   // Thread counts are excluded from the options fingerprint by contract.
   ScubaOptions parallel_opt;
   parallel_opt.join_threads = 4;
-  parallel_opt.ingest_threads = 4;
-  std::unique_ptr<ScubaEngine> parallel = MakeEngine(parallel_opt);
+  std::unique_ptr<ShardedEngine> parallel = MakeEngine(parallel_opt);
   ASSERT_TRUE(parallel->Restore(dir.path()).ok());
   EXPECT_EQ(StateDigest(*parallel), StateDigest(*serial));
   // The live engine's thread configuration survives the restore.
   EXPECT_EQ(parallel->StatsSnapshot().eval.join_threads, 4u);
-  EXPECT_EQ(parallel->StatsSnapshot().eval.ingest_threads, 4u);
 }
 
 TEST(SnapshotTest, RestoreFromEmptyDirIsNotFound) {
   ScopedTempDir dir("persist_test_empty");
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   Status s = engine->Restore(dir.path());
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
 }
@@ -257,14 +256,14 @@ TEST(SnapshotTest, FingerprintMismatchIsFailedPrecondition) {
   ScopedTempDir dir("persist_test_fingerprint");
   std::vector<Round> rounds = MakeRounds(5, 2);
   ScubaOptions opt;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
   Drive(engine.get(), rounds, 0, 2);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
 
   ScubaOptions other = opt;
   other.theta_d *= 2.0;  // semantic option: different fingerprint
   EXPECT_NE(OptionsFingerprint(other), OptionsFingerprint(opt));
-  std::unique_ptr<ScubaEngine> wrong = MakeEngine(other);
+  std::unique_ptr<ShardedEngine> wrong = MakeEngine(other);
   Status s = wrong->Restore(dir.path());
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 }
@@ -282,11 +281,11 @@ TEST(SnapshotTest, ThreadCountsDoNotChangeFingerprint) {
 TEST(SnapshotTest, CorruptedPayloadByteIsDataLoss) {
   ScopedTempDir dir("persist_test_corrupt");
   std::vector<Round> rounds = MakeRounds(29, 3);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   Drive(engine.get(), rounds, 0, 3);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path());
+      ListSnapshots(dir.path() + "/" + ShardDirName(0));
   ASSERT_TRUE(snapshots.ok());
   ASSERT_EQ(snapshots->size(), 1u);
   const std::string& path = snapshots->front().second;
@@ -302,7 +301,7 @@ TEST(SnapshotTest, CorruptedPayloadByteIsDataLoss) {
   f.write(&byte, 1);
   f.close();
   EXPECT_TRUE(ReadSnapshotPayload(path).status().IsDataLoss());
-  std::unique_ptr<ScubaEngine> fresh = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> fresh = MakeEngine(ScubaOptions{});
   Status s = fresh->Restore(dir.path());
   EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
 }
@@ -310,11 +309,11 @@ TEST(SnapshotTest, CorruptedPayloadByteIsDataLoss) {
 TEST(SnapshotTest, TruncatedFileIsDataLoss) {
   ScopedTempDir dir("persist_test_truncate");
   std::vector<Round> rounds = MakeRounds(37, 3);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   Drive(engine.get(), rounds, 0, 3);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path());
+      ListSnapshots(dir.path() + "/" + ShardDirName(0));
   ASSERT_TRUE(snapshots.ok());
   const std::string& path = snapshots->front().second;
   fs::resize_file(path, fs::file_size(path) * 2 / 3);
@@ -328,7 +327,7 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
   config.bounds = kRegion;
   config.check_bounds = true;
   UpdateValidator validator(config);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   for (int r = 0; r < 4; ++r) {
     Round dirty = rounds[r];
     if (r > 0 && !dirty.objects.empty()) {
@@ -345,15 +344,15 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
   }
   ASSERT_GT(validator.stats().TotalRejected(), 0u);
 
-  const std::string payload =
-      SerializeEngineSnapshot(*engine, /*wal_next_seq=*/4, &validator,
-                              /*rng=*/nullptr);
-  std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
+  ByteWriter w;
+  PersistAccess::SaveShardedCoordinatorState(*engine, &validator,
+                                             /*rng=*/nullptr, &w);
+  std::unique_ptr<ShardedEngine> engine2 = MakeEngine(ScubaOptions{});
   UpdateValidator validator2(config);
-  Result<SnapshotMeta> meta =
-      ApplySnapshot(payload, engine2.get(), &validator2, /*rng=*/nullptr);
-  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
-  EXPECT_EQ(meta->wal_next_seq, 4u);
+  ByteReader r(w.bytes());
+  Status loaded = PersistAccess::LoadShardedCoordinatorState(
+      &r, engine2.get(), &validator2, /*rng=*/nullptr);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   EXPECT_EQ(validator2.stats().screened, validator.stats().screened);
   EXPECT_EQ(validator2.stats().admitted, validator.stats().admitted);
   EXPECT_EQ(validator2.stats().TotalRejected(),
@@ -376,55 +375,56 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
 
 TEST(SnapshotTest, RngStateSurvivesRoundTrip) {
   std::vector<Round> rounds = MakeRounds(61, 2);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   Drive(engine.get(), rounds, 0, 2);
   Rng rng(0xABCDEF);
   rng.NextDouble(0, 1);  // advance off the seed state
   rng.NextDouble(0, 1);
-  const std::string payload =
-      SerializeEngineSnapshot(*engine, 2, /*validator=*/nullptr, &rng);
+  ByteWriter w;
+  PersistAccess::SaveShardedCoordinatorState(*engine, /*validator=*/nullptr,
+                                             &rng, &w);
   const double expected = rng.NextDouble(0, 1);
 
-  std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
-  Rng rng2(1);  // different seed; state comes from the snapshot
-  ASSERT_TRUE(
-      ApplySnapshot(payload, engine2.get(), /*validator=*/nullptr, &rng2)
-          .ok());
+  std::unique_ptr<ShardedEngine> engine2 = MakeEngine(ScubaOptions{});
+  Rng rng2(1);  // different seed; state comes from the checkpoint
+  ByteReader r(w.bytes());
+  ASSERT_TRUE(PersistAccess::LoadShardedCoordinatorState(
+                  &r, engine2.get(), /*validator=*/nullptr, &rng2)
+                  .ok());
   EXPECT_EQ(rng2.NextDouble(0, 1), expected);
 }
 
-TEST(SnapshotTest, RepeatedCheckpointsOverwriteAtomically) {
-  // The bare engine API maintains ONE snapshot per directory (atomic
-  // replace); retention of a history of checkpoints is the
-  // DurabilityManager's policy (covered below and in crash_recovery_test).
+TEST(SnapshotTest, RepeatedCheckpointsRestoreTheNewest) {
+  // Every bare Checkpoint() commits a new manifest generation; Restore reads
+  // the newest one, never a stale generation.
   ScopedTempDir dir("persist_test_overwrite");
   std::vector<Round> rounds = MakeRounds(71, 6);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(ScubaOptions{});
   for (int r = 0; r < 6; r += 2) {
     Drive(engine.get(), rounds, r, r + 2);
     ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   }
-  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path());
-  ASSERT_TRUE(snapshots.ok());
-  EXPECT_EQ(snapshots->size(), 1u);
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  EXPECT_EQ(manifests->size(), 3u);
   EXPECT_EQ(engine->StatsSnapshot().eval.checkpoints_written, 3u);
-  // The surviving snapshot is the newest state, not a stale one.
-  std::unique_ptr<ScubaEngine> restored = MakeEngine(ScubaOptions{});
+  std::unique_ptr<ShardedEngine> restored = MakeEngine(ScubaOptions{});
   ASSERT_TRUE(restored->Restore(dir.path()).ok());
   EXPECT_EQ(StateDigest(*restored), StateDigest(*engine));
 }
 
-TEST(SnapshotTest, ManagerPrunesSnapshotsToKeepLastK) {
+TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
   ScopedTempDir dir("persist_test_prune");
   std::vector<Round> rounds = MakeRounds(73, 8);
   ScubaOptions opt;
   opt.checkpoint.every_n_rounds = 2;
   opt.checkpoint.keep_last_k = 2;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-  Result<std::unique_ptr<DurabilityManager>> manager = DurabilityManager::Open(
-      dir.path(), opt.checkpoint, engine.get(), /*validator=*/nullptr,
-      /*rng=*/nullptr, /*crash=*/nullptr);
+  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+      ShardedDurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
+                                     /*validator=*/nullptr, /*rng=*/nullptr,
+                                     /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   for (int r = 0; r < 8; ++r) {
     ASSERT_TRUE((*manager)
@@ -439,17 +439,35 @@ TEST(SnapshotTest, ManagerPrunesSnapshotsToKeepLastK) {
   }
   // 4 checkpoints written (every 2 rounds), only the newest 2 retained.
   EXPECT_EQ(engine->StatsSnapshot().eval.checkpoints_written, 4u);
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_EQ(manifests->size(), 2u);
+  EXPECT_EQ(manifests->front().first, 3u);
+  EXPECT_EQ(manifests->back().first, 4u);
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path());
+      ListSnapshots(dir.path() + "/" + ShardDirName(0));
   ASSERT_TRUE(snapshots.ok());
-  ASSERT_EQ(snapshots->size(), 2u);
-  EXPECT_EQ(snapshots->front().first, 6u);
-  EXPECT_EQ(snapshots->back().first, 8u);
+  EXPECT_EQ(snapshots->size(), 2u);
   EXPECT_GT(engine->StatsSnapshot().eval.wal_records_appended, 0u);
 }
 
 // ---------------------------------------------------------------------------
 // Write-ahead log.
+
+/// Appends one round as a whole batch: a one-chain sub-record whose slots
+/// are the tuples' own positions.
+Status AppendRound(WalWriter* writer, Timestamp batch_time, bool evaluate_after,
+                   const Round& round) {
+  std::vector<uint64_t> object_slots(round.objects.size());
+  std::vector<uint64_t> query_slots(round.queries.size());
+  for (size_t i = 0; i < object_slots.size(); ++i) object_slots[i] = i;
+  for (size_t i = 0; i < query_slots.size(); ++i) query_slots[i] = i;
+  return writer->AppendRouted(batch_time, evaluate_after, /*shard_index=*/0,
+                              /*shard_count=*/1, round.objects.size(),
+                              round.queries.size(), object_slots,
+                              round.objects, query_slots, round.queries);
+}
 
 TEST(WalTest, AppendReadRoundTrip) {
   ScopedTempDir dir("persist_test_wal_roundtrip");
@@ -460,9 +478,8 @@ TEST(WalTest, AppendReadRoundTrip) {
                         /*initial_seq=*/0, /*crash=*/nullptr);
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     for (int r = 0; r < 4; ++r) {
-      ASSERT_TRUE((*writer)
-                      ->Append(static_cast<Timestamp>(r + 1), (r + 1) % 2 == 0,
-                               rounds[r].objects, rounds[r].queries)
+      ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1),
+                                (r + 1) % 2 == 0, rounds[r])
                       .ok());
     }
     EXPECT_EQ((*writer)->next_seq(), 4u);
@@ -479,6 +496,8 @@ TEST(WalTest, AppendReadRoundTrip) {
     EXPECT_EQ(record.seq, static_cast<uint64_t>(r));
     EXPECT_EQ(record.batch_time, static_cast<Timestamp>(r + 1));
     EXPECT_EQ(record.evaluate_after, (r + 1) % 2 == 0);
+    EXPECT_EQ(record.shard_count, 1u);
+    EXPECT_EQ(record.total_objects, rounds[r].objects.size());
     ASSERT_EQ(record.objects.size(), rounds[r].objects.size());
     ASSERT_EQ(record.queries.size(), rounds[r].queries.size());
     for (size_t i = 0; i < record.objects.size(); ++i) {
@@ -488,6 +507,29 @@ TEST(WalTest, AppendReadRoundTrip) {
       EXPECT_EQ(record.queries[i].ToString(), rounds[r].queries[i].ToString());
     }
   }
+}
+
+TEST(WalTest, UnroutedRecordIsDataLoss) {
+  // A well-formed record of the retired single-engine type 1 (a whole batch
+  // in one unsharded log): its CRC holds, so it is not a torn tail — it is
+  // data this build cannot read.
+  ScopedTempDir dir("persist_test_wal_unrouted");
+  ByteWriter payload;
+  payload.PutU8(1);      // type
+  payload.PutU64(0);     // seq
+  payload.PutI64(1);     // batch_time
+  payload.PutBool(true); // evaluate_after
+  payload.PutU64(0);     // objects
+  payload.PutU64(0);     // queries
+  ByteWriter frame;
+  frame.PutU32(static_cast<uint32_t>(payload.bytes().size()));
+  frame.PutU32(Crc32(payload.bytes()));
+  frame.PutRawBytes(payload.bytes());
+  std::ofstream(dir.path() + "/wal-00000000000000000000.log",
+                std::ios::binary)
+      << frame.bytes();
+  Status s = ReadWal(dir.path()).status();
+  EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
 }
 
 TEST(WalTest, EmptyDirectoryReadsAsEmptyLog) {
@@ -510,9 +552,8 @@ TEST(WalTest, SegmentsRotateAndReadInOrder) {
                       /*crash=*/nullptr);
   ASSERT_TRUE(writer.ok());
   for (int r = 0; r < 10; ++r) {
-    ASSERT_TRUE((*writer)
-                    ->Append(static_cast<Timestamp>(r + 1), true,
-                             rounds[r].objects, rounds[r].queries)
+    ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1), true,
+                                rounds[r])
                     .ok());
   }
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
@@ -533,9 +574,8 @@ TEST(WalTest, TornTailIsToleratedAndTruncatedOnReopen) {
         dir.path(), 1 << 20, /*initial_seq=*/0, /*crash=*/nullptr);
     ASSERT_TRUE(writer.ok());
     for (int r = 0; r < 3; ++r) {
-      ASSERT_TRUE((*writer)
-                      ->Append(static_cast<Timestamp>(r + 1), true,
-                               rounds[r].objects, rounds[r].queries)
+      ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1), true,
+                                rounds[r])
                       .ok());
     }
   }
@@ -559,7 +599,7 @@ TEST(WalTest, TornTailIsToleratedAndTruncatedOnReopen) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->next_seq(), 2u);
   ASSERT_TRUE(
-      (*reopened)->Append(3, true, rounds[2].objects, rounds[2].queries).ok());
+      AppendRound(reopened->get(), 3, true, rounds[2]).ok());
   Result<WalContents> repaired = ReadWal(dir.path());
   ASSERT_TRUE(repaired.ok());
   EXPECT_FALSE(repaired->torn_tail);
@@ -575,9 +615,8 @@ TEST(WalTest, MidLogCorruptionIsDataLoss) {
                       /*crash=*/nullptr);
   ASSERT_TRUE(writer.ok());
   for (int r = 0; r < 8; ++r) {
-    ASSERT_TRUE((*writer)
-                    ->Append(static_cast<Timestamp>(r + 1), true,
-                             rounds[r].objects, rounds[r].queries)
+    ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1), true,
+                                rounds[r])
                     .ok());
   }
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
@@ -607,9 +646,8 @@ TEST(WalTest, ReopenContinuesSequence) {
         dir.path(), 1 << 20, /*initial_seq=*/0, /*crash=*/nullptr);
     ASSERT_TRUE(writer.ok());
     EXPECT_EQ((*writer)->next_seq(), static_cast<uint64_t>(r));
-    ASSERT_TRUE((*writer)
-                    ->Append(static_cast<Timestamp>(r + 1), true,
-                             rounds[r].objects, rounds[r].queries)
+    ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1), true,
+                                rounds[r])
                     .ok());
   }
   Result<WalContents> wal = ReadWal(dir.path());
@@ -626,9 +664,8 @@ TEST(WalTest, PruneRemovesOnlyFullyCoveredSegments) {
                       /*crash=*/nullptr);
   ASSERT_TRUE(writer.ok());
   for (int r = 0; r < 12; ++r) {
-    ASSERT_TRUE((*writer)
-                    ->Append(static_cast<Timestamp>(r + 1), true,
-                             rounds[r].objects, rounds[r].queries)
+    ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1), true,
+                                rounds[r])
                     .ok());
   }
   Result<std::vector<std::pair<uint64_t, std::string>>> before =

@@ -1,11 +1,14 @@
-// Sharded crash-recovery matrix (docs/ARCHITECTURE.md §12): for every crash
-// point on the sharded durability path, at shards {1,2,4} and join threads
-// {1,4}, a run that crashes mid-stream and is then recovered (newest
-// manifest whose artifacts verify + cross-chain WAL merge) and driven to
-// completion produces bit-identical per-round ResultSets and state digests
-// to an uninterrupted single-engine run — including the replayed rounds.
-// Plus re-partition coverage (a directory written at N shards recovers into
-// M) and validator/quarantine state surviving sharded recovery.
+// Crash-recovery matrix (docs/ARCHITECTURE.md §12): for every crash point on
+// the durability path, at shards {1,2,4} and join threads {1,4}, a run that
+// crashes mid-stream and is then recovered (newest manifest whose artifacts
+// verify + cross-chain WAL merge) and driven to completion produces
+// bit-identical per-round ResultSets and state digests to an uninterrupted
+// reference-engine run — including the replayed rounds, recovered at the
+// other thread count, and WAL-only recovery when the first checkpoint never
+// lands. Plus targeted coverage at every shard count: delta>1 round
+// boundaries, validator timestamp floors after replay, re-partition (a
+// directory written at N shards recovers into M) and validator/quarantine
+// state surviving recovery.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,7 @@
 #include "core/scuba_engine.h"
 #include "gen/trace.h"
 #include "persist/crash.h"
+#include "persist/manifest.h"
 #include "shard/shard_durability.h"
 #include "shard/sharded_engine.h"
 #include "state_digest.h"
@@ -264,6 +268,8 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
       {CrashPoint::kAfterWalAppend, 5},
       {CrashPoint::kBetweenShardWalAppends, 4, /*needs_multiple_shards=*/true},
       {CrashPoint::kBeforeSnapshotWrite, 2},
+      // The first checkpoint never lands: WAL-only recovery.
+      {CrashPoint::kMidShardSnapshotWrite, 1},
       {CrashPoint::kMidShardSnapshotWrite, 2},
       {CrashPoint::kBetweenShardSnapshots, 2, /*needs_multiple_shards=*/true},
       {CrashPoint::kBeforeManifestRename, 2},
@@ -282,7 +288,8 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
                      " shards=" + std::to_string(shards) +
                      " threads=" + std::to_string(threads));
         ScopedTempDir dir("sharded_crash_" +
-                          std::string(CrashPointName(c.point)) + "_s" +
+                          std::string(CrashPointName(c.point)) + "_" +
+                          std::to_string(c.occurrence) + "_s" +
                           std::to_string(shards) + "_t" +
                           std::to_string(threads));
         CrashInjector crash(c.point, c.occurrence);
@@ -291,8 +298,18 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
         ASSERT_TRUE(crash.fired()) << "crash point never reached";
         ASSERT_LT(done, static_cast<size_t>(kRounds)) << "crash came too late";
 
+        // Recover at the other thread count: the fingerprint excludes
+        // thread counts, and results are identical across them.
         ShardedRecoveryReport report;
-        RecoverAndFinish(rounds, threads, shards, dir.path(), base, &report);
+        RecoverAndFinish(rounds, threads == 1 ? 4 : 1, shards, dir.path(),
+                         base, &report);
+        if (c.point == CrashPoint::kMidShardSnapshotWrite &&
+            c.occurrence == 1) {
+          // Only the chains and an orphaned .tmp exist: the whole log
+          // replays from an empty base.
+          EXPECT_TRUE(report.manifest_path.empty());
+          EXPECT_EQ(report.batches_replayed, 2u);
+        }
         switch (c.point) {
           case CrashPoint::kMidWalAppend:
           case CrashPoint::kMidShardWalAppend:
@@ -449,6 +466,160 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   // recovered validator made exactly the twin's admission decisions.
   EXPECT_EQ(validator.FormatStats(), twin_stats);
   EXPECT_EQ(validator.quarantine().total(), twin_validator.quarantine().total());
+}
+
+/// The shard counts the targeted recovery cases run at.
+constexpr uint32_t kShardCounts[] = {1u, 2u, 4u};
+
+TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
+  // Batches ingest every tick but rounds evaluate every second batch; the
+  // WAL's evaluate_after bit must reproduce the same boundaries on replay,
+  // including a crash in the middle of an evaluation window.
+  std::vector<Round> rounds = MakeRounds(0xDE17A, kRounds);
+  auto evaluate_after = [](size_t i) { return (i + 1) % 2 == 0; };
+
+  Result<std::unique_ptr<ScubaEngine>> base_engine =
+      ScubaEngine::Create(MakeOptions(1, 1));
+  ASSERT_TRUE(base_engine.ok());
+  std::vector<ResultSet> base_results;
+  std::vector<std::string> base_digests;  // after every batch
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    ASSERT_TRUE(
+        (*base_engine)->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+    if (evaluate_after(r)) {
+      ResultSet results;
+      ASSERT_TRUE((*base_engine)
+                      ->Evaluate(static_cast<Timestamp>(r + 1), &results)
+                      .ok());
+      base_results.push_back(std::move(results));
+    }
+    base_digests.push_back(StateDigest(**base_engine));
+  }
+
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ScopedTempDir dir("sharded_delta2_s" + std::to_string(shards));
+    ScubaOptions opt = MakeOptions(1, shards);
+    opt.checkpoint.every_n_rounds = 1;  // still only fires at round boundaries
+    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    // The last chain append of batch 4, an ingest-only mid-window batch.
+    CrashInjector crash(CrashPoint::kAfterWalAppend, 5 * uint64_t{shards});
+    {
+      Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+          ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
+                                         engine.get(), /*validator=*/nullptr,
+                                         /*rng=*/nullptr, &crash);
+      ASSERT_TRUE(manager.ok());
+      for (size_t r = 0; r < rounds.size(); ++r) {
+        Status s = (*manager)->LogBatch(static_cast<Timestamp>(r + 1),
+                                        evaluate_after(r), rounds[r].objects,
+                                        rounds[r].queries);
+        if (!s.ok()) {
+          ASSERT_TRUE(CrashInjector::IsCrash(s));
+          break;
+        }
+        ASSERT_TRUE(
+            engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+        if (evaluate_after(r)) {
+          ResultSet results;
+          ASSERT_TRUE(
+              engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+          ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+        }
+      }
+      ASSERT_TRUE(crash.fired());
+    }
+
+    // Batch 4 is durable but was never ingested; recovery must replay it
+    // without evaluating.
+    std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
+    std::vector<ResultSet> replayed;
+    Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+        dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr,
+        [&](Timestamp, const ResultSet& results) {
+          replayed.push_back(results);
+        });
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->next_seq, 5u);
+    EXPECT_EQ(StateDigest(*recovered), base_digests[4]);
+    for (size_t i = 0; i < replayed.size(); ++i) {
+      EXPECT_EQ(replayed[i], base_results[report->snapshot_rounds + i]);
+    }
+    // Finish the run: evaluation boundaries continue from the global index.
+    size_t eval_index = 2;  // rounds evaluated in batches 0..4: after 1 and 3
+    for (size_t r = 5; r < rounds.size(); ++r) {
+      ASSERT_TRUE(
+          recovered->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+      if (evaluate_after(r)) {
+        ResultSet results;
+        ASSERT_TRUE(
+            recovered->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+        EXPECT_EQ(results, base_results[eval_index])
+            << "evaluation " << eval_index;
+        ++eval_index;
+      }
+      EXPECT_EQ(StateDigest(*recovered), base_digests[r]) << "batch " << r;
+    }
+    EXPECT_EQ(eval_index, base_results.size());
+  }
+}
+
+TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
+  // With no checkpoint at all, the validator's per-entity floors exist only
+  // by virtue of NoteAdmitted during chain replay; a stale tuple that the
+  // pre-crash validator would have rejected must still be rejected.
+  std::vector<Round> rounds = MakeRounds(0xF100D, 4);
+  for (uint32_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ScopedTempDir dir("sharded_floors_s" + std::to_string(shards));
+    ScubaOptions opt = MakeOptions(1, shards);
+    opt.checkpoint.every_n_rounds = 0;  // never checkpoint: WAL is everything
+    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    UpdateValidator validator(MakeValidatorConfig());
+    {
+      Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+          ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
+                                         engine.get(), &validator,
+                                         /*rng=*/nullptr, /*crash=*/nullptr);
+      ASSERT_TRUE(manager.ok());
+      for (size_t r = 0; r < rounds.size(); ++r) {
+        ASSERT_TRUE((*manager)
+                        ->LogBatch(static_cast<Timestamp>(r + 1), true,
+                                   rounds[r].objects, rounds[r].queries)
+                        .ok());
+        ASSERT_TRUE(
+            engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+        ResultSet results;
+        ASSERT_TRUE(
+            engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+        ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+      }
+    }
+
+    std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
+    UpdateValidator recovered_validator(MakeValidatorConfig());
+    Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+        dir.path(), recovered.get(), &recovered_validator, /*rng=*/nullptr);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->batches_replayed, 4u);
+
+    // Screen at batch_time 0 so only per-entity history can reject: the
+    // floors restored by replay must catch the regression, a fresh validator
+    // must not.
+    ASSERT_FALSE(rounds[3].objects.empty());
+    std::vector<LocationUpdate> stale{rounds[3].objects.front()};
+    stale.front().time = 1;
+    std::vector<QueryUpdate> no_queries;
+    std::vector<LocationUpdate> stale_copy = stale;
+    ASSERT_TRUE(recovered_validator.ScreenBatch(0, &stale, &no_queries).ok());
+    EXPECT_TRUE(stale.empty()) << "replayed floor must reject the regression";
+    EXPECT_EQ(
+        recovered_validator.stats().Rejected(RejectReason::kTimeRegression),
+        1u);
+    UpdateValidator fresh(MakeValidatorConfig());
+    ASSERT_TRUE(fresh.ScreenBatch(0, &stale_copy, &no_queries).ok());
+    EXPECT_EQ(stale_copy.size(), 1u) << "without history the tuple is clean";
+  }
 }
 
 }  // namespace

@@ -242,7 +242,6 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   Result<FsckReport> report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->exit_code, kFsckOk) << report->ToString();
-  EXPECT_TRUE(report->sharded);
   EXPECT_GT(report->manifests_valid, 0u);
   EXPECT_GT(report->snapshots_valid, 0u);
   EXPECT_EQ(DirContents(dir.path()), before);
@@ -340,7 +339,6 @@ TEST(ShardedDurabilityTest, FsckReportToJsonMirrorsTheReport) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->exit_code, kFsckOk) << report->ToString();
   std::string json = report->ToJson();
-  EXPECT_NE(json.find("\"sharded\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"clean\":true"), std::string::npos) << json;
   EXPECT_NE(json.find("\"exit_code\":0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"problems\":[]"), std::string::npos) << json;
@@ -453,12 +451,10 @@ TEST(ShardedDurabilityTest, EmptySubBatchesKeepChainsContiguous) {
   const std::string final_digest = RunDurably(rounds, opt, dir.path());
 
   for (uint32_t s = 0; s < 4; ++s) {
-    Result<WalContents> contents = ReadWal(
-        (fs::path(dir.path()) / ShardDirName(s)).string(),
-        /*tolerate_routed_segment_gaps=*/true);
+    Result<WalContents> contents =
+        ReadWal((fs::path(dir.path()) / ShardDirName(s)).string());
     ASSERT_TRUE(contents.ok()) << "chain " << s;
     for (const WalRecord& record : contents->records) {
-      EXPECT_TRUE(record.routed);
       EXPECT_EQ(record.shard_count, 4u);
       if (s != 0) {
         EXPECT_TRUE(record.objects.empty()) << "chain " << s;
@@ -475,6 +471,48 @@ TEST(ShardedDurabilityTest, EmptySubBatchesKeepChainsContiguous) {
   EXPECT_EQ(report->batches_replayed, 1u);
   EXPECT_EQ(report->next_seq, 5u);
   EXPECT_EQ(StateDigest(*engine), final_digest);
+}
+
+TEST(ShardedDurabilityTest, RetiredSingleEngineLayoutIsRefused) {
+  // A root in the retired single-engine layout: a bare snapshot and a WAL
+  // segment at the top level, no manifest, no shard directories.
+  ScopedTempDir dir("retired_layout");
+  ASSERT_TRUE(WriteSnapshotFile(dir.path(), 4, "payload", nullptr).ok());
+  {
+    std::ofstream(dir.path() + "/wal-00000000000000000000.log",
+                  std::ios::binary)
+        << "frame";
+  }
+  const std::map<std::string, std::string> before = DirContents(dir.path());
+  auto names_layout = [](const Status& s) {
+    return s.IsFailedPrecondition() &&
+           s.message().find("retired single-engine") != std::string::npos;
+  };
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ScubaOptions opt = MakeOptions(shards);
+    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    // run --durable-dir / serve --durable-dir open the manager.
+    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
+                                       engine.get(), /*validator=*/nullptr,
+                                       /*rng=*/nullptr, /*crash=*/nullptr);
+    EXPECT_TRUE(names_layout(manager.status())) << manager.status().ToString();
+    // restore
+    Status restored = engine->Restore(dir.path());
+    EXPECT_TRUE(names_layout(restored)) << restored.ToString();
+    // recover
+    Result<ShardedRecoveryReport> recovered = RecoverShardedEngine(
+        dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+    EXPECT_TRUE(names_layout(recovered.status()))
+        << recovered.status().ToString();
+  }
+  // fsck reports it with its own verdict.
+  Result<FsckReport> report = FsckDurableDir(dir.path());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->exit_code, kFsckRetiredLayout) << report->ToString();
+  // Nothing was written or repaired along the way.
+  EXPECT_EQ(DirContents(dir.path()), before);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/result_set.h"
 #include "core/scuba_engine.h"
 #include "persist/snapshot.h"
+#include "shard/engine_factory.h"
 #include "shard/sharded_engine.h"
 #include "state_digest.h"
 
@@ -234,6 +235,52 @@ INSTANTIATE_TEST_SUITE_P(
       return "shards" + std::to_string(std::get<0>(info.param)) + "x" +
              std::to_string(std::get<1>(info.param)) + "threads";
     });
+
+TEST(ShardedEngineTest, MakeEngineBuildsTheProductionEngineAtEveryShardCount) {
+  const Workload w = MakeWorkload(/*seed=*/7, /*ticks=*/6, /*objects=*/150,
+                                  /*queries=*/30);
+  auto reference = ScubaEngine::Create(BaseOptions(1, 1)).value();
+  const std::vector<ResultSet> want = Drive(w, reference.get());
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Result<EngineHandle> handle = MakeEngine(BaseOptions(shards, 1), "scuba");
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_NE(handle->sharded, nullptr);
+    EXPECT_EQ(handle->scuba, nullptr);
+    EXPECT_EQ(handle->engine.get(), handle->sharded);
+    EXPECT_EQ(handle->sharded->shard_count(), shards);
+    EXPECT_EQ(Drive(w, handle->sharded), want);
+    EXPECT_EQ(handle->StateHash(), EngineStateHash(*reference));
+  }
+}
+
+TEST(ShardedEngineTest, MergeNormalizedEqualsConcatenateAndNormalize) {
+  // The coordinator's slice merge must agree with a full sort + dedup for
+  // any slice count (odd counts leave a run unpaired), empty slices and
+  // overlapping slices (a stale slice can repeat fresh pairs).
+  Rng rng(99);
+  for (int slice_count = 0; slice_count <= 7; ++slice_count) {
+    std::vector<ResultSet> slices(static_cast<size_t>(slice_count));
+    ResultSet want;
+    for (ResultSet& slice : slices) {
+      const int n = static_cast<int>(rng.NextDouble(0, 40));
+      for (int i = 0; i < n; ++i) {
+        const auto qid = static_cast<QueryId>(rng.NextDouble(0, 12));
+        const auto oid = static_cast<ObjectId>(rng.NextDouble(0, 12));
+        slice.Add(qid, oid);
+        want.Add(qid, oid);
+      }
+      slice.Normalize();
+    }
+    want.Normalize();
+    std::vector<const ResultSet*> views;
+    for (const ResultSet& slice : slices) views.push_back(&slice);
+    ResultSet got;
+    got.Add(1000, 1000);  // replaced, not appended to
+    got.MergeNormalized(views);
+    EXPECT_EQ(got, want) << slice_count << " slices";
+  }
+}
 
 TEST(ShardedEngineTest, ClustersTangentToStripeBorder) {
   // 4 shards over 100 rows put borders at y = 2500 / 5000 / 7500. Build

@@ -1,12 +1,16 @@
 // End-to-end telemetry coverage (docs/ARCHITECTURE.md §9): the JSONL round
 // stream is schema-valid, counter/gauge content is bit-identical across
-// thread counts, and telemetry never perturbs engine results or state.
+// thread counts, and telemetry never perturbs engine results or state — for
+// the reference ScubaEngine and the production engine at one stripe, which
+// must expose the same metric set and phase span tree.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,6 +20,8 @@
 #include "common/rng.h"
 #include "core/scuba_engine.h"
 #include "persist/snapshot.h"
+#include "shard/shard_durability.h"
+#include "shard/sharded_engine.h"
 
 namespace scuba {
 namespace {
@@ -276,9 +282,9 @@ struct RunResult {
   std::vector<uint64_t> hashes;
 };
 
+template <typename Engine = ScubaEngine>
 RunResult RunWorkload(const std::vector<Round>& rounds, ScubaOptions opt) {
-  std::unique_ptr<ScubaEngine> engine =
-      std::move(ScubaEngine::Create(opt).value());
+  std::unique_ptr<Engine> engine = std::move(Engine::Create(opt).value());
   RunResult out;
   Timestamp now = 0;
   for (const Round& round : rounds) {
@@ -387,17 +393,25 @@ TEST(TelemetryTest, MetricsAndTraceFilesValidateAgainstSchema) {
   }
 }
 
-TEST(TelemetryTest, CountersAndGaugesBitIdenticalAcrossThreads) {
+/// Both SCUBA engines; the production one runs at a single stripe.
+template <typename Engine>
+class EngineTelemetryTest : public ::testing::Test {};
+using Engines = ::testing::Types<ScubaEngine, ShardedEngine>;
+TYPED_TEST_SUITE(EngineTelemetryTest, Engines);
+
+TYPED_TEST(EngineTelemetryTest, CountersAndGaugesBitIdenticalAcrossThreads) {
   const std::vector<Round> rounds = MakeRounds(23, 5);
+  const std::string tag =
+      ::testing::UnitTest::GetInstance()->current_test_info()->type_param();
   std::vector<std::vector<std::string>> per_thread_rounds;
   for (uint32_t threads : {1u, 4u}) {
-    const std::string path =
-        TmpPath("determinism_" + std::to_string(threads) + ".jsonl");
+    const std::string path = TmpPath("determinism_" + tag + "_" +
+                                     std::to_string(threads) + ".jsonl");
     ScubaOptions opt;
     opt.ingest_threads = threads;
     opt.join_threads = threads;
     opt.telemetry.metrics_out = path;
-    RunWorkload(rounds, opt);
+    RunWorkload<TypeParam>(rounds, opt);
 
     std::vector<std::string> round_payloads;
     for (const std::string& line : ReadLines(path)) {
@@ -424,26 +438,170 @@ TEST(TelemetryTest, CountersAndGaugesBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(TelemetryTest, TelemetryDoesNotPerturbResultsOrState) {
+TYPED_TEST(EngineTelemetryTest, TelemetryDoesNotPerturbResultsOrState) {
   const std::vector<Round> rounds = MakeRounds(31, 4);
+  const std::string tag =
+      ::testing::UnitTest::GetInstance()->current_test_info()->type_param();
   ScubaOptions off;
   off.join_threads = 2;
   off.ingest_threads = 2;
   ScubaOptions on = off;
   on.telemetry.enabled = true;  // collect-only: no files
   ScubaOptions files = off;
-  files.telemetry.metrics_out = TmpPath("perturb_metrics.jsonl");
-  files.telemetry.trace_out = TmpPath("perturb_trace.jsonl");
+  files.telemetry.metrics_out = TmpPath("perturb_metrics_" + tag + ".jsonl");
+  files.telemetry.trace_out = TmpPath("perturb_trace_" + tag + ".jsonl");
 
-  const RunResult base = RunWorkload(rounds, off);
+  const RunResult base = RunWorkload<TypeParam>(rounds, off);
   for (const ScubaOptions& opt : {on, files}) {
-    const RunResult instrumented = RunWorkload(rounds, opt);
+    const RunResult instrumented = RunWorkload<TypeParam>(rounds, opt);
     ASSERT_EQ(instrumented.results.size(), base.results.size());
     for (size_t r = 0; r < base.results.size(); ++r) {
       EXPECT_EQ(instrumented.results[r], base.results[r]) << "round " << r;
       EXPECT_EQ(instrumented.hashes[r], base.hashes[r]) << "round " << r;
     }
   }
+}
+
+/// name -> "kind total" for every counter and histogram a metrics file
+/// reports, as of the last round line naming it.
+std::map<std::string, std::string> FinalCounters(const std::string& path) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : ReadLines(path)) {
+    if (FieldValue(line, "kind") != "round") continue;
+    for (const char* kind : {"counter", "histogram"}) {
+      size_t at = 0;
+      while ((at = line.find("{\"name\":\"", at)) != std::string::npos) {
+        const size_t end = line.find('}', at);
+        const std::string entry = line.substr(at, end - at + 1);
+        at = end;
+        if (FieldValue(entry, "kind") != kind) continue;
+        out[FieldValue(entry, "name")] =
+            std::string(kind) + " " + FieldValue(entry, "total");
+      }
+    }
+  }
+  return out;
+}
+
+TEST(TelemetryTest, ProductionEngineKeepsTheReferenceMetricsAndSpans) {
+  const std::vector<Round> rounds = MakeRounds(59, 4);
+  ScubaOptions reference;
+  reference.telemetry.metrics_out = TmpPath("parity_reference_metrics.jsonl");
+  reference.telemetry.trace_out = TmpPath("parity_reference_trace.jsonl");
+  ScubaOptions production = reference;
+  production.telemetry.metrics_out = TmpPath("parity_production_metrics.jsonl");
+  production.telemetry.trace_out = TmpPath("parity_production_trace.jsonl");
+  RunWorkload<ScubaEngine>(rounds, reference);
+  RunWorkload<ShardedEngine>(rounds, production);
+
+  // Every reference counter and histogram is exposed by the production
+  // engine, and every counter carries the same total.
+  const std::map<std::string, std::string> want =
+      FinalCounters(reference.telemetry.metrics_out);
+  const std::map<std::string, std::string> got =
+      FinalCounters(production.telemetry.metrics_out);
+  ASSERT_FALSE(want.empty());
+  for (const auto& [name, value] : want) {
+    auto it = got.find(name);
+    ASSERT_NE(it, got.end()) << "production engine lacks " << name;
+    if (value.rfind("counter", 0) == 0) {
+      EXPECT_EQ(it->second, value) << name;
+    }
+  }
+
+  // The phase sub-spans bench_e2e reads are present on every round.
+  const std::vector<std::string> lines =
+      ReadLines(production.telemetry.trace_out);
+  ASSERT_EQ(lines.size(), rounds.size() + 1);
+  for (size_t i = 1; i < lines.size(); ++i) {
+    for (const char* span : {"between", "within", "tighten", "shed", "expire",
+                             "translate"}) {
+      EXPECT_NE(lines[i].find("\"name\":\"" + std::string(span) + "\""),
+                std::string::npos)
+          << "round " << i << " missing span " << span << ": " << lines[i];
+    }
+  }
+}
+
+TEST(TelemetryTest, ShedderMetricsFollowTheSnapshotShedderAtFourStripes) {
+  // Every stripe runs its own shedder; the scuba_shed_* metrics report the
+  // same one StatsSnapshot() does instead of summing or racing the stripes.
+  ScubaOptions opt;
+  opt.shards = 4;
+  opt.shedding.mode = LoadSheddingMode::kAdaptive;
+  opt.shedding.memory_budget_bytes = 1;  // every stripe over budget
+  opt.telemetry.metrics_out = TmpPath("shed_four_stripes_metrics.jsonl");
+  std::unique_ptr<ShardedEngine> engine =
+      std::move(ShardedEngine::Create(opt).value());
+  Timestamp now = 0;
+  for (const Round& round : MakeRounds(67, 6)) {
+    now += 2;
+    ASSERT_TRUE(engine->IngestBatch(round.objects, round.queries).ok());
+    ResultSet results;
+    ASSERT_TRUE(engine->Evaluate(now, &results).ok());
+  }
+  ASSERT_TRUE(engine->FlushTelemetry().ok());
+  const ShedderSnapshotStats shed = engine->StatsSnapshot().shedder;
+  ASSERT_GT(shed.adjustments, 0u);
+
+  std::string adjustments;
+  std::string eta;
+  for (const std::string& line : ReadLines(opt.telemetry.metrics_out)) {
+    if (FieldValue(line, "kind") != "round") continue;
+    for (const std::string& c : MetricEntries(line, "counter")) {
+      if (c.rfind("scuba_shed_adjustments_total ", 0) == 0) {
+        adjustments = c.substr(c.find(" total=") + 7);
+      }
+    }
+    for (const std::string& g : MetricEntries(line, "gauge")) {
+      if (g.rfind("scuba_shed_eta ", 0) == 0) {
+        eta = g.substr(g.find(" value=") + 7);
+      }
+    }
+  }
+  EXPECT_EQ(adjustments, std::to_string(shed.adjustments));
+  ASSERT_FALSE(eta.empty());
+  EXPECT_DOUBLE_EQ(std::stod(eta), shed.eta);
+}
+
+TEST(TelemetryTest, DurabilitySinkEmitsCheckpointSpans) {
+  // The production engine's durability sink times every WAL append and
+  // checkpoint into the round's checkpoint.{wal,snapshot} spans.
+  const std::string dir = TmpPath("checkpoint_spans.d");
+  std::filesystem::remove_all(dir);
+  ScubaOptions opt;
+  opt.telemetry.trace_out = TmpPath("checkpoint_spans_trace.jsonl");
+  opt.checkpoint.every_n_rounds = 1;
+  std::unique_ptr<ShardedEngine> engine =
+      std::move(ShardedEngine::Create(opt).value());
+  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                                     /*validator=*/nullptr, /*rng=*/nullptr,
+                                     /*crash=*/nullptr);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  const std::vector<Round> rounds = MakeRounds(61, 3);
+  Timestamp now = 0;
+  for (const Round& round : rounds) {
+    now += 2;
+    ASSERT_TRUE(
+        (*manager)->LogBatch(now, true, round.objects, round.queries).ok());
+    ASSERT_TRUE(engine->IngestBatch(round.objects, round.queries).ok());
+    ResultSet results;
+    ASSERT_TRUE(engine->Evaluate(now, &results).ok());
+    ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+  }
+  ASSERT_TRUE(engine->FlushTelemetry().ok());
+
+  const std::vector<std::string> lines = ReadLines(opt.telemetry.trace_out);
+  ASSERT_EQ(lines.size(), rounds.size() + 1);
+  for (size_t i = 1; i < lines.size(); ++i) {
+    for (const char* span : {"checkpoint", "wal", "snapshot"}) {
+      EXPECT_NE(lines[i].find("\"name\":\"" + std::string(span) + "\""),
+                std::string::npos)
+          << "round " << i << " missing span " << span << ": " << lines[i];
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TelemetryTest, ProgrammaticAccessAndCheckpointSpansExist) {

@@ -17,19 +17,23 @@
 // through the deterministic fault injector so hardened runs can be exercised
 // end to end (`run --on-bad-update quarantine` survives it; `strict` fails).
 //
-// Durability (docs/ARCHITECTURE.md §8): `run --durable-dir DIR` write-ahead
-// logs every admitted batch and checkpoints per --checkpoint-every;
-// --crash-at POINT [--crash-after N] injects a crash at the N-th occurrence
-// of that point and exits nonzero, leaving realistic partial state behind.
-// `recover` rebuilds the engine from DIR (newest readable snapshot + WAL
-// replay; --json prints the report as one JSON object) and finishes the
-// trace; `checkpoint` / `restore` exercise the bare snapshot round-trip. Each
-// durable command prints a `state-hash:` line — equal hashes mean
-// bit-identical engine state. All four durable commands accept --shards N:
-// sharded runs log per-shard WAL chains under manifest-committed checkpoint
-// generations (docs/ARCHITECTURE.md §12), and a directory written at one
-// shard count recovers into any other. `fsck DIR` verifies a durable
-// directory read-only and exits with a distinct code per damage class.
+// Every SCUBA command runs the production engine (a ShardedEngine over
+// --shards N >= 1 row stripes, default 1) built by MakeEngine.
+//
+// Durability (docs/ARCHITECTURE.md §8, §12): `run --durable-dir DIR` logs
+// every admitted batch to per-shard WAL chains and commits checkpoint
+// generations through manifests per --checkpoint-every; --crash-at POINT
+// [--crash-after N] injects a crash at the N-th occurrence of that point and
+// exits nonzero, leaving realistic partial state behind. `recover` rebuilds
+// the engine from DIR (newest manifest whose artifacts verify + cross-chain
+// WAL replay; --json prints the report as one JSON object) and finishes the
+// trace; `checkpoint` / `restore` exercise the bare checkpoint round-trip.
+// Each durable command prints a `state-hash:` line — equal hashes mean
+// bit-identical engine state — and a directory written at one shard count
+// recovers into any other. A directory in the retired single-engine layout
+// (bare snapshot-*.scuba / wal-*.log files) is refused with exit 5. `fsck
+// DIR` verifies a durable directory read-only and exits with a distinct code
+// per damage class.
 //
 // Exit codes mirror StatusCode (1 = invalid argument, 5 = failed
 // precondition, 7 = internal/injected crash, 11 = data loss, ...); 0 is
@@ -49,18 +53,16 @@
 
 #include "baseline/naive_join_engine.h"
 #include "common/memory_usage.h"
+#include "core/engine_snapshot.h"
 #include "core/scuba_engine.h"
 #include "eval/accuracy.h"
-#include "eval/engine_stats.h"
 #include "eval/svg_render.h"
 #include "gen/trace.h"
 #include "gen/workload_generator.h"
 #include "network/grid_city.h"
 #include "network/network_io.h"
 #include "persist/crash.h"
-#include "persist/durability.h"
 #include "persist/fsck.h"
-#include "persist/snapshot.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "shard/engine_factory.h"
@@ -243,10 +245,11 @@ Result<Trace> LoadTrace(const std::string& path) {
   return Trace::Parse(*text);
 }
 
-/// SCUBA engine options shared by run / checkpoint / restore / recover. The
-/// durable commands MUST rebuild the engine with the same options the run
-/// that wrote the directory used — the snapshot's options fingerprint
-/// enforces it — so they all read the same flags through this one helper.
+/// SCUBA engine options shared by run / checkpoint / restore / recover /
+/// serve. The durable commands MUST rebuild the engine with the same options
+/// the run that wrote the directory used — the manifest's options
+/// fingerprint enforces it — so they all read the same flags through this
+/// one helper.
 Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
                                            const Rect& region,
                                            BadUpdatePolicy policy) {
@@ -258,10 +261,8 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
   opt.delta = flags.GetInt("delta", 2);
   opt.enable_cluster_splitting = flags.GetBool("splitting", false);
   opt.join_threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  opt.ingest_threads =
-      static_cast<uint32_t>(flags.GetInt("ingest-threads", 1));
-  // Sharding (docs/ARCHITECTURE.md §11). Bit-identical to --shards 1, so the
-  // snapshot options fingerprint excludes both flags.
+  // Sharding (docs/ARCHITECTURE.md §11). Results are bit-identical at every
+  // shard count, so the options fingerprint excludes both flags.
   opt.shards = static_cast<uint32_t>(flags.GetInt("shards", 1));
   Result<RebalanceMode> rebalance =
       ParseRebalanceMode(flags.GetString("rebalance", "off"));
@@ -332,6 +333,14 @@ Result<CrashInjector> CrashInjectorFromFlags(const Flags& flags) {
   return CrashInjector(*point, after);
 }
 
+/// The one-line stats summary of any engine: only its EvalStats, which is
+/// all the baselines have.
+std::string StatsLine(const QueryProcessor& engine) {
+  EngineSnapshotStats snapshot;
+  snapshot.eval = engine.stats();
+  return snapshot.Format(engine.name());
+}
+
 void PrintStateHash(uint64_t hash) {
   std::printf("state-hash: %016llx\n", static_cast<unsigned long long>(hash));
 }
@@ -379,7 +388,6 @@ int CmdRun(const Flags& flags) {
   Result<EngineHandle> handle = MakeEngine(scuba_opt, engine_name);
   if (!handle.ok()) return Fail(handle.status());
   QueryProcessor* engine = handle->engine.get();
-  ScubaEngine* scuba_engine = handle->scuba;
   ShardedEngine* sharded_engine = handle->sharded;
 
   Result<DurabilityHandle> durability = OpenDurability(
@@ -412,9 +420,8 @@ int CmdRun(const Flags& flags) {
     return Fail(Status::IoError("csv write failed: " + csv_path));
   }
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  std::printf("%s\n", FormatStats(engine->name(), engine->stats()).c_str());
+  std::printf("%s\n", StatsLine(*engine).c_str());
   std::printf("memory: %s\n", FormatBytes(engine->EstimateMemoryUsage()).c_str());
-  if (scuba_engine != nullptr) PrintStateHash(handle->StateHash());
   if (sharded_engine != nullptr) {
     std::printf("shards: %u  handoffs: %llu  ghosts: %llu\n",
                 sharded_engine->shard_count(),
@@ -450,8 +457,8 @@ int CmdRun(const Flags& flags) {
   return 0;
 }
 
-/// Replays a trace to completion and writes one snapshot of the final engine
-/// state (no WAL) — the bare Checkpoint() surface.
+/// Replays a trace to completion and writes one checkpoint generation of the
+/// final engine state (no WAL) — the bare Checkpoint() surface.
 int CmdCheckpoint(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string map_path = flags.GetString("map", "");
@@ -483,32 +490,23 @@ int CmdCheckpoint(const Flags& flags) {
   if (!handle.ok()) return Fail(handle.status());
   Status s = ReplayTrace(*trace, handle->engine.get(), delta, nullptr, screen);
   if (!s.ok()) return Fail(s);
-  s = handle->sharded != nullptr ? handle->sharded->Checkpoint(durable_dir)
-                                 : handle->scuba->Checkpoint(durable_dir);
+  s = handle->sharded->Checkpoint(durable_dir);
   if (!s.ok()) return Fail(s);
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  if (handle->sharded != nullptr) {
-    const EngineSnapshotStats snapshot = handle->sharded->StatsSnapshot();
-    std::printf(
-        "checkpointed %zu clusters after %llu rounds to %s (%s; %u shards)\n",
-        handle->sharded->ClusterCount(),
-        static_cast<unsigned long long>(snapshot.eval.evaluations),
-        durable_dir.c_str(),
-        FormatBytes(snapshot.eval.last_checkpoint_bytes).c_str(),
-        handle->sharded->shard_count());
-  } else {
-    const EngineSnapshotStats snapshot = handle->scuba->StatsSnapshot();
-    std::printf("checkpointed %zu clusters after %llu rounds to %s (%s)\n",
-                handle->scuba->ClusterCount(),
-                static_cast<unsigned long long>(snapshot.eval.evaluations),
-                durable_dir.c_str(),
-                FormatBytes(snapshot.eval.last_checkpoint_bytes).c_str());
-  }
+  const EngineSnapshotStats snapshot = handle->sharded->StatsSnapshot();
+  std::printf(
+      "checkpointed %zu clusters after %llu rounds to %s (%s; %u shards)\n",
+      handle->sharded->ClusterCount(),
+      static_cast<unsigned long long>(snapshot.eval.evaluations),
+      durable_dir.c_str(),
+      FormatBytes(snapshot.eval.last_checkpoint_bytes).c_str(),
+      handle->sharded->shard_count());
   PrintStateHash(handle->StateHash());
   return 0;
 }
 
-/// Loads the newest snapshot into a freshly built engine (no WAL replay) and
+/// Loads the newest checkpoint generation into a freshly built engine (no
+/// WAL replay), re-partitioned into this run's --shards, audits it and
 /// prints its state hash — must equal the hash `checkpoint` printed.
 int CmdRestore(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
@@ -537,34 +535,25 @@ int CmdRestore(const Flags& flags) {
 
   Result<EngineHandle> handle = MakeEngine(opt);
   if (!handle.ok()) return Fail(handle.status());
-  if (handle->sharded != nullptr) {
-    // A sharded restore reads the NEWEST manifest only and re-partitions the
-    // saved clusters into this engine's stripe layout.
-    Status s = handle->sharded->Restore(durable_dir);
-    if (!s.ok()) return Fail(s);
-    std::printf("restored %zu clusters (%llu rounds) from %s into %u shards\n",
-                handle->sharded->ClusterCount(),
-                static_cast<unsigned long long>(
-                    handle->sharded->StatsSnapshot().eval.evaluations),
-                durable_dir.c_str(), handle->sharded->shard_count());
-    PrintStateHash(handle->StateHash());
-    return 0;
-  }
-  Status s = handle->scuba->Restore(durable_dir);
+  Status s = handle->sharded->Restore(durable_dir);
   if (!s.ok()) return Fail(s);
-  InvariantAuditReport audit = handle->scuba->AuditInvariants();
-  std::printf("restored %zu clusters (%llu rounds) from %s; audit: %s\n",
-              handle->scuba->ClusterCount(),
-              static_cast<unsigned long long>(
-                  handle->scuba->StatsSnapshot().eval.evaluations),
-              durable_dir.c_str(), audit.clean() ? "clean" : "DIRTY");
+  const InvariantAuditReport audit = handle->sharded->AuditInvariants();
+  std::printf(
+      "restored %zu clusters (%llu rounds) from %s into %u shards; audit: %s\n",
+      handle->sharded->ClusterCount(),
+      static_cast<unsigned long long>(
+          handle->sharded->StatsSnapshot().eval.evaluations),
+      durable_dir.c_str(), handle->sharded->shard_count(),
+      audit.clean() ? "clean" : "DIRTY");
   PrintStateHash(handle->StateHash());
   return audit.clean() ? 0 : Fail(Status::Corruption(audit.ToString()));
 }
 
 /// Crash recovery: rebuilds the engine from the durable directory (newest
-/// readable snapshot + WAL replay), then finishes the trace from where the
-/// log ends — WAL-logging and checkpointing the remainder just like `run`.
+/// manifest whose artifacts verify + cross-chain WAL replay), then finishes
+/// the trace from where the log ends — WAL-logging and checkpointing the
+/// remainder just like `run`. A directory written at any shard count
+/// recovers into --shards N.
 int CmdRecover(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string map_path = flags.GetString("map", "");
@@ -608,25 +597,12 @@ int CmdRecover(const Flags& flags) {
 
   // WAL sequence numbers are global batch indices (seq 0 = trace batch 0),
   // so the replayed log tells us exactly where to resume the trace.
-  uint64_t next_seq = 0;
-  if (handle->sharded != nullptr) {
-    // Sharded recovery: newest manifest whose artifacts all verify, with
-    // generation-by-generation fallback, then cross-chain WAL merge. A
-    // directory written at any shard count recovers into --shards N.
-    Result<ShardedRecoveryReport> report = RecoverShardedEngine(
-        durable_dir, handle->sharded, screen, /*rng=*/nullptr, sink);
-    if (!report.ok()) return Fail(report.status());
-    std::printf("%s\n",
-                json ? report->ToJson().c_str() : report->ToString().c_str());
-    next_seq = report->next_seq;
-  } else {
-    Result<RecoveryReport> report = RecoverEngine(
-        durable_dir, handle->scuba, screen, /*rng=*/nullptr, sink);
-    if (!report.ok()) return Fail(report.status());
-    std::printf("%s\n",
-                json ? report->ToJson().c_str() : report->ToString().c_str());
-    next_seq = report->next_seq;
-  }
+  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+      durable_dir, handle->sharded, screen, /*rng=*/nullptr, sink);
+  if (!report.ok()) return Fail(report.status());
+  std::printf("%s\n",
+              json ? report->ToJson().c_str() : report->ToString().c_str());
+  const uint64_t next_seq = report->next_seq;
   if (next_seq < trace->TickCount()) {
     Result<DurabilityHandle> durability = OpenDurability(
         durable_dir, opt, &*handle, screen, vconfig, &*crash);
@@ -637,10 +613,9 @@ int CmdRecover(const Flags& flags) {
     if (!s.ok()) return Fail(s);
   }
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  const EngineSnapshotStats snapshot = handle->sharded != nullptr
-                                           ? handle->sharded->StatsSnapshot()
-                                           : handle->scuba->StatsSnapshot();
-  std::printf("%s\n", snapshot.Format(handle->engine->name()).c_str());
+  std::printf("%s\n", handle->sharded->StatsSnapshot()
+                         .Format(handle->engine->name())
+                         .c_str());
   PrintStateHash(handle->StateHash());
   return 0;
 }
@@ -688,8 +663,7 @@ int CmdCompare(const Flags& flags) {
   Timestamp delta = flags.GetInt("delta", 2);
   double eta = flags.GetDouble("eta", 0.0);
   uint32_t threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  uint32_t ingest_threads =
-      static_cast<uint32_t>(flags.GetInt("ingest-threads", 1));
+  uint32_t shards = static_cast<uint32_t>(flags.GetInt("shards", 1));
   Status consumed = flags.CheckAllConsumed();
   if (!consumed.ok()) return Fail(consumed);
 
@@ -701,13 +675,13 @@ int CmdCompare(const Flags& flags) {
   opt.region = region;
   opt.delta = delta;
   opt.join_threads = threads;
-  opt.ingest_threads = ingest_threads;
+  opt.shards = shards;
   if (eta > 0.0) {
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
   }
-  Result<std::unique_ptr<ScubaEngine>> scuba_engine = ScubaEngine::Create(opt);
-  if (!scuba_engine.ok()) return Fail(scuba_engine.status());
+  Result<EngineHandle> handle = MakeEngine(opt);
+  if (!handle.ok()) return Fail(handle.status());
   NaiveJoinEngine oracle;
 
   std::vector<ResultSet> truth;
@@ -718,7 +692,7 @@ int CmdCompare(const Flags& flags) {
   if (!s.ok()) return Fail(s);
   AccuracyAccumulator acc;
   size_t round = 0;
-  s = ReplayTrace(*trace, scuba_engine->get(), delta,
+  s = ReplayTrace(*trace, handle->engine.get(), delta,
                   [&](Timestamp, const ResultSet& r) {
                     acc.Add(CompareResults(truth[round++], r));
                   });
@@ -726,9 +700,8 @@ int CmdCompare(const Flags& flags) {
 
   std::printf("rounds: %zu\n", acc.rounds());
   std::printf("%s\n", acc.total().ToString().c_str());
-  std::printf("%s\n",
-              (*scuba_engine)->StatsSnapshot().Format("scuba").c_str());
-  std::printf("%s\n", FormatStats("naive", oracle.stats()).c_str());
+  std::printf("%s\n", handle->sharded->StatsSnapshot().Format("scuba").c_str());
+  std::printf("%s\n", StatsLine(oracle).c_str());
   return 0;
 }
 
@@ -768,7 +741,7 @@ int CmdRender(const Flags& flags) {
 }
 
 /// Read-only verification of a durable directory: `scuba_cli fsck DIR`.
-/// Exits 0 when clean, else with the worst damage class found (values 20-25,
+/// Exits 0 when clean, else with the worst damage class found (values 20-26,
 /// persist/fsck.h) — distinct from the StatusCode exit codes so scripts can
 /// tell "the directory is damaged" from "fsck itself failed". Never mutates.
 int CmdFsck(int argc, char** argv) {
@@ -870,9 +843,7 @@ int CmdServe(const Flags& flags) {
   // With telemetry on, serve metrics register on the engine registry so the
   // scuba_serve_* family rides the per-round JSONL stream (schema v4).
   EngineTelemetry* telemetry =
-      handle->scuba != nullptr     ? handle->scuba->telemetry()
-      : handle->sharded != nullptr ? handle->sharded->telemetry()
-                                   : nullptr;
+      handle->sharded != nullptr ? handle->sharded->telemetry() : nullptr;
   serve::ServerDeps deps;
   deps.engine = handle->engine.get();
   deps.screen = screen;
@@ -1068,7 +1039,7 @@ int Usage() {
       "                  --query-filter F --seed N]\n"
       "  run             --trace FILE [--engine scuba|grid|naive --delta N\n"
       "                  --grid-cells N --theta-d F --theta-s F --eta F\n"
-      "                  --threads N (0 = all cores) --ingest-threads N\n"
+      "                  --threads N (0 = all cores)\n"
       "                  --shards N --rebalance off|observe\n"
       "                  --splitting --quiet --csv FILE --map FILE\n"
       "                  --on-bad-update strict|quarantine|repair\n"
@@ -1096,27 +1067,26 @@ int Usage() {
       "                  [--delta N --map FILE --shutdown\n"
       "                  --compare-offline BOOL + run options]\n"
       "  compare         --trace FILE [--delta N --eta F --threads N\n"
-      "                  --ingest-threads N]\n"
+      "                  --shards N]\n"
       "  render          --trace FILE --out FILE.svg [--delta N --width PX]\n"
       "  corrupt-trace   --trace FILE --out FILE [--rate F --seed N\n"
       "                  --burst-size N]\n\n"
-      "run with --durable-dir WAL-logs every admitted batch and snapshots\n"
-      "every --checkpoint-every rounds; recover rebuilds the engine from the\n"
-      "newest readable snapshot + WAL replay, then finishes the trace.\n"
+      "run with --durable-dir WAL-logs every admitted batch (one chain per\n"
+      "shard) and commits a manifest checkpoint generation every\n"
+      "--checkpoint-every rounds; recover rebuilds the engine from the\n"
+      "newest verified generation + WAL replay, then finishes the trace. A\n"
+      "directory written at one shard count recovers into any other; one in\n"
+      "the retired single-engine layout is refused (exit 5).\n"
       "--crash-at points: before-wal-append mid-wal-append after-wal-append\n"
-      "before-snapshot-write mid-snapshot-write torn-snapshot-rename\n"
-      "after-snapshot-write after-wal-prune; sharded runs add\n"
-      "mid-shard-snapshot-write between-shard-snapshots before-manifest-rename\n"
-      "torn-manifest-rename after-manifest-rename mid-shard-wal-append\n"
-      "between-shard-wal-appends mid-manifest-prune\n"
+      "before-snapshot-write mid-shard-snapshot-write between-shard-snapshots\n"
+      "before-manifest-rename torn-manifest-rename after-manifest-rename\n"
+      "mid-shard-wal-append between-shard-wal-appends mid-manifest-prune\n"
       "--metrics-out / --trace-out (scuba engine only) append one JSON line\n"
       "per round: metric deltas and phase span trees; metrics ends with a\n"
       "Prometheus exposition line. Telemetry never changes results.\n"
-      "--shards N > 1 runs the round over N row-stripe engine shards with\n"
-      "bit-identical results; --rebalance observe logs stripe-split\n"
-      "recommendations on skew. Sharded durable runs keep one WAL chain per\n"
-      "shard under manifest-committed checkpoint generations; a directory\n"
-      "written at one shard count recovers into any other.\n"
+      "--shards N runs the round over N row-stripe engine shards (default 1)\n"
+      "with bit-identical results; --rebalance observe logs stripe-split\n"
+      "recommendations on skew.\n"
       "--on-shard-failure degrade|reassign isolates a failing shard instead\n"
       "of failing the round: the round completes degraded (the failed shard\n"
       "serves its last published results), online recovery rebuilds the\n"
