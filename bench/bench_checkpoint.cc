@@ -50,8 +50,9 @@ ScubaOptions MakeOptions(const ExperimentData& data,
   return options;
 }
 
-/// One durable replay of the trace: one WAL chain per shard under
-/// manifest-committed checkpoint generations.
+/// One durable replay of the trace: one WAL (one record and one fsync per
+/// batch at any shard count) under manifest-committed checkpoint
+/// generations.
 DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
                           const CheckpointPolicy& policy, uint32_t shards = 1) {
   ScubaOptions options = MakeOptions(data, policy);
@@ -105,10 +106,10 @@ int Main() {
 
   // 1. Baseline: the identical replay with durability disabled.
   BenchOutcome base = RunScuba(data, /*delta=*/2);
-  std::printf("%-14s %10s %12s %14s %12s\n", "mode", "wall(s)", "overhead",
-              "wal bytes", "checkpoints");
-  std::printf("%-14s %10.4f %11s%% %14s %12s\n", "baseline",
-              base.wall_seconds, "-", "-", "-");
+  std::printf("%-14s %10s %12s %14s %11s %12s\n", "mode", "wall(s)",
+              "overhead", "wal bytes", "wal fsyncs", "checkpoints");
+  std::printf("%-14s %10.4f %11s%% %14s %11s %12s\n", "baseline",
+              base.wall_seconds, "-", "-", "-", "-");
 
   // 2. WAL-only: every admitted batch fsynced to the log, no snapshots.
   CheckpointPolicy wal_policy;
@@ -118,9 +119,10 @@ int Main() {
       base.wall_seconds > 0.0
           ? (wal.wall_seconds / base.wall_seconds - 1.0) * 100.0
           : 0.0;
-  std::printf("%-14s %10.4f %11.1f%% %14llu %12llu\n", "wal-only",
+  std::printf("%-14s %10.4f %11.1f%% %14llu %11llu %12llu\n", "wal-only",
               wal.wall_seconds, wal_overhead_pct,
               static_cast<unsigned long long>(wal.wal_bytes),
+              static_cast<unsigned long long>(wal.wal_fsyncs),
               static_cast<unsigned long long>(wal.checkpoints_written));
   SCUBA_CHECK_MSG(wal.total_results == base.total_results,
                   "WAL logging must not change the answer");
@@ -135,16 +137,17 @@ int Main() {
       base.wall_seconds > 0.0
           ? (ckpt.wall_seconds / base.wall_seconds - 1.0) * 100.0
           : 0.0;
-  std::printf("%-14s %10.4f %11.1f%% %14llu %12llu\n", "checkpointed",
+  std::printf("%-14s %10.4f %11.1f%% %14llu %11llu %12llu\n", "checkpointed",
               ckpt.wall_seconds, ckpt_overhead_pct,
               static_cast<unsigned long long>(ckpt.wal_bytes),
+              static_cast<unsigned long long>(ckpt.wal_fsyncs),
               static_cast<unsigned long long>(ckpt.checkpoints_written));
   SCUBA_CHECK_MSG(ckpt.total_results == base.total_results,
                   "checkpointing must not change the answer");
   SCUBA_CHECK_MSG(ckpt.checkpoints_written > 0, "no snapshots were written");
 
-  // 3b. The same policy over 4 shards: same answer, same state hash as the
-  // one-shard run (the sharded determinism contract).
+  // 3b. The same policy over 4 shards: same answer, same state hash and the
+  // same WAL (one record and one fsync per batch) as the one-shard run.
   constexpr uint32_t kBenchShards = 4;
   DurableOutcome sharded =
       RunDurable(data, sharded_dir, ckpt_policy, kBenchShards);
@@ -152,9 +155,10 @@ int Main() {
       base.wall_seconds > 0.0
           ? (sharded.wall_seconds / base.wall_seconds - 1.0) * 100.0
           : 0.0;
-  std::printf("%-14s %10.4f %11.1f%% %14llu %12llu\n", "sharded(4)",
+  std::printf("%-14s %10.4f %11.1f%% %14llu %11llu %12llu\n", "sharded(4)",
               sharded.wall_seconds, sharded_overhead_pct,
               static_cast<unsigned long long>(sharded.wal_bytes),
+              static_cast<unsigned long long>(sharded.wal_fsyncs),
               static_cast<unsigned long long>(sharded.checkpoints_written));
   SCUBA_CHECK_MSG(sharded.total_results == base.total_results,
                   "sharded durability must not change the answer");
@@ -162,6 +166,9 @@ int Main() {
                   "4-shard durable run diverged from the one-shard run");
   SCUBA_CHECK_MSG(sharded.checkpoints_written > 0,
                   "sharded run wrote no checkpoint generations");
+  SCUBA_CHECK_MSG(sharded.wal_fsyncs == ckpt.wal_fsyncs &&
+                      sharded.wal_bytes == ckpt.wal_bytes,
+                  "the WAL must not depend on the shard count");
 
   // 4. Cold restore of the newest generation into a fresh engine.
   ScubaOptions restore_options = MakeOptions(data, ckpt_policy);
@@ -195,7 +202,7 @@ int Main() {
                            /*rng=*/nullptr, recover_sink);
   const double recover_seconds = recover_watch.ElapsedSeconds();
   SCUBA_CHECK_MSG(report.ok(), report.status().ToString().c_str());
-  // One shard: one chain record per batch.
+  // One WAL record per batch.
   SCUBA_CHECK_MSG(report->batches_replayed == wal.wal_records,
                   "recovery must replay every WAL record");
   SCUBA_CHECK_MSG(recovered_results == wal.total_results,
@@ -212,8 +219,8 @@ int Main() {
               static_cast<unsigned long long>(report->rounds_replayed),
               recover_seconds, records_per_second);
 
-  // 6. Sharded recovery: newest committed generation + cross-chain WAL
-  // merge, restored into a DIFFERENT shard count to price re-partition.
+  // 6. Sharded recovery: newest committed generation + WAL replay, restored
+  // into a DIFFERENT shard count to price re-partition.
   ScubaOptions sharded_recover_options = MakeOptions(data, ckpt_policy);
   sharded_recover_options.shards = 2;
   Result<std::unique_ptr<ShardedEngine>> sharded_recovered =
@@ -258,9 +265,10 @@ int Main() {
   std::fprintf(
       json,
       "  \"checkpointed\": {\"wall_seconds\": %.6f, \"overhead_pct\": %.2f, "
-      "\"checkpoints\": %llu, \"last_snapshot_bytes\": %llu, "
+      "\"fsyncs\": %llu, \"checkpoints\": %llu, \"last_snapshot_bytes\": %llu, "
       "\"last_snapshot_seconds\": %.6f, \"total_snapshot_seconds\": %.6f},\n",
       ckpt.wall_seconds, ckpt_overhead_pct,
+      static_cast<unsigned long long>(ckpt.wal_fsyncs),
       static_cast<unsigned long long>(ckpt.checkpoints_written),
       static_cast<unsigned long long>(ckpt.last_checkpoint_bytes),
       ckpt.last_checkpoint_seconds, ckpt.total_checkpoint_seconds);

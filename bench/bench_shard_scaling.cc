@@ -1,7 +1,8 @@
 // Shard-count scaling sweep: replays the §6.1-scale workload through the
 // sharded engine at shards = 1, 2, 4, 8 (join_threads = 4) and reports wall
 // time, summed worker time, speedup versus one shard, ownership handoffs per
-// round, ghost copies per round, and the per-shard join-comparison imbalance
+// round, border clusters read in place from a neighbor stripe's store per
+// round (the "ghosts" counter), and the per-shard join-comparison imbalance
 // (max shard load over mean shard load — 1.0 is a perfect split).
 // Besides the printed table it writes BENCH_shards.json so the perf
 // trajectory is machine-readable across PRs. Sharding must not change the
@@ -74,7 +75,7 @@ int Main() {
   const std::vector<uint32_t> sweep = {1, 2, 4, 8};
 
   std::printf("%8s %10s %12s %10s %11s %10s %10s %12s\n", "shards", "wall(s)",
-              "worker(s)", "speedup", "imbalance", "handoffs", "ghosts",
+              "worker(s)", "speedup", "imbalance", "handoffs", "border",
               "results");
   std::vector<ShardOutcome> outcomes;
   for (uint32_t shards : sweep) {

@@ -323,42 +323,43 @@ void ClusterJoinExecutor::ScanCells(std::atomic<uint32_t>* next_chunk,
 Status ClusterJoinExecutor::Execute(const ClusterStore& store,
                                     const GridIndex& grid,
                                     ResultSet* results) {
-  return ExecuteScoped(store, nullptr, grid,
+  return ExecuteScoped(store, /*neighbors=*/{}, grid,
                        /*cell_begin=*/0,
                        static_cast<uint32_t>(grid.CellCount()), results);
 }
 
-Status ClusterJoinExecutor::ExecuteScoped(const ClusterStore& store,
-                                          const ClusterStore* ghosts,
-                                          const GridIndex& grid,
-                                          uint32_t cell_begin,
-                                          uint32_t cell_end,
-                                          ResultSet* results) {
+Status ClusterJoinExecutor::ExecuteScoped(
+    const ClusterStore& store, std::span<const ClusterStore* const> neighbors,
+    const GridIndex& grid, uint32_t cell_begin, uint32_t cell_end,
+    ResultSet* results) {
   if (results == nullptr) {
     return Status::InvalidArgument("results must be non-null");
   }
   results->Clear();
 
-  // Round setup (serial): enumerate the clusters registered in the grid and
-  // assign each a dense view slot. Sorted by cid so slot assignment — and
-  // with it every downstream buffer — is independent of hash-map iteration
-  // order. The cid→slot mapping is a dense table (cids are compact enough
-  // that one uint32 per id beats per-entry hashing in the scan by a wide
-  // margin); kNoSlot marks ids absent this round.
-  std::vector<ClusterId> cids = store.SortedClusterIds();
-  if (ghosts != nullptr) {
-    // Owned + ghost clusters, merged ascending. The two stores are disjoint
-    // by the ghost protocol (a shard never ghosts a cluster it owns), but a
-    // unique() pass keeps a violation from corrupting slot assignment.
-    std::vector<ClusterId> ghost_cids = ghosts->SortedClusterIds();
-    std::vector<ClusterId> merged;
-    merged.reserve(cids.size() + ghost_cids.size());
-    std::merge(cids.begin(), cids.end(), ghost_cids.begin(), ghost_cids.end(),
-               std::back_inserter(merged));
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    cids = std::move(merged);
+  // Round setup (serial): enumerate the clusters registered in the grid,
+  // resolve each to its stored cluster (own store first, then the
+  // neighbors'; a key no store holds is skipped) and assign each a dense
+  // view slot. Sorted by cid so slot assignment — and with it every
+  // downstream buffer — is independent of hash-map iteration order. The
+  // cid→slot mapping is a dense table (cids are compact enough that one
+  // uint32 per id beats per-entry hashing in the scan by a wide margin);
+  // kNoSlot marks ids absent this round.
+  std::vector<ClusterId> cids = grid.Keys();
+  cluster_refs_.clear();
+  last_neighbor_reads_ = 0;
+  size_t kept = 0;
+  for (ClusterId cid : cids) {
+    const MovingCluster* cluster = store.GetCluster(cid);
+    for (size_t i = 0; cluster == nullptr && i < neighbors.size(); ++i) {
+      cluster = neighbors[i]->GetCluster(cid);
+      if (cluster != nullptr) ++last_neighbor_reads_;
+    }
+    if (cluster == nullptr) continue;
+    cids[kept++] = cid;
+    cluster_refs_.push_back(cluster);
   }
-  std::erase_if(cids, [&grid](ClusterId cid) { return !grid.Contains(cid); });
+  cids.resize(kept);
   const uint32_t view_count = static_cast<uint32_t>(cids.size());
   views_.resize(view_count);
   slot_by_cid_.assign(cids.empty() ? 0 : cids.back() + 1, kNoSlot);
@@ -380,9 +381,8 @@ Status ClusterJoinExecutor::ExecuteScoped(const ClusterStore& store,
   const uint32_t slot_chunk = std::max<uint32_t>(
       1, view_count / (tasks * 8 + 1) + 1);
 
-  // Phase A1 (parallel): per-slot sizing — cluster pointer, exact-member
-  // counts and grid cell list, no position reconstruction yet.
-  cluster_refs_.resize(view_count);
+  // Phase A1 (parallel): per-slot sizing — exact-member counts and grid
+  // cell list, no position reconstruction yet.
   cell_lists_.resize(view_count);
   obj_counts_.resize(view_count);
   qry_counts_.resize(view_count);
@@ -396,12 +396,7 @@ Status ClusterJoinExecutor::ExecuteScoped(const ClusterStore& store,
         if (begin >= view_count) break;
         const uint32_t end = std::min(begin + slot_chunk, view_count);
         for (uint32_t slot = begin; slot < end; ++slot) {
-          const MovingCluster* cluster = store.GetCluster(cids[slot]);
-          if (cluster == nullptr && ghosts != nullptr) {
-            cluster = ghosts->GetCluster(cids[slot]);
-          }
-          SCUBA_CHECK(cluster != nullptr);
-          cluster_refs_[slot] = cluster;
+          const MovingCluster* cluster = cluster_refs_[slot];
           const std::vector<uint32_t>* cells = grid.CellsOf(cids[slot]);
           SCUBA_CHECK_MSG(cells != nullptr && !cells->empty(),
                           "view built for an unregistered cluster");

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -88,15 +89,19 @@ class ClusterJoinExecutor {
                  ResultSet* results);
 
   /// Sharded-execution entry: like Execute(), but a cluster referenced by the
-  /// grid may live in `ghosts` (read-only replicas of clusters owned by
-  /// another shard, nullable) when absent from `store`, and only cells in
-  /// [cell_begin, cell_end) are scanned. The owner-cell rule still resolves
-  /// against each cluster's full cell list, so disjoint windows over the same
-  /// geometry partition the pair work exactly — each pair is evaluated by the
-  /// one window containing its owner cell.
-  Status ExecuteScoped(const ClusterStore& store, const ClusterStore* ghosts,
+  /// grid may live in one of the `neighbors` stores (owned by another shard,
+  /// read in place — they must not change during the call) when absent from
+  /// `store`, and only cells in [cell_begin, cell_end) are scanned. The
+  /// owner-cell rule still resolves against each cluster's full cell list, so
+  /// disjoint windows over the same geometry partition the pair work exactly
+  /// — each pair is evaluated by the one window containing its owner cell.
+  Status ExecuteScoped(const ClusterStore& store,
+                       std::span<const ClusterStore* const> neighbors,
                        const GridIndex& grid, uint32_t cell_begin,
                        uint32_t cell_end, ResultSet* results);
+
+  /// Clusters the last ExecuteScoped() read from a neighbor store.
+  uint64_t last_neighbor_reads() const { return last_neighbor_reads_; }
 
   const Counters& counters() const { return counters_; }
 
@@ -244,6 +249,7 @@ class ClusterJoinExecutor {
   bool query_reach_aware_;
   uint32_t resolved_threads_;
   Counters counters_;
+  uint64_t last_neighbor_reads_ = 0;
   double last_worker_seconds_ = 0.0;
   /// Telemetry (AttachTelemetry): per-task busy + within timings and the
   /// task-busy histogram workers observe into (a no-op handle when no

@@ -2,21 +2,21 @@
 // trees, plus a final Prometheus-style exposition dump
 // (docs/ARCHITECTURE.md §9).
 //
-// Output schema (schema_version 3). Every line is one JSON object with
+// Output schema (schema_version 4). Every line is one JSON object with
 // "schema_version" and "kind":
 //
 //  metrics file (--metrics-out):
-//   {"schema_version":3,"kind":"meta","stream":"metrics","engine":...}
-//   {"schema_version":3,"kind":"round","round":N,"metrics":[
+//   {"schema_version":4,"kind":"meta","stream":"metrics","engine":...}
+//   {"schema_version":4,"kind":"round","round":N,"metrics":[
 //      {"name":..,"kind":"counter","delta":D,"total":T},
 //      {"name":..,"kind":"gauge","value":V},
 //      {"name":..,"kind":"histogram","delta_count":C,"delta_sum":S,
 //       "total_count":TC,"total_sum":TS}]}
-//   {"schema_version":3,"kind":"exposition","prometheus":"..."}
+//   {"schema_version":4,"kind":"exposition","prometheus":"..."}
 //
 //  trace file (--trace-out):
-//   {"schema_version":3,"kind":"meta","stream":"trace","engine":...}
-//   {"schema_version":3,"kind":"round","round":N,"spans":[
+//   {"schema_version":4,"kind":"meta","stream":"trace","engine":...}
+//   {"schema_version":4,"kind":"round","round":N,"spans":[
 //      {"id":0,"name":"round","parent":-1,"wall_seconds":W,"count":1},
 //      {"id":..,"name":..,"parent":..,"wall_seconds":..,"count":..,
 //       ("index":I,)? ("worker_seconds":S)?}...],
@@ -44,7 +44,9 @@
 // errors counters, sessions_active and queue_bytes gauges, and the
 // scuba_serve_push_latency_ms histogram), registered on the engine's
 // registry when `scuba_cli serve` runs with telemetry enabled so serve
-// counters ride the same per-round JSONL stream. No span changes.
+// counters ride the same per-round JSONL stream. No span changes. v4 is the
+// version emitted (kTelemetrySchemaVersion). scuba_shard_ghosts_total counts
+// the border clusters a stripe's join read from another stripe's store.
 //
 // Counters with a zero round delta and histograms with no new observations
 // are omitted from the round line; gauges are always present. Content is

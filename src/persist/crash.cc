@@ -24,10 +24,6 @@ std::string_view CrashPointName(CrashPoint point) {
       return "torn-manifest-rename";
     case CrashPoint::kAfterManifestRename:
       return "after-manifest-rename";
-    case CrashPoint::kMidShardWalAppend:
-      return "mid-shard-wal-append";
-    case CrashPoint::kBetweenShardWalAppends:
-      return "between-shard-wal-appends";
     case CrashPoint::kMidManifestPrune:
       return "mid-manifest-prune";
   }

@@ -39,7 +39,7 @@ enum class CrashPoint : uint8_t {
   /// Before any checkpoint byte is written: the previous manifest generation
   /// (if any) remains the recovery base.
   kBeforeSnapshotWrite,
-  // --- Checkpoint generations and per-shard chains (§12). ---
+  // --- Manifest-committed checkpoint generations (§12). ---
   /// Mid-write of one shard's snapshot: a partial temp file in that shard's
   /// directory, no final file, no manifest — the previous generation stays
   /// the recovery base.
@@ -59,21 +59,12 @@ enum class CrashPoint : uint8_t {
   /// The new manifest is durable — the generation is committed — but the
   /// prune step never ran: older generations and covered WAL segments linger.
   kAfterManifestRename,
-  /// Mid-append of one per-shard WAL chain record: that chain ends in a torn
-  /// tail while earlier chains already hold the batch's sub-record. The
-  /// batch is incomplete across chains and recovery discards it (it was
-  /// never acknowledged).
-  kMidShardWalAppend,
-  /// Between two chains' appends of the same batch: chains 0..s hold the
-  /// sub-record intact, chains s+1.. have nothing. Same incomplete-batch
-  /// residue, no torn bytes. Never fires at shards == 1.
-  kBetweenShardWalAppends,
   /// Mid-prune after a committed manifest: obsolete manifests are gone but
   /// unreferenced shard snapshots / covered WAL segments survive as orphans.
   kMidManifestPrune,
 };
 
-inline constexpr size_t kCrashPointCount = 13;
+inline constexpr size_t kCrashPointCount = 11;
 
 /// Stable kebab-case name ("mid-wal-append", ...).
 std::string_view CrashPointName(CrashPoint point);

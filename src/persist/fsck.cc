@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -47,8 +46,9 @@ void ScanTempOrphans(const std::string& dir, FsckReport* report) {
   }
 }
 
-/// Scans one WAL directory; returns its records for cross-chain checks.
-std::vector<WalRecord> ScanWalDir(const std::string& dir, FsckReport* report) {
+/// Scans the root's WAL: segment framing, contiguity, a torn tail, and that
+/// replay from the newest committed base (`base_seq`) finds no gap.
+void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
   if (segments.ok()) {
@@ -57,16 +57,22 @@ std::vector<WalRecord> ScanWalDir(const std::string& dir, FsckReport* report) {
   Result<WalContents> contents = ReadWal(dir);
   if (!contents.ok()) {
     Problem(report, kFsckWalGap, dir + ": " + contents.status().message());
-    return {};
+    return;
   }
   report->wal_records_scanned += contents->records.size();
   if (contents->torn_tail) {
     Problem(report, kFsckTornTail, dir + ": " + contents->torn_detail);
   }
-  for (const std::string& note : contents->route_gap_notes) {
-    report->notes.push_back(dir + ": " + note);
+  for (const WalRecord& record : contents->records) {
+    if (record.seq < base_seq) continue;
+    if (record.seq != base_seq) {
+      Problem(report, kFsckWalGap,
+              dir + ": replay from the newest manifest's seq " +
+                  std::to_string(base_seq) + " would start at seq " +
+                  std::to_string(record.seq));
+    }
+    break;
   }
-  return std::move(contents->records);
 }
 
 void FsckLayout(
@@ -128,13 +134,7 @@ void FsckLayout(
     }
   }
 
-  // Shard directories: orphaned snapshots, chains, cross-chain completeness.
-  struct SeqTally {
-    uint32_t declared = 0;
-    uint64_t count = 0;
-    bool mismatch = false;
-  };
-  std::map<uint64_t, SeqTally> tally;
+  // Shard directories: orphaned snapshots and temp files.
   Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
       ListShardDirs(dir);
   if (!shard_dirs.ok()) {
@@ -159,39 +159,9 @@ void FsckLayout(
         }
       }
     }
-    for (const WalRecord& record : ScanWalDir(shard_dir, report)) {
-      if (record.seq < newest_valid_base) continue;
-      SeqTally& t = tally[record.seq];
-      if (t.count == 0) {
-        t.declared = record.shard_count;
-      } else if (t.declared != record.shard_count) {
-        t.mismatch = true;
-      }
-      ++t.count;
-    }
     ScanTempOrphans(shard_dir, report);
   }
-  for (auto it = tally.begin(); it != tally.end(); ++it) {
-    const auto& [seq, t] = *it;
-    if (t.mismatch || t.count > t.declared) {
-      Problem(report, kFsckWalGap,
-              "seq " + std::to_string(seq) +
-                  ": sub-records disagree across chains");
-    } else if (t.count < t.declared) {
-      const bool is_last = std::next(it) == tally.end();
-      if (is_last) {
-        Problem(report, kFsckTornTail,
-                "seq " + std::to_string(seq) + ": " + std::to_string(t.count) +
-                    " of " + std::to_string(t.declared) +
-                    " sub-records present (unacknowledged fanout tail; "
-                    "recovery discards it)");
-      } else {
-        Problem(report, kFsckWalGap,
-                "seq " + std::to_string(seq) +
-                    " is incomplete across chains but later batches exist");
-      }
-    }
-  }
+  ScanWal(WalDirOf(dir), newest_valid_base, report);
   ScanTempOrphans(dir, report);
 }
 

@@ -90,6 +90,10 @@ std::string ShardDirName(uint32_t shard_index) {
   return buf;
 }
 
+std::string WalDirOf(const std::string& dir) {
+  return (fs::path(dir) / "wal").string();
+}
+
 Result<std::vector<std::pair<uint32_t, std::string>>> ListShardDirs(
     const std::string& dir) {
   std::vector<std::pair<uint32_t, std::string>> out;
@@ -228,13 +232,31 @@ Status RejectRetiredLayout(const std::string& dir) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
   if (!segments.ok()) return segments.status();
-  if (snapshots->empty() && segments->empty()) return Status::OK();
-  return Status::FailedPrecondition(
-      dir + " holds the retired single-engine durable layout (" +
-      std::to_string(snapshots->size()) + " bare snapshot-*.scuba and " +
-      std::to_string(segments->size()) +
-      " wal-*.log files at the root); only the manifest layout is readable — "
-      "re-create the directory with a current run");
+  if (!snapshots->empty() || !segments->empty()) {
+    return Status::FailedPrecondition(
+        dir + " holds the retired single-engine durable layout (" +
+        std::to_string(snapshots->size()) + " bare snapshot-*.scuba and " +
+        std::to_string(segments->size()) +
+        " wal-*.log files at the root); only the manifest layout is "
+        "readable — re-create the directory with a current run");
+  }
+  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
+      ListShardDirs(dir);
+  if (!shard_dirs.ok()) return shard_dirs.status();
+  for (const auto& [index, shard_dir] : *shard_dirs) {
+    Result<std::vector<std::pair<uint64_t, std::string>>> chain =
+        ListWalSegments(shard_dir);
+    if (!chain.ok()) return chain.status();
+    if (!chain->empty()) {
+      return Status::FailedPrecondition(
+          dir + " holds the retired per-shard WAL-chain durable layout (" +
+          std::to_string(chain->size()) + " wal-*.log files under " +
+          ShardDirName(index) +
+          "/); the current layout keeps one WAL under wal/ — re-create the "
+          "directory with a current run");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace scuba

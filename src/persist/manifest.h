@@ -20,8 +20,8 @@
 //          | coordinator_state (length-prefixed bytes, opaque here)
 //
 // `wal_next_seq` is the global batch index the checkpoint covers: recovery
-// loads the generation's snapshots and replays every per-shard WAL chain from
-// wal_next_seq on. `state_hash` is the FNV-1a of the shard's snapshot payload
+// loads the generation's snapshots and replays the root's one WAL (under
+// <root>/wal/) from wal_next_seq on. `state_hash` is the FNV-1a of the shard's snapshot payload
 // — recovery re-hashes what it read and refuses a silently substituted file.
 // The coordinator_state bytes are serialized/parsed by the sharded layer
 // (src/shard/shard_durability.cc); this module treats them as opaque so
@@ -66,8 +66,11 @@ struct ManifestInfo {
 std::string ManifestFileName(uint64_t generation);
 
 /// "shard-<index, 4 digits>" — the per-shard artifact directory under a
-/// durable root (holds that shard's snapshots and WAL chain).
+/// durable root (holds that shard's snapshots).
 std::string ShardDirName(uint32_t shard_index);
+
+/// "<dir>/wal" — the durable root's one WAL directory.
+std::string WalDirOf(const std::string& dir);
 
 /// All "shard-<index>" artifact directories under `dir` as (index, path),
 /// ascending — extinct layouts' directories included (recovery reads the
@@ -91,11 +94,14 @@ Status WriteManifestFile(const std::string& dir, const ManifestInfo& info,
 /// Any mismatch is kDataLoss (the caller falls back a generation).
 Result<ManifestInfo> ReadManifest(const std::string& path);
 
-/// kFailedPrecondition when `dir` holds the retired single-engine layout:
-/// bare snapshot-*.scuba or wal-*.log files at the root, where the manifest
-/// layout keeps every snapshot and WAL chain under shard-NNNN/. OK otherwise
-/// (a missing directory included). Every path that opens a durable root
-/// calls this first, so an old directory is refused, never misread.
+/// kFailedPrecondition when `dir` holds a retired durable layout, naming it:
+///  - the single-engine layout: bare snapshot-*.scuba or wal-*.log files at
+///    the root;
+///  - the per-shard WAL-chain layout: wal-*.log files under shard-NNNN/,
+///    where the current layout keeps one WAL under wal/.
+/// OK otherwise (a missing directory included). Every path that opens a
+/// durable root calls this first, so an old directory is refused, never
+/// misread.
 Status RejectRetiredLayout(const std::string& dir);
 
 }  // namespace scuba

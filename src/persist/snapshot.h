@@ -154,7 +154,7 @@ struct PersistAccess {
   static Status ReplaceShardStripe(ShardedEngine* engine, uint32_t shard,
                                    const std::string& payload);
   /// Coordinator state: meta store (id allocator + attr tables), aggregate
-  /// EvalStats / phase / clusterer stats, handoff + ghost + rebalance
+  /// EvalStats / phase / clusterer stats, handoff + border-read + rebalance
   /// counters, and optional validator / rng sections — everything durable
   /// that lives outside the shard stores.
   static void SaveShardedCoordinatorState(const ShardedEngine& engine,

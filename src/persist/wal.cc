@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "common/serializer.h"
+#include "persist/fsio.h"
 
 namespace scuba {
 
@@ -21,7 +22,7 @@ namespace fs = std::filesystem;
 
 constexpr char kWalPrefix[] = "wal-";
 constexpr char kWalSuffix[] = ".log";
-constexpr uint8_t kRecordTypeRouted = 2;
+constexpr uint8_t kRecordTypeBatch = 3;
 constexpr size_t kFrameHeaderBytes = 2 * sizeof(uint32_t);  // len + crc
 
 std::string SegmentFileName(uint64_t first_seq) {
@@ -85,33 +86,19 @@ Status GetQueryUpdate(ByteReader* r, QueryUpdate* u) {
   return r->GetU64(&u->required_attrs);
 }
 
-std::string EncodeRoutedPayload(uint64_t seq, Timestamp batch_time,
-                                bool evaluate_after, uint32_t shard_index,
-                                uint32_t shard_count, uint64_t total_objects,
-                                uint64_t total_queries,
-                                std::span<const uint64_t> object_slots,
-                                std::span<const LocationUpdate> objects,
-                                std::span<const uint64_t> query_slots,
-                                std::span<const QueryUpdate> queries) {
+std::string EncodeBatchPayload(uint64_t seq, Timestamp batch_time,
+                               bool evaluate_after,
+                               std::span<const LocationUpdate> objects,
+                               std::span<const QueryUpdate> queries) {
   ByteWriter w;
-  w.PutU8(kRecordTypeRouted);
+  w.PutU8(kRecordTypeBatch);
   w.PutU64(seq);
   w.PutI64(batch_time);
   w.PutBool(evaluate_after);
-  w.PutU32(shard_index);
-  w.PutU32(shard_count);
-  w.PutU64(total_objects);
-  w.PutU64(total_queries);
   w.PutU64(objects.size());
-  for (size_t i = 0; i < objects.size(); ++i) {
-    w.PutU64(object_slots[i]);
-    PutLocationUpdate(&w, objects[i]);
-  }
+  for (const LocationUpdate& u : objects) PutLocationUpdate(&w, u);
   w.PutU64(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    w.PutU64(query_slots[i]);
-    PutQueryUpdate(&w, queries[i]);
-  }
+  for (const QueryUpdate& u : queries) PutQueryUpdate(&w, u);
   return w.Release();
 }
 
@@ -119,45 +106,30 @@ Status DecodeRecordPayload(std::string_view payload, WalRecord* record) {
   ByteReader r(payload);
   uint8_t type = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU8(&type));
-  if (type != kRecordTypeRouted) {
+  if (type != kRecordTypeBatch) {
     return Status::DataLoss("WAL record has type byte " +
                             std::to_string(type) +
-                            "; only routed sub-batch records (type 2) are "
-                            "readable");
+                            "; only batch records (type 3) are readable");
   }
   SCUBA_RETURN_IF_ERROR(r.GetU64(&record->seq));
   SCUBA_RETURN_IF_ERROR(r.GetI64(&record->batch_time));
   SCUBA_RETURN_IF_ERROR(r.GetBool(&record->evaluate_after));
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_index));
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&record->shard_count));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_objects));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&record->total_queries));
-  if (record->shard_count == 0 ||
-      record->shard_index >= record->shard_count) {
-    return Status::DataLoss("routed WAL record names shard " +
-                            std::to_string(record->shard_index) + " of " +
-                            std::to_string(record->shard_count));
-  }
   uint64_t count = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU64(&count));
   if (count > r.Remaining()) {
     return Status::DataLoss("WAL record object count overruns the payload");
   }
   record->objects.resize(static_cast<size_t>(count));
-  record->object_slots.resize(static_cast<size_t>(count));
-  for (size_t i = 0; i < record->objects.size(); ++i) {
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->object_slots[i]));
-    SCUBA_RETURN_IF_ERROR(GetLocationUpdate(&r, &record->objects[i]));
+  for (LocationUpdate& u : record->objects) {
+    SCUBA_RETURN_IF_ERROR(GetLocationUpdate(&r, &u));
   }
   SCUBA_RETURN_IF_ERROR(r.GetU64(&count));
   if (count > r.Remaining()) {
     return Status::DataLoss("WAL record query count overruns the payload");
   }
   record->queries.resize(static_cast<size_t>(count));
-  record->query_slots.resize(static_cast<size_t>(count));
-  for (size_t i = 0; i < record->queries.size(); ++i) {
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&record->query_slots[i]));
-    SCUBA_RETURN_IF_ERROR(GetQueryUpdate(&r, &record->queries[i]));
+  for (QueryUpdate& u : record->queries) {
+    SCUBA_RETURN_IF_ERROR(GetQueryUpdate(&r, &u));
   }
   if (!r.AtEnd()) {
     return Status::DataLoss("WAL record payload carries trailing bytes");
@@ -238,19 +210,6 @@ Status WriteAllOrError(int fd, const char* data, size_t n,
   return Status::OK();
 }
 
-Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) {
-    return Status::IoError("open dir " + dir + ": " + std::strerror(errno));
-  }
-  Status s = Status::OK();
-  if (::fsync(fd) != 0 && errno != EINVAL) {
-    s = Status::IoError("fsync dir " + dir + ": " + std::strerror(errno));
-  }
-  ::close(fd);
-  return s;
-}
-
 }  // namespace
 
 Result<std::vector<std::pair<uint64_t, std::string>>> ListWalSegments(
@@ -287,15 +246,11 @@ Result<WalContents> ReadWal(const std::string& dir) {
       ListWalSegments(dir);
   if (!segments.ok()) return segments.status();
   WalContents contents;
-  // Record index at which each segment's records begin, for the boundary-gap
-  // tolerance below.
-  std::vector<size_t> segment_starts;
   for (size_t i = 0; i < segments->size(); ++i) {
     const auto& [first_seq, path] = (*segments)[i];
     size_t torn_at = std::string::npos;
     std::string torn_detail;
     const size_t before = contents.records.size();
-    segment_starts.push_back(before);
     SCUBA_RETURN_IF_ERROR(
         ReadSegment(path, &contents.records, &torn_at, &torn_detail));
     if (torn_at != std::string::npos) {
@@ -317,85 +272,15 @@ Result<WalContents> ReadWal(const std::string& dir) {
     }
   }
   for (size_t i = 1; i < contents.records.size(); ++i) {
-    const WalRecord& prev = contents.records[i - 1];
-    const WalRecord& cur = contents.records[i];
-    if (cur.seq == prev.seq + 1) continue;
-    // A chain may jump forward exactly at a segment boundary: the
-    // chain sat out the epochs between two shard layouts (see wal.h). Any
-    // other discontinuity is corruption.
-    const bool at_boundary =
-        std::find(segment_starts.begin(), segment_starts.end(), i) !=
-        segment_starts.end();
-    if (cur.seq > prev.seq + 1 && at_boundary) {
-      contents.route_gap_notes.push_back(
-          "routed chain skips seqs " + std::to_string(prev.seq + 1) + ".." +
-          std::to_string(cur.seq - 1) + " at a segment boundary");
-      continue;
+    const uint64_t prev = contents.records[i - 1].seq;
+    const uint64_t cur = contents.records[i].seq;
+    if (cur != prev + 1) {
+      return Status::DataLoss("WAL sequence discontinuity: record " +
+                              std::to_string(prev) + " is followed by " +
+                              std::to_string(cur));
     }
-    return Status::DataLoss(
-        "WAL sequence discontinuity: record " + std::to_string(prev.seq) +
-        " is followed by " + std::to_string(cur.seq));
   }
   return contents;
-}
-
-Status TruncateWalAfter(const std::string& dir, uint64_t first_seq_to_drop) {
-  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
-      ListWalSegments(dir);
-  if (!segments.ok()) return segments.status();
-  std::error_code ec;
-  bool changed = false;
-  for (size_t i = 0; i < segments->size(); ++i) {
-    const auto& [first_seq, path] = (*segments)[i];
-    if (first_seq >= first_seq_to_drop) {
-      // Nothing in this segment survives.
-      fs::remove(path, ec);
-      if (ec) return Status::IoError("remove " + path + ": " + ec.message());
-      changed = true;
-      continue;
-    }
-    // The cut, if any, falls inside this segment: walk frames to find the
-    // byte offset of the first record with seq >= first_seq_to_drop.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return Status::IoError("cannot open WAL segment: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string data = std::move(buf).str();
-    size_t pos = 0;
-    size_t cut_at = std::string::npos;
-    while (pos < data.size()) {
-      if (data.size() - pos < kFrameHeaderBytes) break;  // torn tail
-      uint32_t len = 0, crc = 0;
-      std::memcpy(&len, data.data() + pos, sizeof(len));
-      std::memcpy(&crc, data.data() + pos + sizeof(len), sizeof(crc));
-      if (data.size() - pos - kFrameHeaderBytes < len) break;  // torn tail
-      const std::string_view payload =
-          std::string_view(data).substr(pos + kFrameHeaderBytes, len);
-      if (Crc32(payload) != crc) break;  // torn tail
-      WalRecord record;
-      if (Status s = DecodeRecordPayload(payload, &record); !s.ok()) {
-        return Status::DataLoss(path + ": " + s.message());
-      }
-      if (record.seq >= first_seq_to_drop) {
-        cut_at = pos;
-        break;
-      }
-      pos += kFrameHeaderBytes + len;
-    }
-    if (cut_at == std::string::npos) continue;
-    if (cut_at == 0) {
-      fs::remove(path, ec);
-      if (ec) return Status::IoError("remove " + path + ": " + ec.message());
-    } else {
-      fs::resize_file(path, cut_at, ec);
-      if (ec) return Status::IoError("truncate " + path + ": " + ec.message());
-    }
-    changed = true;
-  }
-  if (changed) {
-    SCUBA_RETURN_IF_ERROR(SyncDir(dir));
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
@@ -439,12 +324,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
     writer->next_seq_ = std::max(initial_seq, last_first_seq);
   }
   if (writer->next_seq_ < initial_seq) {
-    // The caller is resuming a chain that sat out epochs (N→M re-partition):
-    // jump forward and leave the old segment closed so the first append
-    // rotates into a fresh segment named initial_seq. That puts the seq gap
-    // exactly on a segment boundary, where ReadWal can tolerate it.
-    writer->next_seq_ = initial_seq;
-    return writer;
+    return Status::DataLoss(dir + ": the log ends before seq " +
+                            std::to_string(initial_seq) +
+                            ", which the newest checkpoint already covers");
   }
   // Resume appending to the (possibly truncated) last segment.
   writer->segment_first_seq_ = last_first_seq;
@@ -481,7 +363,7 @@ Status WalWriter::OpenSegment(uint64_t first_seq) {
   segment_size_ = 0;
   // Make the new segment's directory entry durable before any record relies
   // on it existing.
-  return SyncDir(dir_);
+  return SyncDirectory(dir_);
 }
 
 Status WalWriter::AppendFrame(const std::string& payload) {
@@ -496,10 +378,7 @@ Status WalWriter::AppendFrame(const std::string& payload) {
   if (rotate) {
     SCUBA_RETURN_IF_ERROR(OpenSegment(next_seq_));
   }
-  const bool torn_crash =
-      crash_ != nullptr && (crash_->ShouldCrash(CrashPoint::kMidWalAppend) ||
-                            crash_->ShouldCrash(CrashPoint::kMidShardWalAppend));
-  if (torn_crash) {
+  if (crash_ != nullptr && crash_->ShouldCrash(CrashPoint::kMidWalAppend)) {
     // Half the frame reaches the disk — the canonical torn tail.
     SCUBA_RETURN_IF_ERROR(WriteAllOrError(fd_, bytes.data(), bytes.size() / 2,
                                           segment_path_));
@@ -520,20 +399,15 @@ Status WalWriter::AppendFrame(const std::string& payload) {
   return Status::OK();
 }
 
-Status WalWriter::AppendRouted(Timestamp batch_time, bool evaluate_after,
-                               uint32_t shard_index, uint32_t shard_count,
-                               uint64_t total_objects, uint64_t total_queries,
-                               std::span<const uint64_t> object_slots,
-                               std::span<const LocationUpdate> objects,
-                               std::span<const uint64_t> query_slots,
-                               std::span<const QueryUpdate> queries) {
+Status WalWriter::Append(Timestamp batch_time, bool evaluate_after,
+                         std::span<const LocationUpdate> objects,
+                         std::span<const QueryUpdate> queries) {
   if (crash_ != nullptr && crash_->ShouldCrash(CrashPoint::kBeforeWalAppend)) {
     return crash_->CrashStatus();
   }
-  return AppendFrame(EncodeRoutedPayload(
-      next_seq_, batch_time, evaluate_after, shard_index, shard_count,
-      total_objects, total_queries, object_slots, objects, query_slots,
-      queries));
+  return AppendFrame(
+      EncodeBatchPayload(next_seq_, batch_time, evaluate_after, objects,
+                         queries));
 }
 
 Result<size_t> WalWriter::PruneSegmentsBelow(uint64_t min_seq) {
@@ -557,7 +431,7 @@ Result<size_t> WalWriter::PruneSegmentsBelow(uint64_t min_seq) {
     ++removed;
   }
   if (removed > 0) {
-    SCUBA_RETURN_IF_ERROR(SyncDir(dir_));
+    SCUBA_RETURN_IF_ERROR(SyncDirectory(dir_));
   }
   return removed;
 }

@@ -11,30 +11,21 @@
 //
 //   len u32 | crc32(payload) u32 | payload (len bytes)
 //
-// Payload (type 2, "routed sub-batch", docs/ARCHITECTURE.md §12) — one
-// shard's slice of a batch in a per-shard chain:
+// Payload (type 3, "batch", docs/ARCHITECTURE.md §8.2) — one admitted
+// batch, whole, in delivery order:
 //
-//   type u8 (2) | seq u64 | batch_time i64 | evaluate_after u8
-//   | shard_index u32 | shard_count u32 | total_objects u64 | total_queries u64
-//   | object count u64 | (slot u64, object)* | query count u64
-//   | (slot u64, query)*
+//   type u8 (3) | seq u64 | batch_time i64 | evaluate_after u8
+//   | object count u64 | object* | query count u64 | query*
 //
-// Every tuple's slot is its position in the original batch. Recovery merges
-// the sub-records of a seq across all chains back into the exact original
-// batch; the slots must form a full permutation of [0, total), which doubles
-// as the batch-completeness check (a crash mid-fanout leaves the final seq
-// short of shard_count sub-records and it is discarded — that batch was never
-// acknowledged). Type 1 (a whole batch in one unsharded log) belonged to the
-// retired single-engine layout and now reads as kDataLoss.
+// A durable root keeps exactly one log, under <root>/wal/, whatever the
+// engine's shard count: stripes partition the engine's work, not its
+// history. Types 1 (the retired single-engine log) and 2 (the retired
+// per-shard routed sub-batch) read as kDataLoss.
 //
 // A torn frame at the very tail of the *last* segment is the expected residue
 // of a crash mid-append: ReadWal tolerates it, reports it, and never ingests
 // any part of it. A bad frame anywhere else — or a sequence-number gap — is
-// genuine corruption and fails the whole read with kDataLoss. (Routed chains
-// may carry a forward seq jump exactly at a segment boundary — the residue of
-// an N→M re-partition, where a chain sits out the epochs that did not fan out
-// to it; ReadWal tolerates it only when asked, and the cross-chain slot
-// merge supplies the integrity check a per-chain gap check cannot.)
+// genuine corruption and fails the whole read with kDataLoss.
 
 #ifndef SCUBA_PERSIST_WAL_H_
 #define SCUBA_PERSIST_WAL_H_
@@ -51,7 +42,7 @@
 
 namespace scuba {
 
-/// One durable sub-batch, as written to (or read back from) a chain.
+/// One durable batch, as written to (or read back from) the log.
 struct WalRecord {
   uint64_t seq = 0;
   Timestamp batch_time = 0;
@@ -60,17 +51,6 @@ struct WalRecord {
   bool evaluate_after = false;
   std::vector<LocationUpdate> objects;
   std::vector<QueryUpdate> queries;
-
-  /// `object_slots` / `query_slots` run parallel to `objects` / `queries`
-  /// and name each tuple's position in the original batch; `total_*` count
-  /// the whole batch across all chains; `shard_count` says how many sibling
-  /// sub-records the seq fanned out to.
-  uint32_t shard_index = 0;
-  uint32_t shard_count = 0;
-  uint64_t total_objects = 0;
-  uint64_t total_queries = 0;
-  std::vector<uint64_t> object_slots;
-  std::vector<uint64_t> query_slots;
 };
 
 /// Appends WalRecords to a directory of rotating segment files. Not
@@ -86,9 +66,10 @@ class WalWriter {
   /// Opens (creating `dir` if needed) for appending. Scans existing segments
   /// to find the end of the log: next_seq() continues after the last intact
   /// record (a torn tail is truncated away so the new record lands on a clean
-  /// boundary), or starts at `initial_seq` when the log is empty. `crash`
-  /// (nullable, unowned, must outlive the writer) arms crash injection on the
-  /// append path.
+  /// boundary), or starts at `initial_seq` when the log is empty. A log that
+  /// ends before `initial_seq` (the checkpoint covers batches the log never
+  /// held) is kDataLoss. `crash` (nullable, unowned, must outlive the
+  /// writer) arms crash injection on the append path.
   static Result<std::unique_ptr<WalWriter>> Open(const std::string& dir,
                                                  uint64_t segment_bytes,
                                                  uint64_t initial_seq,
@@ -98,21 +79,15 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Appends one routed sub-batch record (stamped with next_seq()) and
-  /// fdatasyncs the segment. `object_slots` / `query_slots` must parallel
-  /// `objects` / `queries`. Injects kBeforeWalAppend (nothing written),
-  /// kMidWalAppend / kMidShardWalAppend (half the frame written and synced —
-  /// a torn tail) and kAfterWalAppend (fully durable, but the caller's
-  /// ingestion never happens).
-  Status AppendRouted(Timestamp batch_time, bool evaluate_after,
-                      uint32_t shard_index, uint32_t shard_count,
-                      uint64_t total_objects, uint64_t total_queries,
-                      std::span<const uint64_t> object_slots,
-                      std::span<const LocationUpdate> objects,
-                      std::span<const uint64_t> query_slots,
-                      std::span<const QueryUpdate> queries);
+  /// Appends one batch record (stamped with next_seq()) and fdatasyncs the
+  /// segment. Injects kBeforeWalAppend (nothing written), kMidWalAppend (half
+  /// the frame written and synced — a torn tail) and kAfterWalAppend (fully
+  /// durable, but the caller's ingestion never happens).
+  Status Append(Timestamp batch_time, bool evaluate_after,
+                std::span<const LocationUpdate> objects,
+                std::span<const QueryUpdate> queries);
 
-  /// Sequence number the next AppendRouted will write.
+  /// Sequence number the next Append will write.
   uint64_t next_seq() const { return next_seq_; }
   const Stats& stats() const { return stats_; }
 
@@ -125,7 +100,7 @@ class WalWriter {
   WalWriter(std::string dir, uint64_t segment_bytes, CrashInjector* crash)
       : dir_(std::move(dir)), segment_bytes_(segment_bytes), crash_(crash) {}
 
-  /// Frame path behind AppendRouted: rotation, crash injection, write +
+  /// Frame path behind Append: rotation, crash injection, write +
   /// fdatasync, counters.
   Status AppendFrame(const std::string& payload);
 
@@ -151,9 +126,6 @@ struct WalContents {
   /// The torn bytes are reported, never parsed into a record.
   bool torn_tail = false;
   std::string torn_detail;
-  /// Tolerated forward seq jumps at segment boundaries (re-partition
-  /// residue, see ReadWal).
-  std::vector<std::string> route_gap_notes;
 };
 
 /// All WAL segment files in `dir` as (first_seq, path), ascending.
@@ -162,24 +134,10 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListWalSegments(
 
 /// Reads every record in seq order across all segments. A bad frame at the
 /// tail of the final segment is tolerated as a torn tail; a bad frame
-/// anywhere else, a CRC/parse failure mid-log, a record that is not a routed
-/// sub-batch, or a seq discontinuity is kDataLoss. A missing directory reads
-/// as an empty log.
-///
-/// One exception to seq contiguity: a per-shard chain may legitimately skip
-/// forward exactly at a segment boundary — the chain sat out the epochs
-/// between two shard layouts (N→M re-partition). Such a jump is noted in
-/// route_gap_notes instead of failing; the recovery's cross-chain slot merge
-/// supplies the integrity check.
+/// anywhere else, a CRC/parse failure mid-log, a record that is not a batch
+/// record (type 3), or a seq discontinuity is kDataLoss. A missing directory
+/// reads as an empty log.
 Result<WalContents> ReadWal(const std::string& dir);
-
-/// Physically drops every record with seq >= `first_seq_to_drop`: truncates
-/// the segment holding the first such record at its frame boundary (removing
-/// the file entirely if nothing precedes it) and deletes all later segments.
-/// The sharded durability manager uses this to discard an incomplete batch —
-/// one whose fan-out crashed between chains — so every chain resumes on the
-/// same sequence. A no-op when the log ends before `first_seq_to_drop`.
-Status TruncateWalAfter(const std::string& dir, uint64_t first_seq_to_drop);
 
 }  // namespace scuba
 

@@ -63,7 +63,7 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
   handle.sink = std::move(d).value();
   // A supervised durable run can heal a failed stripe online: the recovery
   // hook rebuilds it from the durable root between rounds, and a reassign
-  // eviction realigns the WAL chains with the reduced layout.
+  // eviction commits the reduced layout in a fresh checkpoint.
   if (engine->sharded->supervisor() != nullptr) {
     // The durable root carries validator state only when the run screens
     // (screen was passed to Open above); the twin must mirror that.

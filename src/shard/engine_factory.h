@@ -3,10 +3,10 @@
 // scuba_cli run/checkpoint/restore/recover/compare, the serve subcommand and
 // benches all need the same mapping: engine name + options → a
 // QueryProcessor (the production ShardedEngine at opt.shards >= 1 stripes, or
-// a baseline), optionally wrapped with durability (manifest + per-shard WAL
-// sink plus the supervised-stripe online-recovery hooks). The
-// option-to-engine mapping lives here and callers keep only their
-// command-specific I/O.
+// a baseline), optionally wrapped with durability (manifest-committed
+// per-shard snapshots plus one WAL, and the supervised-stripe
+// online-recovery hooks). The option-to-engine mapping lives here and
+// callers keep only their command-specific I/O.
 
 #ifndef SCUBA_SHARD_ENGINE_FACTORY_H_
 #define SCUBA_SHARD_ENGINE_FACTORY_H_
@@ -55,14 +55,15 @@ struct DurabilityHandle {
   ShardedDurabilityManager* sharded = nullptr;
 };
 
-/// Opens manifest + per-shard WAL durability under `dir` for `engine` (which
-/// must be the SCUBA engine — baselines have no snapshot form) and, for a
-/// supervised engine, installs the online stripe-recovery hooks that rebuild
-/// a failed stripe from `dir` between rounds. A directory in the retired
-/// single-engine layout is kFailedPrecondition. `screen` (nullable) is
-/// the validator whose state rides the snapshots; `vconfig` must describe it
-/// when non-null. `crash` (nullable) arms crash injection. An empty `dir`
-/// returns an empty handle, so callers can wire durability unconditionally.
+/// Opens manifest + WAL durability under `dir` for `engine` (which must be
+/// the SCUBA engine — baselines have no snapshot form) and, for a supervised
+/// engine, installs the online stripe-recovery hooks that rebuild a failed
+/// stripe from `dir` between rounds. A directory in a retired layout (the
+/// single-engine one, or per-shard WAL chains) is kFailedPrecondition.
+/// `screen` (nullable) is the validator whose state rides the snapshots;
+/// `vconfig` must describe it when non-null. `crash` (nullable) arms crash
+/// injection. An empty `dir` returns an empty handle, so callers can wire
+/// durability unconditionally.
 Result<DurabilityHandle> OpenDurability(const std::string& dir,
                                         const ScubaOptions& opt,
                                         EngineHandle* engine,

@@ -15,10 +15,10 @@
 // single-engine grid's, which is what keeps the owner-cell dedup rule and
 // min-cid probes bit-identical under sharding.
 //
-// Ghosts: clusters registered in the stripe but owned by another shard are
-// copied into `ghosts` before each join via the snapshot serializer
-// (bit-exact round trip), so the scoped join reads them without touching the
-// neighbor's store.
+// Border clusters: a cluster registered in the stripe but owned by another
+// shard is read in place from the owner's store by the stripe's scoped join.
+// Stores do not change during the join phase, so the read needs no copy and
+// no lock.
 
 #ifndef SCUBA_SHARD_ENGINE_SHARD_H_
 #define SCUBA_SHARD_ENGINE_SHARD_H_
@@ -55,9 +55,6 @@ struct EngineShard {
 
   /// Authoritative clusters owned by this shard (plus their members' homes).
   ClusterStore store;
-  /// Read-only copies of border-crossing clusters owned by neighbors,
-  /// rebuilt before every join and cleared after.
-  ClusterStore ghosts;
   /// Full-map geometry; registers exactly the clusters touching the stripe.
   GridIndex grid;
   LoadShedder shedder;
@@ -75,7 +72,7 @@ struct EngineShard {
 
   // Per-round load figures for --rebalance=observe and telemetry.
   double last_busy_seconds = 0.0;
-  uint64_t last_ghosts = 0;       ///< Ghosts published into this shard.
+  uint64_t last_ghosts = 0;       ///< Border clusters read from neighbors.
   uint64_t last_comparisons = 0;  ///< Join comparisons delta this round.
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -34,91 +33,8 @@ void PutSortedAttrTable(ByteWriter* w,
   }
 }
 
-std::string ChainDir(const std::string& root, uint32_t shard_index) {
+std::string ShardDir(const std::string& root, uint32_t shard_index) {
   return (fs::path(root) / ShardDirName(shard_index)).string();
-}
-
-/// One merged cross-chain batch, reassembled from routed sub-records.
-struct MergedBatch {
-  Timestamp batch_time = 0;
-  bool evaluate_after = false;
-  std::vector<LocationUpdate> objects;
-  std::vector<QueryUpdate> queries;
-};
-
-/// Sub-records of one global sequence, accumulated across chains.
-struct SeqBucket {
-  uint32_t declared_shards = 0;
-  uint64_t count = 0;
-  Timestamp batch_time = 0;
-  bool evaluate_after = false;
-  uint64_t total_objects = 0;
-  uint64_t total_queries = 0;
-  std::vector<std::pair<uint32_t, const WalRecord*>> parts;  // (dir idx, rec)
-};
-
-Status AccumulateRouted(uint32_t dir_index, const WalRecord& record,
-                        std::map<uint64_t, SeqBucket>* buckets) {
-  SeqBucket& b = (*buckets)[record.seq];
-  if (b.count == 0) {
-    b.declared_shards = record.shard_count;
-    b.batch_time = record.batch_time;
-    b.evaluate_after = record.evaluate_after;
-    b.total_objects = record.total_objects;
-    b.total_queries = record.total_queries;
-  } else if (b.declared_shards != record.shard_count ||
-             b.batch_time != record.batch_time ||
-             b.evaluate_after != record.evaluate_after ||
-             b.total_objects != record.total_objects ||
-             b.total_queries != record.total_queries) {
-    return Status::DataLoss("sub-records of seq " + std::to_string(record.seq) +
-                            " disagree on their batch header across chains");
-  }
-  ++b.count;
-  b.parts.emplace_back(dir_index, &record);
-  return Status::OK();
-}
-
-/// Reassembles a complete bucket into the original batch: every tuple lands
-/// at its recorded slot, and the slots must form a full permutation.
-Status MergeBucket(uint64_t seq, const SeqBucket& b, MergedBatch* out) {
-  out->batch_time = b.batch_time;
-  out->evaluate_after = b.evaluate_after;
-  out->objects.assign(static_cast<size_t>(b.total_objects), LocationUpdate{});
-  out->queries.assign(static_cast<size_t>(b.total_queries), QueryUpdate{});
-  std::vector<char> obj_seen(static_cast<size_t>(b.total_objects), 0);
-  std::vector<char> qry_seen(static_cast<size_t>(b.total_queries), 0);
-  for (const auto& [dir_index, record] : b.parts) {
-    for (size_t j = 0; j < record->objects.size(); ++j) {
-      const uint64_t slot = record->object_slots[j];
-      if (slot >= b.total_objects || obj_seen[static_cast<size_t>(slot)]) {
-        return Status::DataLoss("seq " + std::to_string(seq) +
-                                ": object slot " + std::to_string(slot) +
-                                " is out of range or duplicated");
-      }
-      obj_seen[static_cast<size_t>(slot)] = 1;
-      out->objects[static_cast<size_t>(slot)] = record->objects[j];
-    }
-    for (size_t j = 0; j < record->queries.size(); ++j) {
-      const uint64_t slot = record->query_slots[j];
-      if (slot >= b.total_queries || qry_seen[static_cast<size_t>(slot)]) {
-        return Status::DataLoss("seq " + std::to_string(seq) +
-                                ": query slot " + std::to_string(slot) +
-                                " is out of range or duplicated");
-      }
-      qry_seen[static_cast<size_t>(slot)] = 1;
-      out->queries[static_cast<size_t>(slot)] = record->queries[j];
-    }
-  }
-  const auto unplaced = [](const std::vector<char>& seen) {
-    return std::find(seen.begin(), seen.end(), 0) != seen.end();
-  };
-  if (unplaced(obj_seen) || unplaced(qry_seen)) {
-    return Status::DataLoss("seq " + std::to_string(seq) +
-                            ": merged sub-records do not cover every slot of "
-                            "the original batch");
-  }
-  return Status::OK();
 }
 
 /// Serializes coordinator + per-shard snapshots and publishes the manifest —
@@ -143,7 +59,7 @@ Status WriteShardedCheckpoint(const std::string& dir, const ShardedEngine& engin
     }
     const std::string payload = PersistAccess::SerializeShardSnapshot(
         engine, s, wal_next_seq, rounds);
-    const std::string shard_dir = ChainDir(dir, s);
+    const std::string shard_dir = ShardDir(dir, s);
     if (crash != nullptr &&
         crash->ShouldCrash(CrashPoint::kMidShardSnapshotWrite)) {
       std::error_code ec;
@@ -188,7 +104,7 @@ Result<std::vector<std::string>> ReadGenerationPayloads(
   payloads.reserve(info.shards.size());
   for (uint32_t s = 0; s < info.shards.size(); ++s) {
     const std::string path =
-        (fs::path(ChainDir(dir, s)) / SnapshotFileName(info.shards[s].snapshot_seq))
+        (fs::path(ShardDir(dir, s)) / SnapshotFileName(info.shards[s].snapshot_seq))
             .string();
     Result<std::string> payload = ReadSnapshotPayload(path);
     if (!payload.ok()) {
@@ -356,10 +272,8 @@ Status PersistAccess::ReplaceShardStripe(ShardedEngine* e, uint32_t shard,
     SCUBA_RETURN_IF_ERROR(victim.store.RemoveCluster(cid));
   }
   // 2. Wipe the stripe's mirror outright: neighbor-owned border entries come
-  // back in step 4; corrupt residue never does. Stale ghosts go with it
-  // (they are rebuilt before every join anyway).
+  // back in step 4; corrupt residue never does.
   victim.grid.Clear();
-  victim.ghosts.Clear();
   // 3. Re-add the stripe's clusters from the twin payload. Same layout, so
   // every cluster routes back to this stripe; each registration fans out to
   // every stripe its circle touches, this one included. The same-layout
@@ -424,7 +338,6 @@ Status PersistAccess::LoadShardedCoordinatorState(ByteReader* r,
   e->meta_.Clear();
   for (auto& sp : e->shards_) {
     sp->store.Clear();
-    sp->ghosts.Clear();
     sp->grid.Clear();
     sp->results.Clear();
     sp->join.counters_ = ClusterJoinExecutor::Counters{};
@@ -600,65 +513,10 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
     committed_shards = info->shards.size();
     break;
   }
-  // Align every chain on one sequence: merge all on-disk chains (current and
-  // extinct layouts alike), find the first sequence left incomplete by a
-  // crash mid-fanout, and physically drop it everywhere — it was never
-  // acknowledged, and every chain must resume on the same number.
-  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
-      ListShardDirs(dir);
-  if (!shard_dirs.ok()) return shard_dirs.status();
-  std::map<uint64_t, SeqBucket> buckets;
-  std::vector<std::unique_ptr<WalContents>> keep_alive;
-  for (const auto& [index, chain_dir] : *shard_dirs) {
-    Result<WalContents> contents = ReadWal(chain_dir);
-    if (!contents.ok()) return contents.status();
-    auto held = std::make_unique<WalContents>(std::move(*contents));
-    for (const WalRecord& record : held->records) {
-      if (record.seq < base_seq) continue;
-      SCUBA_RETURN_IF_ERROR(AccumulateRouted(index, record, &buckets));
-    }
-    keep_alive.push_back(std::move(held));
-  }
-  uint64_t aligned = base_seq;
-  for (const auto& [seq, bucket] : buckets) {
-    if (seq != aligned) {
-      return Status::DataLoss("chain records skip from seq " +
-                              std::to_string(aligned) + " to " +
-                              std::to_string(seq));
-    }
-    if (bucket.count > bucket.declared_shards) {
-      return Status::DataLoss("seq " + std::to_string(seq) + " has " +
-                              std::to_string(bucket.count) +
-                              " sub-records for a " +
-                              std::to_string(bucket.declared_shards) +
-                              "-shard fanout");
-    }
-    if (bucket.count < bucket.declared_shards) {
-      // Incomplete: legal only at the very end of the log.
-      if (seq != buckets.rbegin()->first) {
-        return Status::DataLoss(
-            "seq " + std::to_string(seq) +
-            " is incomplete across chains but later records exist");
-      }
-      break;
-    }
-    ++aligned;
-  }
-  for (const auto& [index, chain_dir] : *shard_dirs) {
-    SCUBA_RETURN_IF_ERROR(TruncateWalAfter(chain_dir, aligned));
-  }
-  keep_alive.clear();
-  for (uint32_t s = 0; s < engine->shard_count(); ++s) {
-    Result<std::unique_ptr<WalWriter>> chain = WalWriter::Open(
-        ChainDir(dir, s), policy.wal_segment_bytes, aligned, crash);
-    if (!chain.ok()) return chain.status();
-    manager->chains_.push_back(std::move(chain).value());
-  }
-  manager->next_seq_ = aligned;
-  manager->object_slot_scratch_.resize(engine->shard_count());
-  manager->object_scratch_.resize(engine->shard_count());
-  manager->query_slot_scratch_.resize(engine->shard_count());
-  manager->query_scratch_.resize(engine->shard_count());
+  Result<std::unique_ptr<WalWriter>> wal =
+      WalWriter::Open(WalDirOf(dir), policy.wal_segment_bytes, base_seq, crash);
+  if (!wal.ok()) return wal.status();
+  manager->wal_ = std::move(wal).value();
   const EvalStats& stats = *PersistAccess::MutableShardedStats(engine);
   manager->base_wal_records_ = stats.wal_records_appended;
   manager->base_wal_fsyncs_ = stats.wal_fsyncs;
@@ -666,7 +524,7 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   if (committed_shards != 0 && committed_shards != engine->shard_count()) {
     // The on-disk layout differs from the engine's (re-partition on
     // recovery): commit the new layout before accepting any append, so every
-    // batch logged from here on has a manifest that matches its fanout.
+    // batch logged from here on sits on a manifest of the live layout.
     SCUBA_RETURN_IF_ERROR(manager->ForceCheckpoint());
   }
   return manager;
@@ -676,13 +534,6 @@ Status ShardedDurabilityManager::LogBatch(
     Timestamp batch_time, bool evaluate_after,
     std::span<const LocationUpdate> objects,
     std::span<const QueryUpdate> queries) {
-  const uint32_t n = engine_->shard_count();
-  for (uint32_t s = 0; s < n; ++s) {
-    object_slot_scratch_[s].clear();
-    object_scratch_[s].clear();
-    query_slot_scratch_[s].clear();
-    query_scratch_[s].clear();
-  }
   EngineTelemetry* telemetry = engine_->telemetry();
   Stopwatch sw;
   if (telemetry != nullptr) {
@@ -691,34 +542,13 @@ Status ShardedDurabilityManager::LogBatch(
         PersistAccess::MutableShardedStats(engine_)->evaluations + 1);
     sw.Start();
   }
-  const ShardRouter& router = engine_->router();
-  for (size_t i = 0; i < objects.size(); ++i) {
-    const uint32_t s = router.ShardOfPoint(objects[i].position);
-    object_slot_scratch_[s].push_back(i);
-    object_scratch_[s].push_back(objects[i]);
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const uint32_t s = router.ShardOfPoint(queries[i].position);
-    query_slot_scratch_[s].push_back(i);
-    query_scratch_[s].push_back(queries[i]);
-  }
-  Status status = Status::OK();
-  for (uint32_t s = 0; s < n; ++s) {
-    if (s > 0 && crash_ != nullptr &&
-        crash_->ShouldCrash(CrashPoint::kBetweenShardWalAppends)) {
-      // Chains 0..s-1 hold the batch's sub-record, chains s.. have nothing:
-      // the incomplete-fanout residue with no torn bytes.
-      status = crash_->CrashStatus();
-      break;
-    }
-    status = chains_[s]->AppendRouted(
-        batch_time, evaluate_after, s, n, objects.size(), queries.size(),
-        object_slot_scratch_[s], object_scratch_[s], query_slot_scratch_[s],
-        query_scratch_[s]);
-    if (!status.ok()) break;
-  }
-  if (status.ok()) ++next_seq_;
-  MirrorWalCounters();
+  const Status status =
+      wal_->Append(batch_time, evaluate_after, objects, queries);
+  EvalStats* stats = PersistAccess::MutableShardedStats(engine_);
+  stats->wal_records_appended =
+      base_wal_records_ + wal_->stats().records_appended;
+  stats->wal_fsyncs = base_wal_fsyncs_ + wal_->stats().fsyncs;
+  stats->wal_bytes_appended = base_wal_bytes_ + wal_->stats().bytes_appended;
   if (telemetry != nullptr) {
     const double elapsed = sw.ElapsedSeconds();
     TraceCollector& tc = telemetry->trace();
@@ -727,19 +557,6 @@ Status ShardedDurabilityManager::LogBatch(
     tc.Accumulate(tc.EnsureSpan(checkpoint, "wal"), elapsed);
   }
   return status;
-}
-
-void ShardedDurabilityManager::MirrorWalCounters() {
-  uint64_t records = 0, fsyncs = 0, bytes = 0;
-  for (const auto& chain : chains_) {
-    records += chain->stats().records_appended;
-    fsyncs += chain->stats().fsyncs;
-    bytes += chain->stats().bytes_appended;
-  }
-  EvalStats* stats = PersistAccess::MutableShardedStats(engine_);
-  stats->wal_records_appended = base_wal_records_ + records;
-  stats->wal_fsyncs = base_wal_fsyncs_ + fsyncs;
-  stats->wal_bytes_appended = base_wal_bytes_ + bytes;
 }
 
 Status ShardedDurabilityManager::OnRoundComplete() {
@@ -757,7 +574,7 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
   EvalStats* stats = PersistAccess::MutableShardedStats(engine_);
   uint64_t bytes = 0;
   SCUBA_RETURN_IF_ERROR(WriteShardedCheckpoint(
-      dir_, *engine_, validator_, rng_, next_generation_, next_seq_,
+      dir_, *engine_, validator_, rng_, next_generation_, wal_->next_seq(),
       stats->evaluations, crash_, &bytes));
   ++next_generation_;
   ++stats->checkpoints_written;
@@ -780,24 +597,9 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
 }
 
 Status ShardedDurabilityManager::OnLayoutChanged() {
-  const uint32_t n = engine_->shard_count();
-  // Surplus chains close; their on-disk records survive (recovery merges
-  // every shard directory, extinct layouts included). Missing chains open at
-  // the current global sequence.
-  while (chains_.size() > n) chains_.pop_back();
-  for (uint32_t s = static_cast<uint32_t>(chains_.size()); s < n; ++s) {
-    Result<std::unique_ptr<WalWriter>> chain = WalWriter::Open(
-        ChainDir(dir_, s), policy_.wal_segment_bytes, next_seq_, crash_);
-    if (!chain.ok()) return chain.status();
-    chains_.push_back(std::move(chain).value());
-  }
-  object_slot_scratch_.resize(n);
-  object_scratch_.resize(n);
-  query_slot_scratch_.resize(n);
-  query_scratch_.resize(n);
-  // Commit the new layout before any further append (mirrors Open's
-  // layout-change handling): every batch logged from here on has a manifest
-  // matching its fanout.
+  // Mirrors Open's layout-change handling: commit the new layout before any
+  // further append, so every logged batch sits on a manifest of the live
+  // layout.
   return ForceCheckpoint();
 }
 
@@ -827,7 +629,7 @@ Status ShardedDurabilityManager::Prune() {
     return crash_->CrashStatus();
   }
   std::set<uint64_t> retained_generations;
-  uint64_t min_wal_seq = next_seq_;
+  uint64_t min_wal_seq = wal_->next_seq();
   for (const auto& [generation, path] : *manifests) {
     retained_generations.insert(generation);
     Result<ManifestInfo> info = ReadManifest(path);
@@ -837,8 +639,13 @@ Status ShardedDurabilityManager::Prune() {
     }
     min_wal_seq = std::min(min_wal_seq, info->wal_next_seq);
   }
-  for (uint32_t s = 0; s < static_cast<uint32_t>(chains_.size()); ++s) {
-    const std::string shard_dir = ChainDir(dir_, s);
+  // Every shard directory, extinct layouts' included: the WAL lives under
+  // wal/, so a shard directory holds only snapshots, and one no retained
+  // generation names is garbage whatever layout wrote it.
+  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
+      ListShardDirs(dir_);
+  if (!shard_dirs.ok()) return shard_dirs.status();
+  for (const auto& [index, shard_dir] : *shard_dirs) {
     Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
         ListSnapshots(shard_dir);
     if (!snapshots.ok()) return snapshots.status();
@@ -855,12 +662,9 @@ Status ShardedDurabilityManager::Prune() {
          fs::directory_iterator(shard_dir, ec)) {
       if (entry.path().extension() == ".tmp") fs::remove(entry.path(), ec);
     }
-    Result<size_t> removed = chains_[s]->PruneSegmentsBelow(min_wal_seq);
-    if (!removed.ok()) return removed.status();
   }
-  // Extinct layouts' shard directories are left untouched: retained older
-  // manifests may still reference their artifacts, and once those manifests
-  // age out the leftovers are inert (fsck reports them as orphans).
+  Result<size_t> removed = wal_->PruneSegmentsBelow(min_wal_seq);
+  if (!removed.ok()) return removed.status();
   for (const fs::directory_entry& entry : fs::directory_iterator(dir_, ec)) {
     if (entry.path().extension() == ".tmp") fs::remove(entry.path(), ec);
   }
@@ -886,8 +690,7 @@ std::string ShardedRecoveryReport::ToString() const {
   if (generations_skipped > 0) {
     out << ", " << generations_skipped << " generation(s) skipped";
   }
-  if (any_torn_tail) out << ", torn chain tail discarded";
-  if (incomplete_tail_discarded) out << ", incomplete final batch discarded";
+  if (any_torn_tail) out << ", torn WAL tail discarded";
   for (const std::string& loss : data_loss) out << "\n  data loss: " << loss;
   return out.str();
 }
@@ -901,16 +704,10 @@ std::string ShardedRecoveryReport::ToJson() const {
       << ",\"snapshot_rounds\":" << snapshot_rounds
       << ",\"batches_replayed\":" << batches_replayed
       << ",\"rounds_replayed\":" << rounds_replayed
-      << ",\"chain_records_replayed\":[";
-  for (size_t i = 0; i < chain_records_replayed.size(); ++i) {
-    if (i > 0) out << ",";
-    out << chain_records_replayed[i];
-  }
-  out << "],\"next_seq\":" << next_seq
+      << ",\"next_seq\":" << next_seq
       << ",\"generations_skipped\":" << generations_skipped
       << ",\"any_torn_tail\":" << (any_torn_tail ? "true" : "false")
-      << ",\"incomplete_tail_discarded\":"
-      << (incomplete_tail_discarded ? "true" : "false") << ",\"data_loss\":[";
+      << ",\"data_loss\":[";
   for (size_t i = 0; i < data_loss.size(); ++i) {
     if (i > 0) out << ",";
     out << "\"" << JsonEscape(data_loss[i]) << "\"";
@@ -975,91 +772,41 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
     base_seq = info->wal_next_seq;
     break;
   }
-  // Merge every chain's routed suffix — current and extinct layouts alike —
-  // back into whole batches.
-  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
-      ListShardDirs(dir);
-  if (!shard_dirs.ok()) return shard_dirs.status();
-  std::map<uint64_t, SeqBucket> buckets;
-  std::vector<WalContents> chain_contents;
-  chain_contents.reserve(shard_dirs->size());
-  uint32_t max_dir_index = 0;
-  for (const auto& [index, chain_dir] : *shard_dirs) {
-    Result<WalContents> contents = ReadWal(chain_dir);
-    if (!contents.ok()) return contents.status();
-    if (contents->torn_tail) {
-      report.any_torn_tail = true;
-      report.data_loss.push_back(contents->torn_detail);
-    }
-    for (const std::string& note : contents->route_gap_notes) {
-      report.data_loss.push_back(ChainDir(dir, index) + ": " + note);
-    }
-    max_dir_index = std::max(max_dir_index, index);
-    chain_contents.push_back(std::move(*contents));
-  }
-  report.chain_records_replayed.assign(
-      shard_dirs->empty() ? 0 : max_dir_index + 1, 0);
-  for (size_t d = 0; d < shard_dirs->size(); ++d) {
-    const uint32_t index = (*shard_dirs)[d].first;
-    for (const WalRecord& record : chain_contents[d].records) {
-      if (record.seq < base_seq) continue;
-      SCUBA_RETURN_IF_ERROR(AccumulateRouted(index, record, &buckets));
-    }
+  Result<WalContents> wal = ReadWal(WalDirOf(dir));
+  if (!wal.ok()) return wal.status();
+  if (wal->torn_tail) {
+    report.any_torn_tail = true;
+    report.data_loss.push_back(wal->torn_detail);
   }
   report.next_seq = base_seq;
   ResultSet results;
-  MergedBatch batch;
-  for (const auto& [seq, bucket] : buckets) {
-    if (seq != report.next_seq) {
+  for (const WalRecord& record : wal->records) {
+    if (record.seq < base_seq) continue;  // covered by the checkpoint
+    if (record.seq != report.next_seq) {
+      // ReadWal guarantees contiguity, so only the first replayed record can
+      // skip past the checkpoint.
       return Status::DataLoss(
-          "chain replay gap: checkpoint is consistent as of seq " +
+          "WAL replay gap: checkpoint is consistent as of seq " +
           std::to_string(report.next_seq) +
-          " but the next durable sequence is " + std::to_string(seq));
+          " but the next durable sequence is " + std::to_string(record.seq));
     }
-    if (bucket.count > bucket.declared_shards) {
-      return Status::DataLoss("seq " + std::to_string(seq) + " has " +
-                              std::to_string(bucket.count) +
-                              " sub-records for a " +
-                              std::to_string(bucket.declared_shards) +
-                              "-shard fanout");
-    }
-    if (bucket.count < bucket.declared_shards) {
-      // A crash mid-fanout left the final batch incomplete: it was never
-      // acknowledged as durable, so recovery discards it — but only at the
-      // very end of the log.
-      if (seq != buckets.rbegin()->first) {
-        return Status::DataLoss(
-            "seq " + std::to_string(seq) +
-            " is incomplete across chains but later records exist");
-      }
-      report.incomplete_tail_discarded = true;
-      report.data_loss.push_back(
-          "seq " + std::to_string(seq) + " has " + std::to_string(bucket.count) +
-          " of " + std::to_string(bucket.declared_shards) +
-          " sub-records (crash mid-fanout); batch discarded");
-      break;
-    }
-    SCUBA_RETURN_IF_ERROR(MergeBucket(seq, bucket, &batch));
     if (validator != nullptr) {
-      // Chains hold post-screen tuples; replay advances the validator's
+      // The WAL holds post-screen tuples; replay advances the validator's
       // per-entity timestamp floors exactly as the original admission did.
-      for (const LocationUpdate& u : batch.objects) {
+      for (const LocationUpdate& u : record.objects) {
         PersistAccess::NoteAdmitted(validator, EntityKind::kObject, u.oid,
                                     u.time);
       }
-      for (const QueryUpdate& u : batch.queries) {
+      for (const QueryUpdate& u : record.queries) {
         PersistAccess::NoteAdmitted(validator, EntityKind::kQuery, u.qid,
                                     u.time);
       }
     }
-    SCUBA_RETURN_IF_ERROR(engine->IngestBatch(batch.objects, batch.queries));
-    if (batch.evaluate_after) {
-      SCUBA_RETURN_IF_ERROR(engine->Evaluate(batch.batch_time, &results));
-      if (sink) sink(batch.batch_time, results);
+    SCUBA_RETURN_IF_ERROR(engine->IngestBatch(record.objects, record.queries));
+    if (record.evaluate_after) {
+      SCUBA_RETURN_IF_ERROR(engine->Evaluate(record.batch_time, &results));
+      if (sink) sink(record.batch_time, results);
       ++report.rounds_replayed;
-    }
-    for (const auto& [dir_index, record] : bucket.parts) {
-      ++report.chain_records_replayed[dir_index];
     }
     ++report.batches_replayed;
     ++report.next_seq;

@@ -435,37 +435,20 @@ Status ShardedEngine::IngestBatch(std::span<const LocationUpdate> objects,
 Status ShardedEngine::RunShardJoin(EngineShard& shard) {
   Stopwatch sw;
   shard.results.Clear();
-  shard.ghosts.Clear();
-  shard.last_ghosts = 0;
   const uint64_t comparisons_before = shard.join.counters().comparisons;
-
-  // Ghost publication: every cluster registered in this stripe but owned by
-  // a neighbor is copied through the snapshot serializer (IEEE-754 bit
-  // patterns — the copy is bit-exact, LoadCluster rebuilds the member index).
-  // Reads only other shards' stores, which are immutable for the whole join
-  // phase; writes only shard-local state — no locks anywhere on this path.
-  for (uint32_t key : shard.grid.Keys()) {
-    if (shard.store.GetCluster(key) != nullptr) continue;
-    const MovingCluster* source = nullptr;
-    for (const auto& other : shards_) {
-      if (other.get() == &shard) continue;
-      source = other->store.GetCluster(key);
-      if (source != nullptr) break;
-    }
-    SCUBA_CHECK_MSG(source != nullptr,
-                    "shard grid key names no stored cluster");
-    ByteWriter w;
-    PersistAccess::SaveCluster(*source, &w);
-    ByteReader r(w.bytes());
-    Result<MovingCluster> ghost = PersistAccess::LoadCluster(&r);
-    if (!ghost.ok()) return ghost.status();
-    SCUBA_RETURN_IF_ERROR(shard.ghosts.AddCluster(std::move(ghost).value()));
-    ++shard.last_ghosts;
+  // Border clusters registered in this stripe but owned by a neighbor are
+  // read straight from the neighbor's store: stores are immutable for the
+  // whole join phase and the executor only reads them, so no copy and no
+  // lock is needed.
+  std::vector<const ClusterStore*> neighbors;
+  neighbors.reserve(shards_.size() - 1);
+  for (const auto& other : shards_) {
+    if (other.get() != &shard) neighbors.push_back(&other->store);
   }
-
-  Status s = shard.join.ExecuteScoped(shard.store, &shard.ghosts, shard.grid,
+  Status s = shard.join.ExecuteScoped(shard.store, neighbors, shard.grid,
                                       shard.cell_begin, shard.cell_end,
                                       &shard.results);
+  shard.last_ghosts = shard.join.last_neighbor_reads();
   shard.last_comparisons =
       shard.join.counters().comparisons - comparisons_before;
   shard.last_busy_seconds = sw.ElapsedSeconds();
@@ -679,8 +662,8 @@ Status ShardedEngine::SplitOversizedClusters() {
 Status ShardedEngine::MigrateOwnership() {
   // Serial, globally cid-ordered: deterministic regardless of which shard
   // performed the round's upkeep first. Ownership is unobservable to results
-  // and state hashes (the serializer round trip is bit-exact and homes move
-  // with the cluster), so migration cannot break bit-identity.
+  // and state hashes (the copy is exact and homes move with the cluster), so
+  // migration cannot break bit-identity.
   const std::vector<ClusterId> cids = GlobalSortedClusterIds();
   for (ClusterId cid : cids) {
     EngineShard* owner = nullptr;
@@ -688,13 +671,11 @@ Status ShardedEngine::MigrateOwnership() {
     SCUBA_CHECK(cluster != nullptr);
     EngineShard* desired = OwnerShardFor(*cluster);
     if (desired == owner) continue;
-    ByteWriter w;
-    PersistAccess::SaveCluster(*cluster, &w);
-    ByteReader r(w.bytes());
-    Result<MovingCluster> copy = PersistAccess::LoadCluster(&r);
-    if (!copy.ok()) return copy.status();
+    // Copy, not move: RemoveCluster clears the members' homes by walking the
+    // stored cluster, so it must stay intact until it is removed.
+    MovingCluster copy = *cluster;
     SCUBA_RETURN_IF_ERROR(owner->store.RemoveCluster(cid));
-    SCUBA_RETURN_IF_ERROR(desired->store.AddCluster(std::move(copy).value()));
+    SCUBA_RETURN_IF_ERROR(desired->store.AddCluster(std::move(copy)));
     ++handoffs_;
   }
   return Status::OK();
@@ -776,14 +757,25 @@ Status ShardedEngine::PostJoinMaintenance(Timestamp now,
     *worker_seconds = serial.ElapsedSeconds();
   }
   for (const PostJoinTimings& tt : shard_timings) *timings += tt;
+  // The serial apply is part of the step that planned it, as in the
+  // reference engine's serial loop: dissolutions count under expire,
+  // re-registrations under translate.
+  Stopwatch apply_lap;
   for (size_t i = 0; i < cids.size(); ++i) {
-    phase_stats_.members_shed_maintenance += outcomes[i].shed;
-    if (outcomes[i].dissolve) {
+    const Outcome& out = outcomes[i];
+    phase_stats_.members_shed_maintenance += out.shed;
+    if (!out.dissolve && !out.resync) continue;
+    if (timings != nullptr) apply_lap.Start();
+    if (out.dissolve) {
       SCUBA_RETURN_IF_ERROR(RemoveFromAllGrids(cids[i]));
       SCUBA_RETURN_IF_ERROR(owners[i]->store.RemoveCluster(cids[i]));
       ++phase_stats_.clusters_dissolved_expired;
-    } else if (outcomes[i].resync) {
-      SCUBA_RETURN_IF_ERROR(ApplyRegistration(cids[i], outcomes[i].registration));
+    } else {
+      SCUBA_RETURN_IF_ERROR(ApplyRegistration(cids[i], out.registration));
+    }
+    if (timings != nullptr) {
+      (out.dissolve ? timings->expire_seconds : timings->translate_seconds) +=
+          apply_lap.ElapsedSeconds();
     }
   }
 
@@ -1142,8 +1134,7 @@ size_t ShardedEngine::EstimateMemoryUsage() const {
   size_t total = sizeof(ShardedEngine) + meta_.EstimateMemoryUsage();
   for (const auto& sp : shards_) {
     total += sizeof(EngineShard) + sp->store.EstimateMemoryUsage() +
-             sp->ghosts.EstimateMemoryUsage() + sp->grid.EstimateMemoryUsage() +
-             sp->join.EstimateMemoryUsage();
+             sp->grid.EstimateMemoryUsage() + sp->join.EstimateMemoryUsage();
   }
   return total;
 }
@@ -1172,7 +1163,7 @@ void ShardedEngine::InstallTelemetry(
       "Cluster ownership migrations between shards");
   metrics_.ghosts = reg.RegisterCounter(
       "scuba_shard_ghosts_total",
-      "Ghost cluster copies published across shard borders");
+      "Border clusters a stripe's join read from another stripe's store");
   metrics_.recommendations = reg.RegisterCounter(
       "scuba_rebalance_recommendations_total",
       "Stripe-split recommendations issued in observe mode");

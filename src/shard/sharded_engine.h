@@ -11,10 +11,10 @@
 //     coordinator, with every grid operation mirrored into the shard grids a
 //     cluster's registered circle touches (the mirror invariant in
 //     engine_shard.h) and cluster ownership assigned by stripe.
-//  2. *Join* runs one independent task per shard: the shard publishes
-//     read-only ghosts of border-crossing clusters owned by neighbors
-//     (serializer round trip — bit-exact), then scans only its own cell
-//     window. No cross-shard locking anywhere on this path; the only barrier
+//  2. *Join* runs one independent task per shard: the shard scans only its
+//     own cell window, reading border-crossing clusters owned by neighbors
+//     in place from their stores (no store changes during the join phase).
+//     No cross-shard locking anywhere on this path; the only barrier
 //     is the fork/join around the task set. The per-shard ResultSets are
 //     normalized slices, disjoint under the owner-cell dedup discipline (each
 //     pair's MinCommonCell lies in exactly one stripe); the coordinator
@@ -94,7 +94,8 @@ class ShardedEngine : public QueryProcessor {
 
   /// Ownership migrations performed by the post-join handoff step so far.
   uint64_t handoffs() const { return handoffs_; }
-  /// Ghost copies published across all shards so far.
+  /// Border clusters read across stripes so far: each round, every stripe
+  /// counts the clusters its join read from another stripe's store.
   uint64_t ghosts_published() const { return ghosts_published_; }
   /// --rebalance=observe: recommendations issued so far, and the latest one
   /// ("" when none yet).
@@ -152,8 +153,7 @@ class ShardedEngine : public QueryProcessor {
     stripe_recovery_ = std::move(fn);
   }
   /// Invoked after a reassign eviction reshards the engine, so the
-  /// durability manager can realign its WAL chains and force a checkpoint
-  /// under the new layout.
+  /// durability manager can force a checkpoint under the new layout.
   using LayoutChangedFn = std::function<Status()>;
   void set_on_layout_changed(LayoutChangedFn fn) {
     on_layout_changed_ = std::move(fn);
@@ -200,9 +200,9 @@ class ShardedEngine : public QueryProcessor {
         .get();
   }
 
-  /// One shard's join task: rebuild ghosts, run the scoped join over the
-  /// stripe's cell window. Reads neighbor stores (immutable during the join
-  /// phase), writes only shard-local state.
+  /// One shard's join task: the scoped join over the stripe's cell window.
+  /// Reads neighbor stores in place (immutable during the join phase),
+  /// writes only shard-local state.
   Status RunShardJoin(EngineShard& shard);
 
   /// Phase 3 across shards: per-shard parallel upkeep compute, serial

@@ -1,17 +1,23 @@
 // Durability unit coverage (docs/ARCHITECTURE.md §8): serializer primitives,
 // checkpoint round-trips of the production engine at one stripe
 // (digest-identical restore, clean audit, fingerprint gating, corruption
-// detection) and the WAL (append/read round-trip, segment rotation, torn-tail
-// tolerance, mid-log corruption, reopen, pruning). The end-to-end crash
-// matrix lives in sharded_crash_recovery_test.cc.
+// detection), the WAL (append/read round-trip, segment rotation, torn-tail
+// tolerance, mid-log corruption, reopen, pruning) and seeded mutation fuzzing
+// of the WAL and manifest decoders. The end-to-end crash matrix lives in
+// sharded_crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -455,18 +461,11 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
 // ---------------------------------------------------------------------------
 // Write-ahead log.
 
-/// Appends one round as a whole batch: a one-chain sub-record whose slots
-/// are the tuples' own positions.
+/// Appends one round as one batch record.
 Status AppendRound(WalWriter* writer, Timestamp batch_time, bool evaluate_after,
                    const Round& round) {
-  std::vector<uint64_t> object_slots(round.objects.size());
-  std::vector<uint64_t> query_slots(round.queries.size());
-  for (size_t i = 0; i < object_slots.size(); ++i) object_slots[i] = i;
-  for (size_t i = 0; i < query_slots.size(); ++i) query_slots[i] = i;
-  return writer->AppendRouted(batch_time, evaluate_after, /*shard_index=*/0,
-                              /*shard_count=*/1, round.objects.size(),
-                              round.queries.size(), object_slots,
-                              round.objects, query_slots, round.queries);
+  return writer->Append(batch_time, evaluate_after, round.objects,
+                        round.queries);
 }
 
 TEST(WalTest, AppendReadRoundTrip) {
@@ -496,8 +495,6 @@ TEST(WalTest, AppendReadRoundTrip) {
     EXPECT_EQ(record.seq, static_cast<uint64_t>(r));
     EXPECT_EQ(record.batch_time, static_cast<Timestamp>(r + 1));
     EXPECT_EQ(record.evaluate_after, (r + 1) % 2 == 0);
-    EXPECT_EQ(record.shard_count, 1u);
-    EXPECT_EQ(record.total_objects, rounds[r].objects.size());
     ASSERT_EQ(record.objects.size(), rounds[r].objects.size());
     ASSERT_EQ(record.queries.size(), rounds[r].queries.size());
     for (size_t i = 0; i < record.objects.size(); ++i) {
@@ -509,27 +506,37 @@ TEST(WalTest, AppendReadRoundTrip) {
   }
 }
 
-TEST(WalTest, UnroutedRecordIsDataLoss) {
-  // A well-formed record of the retired single-engine type 1 (a whole batch
-  // in one unsharded log): its CRC holds, so it is not a torn tail — it is
-  // data this build cannot read.
-  ScopedTempDir dir("persist_test_wal_unrouted");
-  ByteWriter payload;
-  payload.PutU8(1);      // type
-  payload.PutU64(0);     // seq
-  payload.PutI64(1);     // batch_time
-  payload.PutBool(true); // evaluate_after
-  payload.PutU64(0);     // objects
-  payload.PutU64(0);     // queries
-  ByteWriter frame;
-  frame.PutU32(static_cast<uint32_t>(payload.bytes().size()));
-  frame.PutU32(Crc32(payload.bytes()));
-  frame.PutRawBytes(payload.bytes());
-  std::ofstream(dir.path() + "/wal-00000000000000000000.log",
-                std::ios::binary)
-      << frame.bytes();
-  Status s = ReadWal(dir.path()).status();
-  EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+TEST(WalTest, RetiredRecordTypesAreDataLoss) {
+  // Well-formed records of the retired types — 1 (a whole batch in the
+  // single-engine log) and 2 (one shard's routed sub-batch): their CRC
+  // holds, so they are not a torn tail — they are data this build cannot
+  // read.
+  for (uint8_t type : {uint8_t{1}, uint8_t{2}}) {
+    SCOPED_TRACE("type " + std::to_string(type));
+    ScopedTempDir dir("persist_test_wal_retired_type");
+    ByteWriter payload;
+    payload.PutU8(type);
+    payload.PutU64(0);      // seq
+    payload.PutI64(1);      // batch_time
+    payload.PutBool(true);  // evaluate_after
+    if (type == 2) {
+      payload.PutU32(0);  // shard_index
+      payload.PutU32(1);  // shard_count
+      payload.PutU64(0);  // total_objects
+      payload.PutU64(0);  // total_queries
+    }
+    payload.PutU64(0);  // objects
+    payload.PutU64(0);  // queries
+    ByteWriter frame;
+    frame.PutU32(static_cast<uint32_t>(payload.bytes().size()));
+    frame.PutU32(Crc32(payload.bytes()));
+    frame.PutRawBytes(payload.bytes());
+    std::ofstream(dir.path() + "/wal-00000000000000000000.log",
+                  std::ios::binary)
+        << frame.bytes();
+    Status s = ReadWal(dir.path()).status();
+    EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+  }
 }
 
 TEST(WalTest, EmptyDirectoryReadsAsEmptyLog) {
@@ -656,6 +663,30 @@ TEST(WalTest, ReopenContinuesSequence) {
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(wal->records[i].seq, i);
 }
 
+TEST(WalTest, LogEndingBeforeTheCheckpointIsDataLoss) {
+  // A checkpoint that covers seq 5 over a log that ends at seq 2: batches
+  // 3 and 4 are durable nowhere, so the writer refuses to resume.
+  ScopedTempDir dir("persist_test_wal_behind");
+  std::vector<Round> rounds = MakeRounds(29, 3);
+  {
+    Result<std::unique_ptr<WalWriter>> writer = WalWriter::Open(
+        dir.path(), 1 << 20, /*initial_seq=*/0, /*crash=*/nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (int r = 0; r < 3; ++r) {
+      ASSERT_TRUE(AppendRound(writer->get(), static_cast<Timestamp>(r + 1),
+                              true, rounds[r])
+                      .ok());
+    }
+  }
+  Result<std::unique_ptr<WalWriter>> behind = WalWriter::Open(
+      dir.path(), 1 << 20, /*initial_seq=*/5, /*crash=*/nullptr);
+  EXPECT_TRUE(behind.status().IsDataLoss()) << behind.status().ToString();
+  Result<std::unique_ptr<WalWriter>> caught_up = WalWriter::Open(
+      dir.path(), 1 << 20, /*initial_seq=*/3, /*crash=*/nullptr);
+  ASSERT_TRUE(caught_up.ok()) << caught_up.status().ToString();
+  EXPECT_EQ((*caught_up)->next_seq(), 3u);
+}
+
 TEST(WalTest, PruneRemovesOnlyFullyCoveredSegments) {
   ScopedTempDir dir("persist_test_wal_prune");
   std::vector<Round> rounds = MakeRounds(31, 12);
@@ -687,6 +718,293 @@ TEST(WalTest, PruneRemovesOnlyFullyCoveredSegments) {
   for (size_t i = 1; i < wal->records.size(); ++i) {
     EXPECT_EQ(wal->records[i].seq, wal->records[i - 1].seq + 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder fuzzing: seeded truncations and byte flips of a valid WAL and of a
+// manifest. Raw damage must read back as an exact prefix of what was written
+// (a torn tail only ever in the last segment) or as kDataLoss — never as a
+// crash or an altered record. Mutations re-framed under a valid CRC reach the
+// payload decoders themselves and must still come back as a typed Status.
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, std::string_view bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+bool SameUpdate(const LocationUpdate& a, const LocationUpdate& b) {
+  return a.oid == b.oid && a.position.x == b.position.x &&
+         a.position.y == b.position.y && a.time == b.time &&
+         a.speed == b.speed && a.dest_node == b.dest_node &&
+         a.dest_position.x == b.dest_position.x &&
+         a.dest_position.y == b.dest_position.y && a.attrs == b.attrs;
+}
+
+bool SameUpdate(const QueryUpdate& a, const QueryUpdate& b) {
+  return a.qid == b.qid && a.position.x == b.position.x &&
+         a.position.y == b.position.y && a.time == b.time &&
+         a.speed == b.speed && a.dest_node == b.dest_node &&
+         a.dest_position.x == b.dest_position.x &&
+         a.dest_position.y == b.dest_position.y &&
+         a.range_width == b.range_width && a.range_height == b.range_height &&
+         a.attrs == b.attrs && a.required_attrs == b.required_attrs;
+}
+
+bool SameRecord(const WalRecord& a, const WalRecord& b) {
+  if (a.seq != b.seq || a.batch_time != b.batch_time ||
+      a.evaluate_after != b.evaluate_after ||
+      a.objects.size() != b.objects.size() ||
+      a.queries.size() != b.queries.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.objects.size(); ++i) {
+    if (!SameUpdate(a.objects[i], b.objects[i])) return false;
+  }
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    if (!SameUpdate(a.queries[i], b.queries[i])) return false;
+  }
+  return true;
+}
+
+/// A valid six-record WAL in two segments of three records each, plus the
+/// records as written and the byte offsets where its frames end.
+struct FuzzWal {
+  std::vector<WalRecord> written;
+  std::string paths[2];
+  std::string bytes[2];
+  /// Frame-end offsets in the concatenation of both segments (0 included).
+  std::set<size_t> boundaries;
+};
+
+FuzzWal WriteFuzzWal(const std::string& dir) {
+  FuzzWal wal;
+  std::vector<Round> rounds = MakeRounds(0xF022, 6);
+  for (Round& round : rounds) {
+    round.objects.resize(std::min<size_t>(round.objects.size(), 3));
+    round.queries.resize(std::min<size_t>(round.queries.size(), 2));
+  }
+  Result<std::unique_ptr<WalWriter>> writer =
+      WalWriter::Open(dir, /*segment_bytes=*/1300, /*initial_seq=*/0,
+                      /*crash=*/nullptr);
+  EXPECT_TRUE(writer.ok()) << writer.status().ToString();
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    const Timestamp t = static_cast<Timestamp>(r + 1);
+    EXPECT_TRUE(AppendRound(writer->get(), t, r % 2 == 1, rounds[r]).ok());
+    wal.written.push_back(
+        WalRecord{r, t, r % 2 == 1, rounds[r].objects, rounds[r].queries});
+  }
+  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
+      ListWalSegments(dir);
+  EXPECT_TRUE(segments.ok());
+  EXPECT_EQ(segments->size(), 2u) << "the fuzz WAL must span two segments";
+  size_t base = 0;
+  wal.boundaries.insert(0);
+  for (size_t i = 0; i < 2 && i < segments->size(); ++i) {
+    wal.paths[i] = (*segments)[i].second;
+    wal.bytes[i] = ReadFileBytes(wal.paths[i]);
+    for (size_t pos = 0; pos + 8 <= wal.bytes[i].size();) {
+      uint32_t len = 0;
+      std::memcpy(&len, wal.bytes[i].data() + pos, sizeof(len));
+      pos += 8 + len;
+      wal.boundaries.insert(base + pos);
+    }
+    base += wal.bytes[i].size();
+  }
+  return wal;
+}
+
+/// kDataLoss, or an exact prefix of `written` whose torn tail (if any) lies
+/// in `last_segment`. Returns the number of records read (0 on kDataLoss).
+size_t ExpectPrefixOrDataLoss(const Result<WalContents>& read,
+                              const std::vector<WalRecord>& written,
+                              const std::string& last_segment) {
+  if (!read.ok()) {
+    EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+    return 0;
+  }
+  EXPECT_LE(read->records.size(), written.size());
+  for (size_t i = 0; i < read->records.size() && i < written.size(); ++i) {
+    EXPECT_TRUE(SameRecord(read->records[i], written[i]))
+        << "record " << i << " differs from the one written";
+  }
+  if (read->torn_tail) {
+    EXPECT_EQ(read->torn_detail.rfind(last_segment, 0), 0u)
+        << read->torn_detail;
+  }
+  return read->records.size();
+}
+
+TEST(DecoderFuzzTest, WalTruncatedAtEveryOffsetReadsAsAPrefix) {
+  ScopedTempDir dir("persist_test_fuzz_wal_truncate");
+  const FuzzWal wal = WriteFuzzWal(dir.path());
+  ASSERT_FALSE(wal.bytes[1].empty());
+  const size_t first = wal.bytes[0].size();
+  const size_t total = first + wal.bytes[1].size();
+  for (size_t cut = 0; cut <= total; ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    // The log keeps its first `cut` bytes: the second segment is gone until
+    // the cut reaches past the first.
+    if (cut <= first) {
+      fs::remove(wal.paths[1]);
+      WriteFileBytes(wal.paths[0], std::string_view(wal.bytes[0]).substr(0, cut));
+    } else {
+      WriteFileBytes(wal.paths[0], wal.bytes[0]);
+      WriteFileBytes(wal.paths[1],
+                     std::string_view(wal.bytes[1]).substr(0, cut - first));
+    }
+    Result<WalContents> read = ReadWal(dir.path());
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    const size_t complete = static_cast<size_t>(std::distance(
+        wal.boundaries.begin(), wal.boundaries.upper_bound(cut))) - 1;
+    EXPECT_EQ(ExpectPrefixOrDataLoss(read, wal.written,
+                                     wal.paths[cut <= first ? 0 : 1]),
+              complete);
+    EXPECT_EQ(read->torn_tail, wal.boundaries.count(cut) == 0);
+  }
+}
+
+TEST(DecoderFuzzTest, WalByteFlipsReadAsAPrefixOrDataLoss) {
+  ScopedTempDir dir("persist_test_fuzz_wal_flip");
+  const FuzzWal wal = WriteFuzzWal(dir.path());
+  const size_t first = wal.bytes[0].size();
+  const size_t total = first + wal.bytes[1].size();
+  Rng rng(0xF11B);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t at = static_cast<size_t>(rng.NextBounded(total));
+    const char mask = static_cast<char>(rng.NextInt(1, 255));
+    SCOPED_TRACE("flip at " + std::to_string(at));
+    const int seg = at < first ? 0 : 1;
+    std::string damaged = wal.bytes[seg];
+    damaged[at - (seg == 0 ? 0 : first)] ^= mask;
+    WriteFileBytes(wal.paths[seg], damaged);
+    // Every byte belongs to some frame, so a flip always costs at least one
+    // record: a torn tail in the second segment, kDataLoss in the first.
+    const size_t read = ExpectPrefixOrDataLoss(ReadWal(dir.path()),
+                                               wal.written, wal.paths[1]);
+    EXPECT_LT(read, wal.written.size());
+    WriteFileBytes(wal.paths[seg], wal.bytes[seg]);
+  }
+}
+
+/// Trial `trial`'s seeded mutation of `payload`: every fourth trial cuts it
+/// short, the others flip one to three bytes.
+std::string MutatePayload(const std::string& payload, int trial, Rng* rng) {
+  std::string mutated = payload;
+  if (trial % 4 == 3) {
+    mutated.resize(static_cast<size_t>(rng->NextBounded(payload.size())));
+    return mutated;
+  }
+  for (int flips = 0; flips <= trial % 3; ++flips) {
+    mutated[static_cast<size_t>(rng->NextBounded(mutated.size()))] ^=
+        static_cast<char>(rng->NextInt(1, 255));
+  }
+  return mutated;
+}
+
+TEST(DecoderFuzzTest, ReframedWalPayloadMutationsFailTyped) {
+  ScopedTempDir dir("persist_test_fuzz_wal_payload");
+  const FuzzWal wal = WriteFuzzWal(dir.path());
+  uint32_t len = 0;
+  std::memcpy(&len, wal.bytes[0].data(), sizeof(len));
+  const std::string payload = wal.bytes[0].substr(8, len);
+  fs::remove(wal.paths[1]);
+  Rng rng(0xDEC0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string mutated = MutatePayload(payload, trial, &rng);
+    ByteWriter frame;
+    frame.PutU32(static_cast<uint32_t>(mutated.size()));
+    frame.PutU32(Crc32(mutated));
+    frame.PutRawBytes(mutated);
+    WriteFileBytes(wal.paths[0], frame.bytes());
+    // The frame is intact, so the decoder alone decides: a typed kDataLoss,
+    // or one record that parsed in full.
+    Result<WalContents> read = ReadWal(dir.path());
+    if (read.ok()) {
+      EXPECT_LE(read->records.size(), 1u);
+      EXPECT_FALSE(read->torn_tail);
+    } else {
+      EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+    }
+  }
+}
+
+bool SameManifest(const ManifestInfo& a, const ManifestInfo& b) {
+  if (a.fingerprint != b.fingerprint || a.generation != b.generation ||
+      a.wal_next_seq != b.wal_next_seq || a.rounds != b.rounds ||
+      a.coordinator_state != b.coordinator_state ||
+      a.shards.size() != b.shards.size()) {
+    return false;
+  }
+  for (size_t s = 0; s < a.shards.size(); ++s) {
+    if (a.shards[s].snapshot_seq != b.shards[s].snapshot_seq ||
+        a.shards[s].state_hash != b.shards[s].state_hash) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(DecoderFuzzTest, ManifestMutationsReadIdenticalOrDataLoss) {
+  ScopedTempDir dir("persist_test_fuzz_manifest");
+  ManifestInfo info;
+  info.fingerprint = 0x0DDBA11CAFEF00Dull;
+  info.generation = 3;
+  info.wal_next_seq = 17;
+  info.rounds = 9;
+  info.shards = {{3, 0xAAAA}, {3, 0xBBBB}, {3, 0xCCCC}};
+  info.coordinator_state = std::string("coordinator\0state blob", 22);
+  ASSERT_TRUE(WriteManifestFile(dir.path(), info, nullptr).ok());
+  const std::string path =
+      (fs::path(dir.path()) / ManifestFileName(info.generation)).string();
+  const std::string bytes = ReadFileBytes(path);
+  auto expect_identical_or_data_loss = [&](bool must_fail) {
+    Result<ManifestInfo> read = ReadManifest(path);
+    if (read.ok()) {
+      EXPECT_FALSE(must_fail);
+      EXPECT_TRUE(SameManifest(*read, info));
+    } else {
+      EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+    }
+  };
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    WriteFileBytes(path, std::string_view(bytes).substr(0, cut));
+    expect_identical_or_data_loss(/*must_fail=*/true);
+  }
+  Rng rng(0x3A41);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string damaged = bytes;
+    damaged[static_cast<size_t>(rng.NextBounded(bytes.size()))] ^=
+        static_cast<char>(rng.NextInt(1, 255));
+    WriteFileBytes(path, damaged);
+    expect_identical_or_data_loss(/*must_fail=*/true);
+  }
+  // Payload mutations re-framed under a valid length and CRC reach the
+  // payload decoder itself.
+  constexpr size_t kHeader = 8 + 4 + 8;
+  const std::string payload =
+      bytes.substr(kHeader, bytes.size() - kHeader - sizeof(uint32_t));
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string mutated = MutatePayload(payload, trial, &rng);
+    ByteWriter w;
+    w.PutRawBytes(std::string_view(bytes).substr(0, 12));  // magic + version
+    w.PutU64(mutated.size());
+    w.PutRawBytes(mutated);
+    w.PutU32(Crc32(mutated));
+    WriteFileBytes(path, w.bytes());
+    Result<ManifestInfo> read = ReadManifest(path);
+    if (!read.ok()) {
+      EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+    }
+  }
+  WriteFileBytes(path, bytes);
+  expect_identical_or_data_loss(/*must_fail=*/false);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Crash-recovery matrix (docs/ARCHITECTURE.md §12): for every crash point on
 // the durability path, at shards {1,2,4} and join threads {1,4}, a run that
 // crashes mid-stream and is then recovered (newest manifest whose artifacts
-// verify + cross-chain WAL merge) and driven to completion produces
+// verify + WAL replay) and driven to completion produces
 // bit-identical per-round ResultSets and state digests to an uninterrupted
 // reference-engine run — including the replayed rounds, recovered at the
 // other thread count, and WAL-only recovery when the first checkpoint never
@@ -253,9 +253,9 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
 
 struct CrashCase {
   CrashPoint point;
-  /// Which occurrence fires. Chain-append points count per chain append
-  /// (shards per batch); checkpoint points count per checkpoint (one every
-  /// 2 rounds); between-* points only occur at shards > 1.
+  /// Which occurrence fires. WAL-append points count per batch; checkpoint
+  /// points count per checkpoint (one every 2 rounds); between-shard
+  /// snapshots only occur at shards > 1.
   uint64_t occurrence;
   bool needs_multiple_shards = false;
 };
@@ -264,9 +264,7 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
   const CrashCase kMatrix[] = {
       {CrashPoint::kBeforeWalAppend, 5},
       {CrashPoint::kMidWalAppend, 5},
-      {CrashPoint::kMidShardWalAppend, 5},
       {CrashPoint::kAfterWalAppend, 5},
-      {CrashPoint::kBetweenShardWalAppends, 4, /*needs_multiple_shards=*/true},
       {CrashPoint::kBeforeSnapshotWrite, 2},
       // The first checkpoint never lands: WAL-only recovery.
       {CrashPoint::kMidShardSnapshotWrite, 1},
@@ -305,20 +303,14 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
                          base, &report);
         if (c.point == CrashPoint::kMidShardSnapshotWrite &&
             c.occurrence == 1) {
-          // Only the chains and an orphaned .tmp exist: the whole log
-          // replays from an empty base.
+          // Only the WAL and an orphaned .tmp exist: the whole log replays
+          // from an empty base.
           EXPECT_TRUE(report.manifest_path.empty());
           EXPECT_EQ(report.batches_replayed, 2u);
         }
         switch (c.point) {
           case CrashPoint::kMidWalAppend:
-          case CrashPoint::kMidShardWalAppend:
             EXPECT_TRUE(report.any_torn_tail);
-            break;
-          case CrashPoint::kBetweenShardWalAppends:
-            // The fanout stopped between chains: the final sequence is short
-            // of its shard_count sub-records and recovery discards it.
-            EXPECT_TRUE(report.incomplete_tail_discarded);
             break;
           case CrashPoint::kTornManifestRename:
             // The torn manifest was detected and the previous generation
@@ -336,8 +328,8 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
 
 /// Re-partition on recovery: a directory crashed at N shards recovers into
 /// M, finishes durably (the layout change forces a fresh manifest), and a
-/// SECOND recovery — over chains spanning both layouts — still reproduces
-/// the twin exactly.
+/// SECOND recovery — over manifests and shard snapshots spanning both
+/// layouts — still reproduces the twin exactly.
 TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
   const struct {
     uint32_t from;
@@ -350,7 +342,8 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
                  std::to_string(rs.to));
     ScopedTempDir dir("sharded_reshard_" + std::to_string(rs.from) + "_" +
                       std::to_string(rs.to));
-    CrashInjector crash(CrashPoint::kBetweenShardWalAppends, 4);
+    // A torn append on batch 4, past the first checkpoint (seq 2).
+    CrashInjector crash(CrashPoint::kMidWalAppend, 4);
     const size_t done =
         RunUntilCrash(rounds, /*threads=*/2, rs.from, dir.path(), &crash);
     ASSERT_TRUE(crash.fired());
@@ -363,8 +356,8 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
       EXPECT_EQ(report.manifest_shards, rs.from);
     }
 
-    // The finished directory now mixes manifests and chain epochs from both
-    // layouts; recovery over that history must still land on the twin.
+    // The finished directory now mixes manifests and shard directories from
+    // both layouts; recovery over that history must still land on the twin.
     std::unique_ptr<ShardedEngine> again =
         MakeSharded(MakeOptions(1, rs.to));
     UpdateValidator validator(MakeValidatorConfig());
@@ -380,11 +373,10 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
 /// timestamp floors, per-reason counters and the quarantine ring all ride in
 /// the manifest's coordinator blob, so a crash recovered at a checkpoint
 /// boundary ends with validator stats bit-identical to the uninterrupted
-/// twin's, even across a re-partition. (The crash lands on the FIRST batch
-/// after a checkpoint: that batch is incomplete across chains and discarded,
-/// leaving no WAL suffix — replayed WAL batches advance floors via
-/// NoteAdmitted but cannot reconstruct screen counters, because rejected
-/// tuples are never durable.)
+/// twin's, even across a re-partition. (The crash lands before the FIRST
+/// batch after a checkpoint reaches the WAL, leaving no WAL suffix —
+/// replayed WAL batches advance floors via NoteAdmitted but cannot
+/// reconstruct screen counters, because rejected tuples are never durable.)
 TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   std::vector<Round> rounds = MakeRounds(0x7A1D, kRounds);
   // Poison the stream: a stale timestamp and an off-map position per round,
@@ -425,10 +417,10 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
     std::unique_ptr<ShardedEngine> engine = MakeSharded(opt4);
     UpdateValidator validator(MakeValidatorConfig());
     // delta=2 and checkpoint-every-2-rounds put checkpoints after batches 3
-    // and 7 (wal_next_seq 4 and 8). At 4 shards a batch fans out 3 s>0
-    // events, so occurrence 13 fires on batch 4 — the first one past the
-    // seq-4 checkpoint — and seq 4 is discarded as incomplete.
-    CrashInjector crash(CrashPoint::kBetweenShardWalAppends, 13);
+    // and 7 (wal_next_seq 4 and 8). One append per batch, so occurrence 5
+    // fires on batch 4 — the first one past the seq-4 checkpoint — before
+    // any of its bytes reach the WAL.
+    CrashInjector crash(CrashPoint::kBeforeWalAppend, 5);
     Result<std::unique_ptr<ShardedDurabilityManager>> manager =
         ShardedDurabilityManager::Open(dir.path(), opt4.checkpoint,
                                        engine.get(), &validator,
@@ -445,11 +437,11 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
       dir.path(), engine.get(), &validator, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  // The crashed batch was discarded as incomplete, so recovery lands exactly
-  // on the checkpoint: empty replay window, full validator state restored.
+  // The crashed batch never reached the WAL, so recovery lands exactly on
+  // the checkpoint: empty replay window, full validator state restored.
   ASSERT_EQ(report->base_seq, 4u);
   ASSERT_EQ(report->next_seq, 4u);
-  EXPECT_TRUE(report->incomplete_tail_discarded);
+  EXPECT_EQ(report->batches_replayed, 0u);
   ASSERT_LT(report->next_seq, trace.TickCount());
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir.path(), opt2.checkpoint, engine.get(),
@@ -502,8 +494,8 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     ScubaOptions opt = MakeOptions(1, shards);
     opt.checkpoint.every_n_rounds = 1;  // still only fires at round boundaries
     std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
-    // The last chain append of batch 4, an ingest-only mid-window batch.
-    CrashInjector crash(CrashPoint::kAfterWalAppend, 5 * uint64_t{shards});
+    // The append of batch 4, an ingest-only mid-window batch.
+    CrashInjector crash(CrashPoint::kAfterWalAppend, 5);
     {
       Result<std::unique_ptr<ShardedDurabilityManager>> manager =
           ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
@@ -566,7 +558,7 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
 
 TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
   // With no checkpoint at all, the validator's per-entity floors exist only
-  // by virtue of NoteAdmitted during chain replay; a stale tuple that the
+  // by virtue of NoteAdmitted during WAL replay; a stale tuple that the
   // pre-crash validator would have rejected must still be rejected.
   std::vector<Round> rounds = MakeRounds(0xF100D, 4);
   for (uint32_t shards : kShardCounts) {

@@ -2,7 +2,8 @@
 // §12): manifest framing and corruption detection, fsck verdicts (one exit
 // code per damage class, read-only), generation-based prune retention, the
 // ShardedEngine::Checkpoint/Restore convenience pair across shard counts,
-// and empty sub-batch fanout keeping every chain contiguous.
+// one WAL record and one fsync per batch at any shard count, and refusal of
+// the retired durable layouts.
 
 #include <gtest/gtest.h>
 
@@ -255,42 +256,49 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   EXPECT_EQ(report->exit_code, kFsckOrphan) << report->ToString();
   fs::remove(tmp);
 
-  // A chain's torn tail -> kFsckTornTail. Truncate the final segment of
-  // shard 3's chain mid-frame: seq 7 loses its sub-record there.
+  // Each damage below is undone by rewriting the clean files, `before`.
+  auto restore = [&before] {
+    for (const auto& [path, bytes] : before) {
+      std::ofstream(path, std::ios::binary) << bytes;
+    }
+  };
+
+  // A torn WAL tail -> kFsckTornTail. Truncate the final segment
+  // mid-frame: seq 7 loses its record.
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
-      ListWalSegments((fs::path(dir.path()) / ShardDirName(3)).string());
+      ListWalSegments(WalDirOf(dir.path()));
   ASSERT_TRUE(segments.ok());
-  ASSERT_FALSE(segments->empty());
+  ASSERT_GE(segments->size(), 3u);
   const std::string last_segment = segments->back().second;
-  const std::string saved_segment_bytes = [&] {
-    std::ifstream in(last_segment, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }();
   fs::resize_file(last_segment, fs::file_size(last_segment) - 5);
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->exit_code, kFsckTornTail) << report->ToString();
-  { std::ofstream(last_segment, std::ios::binary) << saved_segment_bytes; }
+  restore();
 
-  // An entire chain missing -> completeness fails mid-range -> kFsckWalGap.
-  const std::string chain0 = (fs::path(dir.path()) / ShardDirName(0)).string();
-  std::map<std::string, std::string> saved_chain0;
-  Result<std::vector<std::pair<uint64_t, std::string>>> chain0_segments =
-      ListWalSegments(chain0);
-  ASSERT_TRUE(chain0_segments.ok());
-  for (const auto& [seq, path] : *chain0_segments) {
-    std::ifstream in(path, std::ios::binary);
-    saved_chain0[path] = std::string((std::istreambuf_iterator<char>(in)),
-                                     std::istreambuf_iterator<char>());
-    fs::remove(path);
+  // A WAL segment missing mid-log -> a sequence gap -> kFsckWalGap.
+  fs::remove((*segments)[1].second);
+  report = FsckDurableDir(dir.path());
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->exit_code, kFsckWalGap) << report->ToString();
+  restore();
+
+  // A WAL that resumes past the newest manifest's seq 6 (only seq 7's
+  // segment left) reads clean on its own, but replay would skip seq 6:
+  // fsck says kFsckWalGap and recovery refuses with kDataLoss.
+  for (size_t i = 0; i + 1 < segments->size(); ++i) {
+    fs::remove((*segments)[i].second);
   }
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->exit_code, kFsckWalGap) << report->ToString();
-  for (const auto& [path, bytes] : saved_chain0) {
-    std::ofstream(path, std::ios::binary) << bytes;
+  {
+    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    Result<ShardedRecoveryReport> gap = RecoverShardedEngine(
+        dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+    EXPECT_TRUE(gap.status().IsDataLoss()) << gap.status().ToString();
   }
+  restore();
 
   // A referenced shard snapshot corrupted -> kFsckBadSnapshot.
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
@@ -302,11 +310,6 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
       (fs::path(dir.path()) / ShardDirName(2) /
        SnapshotFileName(newest->shards[2].snapshot_seq))
           .string();
-  const std::string saved_snap_bytes = [&] {
-    std::ifstream in(snap, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  }();
   CorruptByteAt(snap, fs::file_size(snap) / 2);
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
@@ -317,7 +320,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->exit_code, kFsckMissingArtifact) << report->ToString();
-  { std::ofstream(snap, std::ios::binary) << saved_snap_bytes; }
+  restore();
 
   // A corrupted manifest -> kFsckBadManifest, plus the orphan verdict for
   // the snapshots only that manifest referenced; the exit code is the max.
@@ -438,39 +441,100 @@ TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 }
 
-TEST(ShardedDurabilityTest, EmptySubBatchesKeepChainsContiguous) {
-  // Every tuple lands in stripe 0 (all y < region_height / 4): chains 1..3
-  // must still receive an empty sub-record per batch, or their sequences
-  // would gap and recovery would refuse the log.
-  // 5 rounds with checkpoints every 2: the final batch (seq 4) stays
-  // WAL-only, so recovery exercises the merge of 1 full + 3 empty
-  // sub-records.
-  std::vector<Round> rounds = MakeRounds(5, /*y_span=*/40.0);
-  ScopedTempDir dir("empty_subbatches");
+TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
+  // Stripes partition the engine's work, not its history: at 4 shards every
+  // batch is still one record and one fsync in the root's one WAL, and no
+  // shard directory holds a log.
+  std::vector<Round> rounds = MakeRounds(5);
+  ScopedTempDir dir("one_wal_per_batch");
   const ScubaOptions opt = MakeOptions(4);
-  const std::string final_digest = RunDurably(rounds, opt, dir.path());
-
-  for (uint32_t s = 0; s < 4; ++s) {
-    Result<WalContents> contents =
-        ReadWal((fs::path(dir.path()) / ShardDirName(s)).string());
-    ASSERT_TRUE(contents.ok()) << "chain " << s;
-    for (const WalRecord& record : contents->records) {
-      EXPECT_EQ(record.shard_count, 4u);
-      if (s != 0) {
-        EXPECT_TRUE(record.objects.empty()) << "chain " << s;
-        EXPECT_TRUE(record.queries.empty()) << "chain " << s;
-      }
+  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  {
+    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
+                                       engine.get(), /*validator=*/nullptr,
+                                       /*rng=*/nullptr, /*crash=*/nullptr);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    for (size_t r = 0; r < rounds.size(); ++r) {
+      ASSERT_TRUE((*manager)
+                      ->LogBatch(static_cast<Timestamp>(r + 1), true,
+                                 rounds[r].objects, rounds[r].queries)
+                      .ok());
+      ASSERT_TRUE(
+          engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+      ResultSet results;
+      ASSERT_TRUE(
+          engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+      ASSERT_TRUE((*manager)->OnRoundComplete().ok());
     }
   }
+  const EvalStats stats = engine->StatsSnapshot().eval;
+  EXPECT_EQ(stats.wal_records_appended, rounds.size());
+  EXPECT_EQ(stats.wal_fsyncs, rounds.size());
 
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  // The log holds every batch whole, in delivery order.
+  Result<WalContents> wal = ReadWal(WalDirOf(dir.path()));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  ASSERT_FALSE(wal->records.empty());
+  for (const WalRecord& record : wal->records) {
+    ASSERT_LT(record.seq, rounds.size());
+    EXPECT_EQ(record.objects.size(), rounds[record.seq].objects.size());
+    EXPECT_EQ(record.queries.size(), rounds[record.seq].queries.size());
+  }
+  EXPECT_EQ(wal->records.back().seq, rounds.size() - 1);
+  for (uint32_t s = 0; s < 4; ++s) {
+    Result<std::vector<std::pair<uint64_t, std::string>>> chain =
+        ListWalSegments((fs::path(dir.path()) / ShardDirName(s)).string());
+    ASSERT_TRUE(chain.ok());
+    EXPECT_TRUE(chain->empty()) << "shard " << s << " holds a WAL";
+  }
+
+  // 5 rounds with checkpoints every 2: the final batch (seq 4) replays from
+  // the WAL on top of the seq-4 checkpoint.
+  std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
-      dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+      dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->base_seq, 4u);
   EXPECT_EQ(report->batches_replayed, 1u);
   EXPECT_EQ(report->next_seq, 5u);
-  EXPECT_EQ(StateDigest(*engine), final_digest);
+  EXPECT_EQ(StateDigest(*recovered), StateDigest(*engine));
+}
+
+/// Every path that opens a durable root refuses `dir` with
+/// kFailedPrecondition naming `layout`; fsck gives it verdict 26; and none
+/// of them changes a byte.
+void ExpectLayoutRefused(const std::string& dir, const std::string& layout) {
+  const std::map<std::string, std::string> before = DirContents(dir);
+  auto names_layout = [&layout](const Status& s) {
+    return s.IsFailedPrecondition() &&
+           s.message().find(layout) != std::string::npos;
+  };
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const ScubaOptions opt = MakeOptions(shards);
+    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    // run --durable-dir / serve --durable-dir open the manager.
+    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+        ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                                       /*validator=*/nullptr,
+                                       /*rng=*/nullptr, /*crash=*/nullptr);
+    EXPECT_TRUE(names_layout(manager.status())) << manager.status().ToString();
+    // restore
+    Status restored = engine->Restore(dir);
+    EXPECT_TRUE(names_layout(restored)) << restored.ToString();
+    // recover
+    Result<ShardedRecoveryReport> recovered = RecoverShardedEngine(
+        dir, engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+    EXPECT_TRUE(names_layout(recovered.status()))
+        << recovered.status().ToString();
+  }
+  // fsck reports it with its own verdict.
+  Result<FsckReport> report = FsckDurableDir(dir);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->exit_code, kFsckRetiredLayout) << report->ToString();
+  // Nothing was written or repaired along the way.
+  EXPECT_EQ(DirContents(dir), before);
 }
 
 TEST(ShardedDurabilityTest, RetiredSingleEngineLayoutIsRefused) {
@@ -483,36 +547,26 @@ TEST(ShardedDurabilityTest, RetiredSingleEngineLayoutIsRefused) {
                   std::ios::binary)
         << "frame";
   }
-  const std::map<std::string, std::string> before = DirContents(dir.path());
-  auto names_layout = [](const Status& s) {
-    return s.IsFailedPrecondition() &&
-           s.message().find("retired single-engine") != std::string::npos;
-  };
-  for (uint32_t shards : {1u, 4u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const ScubaOptions opt = MakeOptions(shards);
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
-    // run --durable-dir / serve --durable-dir open the manager.
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                       engine.get(), /*validator=*/nullptr,
-                                       /*rng=*/nullptr, /*crash=*/nullptr);
-    EXPECT_TRUE(names_layout(manager.status())) << manager.status().ToString();
-    // restore
-    Status restored = engine->Restore(dir.path());
-    EXPECT_TRUE(names_layout(restored)) << restored.ToString();
-    // recover
-    Result<ShardedRecoveryReport> recovered = RecoverShardedEngine(
-        dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
-    EXPECT_TRUE(names_layout(recovered.status()))
-        << recovered.status().ToString();
+  ExpectLayoutRefused(dir.path(), "retired single-engine");
+}
+
+TEST(ShardedDurabilityTest, RetiredPerShardWalChainLayoutIsRefused) {
+  // A root in the retired per-shard WAL-chain layout: a committed manifest
+  // and its shard snapshots, with the log kept as one chain per shard
+  // directory instead of one WAL under wal/.
+  std::vector<Round> rounds = MakeRounds(4);
+  ScopedTempDir dir("retired_chain_layout");
+  RunDurably(rounds, MakeOptions(2), dir.path());
+  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
+      ListWalSegments(WalDirOf(dir.path()));
+  ASSERT_TRUE(segments.ok());
+  ASSERT_FALSE(segments->empty());
+  for (const auto& [seq, path] : *segments) {
+    fs::rename(path, fs::path(dir.path()) / ShardDirName(0) /
+                         fs::path(path).filename());
   }
-  // fsck reports it with its own verdict.
-  Result<FsckReport> report = FsckDurableDir(dir.path());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->exit_code, kFsckRetiredLayout) << report->ToString();
-  // Nothing was written or repaired along the way.
-  EXPECT_EQ(DirContents(dir.path()), before);
+  fs::remove(WalDirOf(dir.path()));
+  ExpectLayoutRefused(dir.path(), "retired per-shard WAL-chain");
 }
 
 }  // namespace

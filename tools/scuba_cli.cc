@@ -21,17 +21,18 @@
 // --shards N >= 1 row stripes, default 1) built by MakeEngine.
 //
 // Durability (docs/ARCHITECTURE.md §8, §12): `run --durable-dir DIR` logs
-// every admitted batch to per-shard WAL chains and commits checkpoint
+// every admitted batch to the directory's one WAL and commits checkpoint
 // generations through manifests per --checkpoint-every; --crash-at POINT
 // [--crash-after N] injects a crash at the N-th occurrence of that point and
 // exits nonzero, leaving realistic partial state behind. `recover` rebuilds
-// the engine from DIR (newest manifest whose artifacts verify + cross-chain
-// WAL replay; --json prints the report as one JSON object) and finishes the
+// the engine from DIR (newest manifest whose artifacts verify + WAL
+// replay; --json prints the report as one JSON object) and finishes the
 // trace; `checkpoint` / `restore` exercise the bare checkpoint round-trip.
 // Each durable command prints a `state-hash:` line — equal hashes mean
 // bit-identical engine state — and a directory written at one shard count
-// recovers into any other. A directory in the retired single-engine layout
-// (bare snapshot-*.scuba / wal-*.log files) is refused with exit 5. `fsck
+// recovers into any other. A directory in a retired layout (bare
+// snapshot-*.scuba / wal-*.log files at the root, or per-shard
+// shard-NNNN/wal-*.log chains) is refused with exit 5. `fsck
 // DIR` verifies a durable directory read-only and exits with a distinct code
 // per damage class.
 //
@@ -550,7 +551,7 @@ int CmdRestore(const Flags& flags) {
 }
 
 /// Crash recovery: rebuilds the engine from the durable directory (newest
-/// manifest whose artifacts verify + cross-chain WAL replay), then finishes
+/// manifest whose artifacts verify + WAL replay), then finishes
 /// the trace from where the log ends — WAL-logging and checkpointing the
 /// remainder just like `run`. A directory written at any shard count
 /// recovers into --shards N.
@@ -1071,16 +1072,17 @@ int Usage() {
       "  render          --trace FILE --out FILE.svg [--delta N --width PX]\n"
       "  corrupt-trace   --trace FILE --out FILE [--rate F --seed N\n"
       "                  --burst-size N]\n\n"
-      "run with --durable-dir WAL-logs every admitted batch (one chain per\n"
-      "shard) and commits a manifest checkpoint generation every\n"
+      "run with --durable-dir WAL-logs every admitted batch (one record per\n"
+      "batch in DIR/wal) and commits a manifest checkpoint generation every\n"
       "--checkpoint-every rounds; recover rebuilds the engine from the\n"
       "newest verified generation + WAL replay, then finishes the trace. A\n"
       "directory written at one shard count recovers into any other; one in\n"
-      "the retired single-engine layout is refused (exit 5).\n"
+      "a retired layout (single-engine, or per-shard WAL chains) is refused\n"
+      "(exit 5).\n"
       "--crash-at points: before-wal-append mid-wal-append after-wal-append\n"
       "before-snapshot-write mid-shard-snapshot-write between-shard-snapshots\n"
       "before-manifest-rename torn-manifest-rename after-manifest-rename\n"
-      "mid-shard-wal-append between-shard-wal-appends mid-manifest-prune\n"
+      "mid-manifest-prune\n"
       "--metrics-out / --trace-out (scuba engine only) append one JSON line\n"
       "per round: metric deltas and phase span trees; metrics ends with a\n"
       "Prometheus exposition line. Telemetry never changes results.\n"
