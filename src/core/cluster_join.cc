@@ -15,23 +15,6 @@ namespace {
 /// slot_by_cid_ sentinel: cid not registered this round.
 constexpr uint32_t kNoSlot = UINT32_MAX;
 
-/// Smallest cell present in both sorted cell spans, or UINT32_MAX if none.
-/// Registered clusters always have >= 1 cell, so a shared-cell pair resolves
-/// to a real owner. Two-pointer scan: cell lists are a handful of entries.
-uint32_t MinCommonCell(const uint32_t* a, uint32_t na, const uint32_t* b,
-                       uint32_t nb) {
-  uint32_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    if (a[i] == b[j]) return a[i];
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return UINT32_MAX;
-}
-
 }  // namespace
 
 ClusterJoinExecutor::ClusterJoinExecutor(bool query_reach_aware,
@@ -244,76 +227,87 @@ void ClusterJoinExecutor::JoinObjectsToQueries(const JoinView& objects_view,
   }
 }
 
-void ClusterJoinExecutor::ScanCells(std::atomic<uint32_t>* next_chunk,
-                                    uint32_t chunk_size, uint32_t cell_limit,
-                                    JoinScratch* scratch, Counters* counters,
-                                    ResultSet* results,
+uint32_t ClusterJoinExecutor::SlotOf(ClusterId cid) const {
+  // Unsigned wrap sends cids below the base past the table's end.
+  const size_t index = static_cast<size_t>(cid - slot_base_cid_);
+  SCUBA_CHECK_MSG(index < slot_by_cid_.size() && slot_by_cid_[index] != kNoSlot,
+                  "grid references a missing cluster");
+  return slot_by_cid_[index];
+}
+
+void ClusterJoinExecutor::JoinPair(const JoinView& a, const JoinView& b,
+                                   JoinScratch* scratch, Counters* counters,
+                                   ResultSet* results,
+                                   double* within_seconds) const {
+  if (within_seconds != nullptr) {
+    Stopwatch within_sw;
+    JoinObjectsToQueries(a, b, scratch, counters, results);
+    if (&a != &b) JoinObjectsToQueries(b, a, scratch, counters, results);
+    *within_seconds += within_sw.ElapsedSeconds();
+  } else {
+    JoinObjectsToQueries(a, b, scratch, counters, results);
+    if (&a != &b) JoinObjectsToQueries(b, a, scratch, counters, results);
+  }
+}
+
+void ClusterJoinExecutor::ScanViews(std::atomic<uint32_t>* next_slot,
+                                    uint32_t chunk_size, uint32_t cell_begin,
+                                    uint32_t cell_end, JoinScratch* scratch,
+                                    Counters* counters, ResultSet* results,
                                     double* within_seconds) const {
+  const uint32_t view_count = static_cast<uint32_t>(views_.size());
   const uint32_t* entries_base = cell_entries_.data();
   const uint32_t* all_cells = arena_.cells.data();
+  uint32_t* stamp = scratch->stamp.data();
   for (;;) {
     const uint32_t begin =
-        next_chunk->fetch_add(chunk_size, std::memory_order_relaxed);
-    if (begin >= cell_limit) return;
-    const uint32_t end = std::min(begin + chunk_size, cell_limit);
-    for (uint32_t cell = begin; cell < end; ++cell) {
-      const uint32_t* entries = entries_base + cell_offsets_[cell];
-      const uint32_t entry_count = cell_offsets_[cell + 1] - cell_offsets_[cell];
-      for (uint32_t i = 0; i < entry_count; ++i) {
-        const uint32_t left_cid = entries[i];
-        SCUBA_CHECK_MSG(left_cid < slot_by_cid_.size() &&
-                            slot_by_cid_[left_cid] != kNoSlot,
-                        "grid references a missing cluster");
-        const JoinView& lview = views_[slot_by_cid_[left_cid]];
-        const uint32_t* lcells = all_cells + lview.cells_begin;
-        // Same-cluster join-within, evaluated only in the cluster's lowest
-        // cell (once per round, even though the cluster appears in every cell
-        // its circle overlaps).
-        if (lview.mixed && lcells[0] == cell) {
-          ++counters->within_joins_single;
-          if (within_seconds != nullptr) {
-            Stopwatch within_sw;
-            JoinObjectsToQueries(lview, lview, scratch, counters, results);
-            *within_seconds += within_sw.ElapsedSeconds();
-          } else {
-            JoinObjectsToQueries(lview, lview, scratch, counters, results);
-          }
-        }
-        for (uint32_t j = i + 1; j < entry_count; ++j) {
-          const uint32_t right_cid = entries[j];
-          SCUBA_CHECK_MSG(right_cid < slot_by_cid_.size() &&
-                              slot_by_cid_[right_cid] != kNoSlot,
-                          "grid references a missing cluster");
-          const JoinView& rview = views_[slot_by_cid_[right_cid]];
-          // Owner-cell rule: only the lowest cell both clusters co-reside in
-          // evaluates the pair. Every other co-resident cell skips it, so no
-          // cross-task seen-set is needed and every pair runs exactly once.
-          if (MinCommonCell(lcells, lview.cells_count,
-                            all_cells + rview.cells_begin,
-                            rview.cells_count) != cell) {
-            continue;
-          }
+        next_slot->fetch_add(chunk_size, std::memory_order_relaxed);
+    if (begin >= view_count) return;
+    const uint32_t end = std::min(begin + chunk_size, view_count);
+    for (uint32_t a = begin; a < end; ++a) {
+      const JoinView& aview = views_[a];
+      const uint32_t* acells = all_cells + aview.cells_begin;
+      const uint32_t acount = aview.cells_count;
+      // Every pair (and the self-join) this view owns has its owner cell
+      // among acells, so a view wholly outside the window owns nothing here.
+      if (acells[0] >= cell_end || acells[acount - 1] < cell_begin) continue;
+      // Same-cluster join-within, evaluated only in the cluster's lowest
+      // cell (once per round, even though the cluster appears in every cell
+      // its circle overlaps).
+      if (aview.mixed && acells[0] >= cell_begin) {
+        ++counters->within_joins_single;
+        JoinPair(aview, aview, scratch, counters, results, within_seconds);
+      }
+      // Owner-cell rule: acells ascend, so the first cell where the walk
+      // meets b is the lowest cell the pair shares. The stamp skips b in
+      // every later shared cell, and the pair is taken from its lower slot
+      // only, so each pair is evaluated once — by the window holding that
+      // cell. Cells before the window are still walked: they may be a
+      // pair's owner cell, which then lies in another window.
+      for (uint32_t k = 0; k < acount && acells[k] < cell_end; ++k) {
+        const uint32_t cell = acells[k];
+        const uint32_t* entries = entries_base + cell_offsets_[cell];
+        const uint32_t entry_count =
+            cell_offsets_[cell + 1] - cell_offsets_[cell];
+        for (uint32_t i = 0; i < entry_count; ++i) {
+          const uint32_t b = SlotOf(entries[i]);
+          if (b <= a || stamp[b] == a) continue;
+          stamp[b] = a;
+          if (cell < cell_begin) continue;
+          const JoinView& bview = views_[b];
           // Only kind-complementary pairs can produce results (Alg. 1
           // line 18).
-          bool complementary = (lview.has_objects && rview.has_queries) ||
-                               (lview.has_queries && rview.has_objects);
+          const bool complementary = (aview.has_objects && bview.has_queries) ||
+                                     (aview.has_queries && bview.has_objects);
           if (!complementary) continue;
           ++counters->pairs_tested;
-          if (!Overlaps(lview.coarse, rview.coarse)) continue;
+          if (!Overlaps(aview.coarse, bview.coarse)) continue;
           ++counters->pairs_overlapping;
           ++counters->within_joins_pair;
           // Cross combinations only; same-cluster combinations come from the
           // per-cluster join-within above, so the union-based Algorithm 3
           // result is preserved without duplicate work.
-          if (within_seconds != nullptr) {
-            Stopwatch within_sw;
-            JoinObjectsToQueries(lview, rview, scratch, counters, results);
-            JoinObjectsToQueries(rview, lview, scratch, counters, results);
-            *within_seconds += within_sw.ElapsedSeconds();
-          } else {
-            JoinObjectsToQueries(lview, rview, scratch, counters, results);
-            JoinObjectsToQueries(rview, lview, scratch, counters, results);
-          }
+          JoinPair(aview, bview, scratch, counters, results, within_seconds);
         }
       }
     }
@@ -342,9 +336,9 @@ Status ClusterJoinExecutor::ExecuteScoped(
   // neighbors'; a key no store holds is skipped) and assign each a dense
   // view slot. Sorted by cid so slot assignment — and with it every
   // downstream buffer — is independent of hash-map iteration order. The
-  // cid→slot mapping is a dense table (cids are compact enough that one
-  // uint32 per id beats per-entry hashing in the scan by a wide margin);
-  // kNoSlot marks ids absent this round.
+  // cid→slot mapping is a dense table over the live cid span (live cids are
+  // compact enough that one uint32 per id beats per-entry hashing in the
+  // scan by a wide margin); kNoSlot marks ids absent this round.
   std::vector<ClusterId> cids = grid.Keys();
   cluster_refs_.clear();
   last_neighbor_reads_ = 0;
@@ -362,9 +356,11 @@ Status ClusterJoinExecutor::ExecuteScoped(
   cids.resize(kept);
   const uint32_t view_count = static_cast<uint32_t>(cids.size());
   views_.resize(view_count);
-  slot_by_cid_.assign(cids.empty() ? 0 : cids.back() + 1, kNoSlot);
+  slot_base_cid_ = cids.empty() ? 0 : cids.front();
+  slot_by_cid_.assign(cids.empty() ? 0 : cids.back() - slot_base_cid_ + 1,
+                      kNoSlot);
   for (uint32_t slot = 0; slot < view_count; ++slot) {
-    slot_by_cid_[cids[slot]] = slot;
+    slot_by_cid_[cids[slot] - slot_base_cid_] = slot;
   }
 
   const uint32_t tasks = resolved_threads_;
@@ -438,6 +434,7 @@ Status ClusterJoinExecutor::ExecuteScoped(
   for (JoinScratch& scratch : scratch_) {
     scratch.indices.resize(max_view_objects_);
     scratch.mask.resize(max_view_queries_);
+    scratch.stamp.assign(view_count, kNoSlot);
   }
 
   // Phase A3 (parallel): fill every JoinView — metadata, SoA slabs, hoisted
@@ -472,23 +469,17 @@ Status ClusterJoinExecutor::ExecuteScoped(
     ++flatten_reuses_;
   }
 
-  // Phase B: sharded cell scan into per-task buffers, restricted to the
-  // caller's cell window.
+  // Phase B: cluster-major scan over view-slot chunks into per-task
+  // buffers; only pairs whose owner cell lies in the caller's window count.
   const uint32_t cell_limit =
       std::min(cell_end, static_cast<uint32_t>(grid.CellCount()));
-  const uint32_t window =
-      cell_begin < cell_limit ? cell_limit - cell_begin : 0;
   std::vector<ResultSet> task_results(tasks);
   std::vector<Counters> task_counters(tasks);
   {
-    std::atomic<uint32_t> next_chunk{cell_begin};
-    // Several chunks per task so one dense chunk cannot serialize the round;
-    // contiguous so neighbouring cells (which share clusters) stay together.
-    const uint32_t cell_chunk =
-        std::max<uint32_t>(1, window / (tasks * 8 + 1) + 1);
+    std::atomic<uint32_t> next_slot{0};
     SCUBA_RETURN_IF_ERROR(RunTaskSet(pool_.get(), tasks, [&](uint32_t t) {
       Stopwatch busy;
-      ScanCells(&next_chunk, cell_chunk, cell_limit, &scratch_[t],
+      ScanViews(&next_slot, slot_chunk, cell_begin, cell_limit, &scratch_[t],
                 &task_counters[t], &task_results[t],
                 timed ? &task_within[t] : nullptr);
       if (timed) {
@@ -523,7 +514,7 @@ size_t ClusterJoinExecutor::EstimateMemoryUsage() const {
   bytes += VectorMemoryUsage(scratch_);
   for (const JoinScratch& scratch : scratch_) {
     bytes += VectorMemoryUsage(scratch.indices) +
-             VectorMemoryUsage(scratch.mask);
+             VectorMemoryUsage(scratch.mask) + VectorMemoryUsage(scratch.stamp);
   }
   // Nucleus groups are the one remaining per-view heap allocation (present
   // only under load shedding); member and cell data is all arena-accounted

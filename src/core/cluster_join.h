@@ -19,17 +19,19 @@
 // bit-identical at every thread count (docs/ARCHITECTURE.md §10).
 //
 // Execution is sharded: all JoinViews are precomputed once per round into an
-// immutable per-round table, grid cells are carved into contiguous chunks
-// pulled by worker tasks off a shared atomic cursor, and each task emits into
+// immutable per-round table, and worker tasks pull contiguous chunks of view
+// slots (ascending cid order) off a shared atomic cursor, each emitting into
 // its own ResultSet/Counters, merged (and Normalize()d once) at the end. The
 // scan resolves cluster ids through a dense cid→slot table (no hashing) and
-// walks a flattened CSR snapshot of the grid's cell entries.
-// Cross-cell deduplication needs no shared state: a cluster pair is evaluated
-// only in the lowest-numbered grid cell where both clusters co-reside (the
-// owner cell); a mixed cluster self-joins only in its own lowest cell. Cells
-// are scanned in ascending order by the serial path too, so `threads = 1`
-// reproduces the historical single-threaded executor exactly — results,
-// counters and evaluation order.
+// reads a flattened CSR snapshot of the grid's cell entries.
+// The scan is cluster-major: a task walks each of its clusters' sorted cells
+// in ascending order and meets every co-resident cluster with a higher slot.
+// A per-task stamp array marks the partner on first contact, so the cell
+// where a pair first meets is its lowest shared cell (the owner cell) and
+// the pair is evaluated there only — once per round, with no cross-task
+// seen-set. A mixed cluster self-joins only in its own lowest cell. Results
+// and counters are identical at every thread count; only the emission order
+// before the final Normalize() depends on the scan order.
 
 #ifndef SCUBA_CORE_CLUSTER_JOIN_H_
 #define SCUBA_CORE_CLUSTER_JOIN_H_
@@ -220,12 +222,14 @@ class ClusterJoinExecutor {
     void Resize(size_t objects, size_t queries, size_t cell_slots);
     size_t EstimateMemoryUsage() const;
   };
-  /// Per-task kernel scratch, reused across rounds: match-index buffer sized
-  /// to the largest object slab, query pre-filter mask sized to the largest
-  /// query slab.
+  /// Per-task scratch, reused across rounds: match-index buffer sized to the
+  /// largest object slab, query pre-filter mask sized to the largest query
+  /// slab, and the pair stamp (one slot per view, reset each round):
+  /// stamp[b] == a once the scan of view a has met view b.
   struct JoinScratch {
     std::vector<uint32_t> indices;
     std::vector<uint8_t> mask;
+    std::vector<uint32_t> stamp;
   };
 
   /// Builds views_[slot] from `cluster` into the pre-sized arena spans.
@@ -239,12 +243,22 @@ class ClusterJoinExecutor {
                          QueryId qid, uint64_t required_attrs,
                          JoinScratch* scratch, Counters* counters,
                          ResultSet* results) const;
-  /// One worker task's share of the cell scan: drains contiguous cell chunks
-  /// off the shared cursor into task-local buffers. `within_seconds`
-  /// (nullable) accumulates time spent in member-level join-within work.
-  void ScanCells(std::atomic<uint32_t>* next_chunk, uint32_t chunk_size,
-                 uint32_t cell_limit, JoinScratch* scratch, Counters* counters,
-                 ResultSet* results, double* within_seconds) const;
+  /// Member-level join-within of view `a` with itself (`&a == &b`) or of a
+  /// pair in both orientations, timed into `within_seconds` when non-null.
+  void JoinPair(const JoinView& a, const JoinView& b, JoinScratch* scratch,
+                Counters* counters, ResultSet* results,
+                double* within_seconds) const;
+  /// One worker task's share of the scan: drains contiguous view-slot chunks
+  /// off the shared cursor and evaluates every pair and self-join whose owner
+  /// cell lies in [cell_begin, cell_end), into task-local buffers.
+  /// `within_seconds` (nullable) accumulates time spent in member-level
+  /// join-within work.
+  void ScanViews(std::atomic<uint32_t>* next_slot, uint32_t chunk_size,
+                 uint32_t cell_begin, uint32_t cell_end, JoinScratch* scratch,
+                 Counters* counters, ResultSet* results,
+                 double* within_seconds) const;
+  /// Slot of a cluster the grid references; aborts when no view holds it.
+  uint32_t SlotOf(ClusterId cid) const;
 
   bool query_reach_aware_;
   uint32_t resolved_threads_;
@@ -263,9 +277,12 @@ class ClusterJoinExecutor {
   /// load shedder sees the scratch footprint the join really used.
   std::vector<JoinView> views_;
   SlabArena arena_;
-  /// Dense cid→slot table (kNoSlot = absent), rebuilt each round; replaces
-  /// the per-entry hash lookup the cell scan used to pay.
+  /// Dense cid→slot table indexed by cid − slot_base_cid_ (the smallest cid
+  /// in a view this round; kNoSlot = absent), rebuilt each round. Offsetting
+  /// by the smallest live cid keeps it sized by the live cid span, not by
+  /// how many clusters the engine has ever created.
   std::vector<uint32_t> slot_by_cid_;
+  ClusterId slot_base_cid_ = 0;
   /// CSR snapshot of the grid's cell entries for the round (FlattenEntries),
   /// keyed by (grid identity, generation): when the same grid arrives with an
   /// unchanged generation counter the previous snapshot is still valid and

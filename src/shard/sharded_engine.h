@@ -17,7 +17,7 @@
 //     No cross-shard locking anywhere on this path; the only barrier
 //     is the fork/join around the task set. The per-shard ResultSets are
 //     normalized slices, disjoint under the owner-cell dedup discipline (each
-//     pair's MinCommonCell lies in exactly one stripe); the coordinator
+//     pair's lowest shared cell lies in exactly one stripe); the coordinator
 //     merges them.
 //  3. *Post-join* computes per-cluster upkeep as one task per shard and
 //     applies dissolutions/re-registrations serially in globally ascending

@@ -255,5 +255,27 @@ TEST(ClusterJoinTest, FlattenSnapshotNotSharedAcrossGrids) {
   EXPECT_EQ(executor.flatten_reuses(), 0u);
 }
 
+TEST(ClusterJoinTest, SlotTableSizedByLiveCidSpan) {
+  // A long-running engine's live cids are large but span a narrow range:
+  // the cid->slot table must cover that span, not every cid ever created.
+  ClusterStore store;
+  GridIndex grid =
+      std::move(GridIndex::Create(Rect{0, 0, 1000, 1000}, 10).value());
+  for (uint32_t i = 0; i < 8; ++i) {
+    const ClusterId cid = 1000000 + 3 * i;
+    MovingCluster c = MovingCluster::FromObject(
+        cid, Obj(i + 1, {100.0 + 100 * i, 500.0}));
+    c.AbsorbQuery(Qry(i + 1, {110.0 + 100 * i, 505.0}, 80, 80));
+    ASSERT_TRUE(grid.Insert(cid, c.JoinBounds()).ok());
+    ASSERT_TRUE(store.AddCluster(std::move(c)).ok());
+  }
+  ClusterJoinExecutor executor;
+  ResultSet results;
+  ASSERT_TRUE(executor.Execute(store, grid, &results).ok());
+  EXPECT_TRUE(results.Contains(1, 1));
+  EXPECT_TRUE(results.Contains(8, 8));
+  EXPECT_LT(executor.EstimateMemoryUsage(), 64u * 1024);
+}
+
 }  // namespace
 }  // namespace scuba

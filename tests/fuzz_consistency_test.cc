@@ -2,9 +2,13 @@
 // update sequences (random positions, destination flips, speed jumps, entity
 // reuse, shedding, splitting, partial rounds) and assert after every round
 // that all internal invariants hold and — when the configuration is exact —
-// that results still match the oracle built from the same tuples.
+// that results still match the oracle built from the same tuples. The exact
+// full-report fuzz also drives the production engine (MakeEngine) at every
+// shard × join-thread combination.
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +16,7 @@
 #include "common/rng.h"
 #include "core/scuba_engine.h"
 #include "eval/accuracy.h"
+#include "shard/engine_factory.h"
 
 namespace scuba {
 namespace {
@@ -128,7 +133,10 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{5, false, false}, FuzzParam{6, true, true}));
 
 // Full-report variant: every entity reports every tick, so the exact
-// configuration must match the oracle exactly even under chaotic motion.
+// configuration must match the oracle exactly even under chaotic motion —
+// for the reference ScubaEngine and for the production engine at shards
+// {1,2,4} x join_threads {1,4}, whose stripe edges cut the random multi-cell
+// clusters at arbitrary cells.
 class FuzzExactTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FuzzExactTest, ChaoticMotionStaysExact) {
@@ -136,8 +144,24 @@ TEST_P(FuzzExactTest, ChaoticMotionStaysExact) {
   ScubaOptions options;
   options.region = Rect{0, 0, 2000, 2000};
   options.grid_cells = 20;
-  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(options);
-  ASSERT_TRUE(engine.ok());
+  Result<std::unique_ptr<ScubaEngine>> reference = ScubaEngine::Create(options);
+  ASSERT_TRUE(reference.ok());
+  std::vector<QueryProcessor*> engines = {reference->get()};
+  std::vector<std::string> labels = {"ScubaEngine"};
+  std::vector<EngineHandle> production;
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      ScubaOptions o = options;
+      o.shards = shards;
+      o.join_threads = threads;
+      Result<EngineHandle> handle = MakeEngine(o);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      production.push_back(std::move(*handle));
+      engines.push_back(production.back().engine.get());
+      labels.push_back("shards=" + std::to_string(shards) +
+                       " threads=" + std::to_string(threads));
+    }
+  }
   NaiveJoinEngine oracle;
 
   ResultSet a;
@@ -156,7 +180,9 @@ TEST_P(FuzzExactTest, ChaoticMotionStaysExact) {
         u.speed = speed;
         u.dest_node = dest;
         u.dest_position = dest_pos;
-        ASSERT_TRUE((*engine)->IngestObjectUpdate(u).ok());
+        for (QueryProcessor* engine : engines) {
+          ASSERT_TRUE(engine->IngestObjectUpdate(u).ok());
+        }
         ASSERT_TRUE(oracle.IngestObjectUpdate(u).ok());
       } else {
         QueryUpdate u;
@@ -168,14 +194,18 @@ TEST_P(FuzzExactTest, ChaoticMotionStaysExact) {
         u.dest_position = dest_pos;
         u.range_width = rng.NextDouble(10, 300);
         u.range_height = rng.NextDouble(10, 300);
-        ASSERT_TRUE((*engine)->IngestQueryUpdate(u).ok());
+        for (QueryProcessor* engine : engines) {
+          ASSERT_TRUE(engine->IngestQueryUpdate(u).ok());
+        }
         ASSERT_TRUE(oracle.IngestQueryUpdate(u).ok());
       }
     }
     if (t % 2 == 0) {
-      ASSERT_TRUE((*engine)->Evaluate(t, &a).ok());
       ASSERT_TRUE(oracle.Evaluate(t, &b).ok());
-      EXPECT_EQ(a, b) << "tick " << t;
+      for (size_t e = 0; e < engines.size(); ++e) {
+        ASSERT_TRUE(engines[e]->Evaluate(t, &a).ok()) << labels[e];
+        EXPECT_EQ(a, b) << labels[e] << " tick " << t;
+      }
     }
   }
 }

@@ -2,9 +2,12 @@
 // join: every thread count must produce bit-identical normalized results and
 // identical merged counters, and multi-cell cluster (pairs) must be joined
 // exactly once — in the lowest co-resident cell — with no shared seen-set.
+// Disjoint cell windows (ExecuteScoped, as the sharded engine's stripes use
+// it) must split that work by owner cell and add up to the whole join.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -218,8 +221,196 @@ TEST_P(OwnerCellTest, ThreeWayOverlapJoinsEachPairOnce) {
   EXPECT_EQ(executor.counters().within_joins_pair, 2u);
 }
 
+/// One ExecuteScoped() call over [begin, end) on a fresh executor: the
+/// window's own counters and normalized results.
+struct WindowRun {
+  ClusterJoinExecutor::Counters counters;
+  ResultSet results;
+};
+
+WindowRun RunWindow(const JoinFixture& f, uint32_t threads, uint32_t begin,
+                    uint32_t end) {
+  ClusterJoinExecutor executor(/*query_reach_aware=*/true, threads);
+  WindowRun run;
+  EXPECT_TRUE(
+      executor.ExecuteScoped(f.store, {}, f.grid, begin, end, &run.results)
+          .ok());
+  run.counters = executor.counters();
+  return run;
+}
+
+std::vector<uint32_t> SortedCells(const GridIndex& grid, ClusterId cid) {
+  std::vector<uint32_t> cells = *grid.CellsOf(cid);
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
+std::vector<uint32_t> SharedCells(const GridIndex& grid, ClusterId a,
+                                  ClusterId b) {
+  const std::vector<uint32_t> ca = SortedCells(grid, a);
+  const std::vector<uint32_t> cb = SortedCells(grid, b);
+  std::vector<uint32_t> shared;
+  std::set_intersection(ca.begin(), ca.end(), cb.begin(), cb.end(),
+                        std::back_inserter(shared));
+  return shared;
+}
+
+TEST_P(OwnerCellTest, PairCountsOnlyInItsLowestSharedCellsWindow) {
+  // An object cluster and a query cluster sharing several cells: whichever
+  // two windows the cell range is split into, only the window holding the
+  // pair's lowest shared cell tests and joins it, and the two windows
+  // together return the full join exactly once.
+  JoinFixture f;
+  MovingCluster a = MovingCluster::FromObject(f.store.NextClusterId(),
+                                              Obj(1, {500, 500}, 1));
+  a.AbsorbObject(Obj(2, {900, 900}, 1));
+  a.AbsorbObject(Obj(3, {700, 520}, 1));
+  MovingCluster b = MovingCluster::FromQuery(f.store.NextClusterId(),
+                                             Qry(1, {600, 600}, 100, 100, 2));
+  b.AbsorbQuery(Qry(2, {850, 850}, 100, 100, 2));
+  const ClusterId acid = f.Add(std::move(a))->cid();
+  const ClusterId bcid = f.Add(std::move(b))->cid();
+
+  const std::vector<uint32_t> shared = SharedCells(f.grid, acid, bcid);
+  ASSERT_GE(shared.size(), 3u);
+  const uint32_t owner = shared.front();
+  const uint32_t cols = f.grid.cells_per_side();
+  const uint32_t n = static_cast<uint32_t>(f.grid.CellCount());
+
+  ClusterJoinExecutor whole(true, GetParam());
+  ResultSet expected;
+  ASSERT_TRUE(whole.Execute(f.store, f.grid, &expected).ok());
+  ASSERT_GT(expected.size(), 0u);
+
+  // Split right at the owner cell, just past it, and at the next row
+  // boundary (how stripes split): the last two leave shared cells on both
+  // sides of the boundary.
+  for (uint32_t k : {owner, owner + 1, (owner / cols + 1) * cols}) {
+    SCOPED_TRACE(testing::Message() << "boundary " << k);
+    if (k > owner) ASSERT_GE(shared.back(), k);
+    WindowRun lower = RunWindow(f, GetParam(), 0, k);
+    WindowRun upper = RunWindow(f, GetParam(), k, n);
+    const uint64_t in_lower = owner < k ? 1 : 0;
+    EXPECT_EQ(lower.counters.pairs_tested, in_lower);
+    EXPECT_EQ(lower.counters.within_joins_pair, in_lower);
+    EXPECT_EQ(upper.counters.pairs_tested, 1 - in_lower);
+    EXPECT_EQ(upper.counters.within_joins_pair, 1 - in_lower);
+    EXPECT_EQ((owner < k ? lower : upper).results, expected);
+    EXPECT_TRUE((owner < k ? upper : lower).results.empty());
+  }
+}
+
+TEST_P(OwnerCellTest, MixedClusterSelfJoinsOnlyInItsLowestCellsWindow) {
+  JoinFixture f;
+  MovingCluster c = MovingCluster::FromObject(f.store.NextClusterId(),
+                                              Obj(1, {1000, 1000}, 1));
+  c.AbsorbObject(Obj(2, {1400, 1350}, 1));
+  c.AbsorbQuery(Qry(1, {1200, 1180}, 600, 600, 1));
+  const ClusterId cid = f.Add(std::move(c))->cid();
+  const std::vector<uint32_t> cells = SortedCells(f.grid, cid);
+  ASSERT_GE(cells.size(), 3u);
+  const uint32_t lowest = cells.front();
+  const uint32_t n = static_cast<uint32_t>(f.grid.CellCount());
+
+  for (uint32_t k : {lowest, lowest + 1}) {
+    SCOPED_TRACE(testing::Message() << "boundary " << k);
+    WindowRun lower = RunWindow(f, GetParam(), 0, k);
+    WindowRun upper = RunWindow(f, GetParam(), k, n);
+    const uint64_t in_lower = lowest < k ? 1 : 0;
+    EXPECT_EQ(lower.counters.within_joins_single, in_lower);
+    EXPECT_EQ(upper.counters.within_joins_single, 1 - in_lower);
+    const ResultSet& owning = lowest < k ? lower.results : upper.results;
+    EXPECT_TRUE(owning.Contains(1, 1));
+    EXPECT_TRUE(owning.Contains(1, 2));
+    EXPECT_TRUE((lowest < k ? upper : lower).results.empty());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, OwnerCellTest,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+class WindowPartitionTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(WindowPartitionTest, DisjointWindowsPartitionTheJoin) {
+  // Random cuts split the cell range into 2, 3 and 7 windows. Per window,
+  // the pairs tested and self-joins run must be exactly those whose owner
+  // cell (lowest shared cell; lowest cell for a self-join) lies in it, as
+  // computed here from the grid's cell lists. Summed over the windows the
+  // counters equal Execute()'s, and the concatenated results equal
+  // Execute()'s with no match emitted twice.
+  JoinFixture f;
+  PopulateSeededWorkload(&f, GetParam());
+  const uint32_t n = static_cast<uint32_t>(f.grid.CellCount());
+
+  // Oracle owner cells, from the grid alone.
+  const std::vector<ClusterId> cids = f.grid.Keys();
+  std::vector<uint32_t> pair_owners;  // complementary pairs only
+  std::vector<uint32_t> self_owners;  // mixed clusters only
+  for (size_t i = 0; i < cids.size(); ++i) {
+    const MovingCluster& ci = *f.store.GetCluster(cids[i]);
+    if (ci.HasMixedKinds()) {
+      self_owners.push_back(SortedCells(f.grid, cids[i]).front());
+    }
+    for (size_t j = i + 1; j < cids.size(); ++j) {
+      const MovingCluster& cj = *f.store.GetCluster(cids[j]);
+      const bool complementary =
+          (ci.object_count() > 0 && cj.query_count() > 0) ||
+          (ci.query_count() > 0 && cj.object_count() > 0);
+      if (!complementary) continue;
+      const std::vector<uint32_t> shared =
+          SharedCells(f.grid, cids[i], cids[j]);
+      if (!shared.empty()) pair_owners.push_back(shared.front());
+    }
+  }
+  ASSERT_FALSE(self_owners.empty());
+  auto owned_in = [](const std::vector<uint32_t>& owners, uint32_t begin,
+                     uint32_t end) {
+    return static_cast<uint64_t>(
+        std::count_if(owners.begin(), owners.end(),
+                      [&](uint32_t c) { return c >= begin && c < end; }));
+  };
+
+  ClusterJoinExecutor whole(true, 4);
+  ResultSet expected;
+  ASSERT_TRUE(whole.Execute(f.store, f.grid, &expected).ok());
+  ASSERT_EQ(whole.counters().pairs_tested, pair_owners.size());
+
+  Rng rng(GetParam() * 31 + 1);
+  for (uint32_t windows : {2u, 3u, 7u}) {
+    SCOPED_TRACE(testing::Message() << windows << " windows");
+    std::vector<uint32_t> bounds = {0, n};
+    while (bounds.size() < windows + 1) {
+      const uint32_t cut = 1 + static_cast<uint32_t>(rng.NextBounded(n - 1));
+      if (std::find(bounds.begin(), bounds.end(), cut) == bounds.end()) {
+        bounds.push_back(cut);
+      }
+    }
+    std::sort(bounds.begin(), bounds.end());
+
+    ClusterJoinExecutor::Counters sum;
+    ResultSet concatenated;
+    for (uint32_t w = 0; w < windows; ++w) {
+      WindowRun run =
+          RunWindow(f, w % 2 == 0 ? 1 : 4, bounds[w], bounds[w + 1]);
+      EXPECT_EQ(run.counters.pairs_tested,
+                owned_in(pair_owners, bounds[w], bounds[w + 1]))
+          << "window " << w;
+      EXPECT_EQ(run.counters.within_joins_single,
+                owned_in(self_owners, bounds[w], bounds[w + 1]))
+          << "window " << w;
+      sum += run.counters;
+      concatenated.AppendFrom(std::move(run.results));
+    }
+    EXPECT_TRUE(CountersEqual(sum, whole.counters()));
+    const size_t emitted = concatenated.size();
+    concatenated.Normalize();
+    EXPECT_EQ(concatenated.size(), emitted) << "a match came from two windows";
+    EXPECT_EQ(concatenated, expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WindowPartitionTest,
+                         ::testing::Values(7, 21, 42));
 
 TEST(ParallelEngineTest, EngineMatchesSerialAcrossThreadCounts) {
   // End to end through ScubaEngine: identical ingests, several evaluation
