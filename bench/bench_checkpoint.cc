@@ -17,7 +17,8 @@
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
+#include "core/scuba_engine.h"
+#include "persist/snapshot.h"
 #include "stream/pipeline.h"
 
 namespace scuba::bench {
@@ -57,8 +58,8 @@ DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
                           const CheckpointPolicy& policy, uint32_t shards = 1) {
   ScubaOptions options = MakeOptions(data, policy);
   options.shards = shards;
-  Result<std::unique_ptr<ShardedEngine>> engine =
-      ShardedEngine::Create(options);
+  Result<std::unique_ptr<ScubaEngine>> engine =
+      ScubaEngine::Create(options);
   SCUBA_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
   Result<std::unique_ptr<ShardedDurabilityManager>> durability =
       ShardedDurabilityManager::Open(dir, policy, engine->get(),
@@ -172,8 +173,8 @@ int Main() {
 
   // 4. Cold restore of the newest generation into a fresh engine.
   ScubaOptions restore_options = MakeOptions(data, ckpt_policy);
-  Result<std::unique_ptr<ShardedEngine>> restored =
-      ShardedEngine::Create(restore_options);
+  Result<std::unique_ptr<ScubaEngine>> restored =
+      ScubaEngine::Create(restore_options);
   SCUBA_CHECK_MSG(restored.ok(), restored.status().ToString().c_str());
   Stopwatch restore_watch;
   Status restore = (*restored)->Restore(ckpt_dir);
@@ -188,8 +189,8 @@ int Main() {
   // 5. Recovery replay throughput: rebuild the WAL-only run purely from its
   // log (no snapshot exists, so every record is re-ingested/re-evaluated).
   ScubaOptions recover_options = MakeOptions(data, wal_policy);
-  Result<std::unique_ptr<ShardedEngine>> recovered =
-      ShardedEngine::Create(recover_options);
+  Result<std::unique_ptr<ScubaEngine>> recovered =
+      ScubaEngine::Create(recover_options);
   SCUBA_CHECK_MSG(recovered.ok(), recovered.status().ToString().c_str());
   uint64_t recovered_results = 0;
   ResultSink recover_sink = [&recovered_results](Timestamp,
@@ -223,8 +224,8 @@ int Main() {
   // into a DIFFERENT shard count to price re-partition.
   ScubaOptions sharded_recover_options = MakeOptions(data, ckpt_policy);
   sharded_recover_options.shards = 2;
-  Result<std::unique_ptr<ShardedEngine>> sharded_recovered =
-      ShardedEngine::Create(sharded_recover_options);
+  Result<std::unique_ptr<ScubaEngine>> sharded_recovered =
+      ScubaEngine::Create(sharded_recover_options);
   SCUBA_CHECK_MSG(sharded_recovered.ok(),
                   sharded_recovered.status().ToString().c_str());
   Stopwatch sharded_recover_watch;

@@ -71,11 +71,6 @@ struct BenchOutcome {
   size_t grid_memory = 0;  ///< Spatial-index-only bytes (Fig. 9b's claim).
   uint32_t join_threads = 1;        ///< Worker tasks per join round.
   double join_worker_seconds = 0.0; ///< Summed worker busy time (join phase).
-  uint32_t ingest_threads = 1;      ///< Worker tasks per ingest batch.
-  double ingest_seconds = 0.0;      ///< Batched-ingest wall time.
-  double postjoin_seconds = 0.0;    ///< Post-join maintenance wall time.
-  double ingest_worker_seconds = 0.0;    ///< Summed ingest busy time.
-  double postjoin_worker_seconds = 0.0;  ///< Summed maintenance busy time.
 };
 
 inline BenchOutcome Summarize(const EngineRunResult& run) {
@@ -88,11 +83,6 @@ inline BenchOutcome Summarize(const EngineRunResult& run) {
   out.comparisons = run.stats.comparisons;
   out.join_threads = run.stats.join_threads;
   out.join_worker_seconds = run.stats.total_join_worker_seconds;
-  out.ingest_threads = run.stats.ingest_threads;
-  out.ingest_seconds = run.stats.total_ingest_seconds;
-  out.postjoin_seconds = run.stats.total_postjoin_seconds;
-  out.ingest_worker_seconds = run.stats.total_ingest_worker_seconds;
-  out.postjoin_worker_seconds = run.stats.total_postjoin_worker_seconds;
   return out;
 }
 

@@ -11,11 +11,9 @@
 #define SCUBA_CLUSTER_LEADER_FOLLOWER_H_
 
 #include <cstdint>
-#include <span>
 
 #include "cluster/cluster_store.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "gen/update.h"
 #include "index/grid_index.h"
 
@@ -43,14 +41,6 @@ struct ClustererOptions {
   double grid_sync_padding = 100.0;
 };
 
-/// Wall-time split of one ProcessBatch call, for the telemetry ingest span
-/// (docs/ARCHITECTURE.md §9). The serial degenerate path reports everything
-/// under apply (there is no separate classification phase to time).
-struct IngestPhaseTimings {
-  double classify_seconds = 0.0;  ///< Parallel read-only phases (A1 + A2).
-  double apply_seconds = 0.0;     ///< Serial publish + residual replay.
-};
-
 /// Counters exposed for tests and the maintenance-cost experiment.
 struct ClustererStats {
   uint64_t clusters_created = 0;
@@ -69,8 +59,8 @@ struct ClustererStats {
 /// true, updates the cluster's registered_bounds() and writes the padded
 /// circle to register into `*padded_out`, but does NOT touch the grid: the
 /// caller applies (or batches) the registration. Pure planning, so parallel
-/// ingest/maintenance workers may call it concurrently against a read-only
-/// grid and merge the registrations serially afterwards.
+/// post-join workers may call it concurrently against a read-only grid and
+/// merge the registrations serially afterwards.
 bool PlanClusterGridSync(const GridIndex& grid, MovingCluster* cluster,
                          bool use_join_bounds, double padding,
                          Circle* padded_out);
@@ -92,31 +82,6 @@ class LeaderFollowerClusterer {
   Status ProcessObjectUpdate(const LocationUpdate& update);
   Status ProcessQueryUpdate(const QueryUpdate& update);
 
-  /// Processes a whole batch (all objects, then all queries — the stream
-  /// pipeline's delivery order) with classification work spread over `tasks`
-  /// tasks on `pool`. Bit-identical to calling ProcessObjectUpdate /
-  /// ProcessQueryUpdate per update in that order, at any task count:
-  ///
-  ///  * Phase A (parallel, read-only): each update is resolved to its home
-  ///    cluster and its grid probe cells; each home cluster's refresh
-  ///    sequence is then simulated on a private copy in batch order.
-  ///  * A cluster is *eligible* for the fast path only if every simulated
-  ///    refresh passed the admission tests and no grid cell the cluster
-  ///    occupies at any point of the batch is probed by a residual update
-  ///    (so residual updates can never observe it mid-batch).
-  ///  * Phase B (serial): eligible clusters publish their simulated state in
-  ///    ascending cid order; every remaining update then replays the exact
-  ///    per-update path in batch order, which also keeps new-cluster id
-  ///    allocation identical to serial execution.
-  ///
-  /// tasks <= 1 (or pool == nullptr) degrades to the plain serial loop.
-  /// `*worker_seconds` (optional) accumulates summed per-task busy time;
-  /// `*timings` (optional) receives the classify/apply wall-time split.
-  Status ProcessBatch(std::span<const LocationUpdate> objects,
-                      std::span<const QueryUpdate> queries, ThreadPool* pool,
-                      uint32_t tasks, double* worker_seconds,
-                      IngestPhaseTimings* timings = nullptr);
-
   /// Current nucleus radius Theta_N for ingest-time load shedding; 0 disables.
   /// (Members landing within the nucleus have their positions discarded
   /// immediately, which is what makes shedding save join work.)
@@ -127,6 +92,7 @@ class LeaderFollowerClusterer {
   const ClustererOptions& options() const { return options_; }
 
  private:
+  friend struct PersistAccess;  ///< Snapshot serialization (src/persist).
   /// Shared implementation; `kind` selects absorb/update member calls.
   Status ProcessUpdate(EntityKind kind, const LocationUpdate* obj,
                        const QueryUpdate* qry);
@@ -134,8 +100,9 @@ class LeaderFollowerClusterer {
   /// Finds the lowest-cid compatible cluster near `position` (paper step
   /// 1/3). Picking the minimum cid — rather than the first compatible entry
   /// in grid-cell order — makes the choice independent of how registrations
-  /// happen to be ordered inside a cell, which is what lets batched ingest
-  /// apply grid updates in cid order instead of arrival order.
+  /// happen to be ordered inside a cell (cell-entry order depends on the
+  /// history of removals and re-registrations, including post-join's
+  /// cid-ordered apply and snapshot restores).
   ClusterId FindCompatibleCluster(Point position, double speed,
                                   NodeId dest) const;
 

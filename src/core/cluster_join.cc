@@ -317,38 +317,28 @@ void ClusterJoinExecutor::ScanViews(std::atomic<uint32_t>* next_slot,
 Status ClusterJoinExecutor::Execute(const ClusterStore& store,
                                     const GridIndex& grid,
                                     ResultSet* results) {
-  return ExecuteScoped(store, /*neighbors=*/{}, grid,
-                       /*cell_begin=*/0,
-                       static_cast<uint32_t>(grid.CellCount()), results);
-}
-
-Status ClusterJoinExecutor::ExecuteScoped(
-    const ClusterStore& store, std::span<const ClusterStore* const> neighbors,
-    const GridIndex& grid, uint32_t cell_begin, uint32_t cell_end,
-    ResultSet* results) {
   if (results == nullptr) {
     return Status::InvalidArgument("results must be non-null");
   }
-  results->Clear();
+  SCUBA_RETURN_IF_ERROR(Prepare(store, grid));
+  return ScanWindow(0, CellCount(), results);
+}
 
+Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
+                                    const GridIndex& grid) {
   // Round setup (serial): enumerate the clusters registered in the grid,
-  // resolve each to its stored cluster (own store first, then the
-  // neighbors'; a key no store holds is skipped) and assign each a dense
-  // view slot. Sorted by cid so slot assignment — and with it every
-  // downstream buffer — is independent of hash-map iteration order. The
-  // cid→slot mapping is a dense table over the live cid span (live cids are
-  // compact enough that one uint32 per id beats per-entry hashing in the
-  // scan by a wide margin); kNoSlot marks ids absent this round.
+  // resolve each to its stored cluster (a key the store does not hold is
+  // skipped) and assign each a dense view slot. Sorted by cid so slot
+  // assignment — and with it every downstream buffer — is independent of
+  // hash-map iteration order. The cid→slot mapping is a dense table over the
+  // live cid span (live cids are compact enough that one uint32 per id beats
+  // per-entry hashing in the scan by a wide margin); kNoSlot marks ids absent
+  // this round.
   std::vector<ClusterId> cids = grid.Keys();
   cluster_refs_.clear();
-  last_neighbor_reads_ = 0;
   size_t kept = 0;
   for (ClusterId cid : cids) {
     const MovingCluster* cluster = store.GetCluster(cid);
-    for (size_t i = 0; cluster == nullptr && i < neighbors.size(); ++i) {
-      cluster = neighbors[i]->GetCluster(cid);
-      if (cluster != nullptr) ++last_neighbor_reads_;
-    }
     if (cluster == nullptr) continue;
     cids[kept++] = cid;
     cluster_refs_.push_back(cluster);
@@ -371,11 +361,9 @@ Status ClusterJoinExecutor::ExecuteScoped(
   last_worker_seconds_ = 0.0;
   const bool timed = collect_phase_timings_;
   last_task_busy_seconds_.assign(timed ? tasks : 0, 0.0);
-  std::vector<double> task_within(timed ? tasks : 0, 0.0);
   last_within_seconds_ = 0.0;
 
-  const uint32_t slot_chunk = std::max<uint32_t>(
-      1, view_count / (tasks * 8 + 1) + 1);
+  const uint32_t slot_chunk = SlotChunk();
 
   // Phase A1 (parallel): per-slot sizing — exact-member counts and grid
   // cell list, no position reconstruction yet.
@@ -434,7 +422,6 @@ Status ClusterJoinExecutor::ExecuteScoped(
   for (JoinScratch& scratch : scratch_) {
     scratch.indices.resize(max_view_objects_);
     scratch.mask.resize(max_view_queries_);
-    scratch.stamp.assign(view_count, kNoSlot);
   }
 
   // Phase A3 (parallel): fill every JoinView — metadata, SoA slabs, hoisted
@@ -468,15 +455,35 @@ Status ClusterJoinExecutor::ExecuteScoped(
   } else {
     ++flatten_reuses_;
   }
+  cell_count_ = static_cast<uint32_t>(grid.CellCount());
+  return Status::OK();
+}
 
-  // Phase B: cluster-major scan over view-slot chunks into per-task
-  // buffers; only pairs whose owner cell lies in the caller's window count.
-  const uint32_t cell_limit =
-      std::min(cell_end, static_cast<uint32_t>(grid.CellCount()));
+Status ClusterJoinExecutor::ScanWindow(uint32_t cell_begin, uint32_t cell_end,
+                                       ResultSet* results) {
+  if (results == nullptr) {
+    return Status::InvalidArgument("results must be non-null");
+  }
+  const uint32_t tasks = resolved_threads_;
+  if (scratch_.size() != tasks) {
+    return Status::FailedPrecondition("ScanWindow needs a prior Prepare");
+  }
+  results->Clear();
+  // Cluster-major scan over view-slot chunks into per-task buffers; only
+  // pairs whose owner cell lies in the window count. The stamps restart with
+  // every window, so windows may be scanned in any order.
+  const uint32_t view_count = static_cast<uint32_t>(views_.size());
+  for (JoinScratch& scratch : scratch_) {
+    scratch.stamp.assign(view_count, kNoSlot);
+  }
+  const bool timed = collect_phase_timings_;
+  std::vector<double> task_within(timed ? tasks : 0, 0.0);
+  const uint32_t cell_limit = std::min(cell_end, cell_count_);
   std::vector<ResultSet> task_results(tasks);
   std::vector<Counters> task_counters(tasks);
   {
     std::atomic<uint32_t> next_slot{0};
+    const uint32_t slot_chunk = SlotChunk();
     SCUBA_RETURN_IF_ERROR(RunTaskSet(pool_.get(), tasks, [&](uint32_t t) {
       Stopwatch busy;
       ScanViews(&next_slot, slot_chunk, cell_begin, cell_limit, &scratch_[t],

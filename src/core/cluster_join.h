@@ -18,11 +18,11 @@
 // scalar loops they replaced, so results, counters and EngineStateHash stay
 // bit-identical at every thread count (docs/ARCHITECTURE.md §10).
 //
-// Execution is sharded: all JoinViews are precomputed once per round into an
-// immutable per-round table, and worker tasks pull contiguous chunks of view
-// slots (ascending cid order) off a shared atomic cursor, each emitting into
-// its own ResultSet/Counters, merged (and Normalize()d once) at the end. The
-// scan resolves cluster ids through a dense cid→slot table (no hashing) and
+// A round is Prepare() then one or more ScanWindow() calls: all JoinViews are
+// precomputed once per round into an immutable per-round table, and a
+// window's worker tasks pull contiguous chunks of view slots (ascending cid
+// order) off a shared atomic cursor, each emitting into its own
+// ResultSet/Counters, merged (and Normalize()d once) per window. The scan resolves cluster ids through a dense cid→slot table (no hashing) and
 // reads a flattened CSR snapshot of the grid's cell entries.
 // The scan is cluster-major: a task walks each of its clusters' sorted cells
 // in ascending order and meets every co-resident cluster with a higher slot.
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "cluster/cluster_store.h"
@@ -54,7 +53,7 @@ namespace scuba {
 class ClusterJoinExecutor {
  public:
   friend struct PersistAccess;  ///< Snapshot serialization (src/persist).
-  /// Cumulative counters across Execute() calls. With several worker tasks
+  /// Cumulative counters across ScanWindow() calls. With several worker tasks
   /// each accumulates privately; the merged sums are identical for every
   /// thread count (the owner-cell rule fixes *which* cell counts each event,
   /// independent of scheduling).
@@ -85,56 +84,58 @@ class ClusterJoinExecutor {
                                uint32_t threads = 1);
   ~ClusterJoinExecutor();
 
-  /// Runs one full joining phase: every cluster in `grid` must exist in
-  /// `store`. Results are normalized.
+  /// Runs one full joining phase: Prepare() plus ScanWindow() over every
+  /// cell. Every cluster in `grid` must exist in `store`. Results are
+  /// normalized.
   Status Execute(const ClusterStore& store, const GridIndex& grid,
                  ResultSet* results);
 
-  /// Sharded-execution entry: like Execute(), but a cluster referenced by the
-  /// grid may live in one of the `neighbors` stores (owned by another shard,
-  /// read in place — they must not change during the call) when absent from
-  /// `store`, and only cells in [cell_begin, cell_end) are scanned. The
-  /// owner-cell rule still resolves against each cluster's full cell list, so
-  /// disjoint windows over the same geometry partition the pair work exactly
-  /// — each pair is evaluated by the one window containing its owner cell.
-  Status ExecuteScoped(const ClusterStore& store,
-                       std::span<const ClusterStore* const> neighbors,
-                       const GridIndex& grid, uint32_t cell_begin,
-                       uint32_t cell_end, ResultSet* results);
+  /// Builds the round's join state once: a view of every cluster registered
+  /// in `grid` (read from `store`) and the CSR snapshot of the grid's cells.
+  /// `store` and `grid` must not change until the round's last ScanWindow().
+  Status Prepare(const ClusterStore& store, const GridIndex& grid);
 
-  /// Clusters the last ExecuteScoped() read from a neighbor store.
-  uint64_t last_neighbor_reads() const { return last_neighbor_reads_; }
+  /// Cells of the grid the last Prepare() saw.
+  uint32_t CellCount() const { return cell_count_; }
+
+  /// Evaluates every pair and self-join whose owner cell lies in
+  /// [cell_begin, cell_end), spread over the executor's worker tasks, into
+  /// `results` (cleared first, normalized). The owner-cell rule resolves
+  /// against each cluster's full cell list, so disjoint windows partition the
+  /// pair work exactly: each pair is evaluated by the one window holding its
+  /// lowest shared cell, and the counters summed over any window cover are
+  /// the full scan's.
+  Status ScanWindow(uint32_t cell_begin, uint32_t cell_end, ResultSet* results);
 
   const Counters& counters() const { return counters_; }
 
   /// Rounds whose CSR grid snapshot was reused because the grid's generation
-  /// counter had not moved since the previous Execute() against it.
+  /// counter had not moved since the previous Prepare() against it.
   uint64_t flatten_reuses() const { return flatten_reuses_; }
 
-  /// Worker tasks Execute() fans out to (>= 1).
+  /// Worker tasks Prepare() and ScanWindow() fan out to (>= 1).
   uint32_t resolved_threads() const { return resolved_threads_; }
 
-  /// Summed busy time of all worker tasks during the last Execute(). With one
-  /// thread this tracks the join wall time; the wall/worker ratio is the
-  /// parallel-efficiency figure EngineStats reports.
+  /// Summed busy time of all worker tasks since the last Prepare() (its own
+  /// tasks included). With one thread this tracks the join wall time; the
+  /// wall/worker ratio is the parallel-efficiency figure EngineStats reports.
   double last_worker_seconds() const { return last_worker_seconds_; }
 
   /// Observability (docs/ARCHITECTURE.md §9): turns on per-task phase
-  /// timing (busy time per shard, join-within seconds) and registers the
+  /// timing (busy time per task, join-within seconds) and registers the
   /// executor's task-busy histogram in `registry` (may be null to collect
   /// timings without a registry). Off by default — the disabled path takes
   /// no extra clock reads.
   void AttachTelemetry(MetricsRegistry* registry);
 
-  /// Per-task busy seconds of the last Execute() (empty unless telemetry is
-  /// attached). Index = task/shard id; feeds the join shard spans and the
-  /// per-shard imbalance figure.
+  /// Per-task busy seconds since the last Prepare() (empty unless telemetry
+  /// is attached). Index = task id.
   const std::vector<double>& last_task_busy_seconds() const {
     return last_task_busy_seconds_;
   }
 
-  /// Seconds the last Execute() spent inside member-level join-within work,
-  /// summed across tasks (0 unless telemetry is attached). The join-between
+  /// Seconds spent inside member-level join-within work since the last
+  /// Prepare(), summed across tasks (0 unless telemetry is attached). The join-between
   /// share is last_worker_seconds() minus this.
   double last_within_seconds() const { return last_within_seconds_; }
 
@@ -166,8 +167,8 @@ class ClusterJoinExecutor {
     std::vector<NucleusObject> objects;
     std::vector<ExactQuery> queries;  ///< Shed queries (center = nucleus).
   };
-  /// Per-cluster join-side view, rebuilt once per Execute() for every cluster
-  /// registered in the grid. Immutable during the sharded scan. Member and
+  /// Per-cluster join-side view, rebuilt once per Prepare() for every cluster
+  /// registered in the grid. Immutable during the window scans. Member and
   /// cell data live in the executor's slab arena; the view only carries
   /// [begin, begin + count) spans into it. Nucleus groups (load-shedding
   /// only) remain per-view vectors — they are rare and tiny.
@@ -177,7 +178,7 @@ class ClusterJoinExecutor {
     /// rectangle misses this circle cannot match any member, even when the
     /// coarse cluster-pair bounds overlapped.
     Circle bounds;
-    /// Join-between bounds, snapshotted so the sharded scan never touches the
+    /// Join-between bounds, snapshotted so the window scans never touch the
     /// MovingCluster: JoinBounds() when query-reach-aware, Bounds() otherwise.
     Circle coarse;
     uint32_t obj_begin = 0;    ///< Exact-object span in the arena.
@@ -224,7 +225,7 @@ class ClusterJoinExecutor {
   };
   /// Per-task scratch, reused across rounds: match-index buffer sized to the
   /// largest object slab, query pre-filter mask sized to the largest query
-  /// slab, and the pair stamp (one slot per view, reset each round):
+  /// slab, and the pair stamp (one slot per view, reset each window scan):
   /// stamp[b] == a once the scan of view a has met view b.
   struct JoinScratch {
     std::vector<uint32_t> indices;
@@ -259,11 +260,16 @@ class ClusterJoinExecutor {
                  double* within_seconds) const;
   /// Slot of a cluster the grid references; aborts when no view holds it.
   uint32_t SlotOf(ClusterId cid) const;
+  /// View slots a worker task claims per cursor step.
+  uint32_t SlotChunk() const {
+    return static_cast<uint32_t>(views_.size()) / (resolved_threads_ * 8 + 1) +
+           1;
+  }
 
   bool query_reach_aware_;
   uint32_t resolved_threads_;
   Counters counters_;
-  uint64_t last_neighbor_reads_ = 0;
+  uint32_t cell_count_ = 0;
   double last_worker_seconds_ = 0.0;
   /// Telemetry (AttachTelemetry): per-task busy + within timings and the
   /// task-busy histogram workers observe into (a no-op handle when no
@@ -273,7 +279,7 @@ class ClusterJoinExecutor {
   double last_within_seconds_ = 0.0;
   HistogramMetric task_busy_histogram_;
   /// Per-round view table (slot-compacted; cluster ids are sparse after long
-  /// runs). Rebuilt each Execute(), kept until the next round so the adaptive
+  /// runs). Rebuilt each Prepare(), kept until the next round so the adaptive
   /// load shedder sees the scratch footprint the join really used.
   std::vector<JoinView> views_;
   SlabArena arena_;
@@ -301,7 +307,7 @@ class ClusterJoinExecutor {
   uint32_t max_view_objects_ = 0;
   uint32_t max_view_queries_ = 0;
   std::vector<JoinScratch> scratch_;  ///< One per worker task.
-  /// Created on first parallel Execute(); never for resolved_threads_ == 1.
+  /// Created on first parallel Prepare(); never for resolved_threads_ == 1.
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -1,11 +1,10 @@
 // EngineMetrics: the one metric set every SCUBA engine exposes
 // (docs/ARCHITECTURE.md §9).
 //
-// Both ScubaEngine and ShardedEngine register this set on their telemetry
-// registry and call Push() from their pre-flush round hook; the counters are
-// views of the engine's EngineSnapshotStats, pushed as per-round deltas of the
-// cumulative values. Engine-specific families (shard handoffs, ghosts,
-// supervision) stay with the engine that owns them.
+// ScubaEngine registers this set on its telemetry registry and calls Push()
+// from its pre-flush round hook; the counters are views of the engine's
+// EngineSnapshotStats, pushed as per-round deltas of the cumulative values.
+// The window-supervision family stays with the engine, which owns it.
 
 #ifndef SCUBA_CORE_ENGINE_METRICS_H_
 #define SCUBA_CORE_ENGINE_METRICS_H_

@@ -22,16 +22,6 @@ std::string EngineSnapshotStats::Format(std::string_view engine_name) const {
                        " threads=%u speedup=%.2fx", eval.join_threads,
                        JoinParallelSpeedup());
   }
-  // The ingest/post-join split appears only for parallel ingest, so serial
-  // configurations keep the historical one-line format byte for byte.
-  if (eval.ingest_threads > 1 && n > 0 &&
-      static_cast<size_t>(n) < sizeof(buf)) {
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),
-                       " ingest=%.4fs postjoin=%.4fs ingest-threads=%u "
-                       "ingest-speedup=%.2fx",
-                       eval.total_ingest_seconds, eval.total_postjoin_seconds,
-                       eval.ingest_threads, IngestParallelSpeedup());
-  }
   // Hardening counters appear only when something actually happened, so
   // clean serial runs keep the historical one-line format byte for byte.
   if (eval.updates_quarantined > 0 && n > 0 &&
@@ -99,11 +89,6 @@ double EngineSnapshotStats::JoinParallelSpeedup() const {
 double EngineSnapshotStats::JoinParallelEfficiency() const {
   if (eval.join_threads == 0) return 0.0;
   return JoinParallelSpeedup() / static_cast<double>(eval.join_threads);
-}
-
-double EngineSnapshotStats::IngestParallelSpeedup() const {
-  if (eval.total_ingest_seconds <= 0.0) return 0.0;
-  return eval.total_ingest_worker_seconds / eval.total_ingest_seconds;
 }
 
 double EngineSnapshotStats::PostJoinParallelSpeedup() const {

@@ -1,6 +1,6 @@
 // EngineSnapshotStats: the one-stop immutable aggregate of everything a SCUBA
-// engine counts, returned by ScubaEngine::StatsSnapshot() and
-// ShardedEngine::StatsSnapshot(). The QueryProcessor-interface stats()
+// engine counts, returned by ScubaEngine::StatsSnapshot(). The
+// QueryProcessor-interface stats()
 // override remains for code that reads engines through the base interface.
 //
 // Reporting helpers (Format, averages, speedups) live here as methods so the
@@ -62,8 +62,6 @@ struct EngineSnapshotStats {
   double JoinParallelSpeedup() const;
   /// Parallel efficiency in [0, 1]: JoinParallelSpeedup / join_threads.
   double JoinParallelEfficiency() const;
-  /// Realized batched-ingest speedup (0 when no ingest time was recorded).
-  double IngestParallelSpeedup() const;
   /// Realized post-join maintenance speedup (0 when none was recorded).
   double PostJoinParallelSpeedup() const;
 };

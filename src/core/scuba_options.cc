@@ -1,5 +1,9 @@
 #include "core/scuba_options.h"
 
+#include <string>
+
+#include "index/grid_index.h"
+
 namespace scuba {
 
 std::string_view BadUpdatePolicyName(BadUpdatePolicy policy) {
@@ -44,23 +48,6 @@ Result<ShardFailurePolicy> ParseShardFailurePolicy(std::string_view name) {
                                  " (fail|degrade|reassign)");
 }
 
-std::string_view RebalanceModeName(RebalanceMode mode) {
-  switch (mode) {
-    case RebalanceMode::kOff:
-      return "off";
-    case RebalanceMode::kObserve:
-      return "observe";
-  }
-  return "unknown";
-}
-
-Result<RebalanceMode> ParseRebalanceMode(std::string_view name) {
-  if (name == "off") return RebalanceMode::kOff;
-  if (name == "observe") return RebalanceMode::kObserve;
-  return Status::InvalidArgument("unknown rebalance mode: " +
-                                 std::string(name) + " (off|observe)");
-}
-
 Status ScubaOptions::Validate() const {
   if (theta_d < 0.0) {
     return Status::InvalidArgument("theta_d must be non-negative");
@@ -68,8 +55,12 @@ Status ScubaOptions::Validate() const {
   if (theta_s < 0.0) {
     return Status::InvalidArgument("theta_s must be non-negative");
   }
-  if (grid_cells == 0) {
-    return Status::InvalidArgument("grid_cells must be positive");
+  // Cell ids are u32 and every empty cell costs a vector header, so the cap
+  // turns a typo into an error instead of a multi-gigabyte allocation.
+  if (grid_cells == 0 || grid_cells > GridIndex::kMaxCellsPerSide) {
+    return Status::InvalidArgument(
+        "grid_cells must be in [1, " +
+        std::to_string(GridIndex::kMaxCellsPerSide) + "]");
   }
   if (region.Empty() || region.Width() <= 0.0 || region.Height() <= 0.0) {
     return Status::InvalidArgument("region must have positive area");
@@ -91,7 +82,7 @@ Status ScubaOptions::Validate() const {
   if (ingest_threads > 1024) {
     return Status::InvalidArgument("ingest_threads must be in [0, 1024]");
   }
-  // Stripes beyond the row count are zero-area and legal (they simply own no
+  // Windows beyond the row count are empty and legal (they simply own no
   // cells); the cap catches garbage values like the thread counts above.
   if (shards == 0 || shards > 1024) {
     return Status::InvalidArgument("shards must be in [1, 1024]");

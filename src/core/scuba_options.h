@@ -40,37 +40,21 @@ std::string_view BadUpdatePolicyName(BadUpdatePolicy policy);
 /// Parses a policy name; InvalidArgument on anything else.
 Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name);
 
-/// What a ShardedEngine does with per-shard load observations (see
-/// docs/ARCHITECTURE.md §11). Pure observation for now: no mode changes what
-/// the engine computes.
-enum class RebalanceMode : uint8_t {
-  kOff = 0,     ///< Collect per-shard load metrics only.
-  /// Additionally log a recommended stripe split whenever the per-shard load
-  /// imbalance of a round crosses the advisory threshold.
-  kObserve,
-};
-
-/// Stable lowercase name ("off", "observe").
-std::string_view RebalanceModeName(RebalanceMode mode);
-
-/// Parses a rebalance mode name; InvalidArgument on anything else.
-Result<RebalanceMode> ParseRebalanceMode(std::string_view name);
-
-/// What a ShardedEngine round does when one shard's supervised task fails
-/// (throws, stalls past the round deadline, or corrupts its state); see
+/// What a supervised round does when one window's join task fails (throws,
+/// stalls past the round deadline, or finds its window's state corrupt); see
 /// docs/ARCHITECTURE.md §13.
 enum class ShardFailurePolicy : uint8_t {
-  /// Propagate the shard failure as the round's error (the historical
-  /// behaviour: one failing shard takes the engine down).
+  /// Propagate the window failure as the round's error (the historical
+  /// behaviour: one failing window takes the engine down).
   kFail = 0,
-  /// Complete the round in degraded mode — the failed shard contributes its
+  /// Complete the round in degraded mode — the failed window contributes its
   /// last-published results and is quarantined — and retry online recovery
-  /// between rounds; after max_recovery_attempts failures the shard is
+  /// between rounds; after max_recovery_attempts failures the window is
   /// evicted in place and keeps serving its stale slice.
   kDegrade,
   /// Like kDegrade, but after max_recovery_attempts failed recoveries the
-  /// evicted shard's stripe is reassigned to its neighbors via the N->M
-  /// reshard routing (graceful degradation to one fewer shard).
+  /// evicted window's rows are reassigned: the engine recomputes one fewer
+  /// window over the same store and grid.
   kReassign,
 };
 
@@ -80,19 +64,19 @@ std::string_view ShardFailurePolicyName(ShardFailurePolicy policy);
 /// Parses a policy name; InvalidArgument on anything else.
 Result<ShardFailurePolicy> ParseShardFailurePolicy(std::string_view name);
 
-/// Shard supervision knobs (ShardedEngine only; docs/ARCHITECTURE.md §13).
+/// Window supervision knobs (docs/ARCHITECTURE.md §13).
 /// Like thread counts and telemetry, none of these fields are semantic: a
 /// clean run is bit-identical under every setting, so the snapshot options
 /// fingerprint excludes them all.
 struct ShardSupervisionOptions {
   ShardFailurePolicy on_failure = ShardFailurePolicy::kFail;
-  /// Failed recovery attempts before the shard is evicted (kDegrade) or its
-  /// stripe reassigned (kReassign).
+  /// Failed recovery attempts before the window is evicted (kDegrade) or its
+  /// rows reassigned (kReassign).
   uint32_t max_recovery_attempts = 3;
   /// Round-based backoff: after the a-th failed attempt the next one waits
   /// backoff_base_rounds << (a-1) rounds.
   uint32_t backoff_base_rounds = 1;
-  /// Wall-clock budget for one shard's join task; a task that finishes past
+  /// Wall-clock budget for one window's join task; a task that finishes past
   /// it counts as stalled and fails the supervised round. 0 (default)
   /// disables the deadline.
   double round_deadline_seconds = 0.0;
@@ -142,7 +126,7 @@ struct CheckpointPolicy {
   /// round. 0 disables automatic checkpoints (explicit Checkpoint() only).
   uint32_t every_n_rounds = 0;
   /// Manifest generations retained in the durable directory; older ones
-  /// (their shard snapshots, and the WAL segments no retained generation
+  /// (their snapshots, and the WAL segments no retained generation
   /// needs) are pruned after each checkpoint.
   uint32_t keep_last_k = 2;
   /// WAL segment rotation threshold, bytes. A record always lands in one
@@ -181,29 +165,25 @@ struct ScubaOptions {
   /// maintenance, restoring compactness without waiting for dissolution.
   bool enable_cluster_splitting = false;
   double split_radius_factor = 1.5;
-  /// Worker tasks for the cluster-join phase: grid cells are sharded over
-  /// this many tasks with per-task result/counter buffers (owner-cell dedup
-  /// keeps them coordination-free). 0 = hardware concurrency; 1 (default) =
-  /// serial execution on the calling thread, bit-identical to the historical
-  /// single-threaded engine. Results are deterministic for every value.
+  /// Worker tasks for the cluster-join and post-join phases: each join
+  /// window's view slots are spread over this many tasks with per-task
+  /// result/counter buffers (owner-cell dedup keeps them coordination-free),
+  /// and post-join upkeep runs per cluster on as many tasks with a serial,
+  /// cid-ordered apply. 0 = hardware concurrency; 1 (default) = serial
+  /// execution on the calling thread. Results are bit-identical for every
+  /// value.
   uint32_t join_threads = 1;
-  /// Worker tasks for the reference ScubaEngine's batched ingestion and
-  /// post-join maintenance: updates are classified and clusters maintained
-  /// in parallel against a read-only snapshot, with all mutations applied in
-  /// a deterministic serial merge. 0 = hardware concurrency; 1 (default) =
-  /// the serial per-update path. Output is bit-identical for every value.
-  /// The production ShardedEngine ingests serially and ignores it.
+  /// Range-checked like join_threads and otherwise ignored: ingest runs the
+  /// Leader-Follower procedure serially, one update at a time. Kept so
+  /// existing configurations that name it still parse.
   uint32_t ingest_threads = 1;
-  /// Spatial shards of the production engine: the grid's rows are carved
-  /// into this many contiguous stripes, each owned by one EngineShard with
-  /// its own ClusterStore slice, grid, shedder and join arena
-  /// (docs/ARCHITECTURE.md §11). 1 (default) = one stripe over the whole
-  /// map. Results are bit-identical for every value.
+  /// Join windows: the grid's rows are carved into this many contiguous
+  /// whole-row cell ranges [cell_begin, cell_end). Each window is one
+  /// supervised join task and the unit reported degraded
+  /// (docs/ARCHITECTURE.md §11). The store, grid, clusterer and shedder are
+  /// one each at every value. 1 (default) = one window over the whole map.
+  /// Results, counters and state hashes are bit-identical for every value.
   uint32_t shards = 1;
-  /// Per-shard load handling for ShardedEngine runs. kObserve logs
-  /// recommended stripe splits from the per-round load imbalance; kOff
-  /// (default) only collects the metrics. Never changes results.
-  RebalanceMode rebalance = RebalanceMode::kOff;
   /// What the engine's ingest paths do with updates that fail ValidateUpdate.
   /// kStrict (default) keeps the historical reject-the-call behaviour;
   /// kQuarantine/kRepair drop the tuple, bump EvalStats::updates_quarantined
@@ -211,15 +191,14 @@ struct ScubaOptions {
   /// production streams).
   BadUpdatePolicy on_bad_update = BadUpdatePolicy::kStrict;
   /// Run AuditInvariants() after every N-th evaluation round and self-heal
-  /// grid-side divergence by rebuilding the grid(s) from the store(s). 0
+  /// grid-side divergence by rebuilding the grid from the store. 0
   /// (default) disables the continuous audit; 1 audits every round.
   uint32_t audit_every_n_rounds = 0;
 
-  /// Shard fault isolation for ShardedEngine runs (docs/ARCHITECTURE.md §13):
-  /// failure policy, recovery retry schedule, round deadline, deterministic
-  /// fault injection. The reference ScubaEngine ignores it. Excluded from
-  /// the snapshot options fingerprint — a clean run is bit-identical under
-  /// every setting.
+  /// Window fault isolation (docs/ARCHITECTURE.md §13): failure policy,
+  /// recovery retry schedule, round deadline, deterministic fault injection.
+  /// Excluded from the snapshot options fingerprint — a clean run is
+  /// bit-identical under every setting.
   ShardSupervisionOptions supervision;
 
   /// Checkpoint cadence / retention for runs with a durable directory

@@ -12,8 +12,9 @@ Result<GridIndex> GridIndex::Create(const Rect& region, uint32_t cells_per_side)
   if (region.Empty() || region.Width() <= 0.0 || region.Height() <= 0.0) {
     return Status::InvalidArgument("grid region must have positive area");
   }
-  if (cells_per_side == 0) {
-    return Status::InvalidArgument("cells_per_side must be positive");
+  if (cells_per_side == 0 || cells_per_side > kMaxCellsPerSide) {
+    return Status::InvalidArgument("cells_per_side must be in [1, " +
+                                   std::to_string(kMaxCellsPerSide) + "]");
   }
   return GridIndex(region, cells_per_side);
 }
@@ -26,17 +27,19 @@ GridIndex::GridIndex(const Rect& region, uint32_t cells_per_side)
       cells_(static_cast<size_t>(cells_per_side) * cells_per_side) {}
 
 uint32_t GridIndex::ColOf(double x) const {
-  double rel = (x - region_.min_x) / cell_width_;
-  if (rel < 0.0) return 0;
-  uint32_t col = static_cast<uint32_t>(rel);
-  return std::min(col, cells_per_side_ - 1);
+  const double rel = (x - region_.min_x) / cell_width_;
+  // Clamp before converting: NaN and out-of-range values have no defined
+  // integer conversion.
+  if (!(rel > 0.0)) return 0;
+  if (rel >= cells_per_side_) return cells_per_side_ - 1;
+  return static_cast<uint32_t>(rel);
 }
 
 uint32_t GridIndex::RowOf(double y) const {
-  double rel = (y - region_.min_y) / cell_height_;
-  if (rel < 0.0) return 0;
-  uint32_t row = static_cast<uint32_t>(rel);
-  return std::min(row, cells_per_side_ - 1);
+  const double rel = (y - region_.min_y) / cell_height_;
+  if (!(rel > 0.0)) return 0;
+  if (rel >= cells_per_side_) return cells_per_side_ - 1;
+  return static_cast<uint32_t>(rel);
 }
 
 uint32_t GridIndex::CellIndexOf(Point p) const {
@@ -199,6 +202,24 @@ void GridIndex::Clear() {
   for (auto& cell : cells_) cell.clear();
   placements_.clear();
   ++generation_;
+}
+
+size_t GridIndex::InjectDropFromCells(uint32_t key, uint32_t cell_begin,
+                                      uint32_t cell_end) {
+  auto it = placements_.find(key);
+  if (it == placements_.end()) return 0;
+  std::vector<uint32_t>& placed = it->second;
+  const size_t before = placed.size();
+  for (uint32_t cell : placed) {
+    if (cell < cell_begin || cell >= cell_end) continue;
+    std::vector<uint32_t>& entries = cells_[cell];
+    entries.erase(std::find(entries.begin(), entries.end(), key));
+  }
+  std::erase_if(placed, [&](uint32_t cell) {
+    return cell >= cell_begin && cell < cell_end;
+  });
+  if (placed.size() != before) ++generation_;
+  return before - placed.size();
 }
 
 size_t GridIndex::EstimateMemoryUsage() const {

@@ -27,8 +27,14 @@ namespace scuba {
 
 class GridIndex {
  public:
+  /// Largest cells_per_side Create accepts. Cell ids are u32 and every
+  /// empty cell still costs a vector header (24 B), so 4096^2 cells (384 MiB
+  /// of headers) is already far past any useful ClusterGrid.
+  static constexpr uint32_t kMaxCellsPerSide = 4096;
+
   /// Creates a grid of cells_per_side x cells_per_side cells covering
-  /// `region`. Fails on empty regions or zero cell counts.
+  /// `region`. Fails on empty regions and on cell counts outside
+  /// [1, kMaxCellsPerSide].
   static Result<GridIndex> Create(const Rect& region, uint32_t cells_per_side);
 
   const Rect& region() const { return region_; }
@@ -116,6 +122,13 @@ class GridIndex {
 
   /// Removes every key.
   void Clear();
+
+  /// Fault injection only (the supervised engine's corrupt-state drill):
+  /// drops `key` from every cell in [cell_begin, cell_end), from the cell
+  /// lists and the key's placement alike, and keeps the rest of its
+  /// placement. Returns how many cells were dropped.
+  size_t InjectDropFromCells(uint32_t key, uint32_t cell_begin,
+                             uint32_t cell_end);
 
   /// Analytic heap footprint: cell buffers + entries + placement map. This is
   /// the quantity Figure 9b compares across operators.

@@ -182,15 +182,15 @@ Status RoundTelemetryEmitter::EmitRound(
       line += "}";
     }
     line += "]";
-    // Per-shard load imbalance: max over mean of the join shard busy times
-    // (1.0 = perfectly balanced), the signal the distributed range-query
-    // literature uses to detect skewed partitions.
+    // Per-window load imbalance: max over mean of the join windows' busy
+    // times (1.0 = perfectly balanced), the signal the distributed
+    // range-query literature uses to detect skewed partitions.
     if (join_id >= 0) {
       double max_busy = 0.0;
       double sum_busy = 0.0;
       uint32_t shards = 0;
       for (const SpanRecord& s : spans) {
-        if (s.parent != join_id || s.name != "shard") continue;
+        if (s.parent != join_id || s.name != "engine_shard") continue;
         ++shards;
         max_busy = std::max(max_busy, s.wall_seconds);
         sum_busy += s.wall_seconds;

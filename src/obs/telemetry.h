@@ -45,8 +45,14 @@
 // scuba_serve_push_latency_ms histogram), registered on the engine's
 // registry when `scuba_cli serve` runs with telemetry enabled so serve
 // counters ride the same per-round JSONL stream. No span changes. v4 is the
-// version emitted (kTelemetrySchemaVersion). scuba_shard_ghosts_total counts
-// the border clusters a stripe's join read from another stripe's store.
+// version emitted (kTelemetrySchemaVersion).
+//
+// Within v4, join windows replaced the per-stripe engines: "engine_shard"
+// spans are now one per join window (indexed by window), and the round's
+// "join" summary is the max/mean imbalance of their busy times. The handoff,
+// ghost and rebalance-recommendation counters and the "handoff",
+// "classify", "apply" and per-task "shard" spans are no longer emitted; the
+// shard_* failure counters and health gauges count windows.
 //
 // Counters with a zero round delta and histograms with no new observations
 // are omitted from the round line; gauges are always present. Content is

@@ -16,8 +16,6 @@ std::string_view CrashPointName(CrashPoint point) {
       return "before-snapshot-write";
     case CrashPoint::kMidShardSnapshotWrite:
       return "mid-shard-snapshot-write";
-    case CrashPoint::kBetweenShardSnapshots:
-      return "between-shard-snapshots";
     case CrashPoint::kBeforeManifestRename:
       return "before-manifest-rename";
     case CrashPoint::kTornManifestRename:

@@ -40,16 +40,11 @@ enum class CrashPoint : uint8_t {
   /// (if any) remains the recovery base.
   kBeforeSnapshotWrite,
   // --- Manifest-committed checkpoint generations (§12). ---
-  /// Mid-write of one shard's snapshot: a partial temp file in that shard's
-  /// directory, no final file, no manifest — the previous generation stays
-  /// the recovery base.
+  /// Mid-write of the generation's snapshot: a partial temp file in its
+  /// shard-0000 directory, no final file, no manifest — the previous
+  /// generation stays the recovery base.
   kMidShardSnapshotWrite,
-  /// Between two shard snapshot writes: some shards hold the new
-  /// generation's snapshot, others do not. No manifest references the new
-  /// files, so they are orphans until the next successful checkpoint prunes
-  /// them. Never fires at shards == 1.
-  kBetweenShardSnapshots,
-  /// Every shard snapshot is durable but the manifest was never published
+  /// The snapshot is durable but the manifest was never published
   /// (only its temp file exists): the previous generation remains committed.
   kBeforeManifestRename,
   /// A torn manifest publish: the final manifest name exists but holds a
@@ -60,11 +55,11 @@ enum class CrashPoint : uint8_t {
   /// prune step never ran: older generations and covered WAL segments linger.
   kAfterManifestRename,
   /// Mid-prune after a committed manifest: obsolete manifests are gone but
-  /// unreferenced shard snapshots / covered WAL segments survive as orphans.
+  /// unreferenced snapshots / covered WAL segments survive as orphans.
   kMidManifestPrune,
 };
 
-inline constexpr size_t kCrashPointCount = 11;
+inline constexpr size_t kCrashPointCount = 10;
 
 /// Stable kebab-case name ("mid-wal-append", ...).
 std::string_view CrashPointName(CrashPoint point);

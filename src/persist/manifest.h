@@ -1,13 +1,14 @@
-// Checkpoint manifest for sharded durability (docs/ARCHITECTURE.md §12).
+// Checkpoint manifest for the engine's durable root (docs/ARCHITECTURE.md
+// §12).
 //
-// A sharded checkpoint is not one file: it is one snapshot per shard plus a
-// coordinator-state blob. None of those artifacts is authoritative on its
-// own — the *manifest* is. A checkpoint generation exists exactly when a
-// manifest file referencing every artifact is durably published; shard
-// snapshots fsync first, the manifest renames into place last (two-phase), so
-// a crash anywhere in between leaves the previous generation committed and
-// the new files as unreferenced orphans the next successful checkpoint
-// prunes.
+// A checkpoint is not one file: it is a snapshot plus a coordinator-state
+// blob (older builds wrote one snapshot per shard). None of those artifacts
+// is authoritative on its own — the *manifest* is. A checkpoint generation
+// exists exactly when a manifest file referencing every artifact is durably
+// published; snapshots fsync first, the manifest renames into place last
+// (two-phase), so a crash anywhere in between leaves the previous generation
+// committed and the new files as unreferenced orphans the next successful
+// checkpoint prunes.
 //
 // File name: "manifest-<generation, zero-padded to 20>.scubamf". Container
 // framing mirrors snapshots:
@@ -16,16 +17,17 @@
 //   | crc32(payload) u32
 //
 // Payload: fingerprint u64 | generation u64 | wal_next_seq u64 | rounds u64
-//          | shard_count u32 | per shard { snapshot_seq u64, state_hash u64 }
+//          | entry_count u32 | per entry { snapshot_seq u64, state_hash u64 }
 //          | coordinator_state (length-prefixed bytes, opaque here)
 //
 // `wal_next_seq` is the global batch index the checkpoint covers: recovery
 // loads the generation's snapshots and replays the root's one WAL (under
-// <root>/wal/) from wal_next_seq on. `state_hash` is the FNV-1a of the shard's snapshot payload
-// — recovery re-hashes what it read and refuses a silently substituted file.
-// The coordinator_state bytes are serialized/parsed by the sharded layer
-// (src/shard/shard_durability.cc); this module treats them as opaque so
-// persist stays independent of shard types.
+// <root>/wal/) from wal_next_seq on. Entry s lives in shard-<s>/. Its
+// `state_hash` is the FNV-1a of the snapshot payload — recovery re-hashes
+// what it read and refuses a silently substituted file. The
+// coordinator_state bytes are serialized/parsed by the engine's durability
+// layer (src/shard/shard_durability.cc); this module treats them as opaque
+// so persist stays independent of the engine.
 
 #ifndef SCUBA_PERSIST_MANIFEST_H_
 #define SCUBA_PERSIST_MANIFEST_H_
@@ -40,7 +42,8 @@
 
 namespace scuba {
 
-/// One shard's entry in a manifest.
+/// One snapshot entry in a manifest (one per generation now; older
+/// generations hold one per shard).
 struct ManifestShardEntry {
   /// Sequence number in the shard snapshot's file name (== generation; a
   /// generation and a wal_next_seq are distinct counters — two consecutive
@@ -56,17 +59,17 @@ struct ManifestInfo {
   uint64_t generation = 0;    ///< Monotonic checkpoint counter.
   uint64_t wal_next_seq = 0;  ///< First batch seq NOT covered by snapshots.
   uint64_t rounds = 0;        ///< Evaluation rounds completed at checkpoint.
-  std::vector<ManifestShardEntry> shards;  ///< One per shard, index order.
-  /// Coordinator state (meta store, stats, validator, ...), serialized by the
-  /// sharded layer. Opaque at this layer.
+  std::vector<ManifestShardEntry> shards;  ///< Snapshot entries, index order.
+  /// Coordinator state (id allocator, attr tables, stats, validator, ...),
+  /// serialized by the engine's durability layer. Opaque at this layer.
   std::string coordinator_state;
 };
 
 /// "manifest-<generation, 20 digits>.scubamf".
 std::string ManifestFileName(uint64_t generation);
 
-/// "shard-<index, 4 digits>" — the per-shard artifact directory under a
-/// durable root (holds that shard's snapshots).
+/// "shard-<index, 4 digits>" — the directory holding snapshot entry
+/// `shard_index` of every generation under a durable root.
 std::string ShardDirName(uint32_t shard_index);
 
 /// "<dir>/wal" — the durable root's one WAL directory.

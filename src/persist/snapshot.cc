@@ -80,10 +80,10 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   w.PutU64(options.shedding.memory_budget_bytes);
   w.PutDouble(options.shedding.eta_step);
   w.PutDouble(options.shedding.relax_fraction);
-  // join_threads / ingest_threads / shards / rebalance / supervision /
-  // checkpoint policy deliberately excluded: results are bit-identical across
-  // them, so snapshots stay portable across thread counts, shard counts,
-  // supervision settings and retention settings.
+  // join_threads / ingest_threads / shards / supervision / checkpoint policy
+  // deliberately excluded: results are bit-identical across them, so
+  // snapshots stay portable across thread counts, window counts, supervision
+  // settings and retention settings.
   return Fnv1a64(w.bytes());
 }
 
@@ -222,39 +222,16 @@ Result<MovingCluster> PersistAccess::LoadCluster(ByteReader* r) {
   return c;
 }
 
-void PersistAccess::SaveShardedStoreState(
-    const ClusterStore& meta, const std::vector<const ClusterStore*>& stores,
-    const std::vector<const GridIndex*>& grids, ByteWriter* w) {
-  // The meta store carries the id allocator and attr tables, the shard
-  // stores partition the clusters, and a cluster counts as grid-registered
-  // when any shard grid holds it (the mirror invariant makes that equivalent
-  // to one whole-map grid's Contains).
-  w->PutU32(meta.next_cid_);
-  PutAttrTable(w, meta.objects_);
-  PutAttrTable(w, meta.queries_);
-  std::vector<ClusterId> cids;
-  for (const ClusterStore* store : stores) {
-    const std::vector<ClusterId> own = store->SortedClusterIds();
-    cids.insert(cids.end(), own.begin(), own.end());
-  }
-  std::sort(cids.begin(), cids.end());
+void PersistAccess::SaveStoreState(const ClusterStore& store,
+                                   const GridIndex& grid, ByteWriter* w) {
+  w->PutU32(store.next_cid_);
+  PutAttrTable(w, store.objects_);
+  PutAttrTable(w, store.queries_);
+  const std::vector<ClusterId> cids = store.SortedClusterIds();
   w->PutU64(cids.size());
   for (ClusterId cid : cids) {
-    const MovingCluster* cluster = nullptr;
-    for (const ClusterStore* store : stores) {
-      cluster = store->GetCluster(cid);
-      if (cluster != nullptr) break;
-    }
-    SCUBA_CHECK(cluster != nullptr);
-    SaveCluster(*cluster, w);
-    bool registered = false;
-    for (const GridIndex* grid : grids) {
-      if (grid->Contains(cid)) {
-        registered = true;
-        break;
-      }
-    }
-    w->PutBool(registered);
+    SaveCluster(*store.GetCluster(cid), w);
+    w->PutBool(grid.Contains(cid));
   }
 }
 
@@ -503,15 +480,8 @@ Result<std::string> ReadSnapshotPayload(const std::string& path) {
 }
 
 uint64_t EngineStateHash(const ScubaEngine& engine) {
-  return ShardedStateHash(engine.store(), {&engine.store()},
-                          {&engine.cluster_grid()});
-}
-
-uint64_t ShardedStateHash(const ClusterStore& meta,
-                          const std::vector<const ClusterStore*>& stores,
-                          const std::vector<const GridIndex*>& grids) {
   ByteWriter w;
-  PersistAccess::SaveShardedStoreState(meta, stores, grids, &w);
+  PersistAccess::SaveStoreState(engine.store(), engine.cluster_grid(), &w);
   return Fnv1a64(w.bytes());
 }
 

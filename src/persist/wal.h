@@ -18,7 +18,7 @@
 //   | object count u64 | object* | query count u64 | query*
 //
 // A durable root keeps exactly one log, under <root>/wal/, whatever the
-// engine's shard count: stripes partition the engine's work, not its
+// engine's join-window count: windows split the engine's work, not its
 // history. Types 1 (the retired single-engine log) and 2 (the retired
 // per-shard routed sub-batch) read as kDataLoss.
 //

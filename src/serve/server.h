@@ -3,7 +3,7 @@
 //
 // One event-loop thread multiplexes every client session over poll() on a
 // loopback TCP listener, drives the engine through the QueryProcessor
-// interface (single ScubaEngine or ShardedEngine — the server does not care),
+// interface (the ScubaEngine or a baseline — the server does not care),
 // and pushes per-session result deltas after every evaluation round.
 //
 // Round semantics mirror ReplayTrace (src/stream/pipeline.cc) exactly —

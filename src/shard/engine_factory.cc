@@ -4,24 +4,26 @@
 
 #include "baseline/grid_join_engine.h"
 #include "baseline/naive_join_engine.h"
+#include "persist/snapshot.h"
 
 namespace scuba {
 
 uint64_t EngineHandle::StateHash() const {
-  return sharded != nullptr ? EngineStateHash(*sharded) : 0;
+  return scuba != nullptr ? EngineStateHash(*scuba) : 0;
 }
 
 Status EngineHandle::FlushTelemetry() const {
-  return sharded != nullptr ? sharded->FlushTelemetry() : Status::OK();
+  return scuba != nullptr ? scuba->FlushTelemetry() : Status::OK();
 }
 
 Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
                                 std::string_view name) {
   EngineHandle handle;
   if (name == "scuba") {
-    Result<std::unique_ptr<ShardedEngine>> e = ShardedEngine::Create(opt);
+    Result<std::unique_ptr<ScubaEngine>> e = ScubaEngine::Create(opt);
     if (!e.ok()) return e.status();
-    handle.sharded = e->get();
+    handle.scuba = e->get();
+    handle.sharded = handle.scuba;
     handle.engine = std::move(e).value();
     return handle;
   }
@@ -50,32 +52,28 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
                                         CrashInjector* crash) {
   DurabilityHandle handle;
   if (dir.empty()) return handle;
-  if (engine->sharded == nullptr) {
+  if (engine->scuba == nullptr) {
     return Status::InvalidArgument(
         "--durable-dir requires --engine scuba (snapshots cover SCUBA "
         "engine state)");
   }
   Result<std::unique_ptr<ShardedDurabilityManager>> d =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->sharded,
+      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->scuba,
                                      screen, /*rng=*/nullptr, crash);
   if (!d.ok()) return d.status();
   handle.sharded = d->get();
   handle.sink = std::move(d).value();
-  // A supervised durable run can heal a failed stripe online: the recovery
-  // hook rebuilds it from the durable root between rounds, and a reassign
-  // eviction commits the reduced layout in a fresh checkpoint.
-  if (engine->sharded->supervisor() != nullptr) {
+  // A supervised durable run can heal a failed window online: the recovery
+  // hook rebuilds the engine's state from the durable root between rounds.
+  if (engine->scuba->supervisor() != nullptr) {
     // The durable root carries validator state only when the run screens
     // (screen was passed to Open above); the twin must mirror that.
     const bool has_validator = screen != nullptr;
-    engine->sharded->set_stripe_recovery(
-        [dir, vconfig, has_validator](ShardedEngine* e, uint32_t s) {
-          return RecoverShardStripe(dir, e, s,
+    engine->scuba->set_stripe_recovery(
+        [dir, vconfig, has_validator](ScubaEngine* e, uint32_t w) {
+          return RecoverShardStripe(dir, e, w,
                                     has_validator ? &vconfig : nullptr);
         });
-    ShardedDurabilityManager* sharded = handle.sharded;
-    engine->sharded->set_on_layout_changed(
-        [sharded] { return sharded->OnLayoutChanged(); });
   }
   return handle;
 }

@@ -2,11 +2,11 @@
 //
 // scuba_cli run/checkpoint/restore/recover/compare, the serve subcommand and
 // benches all need the same mapping: engine name + options → a
-// QueryProcessor (the production ShardedEngine at opt.shards >= 1 stripes, or
-// a baseline), optionally wrapped with durability (manifest-committed
-// per-shard snapshots plus one WAL, and the supervised-stripe
-// online-recovery hooks). The option-to-engine mapping lives here and
-// callers keep only their command-specific I/O.
+// QueryProcessor (the ScubaEngine over opt.shards join windows, or a
+// baseline), optionally wrapped with durability (manifest-committed
+// snapshots plus one WAL, and the supervised-window online-recovery hook).
+// The option-to-engine mapping lives here and callers keep only their
+// command-specific I/O.
 
 #ifndef SCUBA_SHARD_ENGINE_FACTORY_H_
 #define SCUBA_SHARD_ENGINE_FACTORY_H_
@@ -20,20 +20,18 @@
 #include "core/scuba_engine.h"
 #include "persist/crash.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
 #include "stream/update_validator.h"
 
 namespace scuba {
 
-/// An engine plus a typed view into it. `engine` owns; `sharded` aliases it
+/// An engine plus a typed view into it. `engine` owns; `scuba` aliases it
 /// (non-null for "scuba") so callers can reach engine surfaces — state
-/// hashes, telemetry, shard health — without dynamic_cast.
+/// hashes, telemetry, window health — without dynamic_cast.
 struct EngineHandle {
   std::unique_ptr<QueryProcessor> engine;
-  /// Always null: MakeEngine no longer builds the reference engine. Kept
-  /// because bench_e2e still names it.
-  ScubaEngine* scuba = nullptr;
-  ShardedEngine* sharded = nullptr;  ///< set when engine is "scuba"
+  ScubaEngine* scuba = nullptr;  ///< set when engine is "scuba"
+  /// The same engine as `scuba`; kept because bench_e2e names it.
+  ScubaEngine* sharded = nullptr;
 
   /// State hash for determinism checks: EngineStateHash for the SCUBA
   /// engine, 0 for baselines (which define no snapshot form).
@@ -43,8 +41,8 @@ struct EngineHandle {
   Status FlushTelemetry() const;
 };
 
-/// Builds the engine `name` selects: "scuba" (a ShardedEngine over
-/// opt.shards >= 1 stripes), "grid" (GridJoinEngine over opt.region /
+/// Builds the engine `name` selects: "scuba" (a ScubaEngine over
+/// opt.shards >= 1 join windows), "grid" (GridJoinEngine over opt.region /
 /// opt.grid_cells), or "naive". Unknown names → kInvalidArgument.
 Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
                                 std::string_view name = "scuba");
@@ -57,8 +55,8 @@ struct DurabilityHandle {
 
 /// Opens manifest + WAL durability under `dir` for `engine` (which must be
 /// the SCUBA engine — baselines have no snapshot form) and, for a supervised
-/// engine, installs the online stripe-recovery hooks that rebuild a failed
-/// stripe from `dir` between rounds. A directory in a retired layout (the
+/// engine, installs the online recovery hook that rebuilds a failed window's
+/// state from `dir` between rounds. A directory in a retired layout (the
 /// single-engine one, or per-shard WAL chains) is kFailedPrecondition.
 /// `screen` (nullable) is the validator whose state rides the snapshots;
 /// `vconfig` must describe it when non-null. `crash` (nullable) arms crash

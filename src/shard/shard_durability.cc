@@ -37,67 +37,58 @@ std::string ShardDir(const std::string& root, uint32_t shard_index) {
   return (fs::path(root) / ShardDirName(shard_index)).string();
 }
 
-/// Serializes coordinator + per-shard snapshots and publishes the manifest —
-/// the shared write path behind ForceCheckpoint and ShardedEngine::Checkpoint.
-Status WriteShardedCheckpoint(const std::string& dir, const ShardedEngine& engine,
-                              const UpdateValidator* validator, const Rng* rng,
-                              uint64_t generation, uint64_t wal_next_seq,
-                              uint64_t rounds, CrashInjector* crash,
-                              uint64_t* total_bytes) {
+/// Serializes the coordinator state and the snapshot and publishes the
+/// manifest — the shared write path behind ForceCheckpoint and
+/// ScubaEngine::Checkpoint.
+Status WriteCheckpoint(const std::string& dir, const ScubaEngine& engine,
+                       const UpdateValidator* validator, const Rng* rng,
+                       uint64_t generation, uint64_t wal_next_seq,
+                       uint64_t rounds, CrashInjector* crash,
+                       uint64_t* total_bytes) {
   ManifestInfo info;
   info.fingerprint = OptionsFingerprint(engine.options());
   info.generation = generation;
   info.wal_next_seq = wal_next_seq;
   info.rounds = rounds;
-  uint64_t bytes_sum = 0;
-  for (uint32_t s = 0; s < engine.shard_count(); ++s) {
-    if (s > 0 && crash != nullptr &&
-        crash->ShouldCrash(CrashPoint::kBetweenShardSnapshots)) {
-      // Earlier shards hold the new generation's snapshot, later ones do not;
-      // no manifest references them, so they are orphans.
-      return crash->CrashStatus();
+  const std::string payload =
+      PersistAccess::SerializeEngineSnapshot(engine, wal_next_seq, rounds);
+  const std::string snapshot_dir = ShardDir(dir, 0);
+  if (crash != nullptr &&
+      crash->ShouldCrash(CrashPoint::kMidShardSnapshotWrite)) {
+    std::error_code ec;
+    fs::create_directories(snapshot_dir, ec);
+    if (ec) {
+      return Status::IoError("cannot create " + snapshot_dir + ": " +
+                             ec.message());
     }
-    const std::string payload = PersistAccess::SerializeShardSnapshot(
-        engine, s, wal_next_seq, rounds);
-    const std::string shard_dir = ShardDir(dir, s);
-    if (crash != nullptr &&
-        crash->ShouldCrash(CrashPoint::kMidShardSnapshotWrite)) {
-      std::error_code ec;
-      fs::create_directories(shard_dir, ec);
-      if (ec) {
-        return Status::IoError("cannot create " + shard_dir + ": " +
-                               ec.message());
-      }
-      const std::string tmp_path =
-          (fs::path(shard_dir) / (SnapshotFileName(generation) + ".tmp"))
-              .string();
-      SCUBA_RETURN_IF_ERROR(
-          WriteFileDurably(tmp_path, payload, payload.size() / 2));
-      return crash->CrashStatus();
-    }
-    uint64_t bytes = 0;
+    const std::string tmp_path =
+        (fs::path(snapshot_dir) / (SnapshotFileName(generation) + ".tmp"))
+            .string();
     SCUBA_RETURN_IF_ERROR(
-        WriteSnapshotFile(shard_dir, generation, payload, &bytes));
-    bytes_sum += bytes;
-    info.shards.push_back(ManifestShardEntry{generation, Fnv1a64(payload)});
+        WriteFileDurably(tmp_path, payload, payload.size() / 2));
+    return crash->CrashStatus();
   }
+  uint64_t bytes = 0;
+  SCUBA_RETURN_IF_ERROR(
+      WriteSnapshotFile(snapshot_dir, generation, payload, &bytes));
+  info.shards.push_back(ManifestShardEntry{generation, Fnv1a64(payload)});
   ByteWriter coord;
-  PersistAccess::SaveShardedCoordinatorState(engine, validator, rng, &coord);
+  PersistAccess::SaveCoordinatorState(engine, validator, rng, &coord);
   info.coordinator_state = coord.Release();
-  bytes_sum += info.coordinator_state.size();
-  // The commit point: shards are durable, now the manifest names them.
+  bytes += info.coordinator_state.size();
+  // The commit point: the snapshot is durable, now the manifest names it.
   SCUBA_RETURN_IF_ERROR(WriteManifestFile(dir, info, crash));
   if (crash != nullptr &&
       crash->ShouldCrash(CrashPoint::kAfterManifestRename)) {
     // Committed, but the prune step never runs.
     return crash->CrashStatus();
   }
-  if (total_bytes != nullptr) *total_bytes = bytes_sum;
+  if (total_bytes != nullptr) *total_bytes = bytes;
   return Status::OK();
 }
 
-/// Validates one manifest generation's artifacts and returns the per-shard
-/// payloads, or kDataLoss naming the first damaged artifact.
+/// Validates one manifest generation's artifacts and returns its snapshot
+/// payloads (one per entry), or kDataLoss naming the first damaged artifact.
 Result<std::vector<std::string>> ReadGenerationPayloads(
     const std::string& dir, const ManifestInfo& info) {
   std::vector<std::string> payloads;
@@ -128,44 +119,63 @@ Result<std::vector<std::string>> ReadGenerationPayloads(
   return payloads;
 }
 
+/// Loads a verified generation into `engine`: the coordinator state wipes
+/// and re-seeds it, then every snapshot entry adds its clusters.
+Status LoadGeneration(const ManifestInfo& info,
+                      const std::vector<std::string>& payloads,
+                      ScubaEngine* engine, UpdateValidator* validator,
+                      Rng* rng) {
+  ByteReader coord(info.coordinator_state);
+  SCUBA_RETURN_IF_ERROR(
+      PersistAccess::LoadCoordinatorState(&coord, engine, validator, rng));
+  for (const std::string& payload : payloads) {
+    SCUBA_RETURN_IF_ERROR(PersistAccess::ApplyEngineSnapshot(payload, engine));
+  }
+  // CRC and payload hash vouch for the bytes, not for what they decode to:
+  // a generation must also restore a state that audits clean.
+  const InvariantAuditReport audit = engine->AuditInvariants();
+  if (!audit.clean()) {
+    return Status::DataLoss("generation " + std::to_string(info.generation) +
+                            " restores a state that fails its audit: " +
+                            audit.ToString());
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-// --- PersistAccess sharded statics -----------------------------------------
+// --- PersistAccess engine statics -----------------------------------------
 
-std::string PersistAccess::SerializeShardSnapshot(const ShardedEngine& e,
-                                                  uint32_t shard_index,
-                                                  uint64_t wal_next_seq,
-                                                  uint64_t rounds) {
-  const EngineShard& shard = *e.shards_[shard_index];
+std::string PersistAccess::SerializeEngineSnapshot(const ScubaEngine& e,
+                                                   uint64_t wal_next_seq,
+                                                   uint64_t rounds) {
   ByteWriter w;
   w.PutU64(OptionsFingerprint(e.options()));
   w.PutU64(wal_next_seq);
   w.PutU64(rounds);
-  w.PutU32(shard_index);
-  w.PutU32(e.shard_count());
-  const std::vector<ClusterId> cids = shard.store.SortedClusterIds();
+  w.PutU32(0);  // entry index
+  w.PutU32(1);  // entry count
+  const std::vector<ClusterId> cids = e.store_.SortedClusterIds();
   w.PutU64(cids.size());
   for (ClusterId cid : cids) {
-    const MovingCluster* cluster = shard.store.GetCluster(cid);
-    SCUBA_CHECK(cluster != nullptr);
-    SaveCluster(*cluster, &w);
-    w.PutBool(e.AnyGridContains(cid));
+    SaveCluster(*e.store_.GetCluster(cid), &w);
+    w.PutBool(e.grid_.Contains(cid));
   }
-  const ClusterJoinExecutor::Counters& jc = shard.join.counters_;
+  const ClusterJoinExecutor::Counters& jc = e.join_executor_.counters_;
   w.PutU64(jc.comparisons);
   w.PutU64(jc.bounds_checks);
   w.PutU64(jc.pairs_tested);
   w.PutU64(jc.pairs_overlapping);
   w.PutU64(jc.within_joins_single);
   w.PutU64(jc.within_joins_pair);
-  w.PutDouble(shard.shedder.eta_);
-  w.PutU64(shard.shedder.adjustments_);
-  w.PutDouble(shard.nucleus_radius);
+  w.PutDouble(e.shedder_.eta_);
+  w.PutU64(e.shedder_.adjustments_);
+  w.PutDouble(e.clusterer_.nucleus_radius());
   return w.Release();
 }
 
-Status PersistAccess::ApplyShardSnapshot(const std::string& payload,
-                                         ShardedEngine* e) {
+Status PersistAccess::ApplyEngineSnapshot(const std::string& payload,
+                                          ScubaEngine* e) {
   ByteReader r(payload);
   SnapshotMeta meta;
   SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.options_fingerprint));
@@ -173,16 +183,15 @@ Status PersistAccess::ApplyShardSnapshot(const std::string& payload,
   SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.rounds));
   if (meta.options_fingerprint != OptionsFingerprint(e->options())) {
     return Status::FailedPrecondition(
-        "shard snapshot was taken under different engine options; restore "
+        "snapshot was taken under different engine options; restore "
         "requires semantically identical ScubaOptions");
   }
-  uint32_t saved_index = 0, saved_shards = 0;
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&saved_index));
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&saved_shards));
-  if (saved_shards == 0 || saved_index >= saved_shards) {
-    return Status::DataLoss("shard snapshot names shard " +
-                            std::to_string(saved_index) + " of " +
-                            std::to_string(saved_shards));
+  uint32_t entry = 0, entries = 0;
+  SCUBA_RETURN_IF_ERROR(r.GetU32(&entry));
+  SCUBA_RETURN_IF_ERROR(r.GetU32(&entries));
+  if (entries == 0 || entry >= entries) {
+    return Status::DataLoss("snapshot names entry " + std::to_string(entry) +
+                            " of " + std::to_string(entries));
   }
   uint64_t cluster_count = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU64(&cluster_count));
@@ -193,21 +202,14 @@ Status PersistAccess::ApplyShardSnapshot(const std::string& payload,
     SCUBA_RETURN_IF_ERROR(r.GetBool(&registered));
     const ClusterId cid = cluster->cid();
     const Circle bounds = cluster->registered_bounds();
-    // Re-partition on restore: ownership is a pure function of the saved
-    // registered center under the CURRENT router, so an N-shard checkpoint
-    // lands cleanly in an M-shard engine.
-    EngineShard* owner = e->OwnerShardFor(*cluster);
-    if (Status s = owner->store.AddCluster(std::move(cluster).value());
-        !s.ok()) {
-      return Status::DataLoss("shard snapshot cluster " + std::to_string(cid) +
+    if (Status s = e->store_.AddCluster(std::move(cluster).value()); !s.ok()) {
+      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
                               " rejected by the store: " + s.message());
     }
-    if (registered) {
-      if (Status s = e->ApplyRegistration(cid, bounds); !s.ok()) {
-        return Status::DataLoss("shard snapshot cluster " +
-                                std::to_string(cid) +
-                                " rejected by the grid: " + s.message());
-      }
+    if (!registered) continue;
+    if (Status s = e->grid_.Insert(cid, bounds); !s.ok()) {
+      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
+                              " rejected by the grid: " + s.message());
     }
   }
   ClusterJoinExecutor::Counters jc;
@@ -222,102 +224,59 @@ Status PersistAccess::ApplyShardSnapshot(const std::string& payload,
   SCUBA_RETURN_IF_ERROR(r.GetDouble(&eta));
   SCUBA_RETURN_IF_ERROR(r.GetU64(&adjustments));
   SCUBA_RETURN_IF_ERROR(r.GetDouble(&nucleus_radius));
-  if (saved_shards == e->shard_count()) {
-    EngineShard& shard = *e->shards_[saved_index];
-    shard.join.counters_ = jc;
-    shard.shedder.eta_ = eta;
-    shard.shedder.adjustments_ = adjustments;
-    shard.nucleus_radius = nucleus_radius;
-  } else {
-    // Layouts differ: per-stripe attribution is meaningless, but the summed
-    // counters (the observable aggregate) must survive — accumulate onto
-    // shard 0. Shard 0's saved shedder state seeds every stripe.
-    ClusterJoinExecutor::Counters& agg = e->shards_[0]->join.counters_;
-    agg.comparisons += jc.comparisons;
-    agg.bounds_checks += jc.bounds_checks;
-    agg.pairs_tested += jc.pairs_tested;
-    agg.pairs_overlapping += jc.pairs_overlapping;
-    agg.within_joins_single += jc.within_joins_single;
-    agg.within_joins_pair += jc.within_joins_pair;
-    if (saved_index == 0) {
-      for (auto& sp : e->shards_) {
-        sp->shedder.eta_ = eta;
-        sp->shedder.adjustments_ = adjustments;
-        sp->nucleus_radius = nucleus_radius;
-      }
-    }
-  }
   if (!r.AtEnd()) {
-    return Status::DataLoss("shard snapshot payload carries trailing bytes");
+    return Status::DataLoss("snapshot payload carries trailing bytes");
+  }
+  // Per-shard entries of older generations each carry their own share of
+  // the join counters; the sums are the engine's.
+  e->join_executor_.counters_ += jc;
+  if (entry == 0) {
+    e->shedder_.eta_ = eta;
+    e->shedder_.adjustments_ = adjustments;
+    e->clusterer_.set_nucleus_radius(nucleus_radius);
   }
   return Status::OK();
 }
 
-Status PersistAccess::ReplaceShardStripe(ShardedEngine* e, uint32_t shard,
-                                         const std::string& payload) {
-  if (e == nullptr) {
-    return Status::InvalidArgument("engine must be non-null");
-  }
-  if (shard >= e->shard_count()) {
-    return Status::InvalidArgument("shard index out of range");
-  }
-  EngineShard& victim = *e->shards_[shard];
-  // 1. Drop the stripe's own clusters: from every grid they touch, then from
-  // the stripe's store.
-  for (ClusterId cid : victim.store.SortedClusterIds()) {
-    for (auto& sp : e->shards_) {
-      if (!sp->grid.Contains(cid)) continue;
-      SCUBA_RETURN_IF_ERROR(sp->grid.Remove(cid));
-    }
-    SCUBA_RETURN_IF_ERROR(victim.store.RemoveCluster(cid));
-  }
-  // 2. Wipe the stripe's mirror outright: neighbor-owned border entries come
-  // back in step 4; corrupt residue never does.
-  victim.grid.Clear();
-  // 3. Re-add the stripe's clusters from the twin payload. Same layout, so
-  // every cluster routes back to this stripe; each registration fans out to
-  // every stripe its circle touches, this one included. The same-layout
-  // branch also restores the stripe's join counters and shedder state.
-  SCUBA_RETURN_IF_ERROR(ApplyShardSnapshot(payload, e));
-  // 4. Restore this stripe's mirror entries for the OTHER stripes' clusters:
-  // re-apply every registered cluster's placement (cell placement is pure
-  // geometry, so stripes already holding the cluster just recompute the same
-  // cells).
-  for (auto& sp : e->shards_) {
-    if (sp.get() == &victim) continue;
-    for (ClusterId cid : sp->store.SortedClusterIds()) {
-      const MovingCluster* cluster = sp->store.GetCluster(cid);
-      SCUBA_CHECK(cluster != nullptr);
-      if (!e->AnyGridContains(cid)) continue;  // unregistered cluster
-      SCUBA_RETURN_IF_ERROR(
-          e->ApplyRegistration(cid, cluster->registered_bounds()));
-    }
-  }
-  return Status::OK();
+void PersistAccess::AdoptEngineState(const ScubaEngine& twin,
+                                     ScubaEngine* live) {
+  live->store_ = twin.store_;
+  live->grid_ = twin.grid_;
+  // The copied grid carries the twin's generation counter, which may equal
+  // one the executor cached for the live grid: force a fresh CSR snapshot.
+  live->join_executor_.cached_grid_ = nullptr;
+  live->join_executor_.counters_ = twin.join_executor_.counters_;
+  live->shedder_.eta_ = twin.shedder_.eta_;
+  live->shedder_.adjustments_ = twin.shedder_.adjustments_;
+  live->clusterer_.set_nucleus_radius(twin.clusterer_.nucleus_radius());
 }
 
-void PersistAccess::SaveShardedCoordinatorState(const ShardedEngine& e,
-                                                const UpdateValidator* validator,
-                                                const Rng* rng, ByteWriter* w) {
-  w->PutU32(e.meta_.next_cid_);
-  PutSortedAttrTable(w, e.meta_.objects_);
-  PutSortedAttrTable(w, e.meta_.queries_);
+void PersistAccess::SaveCoordinatorState(const ScubaEngine& e,
+                                         const UpdateValidator* validator,
+                                         const Rng* rng, ByteWriter* w) {
+  w->PutU32(e.store_.next_cid_);
+  PutSortedAttrTable(w, e.store_.objects_);
+  PutSortedAttrTable(w, e.store_.queries_);
   SaveEvalStats(e.stats_, w);
   w->PutU64(e.phase_stats_.clusters_dissolved_expired);
   w->PutU64(e.phase_stats_.members_shed_maintenance);
   w->PutU64(e.phase_stats_.clusters_split);
-  w->PutU64(e.clusterer_stats_.clusters_created);
-  w->PutU64(e.clusterer_stats_.members_absorbed);
-  w->PutU64(e.clusterer_stats_.members_refreshed);
-  w->PutU64(e.clusterer_stats_.members_departed);
-  w->PutU64(e.clusterer_stats_.clusters_dissolved_empty);
-  w->PutU64(e.clusterer_stats_.members_shed);
+  const ClustererStats& cs = e.clusterer_.stats_;
+  w->PutU64(cs.clusters_created);
+  w->PutU64(cs.members_absorbed);
+  w->PutU64(cs.members_refreshed);
+  w->PutU64(cs.members_departed);
+  w->PutU64(cs.clusters_dissolved_empty);
+  w->PutU64(cs.members_shed);
+  // Pending ingest wall and worker seconds: equal, ingest being serial.
   w->PutDouble(e.pending_prejoin_seconds_);
-  w->PutDouble(e.pending_prejoin_worker_seconds_);
-  w->PutU64(e.handoffs_);
-  w->PutU64(e.ghosts_published_);
-  w->PutU64(e.recommendations_);
-  w->PutString(e.last_recommendation_);
+  w->PutDouble(e.pending_prejoin_seconds_);
+  // Retired shard counters (handoffs, border reads, rebalance
+  // recommendations and the last recommendation), kept in the layout.
+  w->PutU64(0);
+  w->PutU64(0);
+  w->PutU64(0);
+  w->PutString("");
   w->PutBool(validator != nullptr);
   if (validator != nullptr) SaveValidatorState(*validator, w);
   w->PutBool(rng != nullptr);
@@ -329,22 +288,17 @@ void PersistAccess::SaveShardedCoordinatorState(const ShardedEngine& e,
   }
 }
 
-Status PersistAccess::LoadShardedCoordinatorState(ByteReader* r,
-                                                  ShardedEngine* e,
-                                                  UpdateValidator* validator,
-                                                  Rng* rng) {
-  // Wipe the whole engine: the coordinator blob + shard payloads together
+Status PersistAccess::LoadCoordinatorState(ByteReader* r, ScubaEngine* e,
+                                           UpdateValidator* validator,
+                                           Rng* rng) {
+  // Wipe the whole engine: the coordinator blob + snapshot entries together
   // replace every piece of durable state.
-  e->meta_.Clear();
-  for (auto& sp : e->shards_) {
-    sp->store.Clear();
-    sp->grid.Clear();
-    sp->results.Clear();
-    sp->join.counters_ = ClusterJoinExecutor::Counters{};
-    sp->shedder.eta_ = e->options_.shedding.eta;
-    sp->shedder.adjustments_ = 0;
-    sp->nucleus_radius = sp->shedder.nucleus_radius();
-  }
+  e->store_.Clear();
+  e->grid_.Clear();
+  e->join_executor_.counters_ = ClusterJoinExecutor::Counters{};
+  e->shedder_.eta_ = e->options_.shedding.eta;
+  e->shedder_.adjustments_ = 0;
+  e->clusterer_.set_nucleus_radius(e->shedder_.nucleus_radius());
   uint32_t next_cid = 0;
   SCUBA_RETURN_IF_ERROR(r->GetU32(&next_cid));
   for (int table = 0; table < 2; ++table) {
@@ -356,35 +310,39 @@ Status PersistAccess::LoadShardedCoordinatorState(ByteReader* r,
       SCUBA_RETURN_IF_ERROR(r->GetU32(&id));
       SCUBA_RETURN_IF_ERROR(r->GetU64(&attrs));
       if (table == 0) {
-        e->meta_.UpsertObjectAttrs(id, attrs);
+        e->store_.UpsertObjectAttrs(id, attrs);
       } else {
-        e->meta_.UpsertQueryAttrs(id, attrs);
+        e->store_.UpsertQueryAttrs(id, attrs);
       }
     }
   }
-  e->meta_.next_cid_ = next_cid;
+  e->store_.next_cid_ = next_cid;
   SCUBA_RETURN_IF_ERROR(LoadEvalStats(r, &e->stats_));
   // The restored engine reports its own parallelism (results are identical
-  // across thread counts by contract; ingest is the serial coordinator).
-  e->stats_.join_threads = e->resolved_join_threads_;
+  // across thread counts by contract; ingest is serial).
+  e->stats_.join_threads = e->resolved_threads_;
   e->stats_.ingest_threads = 1;
   SCUBA_RETURN_IF_ERROR(
       r->GetU64(&e->phase_stats_.clusters_dissolved_expired));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.members_shed_maintenance));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_split));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->clusterer_stats_.clusters_created));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->clusterer_stats_.members_absorbed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->clusterer_stats_.members_refreshed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->clusterer_stats_.members_departed));
-  SCUBA_RETURN_IF_ERROR(
-      r->GetU64(&e->clusterer_stats_.clusters_dissolved_empty));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->clusterer_stats_.members_shed));
+  ClustererStats& cs = e->clusterer_.stats_;
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_created));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_absorbed));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_refreshed));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_departed));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_dissolved_empty));
+  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_shed));
+  double pending_worker_seconds = 0.0;
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_seconds_));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_worker_seconds_));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->handoffs_));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->ghosts_published_));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->recommendations_));
-  SCUBA_RETURN_IF_ERROR(r->GetString(&e->last_recommendation_));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&pending_worker_seconds));
+  // Retired shard counters: read past.
+  uint64_t retired = 0;
+  for (int counter = 0; counter < 3; ++counter) {
+    SCUBA_RETURN_IF_ERROR(r->GetU64(&retired));
+  }
+  std::string retired_recommendation;
+  SCUBA_RETURN_IF_ERROR(r->GetString(&retired_recommendation));
   bool has_validator = false;
   SCUBA_RETURN_IF_ERROR(r->GetBool(&has_validator));
   if (has_validator) {
@@ -417,13 +375,11 @@ Status PersistAccess::LoadShardedCoordinatorState(ByteReader* r,
   return Status::OK();
 }
 
-EvalStats* PersistAccess::MutableShardedStats(ShardedEngine* e) {
-  return &e->stats_;
-}
+EvalStats* PersistAccess::MutableStats(ScubaEngine* e) { return &e->stats_; }
 
-// --- ShardedEngine checkpoint/restore convenience --------------------------
+// --- ScubaEngine checkpoint/restore convenience -----------------------------
 
-Status ShardedEngine::Checkpoint(const std::string& dir) {
+Status ScubaEngine::Checkpoint(const std::string& dir) {
   Stopwatch sw;
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
@@ -431,7 +387,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   const uint64_t generation =
       manifests->empty() ? 1 : manifests->back().first + 1;
   uint64_t bytes = 0;
-  SCUBA_RETURN_IF_ERROR(WriteShardedCheckpoint(
+  SCUBA_RETURN_IF_ERROR(WriteCheckpoint(
       dir, *this, /*validator=*/nullptr, /*rng=*/nullptr, generation,
       /*wal_next_seq=*/0, stats_.evaluations, /*crash=*/nullptr, &bytes));
   ++stats_.checkpoints_written;
@@ -441,7 +397,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   return Status::OK();
 }
 
-Status ShardedEngine::Restore(const std::string& dir) {
+Status ScubaEngine::Restore(const std::string& dir) {
   SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
@@ -460,20 +416,15 @@ Status ShardedEngine::Restore(const std::string& dir) {
   Result<std::vector<std::string>> payloads =
       ReadGenerationPayloads(dir, *info);
   if (!payloads.ok()) return payloads.status();
-  ByteReader coord(info->coordinator_state);
-  SCUBA_RETURN_IF_ERROR(PersistAccess::LoadShardedCoordinatorState(
-      &coord, this, /*validator=*/nullptr, /*rng=*/nullptr));
-  for (const std::string& payload : *payloads) {
-    SCUBA_RETURN_IF_ERROR(PersistAccess::ApplyShardSnapshot(payload, this));
-  }
-  return Status::OK();
+  return LoadGeneration(*info, *payloads, this, /*validator=*/nullptr,
+                        /*rng=*/nullptr);
 }
 
 // --- ShardedDurabilityManager ----------------------------------------------
 
 Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open(
     const std::string& dir, const CheckpointPolicy& policy,
-    ShardedEngine* engine, UpdateValidator* validator, Rng* rng,
+    ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
     CrashInjector* crash) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
@@ -498,7 +449,6 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   manager->next_generation_ =
       manifests->empty() ? 1 : manifests->back().first + 1;
   uint64_t base_seq = 0;
-  uint64_t committed_shards = 0;
   for (size_t i = manifests->size(); i-- > 0;) {
     Result<ManifestInfo> info = ReadManifest((*manifests)[i].second);
     if (!info.ok()) {
@@ -510,23 +460,16 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
           "durable directory belongs to a run with different engine options");
     }
     base_seq = info->wal_next_seq;
-    committed_shards = info->shards.size();
     break;
   }
   Result<std::unique_ptr<WalWriter>> wal =
       WalWriter::Open(WalDirOf(dir), policy.wal_segment_bytes, base_seq, crash);
   if (!wal.ok()) return wal.status();
   manager->wal_ = std::move(wal).value();
-  const EvalStats& stats = *PersistAccess::MutableShardedStats(engine);
+  const EvalStats& stats = *PersistAccess::MutableStats(engine);
   manager->base_wal_records_ = stats.wal_records_appended;
   manager->base_wal_fsyncs_ = stats.wal_fsyncs;
   manager->base_wal_bytes_ = stats.wal_bytes_appended;
-  if (committed_shards != 0 && committed_shards != engine->shard_count()) {
-    // The on-disk layout differs from the engine's (re-partition on
-    // recovery): commit the new layout before accepting any append, so every
-    // batch logged from here on sits on a manifest of the live layout.
-    SCUBA_RETURN_IF_ERROR(manager->ForceCheckpoint());
-  }
   return manager;
 }
 
@@ -539,12 +482,12 @@ Status ShardedDurabilityManager::LogBatch(
   if (telemetry != nullptr) {
     // The append is activity for the upcoming round (the batch it logs).
     telemetry->EnsureRound(
-        PersistAccess::MutableShardedStats(engine_)->evaluations + 1);
+        PersistAccess::MutableStats(engine_)->evaluations + 1);
     sw.Start();
   }
   const Status status =
       wal_->Append(batch_time, evaluate_after, objects, queries);
-  EvalStats* stats = PersistAccess::MutableShardedStats(engine_);
+  EvalStats* stats = PersistAccess::MutableStats(engine_);
   stats->wal_records_appended =
       base_wal_records_ + wal_->stats().records_appended;
   stats->wal_fsyncs = base_wal_fsyncs_ + wal_->stats().fsyncs;
@@ -571,9 +514,9 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
     return crash_->CrashStatus();
   }
   Stopwatch sw;
-  EvalStats* stats = PersistAccess::MutableShardedStats(engine_);
+  EvalStats* stats = PersistAccess::MutableStats(engine_);
   uint64_t bytes = 0;
-  SCUBA_RETURN_IF_ERROR(WriteShardedCheckpoint(
+  SCUBA_RETURN_IF_ERROR(WriteCheckpoint(
       dir_, *engine_, validator_, rng_, next_generation_, wal_->next_seq(),
       stats->evaluations, crash_, &bytes));
   ++next_generation_;
@@ -594,13 +537,6 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
   SCUBA_RETURN_IF_ERROR(Prune());
   rounds_since_checkpoint_ = 0;
   return Status::OK();
-}
-
-Status ShardedDurabilityManager::OnLayoutChanged() {
-  // Mirrors Open's layout-change handling: commit the new layout before any
-  // further append, so every logged batch sits on a manifest of the live
-  // layout.
-  return ForceCheckpoint();
 }
 
 Status ShardedDurabilityManager::Prune() {
@@ -679,11 +615,9 @@ std::string ShardedRecoveryReport::ToString() const {
     out << "recovered from an empty base (no committed manifest)";
   } else {
     out << "recovered from " << manifest_path << " (generation " << generation
-        << ", " << manifest_shards << " shards, seq " << base_seq << ", "
-        << snapshot_rounds << " rounds)";
-  }
-  if (manifest_shards != 0 && manifest_shards != engine_shards) {
-    out << ", re-partitioned into " << engine_shards << " shards";
+        << ", " << manifest_shards << " snapshot entries, seq " << base_seq
+        << ", " << snapshot_rounds << " rounds) into " << engine_shards
+        << " join windows";
   }
   out << ", replayed " << batches_replayed << " batches (" << rounds_replayed
       << " rounds), next seq " << next_seq;
@@ -717,7 +651,7 @@ std::string ShardedRecoveryReport::ToJson() const {
 }
 
 Result<ShardedRecoveryReport> RecoverShardedEngine(
-    const std::string& dir, ShardedEngine* engine, UpdateValidator* validator,
+    const std::string& dir, ScubaEngine* engine, UpdateValidator* validator,
     Rng* rng, const ResultSink& sink) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
@@ -758,12 +692,8 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
       }
       return payloads.status();
     }
-    ByteReader coord(info->coordinator_state);
-    SCUBA_RETURN_IF_ERROR(PersistAccess::LoadShardedCoordinatorState(
-        &coord, engine, validator, rng));
-    for (const std::string& payload : *payloads) {
-      SCUBA_RETURN_IF_ERROR(PersistAccess::ApplyShardSnapshot(payload, engine));
-    }
+    SCUBA_RETURN_IF_ERROR(
+        LoadGeneration(*info, *payloads, engine, validator, rng));
     report.manifest_path = path;
     report.generation = generation;
     report.manifest_shards = info->shards.size();
@@ -811,29 +741,25 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
     ++report.batches_replayed;
     ++report.next_seq;
   }
-  PersistAccess::MutableShardedStats(engine)->recovery_replay_rounds +=
+  PersistAccess::MutableStats(engine)->recovery_replay_rounds +=
       report.rounds_replayed;
   return report;
 }
 
-Status RecoverShardStripe(const std::string& dir, ShardedEngine* engine,
-                          uint32_t shard,
+Status RecoverShardStripe(const std::string& dir, ScubaEngine* engine,
+                          uint32_t window,
                           const ValidatorConfig* validator_config) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
-  if (shard >= engine->shard_count()) {
-    return Status::InvalidArgument("shard index out of range");
-  }
-  // Recover a pristine twin at the live engine's layout. Supervision and
-  // telemetry are stripped (both are fingerprint-excluded, so the twin still
-  // passes the recovery fingerprint check) — the twin must replay clean, not
-  // re-inject faults or emit telemetry.
+  // Recover a pristine twin. Supervision and telemetry are stripped (both
+  // are fingerprint-excluded, so the twin still passes the recovery
+  // fingerprint check) — the twin must replay clean, not re-inject faults or
+  // emit telemetry.
   ScubaOptions twin_options = engine->options();
   twin_options.supervision = ShardSupervisionOptions{};
   twin_options.telemetry = TelemetryOptions{};
-  Result<std::unique_ptr<ShardedEngine>> twin =
-      ShardedEngine::Create(twin_options);
+  Result<std::unique_ptr<ScubaEngine>> twin = ScubaEngine::Create(twin_options);
   if (!twin.ok()) return twin.status();
   std::optional<UpdateValidator> scratch_validator;
   UpdateValidator* validator = nullptr;
@@ -845,10 +771,11 @@ Status RecoverShardStripe(const std::string& dir, ShardedEngine* engine,
       RecoverShardedEngine(dir, twin->get(), validator, nullptr);
   if (!replay.ok()) return replay.status();
   if (replay->manifest_path.empty() && replay->batches_replayed == 0) {
-    // An empty root would "recover" the stripe to empty — data loss, not
+    // An empty root would "recover" the engine to empty — data loss, not
     // recovery. Refuse instead.
     return Status::NotFound("durable root " + dir +
-                            " holds no recoverable state");
+                            " holds no recoverable state for window " +
+                            std::to_string(window));
   }
   const uint64_t live_rounds = engine->StatsSnapshot().eval.evaluations;
   const uint64_t twin_rounds = (*twin)->StatsSnapshot().eval.evaluations;
@@ -856,11 +783,10 @@ Status RecoverShardStripe(const std::string& dir, ShardedEngine* engine,
     return Status::FailedPrecondition(
         "durable root replays to round " + std::to_string(twin_rounds) +
         " but the live engine is at round " + std::to_string(live_rounds) +
-        "; online stripe recovery needs every round logged");
+        "; online window recovery needs every round logged");
   }
-  const std::string payload =
-      PersistAccess::SerializeShardSnapshot(**twin, shard, 0, 0);
-  return PersistAccess::ReplaceShardStripe(engine, shard, payload);
+  PersistAccess::AdoptEngineState(**twin, engine);
+  return Status::OK();
 }
 
 }  // namespace scuba

@@ -1,28 +1,26 @@
-// Sharded durability: manifest-committed checkpoints, one WAL and
-// crash-consistent recovery for ShardedEngine (docs/ARCHITECTURE.md §12).
+// Durability for the ScubaEngine: manifest-committed checkpoints, one WAL
+// and crash-consistent recovery (docs/ARCHITECTURE.md §12).
 //
 // Directory layout under one durable root:
 //
 //   manifest-<generation>.scubamf      committed checkpoint generations
 //   wal/ wal-<first_seq>.log           the root's one WAL
-//   shard-0000/ snapshot-<gen>.scuba   that shard's state at each generation
-//   shard-0001/ ...
+//   shard-0000/ snapshot-<gen>.scuba   the engine's state at each generation
 //
 // Logging: each admitted batch is appended whole to the one WAL as a single
-// record, in delivery order, with one fsync — stripes partition the engine's
-// work, not its history, so the shard count never reaches the log.
+// record, in delivery order, with one fsync — join windows split the
+// engine's work, not its history, so the window count never reaches the log.
 //
-// Checkpointing is two-phase: every shard's snapshot is written and fsynced
-// first, the manifest renames into place last. The manifest is the commit
-// point — recovery only trusts artifacts a readable manifest references
-// (checked by CRC and by the per-shard payload hash recorded in the
-// manifest), falling back generation by generation past torn ones.
+// Checkpointing is two-phase: the snapshot is written and fsynced first, the
+// manifest renames into place last. The manifest is the commit point —
+// recovery only trusts artifacts a readable manifest references (checked by
+// CRC and by the payload hash recorded in the manifest), falling back
+// generation by generation past torn ones.
 //
-// Re-partition on recovery: a checkpoint taken at N shards restores into an
-// M-shard engine — clusters route to the recovering layout's stripes, and
-// the WAL replays unchanged. On the next Open, a layout change forces an
-// immediate checkpoint so a new manifest commits the M-shard layout before
-// any new batch is logged.
+// Older builds wrote one snapshot entry per shard (shard-0000/ ...
+// shard-NNNN/) under the same manifest and payload formats. Recovery still
+// reads them: every entry's clusters join the one store. Windows are
+// recomputed from the options, so any window count recovers any generation.
 
 #ifndef SCUBA_SHARD_SHARD_DURABILITY_H_
 #define SCUBA_SHARD_SHARD_DURABILITY_H_
@@ -33,10 +31,10 @@
 
 #include "common/rng.h"
 #include "common/status.h"
+#include "core/scuba_engine.h"
 #include "persist/crash.h"
 #include "persist/manifest.h"
 #include "persist/wal.h"
-#include "shard/sharded_engine.h"
 #include "stream/pipeline.h"
 #include "stream/update_validator.h"
 
@@ -49,16 +47,14 @@ namespace scuba {
 class ShardedDurabilityManager : public DurabilitySink {
  public:
   /// Opens (creating if needed) the durable root for `engine`: the WAL
-  /// resumes after its last intact record (a torn tail is truncated away)
-  /// and, when the newest committed manifest's shard layout differs from the
-  /// engine's, an immediate checkpoint commits the new layout before any
-  /// append is accepted. A retired layout is kFailedPrecondition. All
-  /// pointers are unowned and must outlive the manager; `validator` / `rng`
-  /// (nullable) join every checkpoint's coordinator state; `crash`
-  /// (nullable) arms injection across the append and checkpoint paths.
+  /// resumes after its last intact record (a torn tail is truncated away).
+  /// A retired layout is kFailedPrecondition. All pointers are unowned and
+  /// must outlive the manager; `validator` / `rng` (nullable) join every
+  /// checkpoint's coordinator state; `crash` (nullable) arms injection
+  /// across the append and checkpoint paths.
   static Result<std::unique_ptr<ShardedDurabilityManager>> Open(
       const std::string& dir, const CheckpointPolicy& policy,
-      ShardedEngine* engine, UpdateValidator* validator, Rng* rng,
+      ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
       CrashInjector* crash);
 
   /// DurabilitySink: appends the batch as one fsynced WAL record, then
@@ -70,18 +66,10 @@ class ShardedDurabilityManager : public DurabilitySink {
   /// DurabilitySink: counts the round and checkpoints on the policy cadence.
   Status OnRoundComplete() override;
 
-  /// Writes a checkpoint generation right now: per-shard snapshots, then the
-  /// manifest, then prune (retention counts manifest GENERATIONS; no shard
+  /// Writes a checkpoint generation right now: the snapshot, then the
+  /// manifest, then prune (retention counts manifest GENERATIONS; no
   /// snapshot or WAL segment a retained manifest references is ever deleted).
   Status ForceCheckpoint();
-
-  /// The engine resharded in place (a reassign eviction dropped a stripe):
-  /// forces a checkpoint so a manifest commits the new layout before any
-  /// further append. Online stripe recovery rebuilds a stripe from a twin
-  /// recovered at the live layout, and a restore across layouts keeps only
-  /// summed per-stripe counters. Wired as
-  /// ShardedEngine::set_on_layout_changed.
-  Status OnLayoutChanged();
 
   /// Sequence number the next LogBatch stamps on its record.
   uint64_t next_seq() const { return wal_->next_seq(); }
@@ -91,7 +79,7 @@ class ShardedDurabilityManager : public DurabilitySink {
 
  private:
   ShardedDurabilityManager(std::string dir, const CheckpointPolicy& policy,
-                           ShardedEngine* engine, UpdateValidator* validator,
+                           ScubaEngine* engine, UpdateValidator* validator,
                            Rng* rng, CrashInjector* crash)
       : dir_(std::move(dir)),
         policy_(policy),
@@ -100,15 +88,15 @@ class ShardedDurabilityManager : public DurabilitySink {
         rng_(rng),
         crash_(crash) {}
 
-  /// Deletes manifests beyond keep_last_k generations, then every shard
-  /// snapshot no retained manifest references (extinct layouts' shard
-  /// directories included), orphaned temp files, and the WAL segments
-  /// wholly below every retained manifest's wal_next_seq.
+  /// Deletes manifests beyond keep_last_k generations, then every snapshot
+  /// no retained manifest references (older per-shard layouts' directories
+  /// included), orphaned temp files, and the WAL segments wholly below every
+  /// retained manifest's wal_next_seq.
   Status Prune();
 
   std::string dir_;
   CheckpointPolicy policy_;
-  ShardedEngine* engine_;
+  ScubaEngine* engine_;
   UpdateValidator* validator_;  ///< Nullable.
   Rng* rng_;                    ///< Nullable.
   CrashInjector* crash_;        ///< Nullable.
@@ -125,8 +113,10 @@ class ShardedDurabilityManager : public DurabilitySink {
 struct ShardedRecoveryReport {
   std::string manifest_path;  ///< Empty when no manifest was usable.
   uint64_t generation = 0;    ///< Generation recovered from (0 = none).
-  uint64_t manifest_shards = 0;  ///< Shard layout the checkpoint was taken at.
-  uint64_t engine_shards = 0;    ///< Layout restored into.
+  /// Snapshot entries in the recovered generation (1; older builds wrote one
+  /// per shard).
+  uint64_t manifest_shards = 0;
+  uint64_t engine_shards = 0;    ///< Join windows of the recovering engine.
   uint64_t base_seq = 0;         ///< Checkpoint's wal_next_seq.
   uint64_t snapshot_rounds = 0;
   uint64_t batches_replayed = 0;  ///< WAL records re-ingested.
@@ -138,7 +128,7 @@ struct ShardedRecoveryReport {
   /// True when the WAL ended in a torn frame (crash mid-append); the torn
   /// batch was never acknowledged and is not replayed.
   bool any_torn_tail = false;
-  /// Damage tolerated along the way (torn manifests, hash-mismatched shard
+  /// Damage tolerated along the way (torn manifests, hash-mismatched
   /// snapshots, a torn WAL tail).
   std::vector<std::string> data_loss;
 
@@ -147,35 +137,33 @@ struct ShardedRecoveryReport {
   std::string ToJson() const;
 };
 
-/// Rebuilds `engine` (and optionally `validator` / `rng`) from a sharded
-/// durable root: picks the newest manifest whose every referenced artifact
-/// verifies (CRC + recorded payload hash), falling back generation by
-/// generation past kDataLoss; routes the chosen generation's clusters into
-/// the engine's CURRENT shard layout; then replays every WAL record at or
-/// past the checkpoint's sequence, re-evaluating at the recorded round
-/// boundaries and feeding `sink` (nullable). The engine must be freshly
-/// created with the SAME semantic options as the original run
-/// (kFailedPrecondition on fingerprint mismatch). A WAL whose records skip
-/// past the checkpoint's sequence is kDataLoss; a retired layout is
-/// kFailedPrecondition.
+/// Rebuilds `engine` (and optionally `validator` / `rng`) from a durable
+/// root: picks the newest manifest whose every referenced artifact verifies
+/// (CRC + recorded payload hash), falling back generation by generation past
+/// kDataLoss; loads the chosen generation into the engine; then replays every
+/// WAL record at or past the checkpoint's sequence, re-evaluating at the
+/// recorded round boundaries and feeding `sink` (nullable). The engine must
+/// be freshly created with the SAME semantic options as the original run
+/// (kFailedPrecondition on fingerprint mismatch); its window count is free. A
+/// WAL whose records skip past the checkpoint's sequence is kDataLoss; a
+/// retired layout is kFailedPrecondition.
 Result<ShardedRecoveryReport> RecoverShardedEngine(
-    const std::string& dir, ShardedEngine* engine, UpdateValidator* validator,
+    const std::string& dir, ScubaEngine* engine, UpdateValidator* validator,
     Rng* rng, const ResultSink& sink = nullptr);
 
-/// Online per-stripe recovery (docs/ARCHITECTURE.md §13): rebuilds stripe
-/// `shard` of the LIVE `engine` from the durable root, between rounds,
-/// without touching the other stripes' stores. Recovers a pristine twin
-/// engine from `dir` (same semantic options; supervision and telemetry
-/// stripped), checks that the twin caught up to the live engine's round count
-/// (kFailedPrecondition when the durable root lags — e.g. rounds ran without
-/// being logged), then transplants the twin's stripe via
-/// PersistAccess::ReplaceShardStripe. `validator_config` (nullable) must echo
-/// the run's screening config when the root's checkpoints carry validator
-/// state (LoadShardedCoordinatorState rejects a validator-bearing payload
-/// otherwise). Wired as ShardedEngine::set_stripe_recovery by callers owning
-/// a durable directory.
-Status RecoverShardStripe(const std::string& dir, ShardedEngine* engine,
-                          uint32_t shard,
+/// Online recovery of a failed join window (docs/ARCHITECTURE.md §13):
+/// recovers a pristine twin engine from `dir` (same semantic options;
+/// supervision and telemetry stripped), checks that the twin caught up to
+/// the live engine's round count (kFailedPrecondition when the durable root
+/// lags — e.g. rounds ran without being logged), then replaces the live
+/// engine's whole store and grid (plus join counters and shedder state) with
+/// the twin's. `window` only names the failure in errors. `validator_config`
+/// (nullable) must echo the run's screening config when the root's
+/// checkpoints carry validator state (LoadCoordinatorState rejects a
+/// validator-bearing payload otherwise). Wired as
+/// ScubaEngine::set_stripe_recovery by callers owning a durable directory.
+Status RecoverShardStripe(const std::string& dir, ScubaEngine* engine,
+                          uint32_t window,
                           const ValidatorConfig* validator_config);
 
 }  // namespace scuba

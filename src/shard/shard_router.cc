@@ -1,26 +1,25 @@
 #include "shard/shard_router.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
 namespace scuba {
 
-Result<ShardRouter> ShardRouter::Create(const Rect& region,
-                                        uint32_t cells_per_side,
+Result<ShardRouter> ShardRouter::Create(uint32_t cells_per_side,
                                         uint32_t shards) {
   if (shards == 0) {
     return Status::InvalidArgument("shard count must be positive");
   }
-  Result<GridIndex> geometry = GridIndex::Create(region, cells_per_side);
-  if (!geometry.ok()) return geometry.status();
-  return ShardRouter(std::move(geometry).value(), shards);
+  if (cells_per_side == 0) {
+    return Status::InvalidArgument("cells_per_side must be positive");
+  }
+  return ShardRouter(cells_per_side, shards);
 }
 
-ShardRouter::ShardRouter(GridIndex geometry, uint32_t shards)
-    : geometry_(std::move(geometry)), shards_(shards) {
-  const uint64_t rows = geometry_.cells_per_side();
+ShardRouter::ShardRouter(uint32_t cells_per_side, uint32_t shards)
+    : cells_per_side_(cells_per_side), shards_(shards) {
+  const uint64_t rows = cells_per_side_;
   row_begin_.reserve(shards_ + 1);
   for (uint32_t s = 0; s <= shards_; ++s) {
     row_begin_.push_back(static_cast<uint32_t>(rows * s / shards_));
@@ -28,10 +27,10 @@ ShardRouter::ShardRouter(GridIndex geometry, uint32_t shards)
 }
 
 uint32_t ShardRouter::ShardOfCell(uint32_t cell) const {
-  SCUBA_CHECK(cell < geometry_.CellCount());
-  const uint32_t row = cell / geometry_.cells_per_side();
-  // The last stripe whose first row is <= row; zero-area stripes share their
-  // begin with the next stripe and are skipped by upper_bound, so the owner
+  SCUBA_CHECK(cell / cells_per_side_ < cells_per_side_);
+  const uint32_t row = cell / cells_per_side_;
+  // The last window whose first row is <= row; empty windows share their
+  // begin with the next window and are skipped by upper_bound, so the owner
   // always has row < RowEnd.
   const auto it =
       std::upper_bound(row_begin_.begin(), row_begin_.end(), row);

@@ -1,17 +1,13 @@
-// ShardRouter: contiguous row-stripe partitioning of the ClusterGrid's cell
-// space across N engine shards (docs/ARCHITECTURE.md §11).
+// ShardRouter: contiguous row-range partitioning of the ClusterGrid's cell
+// space into the engine's N join windows (docs/ARCHITECTURE.md §11).
 //
-// The router reuses the grid's geometry verbatim — the same region, the same
-// cells_per_side, the same out-of-region clamping — so "which shard owns this
-// point" is exactly "which stripe contains GridIndex::CellIndexOf(point)".
-// Stripes are whole grid rows: cells are row-major, so a stripe is one
+// Windows are whole grid rows: cells are row-major, so a window is one
 // contiguous cell range [CellBegin(s), CellEnd(s)), which is what lets each
-// shard's join scan a plain index window with no ownership test per cell.
+// window's join scan a plain index range with no ownership test per cell.
 //
-// Rows split as evenly as integer division allows: stripe s owns rows
-// [s*rows/shards, (s+1)*rows/shards). With more shards than rows, the excess
-// stripes are zero-area — legal, they simply own no cells and never receive
-// clusters.
+// Rows split as evenly as integer division allows: window s owns rows
+// [s*rows/shards, (s+1)*rows/shards). With more windows than rows, the excess
+// windows are empty — legal, they simply own no cells.
 
 #ifndef SCUBA_SHARD_SHARD_ROUTER_H_
 #define SCUBA_SHARD_SHARD_ROUTER_H_
@@ -20,57 +16,45 @@
 #include <vector>
 
 #include "common/status.h"
-#include "geometry/rect.h"
-#include "index/grid_index.h"
 
 namespace scuba {
 
 class ShardRouter {
  public:
-  /// Builds a router over the grid geometry `(region, cells_per_side)` with
-  /// `shards` row stripes. Fails on invalid geometry (empty region, zero
-  /// cells) or shards == 0.
-  static Result<ShardRouter> Create(const Rect& region, uint32_t cells_per_side,
-                                    uint32_t shards);
+  /// Builds a router over a grid of `cells_per_side` x `cells_per_side`
+  /// cells with `shards` row windows. Fails on zero cells or zero shards.
+  static Result<ShardRouter> Create(uint32_t cells_per_side, uint32_t shards);
 
   uint32_t shard_count() const { return shards_; }
-  uint32_t cells_per_side() const { return geometry_.cells_per_side(); }
+  uint32_t cells_per_side() const { return cells_per_side_; }
 
   /// Row range [RowBegin, RowEnd) owned by `shard`.
   uint32_t RowBegin(uint32_t shard) const { return row_begin_[shard]; }
   uint32_t RowEnd(uint32_t shard) const { return row_begin_[shard + 1]; }
 
   /// Contiguous cell range [CellBegin, CellEnd) owned by `shard` (rows are
-  /// row-major, so a row stripe is one cell interval).
+  /// row-major, so a row range is one cell interval).
   uint32_t CellBegin(uint32_t shard) const {
-    return row_begin_[shard] * geometry_.cells_per_side();
+    return row_begin_[shard] * cells_per_side_;
   }
   uint32_t CellEnd(uint32_t shard) const {
-    return row_begin_[shard + 1] * geometry_.cells_per_side();
+    return row_begin_[shard + 1] * cells_per_side_;
   }
 
-  /// True when the stripe owns no rows (shards > rows).
+  /// True when the window owns no rows (shards > rows).
   bool ZeroArea(uint32_t shard) const {
     return row_begin_[shard] == row_begin_[shard + 1];
   }
 
-  /// Owning shard of a cell index (must be < cells_per_side^2).
+  /// Owning window of a cell index (must be < cells_per_side^2).
   uint32_t ShardOfCell(uint32_t cell) const;
 
-  /// Owning shard of a point, with the grid's exact clamping semantics:
-  /// ShardOfCell(GridIndex::CellIndexOf(p)).
-  uint32_t ShardOfPoint(Point p) const {
-    return ShardOfCell(geometry_.CellIndexOf(p));
-  }
-
  private:
-  ShardRouter(GridIndex geometry, uint32_t shards);
+  ShardRouter(uint32_t cells_per_side, uint32_t shards);
 
-  /// Cell-less grid kept purely for its point->cell geometry, so routing and
-  /// indexing can never disagree on clamping or cell math.
-  GridIndex geometry_;
+  uint32_t cells_per_side_ = 1;
   uint32_t shards_ = 1;
-  /// shards_ + 1 entries; stripe s owns rows [row_begin_[s], row_begin_[s+1]).
+  /// shards_ + 1 entries; window s owns rows [row_begin_[s], row_begin_[s+1]).
   std::vector<uint32_t> row_begin_;
 };
 

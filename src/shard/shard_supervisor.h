@@ -1,20 +1,22 @@
-// ShardSupervisor: the per-shard failure barrier and health state machine
-// behind supervised ShardedEngine rounds (docs/ARCHITECTURE.md §13).
+// ShardSupervisor: the per-window failure barrier and health state machine
+// behind supervised ScubaEngine rounds (docs/ARCHITECTURE.md §13). "Shard"
+// here names a join window: a range of whole grid rows the engine scans as
+// one task.
 //
-// The supervisor never touches engine state itself. It wraps each shard's
+// The supervisor never touches engine state itself. It wraps each window's
 // join task with an exception barrier, a round-deadline check and the
-// deterministic fault injector, and tracks one ShardHealthRecord per stripe:
+// deterministic fault injector, and tracks one ShardHealthRecord per window:
 //
 //   healthy ──(task failure / stall / audit violation)──▶ degraded
 //   degraded ──(recovery attempt due)──▶ recovering
 //   recovering ──(audit clean)──▶ healthy
 //   recovering ──(attempt failed)──▶ degraded (backoff), or after
 //   max_recovery_attempts failures ──▶ evicted (kDegrade: in place;
-//   kReassign: the engine reshards to one fewer stripe first)
+//   kReassign: the engine recomputes one fewer window first)
 //
-// All decisions are made serially at the coordinator; the only member safe to
-// call from worker tasks is SuperviseJoinTask, which reads the pre-rolled
-// fault schedule and mutates nothing shared.
+// All decisions are made serially by the engine between window scans; the
+// only member that runs inside a scan is SuperviseJoinTask, which reads the
+// pre-rolled fault schedule and mutates nothing shared.
 
 #ifndef SCUBA_SHARD_SHARD_SUPERVISOR_H_
 #define SCUBA_SHARD_SHARD_SUPERVISOR_H_
@@ -32,7 +34,7 @@
 
 namespace scuba {
 
-/// One stripe's position in the supervision state machine.
+/// One window's position in the supervision state machine.
 enum class ShardHealth : uint8_t {
   kHealthy = 0,    ///< Joins run; results are live.
   kDegraded,       ///< Quarantined: serves its last-published results.
@@ -56,7 +58,7 @@ struct SupervisionStats {
   uint64_t rounds_supervised = 0;
   uint64_t shard_failures = 0;    ///< Supervised join tasks that failed.
   uint64_t shard_recoveries = 0;  ///< Online recoveries that verified clean.
-  uint64_t shard_evictions = 0;   ///< Stripes that exhausted their attempts.
+  uint64_t shard_evictions = 0;   ///< Windows that exhausted their attempts.
   uint64_t degraded_rounds = 0;   ///< Rounds served with >= 1 stale slice.
 };
 
@@ -72,18 +74,18 @@ class ShardSupervisor {
   void BeginRound(uint64_t round);
   uint64_t round() const { return round_; }
 
-  /// True when the stripe must not run its join this round (any non-healthy
+  /// True when the window must not run its join this round (any non-healthy
   /// state): its result slice is served from last-published results.
   bool Quarantined(uint32_t shard) const {
     return records_[shard].health != ShardHealth::kHealthy;
   }
   bool AnyQuarantined() const;
 
-  /// Runs one shard's join body under the failure barrier: injects this
+  /// Runs one window's join body under the failure barrier: injects this
   /// round's task-failure/stall fault, converts any escaped exception into
   /// Status::Internal, and enforces the round deadline. Worker-safe: reads
   /// the pre-rolled schedule, mutates nothing shared (injection stats are
-  /// counted serially by the coordinator afterwards).
+  /// counted serially by the engine afterwards).
   Status SuperviseJoinTask(uint32_t shard,
                            const std::function<Status()>& body) const;
 
@@ -96,8 +98,9 @@ class ShardSupervisor {
   ShardFaultInjector* injector() { return injector_.get(); }
   const ShardFaultInjector* injector() const { return injector_.get(); }
 
-  /// Serial outcome recording: the shard's supervised join failed this round.
-  /// Transitions the stripe to kDegraded with its first recovery attempt due
+  /// Serial outcome recording: the window's supervised join failed this
+  /// round.
+  /// Transitions the window to kDegraded with its first recovery attempt due
   /// at the end of the same round.
   void NoteJoinFailure(uint32_t shard, const Status& error);
   /// The round completed with at least one stale slice.
@@ -115,13 +118,13 @@ class ShardSupervisor {
   void NoteRecoverySuccess(uint32_t shard);
   /// Records a failed attempt and schedules the next one with exponential
   /// round-based backoff. Returns true when the attempt budget is exhausted
-  /// and the stripe must be evicted.
+  /// and the window must be evicted.
   bool NoteRecoveryFailure(uint32_t shard, const Status& error);
   /// kDegrade eviction (in place) or the bookkeeping half of a kReassign
-  /// eviction (the engine reshards separately).
+  /// eviction (the engine recomputes its windows separately).
   void NoteEvicted(uint32_t shard);
-  /// The engine restriped to `shards` stripes: every record resets to
-  /// healthy — the evicted stripe's identity no longer exists.
+  /// The engine recomputed `shards` windows: every record resets to
+  /// healthy — the evicted window's identity no longer exists.
   void OnLayoutChanged(uint32_t shards);
 
   uint32_t shard_count() const {
@@ -133,7 +136,7 @@ class ShardSupervisor {
   const ShardSupervisionOptions& options() const { return options_; }
   const SupervisionStats& stats() const { return stats_; }
 
-  /// Multi-line operator dump: one line per stripe plus the aggregate
+  /// Multi-line operator dump: one line per window plus the aggregate
   /// counters and (when armed) the injector stats.
   std::string HealthDump() const;
 

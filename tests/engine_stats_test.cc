@@ -55,13 +55,10 @@ TEST(EngineStatsTest, ParallelSpeedups) {
   EvalStats s = SampleStats();
   s.join_threads = 4;
   s.total_join_worker_seconds = 6.0;
-  s.total_ingest_seconds = 0.5;
-  s.total_ingest_worker_seconds = 1.0;
   s.total_postjoin_seconds = 0.25;
   s.total_postjoin_worker_seconds = 0.5;
   EXPECT_DOUBLE_EQ(Wrap(s).JoinParallelSpeedup(), 3.0);
   EXPECT_DOUBLE_EQ(Wrap(s).JoinParallelEfficiency(), 0.75);
-  EXPECT_DOUBLE_EQ(Wrap(s).IngestParallelSpeedup(), 2.0);
   EXPECT_DOUBLE_EQ(Wrap(s).PostJoinParallelSpeedup(), 2.0);
   EXPECT_EQ(Wrap(EvalStats{}).JoinParallelSpeedup(), 0.0);
 }

@@ -1,7 +1,10 @@
 #include "index/grid_index.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,48 @@ TEST(GridIndexTest, CreateRejectsBadArgs) {
       GridIndex::Create(Rect{10, 0, 0, 10}, 5).status().IsInvalidArgument());
   EXPECT_TRUE(
       GridIndex::Create(Rect{0, 0, 0, 10}, 5).status().IsInvalidArgument());
+}
+
+TEST(GridIndexTest, CreateCapsCellsPerSide) {
+  // Every empty cell costs a vector header, so a typo like 100000 must be
+  // an error, not a multi-gigabyte allocation.
+  const Rect region{0, 0, 10, 10};
+  EXPECT_TRUE(GridIndex::Create(region, GridIndex::kMaxCellsPerSide + 1)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(GridIndex::Create(region, 100000).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      GridIndex::Create(region, UINT32_MAX).status().IsInvalidArgument());
+  EXPECT_TRUE(GridIndex::Create(region, 1).ok());
+}
+
+TEST(GridIndexTest, NonFinitePointsClampIntoTheGrid) {
+  GridIndex g = MakeGrid(100.0, 10);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(g.CellIndexOf({inf, inf}), 99u);
+  EXPECT_EQ(g.CellIndexOf({-inf, 5}), 0u);
+  EXPECT_EQ(g.CellIndexOf({nan, nan}), 0u);
+  EXPECT_EQ(g.CellIndexOf({1e300, 5}), 9u);
+}
+
+TEST(GridIndexTest, InjectDropFromCellsKeepsTheRestOfThePlacement) {
+  GridIndex g = MakeGrid(100.0, 10);
+  ASSERT_TRUE(g.Insert(7, Rect{5, 5, 25, 25}).ok());  // cells 0-2, 10-12, 20-22
+  const uint64_t generation = g.generation();
+  EXPECT_EQ(g.InjectDropFromCells(7, 10, 20), 3u);
+  EXPECT_GT(g.generation(), generation);
+  std::vector<uint32_t> cells = *g.CellsOf(7);
+  std::sort(cells.begin(), cells.end());
+  EXPECT_EQ(cells, (std::vector<uint32_t>{0, 1, 2, 20, 21, 22}));
+  for (uint32_t cell : {10u, 11u, 12u}) {
+    EXPECT_TRUE(g.CellEntries(cell).empty()) << cell;
+  }
+  EXPECT_EQ(g.CellEntries(21), std::vector<uint32_t>{7});
+  EXPECT_EQ(g.InjectDropFromCells(7, 10, 20), 0u);  // nothing left there
+  EXPECT_EQ(g.InjectDropFromCells(99, 0, 100), 0u);  // unknown key
+  ASSERT_TRUE(g.Remove(7).ok());  // the reduced placement removes cleanly
+  EXPECT_TRUE(g.CellEntries(21).empty());
 }
 
 TEST(GridIndexTest, Geometry) {

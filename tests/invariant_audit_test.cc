@@ -4,18 +4,20 @@
 // pinpoint the exact divergence, RebuildGridFromStore() to restore a clean
 // audit with unchanged join results, and the periodic Evaluate hook to
 // self-heal grid damage (or surface unrepairable store damage as
-// kCorruption). The periodic-hook cases also run on the production engine
-// at shards {1,4}, through ShardedEngineAuditPeer.
+// kCorruption). The periodic-hook cases run at one and four join windows,
+// and the window-scoped audit must blame exactly the window whose cells were
+// damaged.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/scuba_engine.h"
-#include "shard/sharded_engine.h"
+#include "persist/snapshot.h"
 #include "state_digest.h"
 
 namespace scuba {
@@ -33,18 +35,6 @@ class ScubaEngineAuditPeer {
 
  private:
   ScubaEngine* engine_;
-};
-
-/// The production engine's back door, matching `friend class
-/// ShardedEngineAuditPeer`: mutable access to one stripe's store.
-class ShardedEngineAuditPeer {
- public:
-  explicit ShardedEngineAuditPeer(ShardedEngine* engine) : engine_(engine) {}
-
-  ClusterStore& store(uint32_t shard) { return engine_->shards_[shard]->store; }
-
- private:
-  ShardedEngine* engine_;
 };
 
 namespace {
@@ -278,8 +268,70 @@ TEST(InvariantAuditTest, RebuildIsIdempotent) {
   EXPECT_EQ(after, control_after);
 }
 
-// --- The periodic audit hook, on the reference engine (param 0) and on the
-// production engine at shards {1, 4}. ---
+// --- The window-scoped audit. ---
+
+TEST(InvariantAuditTest, WindowAuditBlamesOnlyTheDamagedWindow) {
+  // Ten windows of ten rows each put a border at y = 1000, which the
+  // workload's y ~ 900 groups straddle once registered with padding.
+  ScubaOptions options;
+  options.shards = 10;
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
+  IngestRound(engine.get(), 1);
+  ResultSet results;
+  ASSERT_TRUE(engine->Evaluate(2, &results).ok());
+  for (uint32_t w = 0; w < engine->shard_count(); ++w) {
+    EXPECT_TRUE(engine->AuditShardStripe(w).clean()) << "window " << w;
+  }
+
+  // Drop one cluster from the cells of its lowest window, the way the
+  // corrupt-state injection does, leaving its other cells in place.
+  ScubaEngineAuditPeer peer(engine.get());
+  const ShardRouter& windows = engine->router();
+  uint32_t damaged = windows.shard_count();
+  for (ClusterId cid : engine->store().SortedClusterIds()) {
+    std::vector<uint32_t> cells = *engine->cluster_grid().CellsOf(cid);
+    std::sort(cells.begin(), cells.end());
+    const uint32_t w = windows.ShardOfCell(cells.front());
+    if (cells.back() < windows.CellEnd(w)) continue;  // not a border cluster
+    ASSERT_GT(peer.grid().InjectDropFromCells(cid, windows.CellBegin(w),
+                                              windows.CellEnd(w)),
+              0u);
+    damaged = w;
+    break;
+  }
+  ASSERT_LT(damaged, windows.shard_count())
+      << "the workload must have a cluster crossing a window border";
+  for (uint32_t w = 0; w < engine->shard_count(); ++w) {
+    const InvariantAuditReport report = engine->AuditShardStripe(w);
+    EXPECT_EQ(report.clean(), w != damaged) << "window " << w << ": "
+                                            << report.ToString();
+  }
+  const InvariantAuditReport whole = engine->AuditInvariants();
+  EXPECT_FALSE(whole.clean());
+  EXPECT_TRUE(MentionedIn(whole, "grid cell placement diverges"))
+      << whole.ToString();
+}
+
+TEST(InvariantAuditTest, WindowAuditsSumToTheWholeAudit) {
+  ScubaOptions options;
+  options.shards = 3;
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
+  IngestRound(engine.get(), 1);
+  const InvariantAuditReport whole = engine->AuditInvariants();
+  ASSERT_TRUE(whole.clean()) << whole.ToString();
+  size_t clusters = 0, members = 0;
+  for (uint32_t w = 0; w < engine->shard_count(); ++w) {
+    const InvariantAuditReport part = engine->AuditShardStripe(w);
+    EXPECT_TRUE(part.clean()) << part.ToString();
+    clusters += part.clusters_checked;
+    members += part.members_checked;
+  }
+  // Every cluster is checked by exactly one window: its lowest cell's.
+  EXPECT_EQ(clusters, whole.clusters_checked);
+  EXPECT_EQ(members, whole.members_checked);
+}
+
+// --- The periodic audit hook, at one and four join windows. ---
 
 class PeriodicAuditTest : public ::testing::TestWithParam<uint32_t> {
  protected:
@@ -287,50 +339,28 @@ class PeriodicAuditTest : public ::testing::TestWithParam<uint32_t> {
   void Make(uint32_t audit_every) {
     ScubaOptions options;
     options.audit_every_n_rounds = audit_every;
-    if (GetParam() == 0) {
-      reference_ = MakeEngine(options);
-      engine_ = reference_.get();
-      return;
-    }
     options.shards = GetParam();
-    sharded_ = std::move(ShardedEngine::Create(options).value());
-    engine_ = sharded_.get();
+    engine_ = MakeEngine(options);
   }
 
-  /// The lowest cluster id and the store (stripe) that owns it.
+  /// The store and its lowest cluster id.
   std::pair<ClusterStore*, ClusterId> FirstCluster() {
-    if (reference_ != nullptr) {
-      ClusterStore& store = ScubaEngineAuditPeer(reference_.get()).store();
-      return {&store, store.SortedClusterIds().front()};
-    }
-    const ClusterId cid = sharded_->GlobalSortedClusterIds().front();
-    ShardedEngineAuditPeer peer(sharded_.get());
-    for (uint32_t s = 0; s < sharded_->shard_count(); ++s) {
-      if (peer.store(s).GetCluster(cid) != nullptr) {
-        return {&peer.store(s), cid};
-      }
-    }
-    ADD_FAILURE() << "cluster " << cid << " has no owner";
-    return {nullptr, cid};
+    ClusterStore& store = ScubaEngineAuditPeer(engine_.get()).store();
+    return {&store, store.SortedClusterIds().front()};
   }
 
-  bool AuditsClean() const {
-    return reference_ != nullptr ? reference_->AuditInvariants().clean()
-                                 : sharded_->AuditInvariants().clean();
-  }
+  bool AuditsClean() const { return engine_->AuditInvariants().clean(); }
 
-  QueryProcessor* engine_ = nullptr;
-  std::unique_ptr<ScubaEngine> reference_;
-  std::unique_ptr<ShardedEngine> sharded_;
+  std::unique_ptr<ScubaEngine> engine_;
 };
 
 TEST_P(PeriodicAuditTest, EvaluateSelfHealsGridDivergence) {
   Make(/*audit_every=*/1);
-  IngestRound(engine_, 1);
+  IngestRound(engine_.get(), 1);
   ResultSet results;
   ASSERT_TRUE(engine_->Evaluate(2, &results).ok());
-  EXPECT_EQ(engine_->stats().invariant_audits, 1u);
-  EXPECT_EQ(engine_->stats().invariant_violations, 0u);
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_audits, 1u);
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_violations, 0u);
 
   // Inflate one cluster's registered-bounds memo without touching its actual
   // cell placement. Post-join cannot notice (the memo claims the cluster is
@@ -346,30 +376,30 @@ TEST_P(PeriodicAuditTest, EvaluateSelfHealsGridDivergence) {
   // The round's audit hook finds the divergence, rebuilds the grid and
   // re-audits clean — Evaluate itself succeeds.
   ASSERT_TRUE(engine_->Evaluate(4, &results).ok());
-  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);
-  EXPECT_GE(engine_->stats().invariant_violations, 1u);
-  EXPECT_EQ(engine_->stats().invariant_audits, 3u);  // 1 clean + audit/re-audit
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_repairs, 1u);
+  EXPECT_GE(engine_->StatsSnapshot().eval.invariant_violations, 1u);
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_audits, 3u);  // 1 clean + audit/re-audit
   EXPECT_TRUE(AuditsClean());
 
   // Subsequent rounds audit clean without further repairs.
   ASSERT_TRUE(engine_->Evaluate(6, &results).ok());
-  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);
-  EXPECT_EQ(engine_->stats().invariant_audits, 4u);
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_repairs, 1u);
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_audits, 4u);
 }
 
 TEST_P(PeriodicAuditTest, AuditCadenceFollowsOption) {
   Make(/*audit_every=*/2);
   ResultSet results;
   for (int round = 1; round <= 4; ++round) {
-    IngestRound(engine_, round);
+    IngestRound(engine_.get(), round);
     ASSERT_TRUE(engine_->Evaluate(2 * round, &results).ok());
   }
-  EXPECT_EQ(engine_->stats().invariant_audits, 2u);  // rounds 2 and 4 only
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_audits, 2u);  // rounds 2 and 4 only
 }
 
 TEST_P(PeriodicAuditTest, StoreCorruptionSurfacesAsCorruption) {
   Make(/*audit_every=*/1);
-  IngestRound(engine_, 1);
+  IngestRound(engine_.get(), 1);
 
   // Damage the store itself: erase one member's home-table entry. A grid
   // rebuild cannot recover that, so the self-heal path must give up loudly.
@@ -384,14 +414,13 @@ TEST_P(PeriodicAuditTest, StoreCorruptionSurfacesAsCorruption) {
   ResultSet results;
   Status s = engine_->Evaluate(2, &results);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_EQ(engine_->stats().invariant_repairs, 1u);  // the rebuild was tried
+  EXPECT_EQ(engine_->StatsSnapshot().eval.invariant_repairs, 1u);  // the rebuild was tried
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Engines, PeriodicAuditTest, ::testing::Values(0u, 1u, 4u),
+    Engines, PeriodicAuditTest, ::testing::Values(1u, 4u),
     [](const ::testing::TestParamInfo<uint32_t>& info) {
-      return info.param == 0 ? std::string("reference")
-                             : "shards" + std::to_string(info.param);
+      return "shards" + std::to_string(info.param);
     });
 
 }  // namespace

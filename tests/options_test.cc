@@ -5,6 +5,7 @@
 #include "baseline/grid_join_engine.h"
 #include "baseline/query_index_engine.h"
 #include "core/scuba_options.h"
+#include "index/grid_index.h"
 
 namespace scuba {
 namespace {
@@ -30,6 +31,15 @@ TEST(ScubaOptionsTest, ThetaBounds) {
 TEST(ScubaOptionsTest, GridAndRegion) {
   ScubaOptions opt;
   opt.grid_cells = 0;
+  EXPECT_TRUE(opt.Validate().IsInvalidArgument());
+  opt = ScubaOptions{};
+  opt.grid_cells = GridIndex::kMaxCellsPerSide;
+  EXPECT_TRUE(opt.Validate().ok());
+  // Cell ids are u32 and every empty cell costs 24 B: past 4096 per side is
+  // a typo, not a grid.
+  opt.grid_cells = GridIndex::kMaxCellsPerSide + 1;
+  EXPECT_TRUE(opt.Validate().IsInvalidArgument());
+  opt.grid_cells = 100000;
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
   opt = ScubaOptions{};
   opt.region = Rect{100, 0, 0, 100};

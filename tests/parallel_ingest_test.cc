@@ -1,8 +1,10 @@
-// Determinism coverage for batched (parallel) ingestion: IngestBatch at any
-// ingest_threads count must leave the engine in a bit-identical state to the
-// serial per-update path — same clusters (every field, member order
+// Determinism coverage for batched ingestion and parallel post-join upkeep:
+// IngestBatch must leave the engine in a bit-identical state to the
+// per-update path, and post-join maintenance at any join_threads count must
+// match the serial loop — same clusters (every field, member order
 // included), same clusterer counters, same grid registrations, and identical
-// ResultSets from every subsequent Evaluate round.
+// ResultSets from every subsequent Evaluate round. ingest_threads is
+// accepted and ignored: ingest is serial.
 
 #include <gtest/gtest.h>
 
@@ -113,10 +115,11 @@ struct RunOutcome {
   uint64_t dissolved_expired = 0;
 };
 
-RunOutcome RunWorkload(const std::vector<Round>& rounds, uint32_t ingest_threads,
-               bool use_batch_api, double eta = 0.0) {
+RunOutcome RunWorkload(const std::vector<Round>& rounds, uint32_t threads,
+                       bool use_batch_api, double eta = 0.0) {
   ScubaOptions opt;
-  opt.ingest_threads = ingest_threads;
+  opt.join_threads = threads;
+  opt.ingest_threads = threads;
   if (eta > 0.0) {
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
@@ -152,7 +155,8 @@ class ParallelIngestDeterminismTest
 
 TEST_P(ParallelIngestDeterminismTest, BatchMatchesSerialAtEveryThreadCount) {
   std::vector<Round> rounds = MakeRounds(GetParam(), /*rounds=*/5);
-  RunOutcome serial = RunWorkload(rounds, /*ingest_threads=*/1, /*use_batch_api=*/false);
+  RunOutcome serial =
+      RunWorkload(rounds, /*threads=*/1, /*use_batch_api=*/false);
   size_t total = 0;
   for (const ResultSet& r : serial.rounds) total += r.size();
   EXPECT_GT(total, 0u) << "workload must produce matches";
@@ -179,10 +183,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelIngestDeterminismTest,
                          ::testing::Values(7, 21, 42, 1234));
 
 TEST(ParallelIngestTest, DeterministicUnderLoadShedding) {
-  // Shedding makes ingest mutate nuclei on the hot path; the batch path must
-  // still match serial bit for bit.
+  // Shedding makes ingest and post-join mutate nuclei; the batch path and
+  // parallel upkeep must still match serial bit for bit.
   std::vector<Round> rounds = MakeRounds(77, /*rounds=*/4);
-  RunOutcome serial = RunWorkload(rounds, 1, /*use_batch_api=*/false, /*eta=*/0.5);
+  RunOutcome serial =
+      RunWorkload(rounds, 1, /*use_batch_api=*/false, /*eta=*/0.5);
   EXPECT_GT(serial.clusterer.members_shed, 0u);
   for (uint32_t threads : {2u, 4u}) {
     RunOutcome batch = RunWorkload(rounds, threads, /*use_batch_api=*/true, 0.5);
@@ -207,13 +212,17 @@ TEST(ParallelIngestTest, StatsReportIngestSplit) {
   std::vector<Round> rounds = MakeRounds(5, /*rounds=*/2);
   ScubaOptions opt;
   opt.ingest_threads = 4;
+  opt.join_threads = 4;
   std::unique_ptr<ScubaEngine> engine =
       std::move(ScubaEngine::Create(opt).value());
   ASSERT_TRUE(engine->IngestBatch(rounds[0].objects, rounds[0].queries).ok());
   ResultSet results;
   ASSERT_TRUE(engine->Evaluate(2, &results).ok());
   const EvalStats stats = engine->StatsSnapshot().eval;
-  EXPECT_EQ(stats.ingest_threads, 4u);
+  EXPECT_EQ(stats.ingest_threads, 1u);  // serial whatever the option says
+  EXPECT_EQ(stats.join_threads, 4u);
+  EXPECT_DOUBLE_EQ(stats.total_ingest_worker_seconds,
+                   stats.total_ingest_seconds);
   EXPECT_GT(stats.total_ingest_seconds, 0.0);
   EXPECT_GT(stats.total_postjoin_seconds, 0.0);
   EXPECT_GT(stats.total_ingest_worker_seconds, 0.0);

@@ -1,9 +1,10 @@
-// Determinism and owner-cell dedup coverage for the sharded parallel cluster
-// join: every thread count must produce bit-identical normalized results and
+// Determinism and owner-cell dedup coverage for the parallel cluster join:
+// every thread count must produce bit-identical normalized results and
 // identical merged counters, and multi-cell cluster (pairs) must be joined
 // exactly once — in the lowest co-resident cell — with no shared seen-set.
-// Disjoint cell windows (ExecuteScoped, as the sharded engine's stripes use
-// it) must split that work by owner cell and add up to the whole join.
+// Disjoint cell windows (ScanWindow, as the engine's join windows use it)
+// must split that work by owner cell and add up to the whole join, in any
+// scan order after one Prepare.
 
 #include <gtest/gtest.h>
 
@@ -221,8 +222,8 @@ TEST_P(OwnerCellTest, ThreeWayOverlapJoinsEachPairOnce) {
   EXPECT_EQ(executor.counters().within_joins_pair, 2u);
 }
 
-/// One ExecuteScoped() call over [begin, end) on a fresh executor: the
-/// window's own counters and normalized results.
+/// Prepare() plus one ScanWindow() over [begin, end) on a fresh executor:
+/// the window's own counters and normalized results.
 struct WindowRun {
   ClusterJoinExecutor::Counters counters;
   ResultSet results;
@@ -232,9 +233,8 @@ WindowRun RunWindow(const JoinFixture& f, uint32_t threads, uint32_t begin,
                     uint32_t end) {
   ClusterJoinExecutor executor(/*query_reach_aware=*/true, threads);
   WindowRun run;
-  EXPECT_TRUE(
-      executor.ExecuteScoped(f.store, {}, f.grid, begin, end, &run.results)
-          .ok());
+  EXPECT_TRUE(executor.Prepare(f.store, f.grid).ok());
+  EXPECT_TRUE(executor.ScanWindow(begin, end, &run.results).ok());
   run.counters = executor.counters();
   return run;
 }
@@ -283,7 +283,7 @@ TEST_P(OwnerCellTest, PairCountsOnlyInItsLowestSharedCellsWindow) {
   ASSERT_GT(expected.size(), 0u);
 
   // Split right at the owner cell, just past it, and at the next row
-  // boundary (how stripes split): the last two leave shared cells on both
+  // boundary (how windows split): the last two leave shared cells on both
   // sides of the boundary.
   for (uint32_t k : {owner, owner + 1, (owner / cols + 1) * cols}) {
     SCOPED_TRACE(testing::Message() << "boundary " << k);
@@ -406,7 +406,27 @@ TEST_P(WindowPartitionTest, DisjointWindowsPartitionTheJoin) {
     concatenated.Normalize();
     EXPECT_EQ(concatenated.size(), emitted) << "a match came from two windows";
     EXPECT_EQ(concatenated, expected);
+
+    // One Prepare, the same windows scanned last to first on one executor
+    // (the pair stamps restart per window): the same partition.
+    ClusterJoinExecutor shared(true, 4);
+    ASSERT_TRUE(shared.Prepare(f.store, f.grid).ok());
+    ResultSet reversed;
+    for (uint32_t w = windows; w-- > 0;) {
+      ResultSet slice;
+      ASSERT_TRUE(shared.ScanWindow(bounds[w], bounds[w + 1], &slice).ok());
+      reversed.AppendFrom(std::move(slice));
+    }
+    EXPECT_TRUE(CountersEqual(shared.counters(), whole.counters()));
+    reversed.Normalize();
+    EXPECT_EQ(reversed, expected);
   }
+}
+
+TEST(WindowScanTest, ScanWindowBeforePrepareIsRejected) {
+  ClusterJoinExecutor executor(true, 2);
+  ResultSet results;
+  EXPECT_TRUE(executor.ScanWindow(0, 10, &results).IsFailedPrecondition());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowPartitionTest,

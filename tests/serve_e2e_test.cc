@@ -28,7 +28,7 @@ namespace scuba::serve {
 namespace {
 
 /// Deterministic workload: 64 entities in 4 drifting groups spread over the
-/// default 10000-unit region so every stripe of a 4-shard layout owns
+/// default 10000-unit region so every window of a 4-window layout owns
 /// tuples. Queries get ranges wide enough to actually match.
 struct TickBatch {
   std::vector<LocationUpdate> objects;

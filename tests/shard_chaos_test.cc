@@ -2,7 +2,7 @@
 // a long seeded run with rate-based fault injection across every class,
 // periodic checkpoints feeding online recovery, and both isolation policies.
 // After the storm the engine must audit clean (degrade: every non-evicted
-// stripe; reassign: the whole reduced layout), reproduce bit-identically
+// window; reassign: the whole reduced layout), reproduce bit-identically
 // under the same seed, and — when every incident recovered — converge to the
 // uninterrupted twin's exact state hash.
 
@@ -19,7 +19,6 @@
 #include "shard/shard_durability.h"
 #include "shard/shard_fault_injector.h"
 #include "shard/shard_supervisor.h"
-#include "shard/sharded_engine.h"
 
 namespace scuba {
 namespace {
@@ -48,8 +47,8 @@ struct Round {
   std::vector<QueryUpdate> queries;
 };
 
-/// Deterministic drifting stream covering all four stripes of a 4-shard
-/// layout, with two groups parked against stripe borders so corrupt-state
+/// Deterministic drifting stream covering all four windows of a 4-shard
+/// layout, with two groups parked against window borders so corrupt-state
 /// faults always find a border cluster to damage.
 std::vector<Round> MakeRounds(int rounds) {
   const double group_y[] = {1200.0, 2460.0, 4960.0, 7400.0};
@@ -109,18 +108,16 @@ ChaosOutcome RunChaos(const std::vector<Round>& rounds, const std::string& dir,
   opt.supervision.fault_seed = seed;
   opt.supervision.fault_rate = 0.02;  // Per class per shard per round.
 
-  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->get(),
                                      /*validator=*/nullptr, /*rng=*/nullptr,
                                      /*crash=*/nullptr);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
-  (*engine)->set_stripe_recovery([dir](ShardedEngine* e, uint32_t s) {
+  (*engine)->set_stripe_recovery([dir](ScubaEngine* e, uint32_t s) {
     return RecoverShardStripe(dir, e, s, /*validator_config=*/nullptr);
   });
-  (*engine)->set_on_layout_changed(
-      [&manager] { return (*manager)->OnLayoutChanged(); });
 
   ChaosOutcome out;
   ResultSet results;
@@ -143,8 +140,8 @@ ChaosOutcome RunChaos(const std::vector<Round>& rounds, const std::string& dir,
       (*engine)->supervisor()->injector()->stats().TotalInjected();
 
   // Audit-clean after the storm: under kReassign the whole (possibly
-  // reduced) layout must be clean; under kDegrade an evicted stripe keeps
-  // its damage forever, so only non-evicted stripes are held to it.
+  // reduced) layout must be clean; under kDegrade an evicted window keeps
+  // its damage forever, so only non-evicted windows are held to it.
   for (uint32_t s = 0; s < (*engine)->shard_count(); ++s) {
     if ((*engine)->supervisor()->record(s).health == ShardHealth::kEvicted) {
       continue;
@@ -198,8 +195,8 @@ TEST_P(ChaosSoakTest, StormIsDeterministicAuditCleanAndConvergent) {
     ScubaOptions clean_opt;
     clean_opt.shards = 4;
     clean_opt.join_threads = threads;
-    Result<std::unique_ptr<ShardedEngine>> twin =
-        ShardedEngine::Create(clean_opt);
+    Result<std::unique_ptr<ScubaEngine>> twin =
+        ScubaEngine::Create(clean_opt);
     ASSERT_TRUE(twin.ok());
     ResultSet results;
     for (size_t r = 0; r < rounds.size(); ++r) {

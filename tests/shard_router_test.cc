@@ -1,28 +1,24 @@
-// ShardRouter partitioning: even and uneven row-stripe splits, contiguous
-// cell windows, zero-area stripes when shards outnumber rows, the degenerate
-// one-row map, and point routing with the grid's exact clamping semantics.
+// ShardRouter partitioning: even and uneven row splits into join windows,
+// contiguous cell ranges, empty windows when windows outnumber rows, and the
+// degenerate one-row map.
 
 #include <gtest/gtest.h>
 
-#include "index/grid_index.h"
 #include "shard/shard_router.h"
 
 namespace scuba {
 namespace {
 
-constexpr Rect kRegion{0, 0, 10000, 10000};
-
 TEST(ShardRouterTest, RejectsZeroShards) {
-  EXPECT_FALSE(ShardRouter::Create(kRegion, 100, 0).ok());
+  EXPECT_FALSE(ShardRouter::Create(100, 0).ok());
 }
 
-TEST(ShardRouterTest, RejectsInvalidGeometry) {
-  EXPECT_FALSE(ShardRouter::Create(Rect{10, 10, 10, 10}, 100, 2).ok());
-  EXPECT_FALSE(ShardRouter::Create(kRegion, 0, 2).ok());
+TEST(ShardRouterTest, RejectsZeroCells) {
+  EXPECT_FALSE(ShardRouter::Create(0, 2).ok());
 }
 
 TEST(ShardRouterTest, EvenSplitIsContiguousAndExhaustive) {
-  ShardRouter router = ShardRouter::Create(kRegion, 100, 4).value();
+  ShardRouter router = ShardRouter::Create(100, 4).value();
   EXPECT_EQ(router.shard_count(), 4u);
   EXPECT_EQ(router.RowBegin(0), 0u);
   EXPECT_EQ(router.RowEnd(0), 25u);
@@ -37,7 +33,7 @@ TEST(ShardRouterTest, EvenSplitIsContiguousAndExhaustive) {
 }
 
 TEST(ShardRouterTest, CellOwnershipMatchesWindows) {
-  ShardRouter router = ShardRouter::Create(kRegion, 100, 4).value();
+  ShardRouter router = ShardRouter::Create(100, 4).value();
   // Exhaustive: every cell's owner window contains it.
   for (uint32_t cell = 0; cell < 100u * 100u; ++cell) {
     const uint32_t s = router.ShardOfCell(cell);
@@ -51,7 +47,7 @@ TEST(ShardRouterTest, CellOwnershipMatchesWindows) {
 
 TEST(ShardRouterTest, UnevenRowsSplitByIntegerDivision) {
   // 10 rows over 3 shards: [0,3) [3,6) [6,10).
-  ShardRouter router = ShardRouter::Create(kRegion, 10, 3).value();
+  ShardRouter router = ShardRouter::Create(10, 3).value();
   EXPECT_EQ(router.RowEnd(0), 3u);
   EXPECT_EQ(router.RowEnd(1), 6u);
   EXPECT_EQ(router.RowEnd(2), 10u);
@@ -62,7 +58,7 @@ TEST(ShardRouterTest, UnevenRowsSplitByIntegerDivision) {
 TEST(ShardRouterTest, MoreShardsThanRowsYieldsZeroAreaStripes) {
   // 4 rows over 8 shards: half the stripes own nothing — legal, they simply
   // never receive cells or clusters.
-  ShardRouter router = ShardRouter::Create(kRegion, 4, 8).value();
+  ShardRouter router = ShardRouter::Create(4, 8).value();
   uint32_t zero_area = 0, rows_covered = 0;
   for (uint32_t s = 0; s < 8; ++s) {
     if (router.ZeroArea(s)) {
@@ -85,7 +81,7 @@ TEST(ShardRouterTest, MoreShardsThanRowsYieldsZeroAreaStripes) {
 
 TEST(ShardRouterTest, MapSmallerThanOneStripe) {
   // A one-row map under 4 shards: a single stripe owns everything.
-  ShardRouter router = ShardRouter::Create(kRegion, 1, 4).value();
+  ShardRouter router = ShardRouter::Create(1, 4).value();
   const uint32_t owner = router.ShardOfCell(0);
   EXPECT_FALSE(router.ZeroArea(owner));
   EXPECT_EQ(router.CellBegin(owner), 0u);
@@ -93,25 +89,6 @@ TEST(ShardRouterTest, MapSmallerThanOneStripe) {
   for (uint32_t s = 0; s < 4; ++s) {
     if (s != owner) EXPECT_TRUE(router.ZeroArea(s));
   }
-  EXPECT_EQ(router.ShardOfPoint(Point{5000, 5000}), owner);
-}
-
-TEST(ShardRouterTest, PointRoutingMatchesGridClamping) {
-  ShardRouter router = ShardRouter::Create(kRegion, 100, 4).value();
-  GridIndex grid = GridIndex::Create(kRegion, 100).value();
-  const Point probes[] = {
-      {0, 0},        {9999.9, 9999.9}, {5000, 2500},   {5000, 2499.99},
-      {-50, -50},    {20000, 20000},   {5000, -1},     {5000, 10001},
-      {2500, 7500},  {0, 5000},
-  };
-  for (const Point& p : probes) {
-    EXPECT_EQ(router.ShardOfPoint(p), router.ShardOfCell(grid.CellIndexOf(p)))
-        << "(" << p.x << ", " << p.y << ")";
-  }
-  // Out-of-region points clamp like the grid: far below -> bottom stripe,
-  // far above -> top stripe.
-  EXPECT_EQ(router.ShardOfPoint(Point{5000, -1e9}), 0u);
-  EXPECT_EQ(router.ShardOfPoint(Point{5000, 1e9}), 3u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Shard fault isolation (docs/ARCHITECTURE.md §13): supervised rounds must
-// quarantine a failing stripe instead of failing the engine, serve degraded
-// rounds from last-published results, recover the stripe online between
-// rounds (probe-first, durable rebuild when the stripe audit is dirty), and
-// — after the attempt budget — evict in place (kDegrade) or reshard the
-// stripe away (kReassign). Everything is deterministic per fault seed, and a
-// clean supervised run is bit-identical to an unsupervised one.
+// Join-window fault isolation (docs/ARCHITECTURE.md §13): supervised rounds
+// must quarantine a failing window instead of failing the engine, serve
+// degraded rounds from last-published results, recover the window online
+// between rounds (probe-first, durable rebuild when the window audit is
+// dirty), and — after the attempt budget — evict in place (kDegrade) or hand
+// the window's rows to the others (kReassign). Everything is deterministic
+// per fault seed, and a clean supervised run is bit-identical to an
+// unsupervised one.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "shard/shard_durability.h"
 #include "shard/shard_fault_injector.h"
 #include "shard/shard_supervisor.h"
-#include "shard/sharded_engine.h"
 
 namespace scuba {
 namespace {
@@ -50,10 +50,10 @@ struct Round {
 };
 
 /// Deterministic stream: 64 entities in 4 drifting groups. Two groups sit
-/// just under the 4-stripe borders (y = 2500 / 5000 over the default
+/// just under the 4-window borders (y = 2500 / 5000 over the default
 /// 10000-unit region), so their clusters' registered circles always touch the
-/// next stripe — guaranteeing border clusters for corrupt-state injection on
-/// shards 1 and 2 — and every stripe of a 4-shard layout owns tuples.
+/// next window — guaranteeing border clusters for corrupt-state injection on
+/// shards 1 and 2 — and every window of a 4-window layout owns tuples.
 std::vector<Round> MakeRounds(int rounds) {
   const double group_y[] = {1200.0, 2460.0, 4960.0, 7400.0};
   std::vector<Round> out(rounds);
@@ -96,8 +96,8 @@ ScubaOptions MakeOptions(uint32_t shards, uint32_t threads = 1) {
   return opt;
 }
 
-std::unique_ptr<ShardedEngine> MakeEngine(const ScubaOptions& opt) {
-  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
+std::unique_ptr<ScubaEngine> MakeEngine(const ScubaOptions& opt) {
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
 }
@@ -110,7 +110,7 @@ struct DriveLog {
 
 /// Drives every round, expecting every Evaluate to succeed (the whole point
 /// of the degrade/reassign policies).
-DriveLog Drive(const std::vector<Round>& rounds, ShardedEngine* engine) {
+DriveLog Drive(const std::vector<Round>& rounds, ScubaEngine* engine) {
   DriveLog log;
   ResultSet results;
   for (size_t r = 0; r < rounds.size(); ++r) {
@@ -128,7 +128,7 @@ DriveLog Drive(const std::vector<Round>& rounds, ShardedEngine* engine) {
 /// Reference run: same workload, no supervision, same shard count.
 DriveLog CleanReference(const std::vector<Round>& rounds, uint32_t shards,
                         uint32_t threads = 1) {
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(MakeOptions(shards, threads));
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(MakeOptions(shards, threads));
   return Drive(rounds, engine.get());
 }
 
@@ -192,7 +192,7 @@ TEST(ShardFaultInjectorTest, SameSeedRollsTheSameSchedule) {
 TEST(ShardSupervisionTest, MalformedFaultSpecFailsEngineCreation) {
   ScubaOptions opt = MakeOptions(2);
   opt.supervision.fault_spec = "not-a-spec";
-  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
 }
@@ -206,7 +206,7 @@ TEST(ShardSupervisionTest, CleanSupervisedRunIsBitIdenticalAtEveryShardCount) {
     ScubaOptions opt = MakeOptions(shards);
     opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
     opt.supervision.round_deadline_seconds = 3600.0;
-    std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
     ASSERT_NE(engine->supervisor(), nullptr);
     const DriveLog supervised = Drive(rounds, engine.get());
     ExpectSameRounds(clean, supervised);
@@ -238,7 +238,7 @@ TEST_P(FaultMatrixTest, EveryFaultClassIsDeterministicPerSeed) {
       // failure is the same one on every rerun.
       std::string first_error;
       for (int repeat = 0; repeat < 2; ++repeat) {
-        std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+        std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
         ResultSet results;
         Status failed = Status::OK();
         for (size_t r = 0; r < rounds.size(); ++r) {
@@ -260,8 +260,8 @@ TEST_P(FaultMatrixTest, EveryFaultClassIsDeterministicPerSeed) {
 
     // Degrade / reassign: both runs of the same seed+spec must agree on
     // every round's results, degraded marks, health trajectory and hash.
-    std::unique_ptr<ShardedEngine> a = MakeEngine(opt);
-    std::unique_ptr<ShardedEngine> b = MakeEngine(opt);
+    std::unique_ptr<ScubaEngine> a = MakeEngine(opt);
+    std::unique_ptr<ScubaEngine> b = MakeEngine(opt);
     const DriveLog la = Drive(rounds, a.get());
     const DriveLog lb = Drive(rounds, b.get());
     ExpectSameRounds(la, lb);
@@ -274,7 +274,7 @@ TEST_P(FaultMatrixTest, EveryFaultClassIsDeterministicPerSeed) {
     EXPECT_EQ(a->supervisor()->injector()->stats().TotalInjected(),
               b->supervisor()->injector()->stats().TotalInjected())
         << fault_class;
-    // Task failures and stalls leave stripe state untouched, so the probe
+    // Task failures and stalls leave window state untouched, so the probe
     // audit recovers the shard in the same round and the run converges to
     // the clean reference exactly.
     if (std::string(fault_class) != "corrupt-state") {
@@ -301,7 +301,7 @@ TEST(ShardSupervisionTest, DegradedRoundServesLastPublishedResultsAndMarks) {
   ScubaOptions opt = MakeOptions(4);
   opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
   opt.supervision.fault_spec = "3:1:task-failure";
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   const DriveLog log = Drive(rounds, engine.get());
 
   // Only round 3 is degraded, and only shard 1 is marked.
@@ -312,7 +312,7 @@ TEST(ShardSupervisionTest, DegradedRoundServesLastPublishedResultsAndMarks) {
       EXPECT_TRUE(log.degraded[r].empty()) << "round " << (r + 1);
     }
   }
-  // A task failure never touches stripe state, so the probe audit heals the
+  // A task failure never touches window state, so the probe audit heals the
   // shard at the end of the SAME round and every later round is live again
   // — bit-identical to the clean reference from round 4 on, converging to
   // its exact final state.
@@ -325,13 +325,13 @@ TEST(ShardSupervisionTest, DegradedRoundServesLastPublishedResultsAndMarks) {
   EXPECT_EQ(engine->supervisor()->record(1).health, ShardHealth::kHealthy);
 }
 
-TEST(ShardSupervisionTest, StripeAuditCatchesInjectedGridCorruption) {
+TEST(ShardSupervisionTest, WindowAuditCatchesInjectedGridCorruption) {
   const std::vector<Round> rounds = MakeRounds(6);
   ScubaOptions opt = MakeOptions(4);
   opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
   opt.supervision.max_recovery_attempts = 2;
   opt.supervision.fault_spec = "3:1:corrupt-state";
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   const DriveLog log = Drive(rounds, engine.get());
   (void)log;
 
@@ -341,12 +341,12 @@ TEST(ShardSupervisionTest, StripeAuditCatchesInjectedGridCorruption) {
   EXPECT_EQ(engine->supervisor()->stats().shard_failures, 1u);
   EXPECT_GE(engine->supervisor()->stats().degraded_rounds, 1u);
   // With no durable root attached there is no rebuild hook: the probe audit
-  // stays dirty, both attempts fail, and the stripe is evicted in place —
+  // stays dirty, both attempts fail, and the window is evicted in place —
   // permanently quarantined but still serving its last published slice.
   EXPECT_EQ(engine->supervisor()->stats().shard_recoveries, 0u);
   EXPECT_EQ(engine->supervisor()->stats().shard_evictions, 1u);
   EXPECT_EQ(engine->supervisor()->record(1).health, ShardHealth::kEvicted);
-  EXPECT_EQ(engine->shard_count(), 4u);  // kDegrade never reshards.
+  EXPECT_EQ(engine->shard_count(), 4u);  // kDegrade keeps every window.
   EXPECT_FALSE(engine->AuditShardStripe(1).clean());
 }
 
@@ -360,18 +360,16 @@ TEST(ShardSupervisionTest, DurableRecoveryHealsCorruptionAndConvergesExactly) {
   opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
   opt.supervision.fault_spec = "3:1:corrupt-state";
 
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
                                      /*validator=*/nullptr, /*rng=*/nullptr,
                                      /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   const std::string root = dir.path();
-  engine->set_stripe_recovery([root](ShardedEngine* e, uint32_t s) {
+  engine->set_stripe_recovery([root](ScubaEngine* e, uint32_t s) {
     return RecoverShardStripe(root, e, s, /*validator_config=*/nullptr);
   });
-  engine->set_on_layout_changed(
-      [&manager] { return (*manager)->OnLayoutChanged(); });
 
   DriveLog log;
   ResultSet results;
@@ -425,7 +423,7 @@ TEST(ShardSupervisionTest, RecoveryFailureInjectionDrivesBackoffToEviction) {
   // the injected recovery failure strikes; attempt 3 lands at round 6 (1<<1
   // rounds later), fails again and exhausts the budget.
   opt.supervision.fault_spec = "3:1:corrupt-state,4:1:recovery-failure";
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   Drive(rounds, engine.get());
 
   const ShardFaultStats& faults = engine->supervisor()->injector()->stats();
@@ -437,7 +435,7 @@ TEST(ShardSupervisionTest, RecoveryFailureInjectionDrivesBackoffToEviction) {
   EXPECT_EQ(engine->supervisor()->record(1).recovery_attempts, 3u);
 }
 
-// --- reassign: graceful degradation to one fewer stripe ---
+// --- reassign: graceful degradation to one fewer window ---
 
 TEST(ShardSupervisionTest, ReassignEvictionReshardsAndRunsCleanReduced) {
   const std::vector<Round> rounds = MakeRounds(6);
@@ -445,7 +443,7 @@ TEST(ShardSupervisionTest, ReassignEvictionReshardsAndRunsCleanReduced) {
   opt.supervision.on_failure = ShardFailurePolicy::kReassign;
   opt.supervision.max_recovery_attempts = 1;
   opt.supervision.fault_spec = "3:1:corrupt-state";
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   const DriveLog log = Drive(rounds, engine.get());
 
   ASSERT_EQ(
@@ -469,10 +467,10 @@ TEST(ShardSupervisionTest, ReassignEvictionReshardsAndRunsCleanReduced) {
   EXPECT_EQ(log.final_hash, clean.final_hash);
 }
 
-TEST(ShardSupervisionTest, HealthDumpNamesEveryStripe) {
+TEST(ShardSupervisionTest, HealthDumpNamesEveryWindow) {
   ScubaOptions opt = MakeOptions(2);
   opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
-  std::unique_ptr<ShardedEngine> engine = MakeEngine(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   const std::vector<Round> rounds = MakeRounds(2);
   Drive(rounds, engine.get());
   const std::string dump = engine->supervisor()->HealthDump();

@@ -5,10 +5,10 @@
 // bit-identical per-round ResultSets and state digests to an uninterrupted
 // reference-engine run — including the replayed rounds, recovered at the
 // other thread count, and WAL-only recovery when the first checkpoint never
-// lands. Plus targeted coverage at every shard count: delta>1 round
-// boundaries, validator timestamp floors after replay, re-partition (a
-// directory written at N shards recovers into M) and validator/quarantine
-// state surviving recovery.
+// lands. Plus targeted coverage at every window count: delta>1 round
+// boundaries, validator timestamp floors after replay, a directory written
+// at N windows recovering at M, and validator/quarantine state surviving
+// recovery.
 
 #include <gtest/gtest.h>
 
@@ -20,11 +20,11 @@
 
 #include "common/rng.h"
 #include "core/scuba_engine.h"
+#include "persist/snapshot.h"
 #include "gen/trace.h"
 #include "persist/crash.h"
 #include "persist/manifest.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
 #include "state_digest.h"
 #include "stream/pipeline.h"
 #include "stream/update_validator.h"
@@ -130,8 +130,8 @@ ValidatorConfig MakeValidatorConfig() {
   return config;
 }
 
-std::unique_ptr<ShardedEngine> MakeSharded(const ScubaOptions& opt) {
-  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
+std::unique_ptr<ScubaEngine> MakeSharded(const ScubaOptions& opt) {
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
 }
@@ -142,7 +142,7 @@ struct RunLog {
 };
 
 /// The uninterrupted twin: a plain single ScubaEngine with no durability.
-/// The sharded determinism contract makes its per-round results and digests
+/// The window determinism contract makes its per-round results and digests
 /// the bar for every (shards, threads) recovered run.
 RunLog RunBaseline(const std::vector<Round>& rounds) {
   Result<std::unique_ptr<ScubaEngine>> engine =
@@ -168,7 +168,7 @@ size_t RunUntilCrash(const std::vector<Round>& rounds, uint32_t threads,
                      uint32_t shards, const std::string& dir,
                      CrashInjector* crash) {
   const ScubaOptions opt = MakeOptions(threads, shards);
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   UpdateValidator validator(MakeValidatorConfig());
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
@@ -195,7 +195,7 @@ size_t RunUntilCrash(const std::vector<Round>& rounds, uint32_t threads,
   return rounds.size();
 }
 
-/// Recovers `dir` into a fresh engine at `shards` stripes, checks every
+/// Recovers `dir` into a fresh engine at `shards` windows, checks every
 /// replayed round against the baseline, finishes the remaining rounds
 /// durably and requires bit-identical results and digests throughout.
 void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
@@ -203,7 +203,7 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
                       const RunLog& base,
                       ShardedRecoveryReport* report_out = nullptr) {
   const ScubaOptions opt = MakeOptions(threads, shards);
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   UpdateValidator validator(MakeValidatorConfig());
   std::vector<std::pair<Timestamp, ResultSet>> replayed;
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
@@ -254,10 +254,8 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
 struct CrashCase {
   CrashPoint point;
   /// Which occurrence fires. WAL-append points count per batch; checkpoint
-  /// points count per checkpoint (one every 2 rounds); between-shard
-  /// snapshots only occur at shards > 1.
+  /// points count per checkpoint (one every 2 rounds).
   uint64_t occurrence;
-  bool needs_multiple_shards = false;
 };
 
 TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
@@ -269,7 +267,6 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
       // The first checkpoint never lands: WAL-only recovery.
       {CrashPoint::kMidShardSnapshotWrite, 1},
       {CrashPoint::kMidShardSnapshotWrite, 2},
-      {CrashPoint::kBetweenShardSnapshots, 2, /*needs_multiple_shards=*/true},
       {CrashPoint::kBeforeManifestRename, 2},
       {CrashPoint::kTornManifestRename, 2},
       {CrashPoint::kAfterManifestRename, 2},
@@ -281,7 +278,6 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
   for (uint32_t threads : {1u, 4u}) {
     for (uint32_t shards : {1u, 2u, 4u}) {
       for (const CrashCase& c : kMatrix) {
-        if (c.needs_multiple_shards && shards == 1) continue;
         SCOPED_TRACE(std::string(CrashPointName(c.point)) +
                      " shards=" + std::to_string(shards) +
                      " threads=" + std::to_string(threads));
@@ -326,10 +322,10 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
   }
 }
 
-/// Re-partition on recovery: a directory crashed at N shards recovers into
-/// M, finishes durably (the layout change forces a fresh manifest), and a
-/// SECOND recovery — over manifests and shard snapshots spanning both
-/// layouts — still reproduces the twin exactly.
+/// Window counts are not durable: a directory crashed at N windows recovers
+/// at M, finishes durably, and a SECOND recovery over the finished directory
+/// still reproduces the twin exactly. Every generation holds one snapshot
+/// entry whatever the window count.
 TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
   const struct {
     uint32_t from;
@@ -353,12 +349,11 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
     RecoverAndFinish(rounds, /*threads=*/2, rs.to, dir.path(), base, &report);
     EXPECT_EQ(report.engine_shards, rs.to);
     if (!report.manifest_path.empty()) {
-      EXPECT_EQ(report.manifest_shards, rs.from);
+      EXPECT_EQ(report.manifest_shards, 1u);
     }
 
-    // The finished directory now mixes manifests and shard directories from
-    // both layouts; recovery over that history must still land on the twin.
-    std::unique_ptr<ShardedEngine> again =
+    // Recovery over the finished directory must still land on the twin.
+    std::unique_ptr<ScubaEngine> again =
         MakeSharded(MakeOptions(1, rs.to));
     UpdateValidator validator(MakeValidatorConfig());
     Result<ShardedRecoveryReport> second = RecoverShardedEngine(
@@ -414,7 +409,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   ScopedTempDir dir("sharded_validator_recovery");
   const ScubaOptions opt4 = MakeOptions(2, 4);
   {
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt4);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt4);
     UpdateValidator validator(MakeValidatorConfig());
     // delta=2 and checkpoint-every-2-rounds put checkpoints after batches 3
     // and 7 (wal_next_seq 4 and 8). One append per batch, so occurrence 5
@@ -432,7 +427,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
     ASSERT_TRUE(CrashInjector::IsCrash(s)) << s.ToString();
   }
   const ScubaOptions opt2 = MakeOptions(1, 2);
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt2);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt2);
   UpdateValidator validator(MakeValidatorConfig());
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
       dir.path(), engine.get(), &validator, /*rng=*/nullptr);
@@ -493,7 +488,7 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     ScopedTempDir dir("sharded_delta2_s" + std::to_string(shards));
     ScubaOptions opt = MakeOptions(1, shards);
     opt.checkpoint.every_n_rounds = 1;  // still only fires at round boundaries
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     // The append of batch 4, an ingest-only mid-window batch.
     CrashInjector crash(CrashPoint::kAfterWalAppend, 5);
     {
@@ -524,7 +519,7 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
 
     // Batch 4 is durable but was never ingested; recovery must replay it
     // without evaluating.
-    std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     std::vector<ResultSet> replayed;
     Result<ShardedRecoveryReport> report = RecoverShardedEngine(
         dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr,
@@ -566,7 +561,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
     ScopedTempDir dir("sharded_floors_s" + std::to_string(shards));
     ScubaOptions opt = MakeOptions(1, shards);
     opt.checkpoint.every_n_rounds = 0;  // never checkpoint: WAL is everything
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     UpdateValidator validator(MakeValidatorConfig());
     {
       Result<std::unique_ptr<ShardedDurabilityManager>> manager =
@@ -588,7 +583,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
       }
     }
 
-    std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     UpdateValidator recovered_validator(MakeValidatorConfig());
     Result<ShardedRecoveryReport> report = RecoverShardedEngine(
         dir.path(), recovered.get(), &recovered_validator, /*rng=*/nullptr);

@@ -1,8 +1,9 @@
-// Unit coverage for the sharded durability artifacts (docs/ARCHITECTURE.md
-// §12): manifest framing and corruption detection, fsck verdicts (one exit
-// code per damage class, read-only), generation-based prune retention, the
-// ShardedEngine::Checkpoint/Restore convenience pair across shard counts,
-// one WAL record and one fsync per batch at any shard count, and refusal of
+// Unit coverage for the durability artifacts (docs/ARCHITECTURE.md §12):
+// manifest framing and corruption detection, fsck verdicts (one exit code per
+// damage class, read-only), generation-based prune retention, the
+// ScubaEngine::Checkpoint/Restore convenience pair across window counts, one
+// WAL record and one fsync per batch at any window count, one snapshot entry
+// per generation, recovery of older per-shard generations, and refusal of
 // the retired durable layouts.
 
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
 #include "state_digest.h"
 
 namespace scuba {
@@ -52,7 +52,7 @@ struct Round {
 };
 
 /// Deterministic little stream: 60 entities in 4 drifting groups spread over
-/// the whole region, so every row stripe of a 4-shard layout owns tuples.
+/// the whole region, so every row window of a 4-window layout owns tuples.
 std::vector<Round> MakeRounds(int rounds, double y_span = 9000.0) {
   std::vector<Round> out(rounds);
   for (int r = 0; r < rounds; ++r) {
@@ -96,8 +96,8 @@ ScubaOptions MakeOptions(uint32_t shards) {
   return opt;
 }
 
-std::unique_ptr<ShardedEngine> MakeSharded(const ScubaOptions& opt) {
-  Result<std::unique_ptr<ShardedEngine>> engine = ShardedEngine::Create(opt);
+std::unique_ptr<ScubaEngine> MakeSharded(const ScubaOptions& opt) {
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(engine).value();
 }
@@ -106,7 +106,7 @@ std::unique_ptr<ShardedEngine> MakeSharded(const ScubaOptions& opt) {
 /// final digest. The manager is closed before returning.
 std::string RunDurably(const std::vector<Round>& rounds,
                        const ScubaOptions& opt, const std::string& dir) {
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
                                      /*validator=*/nullptr, /*rng=*/nullptr,
@@ -217,7 +217,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   ScopedTempDir dir("fsck_verdicts");
   const ScubaOptions opt = MakeOptions(4);
   {
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     Result<std::unique_ptr<ShardedDurabilityManager>> manager =
         ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
                                        engine.get(), nullptr, nullptr,
@@ -249,7 +249,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
 
   // Orphaned temp file -> kFsckOrphan.
   const std::string tmp =
-      (fs::path(dir.path()) / ShardDirName(1) / "snapshot-junk.tmp").string();
+      (fs::path(dir.path()) / ShardDirName(0) / "snapshot-junk.tmp").string();
   { std::ofstream(tmp, std::ios::binary) << "partial"; }
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
@@ -293,22 +293,23 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->exit_code, kFsckWalGap) << report->ToString();
   {
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     Result<ShardedRecoveryReport> gap = RecoverShardedEngine(
         dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
     EXPECT_TRUE(gap.status().IsDataLoss()) << gap.status().ToString();
   }
   restore();
 
-  // A referenced shard snapshot corrupted -> kFsckBadSnapshot.
+  // The referenced snapshot corrupted -> kFsckBadSnapshot.
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir.path());
   ASSERT_TRUE(manifests.ok());
   Result<ManifestInfo> newest = ReadManifest(manifests->back().second);
   ASSERT_TRUE(newest.ok());
+  ASSERT_EQ(newest->shards.size(), 1u) << "one snapshot entry per generation";
   const std::string snap =
-      (fs::path(dir.path()) / ShardDirName(2) /
-       SnapshotFileName(newest->shards[2].snapshot_seq))
+      (fs::path(dir.path()) / ShardDirName(0) /
+       SnapshotFileName(newest->shards[0].snapshot_seq))
           .string();
   CorruptByteAt(snap, fs::file_size(snap) / 2);
   report = FsckDurableDir(dir.path());
@@ -386,21 +387,23 @@ TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   ASSERT_EQ(manifests->size(), 2u) << "keep_last_k=2 retains 2 generations";
   EXPECT_EQ((*manifests)[0].first, 4u);
   EXPECT_EQ((*manifests)[1].first, 5u);
-  for (uint32_t s = 0; s < 2; ++s) {
-    Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-        ListSnapshots((fs::path(dir.path()) / ShardDirName(s)).string());
-    ASSERT_TRUE(snapshots.ok());
-    ASSERT_EQ(snapshots->size(), 2u) << "shard " << s;
-    EXPECT_EQ((*snapshots)[0].first, 4u);
-    EXPECT_EQ((*snapshots)[1].first, 5u);
-  }
+  Result<std::vector<std::pair<uint32_t, std::string>>> snapshot_dirs =
+      ListShardDirs(dir.path());
+  ASSERT_TRUE(snapshot_dirs.ok());
+  ASSERT_EQ(snapshot_dirs->size(), 1u) << "one snapshot entry at 2 windows";
+  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
+      ListSnapshots((fs::path(dir.path()) / ShardDirName(0)).string());
+  ASSERT_TRUE(snapshots.ok());
+  ASSERT_EQ(snapshots->size(), 2u);
+  EXPECT_EQ((*snapshots)[0].first, 4u);
+  EXPECT_EQ((*snapshots)[1].first, 5u);
 
   // The regression: generation 4's artifacts must remain recoverable after
   // the prune. Delete generation 5's manifest (as a torn rename would leave
   // it unreadable) and recover — the fallback generation still has its
   // snapshots AND every WAL record from ITS base onward.
   fs::remove((*manifests)[1].second);
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
       dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -414,7 +417,7 @@ TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
 TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
   std::vector<Round> rounds = MakeRounds(5);
   ScopedTempDir dir("checkpoint_restore");
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(MakeOptions(4));
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(MakeOptions(4));
   for (size_t r = 0; r < rounds.size(); ++r) {
     ASSERT_TRUE(engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
     ResultSet results;
@@ -425,7 +428,7 @@ TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
 
   for (uint32_t shards : {3u, 1u, 4u}) {
-    std::unique_ptr<ShardedEngine> restored = MakeSharded(MakeOptions(shards));
+    std::unique_ptr<ScubaEngine> restored = MakeSharded(MakeOptions(shards));
     ASSERT_TRUE(restored->Restore(dir.path()).ok()) << shards << " shards";
     EXPECT_EQ(StateDigest(*restored), digest) << shards << " shards";
     EXPECT_EQ(restored->StatsSnapshot().eval.evaluations, rounds.size());
@@ -435,20 +438,20 @@ TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
   // must refuse rather than mix incompatible states.
   ScubaOptions other = MakeOptions(2);
   other.theta_d = other.theta_d + 3.0;
-  std::unique_ptr<ShardedEngine> mismatched = MakeSharded(other);
+  std::unique_ptr<ScubaEngine> mismatched = MakeSharded(other);
   Status s = mismatched->Restore(dir.path());
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 }
 
 TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
-  // Stripes partition the engine's work, not its history: at 4 shards every
+  // Windows partition the engine's work, not its history: at 4 shards every
   // batch is still one record and one fsync in the root's one WAL, and no
   // shard directory holds a log.
   std::vector<Round> rounds = MakeRounds(5);
   ScopedTempDir dir("one_wal_per_batch");
   const ScubaOptions opt = MakeOptions(4);
-  std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   {
     Result<std::unique_ptr<ShardedDurabilityManager>> manager =
         ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
@@ -491,7 +494,7 @@ TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
 
   // 5 rounds with checkpoints every 2: the final batch (seq 4) replays from
   // the WAL on top of the seq-4 checkpoint.
-  std::unique_ptr<ShardedEngine> recovered = MakeSharded(opt);
+  std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
       dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -513,7 +516,7 @@ void ExpectLayoutRefused(const std::string& dir, const std::string& layout) {
   for (uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const ScubaOptions opt = MakeOptions(shards);
-    std::unique_ptr<ShardedEngine> engine = MakeSharded(opt);
+    std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     // run --durable-dir / serve --durable-dir open the manager.
     Result<std::unique_ptr<ShardedDurabilityManager>> manager =
         ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),

@@ -1,11 +1,12 @@
-// Sharded-vs-single bit-identity (docs/ARCHITECTURE.md §11): a ShardedEngine
-// at any (shards, join_threads) must produce per-round ResultSets, counters,
-// state digests and EngineStateHash values identical to a single ScubaEngine
-// on the same stream — including under kFixed load shedding, border-crossing
-// clusters and ownership handoffs. Plus the partitioning edge cases: clusters
-// tangent to a stripe border, zero-area stripes, a map smaller than one
-// stripe, and objects whose destination lies in a different shard than their
-// position.
+// Cross-window bit-identity (docs/ARCHITECTURE.md §11): the engine at any
+// (shards, join_threads) — shards meaning join windows over one store and one
+// grid — must produce per-round ResultSets, counters, state digests,
+// EngineStateHash values and shedder trajectories identical to the engine at
+// one window and one thread on the same stream, including under fixed and
+// adaptive load shedding and with clusters crossing window borders. Plus the
+// partitioning edge cases: clusters tangent to a window border, empty
+// windows, a map smaller than one window, and objects whose destination lies
+// in a different window than their position.
 
 #include <gtest/gtest.h>
 
@@ -21,13 +22,16 @@
 #include "core/scuba_engine.h"
 #include "persist/snapshot.h"
 #include "shard/engine_factory.h"
-#include "shard/sharded_engine.h"
 #include "state_digest.h"
 
 namespace scuba {
 namespace {
 
 constexpr Rect kRegion{0, 0, 10000, 10000};
+
+/// Adaptive-shedding budget for the workloads below: small enough that the
+/// shedder tightens and relaxes during the run.
+constexpr size_t kAdaptiveBudgetBytes = 300 * 1024;
 
 ScubaOptions BaseOptions(uint32_t shards, uint32_t threads) {
   ScubaOptions opt;
@@ -69,9 +73,9 @@ QueryUpdate Qry(QueryId qid, Point p, Timestamp t, double w = 200,
 }
 
 /// A seeded streaming workload: entities random-walk across the map (so
-/// clusters translate, cross stripe borders, dissolve and re-form), a
+/// clusters translate, cross window borders, dissolve and re-form), a
 /// fraction skips reporting each tick (so expiry fires), and destination
-/// nodes point at far-away map corners (routinely a different stripe than the
+/// nodes point at far-away map corners (routinely a different window than the
 /// position). Each tick yields one batch.
 struct Workload {
   struct Tick {
@@ -123,11 +127,17 @@ Workload MakeWorkload(uint64_t seed, int ticks, int objects, int queries) {
   return w;
 }
 
-/// Drives any QueryProcessor through the workload — batched ingest on even
-/// ticks, per-update on odd ticks (both paths must agree) — and records each
-/// round's normalized ResultSet.
-std::vector<ResultSet> Drive(const Workload& w, QueryProcessor* engine) {
+/// One run's observable trajectory: each round's normalized ResultSet and
+/// the shedder's eta after it.
+struct Trajectory {
   std::vector<ResultSet> rounds;
+  std::vector<double> etas;
+};
+
+/// Drives the engine through the workload — batched ingest on even ticks,
+/// per-update on odd ticks (both paths must agree) — recording each round.
+Trajectory DriveEngine(const Workload& w, ScubaEngine* engine) {
+  Trajectory out;
   Timestamp now = 0;
   // One ResultSet reused across rounds, exactly like the CLI's run loop:
   // Evaluate must clear it, never accumulate into it.
@@ -145,74 +155,76 @@ std::vector<ResultSet> Drive(const Workload& w, QueryProcessor* engine) {
       }
     }
     EXPECT_TRUE(engine->Evaluate(now, &results).ok());
-    rounds.push_back(results);
+    out.rounds.push_back(results);
+    out.etas.push_back(engine->StatsSnapshot().shedder.eta);
     now += 2;
   }
-  return rounds;
+  return out;
 }
 
-void ExpectStatsMatch(const EngineSnapshotStats& single,
-                      const EngineSnapshotStats& sharded) {
-  EXPECT_EQ(single.eval.evaluations, sharded.eval.evaluations);
-  EXPECT_EQ(single.eval.total_results, sharded.eval.total_results);
-  EXPECT_EQ(single.eval.comparisons, sharded.eval.comparisons);
-  EXPECT_EQ(single.eval.bounds_checks, sharded.eval.bounds_checks);
-  EXPECT_EQ(single.eval.cluster_pairs_tested, sharded.eval.cluster_pairs_tested);
-  EXPECT_EQ(single.eval.cluster_pairs_overlapping,
-            sharded.eval.cluster_pairs_overlapping);
-  EXPECT_EQ(single.eval.updates_quarantined, sharded.eval.updates_quarantined);
-  EXPECT_EQ(single.clusterer.clusters_created,
-            sharded.clusterer.clusters_created);
-  EXPECT_EQ(single.clusterer.members_absorbed,
-            sharded.clusterer.members_absorbed);
-  EXPECT_EQ(single.clusterer.members_refreshed,
-            sharded.clusterer.members_refreshed);
-  EXPECT_EQ(single.clusterer.members_departed,
-            sharded.clusterer.members_departed);
-  EXPECT_EQ(single.clusterer.clusters_dissolved_empty,
-            sharded.clusterer.clusters_dissolved_empty);
-  EXPECT_EQ(single.clusterer.members_shed, sharded.clusterer.members_shed);
-  EXPECT_EQ(single.phase.clusters_dissolved_expired,
-            sharded.phase.clusters_dissolved_expired);
-  EXPECT_EQ(single.phase.members_shed_maintenance,
-            sharded.phase.members_shed_maintenance);
-  EXPECT_EQ(single.phase.clusters_split, sharded.phase.clusters_split);
-  EXPECT_EQ(single.join.comparisons, sharded.join.comparisons);
-  EXPECT_EQ(single.join.within_joins_single, sharded.join.within_joins_single);
-  EXPECT_EQ(single.join.within_joins_pair, sharded.join.within_joins_pair);
-  EXPECT_EQ(single.clusters, sharded.clusters);
+void ExpectStatsMatch(const EngineSnapshotStats& want,
+                      const EngineSnapshotStats& got) {
+  EXPECT_EQ(want.shedder.eta, got.shedder.eta);
+  EXPECT_EQ(want.shedder.adjustments, got.shedder.adjustments);
+  EXPECT_EQ(want.eval.evaluations, got.eval.evaluations);
+  EXPECT_EQ(want.eval.total_results, got.eval.total_results);
+  EXPECT_EQ(want.eval.comparisons, got.eval.comparisons);
+  EXPECT_EQ(want.eval.bounds_checks, got.eval.bounds_checks);
+  EXPECT_EQ(want.eval.cluster_pairs_tested, got.eval.cluster_pairs_tested);
+  EXPECT_EQ(want.eval.cluster_pairs_overlapping,
+            got.eval.cluster_pairs_overlapping);
+  EXPECT_EQ(want.eval.updates_quarantined, got.eval.updates_quarantined);
+  EXPECT_EQ(want.clusterer.clusters_created,
+            got.clusterer.clusters_created);
+  EXPECT_EQ(want.clusterer.members_absorbed,
+            got.clusterer.members_absorbed);
+  EXPECT_EQ(want.clusterer.members_refreshed,
+            got.clusterer.members_refreshed);
+  EXPECT_EQ(want.clusterer.members_departed,
+            got.clusterer.members_departed);
+  EXPECT_EQ(want.clusterer.clusters_dissolved_empty,
+            got.clusterer.clusters_dissolved_empty);
+  EXPECT_EQ(want.clusterer.members_shed, got.clusterer.members_shed);
+  EXPECT_EQ(want.phase.clusters_dissolved_expired,
+            got.phase.clusters_dissolved_expired);
+  EXPECT_EQ(want.phase.members_shed_maintenance,
+            got.phase.members_shed_maintenance);
+  EXPECT_EQ(want.phase.clusters_split, got.phase.clusters_split);
+  EXPECT_EQ(want.join.comparisons, got.join.comparisons);
+  EXPECT_EQ(want.join.within_joins_single, got.join.within_joins_single);
+  EXPECT_EQ(want.join.within_joins_pair, got.join.within_joins_pair);
+  EXPECT_EQ(want.clusters, got.clusters);
 }
 
-/// Runs the single reference engine and one sharded config over the same
-/// workload and asserts full bit-identity.
-void ExpectShardedMatchesSingle(const Workload& w, ScubaOptions single_opt,
-                                ScubaOptions sharded_opt) {
-  single_opt.shards = 1;
-  single_opt.join_threads = 1;
-  auto single = ScubaEngine::Create(single_opt).value();
-  auto sharded = ShardedEngine::Create(sharded_opt).value();
+/// Runs the reference configuration and one windowed configuration over the
+/// same workload and asserts full bit-identity.
+void ExpectWindowsMatchReference(const Workload& w, ScubaOptions reference_opt,
+                                 ScubaOptions windowed_opt) {
+  auto reference = ScubaEngine::Create(reference_opt).value();
+  auto windowed = ScubaEngine::Create(windowed_opt).value();
 
-  const std::vector<ResultSet> single_rounds = Drive(w, single.get());
-  const std::vector<ResultSet> sharded_rounds = Drive(w, sharded.get());
+  const Trajectory want = DriveEngine(w, reference.get());
+  const Trajectory got = DriveEngine(w, windowed.get());
 
-  ASSERT_EQ(single_rounds.size(), sharded_rounds.size());
-  for (size_t i = 0; i < single_rounds.size(); ++i) {
-    EXPECT_EQ(single_rounds[i], sharded_rounds[i]) << "round " << i;
+  ASSERT_EQ(want.rounds.size(), got.rounds.size());
+  for (size_t i = 0; i < want.rounds.size(); ++i) {
+    EXPECT_EQ(want.rounds[i], got.rounds[i]) << "round " << i;
+    EXPECT_EQ(want.etas[i], got.etas[i]) << "round " << i;
   }
-  EXPECT_EQ(StateDigest(*single), StateDigest(*sharded));
-  EXPECT_EQ(EngineStateHash(*single), EngineStateHash(*sharded));
-  ExpectStatsMatch(single->StatsSnapshot(), sharded->StatsSnapshot());
+  EXPECT_EQ(StateDigest(*reference), StateDigest(*windowed));
+  EXPECT_EQ(EngineStateHash(*reference), EngineStateHash(*windowed));
+  ExpectStatsMatch(reference->StatsSnapshot(), windowed->StatsSnapshot());
 }
 
 class ShardMatrixTest
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
 
-TEST_P(ShardMatrixTest, BitIdenticalToSingleEngine) {
+TEST_P(ShardMatrixTest, BitIdenticalToOneWindow) {
   const auto [shards, threads] = GetParam();
   const Workload w = MakeWorkload(/*seed=*/42, /*ticks=*/8, /*objects=*/200,
                                   /*queries=*/40);
-  ExpectShardedMatchesSingle(w, BaseOptions(1, 1),
-                             BaseOptions(shards, threads));
+  ExpectWindowsMatchReference(w, BaseOptions(1, 1),
+                              BaseOptions(shards, threads));
 }
 
 TEST_P(ShardMatrixTest, BitIdenticalUnderFixedShedding) {
@@ -220,11 +232,32 @@ TEST_P(ShardMatrixTest, BitIdenticalUnderFixedShedding) {
   ScubaOptions opt = BaseOptions(shards, threads);
   opt.shedding.mode = LoadSheddingMode::kFixed;
   opt.shedding.eta = 0.3;
-  ScubaOptions single = BaseOptions(1, 1);
-  single.shedding = opt.shedding;
+  ScubaOptions reference = BaseOptions(1, 1);
+  reference.shedding = opt.shedding;
   const Workload w = MakeWorkload(/*seed=*/1234, /*ticks=*/6, /*objects=*/150,
                                   /*queries=*/30);
-  ExpectShardedMatchesSingle(w, single, opt);
+  ExpectWindowsMatchReference(w, reference, opt);
+}
+
+TEST_P(ShardMatrixTest, BitIdenticalUnderAdaptiveShedding) {
+  // One shedder observes the one store, grid and join scratch, so its eta
+  // trajectory cannot depend on the window count. The per-task join scratch
+  // does scale with the thread count, so the reference runs at the same
+  // threads and one window.
+  const auto [shards, threads] = GetParam();
+  ScubaOptions opt = BaseOptions(shards, threads);
+  opt.shedding.mode = LoadSheddingMode::kAdaptive;
+  opt.shedding.memory_budget_bytes = kAdaptiveBudgetBytes;
+  opt.shedding.eta_step = 0.2;
+  ScubaOptions reference = BaseOptions(1, threads);
+  reference.shedding = opt.shedding;
+  const Workload w = MakeWorkload(/*seed=*/77, /*ticks=*/10, /*objects=*/250,
+                                  /*queries=*/50);
+  ExpectWindowsMatchReference(w, reference, opt);
+  // The budget must make the shedder move, or the case proves nothing.
+  auto probe = ScubaEngine::Create(reference).value();
+  DriveEngine(w, probe.get());
+  EXPECT_GT(probe->StatsSnapshot().shedder.adjustments, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -236,26 +269,42 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "threads";
     });
 
-TEST(ShardedEngineTest, MakeEngineBuildsTheProductionEngineAtEveryShardCount) {
+TEST(ShardedEngineTest, MakeEngineBuildsTheOneEngineAtEveryWindowCount) {
   const Workload w = MakeWorkload(/*seed=*/7, /*ticks=*/6, /*objects=*/150,
                                   /*queries=*/30);
   auto reference = ScubaEngine::Create(BaseOptions(1, 1)).value();
-  const std::vector<ResultSet> want = Drive(w, reference.get());
+  const Trajectory want = DriveEngine(w, reference.get());
   for (uint32_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     Result<EngineHandle> handle = MakeEngine(BaseOptions(shards, 1), "scuba");
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    ASSERT_NE(handle->sharded, nullptr);
-    EXPECT_EQ(handle->scuba, nullptr);
-    EXPECT_EQ(handle->engine.get(), handle->sharded);
-    EXPECT_EQ(handle->sharded->shard_count(), shards);
-    EXPECT_EQ(Drive(w, handle->sharded), want);
+    ASSERT_NE(handle->scuba, nullptr);
+    EXPECT_EQ(handle->sharded, handle->scuba);
+    EXPECT_EQ(handle->engine.get(), handle->scuba);
+    EXPECT_EQ(handle->scuba->shard_count(), shards);
+    EXPECT_EQ(DriveEngine(w, handle->scuba).rounds, want.rounds);
     EXPECT_EQ(handle->StateHash(), EngineStateHash(*reference));
+    EXPECT_EQ(handle->scuba->handoffs(), 0u);
+    EXPECT_EQ(handle->scuba->ghosts_published(), 0u);
   }
 }
 
+TEST(ShardedEngineTest, WindowsAreWholeRowsCoveringTheGrid) {
+  ScubaOptions opt = BaseOptions(3, 1);
+  opt.grid_cells = 10;
+  auto engine = ScubaEngine::Create(opt).value();
+  const ShardRouter& windows = engine->router();
+  ASSERT_EQ(windows.shard_count(), 3u);
+  EXPECT_EQ(windows.CellBegin(0), 0u);
+  for (uint32_t w = 0; w + 1 < 3; ++w) {
+    EXPECT_EQ(windows.CellEnd(w), windows.CellBegin(w + 1));
+    EXPECT_EQ(windows.CellEnd(w) % opt.grid_cells, 0u);
+  }
+  EXPECT_EQ(windows.CellEnd(2), opt.grid_cells * opt.grid_cells);
+}
+
 TEST(ShardedEngineTest, MergeNormalizedEqualsConcatenateAndNormalize) {
-  // The coordinator's slice merge must agree with a full sort + dedup for
+  // The window slice merge must agree with a full sort + dedup for
   // any slice count (odd counts leave a run unpaired), empty slices and
   // overlapping slices (a stale slice can repeat fresh pairs).
   Rng rng(99);
@@ -282,8 +331,8 @@ TEST(ShardedEngineTest, MergeNormalizedEqualsConcatenateAndNormalize) {
   }
 }
 
-TEST(ShardedEngineTest, ClustersTangentToStripeBorder) {
-  // 4 shards over 100 rows put borders at y = 2500 / 5000 / 7500. Build
+TEST(ShardedEngineTest, ClustersTangentToWindowBorder) {
+  // 4 windows over 100 rows put borders at y = 2500 / 5000 / 7500. Build
   // clusters sitting exactly on, just under and just over a border, plus one
   // spanning it.
   Workload w;
@@ -316,13 +365,13 @@ TEST(ShardedEngineTest, ClustersTangentToStripeBorder) {
   }
   w.ticks.push_back(shifted);
 
-  ExpectShardedMatchesSingle(w, BaseOptions(1, 1), BaseOptions(4, 1));
+  ExpectWindowsMatchReference(w, BaseOptions(1, 1), BaseOptions(4, 1));
 }
 
-TEST(ShardedEngineTest, DestinationInDifferentShardThanPosition) {
-  // Objects in the bottom stripe whose destination node sits in the top
-  // stripe: velocity (hence translation and join conditions) points across
-  // the partition. The cluster must form, translate and join identically.
+TEST(ShardedEngineTest, DestinationInDifferentWindowThanPosition) {
+  // Objects in the bottom window whose destination node sits in the top
+  // window: velocity (hence translation and join conditions) points across
+  // the windows. The cluster must form, translate and join identically.
   Workload w;
   Workload::Tick tick;
   for (int i = 0; i < 12; ++i) {
@@ -347,104 +396,52 @@ TEST(ShardedEngineTest, DestinationInDifferentShardThanPosition) {
     }
     w.ticks.push_back(next);
   }
-  ExpectShardedMatchesSingle(w, BaseOptions(1, 1), BaseOptions(4, 1));
+  ExpectWindowsMatchReference(w, BaseOptions(1, 1), BaseOptions(4, 1));
 }
 
-TEST(ShardedEngineTest, HandoffsAndGhostsOccurAndStayIdentical) {
-  const Workload w = MakeWorkload(/*seed=*/7, /*ticks=*/10, /*objects=*/250,
-                                  /*queries=*/50);
-  auto sharded = ShardedEngine::Create(BaseOptions(8, 1)).value();
-  auto single = ScubaEngine::Create(BaseOptions(1, 1)).value();
-  const std::vector<ResultSet> a = Drive(w, single.get());
-  const std::vector<ResultSet> b = Drive(w, sharded.get());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  // The workload random-walks across the whole map: border crossings must
-  // actually exercise the ghost and handoff protocols.
-  EXPECT_GT(sharded->ghosts_published(), 0u);
-  EXPECT_GT(sharded->handoffs(), 0u);
-  EXPECT_EQ(EngineStateHash(*single), EngineStateHash(*sharded));
-}
-
-TEST(ShardedEngineTest, ZeroAreaStripes) {
-  // More shards than grid rows: the surplus stripes own no cells. grid_cells
-  // = 8 rows under 16 shards.
+TEST(ShardedEngineTest, EmptyWindows) {
+  // More windows than grid rows: the surplus windows own no cells.
+  // grid_cells = 8 rows under 16 windows.
   ScubaOptions opt = BaseOptions(16, 1);
   opt.grid_cells = 8;
-  ScubaOptions single = BaseOptions(1, 1);
-  single.grid_cells = 8;
+  ScubaOptions reference = BaseOptions(1, 1);
+  reference.grid_cells = 8;
   const Workload w = MakeWorkload(/*seed=*/99, /*ticks=*/5, /*objects=*/100,
                                   /*queries=*/20);
-  ExpectShardedMatchesSingle(w, single, opt);
+  ExpectWindowsMatchReference(w, reference, opt);
 }
 
-TEST(ShardedEngineTest, MapSmallerThanOneStripe) {
-  // A 2x2-cell map under 4 shards: stripes own one row or none; most of the
-  // engine's clusters concentrate in two stripes.
+TEST(ShardedEngineTest, MapSmallerThanOneWindow) {
+  // A 2x2-cell map under 4 windows: windows own one row or none; every
+  // cluster lies in one or both of the two non-empty windows.
   ScubaOptions opt = BaseOptions(4, 1);
   opt.grid_cells = 2;
-  ScubaOptions single = BaseOptions(1, 1);
-  single.grid_cells = 2;
+  ScubaOptions reference = BaseOptions(1, 1);
+  reference.grid_cells = 2;
   const Workload w = MakeWorkload(/*seed=*/5, /*ticks=*/5, /*objects=*/80,
                                   /*queries=*/15);
-  ExpectShardedMatchesSingle(w, single, opt);
+  ExpectWindowsMatchReference(w, reference, opt);
 }
 
-TEST(ShardedEngineTest, ShardedStateHashMatchesSingleEngineLayout) {
-  // ShardedStateHash must byte-match SaveStoreState of an equivalent single
-  // engine — that is what makes cross-shard hash comparisons meaningful.
-  const Workload w = MakeWorkload(/*seed=*/21, /*ticks=*/4, /*objects=*/60,
-                                  /*queries=*/12);
-  auto single = ScubaEngine::Create(BaseOptions(1, 1)).value();
-  auto sharded = ShardedEngine::Create(BaseOptions(2, 1)).value();
-  Drive(w, single.get());
-  Drive(w, sharded.get());
-  EXPECT_EQ(EngineStateHash(*single), EngineStateHash(*sharded));
-}
-
-TEST(ShardedEngineTest, RebalanceObserveFlagsSkew) {
-  // Everything in the bottom stripe: shard 0 carries ~4x the mean load, so
-  // observe mode must log at least one split recommendation.
-  ScubaOptions opt = BaseOptions(4, 1);
-  opt.rebalance = RebalanceMode::kObserve;
-  auto engine = ShardedEngine::Create(opt).value();
-  Workload w;
-  Workload::Tick tick;
-  Rng rng(31);
-  for (int i = 0; i < 120; ++i) {
-    tick.objects.push_back(Obj(
-        i + 1, {rng.NextDouble(0, 10000), rng.NextDouble(0, 2400)}, 0));
-  }
-  for (int i = 0; i < 25; ++i) {
-    tick.queries.push_back(Qry(
-        i + 1, {rng.NextDouble(0, 10000), rng.NextDouble(0, 2400)}, 0, 300,
-        300));
-  }
-  w.ticks.push_back(std::move(tick));
-  Drive(w, engine.get());
-  EXPECT_GE(engine->rebalance_recommendations(), 1u);
-  EXPECT_NE(engine->last_recommendation().find("shard 0"), std::string::npos)
-      << engine->last_recommendation();
-}
-
-TEST(ShardedEngineTest, QuarantinePolicyMatchesSingleEngine) {
+TEST(ShardedEngineTest, QuarantinePolicyMatchesOneWindow) {
   ScubaOptions opt = BaseOptions(4, 1);
   opt.on_bad_update = BadUpdatePolicy::kQuarantine;
-  ScubaOptions single = BaseOptions(1, 1);
-  single.on_bad_update = BadUpdatePolicy::kQuarantine;
+  ScubaOptions reference = BaseOptions(1, 1);
+  reference.on_bad_update = BadUpdatePolicy::kQuarantine;
   Workload w = MakeWorkload(/*seed=*/3, /*ticks=*/4, /*objects=*/60,
                             /*queries=*/12);
-  // Poison a few tuples; both engines must quarantine the same set.
+  // Poison a few tuples; both configurations must quarantine the same set.
   w.ticks[1].objects[0].position.x = std::numeric_limits<double>::quiet_NaN();
   w.ticks[2].objects[1].speed = -5.0;
   w.ticks[3].queries[0].dest_node = kInvalidNodeId;
-  ExpectShardedMatchesSingle(w, single, opt);
+  ExpectWindowsMatchReference(w, reference, opt);
 }
 
 TEST(ShardedEngineTest, RejectsInvalidShardCounts) {
   ScubaOptions opt = BaseOptions(0, 1);
-  EXPECT_FALSE(ShardedEngine::Create(opt).ok());
+  EXPECT_FALSE(ScubaEngine::Create(opt).ok());
   opt.shards = 2000;
-  EXPECT_FALSE(ShardedEngine::Create(opt).ok());
+  EXPECT_FALSE(ScubaEngine::Create(opt).ok());
 }
 
 }  // namespace

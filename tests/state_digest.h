@@ -1,11 +1,9 @@
 // Bit-exact textual digest of all cluster/grid state reachable from a
-// ScubaEngine or ShardedEngine, shared by the determinism tests (parallel
-// ingest, fault injection, shard matrix). Two engines with equal digests are
+// ScubaEngine, shared by the determinism tests (batch vs per-update ingest,
+// fault injection, window matrix). Two engines with equal digests are
 // indistinguishable to every later round: every cluster field, member order
-// included, plus the grid registration, serialized with hex-float
-// formatting. The sharded digest reads each cluster's cells from its owning
-// shard's grid, so equal digests prove the mirror registration matches the
-// single grid cell for cell.
+// included, plus the grid registration cell for cell, serialized with
+// hex-float formatting.
 
 #ifndef SCUBA_TESTS_STATE_DIGEST_H_
 #define SCUBA_TESTS_STATE_DIGEST_H_
@@ -18,7 +16,6 @@
 #include <vector>
 
 #include "core/scuba_engine.h"
-#include "shard/sharded_engine.h"
 
 namespace scuba {
 
@@ -38,29 +35,6 @@ inline std::string StateDigest(const ScubaEngine& engine) {
   for (ClusterId cid : store.SortedClusterIds()) {
     AppendClusterDigest(&d, store.GetCluster(cid),
                         engine.cluster_grid().CellsOf(cid));
-  }
-  return d;
-}
-
-/// Same digest over the shard set: clusters in global cid order, cells taken
-/// from the owning shard's grid (every registering shard holds the full cell
-/// list, so any would do — the owner always registers its own clusters).
-inline std::string StateDigest(const ShardedEngine& engine) {
-  std::string d;
-  for (uint32_t s = 0; s < engine.shard_count(); ++s) {
-    EXPECT_TRUE(engine.shard(s).store.ValidateConsistency().ok());
-  }
-  for (ClusterId cid : engine.GlobalSortedClusterIds()) {
-    const MovingCluster* cluster = nullptr;
-    const std::vector<uint32_t>* cells = nullptr;
-    for (uint32_t s = 0; s < engine.shard_count(); ++s) {
-      cluster = engine.shard(s).store.GetCluster(cid);
-      if (cluster != nullptr) {
-        cells = engine.shard(s).grid.CellsOf(cid);
-        break;
-      }
-    }
-    AppendClusterDigest(&d, cluster, cells);
   }
   return d;
 }

@@ -1,8 +1,8 @@
 // End-to-end telemetry coverage (docs/ARCHITECTURE.md §9): the JSONL round
 // stream is schema-valid, counter/gauge content is bit-identical across
-// thread counts, and telemetry never perturbs engine results or state — for
-// the reference ScubaEngine and the production engine at one stripe, which
-// must expose the same metric set and phase span tree.
+// thread counts, and telemetry never perturbs engine results or state. The
+// metric content is also identical across join-window counts, and every
+// round carries the phase and per-window spans bench_e2e reads.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "core/scuba_engine.h"
 #include "persist/snapshot.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
 
 namespace scuba {
 namespace {
@@ -393,10 +392,10 @@ TEST(TelemetryTest, MetricsAndTraceFilesValidateAgainstSchema) {
   }
 }
 
-/// Both SCUBA engines; the production one runs at a single stripe.
+/// The SCUBA engine (a typed suite, so a second engine type can join it).
 template <typename Engine>
 class EngineTelemetryTest : public ::testing::Test {};
-using Engines = ::testing::Types<ScubaEngine, ShardedEngine>;
+using Engines = ::testing::Types<ScubaEngine>;
 TYPED_TEST_SUITE(EngineTelemetryTest, Engines);
 
 TYPED_TEST(EngineTelemetryTest, CountersAndGaugesBitIdenticalAcrossThreads) {
@@ -483,56 +482,68 @@ std::map<std::string, std::string> FinalCounters(const std::string& path) {
   return out;
 }
 
-TEST(TelemetryTest, ProductionEngineKeepsTheReferenceMetricsAndSpans) {
+TEST(TelemetryTest, MetricsMatchAcrossWindowCountsAndSpansArePresent) {
   const std::vector<Round> rounds = MakeRounds(59, 4);
-  ScubaOptions reference;
-  reference.telemetry.metrics_out = TmpPath("parity_reference_metrics.jsonl");
-  reference.telemetry.trace_out = TmpPath("parity_reference_trace.jsonl");
-  ScubaOptions production = reference;
-  production.telemetry.metrics_out = TmpPath("parity_production_metrics.jsonl");
-  production.telemetry.trace_out = TmpPath("parity_production_trace.jsonl");
-  RunWorkload<ScubaEngine>(rounds, reference);
-  RunWorkload<ShardedEngine>(rounds, production);
+  ScubaOptions one;
+  one.telemetry.metrics_out = TmpPath("windows_one_metrics.jsonl");
+  one.telemetry.trace_out = TmpPath("windows_one_trace.jsonl");
+  ScubaOptions four = one;
+  four.shards = 4;
+  four.shedding.mode = LoadSheddingMode::kAdaptive;
+  four.shedding.memory_budget_bytes = 1;  // over budget from round one
+  one.shedding = four.shedding;
+  four.telemetry.metrics_out = TmpPath("windows_four_metrics.jsonl");
+  four.telemetry.trace_out = TmpPath("windows_four_trace.jsonl");
+  RunWorkload(rounds, one);
+  RunWorkload(rounds, four);
 
-  // Every reference counter and histogram is exposed by the production
-  // engine, and every counter carries the same total.
+  // Every counter carries the same total at one and four windows, and the
+  // one shedder's metrics with it.
   const std::map<std::string, std::string> want =
-      FinalCounters(reference.telemetry.metrics_out);
+      FinalCounters(one.telemetry.metrics_out);
   const std::map<std::string, std::string> got =
-      FinalCounters(production.telemetry.metrics_out);
+      FinalCounters(four.telemetry.metrics_out);
   ASSERT_FALSE(want.empty());
+  ASSERT_TRUE(want.count("scuba_shed_adjustments_total"));
   for (const auto& [name, value] : want) {
     auto it = got.find(name);
-    ASSERT_NE(it, got.end()) << "production engine lacks " << name;
+    ASSERT_NE(it, got.end()) << "four windows lack " << name;
     if (value.rfind("counter", 0) == 0) {
       EXPECT_EQ(it->second, value) << name;
     }
   }
 
-  // The phase sub-spans bench_e2e reads are present on every round.
-  const std::vector<std::string> lines =
-      ReadLines(production.telemetry.trace_out);
+  // The phase sub-spans and one engine_shard span per window, every round.
+  const std::vector<std::string> lines = ReadLines(four.telemetry.trace_out);
   ASSERT_EQ(lines.size(), rounds.size() + 1);
   for (size_t i = 1; i < lines.size(); ++i) {
-    for (const char* span : {"between", "within", "tighten", "shed", "expire",
-                             "translate"}) {
+    for (const char* span : {"ingest", "between", "within", "tighten", "shed",
+                             "expire", "translate"}) {
       EXPECT_NE(lines[i].find("\"name\":\"" + std::string(span) + "\""),
                 std::string::npos)
           << "round " << i << " missing span " << span << ": " << lines[i];
     }
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_NE(lines[i].find("\"name\":\"engine_shard\",\"parent\""),
+                std::string::npos)
+          << lines[i];
+      EXPECT_NE(lines[i].find("\"index\":" + std::to_string(w)),
+                std::string::npos)
+          << "round " << i << " missing window " << w << ": " << lines[i];
+    }
   }
 }
 
-TEST(TelemetryTest, ShedderMetricsFollowTheSnapshotShedderAtFourStripes) {
-  // Every stripe runs its own shedder; the scuba_shed_* metrics report the
-  // same one StatsSnapshot() does instead of summing or racing the stripes.
+TEST(TelemetryTest, ShedderMetricsFollowTheSnapshotShedderAtFourWindows) {
+  // One shedder at any window count: the scuba_shed_* metrics report the
+  // one StatsSnapshot() does.
   ScubaOptions opt;
   opt.shards = 4;
   opt.shedding.mode = LoadSheddingMode::kAdaptive;
-  opt.shedding.memory_budget_bytes = 1;  // every stripe over budget
-  opt.telemetry.metrics_out = TmpPath("shed_four_stripes_metrics.jsonl");
-  std::unique_ptr<ShardedEngine> engine =
-      std::move(ShardedEngine::Create(opt).value());
+  opt.shedding.memory_budget_bytes = 1;  // always over budget
+  opt.telemetry.metrics_out = TmpPath("shed_four_windows_metrics.jsonl");
+  std::unique_ptr<ScubaEngine> engine =
+      std::move(ScubaEngine::Create(opt).value());
   Timestamp now = 0;
   for (const Round& round : MakeRounds(67, 6)) {
     now += 2;
@@ -565,15 +576,15 @@ TEST(TelemetryTest, ShedderMetricsFollowTheSnapshotShedderAtFourStripes) {
 }
 
 TEST(TelemetryTest, DurabilitySinkEmitsCheckpointSpans) {
-  // The production engine's durability sink times every WAL append and
+  // The engine's durability sink times every WAL append and
   // checkpoint into the round's checkpoint.{wal,snapshot} spans.
   const std::string dir = TmpPath("checkpoint_spans.d");
   std::filesystem::remove_all(dir);
   ScubaOptions opt;
   opt.telemetry.trace_out = TmpPath("checkpoint_spans_trace.jsonl");
   opt.checkpoint.every_n_rounds = 1;
-  std::unique_ptr<ShardedEngine> engine =
-      std::move(ShardedEngine::Create(opt).value());
+  std::unique_ptr<ScubaEngine> engine =
+      std::move(ScubaEngine::Create(opt).value());
   Result<std::unique_ptr<ShardedDurabilityManager>> manager =
       ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
                                      /*validator=*/nullptr, /*rng=*/nullptr,

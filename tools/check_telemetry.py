@@ -29,6 +29,12 @@ queue_bytes gauges, the scuba_serve_push_latency_ms histogram) registered
 on the engine registry by `scuba_cli serve`. No span changes. Files from
 older engines fail only on their schema_version field.
 
+Within v4, join windows replaced the per-stripe engines: "engine_shard"
+spans are one per join window and feed the round's "join" summary, and the
+handoff / ghost / rebalance-recommendation counters and the "handoff",
+"classify", "apply" and per-task "shard" spans are gone. This checker
+rejects them as unknown names.
+
 Exit code 0 = all checks passed, 1 = validation failure.
 """
 
@@ -53,26 +59,23 @@ SPAN_KEYS = {"id", "name", "parent", "wall_seconds", "count", "index",
 SPAN_REQUIRED = {"id", "name", "parent", "wall_seconds", "count"}
 JOIN_KEYS = {"shards", "imbalance"}
 
-# The complete span-name universe emitted by the engines (v3). "shard" is the
-# single engine's per-task join span; "engine_shard", "handoff" and
-# "recovery" belong to the sharded engine.
+# The complete span-name universe the engine emits. "engine_shard" is one
+# join window's scan; "recovery" covers online window recovery.
 KNOWN_SPAN_NAMES = {
-    "round", "ingest", "classify", "apply", "join", "between", "within",
-    "shard", "engine_shard", "postjoin", "tighten", "shed", "expire",
-    "translate", "handoff", "recovery", "checkpoint", "wal", "snapshot",
+    "round", "ingest", "join", "between", "within", "engine_shard",
+    "postjoin", "tighten", "shed", "expire", "translate", "recovery",
+    "checkpoint", "wal", "snapshot",
 }
-# Per-shard spans must be indexed (the shard id) so consumers can attribute
+# Per-window spans must be indexed (the window id) so consumers can attribute
 # load; their parent must be the phase span named here.
-INDEXED_SPAN_PARENT = {"shard": "join", "engine_shard": "join"}
-# Sharded-engine counters (v2/v3): any of these present => the scuba_shards
-# gauge must appear too, so per-shard rates can be normalized.
+INDEXED_SPAN_PARENT = {"engine_shard": "join"}
+# Window supervision counters: any of these present => the scuba_shards
+# gauge must appear too, so per-window rates can be normalized.
 SHARD_COUNTER_NAMES = {
-    "scuba_shard_handoffs_total", "scuba_shard_ghosts_total",
-    "scuba_rebalance_recommendations_total",
     "scuba_shard_failures_total", "scuba_shard_recoveries_total",
     "scuba_shard_evictions_total", "scuba_degraded_rounds_total",
 }
-# v3 per-stripe health gauge values (ShardHealth in src/shard).
+# Per-window health gauge values (ShardHealth in src/shard).
 SHARD_HEALTH_PREFIX = "scuba_shard_health_"
 SHARD_HEALTH_VALUES = {0, 1, 2, 3}
 
@@ -263,7 +266,7 @@ def check_trace_file(path):
                 if "index" not in span or not isinstance(span["index"], int) \
                         or span["index"] < 0:
                     fail(path, line_no,
-                         f"per-shard span {name!r} must carry a non-negative "
+                         f"per-window span {name!r} must carry a non-negative "
                          "integer index")
                 want_parent = INDEXED_SPAN_PARENT[name]
                 if spans[parent]["name"] != want_parent:

@@ -17,8 +17,10 @@
 // through the deterministic fault injector so hardened runs can be exercised
 // end to end (`run --on-bad-update quarantine` survives it; `strict` fails).
 //
-// Every SCUBA command runs the production engine (a ShardedEngine over
-// --shards N >= 1 row stripes, default 1) built by MakeEngine.
+// Every SCUBA command runs the one SCUBA engine (a ScubaEngine over
+// --shards N >= 1 join windows, default 1) built by MakeEngine. Numeric
+// flags are checked: a value that is not an unsigned integer in range exits
+// 1 and names the flag.
 //
 // Durability (docs/ARCHITECTURE.md §8, §12): `run --durable-dir DIR` logs
 // every admitted batch to the directory's one WAL and commits checkpoint
@@ -29,8 +31,8 @@
 // replay; --json prints the report as one JSON object) and finishes the
 // trace; `checkpoint` / `restore` exercise the bare checkpoint round-trip.
 // Each durable command prints a `state-hash:` line — equal hashes mean
-// bit-identical engine state — and a directory written at one shard count
-// recovers into any other. A directory in a retired layout (bare
+// bit-identical engine state — and a directory written at one window count
+// recovers into any other (older per-shard generations included). A directory in a retired layout (bare
 // snapshot-*.scuba / wal-*.log files at the root, or per-shard
 // shard-NNNN/wal-*.log chains) is refused with exit 5. `fsck
 // DIR` verifies a durable directory read-only and exits with a distinct code
@@ -41,15 +43,18 @@
 // success only.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "baseline/naive_join_engine.h"
@@ -68,7 +73,6 @@
 #include "serve/server.h"
 #include "shard/engine_factory.h"
 #include "shard/shard_durability.h"
-#include "shard/sharded_engine.h"
 #include "stream/fault_injector.h"
 #include "stream/pipeline.h"
 #include "stream/update_validator.h"
@@ -109,6 +113,31 @@ class Flags {
     seen_.insert(key);
     return it == values_.end() ? def : std::atoll(it->second.c_str());
   }
+  /// Checked unsigned value in [0, max]: a flag holding anything else (text,
+  /// a sign, a value past `max`) yields `def` and records an error naming the
+  /// flag, which Validate() reports before the command acts.
+  template <typename T>
+  T GetUnsigned(const std::string& key, T def,
+                T max = std::numeric_limits<T>::max()) const {
+    static_assert(std::is_unsigned_v<T>);
+    auto it = values_.find(key);
+    seen_.insert(key);
+    if (it == values_.end()) return def;
+    const std::string& text = it->second;
+    uint64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size() || value > max) {
+      if (parse_error_.ok()) {
+        parse_error_ = Status::InvalidArgument(
+            "--" + key + " must be an unsigned integer in [0, " +
+            std::to_string(max) + "], got '" + text + "'");
+      }
+      return def;
+    }
+    return static_cast<T>(value);
+  }
   double GetDouble(const std::string& key, double def) const {
     auto it = values_.find(key);
     seen_.insert(key);
@@ -121,8 +150,10 @@ class Flags {
     return it->second == "true" || it->second == "1";
   }
 
-  /// Error if any provided flag was never consumed (typo protection).
-  Status CheckAllConsumed() const {
+  /// Error if a numeric flag failed to parse, or if any provided flag was
+  /// never consumed (typo protection).
+  Status Validate() const {
+    if (!parse_error_.ok()) return parse_error_;
     for (const auto& [key, value] : values_) {
       (void)value;
       if (!seen_.contains(key)) {
@@ -135,6 +166,7 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> seen_;
+  mutable Status parse_error_;  ///< First GetUnsigned failure.
 };
 
 Status WriteFile(const std::string& path, const std::string& content) {
@@ -182,15 +214,15 @@ int Fail(const Status& s) {
 
 int CmdGenerateMap(const Flags& flags) {
   GridCityOptions opt;
-  opt.rows = static_cast<uint32_t>(flags.GetInt("rows", 21));
-  opt.cols = static_cast<uint32_t>(flags.GetInt("cols", 21));
+  opt.rows = flags.GetUnsigned<uint32_t>("rows", 21);
+  opt.cols = flags.GetUnsigned<uint32_t>("cols", 21);
   opt.block_size = flags.GetDouble("block", 500.0);
-  opt.arterial_every = static_cast<uint32_t>(flags.GetInt("arterial", 5));
-  opt.highway_every = static_cast<uint32_t>(flags.GetInt("highway", 10));
+  opt.arterial_every = flags.GetUnsigned<uint32_t>("arterial", 5);
+  opt.highway_every = flags.GetUnsigned<uint32_t>("highway", 10);
   opt.jitter = flags.GetDouble("jitter", 0.1);
-  opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
+  opt.seed = flags.GetUnsigned<uint64_t>("seed", 0x5C0BA);
   std::string out = flags.GetString("out", "city.map");
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<RoadNetwork> net = GenerateGridCity(opt);
@@ -206,18 +238,19 @@ int CmdGenerateMap(const Flags& flags) {
 int CmdGenerateTrace(const Flags& flags) {
   std::string map_path = flags.GetString("map", "");
   WorkloadOptions opt;
-  opt.num_objects = static_cast<uint32_t>(flags.GetInt("objects", 10000));
-  opt.num_queries = static_cast<uint32_t>(flags.GetInt("queries", 10000));
-  opt.skew = static_cast<uint32_t>(flags.GetInt("skew", 100));
+  opt.num_objects = flags.GetUnsigned<uint32_t>("objects", 10000);
+  opt.num_queries = flags.GetUnsigned<uint32_t>("queries", 10000);
+  opt.skew = flags.GetUnsigned<uint32_t>("skew", 100);
   opt.mixed_group_fraction = flags.GetDouble("mixed-fraction", 0.25);
   opt.min_range = flags.GetDouble("min-range", 50.0);
   opt.max_range = flags.GetDouble("max-range", 200.0);
   opt.query_filter_probability = flags.GetDouble("query-filter", 0.0);
-  opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
-  int ticks = static_cast<int>(flags.GetInt("ticks", 12));
+  opt.seed = flags.GetUnsigned<uint64_t>("seed", 0x5C0BA);
+  const int ticks = static_cast<int>(flags.GetUnsigned<uint32_t>(
+      "ticks", 12, std::numeric_limits<int>::max()));
   double fraction = flags.GetDouble("update-fraction", 1.0);
   std::string out = flags.GetString("out", "run.trace");
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   RoadNetwork network;
@@ -256,41 +289,35 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
                                            BadUpdatePolicy policy) {
   ScubaOptions opt;
   opt.region = region;
-  opt.grid_cells = static_cast<uint32_t>(flags.GetInt("grid-cells", 100));
+  opt.grid_cells = flags.GetUnsigned<uint32_t>("grid-cells", 100);
   opt.theta_d = flags.GetDouble("theta-d", 100.0);
   opt.theta_s = flags.GetDouble("theta-s", 10.0);
   opt.delta = flags.GetInt("delta", 2);
   opt.enable_cluster_splitting = flags.GetBool("splitting", false);
-  opt.join_threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  // Sharding (docs/ARCHITECTURE.md §11). Results are bit-identical at every
-  // shard count, so the options fingerprint excludes both flags.
-  opt.shards = static_cast<uint32_t>(flags.GetInt("shards", 1));
-  Result<RebalanceMode> rebalance =
-      ParseRebalanceMode(flags.GetString("rebalance", "off"));
-  if (!rebalance.ok()) return rebalance.status();
-  opt.rebalance = *rebalance;
+  opt.join_threads = flags.GetUnsigned<uint32_t>("threads", 1);
+  // Join windows (docs/ARCHITECTURE.md §11). Results are bit-identical at
+  // every window count, so the options fingerprint excludes the flag.
+  opt.shards = flags.GetUnsigned<uint32_t>("shards", 1);
   opt.on_bad_update = policy;
-  opt.audit_every_n_rounds =
-      static_cast<uint32_t>(flags.GetInt("audit-every", 0));
+  opt.audit_every_n_rounds = flags.GetUnsigned<uint32_t>("audit-every", 0);
   opt.checkpoint.every_n_rounds =
-      static_cast<uint32_t>(flags.GetInt("checkpoint-every", 0));
-  opt.checkpoint.keep_last_k =
-      static_cast<uint32_t>(flags.GetInt("keep-last", 2));
-  // Shard fault isolation (docs/ARCHITECTURE.md §13). Non-semantic like the
+      flags.GetUnsigned<uint32_t>("checkpoint-every", 0);
+  opt.checkpoint.keep_last_k = flags.GetUnsigned<uint32_t>("keep-last", 2);
+  // Window fault isolation (docs/ARCHITECTURE.md §13). Non-semantic like the
   // thread counts — a clean run is bit-identical under every setting — so the
   // snapshot options fingerprint excludes all of these too.
   Result<ShardFailurePolicy> on_shard_failure = ParseShardFailurePolicy(
       flags.GetString("on-shard-failure", "fail"));
   if (!on_shard_failure.ok()) return on_shard_failure.status();
   opt.supervision.on_failure = *on_shard_failure;
-  opt.supervision.max_recovery_attempts = static_cast<uint32_t>(
-      flags.GetInt("shard-max-recovery-attempts", 3));
+  opt.supervision.max_recovery_attempts =
+      flags.GetUnsigned<uint32_t>("shard-max-recovery-attempts", 3);
   opt.supervision.backoff_base_rounds =
-      static_cast<uint32_t>(flags.GetInt("shard-backoff-rounds", 1));
+      flags.GetUnsigned<uint32_t>("shard-backoff-rounds", 1);
   opt.supervision.round_deadline_seconds =
       flags.GetDouble("shard-round-deadline", 0.0);
   opt.supervision.fault_seed =
-      static_cast<uint64_t>(flags.GetInt("shard-fault-seed", 0x5C0BA));
+      flags.GetUnsigned<uint64_t>("shard-fault-seed", 0x5C0BA);
   opt.supervision.fault_rate = flags.GetDouble("shard-fault-rate", 0.0);
   opt.supervision.fault_spec = flags.GetString("shard-fault-spec", "");
   const double eta = flags.GetDouble("eta", 0.0);
@@ -326,8 +353,7 @@ Result<Rect> ResolveRegion(const std::string& map_path, const Trace& trace,
 /// --crash-at NAME [--crash-after N]: a disarmed injector when absent.
 Result<CrashInjector> CrashInjectorFromFlags(const Flags& flags) {
   const std::string at = flags.GetString("crash-at", "");
-  const uint64_t after =
-      static_cast<uint64_t>(flags.GetInt("crash-after", 1));
+  const uint64_t after = flags.GetUnsigned<uint64_t>("crash-after", 1);
   if (at.empty()) return CrashInjector();
   Result<CrashPoint> point = ParseCrashPoint(at);
   if (!point.ok()) return point.status();
@@ -383,13 +409,13 @@ int CmdRun(const Flags& flags) {
       ScubaOptionsFromFlags(flags, region, *policy);
   if (!scuba_opt_result.ok()) return Fail(scuba_opt_result.status());
   const ScubaOptions scuba_opt = *scuba_opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(scuba_opt, engine_name);
   if (!handle.ok()) return Fail(handle.status());
   QueryProcessor* engine = handle->engine.get();
-  ShardedEngine* sharded_engine = handle->sharded;
+  ScubaEngine* scuba_engine = handle->scuba;
 
   Result<DurabilityHandle> durability = OpenDurability(
       durable_dir, scuba_opt, &*handle, screen, vconfig, &*crash);
@@ -423,21 +449,11 @@ int CmdRun(const Flags& flags) {
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
   std::printf("%s\n", StatsLine(*engine).c_str());
   std::printf("memory: %s\n", FormatBytes(engine->EstimateMemoryUsage()).c_str());
-  if (sharded_engine != nullptr) {
-    std::printf("shards: %u  handoffs: %llu  ghosts: %llu\n",
-                sharded_engine->shard_count(),
-                static_cast<unsigned long long>(sharded_engine->handoffs()),
-                static_cast<unsigned long long>(
-                    sharded_engine->ghosts_published()));
-    if (sharded_engine->rebalance_recommendations() > 0) {
-      std::printf("rebalance: %llu recommendation(s); last: %s\n",
-                  static_cast<unsigned long long>(
-                      sharded_engine->rebalance_recommendations()),
-                  sharded_engine->last_recommendation().c_str());
-    }
+  if (scuba_engine != nullptr) {
+    std::printf("shards: %u\n", scuba_engine->shard_count());
     PrintStateHash(handle->StateHash());
-    if (sharded_engine->supervisor() != nullptr) {
-      std::printf("%s\n", sharded_engine->supervisor()->HealthDump().c_str());
+    if (scuba_engine->supervisor() != nullptr) {
+      std::printf("%s\n", scuba_engine->supervisor()->HealthDump().c_str());
     }
   }
   if (screen != nullptr) {
@@ -481,7 +497,7 @@ int CmdCheckpoint(const Flags& flags) {
       ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt_result.ok()) return Fail(opt_result.status());
   const ScubaOptions opt = *opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   UpdateValidator validator(vconfig);
@@ -491,23 +507,23 @@ int CmdCheckpoint(const Flags& flags) {
   if (!handle.ok()) return Fail(handle.status());
   Status s = ReplayTrace(*trace, handle->engine.get(), delta, nullptr, screen);
   if (!s.ok()) return Fail(s);
-  s = handle->sharded->Checkpoint(durable_dir);
+  s = handle->scuba->Checkpoint(durable_dir);
   if (!s.ok()) return Fail(s);
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  const EngineSnapshotStats snapshot = handle->sharded->StatsSnapshot();
+  const EngineSnapshotStats snapshot = handle->scuba->StatsSnapshot();
   std::printf(
       "checkpointed %zu clusters after %llu rounds to %s (%s; %u shards)\n",
-      handle->sharded->ClusterCount(),
+      handle->scuba->ClusterCount(),
       static_cast<unsigned long long>(snapshot.eval.evaluations),
       durable_dir.c_str(),
       FormatBytes(snapshot.eval.last_checkpoint_bytes).c_str(),
-      handle->sharded->shard_count());
+      handle->scuba->shard_count());
   PrintStateHash(handle->StateHash());
   return 0;
 }
 
 /// Loads the newest checkpoint generation into a freshly built engine (no
-/// WAL replay), re-partitioned into this run's --shards, audits it and
+/// WAL replay) at this run's --shards windows, audits it and
 /// prints its state hash — must equal the hash `checkpoint` printed.
 int CmdRestore(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
@@ -531,20 +547,20 @@ int CmdRestore(const Flags& flags) {
       ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt_result.ok()) return Fail(opt_result.status());
   const ScubaOptions opt = *opt_result;
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(opt);
   if (!handle.ok()) return Fail(handle.status());
-  Status s = handle->sharded->Restore(durable_dir);
+  Status s = handle->scuba->Restore(durable_dir);
   if (!s.ok()) return Fail(s);
-  const InvariantAuditReport audit = handle->sharded->AuditInvariants();
+  const InvariantAuditReport audit = handle->scuba->AuditInvariants();
   std::printf(
       "restored %zu clusters (%llu rounds) from %s into %u shards; audit: %s\n",
-      handle->sharded->ClusterCount(),
+      handle->scuba->ClusterCount(),
       static_cast<unsigned long long>(
-          handle->sharded->StatsSnapshot().eval.evaluations),
-      durable_dir.c_str(), handle->sharded->shard_count(),
+          handle->scuba->StatsSnapshot().eval.evaluations),
+      durable_dir.c_str(), handle->scuba->shard_count(),
       audit.clean() ? "clean" : "DIRTY");
   PrintStateHash(handle->StateHash());
   return audit.clean() ? 0 : Fail(Status::Corruption(audit.ToString()));
@@ -580,7 +596,7 @@ int CmdRecover(const Flags& flags) {
   const ScubaOptions opt = *opt_result;
   Result<CrashInjector> crash = CrashInjectorFromFlags(flags);
   if (!crash.ok()) return Fail(crash.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   UpdateValidator validator(vconfig);
@@ -599,7 +615,7 @@ int CmdRecover(const Flags& flags) {
   // WAL sequence numbers are global batch indices (seq 0 = trace batch 0),
   // so the replayed log tells us exactly where to resume the trace.
   Result<ShardedRecoveryReport> report = RecoverShardedEngine(
-      durable_dir, handle->sharded, screen, /*rng=*/nullptr, sink);
+      durable_dir, handle->scuba, screen, /*rng=*/nullptr, sink);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s\n",
               json ? report->ToJson().c_str() : report->ToString().c_str());
@@ -614,7 +630,7 @@ int CmdRecover(const Flags& flags) {
     if (!s.ok()) return Fail(s);
   }
   if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  std::printf("%s\n", handle->sharded->StatsSnapshot()
+  std::printf("%s\n", handle->scuba->StatsSnapshot()
                          .Format(handle->engine->name())
                          .c_str());
   PrintStateHash(handle->StateHash());
@@ -625,9 +641,9 @@ int CmdCorruptTrace(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   std::string out = flags.GetString("out", "bad.trace");
   double rate = flags.GetDouble("rate", 0.02);
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 0x5C0BA));
-  uint32_t burst_size = static_cast<uint32_t>(flags.GetInt("burst-size", 8));
-  Status consumed = flags.CheckAllConsumed();
+  uint64_t seed = flags.GetUnsigned<uint64_t>("seed", 0x5C0BA);
+  uint32_t burst_size = flags.GetUnsigned<uint32_t>("burst-size", 8);
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -663,9 +679,9 @@ int CmdCompare(const Flags& flags) {
   std::string trace_path = flags.GetString("trace", "run.trace");
   Timestamp delta = flags.GetInt("delta", 2);
   double eta = flags.GetDouble("eta", 0.0);
-  uint32_t threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
-  uint32_t shards = static_cast<uint32_t>(flags.GetInt("shards", 1));
-  Status consumed = flags.CheckAllConsumed();
+  uint32_t threads = flags.GetUnsigned<uint32_t>("threads", 1);
+  uint32_t shards = flags.GetUnsigned<uint32_t>("shards", 1);
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -701,7 +717,7 @@ int CmdCompare(const Flags& flags) {
 
   std::printf("rounds: %zu\n", acc.rounds());
   std::printf("%s\n", acc.total().ToString().c_str());
-  std::printf("%s\n", handle->sharded->StatsSnapshot().Format("scuba").c_str());
+  std::printf("%s\n", handle->scuba->StatsSnapshot().Format("scuba").c_str());
   std::printf("%s\n", StatsLine(oracle).c_str());
   return 0;
 }
@@ -711,7 +727,7 @@ int CmdRender(const Flags& flags) {
   std::string out = flags.GetString("out", "snapshot.svg");
   Timestamp delta = flags.GetInt("delta", 2);
   double width = flags.GetDouble("width", 1000.0);
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<Trace> trace = LoadTrace(trace_path);
@@ -756,7 +772,7 @@ int CmdFsck(int argc, char** argv) {
   if (!flags.ok()) return Fail(flags.status());
   if (dir.empty()) dir = flags->GetString("dir", "");
   const bool json = flags->GetBool("json", false);
-  Status consumed = flags->CheckAllConsumed();
+  Status consumed = flags->Validate();
   if (!consumed.ok()) return Fail(consumed);
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("usage: scuba_cli fsck <dir> [--json]"));
@@ -806,13 +822,13 @@ int CmdServe(const Flags& flags) {
   std::string durable_dir = flags.GetString("durable-dir", "");
   std::string port_file = flags.GetString("port-file", "");
   serve::ServeOptions serve_opt;
-  serve_opt.port = static_cast<uint16_t>(flags.GetInt("port", 0));
+  serve_opt.port = flags.GetUnsigned<uint16_t>("port", 0);
   serve_opt.max_sessions =
-      static_cast<uint32_t>(flags.GetInt("max-sessions", 64));
+      flags.GetUnsigned<uint32_t>("max-sessions", 64);
   serve_opt.max_queue_bytes =
-      static_cast<size_t>(flags.GetInt("max-queue-bytes", 1 << 20));
+      flags.GetUnsigned<size_t>("max-queue-bytes", 1 << 20);
   serve_opt.memory_budget_bytes =
-      static_cast<size_t>(flags.GetInt("serve-memory-budget", 0));
+      flags.GetUnsigned<size_t>("serve-memory-budget", 0);
   Result<serve::SlowConsumerPolicy> slow = serve::ParseSlowConsumerPolicy(
       flags.GetString("slow-consumer", "coalesce"));
   if (!slow.ok()) return Fail(slow.status());
@@ -832,7 +848,7 @@ int CmdServe(const Flags& flags) {
 
   Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   Result<EngineHandle> handle = MakeEngine(*opt, engine_name);
@@ -844,7 +860,7 @@ int CmdServe(const Flags& flags) {
   // With telemetry on, serve metrics register on the engine registry so the
   // scuba_serve_* family rides the per-round JSONL stream (schema v4).
   EngineTelemetry* telemetry =
-      handle->sharded != nullptr ? handle->sharded->telemetry() : nullptr;
+      handle->scuba != nullptr ? handle->scuba->telemetry() : nullptr;
   serve::ServerDeps deps;
   deps.engine = handle->engine.get();
   deps.screen = screen;
@@ -903,7 +919,7 @@ int CmdServeReplay(const Flags& flags) {
   std::string map_path = flags.GetString("map", "");
   std::string policy_name = flags.GetString("on-bad-update", "strict");
   Timestamp delta = flags.GetInt("delta", 2);
-  int port = static_cast<int>(flags.GetInt("port", 0));
+  int port = flags.GetUnsigned<uint16_t>("port", 0);
   std::string port_file = flags.GetString("port-file", "");
   const bool shutdown = flags.GetBool("shutdown", false);
   const bool compare = flags.GetBool("compare-offline", true);
@@ -921,7 +937,7 @@ int CmdServeReplay(const Flags& flags) {
   if (!region.ok()) return Fail(region.status());
   Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
   if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.CheckAllConsumed();
+  Status consumed = flags.Validate();
   if (!consumed.ok()) return Fail(consumed);
 
   if (port == 0) {
@@ -1041,8 +1057,8 @@ int Usage() {
       "  run             --trace FILE [--engine scuba|grid|naive --delta N\n"
       "                  --grid-cells N --theta-d F --theta-s F --eta F\n"
       "                  --threads N (0 = all cores)\n"
-      "                  --shards N --rebalance off|observe\n"
-      "                  --splitting --quiet --csv FILE --map FILE\n"
+      "                  --shards N --splitting --quiet --csv FILE\n"
+      "                  --map FILE\n"
       "                  --on-bad-update strict|quarantine|repair\n"
       "                  --audit-every N --durable-dir DIR\n"
       "                  --checkpoint-every N --keep-last K\n"
@@ -1076,24 +1092,23 @@ int Usage() {
       "batch in DIR/wal) and commits a manifest checkpoint generation every\n"
       "--checkpoint-every rounds; recover rebuilds the engine from the\n"
       "newest verified generation + WAL replay, then finishes the trace. A\n"
-      "directory written at one shard count recovers into any other; one in\n"
+      "directory written at one window count recovers into any other; one in\n"
       "a retired layout (single-engine, or per-shard WAL chains) is refused\n"
       "(exit 5).\n"
       "--crash-at points: before-wal-append mid-wal-append after-wal-append\n"
-      "before-snapshot-write mid-shard-snapshot-write between-shard-snapshots\n"
-      "before-manifest-rename torn-manifest-rename after-manifest-rename\n"
-      "mid-manifest-prune\n"
+      "before-snapshot-write mid-shard-snapshot-write before-manifest-rename\n"
+      "torn-manifest-rename after-manifest-rename mid-manifest-prune\n"
       "--metrics-out / --trace-out (scuba engine only) append one JSON line\n"
       "per round: metric deltas and phase span trees; metrics ends with a\n"
       "Prometheus exposition line. Telemetry never changes results.\n"
-      "--shards N runs the round over N row-stripe engine shards (default 1)\n"
-      "with bit-identical results; --rebalance observe logs stripe-split\n"
-      "recommendations on skew.\n"
-      "--on-shard-failure degrade|reassign isolates a failing shard instead\n"
-      "of failing the round: the round completes degraded (the failed shard\n"
+      "--shards N scans the join as N windows of whole grid rows (default 1)\n"
+      "over one store and grid, with bit-identical results.\n"
+      "--on-shard-failure degrade|reassign isolates a failing window instead\n"
+      "of failing the round: the round completes degraded (the failed window\n"
       "serves its last published results), online recovery rebuilds the\n"
-      "stripe from --durable-dir between rounds with exponential backoff,\n"
-      "and reassign re-stripes an unrecoverable shard away. --shard-fault-*\n"
+      "engine state from --durable-dir between rounds with exponential\n"
+      "backoff, and reassign hands an unrecoverable window's rows to the\n"
+      "others. --shard-fault-*\n"
       "arm the deterministic fault injector (classes: task-failure\n"
       "corrupt-state stall recovery-failure) for chaos drills.\n"
       "serve runs the subscription front-end (protocol v1, length+CRC framed\n"
