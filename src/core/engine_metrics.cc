@@ -1,133 +1,174 @@
 #include "core/engine_metrics.h"
 
+#include <iterator>
 #include <vector>
 
 namespace scuba {
 
+namespace {
+
+using Snap = EngineSnapshotStats;
+
+constexpr EngineMetricRow CounterRow(const char* name, const char* help,
+                                     uint64_t (*count)(const Snap&)) {
+  return {name, help, MetricKind::kCounter, count, nullptr};
+}
+
+constexpr EngineMetricRow GaugeRow(const char* name, const char* help,
+                                   double (*value)(const Snap&)) {
+  return {name, help, MetricKind::kGauge, nullptr, value};
+}
+
+constexpr EngineMetricRow SecondsRow(const char* name, const char* help,
+                                     double (*total)(const Snap&)) {
+  return {name, help, MetricKind::kHistogram, nullptr, total};
+}
+
+constexpr EngineMetricRow kTable[] = {
+    CounterRow("scuba_rounds_total", "Completed evaluation rounds",
+               [](const Snap& s) { return s.eval.evaluations; }),
+    CounterRow("scuba_results_total", "Query-object matches produced",
+               [](const Snap& s) { return s.eval.total_results; }),
+    CounterRow("scuba_join_comparisons_total",
+               "Member-level predicate evaluations",
+               [](const Snap& s) { return s.join.comparisons; }),
+    CounterRow("scuba_join_bounds_checks_total",
+               "Per-query fine-filter pre-checks",
+               [](const Snap& s) { return s.join.bounds_checks; }),
+    CounterRow("scuba_join_pairs_tested_total",
+               "Join-between cluster-pair tests",
+               [](const Snap& s) { return s.join.pairs_tested; }),
+    CounterRow("scuba_join_pairs_overlapping_total", "Join-between positives",
+               [](const Snap& s) { return s.join.pairs_overlapping; }),
+    CounterRow("scuba_join_within_single_total",
+               "Same-cluster join-within runs",
+               [](const Snap& s) { return s.join.within_joins_single; }),
+    CounterRow("scuba_join_within_pair_total", "Cross-cluster join-within runs",
+               [](const Snap& s) { return s.join.within_joins_pair; }),
+    CounterRow("scuba_clusters_created_total", "Moving clusters created",
+               [](const Snap& s) { return s.clusterer.clusters_created; }),
+    CounterRow("scuba_members_absorbed_total", "Members absorbed into clusters",
+               [](const Snap& s) { return s.clusterer.members_absorbed; }),
+    CounterRow("scuba_members_refreshed_total", "Members refreshed in place",
+               [](const Snap& s) { return s.clusterer.members_refreshed; }),
+    CounterRow("scuba_members_departed_total",
+               "Members that left their cluster",
+               [](const Snap& s) { return s.clusterer.members_departed; }),
+    CounterRow(
+        "scuba_clusters_dissolved_empty_total", "Clusters dissolved empty",
+        [](const Snap& s) { return s.clusterer.clusters_dissolved_empty; }),
+    CounterRow("scuba_members_shed_ingest_total", "Positions shed at ingest",
+               [](const Snap& s) { return s.clusterer.members_shed; }),
+    CounterRow(
+        "scuba_clusters_dissolved_expired_total",
+        "Clusters dissolved at their destination",
+        [](const Snap& s) { return s.phase.clusters_dissolved_expired; }),
+    CounterRow("scuba_members_shed_maintenance_total",
+               "Positions shed in maintenance",
+               [](const Snap& s) { return s.phase.members_shed_maintenance; }),
+    CounterRow("scuba_clusters_split_total", "Oversized clusters split",
+               [](const Snap& s) { return s.phase.clusters_split; }),
+    CounterRow("scuba_updates_quarantined_total",
+               "Updates dropped by validation",
+               [](const Snap& s) { return s.eval.updates_quarantined; }),
+    CounterRow("scuba_invariant_audits_total", "Invariant audit passes",
+               [](const Snap& s) { return s.eval.invariant_audits; }),
+    CounterRow("scuba_invariant_violations_total",
+               "Invariant violations found",
+               [](const Snap& s) { return s.eval.invariant_violations; }),
+    CounterRow("scuba_invariant_repairs_total",
+               "Grid rebuilds that healed an audit",
+               [](const Snap& s) { return s.eval.invariant_repairs; }),
+    CounterRow("scuba_wal_records_total", "WAL records appended",
+               [](const Snap& s) { return s.eval.wal_records_appended; }),
+    CounterRow("scuba_wal_bytes_total", "WAL bytes appended",
+               [](const Snap& s) { return s.eval.wal_bytes_appended; }),
+    CounterRow("scuba_wal_fsyncs_total", "WAL fsync calls",
+               [](const Snap& s) { return s.eval.wal_fsyncs; }),
+    CounterRow("scuba_checkpoints_total", "Snapshot checkpoints written",
+               [](const Snap& s) { return s.eval.checkpoints_written; }),
+    GaugeRow("scuba_clusters", "Live moving clusters",
+             [](const Snap& s) { return static_cast<double>(s.clusters); }),
+    SecondsRow("scuba_join_wall_seconds", "Join phase wall time per round",
+               [](const Snap& s) { return s.eval.total_join_seconds; }),
+    SecondsRow("scuba_ingest_wall_seconds",
+               "Pre-join ingest wall time per round",
+               [](const Snap& s) { return s.eval.total_ingest_seconds; }),
+    SecondsRow("scuba_postjoin_wall_seconds",
+               "Post-join maintenance wall time per round",
+               [](const Snap& s) { return s.eval.total_postjoin_seconds; }),
+    GaugeRow("scuba_shed_eta",
+             "Current nucleus fraction eta = Theta_N / Theta_D",
+             [](const Snap& s) { return s.shedder.eta; }),
+    GaugeRow("scuba_shed_nucleus_radius", "Current nucleus radius Theta_N",
+             [](const Snap& s) { return s.shedder.nucleus_radius; }),
+    CounterRow("scuba_shed_adjustments_total", "Adaptive eta adjustments",
+               [](const Snap& s) { return s.shedder.adjustments; }),
+    CounterRow(
+        "scuba_shard_failures_total",
+        "Supervised join windows that failed (thrown, stalled, or audit)",
+        [](const Snap& s) { return s.supervision.shard_failures; }),
+    CounterRow("scuba_shard_recoveries_total",
+               "Online window recoveries that verified clean",
+               [](const Snap& s) { return s.supervision.shard_recoveries; }),
+    CounterRow("scuba_shard_evictions_total",
+               "Join windows evicted after exhausting their recovery attempts",
+               [](const Snap& s) { return s.supervision.shard_evictions; }),
+    CounterRow("scuba_degraded_rounds_total",
+               "Rounds answered with at least one stale window slice",
+               [](const Snap& s) { return s.supervision.degraded_rounds; }),
+    GaugeRow("scuba_shards", "Join windows (row ranges)",
+             [](const Snap& s) { return static_cast<double>(s.windows); }),
+};
+
+}  // namespace
+
+std::span<const EngineMetricRow> EngineMetricTable() { return kTable; }
+
 void EngineMetrics::Register(MetricsRegistry* registry) {
-  MetricsRegistry& reg = *registry;
-  rounds_ =
-      reg.RegisterCounter("scuba_rounds_total", "Completed evaluation rounds");
-  results_ = reg.RegisterCounter("scuba_results_total",
-                                 "Query-object matches produced");
-  join_comparisons_ = reg.RegisterCounter(
-      "scuba_join_comparisons_total", "Member-level predicate evaluations");
-  join_bounds_checks_ = reg.RegisterCounter(
-      "scuba_join_bounds_checks_total", "Per-query fine-filter pre-checks");
-  join_pairs_tested_ = reg.RegisterCounter(
-      "scuba_join_pairs_tested_total", "Join-between cluster-pair tests");
-  join_pairs_overlapping_ = reg.RegisterCounter(
-      "scuba_join_pairs_overlapping_total", "Join-between positives");
-  join_within_single_ = reg.RegisterCounter(
-      "scuba_join_within_single_total", "Same-cluster join-within runs");
-  join_within_pair_ = reg.RegisterCounter(
-      "scuba_join_within_pair_total", "Cross-cluster join-within runs");
-  clusters_created_ = reg.RegisterCounter("scuba_clusters_created_total",
-                                          "Moving clusters created");
-  members_absorbed_ = reg.RegisterCounter("scuba_members_absorbed_total",
-                                          "Members absorbed into clusters");
-  members_refreshed_ = reg.RegisterCounter("scuba_members_refreshed_total",
-                                           "Members refreshed in place");
-  members_departed_ = reg.RegisterCounter("scuba_members_departed_total",
-                                          "Members that left their cluster");
-  clusters_dissolved_empty_ = reg.RegisterCounter(
-      "scuba_clusters_dissolved_empty_total", "Clusters dissolved empty");
-  members_shed_ingest_ = reg.RegisterCounter("scuba_members_shed_ingest_total",
-                                             "Positions shed at ingest");
-  clusters_dissolved_expired_ =
-      reg.RegisterCounter("scuba_clusters_dissolved_expired_total",
-                          "Clusters dissolved at their destination");
-  members_shed_maintenance_ = reg.RegisterCounter(
-      "scuba_members_shed_maintenance_total", "Positions shed in maintenance");
-  clusters_split_ = reg.RegisterCounter("scuba_clusters_split_total",
-                                        "Oversized clusters split");
-  updates_quarantined_ = reg.RegisterCounter(
-      "scuba_updates_quarantined_total", "Updates dropped by validation");
-  invariant_audits_ = reg.RegisterCounter("scuba_invariant_audits_total",
-                                          "Invariant audit passes");
-  invariant_violations_ = reg.RegisterCounter(
-      "scuba_invariant_violations_total", "Invariant violations found");
-  invariant_repairs_ = reg.RegisterCounter(
-      "scuba_invariant_repairs_total", "Grid rebuilds that healed an audit");
-  wal_records_ =
-      reg.RegisterCounter("scuba_wal_records_total", "WAL records appended");
-  wal_bytes_ = reg.RegisterCounter("scuba_wal_bytes_total", "WAL bytes appended");
-  wal_fsyncs_ = reg.RegisterCounter("scuba_wal_fsyncs_total", "WAL fsync calls");
-  checkpoints_ = reg.RegisterCounter("scuba_checkpoints_total",
-                                     "Snapshot checkpoints written");
-  clusters_ = reg.RegisterGauge("scuba_clusters", "Live moving clusters");
   const std::vector<double> kTimeBuckets = {1e-5, 1e-4, 1e-3, 1e-2,
                                             1e-1, 1.0,  10.0};
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_join_wall_seconds", "Join phase wall time per round",
-          kTimeBuckets);
-      h.ok()) {
-    join_wall_seconds_ = *h;
-  }
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_ingest_wall_seconds", "Pre-join ingest wall time per round",
-          kTimeBuckets);
-      h.ok()) {
-    ingest_wall_seconds_ = *h;
-  }
-  if (Result<HistogramMetric> h = reg.RegisterHistogram(
-          "scuba_postjoin_wall_seconds",
-          "Post-join maintenance wall time per round", kTimeBuckets);
-      h.ok()) {
-    postjoin_wall_seconds_ = *h;
+  handles_.assign(std::size(kTable), Handles{});
+  for (size_t i = 0; i < handles_.size(); ++i) {
+    const EngineMetricRow& row = kTable[i];
+    Handles& h = handles_[i];
+    switch (row.kind) {
+      case MetricKind::kCounter:
+        h.counter = registry->RegisterCounter(row.name, row.help);
+        break;
+      case MetricKind::kGauge:
+        h.gauge = registry->RegisterGauge(row.name, row.help);
+        break;
+      case MetricKind::kHistogram:
+        if (Result<HistogramMetric> hist =
+                registry->RegisterHistogram(row.name, row.help, kTimeBuckets);
+            hist.ok()) {
+          h.histogram = *hist;
+        }
+        break;
+    }
   }
 }
 
 void EngineMetrics::Push(const EngineSnapshotStats& now) {
-  const EvalStats& e = now.eval;
-  const EvalStats& pe = pushed_.eval;
-  const ClusterJoinExecutor::Counters& j = now.join;
-  const ClusterJoinExecutor::Counters& pj = pushed_.join;
-  const ClustererStats& c = now.clusterer;
-  const ClustererStats& pc = pushed_.clusterer;
-  rounds_.Increment(e.evaluations - pe.evaluations);
-  results_.Increment(e.total_results - pe.total_results);
-  join_comparisons_.Increment(j.comparisons - pj.comparisons);
-  join_bounds_checks_.Increment(j.bounds_checks - pj.bounds_checks);
-  join_pairs_tested_.Increment(j.pairs_tested - pj.pairs_tested);
-  join_pairs_overlapping_.Increment(j.pairs_overlapping - pj.pairs_overlapping);
-  join_within_single_.Increment(j.within_joins_single - pj.within_joins_single);
-  join_within_pair_.Increment(j.within_joins_pair - pj.within_joins_pair);
-  clusters_created_.Increment(c.clusters_created - pc.clusters_created);
-  members_absorbed_.Increment(c.members_absorbed - pc.members_absorbed);
-  members_refreshed_.Increment(c.members_refreshed - pc.members_refreshed);
-  members_departed_.Increment(c.members_departed - pc.members_departed);
-  clusters_dissolved_empty_.Increment(c.clusters_dissolved_empty -
-                                      pc.clusters_dissolved_empty);
-  members_shed_ingest_.Increment(c.members_shed - pc.members_shed);
-  clusters_dissolved_expired_.Increment(
-      now.phase.clusters_dissolved_expired -
-      pushed_.phase.clusters_dissolved_expired);
-  members_shed_maintenance_.Increment(now.phase.members_shed_maintenance -
-                                      pushed_.phase.members_shed_maintenance);
-  clusters_split_.Increment(now.phase.clusters_split -
-                            pushed_.phase.clusters_split);
-  updates_quarantined_.Increment(e.updates_quarantined -
-                                 pe.updates_quarantined);
-  invariant_audits_.Increment(e.invariant_audits - pe.invariant_audits);
-  invariant_violations_.Increment(e.invariant_violations -
-                                  pe.invariant_violations);
-  invariant_repairs_.Increment(e.invariant_repairs - pe.invariant_repairs);
-  wal_records_.Increment(e.wal_records_appended - pe.wal_records_appended);
-  wal_bytes_.Increment(e.wal_bytes_appended - pe.wal_bytes_appended);
-  wal_fsyncs_.Increment(e.wal_fsyncs - pe.wal_fsyncs);
-  checkpoints_.Increment(e.checkpoints_written - pe.checkpoints_written);
-  clusters_.Set(static_cast<double>(now.clusters));
-  if (e.total_join_seconds > pe.total_join_seconds) {
-    join_wall_seconds_.Observe(e.total_join_seconds - pe.total_join_seconds);
-  }
-  if (e.total_ingest_seconds > pe.total_ingest_seconds) {
-    ingest_wall_seconds_.Observe(e.total_ingest_seconds -
-                                 pe.total_ingest_seconds);
-  }
-  if (e.total_postjoin_seconds > pe.total_postjoin_seconds) {
-    postjoin_wall_seconds_.Observe(e.total_postjoin_seconds -
-                                   pe.total_postjoin_seconds);
+  for (size_t i = 0; i < handles_.size(); ++i) {
+    const EngineMetricRow& row = kTable[i];
+    Handles& h = handles_[i];
+    switch (row.kind) {
+      case MetricKind::kCounter:
+        if (row.count(now) > row.count(pushed_)) {
+          h.counter.Increment(row.count(now) - row.count(pushed_));
+        }
+        break;
+      case MetricKind::kGauge:
+        h.gauge.Set(row.value(now));
+        break;
+      case MetricKind::kHistogram:
+        if (row.value(now) > row.value(pushed_)) {
+          h.histogram.Observe(row.value(now) - row.value(pushed_));
+        }
+        break;
+    }
   }
   pushed_ = now;
 }

@@ -1,13 +1,21 @@
-// EngineMetrics: the one metric set every SCUBA engine exposes
-// (docs/ARCHITECTURE.md §9).
+// EngineMetrics: the one table that copies an engine's counts into its
+// metrics registry (docs/ARCHITECTURE.md §9.1).
 //
-// ScubaEngine registers this set on its telemetry registry and calls Push()
-// from its pre-flush round hook; the counters are views of the engine's
-// EngineSnapshotStats, pushed as per-round deltas of the cumulative values.
-// The window-supervision family stays with the engine, which owns it.
+// Every engine count lives once, in EngineSnapshotStats. Each row of
+// EngineMetricTable() names one registry metric and reads its value from a
+// snapshot. The table drives both registration and the per-round push:
+// ScubaEngine calls Register() at Create time and Push() from its pre-flush
+// round hook, and no other engine code writes these metrics. Counters are
+// pushed as the delta since the previous push, gauges as the current value,
+// and the phase wall-time histograms as one observation of the round's
+// seconds.
 
 #ifndef SCUBA_CORE_ENGINE_METRICS_H_
 #define SCUBA_CORE_ENGINE_METRICS_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/engine_snapshot.h"
 #include "obs/metrics.h"
@@ -15,50 +23,38 @@
 
 namespace scuba {
 
+/// One registry metric and where its value comes from.
+struct EngineMetricRow {
+  const char* name;
+  const char* help;
+  MetricKind kind;
+  /// kCounter: the cumulative count. Null for the other kinds.
+  uint64_t (*count)(const EngineSnapshotStats&);
+  /// kGauge: the current value. kHistogram: cumulative seconds, observed as
+  /// the growth since the previous push. Null for counters.
+  double (*value)(const EngineSnapshotStats&);
+};
+
+/// Every engine metric fed from EngineSnapshotStats, in registration order.
+std::span<const EngineMetricRow> EngineMetricTable();
+
 class EngineMetrics {
  public:
-  /// Detached: every handle is a no-op until Register().
-  EngineMetrics() = default;
-
-  /// Registers every scuba_* engine counter, the cluster gauge and the three
-  /// phase wall-time histograms on `registry`.
+  /// Registers every row of EngineMetricTable() on `registry`.
   void Register(MetricsRegistry* registry);
 
-  /// Pushes the delta of every cumulative counter since the previous Push,
-  /// observes the round's phase wall times and refreshes the cluster gauge.
+  /// Copies `now` into the registered metrics (see the file comment).
   void Push(const EngineSnapshotStats& now);
 
  private:
-  Counter rounds_;
-  Counter results_;
-  Counter join_comparisons_;
-  Counter join_bounds_checks_;
-  Counter join_pairs_tested_;
-  Counter join_pairs_overlapping_;
-  Counter join_within_single_;
-  Counter join_within_pair_;
-  Counter clusters_created_;
-  Counter members_absorbed_;
-  Counter members_refreshed_;
-  Counter members_departed_;
-  Counter clusters_dissolved_empty_;
-  Counter members_shed_ingest_;
-  Counter clusters_dissolved_expired_;
-  Counter members_shed_maintenance_;
-  Counter clusters_split_;
-  Counter updates_quarantined_;
-  Counter invariant_audits_;
-  Counter invariant_violations_;
-  Counter invariant_repairs_;
-  Counter wal_records_;
-  Counter wal_bytes_;
-  Counter wal_fsyncs_;
-  Counter checkpoints_;
-  Gauge clusters_;
-  HistogramMetric join_wall_seconds_;
-  HistogramMetric ingest_wall_seconds_;
-  HistogramMetric postjoin_wall_seconds_;
-  /// Cumulative values already pushed; Push adds only the delta.
+  /// The registered handles of one row; only the row's kind is attached.
+  struct Handles {
+    Counter counter;
+    Gauge gauge;
+    HistogramMetric histogram;
+  };
+  std::vector<Handles> handles_;  ///< Parallel to EngineMetricTable().
+  /// The snapshot of the previous push; counters add only the delta.
   EngineSnapshotStats pushed_;
 };
 

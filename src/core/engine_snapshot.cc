@@ -64,17 +64,6 @@ std::string EngineSnapshotStats::Format(std::string_view engine_name) const {
   return buf;
 }
 
-double EngineSnapshotStats::AvgJoinSeconds() const {
-  if (eval.evaluations == 0) return 0.0;
-  return eval.total_join_seconds / static_cast<double>(eval.evaluations);
-}
-
-double EngineSnapshotStats::AvgMaintenanceSeconds() const {
-  if (eval.evaluations == 0) return 0.0;
-  return eval.total_maintenance_seconds /
-         static_cast<double>(eval.evaluations);
-}
-
 double EngineSnapshotStats::JoinBetweenSelectivity() const {
   if (eval.cluster_pairs_tested == 0) return 0.0;
   return static_cast<double>(eval.cluster_pairs_overlapping) /
@@ -84,16 +73,6 @@ double EngineSnapshotStats::JoinBetweenSelectivity() const {
 double EngineSnapshotStats::JoinParallelSpeedup() const {
   if (eval.total_join_seconds <= 0.0) return 0.0;
   return eval.total_join_worker_seconds / eval.total_join_seconds;
-}
-
-double EngineSnapshotStats::JoinParallelEfficiency() const {
-  if (eval.join_threads == 0) return 0.0;
-  return JoinParallelSpeedup() / static_cast<double>(eval.join_threads);
-}
-
-double EngineSnapshotStats::PostJoinParallelSpeedup() const {
-  if (eval.total_postjoin_seconds <= 0.0) return 0.0;
-  return eval.total_postjoin_worker_seconds / eval.total_postjoin_seconds;
 }
 
 }  // namespace scuba

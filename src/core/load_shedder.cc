@@ -9,18 +9,6 @@ LoadShedder::LoadShedder(const LoadSheddingOptions& options, double theta_d)
       theta_d_(theta_d),
       eta_(options.mode == LoadSheddingMode::kFixed ? options.eta : 0.0) {}
 
-void LoadShedder::AttachMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  eta_gauge_ = registry->RegisterGauge(
-      "scuba_shed_eta", "Current nucleus fraction eta = Theta_N / Theta_D");
-  nucleus_gauge_ = registry->RegisterGauge(
-      "scuba_shed_nucleus_radius", "Current nucleus radius Theta_N");
-  adjustments_counter_ = registry->RegisterCounter(
-      "scuba_shed_adjustments_total", "Adaptive eta adjustments");
-  eta_gauge_.Set(eta_);
-  nucleus_gauge_.Set(nucleus_radius());
-}
-
 void LoadShedder::ObserveMemoryUsage(size_t bytes) {
   if (options_.mode != LoadSheddingMode::kAdaptive) return;
   if (bytes > options_.memory_budget_bytes) {
@@ -28,7 +16,6 @@ void LoadShedder::ObserveMemoryUsage(size_t bytes) {
     if (next != eta_) {
       eta_ = next;
       ++adjustments_;
-      adjustments_counter_.Increment();
     }
   } else if (static_cast<double>(bytes) <
              options_.relax_fraction *
@@ -37,11 +24,8 @@ void LoadShedder::ObserveMemoryUsage(size_t bytes) {
     if (next != eta_) {
       eta_ = next;
       ++adjustments_;
-      adjustments_counter_.Increment();
     }
   }
-  eta_gauge_.Set(eta_);
-  nucleus_gauge_.Set(nucleus_radius());
 }
 
 }  // namespace scuba

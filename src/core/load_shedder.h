@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "core/scuba_options.h"
-#include "obs/metrics.h"
 
 namespace scuba {
 
@@ -30,13 +29,9 @@ class LoadShedder {
   /// current estimated memory. No-op in kNone/kFixed modes.
   void ObserveMemoryUsage(size_t bytes);
 
-  /// Number of adaptive eta adjustments so far (observability).
+  /// Number of adaptive eta adjustments so far (observability; the engine's
+  /// StatsSnapshot carries it to the metrics registry).
   uint64_t adjustments() const { return adjustments_; }
-
-  /// Observability (docs/ARCHITECTURE.md §9): registers the shedder's eta /
-  /// nucleus-radius gauges and adjustment counter in `registry` and keeps
-  /// them current from ObserveMemoryUsage. No-op when registry is null.
-  void AttachMetrics(MetricsRegistry* registry);
 
  private:
   friend struct PersistAccess;  ///< Snapshot serialization (src/persist).
@@ -44,9 +39,6 @@ class LoadShedder {
   double theta_d_;
   double eta_;
   uint64_t adjustments_ = 0;
-  Gauge eta_gauge_;
-  Gauge nucleus_gauge_;
-  Counter adjustments_counter_;
 };
 
 }  // namespace scuba

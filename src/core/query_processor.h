@@ -44,18 +44,14 @@ struct EvalStats {
   uint32_t join_threads = 1;
   double last_join_worker_seconds = 0.0;
   double total_join_worker_seconds = 0.0;
-  /// Parallel ingest/maintenance: worker tasks batched ingestion and
-  /// post-join maintenance fan out to (1 = serial). The maintenance total
-  /// above is the sum of the ingest and post-join wall components below;
-  /// *_worker_seconds are the summed per-task busy times, mirroring the join
-  /// accounting.
-  uint32_t ingest_threads = 1;
+  /// Maintenance split: the maintenance total above is the sum of the
+  /// (serial) ingest and post-join wall components below. Post-join upkeep
+  /// fans out to join_threads tasks; *_worker_seconds is their summed busy
+  /// time, mirroring the join accounting.
   double last_ingest_seconds = 0.0;
   double total_ingest_seconds = 0.0;
   double last_postjoin_seconds = 0.0;
   double total_postjoin_seconds = 0.0;
-  double last_ingest_worker_seconds = 0.0;
-  double total_ingest_worker_seconds = 0.0;
   double last_postjoin_worker_seconds = 0.0;
   double total_postjoin_worker_seconds = 0.0;
   /// Stream hardening (docs/ARCHITECTURE.md §7). Updates dropped by the

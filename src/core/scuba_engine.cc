@@ -90,7 +90,6 @@ ScubaEngine::ScubaEngine(const ScubaOptions& options, GridIndex grid,
       windows_(router_.shard_count()),
       resolved_threads_(join_executor_.resolved_threads()) {
   stats_.join_threads = resolved_threads_;
-  stats_.ingest_threads = 1;  // ingest is serial at every setting
   clusterer_.set_nucleus_radius(shedder_.nucleus_radius());
 }
 
@@ -99,46 +98,18 @@ void ScubaEngine::InstallTelemetry(std::unique_ptr<EngineTelemetry> telemetry) {
   MetricsRegistry& reg = telemetry_->registry();
   metrics_.Register(&reg);
   join_executor_.AttachTelemetry(&reg);
-  shedder_.AttachMetrics(&reg);
-  WindowMetrics& m = window_metrics_;
-  m.failures = reg.RegisterCounter(
-      "scuba_shard_failures_total",
-      "Supervised join windows that failed (thrown, stalled, or audit)");
-  m.recoveries = reg.RegisterCounter(
-      "scuba_shard_recoveries_total",
-      "Online window recoveries that verified clean");
-  m.evictions = reg.RegisterCounter(
-      "scuba_shard_evictions_total",
-      "Join windows evicted after exhausting their recovery attempts");
-  m.degraded_rounds = reg.RegisterCounter(
-      "scuba_degraded_rounds_total",
-      "Rounds answered with at least one stale window slice");
-  m.windows = reg.RegisterGauge("scuba_shards", "Join windows (row ranges)");
-  m.health.resize(shard_count());
+  window_health_.resize(shard_count());
   for (uint32_t w = 0; w < shard_count(); ++w) {
-    m.health[w] = reg.RegisterGauge(
+    window_health_[w] = reg.RegisterGauge(
         "scuba_shard_health_" + std::to_string(w),
         "Window health: 0 healthy, 1 degraded, 2 recovering, 3 evicted");
-    m.health[w].Set(0.0);
   }
-  m.windows.Set(static_cast<double>(shard_count()));
   telemetry_->SetRoundHook([this] { PushTelemetryDeltas(); });
 }
 
 void ScubaEngine::PushTelemetryDeltas() {
   metrics_.Push(StatsSnapshot());
-  WindowMetrics& m = window_metrics_;
-  m.windows.Set(static_cast<double>(shard_count()));
-  if (supervisor_ != nullptr) {
-    const SupervisionStats& sup = supervisor_->stats();
-    SupervisionStats& pushed = pushed_supervision_;
-    m.failures.Increment(sup.shard_failures - pushed.shard_failures);
-    m.recoveries.Increment(sup.shard_recoveries - pushed.shard_recoveries);
-    m.evictions.Increment(sup.shard_evictions - pushed.shard_evictions);
-    m.degraded_rounds.Increment(sup.degraded_rounds - pushed.degraded_rounds);
-    pushed = sup;
-  }
-  for (size_t w = 0; w < m.health.size(); ++w) {
+  for (size_t w = 0; w < window_health_.size(); ++w) {
     double level = 3.0;  // beyond the current layout: evicted
     if (w < shard_count()) {
       level = supervisor_ == nullptr
@@ -146,7 +117,7 @@ void ScubaEngine::PushTelemetryDeltas() {
                   : static_cast<double>(static_cast<int>(
                         supervisor_->record(static_cast<uint32_t>(w)).health));
     }
-    m.health[w].Set(level);
+    window_health_[w].Set(level);
   }
 }
 
@@ -159,7 +130,9 @@ EngineSnapshotStats ScubaEngine::StatsSnapshot() const {
   snap.shedder = ShedderSnapshotStats{shedder_.mode(), shedder_.eta(),
                                       shedder_.nucleus_radius(),
                                       shedder_.adjustments()};
+  if (supervisor_ != nullptr) snap.supervision = supervisor_->stats();
   snap.clusters = store_.ClusterCount();
+  snap.windows = shard_count();
   return snap;
 }
 
@@ -378,11 +351,8 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
   stats_.total_postjoin_seconds += stats_.last_postjoin_seconds;
   stats_.last_postjoin_worker_seconds = postjoin_worker;
   stats_.total_postjoin_worker_seconds += postjoin_worker;
-  // Serial ingest: its busy time is its wall time.
   stats_.last_ingest_seconds = pending_prejoin_seconds_;
   stats_.total_ingest_seconds += pending_prejoin_seconds_;
-  stats_.last_ingest_worker_seconds = pending_prejoin_seconds_;
-  stats_.total_ingest_worker_seconds += pending_prejoin_seconds_;
   stats_.last_maintenance_seconds =
       stats_.last_ingest_seconds + stats_.last_postjoin_seconds;
   stats_.total_maintenance_seconds += stats_.last_maintenance_seconds;
@@ -708,127 +678,83 @@ Status ScubaEngine::PostJoinMaintenance(Timestamp now, double* worker_seconds,
   if (options_.enable_cluster_splitting) {
     SCUBA_RETURN_IF_ERROR(SplitOversizedClusters());
   }
-  // Collect ids first; dissolution mutates the store. Sorted so the serial
-  // and parallel paths walk the exact same sequence.
+  // Collect ids first; dissolution mutates the store.
   const std::vector<ClusterId> cids = store_.SortedClusterIds();
   const double nucleus = shedder_.nucleus_radius();
   const bool timed = timings != nullptr;
 
-  if (resolved_threads_ <= 1 || cids.size() <= 1) {
-    Stopwatch serial;
-    Stopwatch lap;
-    // A member pointer, not `&timings->field`: untraced rounds pass a null
-    // `timings`, and forming a member address through it is undefined.
-    auto take_lap = [&](double PostJoinTimings::*into) {
-      if (timed) {
-        timings->*into += lap.ElapsedSeconds();
-        lap.Start();
-      }
-    };
-    for (ClusterId cid : cids) {
-      MovingCluster* cluster = store_.GetCluster(cid);
-      SCUBA_CHECK(cluster != nullptr);
-      if (timed) lap.Start();
-      cluster->RecomputeTightBounds();
-      take_lap(&PostJoinTimings::tighten_seconds);
-      if (nucleus > 0.0) {
-        phase_stats_.members_shed_maintenance +=
-            cluster->ShedPositions(nucleus);
-      }
-      take_lap(&PostJoinTimings::shed_seconds);
-      // Dissolve clusters that pass their destination before the next round
-      // (paper: "If at time T + Delta the cluster passes its destination
-      // node, the cluster gets dissolved."). Members re-cluster with their
-      // next updates.
-      Timestamp expiry = cluster->ComputeExpiryTime(now);
-      if (expiry <= now + options_.delta) {
-        SCUBA_RETURN_IF_ERROR(grid_.Remove(cid));
-        SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cid));
-        ++phase_stats_.clusters_dissolved_expired;
-        take_lap(&PostJoinTimings::expire_seconds);
-        continue;
-      }
-      take_lap(&PostJoinTimings::expire_seconds);
-      // Relocate to the expected position at the next evaluation time.
-      cluster->Translate(cluster->Velocity() *
-                         static_cast<double>(options_.delta));
-      SCUBA_RETURN_IF_ERROR(SyncClusterGrid(&grid_, cluster,
-                                            options_.query_reach_aware,
-                                            options_.grid_sync_padding));
-      take_lap(&PostJoinTimings::translate_seconds);
-    }
-    *worker_seconds = serial.ElapsedSeconds();
-  } else {
-    // Parallel upkeep: each task pulls cluster chunks and runs the purely
-    // per-cluster work (tighten, shed, expiry check, translate, grid-sync
-    // planning) on the live cluster — clusters are disjoint, the store and
-    // grid are only read. Dissolutions and re-registrations are recorded per
-    // cluster and applied below in ascending cid order, which is exactly the
-    // serial loop's mutation sequence.
-    struct Outcome {
-      uint64_t shed = 0;
-      bool dissolve = false;
-      bool resync = false;
-      Circle registration;
-    };
-    std::vector<Outcome> outcomes(cids.size());
-    std::vector<PostJoinTimings> task_timings(timed ? resolved_threads_ : 0);
-    std::atomic<size_t> cursor{0};
-    constexpr size_t kChunk = 16;
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(
-        PostJoinPool(), resolved_threads_, [&](uint32_t task) {
-          PostJoinTimings* tt = timed ? &task_timings[task] : nullptr;
-          Stopwatch lap;
-          for (;;) {
-            size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
-            if (begin >= cids.size()) break;
-            size_t end = std::min(cids.size(), begin + kChunk);
-            for (size_t i = begin; i < end; ++i) {
-              MovingCluster* cluster = store_.GetCluster(cids[i]);
-              SCUBA_CHECK(cluster != nullptr);
-              Outcome& out = outcomes[i];
-              if (tt != nullptr) lap.Start();
-              cluster->RecomputeTightBounds();
-              if (tt != nullptr) {
-                tt->tighten_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              if (nucleus > 0.0) out.shed = cluster->ShedPositions(nucleus);
-              if (tt != nullptr) {
-                tt->shed_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              if (cluster->ComputeExpiryTime(now) <= now + options_.delta) {
-                out.dissolve = true;
-                if (tt != nullptr) tt->expire_seconds += lap.ElapsedSeconds();
-                continue;
-              }
-              if (tt != nullptr) {
-                tt->expire_seconds += lap.ElapsedSeconds();
-                lap.Start();
-              }
-              cluster->Translate(cluster->Velocity() *
-                                 static_cast<double>(options_.delta));
-              out.resync = PlanClusterGridSync(
-                  grid_, cluster, options_.query_reach_aware,
-                  options_.grid_sync_padding, &out.registration);
-              if (tt != nullptr) tt->translate_seconds += lap.ElapsedSeconds();
-            }
+  // Each task pulls cluster chunks and runs the purely per-cluster work
+  // (tighten, shed, expiry check, translate, grid-sync planning) on the live
+  // cluster — clusters are disjoint, the store and grid are only read. At
+  // one task it runs inline. Dissolutions and re-registrations are recorded
+  // per cluster and applied below in ascending cid order, so the outcome
+  // does not depend on the task count.
+  struct Outcome {
+    uint64_t shed = 0;
+    bool dissolve = false;
+    bool resync = false;
+    Circle registration;
+  };
+  std::vector<Outcome> outcomes(cids.size());
+  const uint32_t tasks =
+      static_cast<uint32_t>(std::min<size_t>(resolved_threads_, cids.size()));
+  std::vector<PostJoinTimings> task_timings(timed ? tasks : 0);
+  std::atomic<size_t> cursor{0};
+  constexpr size_t kChunk = 16;
+  SCUBA_RETURN_IF_ERROR(RunTaskSet(
+      tasks > 1 ? PostJoinPool() : nullptr, tasks, [&](uint32_t task) {
+        PostJoinTimings* tt = timed ? &task_timings[task] : nullptr;
+        Stopwatch lap;
+        // Adds the time since the last lap to one sub-step, then restarts.
+        auto take_lap = [&](double PostJoinTimings::*into) {
+          if (tt != nullptr) {
+            tt->*into += lap.ElapsedSeconds();
+            lap.Start();
           }
-        }, worker_seconds));
-    for (const PostJoinTimings& tt : task_timings) *timings += tt;
-    for (size_t i = 0; i < cids.size(); ++i) {
-      phase_stats_.members_shed_maintenance += outcomes[i].shed;
-      if (outcomes[i].dissolve) {
-        SCUBA_RETURN_IF_ERROR(grid_.Remove(cids[i]));
-        SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cids[i]));
-        ++phase_stats_.clusters_dissolved_expired;
-      } else if (outcomes[i].resync) {
-        SCUBA_RETURN_IF_ERROR(
-            grid_.Contains(cids[i])
-                ? grid_.Update(cids[i], outcomes[i].registration)
-                : grid_.Insert(cids[i], outcomes[i].registration));
-      }
+        };
+        for (;;) {
+          size_t begin = cursor.fetch_add(kChunk, std::memory_order_relaxed);
+          if (begin >= cids.size()) break;
+          size_t end = std::min(cids.size(), begin + kChunk);
+          for (size_t i = begin; i < end; ++i) {
+            MovingCluster* cluster = store_.GetCluster(cids[i]);
+            SCUBA_CHECK(cluster != nullptr);
+            Outcome& out = outcomes[i];
+            if (tt != nullptr) lap.Start();
+            cluster->RecomputeTightBounds();
+            take_lap(&PostJoinTimings::tighten_seconds);
+            if (nucleus > 0.0) out.shed = cluster->ShedPositions(nucleus);
+            take_lap(&PostJoinTimings::shed_seconds);
+            // Dissolve clusters that pass their destination before the next
+            // round (paper: "If at time T + Delta the cluster passes its
+            // destination node, the cluster gets dissolved."). Members
+            // re-cluster with their next updates.
+            out.dissolve =
+                cluster->ComputeExpiryTime(now) <= now + options_.delta;
+            take_lap(&PostJoinTimings::expire_seconds);
+            if (out.dissolve) continue;
+            // Relocate to the expected position at the next evaluation time.
+            cluster->Translate(cluster->Velocity() *
+                               static_cast<double>(options_.delta));
+            out.resync = PlanClusterGridSync(
+                grid_, cluster, options_.query_reach_aware,
+                options_.grid_sync_padding, &out.registration);
+            take_lap(&PostJoinTimings::translate_seconds);
+          }
+        }
+      }, worker_seconds));
+  for (const PostJoinTimings& tt : task_timings) *timings += tt;
+  for (size_t i = 0; i < cids.size(); ++i) {
+    phase_stats_.members_shed_maintenance += outcomes[i].shed;
+    if (outcomes[i].dissolve) {
+      SCUBA_RETURN_IF_ERROR(grid_.Remove(cids[i]));
+      SCUBA_RETURN_IF_ERROR(store_.RemoveCluster(cids[i]));
+      ++phase_stats_.clusters_dissolved_expired;
+    } else if (outcomes[i].resync) {
+      SCUBA_RETURN_IF_ERROR(
+          grid_.Contains(cids[i])
+              ? grid_.Update(cids[i], outcomes[i].registration)
+              : grid_.Insert(cids[i], outcomes[i].registration));
     }
   }
 

@@ -204,9 +204,9 @@ class ScubaEngine : public QueryProcessor {
   Status JoinWindows(ResultSet* results);
 
   /// Phase 3 (see class comment). Per-cluster upkeep (tighten, shed, expiry,
-  /// translate) runs on join_threads tasks; dissolutions and grid
-  /// re-registrations are planned per task and applied serially in ascending
-  /// cid order, so the outcome matches the serial loop exactly.
+  /// translate) runs on join_threads tasks (inline at one); dissolutions and
+  /// grid re-registrations are planned per task and applied serially in
+  /// ascending cid order, so the outcome is the same at any task count.
   /// `*worker_seconds` receives the summed per-task busy time; `*timings`
   /// (nullable) the per-sub-step wall split — null skips all extra clock
   /// reads, keeping the telemetry-off path cost-free.
@@ -247,8 +247,8 @@ class ScubaEngine : public QueryProcessor {
   /// nullptr while join_threads resolves to 1.
   ThreadPool* PostJoinPool();
 
-  /// Telemetry setup (Create-time): registers the engine's metrics and the
-  /// pre-flush hook that pushes cumulative-counter deltas.
+  /// Telemetry setup (Create-time): registers the engine's metric table,
+  /// the window health gauges and the pre-flush hook that pushes them.
   void InstallTelemetry(std::unique_ptr<EngineTelemetry> telemetry);
   void PushTelemetryDeltas();
 
@@ -280,18 +280,10 @@ class ScubaEngine : public QueryProcessor {
   /// are no-op value types, so instrumentation sites stay unconditional.
   std::unique_ptr<EngineTelemetry> telemetry_;
   EngineMetrics metrics_;
-  struct WindowMetrics {
-    Counter failures;
-    Counter recoveries;
-    Counter evictions;
-    Counter degraded_rounds;
-    Gauge windows;
-    /// One per window of the ORIGINAL layout: 0 healthy, 1 degraded,
-    /// 2 recovering, 3 evicted. Indices beyond the current layout (after a
-    /// reassign eviction) report 3 — that window identity is gone.
-    std::vector<Gauge> health;
-  } window_metrics_;
-  SupervisionStats pushed_supervision_;
+  /// One health gauge per window of the ORIGINAL layout: 0 healthy,
+  /// 1 degraded, 2 recovering, 3 evicted. Indices beyond the current layout
+  /// (after a reassign eviction) report 3 — that window identity is gone.
+  std::vector<Gauge> window_health_;
 };
 
 }  // namespace scuba

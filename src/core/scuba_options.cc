@@ -1,5 +1,6 @@
 #include "core/scuba_options.h"
 
+#include <cmath>
 #include <string>
 
 #include "index/grid_index.h"
@@ -49,11 +50,13 @@ Result<ShardFailurePolicy> ParseShardFailurePolicy(std::string_view name) {
 }
 
 Status ScubaOptions::Validate() const {
-  if (theta_d < 0.0) {
-    return Status::InvalidArgument("theta_d must be non-negative");
+  // Every floating-point check below also rejects NaN and infinities: a NaN
+  // fails no ordered comparison, so it would slip through a plain bound.
+  if (!std::isfinite(theta_d) || theta_d < 0.0) {
+    return Status::InvalidArgument("theta_d must be finite and non-negative");
   }
-  if (theta_s < 0.0) {
-    return Status::InvalidArgument("theta_s must be non-negative");
+  if (!std::isfinite(theta_s) || theta_s < 0.0) {
+    return Status::InvalidArgument("theta_s must be finite and non-negative");
   }
   // Cell ids are u32 and every empty cell costs a vector header, so the cap
   // turns a typo into an error instead of a multi-gigabyte allocation.
@@ -62,17 +65,24 @@ Status ScubaOptions::Validate() const {
         "grid_cells must be in [1, " +
         std::to_string(GridIndex::kMaxCellsPerSide) + "]");
   }
+  if (!std::isfinite(region.min_x) || !std::isfinite(region.min_y) ||
+      !std::isfinite(region.max_x) || !std::isfinite(region.max_y)) {
+    return Status::InvalidArgument("region must be finite");
+  }
   if (region.Empty() || region.Width() <= 0.0 || region.Height() <= 0.0) {
     return Status::InvalidArgument("region must have positive area");
   }
   if (delta <= 0) {
     return Status::InvalidArgument("delta must be positive");
   }
-  if (grid_sync_padding < 0.0) {
-    return Status::InvalidArgument("grid_sync_padding must be non-negative");
+  if (!std::isfinite(grid_sync_padding) || grid_sync_padding < 0.0) {
+    return Status::InvalidArgument(
+        "grid_sync_padding must be finite and non-negative");
   }
-  if (enable_cluster_splitting && split_radius_factor <= 0.0) {
-    return Status::InvalidArgument("split_radius_factor must be positive");
+  if (enable_cluster_splitting &&
+      (!std::isfinite(split_radius_factor) || split_radius_factor <= 0.0)) {
+    return Status::InvalidArgument(
+        "split_radius_factor must be finite and positive");
   }
   // 0 means hardware concurrency; the cap catches garbage values (threads
   // beyond any plausible core count would only add scheduling overhead).
@@ -95,11 +105,12 @@ Status ScubaOptions::Validate() const {
     return Status::InvalidArgument(
         "supervision.backoff_base_rounds must be >= 1");
   }
-  if (supervision.round_deadline_seconds < 0.0) {
+  if (!std::isfinite(supervision.round_deadline_seconds) ||
+      supervision.round_deadline_seconds < 0.0) {
     return Status::InvalidArgument(
-        "supervision.round_deadline_seconds must be non-negative");
+        "supervision.round_deadline_seconds must be finite and non-negative");
   }
-  if (supervision.fault_rate < 0.0 || supervision.fault_rate > 1.0) {
+  if (!(supervision.fault_rate >= 0.0 && supervision.fault_rate <= 1.0)) {
     return Status::InvalidArgument("supervision.fault_rate must be in [0, 1]");
   }
   if (checkpoint.keep_last_k == 0) {
@@ -109,7 +120,7 @@ Status ScubaOptions::Validate() const {
     return Status::InvalidArgument(
         "checkpoint.wal_segment_bytes must be >= 4096");
   }
-  if (shedding.eta < 0.0 || shedding.eta > 1.0) {
+  if (!(shedding.eta >= 0.0 && shedding.eta <= 1.0)) {
     return Status::InvalidArgument("shedding eta must be in [0, 1]");
   }
   if (shedding.mode == LoadSheddingMode::kAdaptive) {
@@ -117,10 +128,10 @@ Status ScubaOptions::Validate() const {
       return Status::InvalidArgument(
           "adaptive shedding needs a memory budget");
     }
-    if (shedding.eta_step <= 0.0 || shedding.eta_step > 1.0) {
+    if (!(shedding.eta_step > 0.0 && shedding.eta_step <= 1.0)) {
       return Status::InvalidArgument("eta_step must be in (0, 1]");
     }
-    if (shedding.relax_fraction <= 0.0 || shedding.relax_fraction >= 1.0) {
+    if (!(shedding.relax_fraction > 0.0 && shedding.relax_fraction < 1.0)) {
       return Status::InvalidArgument("relax_fraction must be in (0, 1)");
     }
   }

@@ -39,6 +39,20 @@ uint32_t ThreadShardIndex() {
   return index;
 }
 
+uint64_t Counter::Value() const {
+  if (cells_ == nullptr) return 0;
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < MetricsRegistry::kShards; ++i) {
+    total += cells_[i].value.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+double Gauge::Value() const {
+  if (bits_ == nullptr) return 0.0;
+  return std::bit_cast<double>(bits_->load(std::memory_order_relaxed));
+}
+
 void Gauge::Set(double value) {
   if (bits_ != nullptr) {
     bits_->store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
@@ -155,17 +169,11 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
     snap.help = m->help;
     snap.kind = m->kind;
     switch (m->kind) {
-      case MetricKind::kCounter: {
-        uint64_t total = 0;
-        for (uint32_t s = 0; s < kShards; ++s) {
-          total += m->cells[s].value.load(std::memory_order_relaxed);
-        }
-        snap.counter = total;
+      case MetricKind::kCounter:
+        snap.counter = Counter(m->cells.get()).Value();
         break;
-      }
       case MetricKind::kGauge:
-        snap.gauge = std::bit_cast<double>(
-            m->gauge_bits.load(std::memory_order_relaxed));
+        snap.gauge = Gauge(&m->gauge_bits).Value();
         break;
       case MetricKind::kHistogram: {
         // Reconstruct each shard as a bucketed Histogram and Merge (shards

@@ -57,6 +57,10 @@ class Counter {
     }
   }
 
+  /// The total, shards merged (0 when detached). For readers off the hot
+  /// path, such as a server's stats(); cost is one load per shard.
+  uint64_t Value() const;
+
   explicit operator bool() const { return cells_ != nullptr; }
 
  private:
@@ -72,6 +76,8 @@ class Gauge {
   Gauge() = default;
 
   void Set(double value);
+  /// The last value set (0 when detached).
+  double Value() const;
 
   explicit operator bool() const { return bits_ != nullptr; }
 

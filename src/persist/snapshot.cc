@@ -351,13 +351,16 @@ void PersistAccess::SaveEvalStats(const EvalStats& s, ByteWriter* w) {
   w->PutU32(s.join_threads);
   w->PutDouble(s.last_join_worker_seconds);
   w->PutDouble(s.total_join_worker_seconds);
-  w->PutU32(s.ingest_threads);
+  // Retired slot: the ingest thread count, always 1 (ingest is serial).
+  w->PutU32(1);
   w->PutDouble(s.last_ingest_seconds);
   w->PutDouble(s.total_ingest_seconds);
   w->PutDouble(s.last_postjoin_seconds);
   w->PutDouble(s.total_postjoin_seconds);
-  w->PutDouble(s.last_ingest_worker_seconds);
-  w->PutDouble(s.total_ingest_worker_seconds);
+  // Retired slots: the ingest worker seconds, which always equalled the
+  // serial ingest wall seconds.
+  w->PutDouble(s.last_ingest_seconds);
+  w->PutDouble(s.total_ingest_seconds);
   w->PutDouble(s.last_postjoin_worker_seconds);
   w->PutDouble(s.total_postjoin_worker_seconds);
   w->PutU64(s.updates_quarantined);
@@ -389,13 +392,16 @@ Status PersistAccess::LoadEvalStats(ByteReader* r, EvalStats* s) {
   SCUBA_RETURN_IF_ERROR(r->GetU32(&s->join_threads));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_worker_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->ingest_threads));
+  uint32_t retired_u32 = 0;
+  double retired_double = 0.0;
+  SCUBA_RETURN_IF_ERROR(r->GetU32(&retired_u32));  // ingest thread count
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_worker_seconds));
+  // The two ingest worker-seconds slots.
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&retired_double));
+  SCUBA_RETURN_IF_ERROR(r->GetDouble(&retired_double));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_worker_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_worker_seconds));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&s->updates_quarantined));

@@ -366,7 +366,8 @@ Status WalWriter::OpenSegment(uint64_t first_seq) {
   return SyncDirectory(dir_);
 }
 
-Status WalWriter::AppendFrame(const std::string& payload) {
+Status WalWriter::AppendFrame(const std::string& payload,
+                              uint64_t* durable_bytes) {
   ByteWriter frame;
   frame.PutU32(static_cast<uint32_t>(payload.size()));
   frame.PutU32(Crc32(payload));
@@ -390,9 +391,7 @@ Status WalWriter::AppendFrame(const std::string& payload) {
   SCUBA_RETURN_IF_ERROR(FdatasyncOrError(fd_, segment_path_));
   segment_size_ += bytes.size();
   ++next_seq_;
-  ++stats_.records_appended;
-  ++stats_.fsyncs;
-  stats_.bytes_appended += bytes.size();
+  *durable_bytes = bytes.size();
   if (crash_ != nullptr && crash_->ShouldCrash(CrashPoint::kAfterWalAppend)) {
     return crash_->CrashStatus();
   }
@@ -401,13 +400,15 @@ Status WalWriter::AppendFrame(const std::string& payload) {
 
 Status WalWriter::Append(Timestamp batch_time, bool evaluate_after,
                          std::span<const LocationUpdate> objects,
-                         std::span<const QueryUpdate> queries) {
+                         std::span<const QueryUpdate> queries,
+                         uint64_t* durable_bytes) {
+  *durable_bytes = 0;
   if (crash_ != nullptr && crash_->ShouldCrash(CrashPoint::kBeforeWalAppend)) {
     return crash_->CrashStatus();
   }
-  return AppendFrame(
-      EncodeBatchPayload(next_seq_, batch_time, evaluate_after, objects,
-                         queries));
+  return AppendFrame(EncodeBatchPayload(next_seq_, batch_time, evaluate_after,
+                                        objects, queries),
+                     durable_bytes);
 }
 
 Result<size_t> WalWriter::PruneSegmentsBelow(uint64_t min_seq) {

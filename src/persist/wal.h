@@ -57,12 +57,6 @@ struct WalRecord {
 /// thread-safe; the stream pipeline appends from its single driver thread.
 class WalWriter {
  public:
-  struct Stats {
-    uint64_t records_appended = 0;
-    uint64_t fsyncs = 0;
-    uint64_t bytes_appended = 0;
-  };
-
   /// Opens (creating `dir` if needed) for appending. Scans existing segments
   /// to find the end of the log: next_seq() continues after the last intact
   /// record (a torn tail is truncated away so the new record lands on a clean
@@ -80,16 +74,18 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Appends one batch record (stamped with next_seq()) and fdatasyncs the
-  /// segment. Injects kBeforeWalAppend (nothing written), kMidWalAppend (half
-  /// the frame written and synced — a torn tail) and kAfterWalAppend (fully
-  /// durable, but the caller's ingestion never happens).
+  /// segment (one fsync per record). `*durable_bytes` receives the framed
+  /// size once the record is durable, 0 when it is not. Injects
+  /// kBeforeWalAppend (nothing written), kMidWalAppend (half the frame
+  /// written and synced — a torn tail, not durable) and kAfterWalAppend
+  /// (fully durable, but the caller's ingestion never happens).
   Status Append(Timestamp batch_time, bool evaluate_after,
                 std::span<const LocationUpdate> objects,
-                std::span<const QueryUpdate> queries);
+                std::span<const QueryUpdate> queries,
+                uint64_t* durable_bytes);
 
   /// Sequence number the next Append will write.
   uint64_t next_seq() const { return next_seq_; }
-  const Stats& stats() const { return stats_; }
 
   /// Deletes every segment whose records ALL precede `min_seq` (they are
   /// covered by a snapshot). The active segment is never deleted. Returns the
@@ -101,8 +97,8 @@ class WalWriter {
       : dir_(std::move(dir)), segment_bytes_(segment_bytes), crash_(crash) {}
 
   /// Frame path behind Append: rotation, crash injection, write +
-  /// fdatasync, counters.
-  Status AppendFrame(const std::string& payload);
+  /// fdatasync.
+  Status AppendFrame(const std::string& payload, uint64_t* durable_bytes);
 
   /// Opens (or creates) the segment that starts at `first_seq` for append.
   Status OpenSegment(uint64_t first_seq);
@@ -116,7 +112,6 @@ class WalWriter {
   std::string segment_path_;
   uint64_t segment_first_seq_ = 0;
   uint64_t segment_size_ = 0;
-  Stats stats_;
 };
 
 /// Everything ReadWal could recover from a log directory.

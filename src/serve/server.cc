@@ -89,12 +89,7 @@ ScubaServer::ScubaServer(const ServeOptions& options, const ServerDeps& deps,
                          int listen_fd, uint16_t port, int pipe_r, int pipe_w)
     : options_(options),
       deps_(deps),
-      owned_registry_(deps.registry == nullptr
-                          ? std::make_unique<MetricsRegistry>()
-                          : nullptr),
-      registry_(deps.registry != nullptr ? deps.registry
-                                         : owned_registry_.get()),
-      sessions_(options, registry_),
+      sessions_(options, deps.registry),
       listen_fd_(listen_fd),
       port_(port),
       pipe_r_(pipe_r),
@@ -132,8 +127,18 @@ Status ScubaServer::Wait() {
 }
 
 ServerStats ScubaServer::stats() const {
+  const ServeMetrics& m = sessions_.metrics();
+  ServerStats st;
+  st.rounds = m.rounds_total.Value();
+  st.batches = m.batches_total.Value();
+  st.sessions_accepted = m.sessions_total.Value();
+  st.deltas_pushed = m.deltas_pushed_total.Value();
+  st.coalesces = m.coalesces_total.Value();
+  st.disconnects = m.disconnects_total.Value();
   std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  st.last_round_matches = last_round_matches_;
+  st.last_round_degraded = last_round_degraded_;
+  return st;
 }
 
 void ScubaServer::Loop() {
@@ -265,10 +270,7 @@ void ScubaServer::AcceptPending() {
             send(fd, frame->data(), frame->size(), MSG_NOSIGNAL);
       }
       close(fd);
-      continue;
     }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sessions_accepted;
   }
 }
 
@@ -522,10 +524,6 @@ Status ScubaServer::HandleBatch(Session* session, Timestamp time,
   SCUBA_RETURN_IF_ERROR(deps_.engine->IngestBatch(*objects, *queries));
   prev_time_ = batch_time;
   sessions_.metrics().batches_total.Increment();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.batches;
-  }
   if (evaluate) return RunRound(session, batch_time);
   return Status::OK();
 }
@@ -547,12 +545,8 @@ Status ScubaServer::RunRound(Session* driver, Timestamp now) {
   }
   sessions_.ObservePressure(deps_.engine->EstimateMemoryUsage());
   std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.rounds;
-  stats_.last_round_matches = results_.size();
-  stats_.last_round_degraded = results_.degraded();
-  stats_.deltas_pushed = sessions_.deltas_pushed();
-  stats_.coalesces = sessions_.coalesces();
-  stats_.disconnects = sessions_.disconnects();
+  last_round_matches_ = results_.size();
+  last_round_degraded_ = results_.degraded();
   return Status::OK();
 }
 

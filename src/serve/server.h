@@ -43,12 +43,14 @@ struct ServerDeps {
   UpdateValidator* screen = nullptr;
   /// WAL/snapshot sink; batches become durable before they mutate the engine.
   DurabilitySink* durability = nullptr;
-  /// Registry for the scuba_serve_* metrics; null = a server-owned registry
-  /// (readable via registry()). Pass the engine telemetry registry to make
-  /// serve metrics ride the JSONL round stream (schema v4).
+  /// Registry for the scuba_serve_* metrics; null = one the session manager
+  /// owns (readable via registry()). Pass the engine telemetry registry to
+  /// make serve metrics ride the JSONL round stream (schema v4).
   MetricsRegistry* registry = nullptr;
 };
 
+/// What stats() reports. The counts are read from the serve metrics (the one
+/// place they live); only the last round's outcome is kept by the server.
 struct ServerStats {
   uint64_t rounds = 0;
   uint64_t batches = 0;
@@ -87,8 +89,9 @@ class ScubaServer {
 
   ServerStats stats() const;
 
-  /// The effective metrics registry (deps.registry or the server-owned one).
-  const MetricsRegistry& registry() const { return *registry_; }
+  /// The effective metrics registry (deps.registry or the session
+  /// manager's own).
+  const MetricsRegistry& registry() const { return sessions_.registry(); }
 
  private:
   ScubaServer(const ServeOptions& options, const ServerDeps& deps,
@@ -110,8 +113,6 @@ class ScubaServer {
 
   ServeOptions options_;
   ServerDeps deps_;
-  std::unique_ptr<MetricsRegistry> owned_registry_;
-  MetricsRegistry* registry_ = nullptr;
   SessionManager sessions_;
 
   int listen_fd_ = -1;
@@ -130,8 +131,9 @@ class ScubaServer {
   ResultSet results_;
   uint64_t rounds_ = 0;
 
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
+  mutable std::mutex stats_mu_;  ///< Guards the last-round fields.
+  uint64_t last_round_matches_ = 0;
+  bool last_round_degraded_ = false;
 };
 
 }  // namespace scuba::serve

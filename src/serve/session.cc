@@ -92,7 +92,10 @@ ResultSet Session::FilterResults(const ResultSet& global) const {
 SessionManager::SessionManager(const ServeOptions& options,
                                MetricsRegistry* registry)
     : options_(options),
-      metrics_(ServeMetrics::Register(registry)),
+      owned_registry_(registry == nullptr ? std::make_unique<MetricsRegistry>()
+                                          : nullptr),
+      registry_(registry != nullptr ? registry : owned_registry_.get()),
+      metrics_(ServeMetrics::Register(registry_)),
       shedder_(AdmissionShedderOptions(options), /*theta_d=*/1.0) {}
 
 Result<Session*> SessionManager::Accept(int fd) {
@@ -143,7 +146,6 @@ void SessionManager::FailSession(Session* session, const Status& error) {
   // explanation.
   CoalesceQueue(session);
   session->set_doomed();
-  ++disconnects_;
   metrics_.disconnects_total.Increment();
   ErrorMsg err;
   err.code = static_cast<uint32_t>(error.code());
@@ -191,8 +193,6 @@ void SessionManager::EnqueueFrame(Session* session, MessageType type,
       // The triggering frame was already the coalesced snapshot (re-entry
       // from below); fall through and queue it.
     } else {
-      ++session->coalesces;
-      ++coalesces_;
       metrics_.coalesces_total.Increment();
       SnapshotMsg snap;
       snap.round = session->tracker_.rounds();
@@ -268,8 +268,6 @@ void SessionManager::PushRound(uint64_t round, Timestamp now,
       FailSession(session.get(), frame.status());
       continue;
     }
-    ++session->deltas_pushed;
-    ++deltas_pushed_;
     metrics_.deltas_pushed_total.Increment();
     metrics_.delta_bytes_total.Increment(frame->size());
     EnqueueFrame(session.get(), MessageType::kDelta, std::move(*frame));

@@ -83,7 +83,8 @@ struct OutFrame {
 
 /// Serve metric handles (telemetry schema v4). All registered against one
 /// MetricsRegistry — the engine's when telemetry is on (so serve counters ride
-/// the JSONL round stream), else the server's own.
+/// the JSONL round stream), else the session manager's own. The registry is
+/// the only place serve counts live: readers go through Counter::Value().
 struct ServeMetrics {
   Counter sessions_total;
   Counter rounds_total;
@@ -145,9 +146,6 @@ class Session {
   /// Bytes of the head frame already handed to the kernel (partial write).
   size_t write_offset = 0;
 
-  uint64_t deltas_pushed = 0;
-  uint64_t coalesces = 0;
-
  private:
   friend class SessionManager;
   uint32_t id_;
@@ -166,6 +164,8 @@ class Session {
 
 class SessionManager {
  public:
+  /// Registers the serve metrics on `registry`, or on a registry the manager
+  /// owns when `registry` is null.
   SessionManager(const ServeOptions& options, MetricsRegistry* registry);
 
   /// Admits a new connection: kResourceExhausted when at max_sessions or
@@ -209,11 +209,16 @@ class SessionManager {
 
   size_t total_queued_bytes() const { return total_queued_bytes_; }
   size_t session_count() const { return sessions_.size(); }
-  uint64_t deltas_pushed() const { return deltas_pushed_; }
-  uint64_t coalesces() const { return coalesces_; }
-  uint64_t disconnects() const { return disconnects_; }
+  uint64_t deltas_pushed() const {
+    return metrics_.deltas_pushed_total.Value();
+  }
+  uint64_t coalesces() const { return metrics_.coalesces_total.Value(); }
+  uint64_t disconnects() const { return metrics_.disconnects_total.Value(); }
   const ServeOptions& options() const { return options_; }
   ServeMetrics& metrics() { return metrics_; }
+  const ServeMetrics& metrics() const { return metrics_; }
+  /// The registry the serve metrics live in (the caller's or the owned one).
+  const MetricsRegistry& registry() const { return *registry_; }
   /// Deterministic iteration order (by fd) for the poll loop.
   std::map<int, std::unique_ptr<Session>>& sessions() { return sessions_; }
   bool shedding() const { return shedder_.eta() > 0.0; }
@@ -226,15 +231,13 @@ class SessionManager {
   void FailSession(Session* session, const Status& error);
 
   ServeOptions options_;
+  std::unique_ptr<MetricsRegistry> owned_registry_;  ///< Null if given one.
+  MetricsRegistry* registry_;
   ServeMetrics metrics_;
   LoadShedder shedder_;
   std::map<int, std::unique_ptr<Session>> sessions_;
   uint32_t next_session_id_ = 1;
   size_t total_queued_bytes_ = 0;
-  // Readable aggregates (metric handles are write-only).
-  uint64_t deltas_pushed_ = 0;
-  uint64_t coalesces_ = 0;
-  uint64_t disconnects_ = 0;
 };
 
 }  // namespace scuba::serve

@@ -319,9 +319,8 @@ Status PersistAccess::LoadCoordinatorState(ByteReader* r, ScubaEngine* e,
   e->store_.next_cid_ = next_cid;
   SCUBA_RETURN_IF_ERROR(LoadEvalStats(r, &e->stats_));
   // The restored engine reports its own parallelism (results are identical
-  // across thread counts by contract; ingest is serial).
+  // across thread counts by contract).
   e->stats_.join_threads = e->resolved_threads_;
-  e->stats_.ingest_threads = 1;
   SCUBA_RETURN_IF_ERROR(
       r->GetU64(&e->phase_stats_.clusters_dissolved_expired));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.members_shed_maintenance));
@@ -466,10 +465,6 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
       WalWriter::Open(WalDirOf(dir), policy.wal_segment_bytes, base_seq, crash);
   if (!wal.ok()) return wal.status();
   manager->wal_ = std::move(wal).value();
-  const EvalStats& stats = *PersistAccess::MutableStats(engine);
-  manager->base_wal_records_ = stats.wal_records_appended;
-  manager->base_wal_fsyncs_ = stats.wal_fsyncs;
-  manager->base_wal_bytes_ = stats.wal_bytes_appended;
   return manager;
 }
 
@@ -485,13 +480,15 @@ Status ShardedDurabilityManager::LogBatch(
         PersistAccess::MutableStats(engine_)->evaluations + 1);
     sw.Start();
   }
-  const Status status =
-      wal_->Append(batch_time, evaluate_after, objects, queries);
-  EvalStats* stats = PersistAccess::MutableStats(engine_);
-  stats->wal_records_appended =
-      base_wal_records_ + wal_->stats().records_appended;
-  stats->wal_fsyncs = base_wal_fsyncs_ + wal_->stats().fsyncs;
-  stats->wal_bytes_appended = base_wal_bytes_ + wal_->stats().bytes_appended;
+  uint64_t durable_bytes = 0;
+  const Status status = wal_->Append(batch_time, evaluate_after, objects,
+                                     queries, &durable_bytes);
+  if (durable_bytes > 0) {
+    EvalStats* stats = PersistAccess::MutableStats(engine_);
+    ++stats->wal_records_appended;
+    ++stats->wal_fsyncs;
+    stats->wal_bytes_appended += durable_bytes;
+  }
   if (telemetry != nullptr) {
     const double elapsed = sw.ElapsedSeconds();
     TraceCollector& tc = telemetry->trace();

@@ -57,8 +57,9 @@ class ShardedDurabilityManager : public DurabilitySink {
       ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
       CrashInjector* crash);
 
-  /// DurabilitySink: appends the batch as one fsynced WAL record, then
-  /// mirrors the WAL counters into the engine's EvalStats.
+  /// DurabilitySink: appends the batch as one fsynced WAL record and, once
+  /// it is durable, counts the record, its fsync and its bytes in the
+  /// engine's EvalStats.
   Status LogBatch(Timestamp batch_time, bool evaluate_after,
                   std::span<const LocationUpdate> objects,
                   std::span<const QueryUpdate> queries) override;
@@ -102,10 +103,6 @@ class ShardedDurabilityManager : public DurabilitySink {
   CrashInjector* crash_;        ///< Nullable.
   std::unique_ptr<WalWriter> wal_;
   uint64_t next_generation_ = 1;
-  /// Engine WAL counters at Open time; the writer's counters add onto these.
-  uint64_t base_wal_records_ = 0;
-  uint64_t base_wal_fsyncs_ = 0;
-  uint64_t base_wal_bytes_ = 0;
   uint32_t rounds_since_checkpoint_ = 0;
 };
 

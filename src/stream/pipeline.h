@@ -23,9 +23,9 @@ namespace scuba {
 using ResultSink = std::function<void(Timestamp, const ResultSet&)>;
 
 /// Durability hooks the stream drivers call around ingestion. Implemented by
-/// ShardedDurabilityManager (per-shard WAL append + periodic checkpoint
-/// generations); declared here as an abstract interface so the stream layer
-/// stays independent of persistence.
+/// ShardedDurabilityManager (one WAL record per batch in the durable root's
+/// one log + periodic checkpoint generations); declared here as an abstract
+/// interface so the stream layer stays independent of persistence.
 class DurabilitySink {
  public:
   virtual ~DurabilitySink() = default;

@@ -24,18 +24,6 @@ EvalStats SampleStats() {
   return s;
 }
 
-TEST(EngineStatsTest, Averages) {
-  EvalStats s = SampleStats();
-  EXPECT_DOUBLE_EQ(Wrap(s).AvgJoinSeconds(), 0.5);
-  EXPECT_DOUBLE_EQ(Wrap(s).AvgMaintenanceSeconds(), 0.25);
-}
-
-TEST(EngineStatsTest, AveragesWithNoRounds) {
-  EvalStats s;
-  EXPECT_EQ(Wrap(s).AvgJoinSeconds(), 0.0);
-  EXPECT_EQ(Wrap(s).AvgMaintenanceSeconds(), 0.0);
-}
-
 TEST(EngineStatsTest, Selectivity) {
   EvalStats s = SampleStats();
   EXPECT_DOUBLE_EQ(Wrap(s).JoinBetweenSelectivity(), 0.25);
@@ -55,11 +43,7 @@ TEST(EngineStatsTest, ParallelSpeedups) {
   EvalStats s = SampleStats();
   s.join_threads = 4;
   s.total_join_worker_seconds = 6.0;
-  s.total_postjoin_seconds = 0.25;
-  s.total_postjoin_worker_seconds = 0.5;
   EXPECT_DOUBLE_EQ(Wrap(s).JoinParallelSpeedup(), 3.0);
-  EXPECT_DOUBLE_EQ(Wrap(s).JoinParallelEfficiency(), 0.75);
-  EXPECT_DOUBLE_EQ(Wrap(s).PostJoinParallelSpeedup(), 2.0);
   EXPECT_EQ(Wrap(EvalStats{}).JoinParallelSpeedup(), 0.0);
 }
 

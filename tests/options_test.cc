@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "baseline/grid_join_engine.h"
 #include "baseline/query_index_engine.h"
 #include "core/scuba_options.h"
@@ -117,6 +121,58 @@ TEST(ScubaOptionsTest, SheddingBranches) {
   opt.shedding.mode = LoadSheddingMode::kFixed;
   opt.shedding.eta = 0.5;
   EXPECT_TRUE(opt.Validate().ok());
+}
+
+TEST(ScubaOptionsTest, NonFiniteFloatsAreRejected) {
+  // A NaN fails every ordered comparison, so each float check must reject it
+  // (and the infinities) explicitly instead of letting it through.
+  using Setter = void (*)(ScubaOptions*, double);
+  const std::vector<std::pair<const char*, Setter>> fields = {
+      {"theta_d", [](ScubaOptions* o, double v) { o->theta_d = v; }},
+      {"theta_s", [](ScubaOptions* o, double v) { o->theta_s = v; }},
+      {"region.min_x", [](ScubaOptions* o, double v) { o->region.min_x = v; }},
+      {"region.max_y", [](ScubaOptions* o, double v) { o->region.max_y = v; }},
+      {"grid_sync_padding",
+       [](ScubaOptions* o, double v) { o->grid_sync_padding = v; }},
+      {"split_radius_factor",
+       [](ScubaOptions* o, double v) {
+         o->enable_cluster_splitting = true;
+         o->split_radius_factor = v;
+       }},
+      {"eta",
+       [](ScubaOptions* o, double v) {
+         o->shedding.mode = LoadSheddingMode::kFixed;
+         o->shedding.eta = v;
+       }},
+      {"eta_step",
+       [](ScubaOptions* o, double v) {
+         o->shedding.mode = LoadSheddingMode::kAdaptive;
+         o->shedding.memory_budget_bytes = 1024;
+         o->shedding.eta_step = v;
+       }},
+      {"relax_fraction",
+       [](ScubaOptions* o, double v) {
+         o->shedding.mode = LoadSheddingMode::kAdaptive;
+         o->shedding.memory_budget_bytes = 1024;
+         o->shedding.relax_fraction = v;
+       }},
+      {"round_deadline_seconds",
+       [](ScubaOptions* o, double v) {
+         o->supervision.round_deadline_seconds = v;
+       }},
+      {"fault_rate",
+       [](ScubaOptions* o, double v) { o->supervision.fault_rate = v; }},
+  };
+  for (const auto& [name, set] : fields) {
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      ScubaOptions opt;
+      set(&opt, bad);
+      EXPECT_TRUE(opt.Validate().IsInvalidArgument())
+          << name << " = " << bad << " passed validation";
+    }
+  }
 }
 
 TEST(ScubaOptionsTest, BadUpdatePolicyNamesRoundTrip) {

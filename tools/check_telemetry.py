@@ -2,38 +2,20 @@
 """Validate SCUBA telemetry JSONL output (docs/ARCHITECTURE.md §9).
 
 Checks a --metrics-out / --trace-out pair produced by scuba_cli or the
-benches against the v3 schema: every line must parse, carry only known
+benches against the v4 schema: every line must parse, carry only known
 keys, and keep the per-round invariants (monotone rounds, monotone counter
-totals, finite non-negative timings, well-formed span trees). Optionally
-gates the telemetry overhead measured by bench_parallel_scaling and writes
-a machine-readable summary (BENCH_telemetry.json).
+totals, finite non-negative timings, well-formed span trees). With
+--schema FILE (the output of `scuba_cli metrics-schema`: one JSON line per
+metric with its name, kind and help) every metric name must be one the
+program registers, with the registered kind; window health gauges match by
+their scuba_shard_health_ prefix. Optionally gates the telemetry overhead
+measured by bench_parallel_scaling and writes a machine-readable summary
+(BENCH_telemetry.json).
 
-v1 -> v2 migration: line shapes are unchanged; v2 adds the sharded engine's
-surface — per-shard "engine_shard" spans under "join" (indexed by shard id),
-a root-level "handoff" span, the scuba_shard_handoffs_total /
-scuba_shard_ghosts_total / scuba_rebalance_recommendations_total counters
-and the scuba_shards gauge. This checker also pins the span-name universe
-(unknown span names fail) and validates the shard-level spans and counters.
-
-v2 -> v3 migration: line shapes again unchanged; v3 adds the shard fault
-isolation surface — the scuba_shard_failures_total /
-scuba_shard_recoveries_total / scuba_shard_evictions_total /
-scuba_degraded_rounds_total counters, per-stripe scuba_shard_health_<s>
-gauges (validated to hold one of the health-state codes 0-3), and a
-root-level "recovery" span covering online stripe rebuilds.
-
-v3 -> v4 migration: line shapes once more unchanged; v4 adds the serving
-front-end surface — the scuba_serve_* metric family (session/round/batch/
-delta/snapshot/coalesce/disconnect/error counters, sessions_active and
-queue_bytes gauges, the scuba_serve_push_latency_ms histogram) registered
-on the engine registry by `scuba_cli serve`. No span changes. Files from
-older engines fail only on their schema_version field.
-
-Within v4, join windows replaced the per-stripe engines: "engine_shard"
-spans are one per join window and feed the round's "join" summary, and the
-handoff / ghost / rebalance-recommendation counters and the "handoff",
-"classify", "apply" and per-task "shard" spans are gone. This checker
-rejects them as unknown names.
+The schema's version history lives in src/obs/telemetry.h. Files from
+older engines fail only on their schema_version field; names this build no
+longer emits (the handoff / ghost / rebalance-recommendation counters, the
+"handoff", "classify", "apply" and per-task "shard" spans) fail as unknown.
 
 Exit code 0 = all checks passed, 1 = validation failure.
 """
@@ -134,7 +116,28 @@ def check_meta(path, line_no, obj, stream):
         fail(path, line_no, "meta line is missing the engine name")
 
 
-def check_metrics_file(path):
+def load_schema(path):
+    """name -> kind from `scuba_cli metrics-schema` output."""
+    schema = {}
+    for line_no, obj in load_lines(path):
+        name, kind = obj.get("name"), obj.get("kind")
+        if not isinstance(name, str) or kind not in ("counter", "gauge",
+                                                     "histogram"):
+            fail(path, line_no, f"bad schema line: {obj!r}")
+        schema[name] = kind
+    return schema
+
+
+def schema_kind(schema, name):
+    """The registered kind of `name` (None if unknown). Window health gauges
+    are one family, matched by prefix."""
+    if name.startswith(SHARD_HEALTH_PREFIX):
+        name = next((k for k in schema if k.startswith(SHARD_HEALTH_PREFIX)),
+                    name)
+    return schema.get(name)
+
+
+def check_metrics_file(path, schema=None):
     lines = load_lines(path)
     line_no, meta = lines[0]
     if meta.get("kind") != "meta":
@@ -168,6 +171,13 @@ def check_metrics_file(path):
                 fail(path, line_no, f"metric entry has no name: {entry!r}")
             metric_names.add(name)
             kind = entry.get("kind")
+            if schema is not None:
+                want = schema_kind(schema, name)
+                if want is None:
+                    fail(path, line_no, f"{name}: not in the metric schema")
+                if kind != want:
+                    fail(path, line_no,
+                         f"{name}: kind {kind!r}, schema says {want!r}")
             if kind == "counter":
                 check_keys(path, line_no, entry, COUNTER_KEYS, "counter")
                 delta, total = entry.get("delta"), entry.get("total")
@@ -317,6 +327,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--metrics", help="metrics JSONL to validate")
     parser.add_argument("--trace", help="trace JSONL to validate")
+    parser.add_argument("--schema",
+                        help="`scuba_cli metrics-schema` output; metric "
+                             "names outside it fail")
     parser.add_argument("--bench",
                         help="BENCH_parallel.json with a telemetry section "
                              "to gate overhead against")
@@ -331,7 +344,8 @@ def main():
     summary = {"schema_version": SCHEMA_VERSION, "status": "ok"}
     try:
         if args.metrics:
-            summary["metrics"] = check_metrics_file(args.metrics)
+            schema = load_schema(args.schema) if args.schema else None
+            summary["metrics"] = check_metrics_file(args.metrics, schema)
             print(f"ok: {args.metrics} "
                   f"({summary['metrics']['rounds']} rounds, "
                   f"{len(summary['metrics']['metric_names'])} metrics)")

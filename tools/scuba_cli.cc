@@ -8,6 +8,7 @@
 //   scuba_cli checkpoint     --trace run.trace --durable-dir DIR [...]
 //   scuba_cli restore        --trace run.trace --durable-dir DIR [...]
 //   scuba_cli recover        --trace run.trace --durable-dir DIR [...]
+//   scuba_cli metrics-schema
 //
 // `run` replays a trace into one engine and prints per-round results and
 // engine statistics; `compare` replays into SCUBA and the naive oracle and
@@ -19,8 +20,9 @@
 //
 // Every SCUBA command runs the one SCUBA engine (a ScubaEngine over
 // --shards N >= 1 join windows, default 1) built by MakeEngine. Numeric
-// flags are checked: a value that is not an unsigned integer in range exits
-// 1 and names the flag.
+// flags are checked: a value that is not wholly a number of the flag's type
+// (an unsigned integer in range, an integer, or a finite number) exits 1 and
+// names the flag.
 //
 // Durability (docs/ARCHITECTURE.md §8, §12): `run --durable-dir DIR` logs
 // every admitted batch to the directory's one WAL and commits checkpoint
@@ -45,6 +47,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -108,40 +111,23 @@ class Flags {
     seen_.insert(key);
     return it == values_.end() ? def : it->second;
   }
+  /// Checked numbers: a flag whose whole value is not a number of the
+  /// flag's type (an int64, a finite double, an unsigned value in [0, max])
+  /// yields `def` and records an error naming the flag, which Validate()
+  /// reports before the command acts.
   int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = values_.find(key);
-    seen_.insert(key);
-    return it == values_.end() ? def : std::atoll(it->second.c_str());
+    return GetNumber<int64_t>(key, def, "an integer");
   }
-  /// Checked unsigned value in [0, max]: a flag holding anything else (text,
-  /// a sign, a value past `max`) yields `def` and records an error naming the
-  /// flag, which Validate() reports before the command acts.
+  double GetDouble(const std::string& key, double def) const {
+    return GetNumber<double>(key, def, "a finite number");
+  }
   template <typename T>
   T GetUnsigned(const std::string& key, T def,
                 T max = std::numeric_limits<T>::max()) const {
     static_assert(std::is_unsigned_v<T>);
-    auto it = values_.find(key);
-    seen_.insert(key);
-    if (it == values_.end()) return def;
-    const std::string& text = it->second;
-    uint64_t value = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (text.empty() || ec != std::errc() ||
-        end != text.data() + text.size() || value > max) {
-      if (parse_error_.ok()) {
-        parse_error_ = Status::InvalidArgument(
-            "--" + key + " must be an unsigned integer in [0, " +
-            std::to_string(max) + "], got '" + text + "'");
-      }
-      return def;
-    }
-    return static_cast<T>(value);
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values_.find(key);
-    seen_.insert(key);
-    return it == values_.end() ? def : std::atof(it->second.c_str());
+    return static_cast<T>(GetNumber<uint64_t>(
+        key, def,
+        "an unsigned integer in [0, " + std::to_string(max) + "]", max));
   }
   bool GetBool(const std::string& key, bool def) const {
     auto it = values_.find(key);
@@ -164,9 +150,31 @@ class Flags {
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& key, T def, const std::string& what,
+              T max = std::numeric_limits<T>::max()) const {
+    auto it = values_.find(key);
+    seen_.insert(key);
+    if (it == values_.end()) return def;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size() || !std::isfinite(value) ||
+        value > max) {
+      if (parse_error_.ok()) {
+        parse_error_ = Status::InvalidArgument("--" + key + " must be " +
+                                               what + ", got '" + text + "'");
+      }
+      return def;
+    }
+    return value;
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> seen_;
-  mutable Status parse_error_;  ///< First GetUnsigned failure.
+  mutable Status parse_error_;  ///< First numeric parse failure.
 };
 
 Status WriteFile(const std::string& path, const std::string& content) {
@@ -321,7 +329,7 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
   opt.supervision.fault_rate = flags.GetDouble("shard-fault-rate", 0.0);
   opt.supervision.fault_spec = flags.GetString("shard-fault-spec", "");
   const double eta = flags.GetDouble("eta", 0.0);
-  if (eta > 0.0) {
+  if (eta != 0.0) {  // a negative eta reaches Validate, which rejects it
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
   }
@@ -693,7 +701,7 @@ int CmdCompare(const Flags& flags) {
   opt.delta = delta;
   opt.join_threads = threads;
   opt.shards = shards;
-  if (eta > 0.0) {
+  if (eta != 0.0) {
     opt.shedding.mode = LoadSheddingMode::kFixed;
     opt.shedding.eta = eta;
   }
@@ -1044,6 +1052,28 @@ int CmdServeReplay(const Flags& flags) {
   return exit_code;
 }
 
+/// Prints every metric the engine and the serve layer can expose, one JSON
+/// line each ({"name","kind","help"}): a collect-only engine's registry (the
+/// metric table, the join-task histogram and the window health family,
+/// here for one window) with the serve metrics registered beside them.
+/// tools/check_telemetry.py --schema reads it.
+int CmdMetricsSchema(const Flags& flags) {
+  if (Status s = flags.Validate(); !s.ok()) return Fail(s);
+  ScubaOptions opt;
+  opt.telemetry.enabled = true;
+  Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
+  if (!engine.ok()) return Fail(engine.status());
+  MetricsRegistry& registry = (*engine)->telemetry()->registry();
+  serve::ServeMetrics::Register(&registry);
+  for (const MetricSnapshot& m : registry.Snapshot()) {
+    std::printf("{\"name\":\"%s\",\"kind\":\"%s\",\"help\":\"%s\"}\n",
+                JsonEscape(m.name).c_str(),
+                std::string(MetricKindName(m.kind)).c_str(),
+                JsonEscape(m.help).c_str());
+  }
+  return 0;
+}
+
 int Usage() {
   std::printf(
       "scuba_cli — continuous spatio-temporal query engine toolbox\n\n"
@@ -1087,7 +1117,8 @@ int Usage() {
       "                  --shards N]\n"
       "  render          --trace FILE --out FILE.svg [--delta N --width PX]\n"
       "  corrupt-trace   --trace FILE --out FILE [--rate F --seed N\n"
-      "                  --burst-size N]\n\n"
+      "                  --burst-size N]\n"
+      "  metrics-schema  (one JSON line per metric: name, kind, help)\n\n"
       "run with --durable-dir WAL-logs every admitted batch (one record per\n"
       "batch in DIR/wal) and commits a manifest checkpoint generation every\n"
       "--checkpoint-every rounds; recover rebuilds the engine from the\n"
@@ -1139,6 +1170,7 @@ int Main(int argc, char** argv) {
   if (command == "compare") return CmdCompare(*flags);
   if (command == "render") return CmdRender(*flags);
   if (command == "corrupt-trace") return CmdCorruptTrace(*flags);
+  if (command == "metrics-schema") return CmdMetricsSchema(*flags);
   return Usage();
 }
 
