@@ -1,17 +1,30 @@
 // Byte-level serialization primitives shared by the durability subsystem and
 // the serving front-end wire protocol
-// (docs/ARCHITECTURE.md §8).
+// (docs/ARCHITECTURE.md §8, §14.1).
 //
-// Everything durable — snapshots and WAL records — is built from the same
-// little-endian, length-prefixed vocabulary defined here, protected by CRC32
-// so torn writes and bit rot surface as kDataLoss instead of silently
-// corrupting a restored engine. Doubles are persisted as their IEEE-754 bit
-// patterns, which is what makes a restored engine *bit-identical* to the one
-// that was checkpointed (the same guarantee the parallel executors give).
+// Everything durable — snapshots and WAL records — and every wire frame is
+// built from the same little-endian, length-prefixed vocabulary defined here,
+// protected by CRC32 so torn writes and bit rot surface as kDataLoss instead
+// of silently corrupting a restored engine. Doubles are persisted as their
+// IEEE-754 bit patterns, which is what makes a restored engine
+// *bit-identical* to the one that was checkpointed (the same guarantee the
+// parallel executors give).
+//
+// The writer emits host byte order and the reader copies bytes straight into
+// host integers, so "little-endian" holds only on a little-endian host; the
+// static_assert below refuses to build anywhere else rather than write bytes
+// another build cannot read. The same assumption lets fixed-layout arrays
+// (PutBlock/GetBlock) move as one memcpy instead of one call per field.
+//
+// Crc32 is slicing-by-8 (eight 256-entry tables, eight bytes per step) over
+// the reflected IEEE polynomial: the same checksum as the bytewise
+// definition, at memory speed, because it covers every frame, WAL record,
+// snapshot and manifest.
 
 #ifndef SCUBA_COMMON_SERIALIZER_H_
 #define SCUBA_COMMON_SERIALIZER_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -20,6 +33,10 @@
 #include "common/status.h"
 
 namespace scuba {
+
+static_assert(std::endian::native == std::endian::little,
+              "the serializer writes host byte order and promises "
+              "little-endian bytes");
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `data`.
 uint32_t Crc32(std::string_view data);
@@ -49,6 +66,15 @@ class ByteWriter {
   }
   /// Raw bytes, no length prefix (file headers, pre-framed payloads).
   void PutRawBytes(std::string_view s) { buf_.append(s.data(), s.size()); }
+  /// `n` bytes copied from `p` in one block: the encoding of an array of
+  /// fixed-layout little-endian records (see GetBlock).
+  void PutBlock(const void* p, size_t n) { PutRaw(p, n); }
+  /// Overwrites the u32 at byte `offset` (a header reserved before its
+  /// contents were known, e.g. a frame's length and CRC).
+  void PatchU32(size_t offset, uint32_t v) {
+    std::memcpy(buf_.data() + offset, &v, sizeof(v));
+  }
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   const std::string& bytes() const { return buf_; }
   std::string Release() { return std::move(buf_); }
@@ -97,6 +123,9 @@ class ByteReader {
     pos_ += static_cast<size_t>(n);
     return Status::OK();
   }
+
+  /// Copies the next `n` bytes to `p` in one block; kDataLoss on underrun.
+  Status GetBlock(void* p, size_t n) { return GetRaw(p, n); }
 
   size_t Remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }

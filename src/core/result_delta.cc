@@ -1,8 +1,20 @@
 #include "core/result_delta.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <type_traits>
 
 namespace scuba {
+
+// The wire layout of a match is u32 qid | u32 oid, little-endian — exactly
+// the in-memory layout of Match on a little-endian host (serializer.h
+// asserts the byte order), so a vector moves as one block.
+static_assert(sizeof(Match) == 8 && offsetof(Match, qid) == 0 &&
+                  offsetof(Match, oid) == 4 &&
+                  std::is_trivially_copyable_v<Match> &&
+                  std::has_unique_object_representations_v<Match>,
+              "Match must be two packed u32s to be block-copied");
+
 namespace {
 
 /// Ascending + duplicate-free: the ordering contract both delta vectors and
@@ -14,12 +26,26 @@ bool StrictlyAscending(const std::vector<Match>& v) {
   return true;
 }
 
+/// Disjointness of two ascending vectors by one merge walk.
+bool Disjoint(const std::vector<Match>& a, const std::vector<Match>& b) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) return false;
+    if (a[i] < b[j]) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 void SaveMatches(const std::vector<Match>& v, ByteWriter* writer) {
   writer->PutU64(v.size());
-  for (const Match& m : v) {
-    writer->PutU32(m.qid);
-    writer->PutU32(m.oid);
-  }
+  if (!v.empty()) writer->PutBlock(v.data(), v.size() * sizeof(Match));
 }
 
 Status LoadMatches(ByteReader* reader, const char* what,
@@ -27,19 +53,16 @@ Status LoadMatches(ByteReader* reader, const char* what,
   uint64_t n = 0;
   SCUBA_RETURN_IF_ERROR(reader->GetU64(&n));
   // Each match costs 8 payload bytes; a count the remaining bytes cannot
-  // cover is truncation (and guards the reserve below against hostile
-  // lengths).
-  if (n > reader->Remaining() / 8) {
+  // cover is truncation (and guards the resize below against hostile
+  // lengths). Divide, never multiply: a 2^63-ish count must not overflow.
+  if (n > reader->Remaining() / sizeof(Match)) {
     return Status::DataLoss(std::string(what) + " count " + std::to_string(n) +
                             " overruns the remaining payload");
   }
-  v->clear();
-  v->reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    Match m;
-    SCUBA_RETURN_IF_ERROR(reader->GetU32(&m.qid));
-    SCUBA_RETURN_IF_ERROR(reader->GetU32(&m.oid));
-    v->push_back(m);
+  v->resize(static_cast<size_t>(n));
+  if (n > 0) {
+    SCUBA_RETURN_IF_ERROR(
+        reader->GetBlock(v->data(), v->size() * sizeof(Match)));
   }
   if (!StrictlyAscending(*v)) {
     return Status::Corruption(std::string(what) +
@@ -48,7 +71,12 @@ Status LoadMatches(ByteReader* reader, const char* what,
   return Status::OK();
 }
 
-}  // namespace
+size_t ResultDelta::SavedBytes() const {
+  // round | time | shard count | shards | added count | added | removed
+  // count | removed — mirrors Save.
+  return 5 * sizeof(uint64_t) + degraded_shards.size() * sizeof(uint32_t) +
+         (added.size() + removed.size()) * sizeof(Match);
+}
 
 void ResultDelta::Save(ByteWriter* writer) const {
   writer->PutU64(round);
@@ -80,11 +108,7 @@ Status ResultDelta::Load(ByteReader* reader, ResultDelta* delta) {
   // added ∩ removed = ∅ by construction (an element cannot enter and leave in
   // the same round); enforce it so ApplyDelta stays well-defined on decoded
   // bytes.
-  std::vector<Match> overlap;
-  std::set_intersection(delta->added.begin(), delta->added.end(),
-                        delta->removed.begin(), delta->removed.end(),
-                        std::back_inserter(overlap));
-  if (!overlap.empty()) {
+  if (!Disjoint(delta->added, delta->removed)) {
     return Status::Corruption("added and removed sets overlap");
   }
   return Status::OK();
@@ -119,6 +143,8 @@ ResultSet ApplyDelta(const ResultSet& base, const ResultDelta& delta) {
   // merge produces the (sorted) result.
   ResultSet out;
   const std::vector<Match>& b = base.matches();
+  out.Reserve(b.size() + delta.added.size() -
+              std::min(b.size(), delta.removed.size()));
   size_t ri = 0;  // removed cursor
   size_t ai = 0;  // added cursor
   for (const Match& m : b) {

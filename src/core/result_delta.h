@@ -21,7 +21,8 @@
 // DiffResults computes the (added, removed) match sets between consecutive
 // rounds in one merge pass over the normalized sets; ApplyDelta is the
 // consumer-side inverse; IncrementalResultTracker packages the previous-round
-// state as a cursor suitable for per-session use.
+// state as a cursor for a single consumer (the serve layer instead diffs once
+// per round and filters that delta per session, src/serve/session.h).
 
 #ifndef SCUBA_CORE_RESULT_DELTA_H_
 #define SCUBA_CORE_RESULT_DELTA_H_
@@ -62,9 +63,21 @@ struct ResultDelta {
   /// never produces such bytes; a hostile or damaged stream can).
   void Save(ByteWriter* writer) const;
   static Status Load(ByteReader* reader, ResultDelta* delta);
+  /// Exact number of bytes Save appends, from the counts alone — lets a
+  /// sender apply size caps before encoding anything.
+  size_t SavedBytes() const;
 
   friend bool operator==(const ResultDelta&, const ResultDelta&) = default;
 };
+
+/// The match-vector codec Save/Load use (u64 count, then u32 qid | u32 oid
+/// per match), shared with the serve snapshot message. Matches move as one
+/// block. LoadMatches returns kDataLoss when the count overruns the reader and
+/// kCorruption when the vector is not ascending/duplicate-free; `what` names
+/// the vector in the error.
+void SaveMatches(const std::vector<Match>& v, ByteWriter* writer);
+Status LoadMatches(ByteReader* reader, const char* what,
+                   std::vector<Match>* v);
 
 /// One-pass merge diff; both sets must be normalized (engines normalize
 /// before returning). The result is unstamped (round 0) but carries
@@ -78,8 +91,8 @@ ResultSet ApplyDelta(const ResultSet& base, const ResultDelta& delta);
 
 /// Stateful cursor: feed each round's full result; get the stamped delta
 /// against the previous round. The first round reports everything as added.
-/// One tracker per subscriber session (src/serve) — the retained set doubles
-/// as the snapshot fallback a slow consumer is coalesced to.
+/// The retained set doubles as a snapshot fallback for a consumer that fell
+/// behind.
 class IncrementalResultTracker {
  public:
   /// Computes the delta vs the previous Observe() and retains `current`.

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -32,6 +33,10 @@ Result<ScubaClient> ScubaClient::Connect(uint16_t port,
     tv.tv_usec = (options.recv_timeout_ms % 1000) * 1000;
     setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   }
+  // Batches and subscribes are small writes followed by a blocking wait for
+  // the reply; Nagle would hold them behind the server's delayed ACK.
+  int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   if (options.recv_buffer_bytes > 0) {
     const int rcvbuf = static_cast<int>(options.recv_buffer_bytes);
     setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
@@ -173,6 +178,7 @@ Status ScubaClient::FoldSnapshot(std::string_view payload) {
   SnapshotMsg snap;
   SCUBA_RETURN_IF_ERROR(DecodeSnapshot(payload, &snap));
   ResultSet next;
+  next.Reserve(snap.matches.size());
   for (const Match& m : snap.matches) next.Add(m.qid, m.oid);
   for (uint32_t s : snap.degraded_shards) next.MarkDegraded(s);
   folded_ = std::move(next);
@@ -248,7 +254,9 @@ Status ScubaClient::SendSubscribe(const SubscribeMsg& msg) {
 }
 
 Result<TickAckMsg> ScubaClient::SendBatch(const UpdateBatchMsg& batch) {
-  SCUBA_RETURN_IF_ERROR(SendMessage(EncodeUpdateBatch(batch)));
+  Result<std::string> frame = EncodeUpdateBatchFrame(batch);
+  SCUBA_RETURN_IF_ERROR(frame.status());
+  SCUBA_RETURN_IF_ERROR(SendFrame(std::move(*frame)));
   if (!batch.evaluate) return TickAckMsg{};
   // Block for the round's ack; our own delta (if subscribed) arrives first
   // and folds on the way.

@@ -63,7 +63,6 @@ Status GetQueryUpdate(ByteReader* r, QueryUpdate* u) {
 /// before reserving (an element cannot encode smaller than this).
 constexpr uint64_t kLocationUpdateBytes = 60;
 constexpr uint64_t kQueryUpdateBytes = 84;
-constexpr uint64_t kMatchBytes = 8;
 
 Status CheckCount(uint64_t n, uint64_t element_bytes, size_t remaining,
                   const char* what) {
@@ -75,37 +74,62 @@ Status CheckCount(uint64_t n, uint64_t element_bytes, size_t remaining,
   return Status::OK();
 }
 
-void PutMatches(ByteWriter* w, const std::vector<Match>& v) {
-  w->PutU64(v.size());
-  for (const Match& m : v) {
-    w->PutU32(m.qid);
-    w->PutU32(m.oid);
-  }
-}
-
-Status GetMatches(ByteReader* r, const char* what, std::vector<Match>* v) {
-  uint64_t n = 0;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&n));
-  SCUBA_RETURN_IF_ERROR(CheckCount(n, kMatchBytes, r->Remaining(), what));
-  v->clear();
-  v->reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    Match m;
-    SCUBA_RETURN_IF_ERROR(r->GetU32(&m.qid));
-    SCUBA_RETURN_IF_ERROR(r->GetU32(&m.oid));
-    if (!v->empty() && !(v->back() < m)) {
-      return Status::Corruption(std::string(what) +
-                                " vector is not ascending/duplicate-free");
-    }
-    v->push_back(m);
-  }
-  return Status::OK();
-}
-
 ByteWriter BeginPayload(MessageType type) {
   ByteWriter w;
   w.PutU8(static_cast<uint8_t>(type));
   return w;
+}
+
+/// Starts a frame in one buffer: the header is reserved (zeros) and patched
+/// by FinishFrame once the body is written, so the payload is never copied.
+/// `payload_bytes` sizes the buffer (exact for the fixed-layout messages).
+ByteWriter BeginFrame(MessageType type, size_t payload_bytes) {
+  ByteWriter w;
+  w.Reserve(kFrameHeaderBytes + payload_bytes);
+  w.PutU32(0);
+  w.PutU32(0);
+  w.PutU8(static_cast<uint8_t>(type));
+  return w;
+}
+
+Result<std::string> FinishFrame(ByteWriter w) {
+  const std::string_view payload =
+      std::string_view(w.bytes()).substr(kFrameHeaderBytes);
+  SCUBA_RETURN_IF_ERROR(CheckFramePayload(payload.size()));
+  w.PatchU32(sizeof(uint32_t), Crc32(payload));
+  w.PatchU32(0, static_cast<uint32_t>(payload.size()));
+  return w.Release();
+}
+
+void PutSnapshotBody(ByteWriter* w, uint64_t round, Timestamp time,
+                     bool coalesced,
+                     const std::vector<uint32_t>& degraded_shards,
+                     const std::vector<Match>& matches) {
+  w->PutU64(round);
+  w->PutI64(time);
+  w->PutBool(coalesced);
+  w->PutU64(degraded_shards.size());
+  for (uint32_t s : degraded_shards) w->PutU32(s);
+  SaveMatches(matches, w);
+}
+
+void PutUpdateBatchBody(ByteWriter* w, const UpdateBatchMsg& msg) {
+  w->PutI64(msg.time);
+  w->PutBool(msg.evaluate);
+  w->PutU64(msg.objects.size());
+  for (const LocationUpdate& u : msg.objects) PutLocationUpdate(w, u);
+  w->PutU64(msg.queries.size());
+  for (const QueryUpdate& u : msg.queries) PutQueryUpdate(w, u);
+}
+
+/// Exact framed size of a snapshot of `matches` matches carrying
+/// `degraded_shards` shard indices.
+size_t SnapshotFrameBytes(size_t degraded_shards, size_t matches) {
+  // type | round | time | coalesced | shard count | shards | match count |
+  // matches
+  return kFrameHeaderBytes + 1 + 2 * sizeof(uint64_t) + 1 +
+         2 * sizeof(uint64_t) + degraded_shards * sizeof(uint32_t) +
+         matches * sizeof(Match);
 }
 
 /// Checks the type byte and hands back a reader positioned at the body.
@@ -153,49 +177,98 @@ std::string_view MessageTypeName(MessageType type) {
   return "unknown";
 }
 
-Result<std::string> EncodeFrame(std::string_view payload) {
+Status CheckFramePayload(size_t payload_bytes) {
   // Checked before the u32 cast: an oversized payload would both truncate the
   // length prefix and (if sent) poison the receiving decoder, which treats a
   // too-large prefix as a sticky fatal error.
-  if (payload.size() > kMaxFramePayload) {
+  if (payload_bytes > kMaxFramePayload) {
     return Status::ResourceExhausted(
-        "frame payload of " + std::to_string(payload.size()) +
+        "frame payload of " + std::to_string(payload_bytes) +
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte frame cap");
   }
+  return Status::OK();
+}
+
+Result<std::string> EncodeFrame(std::string_view payload) {
+  SCUBA_RETURN_IF_ERROR(CheckFramePayload(payload.size()));
   ByteWriter w;
+  w.Reserve(kFrameHeaderBytes + payload.size());
   w.PutU32(static_cast<uint32_t>(payload.size()));
   w.PutU32(Crc32(payload));
   w.PutRawBytes(payload);
   return w.Release();
 }
 
+size_t DeltaFrameBytes(const ResultDelta& delta) {
+  return kFrameHeaderBytes + 1 + delta.SavedBytes();
+}
+
+Result<std::string> EncodeDeltaFrame(const ResultDelta& delta) {
+  const size_t bytes = DeltaFrameBytes(delta);
+  SCUBA_RETURN_IF_ERROR(CheckFramePayload(bytes - kFrameHeaderBytes));
+  ByteWriter w = BeginFrame(MessageType::kDelta, bytes - kFrameHeaderBytes);
+  delta.Save(&w);
+  return FinishFrame(std::move(w));
+}
+
+Result<std::string> EncodeSnapshotFrame(uint64_t round, Timestamp time,
+                                        bool coalesced, const ResultSet& set) {
+  const size_t bytes =
+      SnapshotFrameBytes(set.degraded_shards().size(), set.size());
+  SCUBA_RETURN_IF_ERROR(CheckFramePayload(bytes - kFrameHeaderBytes));
+  ByteWriter w = BeginFrame(MessageType::kSnapshot, bytes - kFrameHeaderBytes);
+  PutSnapshotBody(&w, round, time, coalesced, set.degraded_shards(),
+                  set.matches());
+  return FinishFrame(std::move(w));
+}
+
+Result<std::string> EncodeUpdateBatchFrame(const UpdateBatchMsg& msg) {
+  // type | time | evaluate | object count | objects | query count | queries;
+  // a location update encodes in 64 bytes, a query update in 88.
+  ByteWriter w = BeginFrame(MessageType::kUpdateBatch,
+                            1 + 8 + 1 + 8 + 64 * msg.objects.size() + 8 +
+                                88 * msg.queries.size());
+  PutUpdateBatchBody(&w, msg);
+  return FinishFrame(std::move(w));
+}
+
 void FrameDecoder::Append(std::string_view bytes) {
   if (!error_.ok()) return;  // poisoned: don't buffer unboundedly
+  if (head_ == buf_.size()) {
+    buf_.clear();
+    head_ = 0;
+  } else if (head_ > buf_.size() / 2) {
+    // Consumed frames are dropped lazily: one move per buffer's worth of
+    // consumption instead of one per frame.
+    buf_.erase(0, head_);
+    head_ = 0;
+  }
   buf_.append(bytes.data(), bytes.size());
 }
 
 Result<bool> FrameDecoder::Next(std::string* payload) {
   if (!error_.ok()) return error_;
-  if (buf_.size() < kFrameHeaderBytes) return false;
+  const std::string_view pending = std::string_view(buf_).substr(head_);
+  if (pending.size() < kFrameHeaderBytes) return false;
   uint32_t len = 0;
   uint32_t crc = 0;
-  std::memcpy(&len, buf_.data(), sizeof(len));
-  std::memcpy(&crc, buf_.data() + sizeof(len), sizeof(crc));
+  std::memcpy(&len, pending.data(), sizeof(len));
+  std::memcpy(&crc, pending.data() + sizeof(len), sizeof(crc));
   if (len > kMaxFramePayload) {
     error_ = Status::ResourceExhausted(
         "frame length prefix " + std::to_string(len) + " exceeds the " +
         std::to_string(kMaxFramePayload) + "-byte frame cap");
     return error_;
   }
-  if (buf_.size() < kFrameHeaderBytes + len) return false;
-  std::string_view body(buf_.data() + kFrameHeaderBytes, len);
+  if (pending.size() < kFrameHeaderBytes + len) return false;
+  const std::string_view body = pending.substr(kFrameHeaderBytes, len);
   if (Crc32(body) != crc) {
     error_ = Status::Corruption("frame CRC mismatch");
     return error_;
   }
   payload->assign(body);
-  buf_.erase(0, kFrameHeaderBytes + len);
+  head_ += kFrameHeaderBytes + len;
   return true;
 }
 
@@ -295,12 +368,7 @@ Status DecodeSubscribe(std::string_view payload, SubscribeMsg* msg) {
 
 std::string EncodeUpdateBatch(const UpdateBatchMsg& msg) {
   ByteWriter w = BeginPayload(MessageType::kUpdateBatch);
-  w.PutI64(msg.time);
-  w.PutBool(msg.evaluate);
-  w.PutU64(msg.objects.size());
-  for (const LocationUpdate& u : msg.objects) PutLocationUpdate(&w, u);
-  w.PutU64(msg.queries.size());
-  for (const QueryUpdate& u : msg.queries) PutQueryUpdate(&w, u);
+  PutUpdateBatchBody(&w, msg);
   return w.Release();
 }
 
@@ -380,12 +448,8 @@ Status DecodeDelta(std::string_view payload, ResultDelta* delta) {
 
 std::string EncodeSnapshot(const SnapshotMsg& msg) {
   ByteWriter w = BeginPayload(MessageType::kSnapshot);
-  w.PutU64(msg.round);
-  w.PutI64(msg.time);
-  w.PutBool(msg.coalesced);
-  w.PutU64(msg.degraded_shards.size());
-  for (uint32_t s : msg.degraded_shards) w.PutU32(s);
-  PutMatches(&w, msg.matches);
+  PutSnapshotBody(&w, msg.round, msg.time, msg.coalesced,
+                  msg.degraded_shards, msg.matches);
   return w.Release();
 }
 
@@ -406,7 +470,7 @@ Status DecodeSnapshot(std::string_view payload, SnapshotMsg* msg) {
     SCUBA_RETURN_IF_ERROR(r->GetU32(&s));
     msg->degraded_shards.push_back(s);
   }
-  SCUBA_RETURN_IF_ERROR(GetMatches(&*r, "snapshot match", &msg->matches));
+  SCUBA_RETURN_IF_ERROR(LoadMatches(&*r, "snapshot match", &msg->matches));
   return FinishDecode(*r);
 }
 

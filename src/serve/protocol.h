@@ -79,10 +79,16 @@ std::string_view MessageTypeName(MessageType type);
 // ---------------------------------------------------------------------------
 // Frame layer
 
-/// Wraps `payload` in the length + CRC header. kResourceExhausted when the
-/// payload exceeds kMaxFramePayload: the peer's FrameDecoder would reject the
-/// length prefix and poison its stream, so such a frame must never be sent
-/// (senders degrade — the server disconnects the session with a typed error).
+/// kResourceExhausted when a payload of `payload_bytes` exceeds
+/// kMaxFramePayload: the peer's FrameDecoder would reject the length prefix
+/// and poison its stream, so such a frame must never be sent (senders degrade
+/// — the server disconnects the session with a typed error). Senders that
+/// know a frame's size before encoding (DeltaFrameBytes, the snapshot encoder)
+/// check it first and encode nothing that would be refused.
+Status CheckFramePayload(size_t payload_bytes);
+
+/// Wraps `payload` in the length + CRC header (CheckFramePayload's error when
+/// it is too large).
 Result<std::string> EncodeFrame(std::string_view payload);
 
 /// Incremental frame reassembly over an arbitrary byte stream (reads from a
@@ -98,11 +104,12 @@ class FrameDecoder {
   /// kResourceExhausted on a length prefix beyond kMaxFramePayload.
   Result<bool> Next(std::string* payload);
 
-  size_t buffered_bytes() const { return buf_.size(); }
+  size_t buffered_bytes() const { return buf_.size() - head_; }
   bool poisoned() const { return !error_.ok(); }
 
  private:
   std::string buf_;
+  size_t head_ = 0;  ///< Start of the first unconsumed frame in buf_.
   Status error_ = Status::OK();
 };
 
@@ -204,6 +211,22 @@ std::string EncodeError(const ErrorMsg& msg);
 Status DecodeError(std::string_view payload, ErrorMsg* msg);
 std::string EncodeBye();
 std::string EncodeShutdown();
+
+// One-buffer framed encoders for the large messages: the header is reserved,
+// the body written after it, then the length and CRC are patched in — the
+// same bytes as EncodeFrame(Encode*(msg)) without copying the payload. Each
+// fails like EncodeFrame on a payload over kMaxFramePayload; the delta and
+// snapshot encoders know their size from the counts and refuse before
+// writing anything.
+
+/// Exact framed size of EncodeDeltaFrame(delta), from its counts.
+size_t DeltaFrameBytes(const ResultDelta& delta);
+
+Result<std::string> EncodeDeltaFrame(const ResultDelta& delta);
+/// A kSnapshot frame of `set` (its matches and degraded provenance).
+Result<std::string> EncodeSnapshotFrame(uint64_t round, Timestamp time,
+                                        bool coalesced, const ResultSet& set);
+Result<std::string> EncodeUpdateBatchFrame(const UpdateBatchMsg& msg);
 
 }  // namespace scuba::serve
 

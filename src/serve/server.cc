@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -251,6 +252,10 @@ void ScubaServer::AcceptPending() {
       close(fd);
       continue;
     }
+    // Result pushes and acks are small writes the peer waits on; without
+    // TCP_NODELAY Nagle holds them behind the peer's delayed ACK (~40 ms).
+    int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     if (options_.socket_send_buffer_bytes > 0) {
       const int sndbuf = static_cast<int>(options_.socket_send_buffer_bytes);
       setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));
@@ -421,15 +426,7 @@ void ScubaServer::HandleMessage(Session* session, std::string_view payload) {
       // frame and another session's batch closing a round) and hands a late
       // subscriber its fold base; round continuity is untouched because the
       // snapshot carries the cursor's round, not the global one.
-      SnapshotMsg snap;
-      snap.round = session->tracker().rounds();
-      snap.time = session->tracker().time();
-      snap.coalesced = false;
-      const ResultSet& current = session->tracker().Current();
-      snap.matches = current.matches();
-      snap.degraded_shards = current.degraded_shards();
-      sessions_.EnqueueMessage(session, MessageType::kSnapshot,
-                               EncodeSnapshot(snap));
+      sessions_.EnqueueSnapshot(session, /*coalesced=*/false);
       return;
     }
     case MessageType::kUpdateBatch: {
@@ -531,22 +528,24 @@ Status ScubaServer::HandleBatch(Session* session, Timestamp time,
 Status ScubaServer::RunRound(Session* driver, Timestamp now) {
   SCUBA_RETURN_IF_ERROR(deps_.engine->Evaluate(now, &results_));
   ++rounds_;
-  // Push deltas first (the ResultSink analogue), then ack the driver: a
-  // driver that is also subscribed sees its own delta before the tick-ack.
-  sessions_.PushRound(rounds_, now, results_);
   TickAckMsg ack;
   ack.round = rounds_;
   ack.time = now;
   ack.matches = results_.size();
   ack.degraded = results_.degraded();
+  // Push deltas first (the ResultSink analogue), then ack the driver: a
+  // driver that is also subscribed sees its own delta before the tick-ack.
+  // The round's set moves into the session manager (it is retained for the
+  // next diff); the buffer it hands back is the next Evaluate's output.
+  results_ = sessions_.PushRound(rounds_, now, std::move(results_));
   sessions_.EnqueueMessage(driver, MessageType::kTickAck, EncodeTickAck(ack));
   if (deps_.durability != nullptr) {
     SCUBA_RETURN_IF_ERROR(deps_.durability->OnRoundComplete());
   }
   sessions_.ObservePressure(deps_.engine->EstimateMemoryUsage());
   std::lock_guard<std::mutex> lock(stats_mu_);
-  last_round_matches_ = results_.size();
-  last_round_degraded_ = results_.degraded();
+  last_round_matches_ = ack.matches;
+  last_round_degraded_ = ack.degraded;
   return Status::OK();
 }
 

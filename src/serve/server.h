@@ -128,7 +128,7 @@ class ScubaServer {
 
   // Round state (event-loop thread only).
   Timestamp prev_time_;
-  ResultSet results_;
+  ResultSet results_;  ///< Evaluate's output buffer (swapped each round).
   uint64_t rounds_ = 0;
 
   mutable std::mutex stats_mu_;  ///< Guards the last-round fields.

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "common/check.h"
+
 namespace scuba::serve {
 namespace {
 
@@ -15,6 +17,39 @@ LoadSheddingOptions AdmissionShedderOptions(const ServeOptions& options) {
     shed.memory_budget_bytes = options.memory_budget_bytes;
   }
   return shed;
+}
+
+using MatchIt = std::vector<Match>::const_iterator;
+
+/// Calls `sink(begin, end)` for each run of equal qids in `matches`
+/// (ascending) whose qid is in `subscriptions`: one set lookup per distinct
+/// qid, not one per match.
+template <typename Sink>
+void ForEachSubscribedRun(const std::set<QueryId>& subscriptions,
+                          const std::vector<Match>& matches, Sink sink) {
+  MatchIt run = matches.begin();
+  while (run != matches.end()) {
+    MatchIt end = run + 1;
+    while (end != matches.end() && end->qid == run->qid) ++end;
+    if (subscriptions.contains(run->qid)) sink(run, end);
+    run = end;
+  }
+}
+
+/// `global`'s matches restricted to the qids in `subscriptions`, with its
+/// degraded provenance (the caller stamps round and time).
+void FilterDelta(const std::set<QueryId>& subscriptions,
+                 const ResultDelta& global, ResultDelta* out) {
+  out->degraded_shards = global.degraded_shards;
+  out->added.clear();
+  out->removed.clear();
+  ForEachSubscribedRun(subscriptions, global.added, [&](MatchIt b, MatchIt e) {
+    out->added.insert(out->added.end(), b, e);
+  });
+  ForEachSubscribedRun(subscriptions, global.removed,
+                       [&](MatchIt b, MatchIt e) {
+                         out->removed.insert(out->removed.end(), b, e);
+                       });
 }
 
 }  // namespace
@@ -76,15 +111,15 @@ ServeMetrics ServeMetrics::Register(MetricsRegistry* registry) {
 }
 
 ResultSet Session::FilterResults(const ResultSet& global) const {
+  if (subscribe_all_) return global;
   ResultSet filtered;
-  if (subscribe_all_) {
-    filtered = global;
-    return filtered;
-  }
-  for (const Match& m : global.matches()) {
-    if (subscriptions_.contains(m.qid)) filtered.Add(m.qid, m.oid);
-  }
   // A subset of a normalized set taken in order stays normalized.
+  ForEachSubscribedRun(subscriptions_, global.matches(),
+                       [&](MatchIt run, MatchIt end) {
+                         for (; run != end; ++run) {
+                           filtered.Add(run->qid, run->oid);
+                         }
+                       });
   for (uint32_t s : global.degraded_shards()) filtered.MarkDegraded(s);
   return filtered;
 }
@@ -108,7 +143,7 @@ Result<Session*> SessionManager::Accept(int fd) {
     return Status::ResourceExhausted(
         "server is load shedding (memory budget exceeded); retry later");
   }
-  auto session = std::make_unique<Session>(next_session_id_++, fd);
+  auto session = std::make_unique<Session>(next_session_id_++, fd, &retained_);
   Session* raw = session.get();
   sessions_[fd] = std::move(session);
   metrics_.sessions_total.Increment();
@@ -158,11 +193,15 @@ void SessionManager::FailSession(Session* session, const Status& error) {
 
 void SessionManager::EnqueueFrame(Session* session, MessageType type,
                                   std::string frame) {
+  if (Admit(session, type, frame.size())) Push(session, type, std::move(frame));
+}
+
+bool SessionManager::Admit(Session* session, MessageType type, size_t bytes) {
   const bool is_result =
       type == MessageType::kDelta || type == MessageType::kSnapshot;
   // A doomed session takes only its farewell error: results are undeliverable
   // and further control frames would grow the flush queue past the doom point.
-  if (session->doomed() && type != MessageType::kError) return;
+  if (session->doomed() && type != MessageType::kError) return false;
   if (!session->doomed() && !is_result &&
       session->queued_control_frames_ >= options_.max_queued_control_frames) {
     // A client that streams batches/ticks without ever reading accumulates
@@ -173,54 +212,74 @@ void SessionManager::EnqueueFrame(Session* session, MessageType type,
                     "slow consumer: " +
                     std::to_string(session->queued_control_frames_) +
                     " unread control frames queued"));
-    return;
+    return false;
   }
-  if (is_result &&
-      session->queued_bytes_ + frame.size() > options_.max_queue_bytes) {
-    if (options_.slow_consumer == SlowConsumerPolicy::kDisconnect) {
-      FailSession(session,
-                  Status::ResourceExhausted(
-                      "slow consumer: outbound queue exceeded " +
-                      std::to_string(options_.max_queue_bytes) + " bytes"));
-      return;
-    }
-    // Coalesce: throw away queued result frames, then enqueue one snapshot of
-    // the cursor head in their place. The snapshot itself is exempt from the
-    // cap — it REPLACES the backlog and there is at most one in flight, so
-    // memory stays bounded by max(queue cap, one full result set).
-    CoalesceQueue(session);
-    if (type == MessageType::kSnapshot) {
-      // The triggering frame was already the coalesced snapshot (re-entry
-      // from below); fall through and queue it.
-    } else {
-      metrics_.coalesces_total.Increment();
-      SnapshotMsg snap;
-      snap.round = session->tracker_.rounds();
-      snap.time = session->tracker_.time();
-      snap.coalesced = true;
-      snap.degraded_shards = session->tracker_.Current().degraded_shards();
-      snap.matches = session->tracker_.Current().matches();
-      Result<std::string> snap_frame = EncodeFrame(EncodeSnapshot(snap));
-      if (!snap_frame.ok()) {
-        // Even one full-set snapshot no longer fits a frame; nothing smaller
-        // can stand in for the dropped backlog, so the session cannot be
-        // caught up — disconnect it with the typed error.
-        FailSession(session, snap_frame.status());
-        return;
-      }
-      metrics_.snapshots_pushed_total.Increment();
-      metrics_.snapshot_bytes_total.Increment(snap_frame->size());
-      EnqueueFrame(session, MessageType::kSnapshot, std::move(*snap_frame));
-      return;
-    }
+  if (!is_result ||
+      session->queued_bytes_ + bytes <= options_.max_queue_bytes) {
+    return true;
   }
+  if (options_.slow_consumer == SlowConsumerPolicy::kDisconnect) {
+    FailSession(session,
+                Status::ResourceExhausted(
+                    "slow consumer: outbound queue exceeded " +
+                    std::to_string(options_.max_queue_bytes) + " bytes"));
+    return false;
+  }
+  // Coalesce: throw away queued result frames, then enqueue one snapshot of
+  // the cursor head in their place. A snapshot is exempt from the cap — it
+  // REPLACES the backlog and there is at most one in flight, so memory stays
+  // bounded by max(queue cap, one full result set).
+  CoalesceQueue(session);
+  if (type == MessageType::kSnapshot) return true;
+  metrics_.coalesces_total.Increment();
+  EnqueueSnapshot(session, /*coalesced=*/true);
+  return false;
+}
+
+void SessionManager::Push(Session* session, MessageType type,
+                          std::string frame) {
+  const bool is_result =
+      type == MessageType::kDelta || type == MessageType::kSnapshot;
   session->queued_bytes_ += frame.size();
   total_queued_bytes_ += frame.size();
   if (!is_result) ++session->queued_control_frames_;
   metrics_.queue_bytes.Set(static_cast<double>(total_queued_bytes_));
+  // Counted here, where the frame is really enqueued: a delta the policy
+  // replaced or dropped was never pushed.
+  if (type == MessageType::kDelta) {
+    metrics_.deltas_pushed_total.Increment();
+    metrics_.delta_bytes_total.Increment(frame.size());
+  }
   if (type == MessageType::kError) metrics_.errors_total.Increment();
   session->queue_.push_back(
       OutFrame{type, std::move(frame), std::chrono::steady_clock::now()});
+}
+
+void SessionManager::EnqueueSnapshot(Session* session, bool coalesced) {
+  const ResultSet* held = &retained_;
+  ResultSet filtered;
+  if (session->base_) {
+    held = &*session->base_;
+  } else if (!session->subscribe_all()) {
+    filtered = session->FilterResults(retained_);
+    held = &filtered;
+  }
+  // Sized before encoding: a set too large for one frame encodes nothing.
+  // Nothing smaller can stand in for it, so the session cannot be caught up —
+  // disconnect it with the typed error.
+  Result<std::string> frame = EncodeSnapshotFrame(
+      session->rounds_, session->time_, coalesced, *held);
+  if (!frame.ok()) {
+    FailSession(session, frame.status());
+    return;
+  }
+  if (coalesced) {
+    metrics_.snapshots_pushed_total.Increment();
+    metrics_.snapshot_bytes_total.Increment(frame->size());
+  }
+  if (Admit(session, MessageType::kSnapshot, frame->size())) {
+    Push(session, MessageType::kSnapshot, std::move(*frame));
+  }
 }
 
 void SessionManager::CoalesceQueue(Session* session) {
@@ -244,34 +303,68 @@ void SessionManager::CoalesceQueue(Session* session) {
   metrics_.queue_bytes.Set(static_cast<double>(total_queued_bytes_));
 }
 
-void SessionManager::PushRound(uint64_t round, Timestamp now,
-                               const ResultSet& global) {
+ResultSet SessionManager::PushRound(uint64_t round, Timestamp now,
+                                     ResultSet global) {
   // `round` is the server's global round counter; each session's delta is
   // stamped by its OWN cursor (a late subscriber starts at 1), so the global
   // round only drives metrics here.
   (void)round;
   metrics_.rounds_total.Increment();
+  std::swap(retained_, global);  // `global` is now the previous round
+  ResultDelta round_delta;       // previous → current, computed on first use
+  bool diffed = false;
+  ResultDelta session_delta;  // a filtered or rebased delta
   for (auto& [fd, session] : sessions_) {
     (void)fd;
     if (!session->ready() || session->doomed() || !session->WantsResults()) {
       continue;
     }
-    ResultSet filtered = session->FilterResults(global);
-    ResultDelta delta = session->tracker_.Observe(filtered, now);
+    ResultDelta* delta = &session_delta;
+    if (session->base_) {
+      // The subscription changed since the last push: diff what the client
+      // holds against its new slice.
+      session_delta = session->subscribe_all()
+                          ? DiffResults(*session->base_, retained_)
+                          : DiffResults(*session->base_,
+                                        session->FilterResults(retained_));
+      session->base_.reset();
+    } else {
+      if (!diffed) {
+        round_delta = DiffResults(global, retained_);
+        diffed = true;
+      }
+      if (session->subscribe_all()) {
+        delta = &round_delta;
+      } else {
+        FilterDelta(session->subscriptions_, round_delta, &session_delta);
+      }
+    }
+    ++session->rounds_;
+    session->time_ = now;
+    delta->round = session->rounds_;
+    delta->time = now;
     // One delta frame per round per session, even when empty: subscribers use
     // the round stamps to align with ticks and detect gaps.
-    Result<std::string> frame = EncodeFrame(EncodeDelta(delta));
-    if (!frame.ok()) {
-      // A delta too large for one frame would poison the peer's decoder;
-      // disconnect this session with the typed error instead (the cursor has
-      // already advanced, but a doomed session never folds again).
-      FailSession(session.get(), frame.status());
-      continue;
-    }
-    metrics_.deltas_pushed_total.Increment();
-    metrics_.delta_bytes_total.Increment(frame->size());
-    EnqueueFrame(session.get(), MessageType::kDelta, std::move(*frame));
+    PushDelta(session.get(), *delta);
   }
+  return global;
+}
+
+void SessionManager::PushDelta(Session* session, const ResultDelta& delta) {
+  // Every decision is made from the frame's size before it is encoded.
+  const size_t bytes = DeltaFrameBytes(delta);
+  Status fits = CheckFramePayload(bytes - kFrameHeaderBytes);
+  if (!fits.ok()) {
+    // A delta too large for one frame would poison the peer's decoder;
+    // disconnect this session with the typed error instead (the cursor has
+    // already advanced, but a doomed session never folds again).
+    FailSession(session, fits);
+    return;
+  }
+  if (!Admit(session, MessageType::kDelta, bytes)) return;
+  Result<std::string> frame = EncodeDeltaFrame(delta);
+  SCUBA_CHECK(frame.ok());  // its size was checked above
+  Push(session, MessageType::kDelta, std::move(*frame));
 }
 
 void SessionManager::ObservePressure(size_t engine_memory_bytes) {

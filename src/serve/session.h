@@ -1,17 +1,25 @@
 // Session state for the serving front-end (docs/ARCHITECTURE.md §14).
 //
 // A Session is one connected subscriber: its handshake state, subscribed
-// query set, per-session IncrementalResultTracker (the delta cursor), and a
-// bounded outbound frame queue. The SessionManager owns every session and
-// implements the policies that keep one misbehaving client from hurting the
-// rest:
+// query set, delta cursor (round and time stamps), and a bounded outbound
+// frame queue. The SessionManager owns every session and implements the
+// policies that keep one misbehaving client from hurting the rest:
 //
+//  - *One diff per round*: the manager retains the last pushed global result
+//    set and diffs it against the new round ONCE; each session's delta is
+//    that global delta filtered to its query ids (a subscribe-all session
+//    gets it as is). No session keeps a copy of its answer, with one
+//    exception: when its subscription changes, a session keeps the set its
+//    client holds (its *base*, filtered from the retained set with the old
+//    subscription) until its next push, which diffs base → new filtered set.
 //  - *Bounded queues*: each session's outbound queue is capped at
 //    max_queue_bytes. When a slow consumer falls behind, the configured
 //    SlowConsumerPolicy fires: kDisconnect drops the session with a fatal
 //    error frame; kCoalesce throws away its queued result frames and replaces
-//    them with ONE full-set snapshot (the tracker's retained current set), so
-//    memory stays bounded and the client can still catch up in one step.
+//    them with ONE full-set snapshot (its slice of the current round), so
+//    memory stays bounded and the client can still catch up in one step. A
+//    result frame's size follows from its counts, so the policy is decided
+//    before anything is encoded.
 //  - *Admission control*: a LoadShedder in adaptive mode watches engine
 //    memory plus total queued bytes against serve_memory_budget; while it
 //    sheds, new sessions are refused with kResourceExhausted.
@@ -27,6 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -105,7 +114,10 @@ struct ServeMetrics {
 
 class Session {
  public:
-  Session(uint32_t id, int fd) : id_(id), fd_(fd) {}
+  /// `retained` is the manager's last pushed global result set (null for a
+  /// standalone session that is never pushed).
+  Session(uint32_t id, int fd, const ResultSet* retained = nullptr)
+      : id_(id), fd_(fd), retained_(retained) {}
 
   uint32_t id() const { return id_; }
   int fd() const { return fd_; }
@@ -123,9 +135,21 @@ class Session {
   bool doomed() const { return doomed_; }
   void set_doomed() { doomed_ = true; }
 
-  void SubscribeAll() { subscribe_all_ = true; }
-  void Subscribe(QueryId qid) { subscriptions_.insert(qid); }
-  void Unsubscribe(QueryId qid) { subscriptions_.erase(qid); }
+  /// Subscription changes. Each first keeps the set the client holds as the
+  /// session's base (unless it already has one), so the next push diffs from
+  /// what the client really folded, whatever the subscription was then.
+  void SubscribeAll() {
+    KeepBase();
+    subscribe_all_ = true;
+  }
+  void Subscribe(QueryId qid) {
+    KeepBase();
+    subscriptions_.insert(qid);
+  }
+  void Unsubscribe(QueryId qid) {
+    KeepBase();
+    subscriptions_.erase(qid);
+  }
   bool subscribe_all() const { return subscribe_all_; }
   const std::set<QueryId>& subscriptions() const { return subscriptions_; }
   bool WantsResults() const {
@@ -133,11 +157,15 @@ class Session {
   }
 
   /// This session's view of a round: the global set filtered to its
-  /// subscriptions (the global set itself when subscribed to all — no copy
-  /// cost beyond the ResultSet copy). Degraded provenance is preserved.
+  /// subscriptions (a copy of the global set when subscribed to all).
+  /// Degraded provenance is preserved.
   ResultSet FilterResults(const ResultSet& global) const;
 
-  IncrementalResultTracker& tracker() { return tracker_; }
+  /// Delta cursor: pushes made to this session (its own round count, so a
+  /// late subscriber starts at 1) and the time of the latest one.
+  uint64_t rounds() const { return rounds_; }
+  Timestamp time() const { return time_; }
+
   FrameDecoder& decoder() { return decoder_; }
 
   std::deque<OutFrame>& queue() { return queue_; }
@@ -148,14 +176,28 @@ class Session {
 
  private:
   friend class SessionManager;
+
+  /// Without a base the client holds exactly FilterResults(*retained_): the
+  /// session was pushed the retained round under its current subscription.
+  /// A session starts with an empty base (it holds nothing), so retained_ is
+  /// only read once a push has consumed a base, which only a manager does.
+  void KeepBase() {
+    if (!base_) base_ = FilterResults(*retained_);
+  }
+
   uint32_t id_;
   int fd_;
+  const ResultSet* retained_;
   bool ready_ = false;
   bool doomed_ = false;
   std::string name_;
   bool subscribe_all_ = false;
   std::set<QueryId> subscriptions_;
-  IncrementalResultTracker tracker_;
+  uint64_t rounds_ = 0;
+  Timestamp time_ = 0;
+  /// The set the client holds, kept from the first subscription change after
+  /// a push until the next push. Engaged (empty) before the first push.
+  std::optional<ResultSet> base_ = ResultSet();
   FrameDecoder decoder_;
   std::deque<OutFrame> queue_;
   size_t queued_bytes_ = 0;
@@ -192,11 +234,18 @@ class SessionManager {
   /// dropped.
   void EnqueueFrame(Session* session, MessageType type, std::string frame);
 
-  /// Pushes one evaluation round to every ready, subscribed session: filters
-  /// the global set per session, advances its delta cursor, and enqueues one
-  /// kDelta frame stamped (round, now). Sessions whose cursor was coalesced
-  /// keep folding correctly because the snapshot reset their base.
-  void PushRound(uint64_t round, Timestamp now, const ResultSet& global);
+  /// Pushes one evaluation round to every ready, subscribed session: diffs
+  /// `global` against the retained set once, filters that delta per session,
+  /// advances each cursor, and enqueues one kDelta frame stamped with the
+  /// session's round and `now`. `global` becomes the retained set; the
+  /// previously retained one is returned so the caller can reuse its buffer.
+  ResultSet PushRound(uint64_t round, Timestamp now, ResultSet global);
+
+  /// Enqueues a snapshot of the set `session`'s client holds once its queue
+  /// is folded — its base, else its slice of the retained set — stamped with
+  /// its cursor. Not coalesced: the subscribe ack (the client's fold base).
+  /// Coalesced: the stand-in for a dropped backlog.
+  void EnqueueSnapshot(Session* session, bool coalesced);
 
   /// Adaptive admission feedback; call once per round with the engine's
   /// estimated memory. Total queued bytes are added on top.
@@ -224,6 +273,14 @@ class SessionManager {
   bool shedding() const { return shedder_.eta() > 0.0; }
 
  private:
+  /// Applies the queue policies to a `bytes`-byte frame about to be queued.
+  /// False when it must not be queued: dropped (doomed session), replaced by
+  /// a coalesced snapshot, or the session was failed.
+  bool Admit(Session* session, MessageType type, size_t bytes);
+  /// Appends an admitted frame and counts it.
+  void Push(Session* session, MessageType type, std::string frame);
+  /// Sizes, admits, encodes and queues one stamped delta.
+  void PushDelta(Session* session, const ResultDelta& delta);
   void CoalesceQueue(Session* session);
   /// Disconnect degrade: drops the session's queued result frames (keeping a
   /// partially-written head), dooms it, and queues one fatal error frame
@@ -235,6 +292,9 @@ class SessionManager {
   MetricsRegistry* registry_;
   ServeMetrics metrics_;
   LoadShedder shedder_;
+  /// The last pushed global result set; every session points at it, so it
+  /// is declared before (and outlives) sessions_.
+  ResultSet retained_;
   std::map<int, std::unique_ptr<Session>> sessions_;
   uint32_t next_session_id_ = 1;
   size_t total_queued_bytes_ = 0;

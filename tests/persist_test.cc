@@ -146,6 +146,40 @@ TEST(SerializerTest, Crc32MatchesKnownVectors) {
   EXPECT_NE(Crc32("123456789"), Crc32("123456788"));
 }
 
+/// The bytewise definition Crc32's slicing-by-8 must equal: one table lookup
+/// per byte over the reflected polynomial 0xEDB88320.
+uint32_t BytewiseCrc32(std::string_view data) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (char ch : data) {
+    crc = table[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SerializerTest, Crc32EqualsBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(20);
+  std::string buf(300 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.NextU64());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view data(buf.data() + align, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "length " << len << " at alignment " << align;
+    }
+  }
+  std::string big(1u << 20, '\0');
+  for (char& c : big) c = static_cast<char>(rng.NextU64());
+  EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
+}
+
 TEST(SerializerTest, Fnv1a64MatchesKnownVectors) {
   EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);  // offset basis
   EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);

@@ -189,6 +189,32 @@ TEST(ResultDeltaTest, LoadRejectsUnorderedAndOverlappingSets) {
   overlap.Save(&w2);
   ByteReader r2(w2.bytes());
   EXPECT_EQ(ResultDelta::Load(&r2, &back).code(), StatusCode::kCorruption);
+
+  // An overlap the merge walk reaches only after interleaved elements.
+  overlap.added = {{1, 1}, {2, 5}, {4, 4}};
+  overlap.removed = {{1, 2}, {3, 3}, {4, 4}, {9, 9}};
+  ByteWriter w3;
+  overlap.Save(&w3);
+  ByteReader r3(w3.bytes());
+  EXPECT_EQ(ResultDelta::Load(&r3, &back).code(), StatusCode::kCorruption);
+}
+
+/// The documented layout written one field at a time: what the block codec
+/// must reproduce byte for byte.
+std::string FieldByFieldSave(const ResultDelta& d) {
+  ByteWriter w;
+  w.PutU64(d.round);
+  w.PutI64(d.time);
+  w.PutU64(d.degraded_shards.size());
+  for (uint32_t s : d.degraded_shards) w.PutU32(s);
+  for (const std::vector<Match>* v : {&d.added, &d.removed}) {
+    w.PutU64(v->size());
+    for (const Match& m : *v) {
+      w.PutU32(m.qid);
+      w.PutU32(m.oid);
+    }
+  }
+  return w.Release();
 }
 
 // Property: Apply(prev, Diff(prev, curr)) == curr on random sets, and the
@@ -215,8 +241,11 @@ TEST_P(DeltaRoundTripTest, RoundTrips) {
     EXPECT_EQ(curr.size(), prev.size() + d.added.size() - d.removed.size());
     // Wire round trip preserves the stamped structure exactly.
     ResultDelta stamped = tracker.Observe(curr, static_cast<Timestamp>(iter));
+    if (iter % 7 == 0) stamped.degraded_shards = {static_cast<uint32_t>(iter)};
     ByteWriter writer;
     stamped.Save(&writer);
+    EXPECT_EQ(writer.bytes(), FieldByFieldSave(stamped));
+    EXPECT_EQ(stamped.SavedBytes(), writer.bytes().size());
     ByteReader reader(writer.bytes());
     ResultDelta back;
     ASSERT_TRUE(ResultDelta::Load(&reader, &back).ok());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -427,6 +428,37 @@ TEST(ServeE2eTest, SessionFailedAfterTheLastRoundIsCounted) {
   EXPECT_EQ(stats.rounds, 2u);
   EXPECT_EQ(registry_disconnects, 1u);
   EXPECT_EQ(stats.disconnects, registry_disconnects);
+}
+
+TEST(ServeE2eTest, TinyRoundsDoNotStallOnDelayedAck) {
+  // A round of two small batches (one non-evaluating) is two small writes in
+  // a row. Without TCP_NODELAY on both ends, Nagle holds the second behind
+  // the server's delayed ACK of the first, and every round costs >= 40 ms.
+  ServerUnderTest sut = StartServer(ScubaOptions{});
+  Result<ScubaClient> driver = ScubaClient::Connect(sut.server->port());
+  ASSERT_TRUE(driver.ok()) << driver.status().ToString();
+  const std::vector<TickBatch> ticks = MakeTicks(1);
+  std::vector<double> round_ms;
+  Timestamp time = 0;
+  for (int round = 0; round < 20; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    for (bool evaluate : {false, true}) {
+      UpdateBatchMsg batch;
+      batch.time = ++time;
+      batch.evaluate = evaluate;
+      batch.objects.push_back(ticks[0].objects[static_cast<size_t>(round)]);
+      batch.objects.back().time = time;
+      ASSERT_TRUE(driver->SendBatch(batch).ok());
+    }
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+  }
+  std::nth_element(round_ms.begin(), round_ms.begin() + 10, round_ms.end());
+  EXPECT_LT(round_ms[10], 20.0) << "median tiny round took " << round_ms[10]
+                                << " ms";
+  ASSERT_TRUE(driver->Shutdown().ok());
+  EXPECT_TRUE(sut.server->Wait().ok());
 }
 
 }  // namespace

@@ -7,14 +7,25 @@
 //    its memory bounded, and never stalls the fast sessions;
 //  - kDisconnect dooms the slow consumer with a fatal error frame;
 //  - a partially-written head frame survives coalescing (no torn stream);
-//  - LoadShedder-backed admission refuses sessions over the memory budget.
+//  - LoadShedder-backed admission refuses sessions over the memory budget;
+//  - delta counters count only frames really enqueued;
+//  - the one-diff-per-round push queues the same bytes as a per-session
+//    filter + IncrementalResultTracker reference (differential test);
+//  - the one-buffer frame encoders equal EncodeFrame(Encode*(msg)).
 
 #include "serve/session.h"
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "serve/protocol.h"
 
 namespace scuba::serve {
@@ -342,6 +353,344 @@ TEST(SessionManagerTest, ConsumeWrittenTracksPartialWrites) {
   EXPECT_TRUE(s->queue().empty());
   EXPECT_EQ(manager.total_queued_bytes(), 0u);
   EXPECT_EQ(s->write_offset, 0u);
+}
+
+TEST(SessionManagerTest, DeltaCountersCountOnlyEnqueuedFrames) {
+  // A delta the coalesce policy replaces with a snapshot was never pushed:
+  // scuba_serve_deltas_pushed_total and _delta_bytes_total ("enqueued") must
+  // not count it.
+  ServeOptions options;
+  options.slow_consumer = SlowConsumerPolicy::kCoalesce;
+  options.max_queue_bytes = 100;  // the round-3 delta alone overflows
+  SessionManager manager(options, nullptr);
+  Session* s = *manager.Accept(1);
+  s->set_ready("s");
+  s->SubscribeAll();
+
+  uint64_t deltas = 0;
+  uint64_t delta_bytes = 0;
+  uint64_t snapshots = 0;
+  const std::vector<ResultSet> rounds = {
+      MakeResults({{1, 1}}), MakeResults({{1, 1}, {2, 2}}),
+      MakeResults({{3, 1}, {3, 2}, {3, 3}, {4, 1}, {4, 2}, {4, 3}}),
+      MakeResults({{3, 1}})};
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    manager.PushRound(r + 1, static_cast<Timestamp>(r + 1), rounds[r]);
+    ASSERT_EQ(s->queue().size(), 1u) << "round " << (r + 1);
+    const OutFrame& frame = s->queue().front();
+    if (frame.type == MessageType::kDelta) {
+      ++deltas;
+      delta_bytes += frame.bytes.size();
+    } else {
+      ++snapshots;
+    }
+    manager.ConsumeWritten(s, frame.bytes.size());
+  }
+  EXPECT_EQ(snapshots, 1u);
+  EXPECT_EQ(manager.coalesces(), 1u);
+  EXPECT_EQ(deltas, 3u);
+  EXPECT_EQ(manager.deltas_pushed(), deltas);
+  EXPECT_EQ(manager.metrics().delta_bytes_total.Value(), delta_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: SessionManager::PushRound against a reference model of
+// the per-session algorithm (each session filters the global set and diffs
+// it with its own IncrementalResultTracker; its queue is capped and coalesced
+// to the tracker's current set).
+
+/// Per-match filter, the reference for Session::FilterResults.
+ResultSet ReferenceFilter(const ResultSet& global, bool all,
+                          const std::set<QueryId>& qids) {
+  ResultSet out;
+  for (const Match& m : global.matches()) {
+    if (all || qids.contains(m.qid)) out.Add(m.qid, m.oid);
+  }
+  for (uint32_t shard : global.degraded_shards()) out.MarkDegraded(shard);
+  return out;
+}
+
+struct ModelSession {
+  bool all = false;
+  std::set<QueryId> qids;
+  IncrementalResultTracker tracker;
+  std::deque<std::pair<MessageType, std::string>> queue;
+  size_t queued = 0;
+  size_t write_offset = 0;
+
+  std::string Snapshot(bool coalesced) const {
+    SnapshotMsg snap;
+    snap.round = tracker.rounds();
+    snap.time = tracker.time();
+    snap.coalesced = coalesced;
+    snap.degraded_shards = tracker.Current().degraded_shards();
+    snap.matches = tracker.Current().matches();
+    return *EncodeFrame(EncodeSnapshot(snap));
+  }
+
+  /// The capped queue with the coalesce policy.
+  void Enqueue(MessageType type, std::string frame, size_t cap,
+               uint64_t* deltas) {
+    if (queued + frame.size() > cap) {
+      std::deque<std::pair<MessageType, std::string>> kept;
+      for (size_t i = 0; i < queue.size(); ++i) {
+        if (i == 0 && write_offset > 0) {
+          kept.push_back(std::move(queue[i]));
+        } else {
+          queued -= queue[i].second.size();
+        }
+      }
+      queue = std::move(kept);
+      if (type != MessageType::kSnapshot) {
+        frame = Snapshot(/*coalesced=*/true);
+        type = MessageType::kSnapshot;
+      }
+    }
+    if (type == MessageType::kDelta) ++*deltas;
+    queued += frame.size();
+    queue.emplace_back(type, std::move(frame));
+  }
+};
+
+class PushRoundDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
+
+TEST_P(PushRoundDifferentialTest, QueuedBytesEqualPerSessionTrackerModel) {
+  const auto [initial_sessions, cap] = GetParam();
+  ServeOptions options;
+  options.slow_consumer = SlowConsumerPolicy::kCoalesce;
+  options.max_queue_bytes = cap;
+  options.max_sessions = 1024;
+  SessionManager manager(options, nullptr);
+  std::vector<Session*> sessions;
+  std::vector<std::unique_ptr<ModelSession>> model;
+  int next_fd = 1;
+  auto join = [&] {
+    Session* s = *manager.Accept(next_fd++);
+    s->set_ready("s" + std::to_string(sessions.size()));
+    sessions.push_back(s);
+    model.push_back(std::make_unique<ModelSession>());
+  };
+  for (int i = 0; i < initial_sessions; ++i) join();
+
+  Rng rng(static_cast<uint64_t>(initial_sessions) * 1000 + cap);
+  constexpr uint32_t kQids = 24;
+  constexpr uint32_t kOids = 40;
+  ResultSet global;
+  uint64_t round = 0;
+  uint64_t model_deltas = 0;
+  for (int step = 0; step < 400; ++step) {
+    const size_t pick = rng.NextBounded(sessions.size());
+    Session* s = sessions[pick];
+    ModelSession& m = *model[pick];
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 30) {
+      // A round: the answer drifts a little, sometimes degraded.
+      ResultSet next;
+      for (const Match& match : global.matches()) {
+        if (!rng.NextBool(0.15)) next.Add(match.qid, match.oid);
+      }
+      const uint64_t adds = rng.NextBounded(rng.NextBool(0.1) ? 300 : 30);
+      for (uint64_t i = 0; i < adds; ++i) {
+        next.Add(static_cast<QueryId>(rng.NextBounded(kQids)),
+                 static_cast<ObjectId>(rng.NextBounded(kOids)));
+      }
+      next.Normalize();
+      if (rng.NextBool(0.2)) {
+        next.MarkDegraded(static_cast<uint32_t>(rng.NextBounded(4)));
+      }
+      global = next;
+      ++round;
+      const Timestamp now = static_cast<Timestamp>(10 * round);
+      manager.PushRound(round, now, global);
+      for (auto& ms : model) {
+        if (!ms->all && ms->qids.empty()) continue;
+        ResultDelta delta = ms->tracker.Observe(
+            ReferenceFilter(global, ms->all, ms->qids), now);
+        ms->Enqueue(MessageType::kDelta, *EncodeFrame(EncodeDelta(delta)), cap,
+                    &model_deltas);
+      }
+    } else if (op < 45) {
+      // Subscribe to a few qids, acked with a snapshot.
+      const uint64_t n = 1 + rng.NextBounded(4);
+      for (uint64_t i = 0; i < n; ++i) {
+        const QueryId q = static_cast<QueryId>(rng.NextBounded(kQids));
+        s->Subscribe(q);
+        m.qids.insert(q);
+      }
+      manager.EnqueueSnapshot(s, /*coalesced=*/false);
+      m.Enqueue(MessageType::kSnapshot, m.Snapshot(false), cap, &model_deltas);
+    } else if (op < 50) {
+      // Register: subscribes one qid with no ack.
+      const QueryId q = static_cast<QueryId>(rng.NextBounded(kQids));
+      s->Subscribe(q);
+      m.qids.insert(q);
+    } else if (op < 53) {
+      s->SubscribeAll();
+      m.all = true;
+      manager.EnqueueSnapshot(s, /*coalesced=*/false);
+      m.Enqueue(MessageType::kSnapshot, m.Snapshot(false), cap, &model_deltas);
+    } else if (op < 63) {
+      // Cancel one qid, or everything (the session goes idle).
+      if (rng.NextBool(0.3)) {
+        for (QueryId q = 0; q < kQids; ++q) s->Unsubscribe(q);
+        m.qids.clear();
+      } else {
+        const QueryId q = static_cast<QueryId>(rng.NextBounded(kQids));
+        s->Unsubscribe(q);
+        m.qids.erase(q);
+      }
+    } else if (op < 66) {
+      join();  // a late joiner
+    } else {
+      // The client reads some of its queue (sometimes stopping mid-frame).
+      uint64_t budget = rng.NextBounded(2 * cap + 64);
+      while (budget > 0 && !s->queue().empty()) {
+        const size_t left = s->queue().front().bytes.size() - s->write_offset;
+        const size_t n = std::min<size_t>(left, budget);
+        manager.ConsumeWritten(s, n);
+        budget -= n;
+        m.write_offset += n;
+        m.queued -= n;
+        if (m.write_offset == m.queue.front().second.size()) {
+          m.queue.pop_front();
+          m.write_offset = 0;
+        }
+      }
+    }
+    for (size_t i = 0; i < sessions.size(); ++i) {
+      const std::deque<OutFrame>& got = sessions[i]->queue();
+      const auto& want = model[i]->queue;
+      ASSERT_EQ(got.size(), want.size())
+          << "session " << i << " after step " << step;
+      for (size_t f = 0; f < got.size(); ++f) {
+        ASSERT_EQ(got[f].type, want[f].first)
+            << "session " << i << " frame " << f << " after step " << step;
+        ASSERT_EQ(got[f].bytes, want[f].second)
+            << "session " << i << " frame " << f << " after step " << step;
+      }
+      ASSERT_EQ(sessions[i]->queued_bytes(), model[i]->queued);
+      ASSERT_EQ(sessions[i]->rounds(), model[i]->tracker.rounds());
+    }
+  }
+  EXPECT_EQ(manager.deltas_pushed(), model_deltas);
+  EXPECT_GT(round, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SessionsByCap, PushRoundDifferentialTest,
+    ::testing::Combine(::testing::Values(1, 4, 16),
+                       ::testing::Values(size_t{256}, size_t{4096},
+                                         size_t{1} << 20)));
+
+// ---------------------------------------------------------------------------
+// One-buffer frame encoders.
+
+TEST(FrameEncoderTest, FramedEncodersEqualEncodeFrameOfThePayload) {
+  Rng rng(5);
+  for (int iter = 0; iter < 50; ++iter) {
+    ResultSet set;
+    const uint64_t n = rng.NextBounded(iter % 10 == 0 ? 2 : 400);
+    for (uint64_t i = 0; i < n; ++i) {
+      set.Add(static_cast<QueryId>(rng.NextBounded(50)),
+              static_cast<ObjectId>(rng.NextBounded(1u << 31)));
+    }
+    set.Normalize();
+    if (iter % 3 == 0) set.MarkDegraded(static_cast<uint32_t>(iter));
+    ResultDelta delta = DiffResults(ResultSet(), set);
+    delta.round = static_cast<uint64_t>(iter);
+    delta.time = -iter;
+    const std::string delta_frame = *EncodeFrame(EncodeDelta(delta));
+    EXPECT_EQ(*EncodeDeltaFrame(delta), delta_frame);
+    EXPECT_EQ(DeltaFrameBytes(delta), delta_frame.size());
+
+    SnapshotMsg snap;
+    snap.round = static_cast<uint64_t>(iter);
+    snap.time = iter;
+    snap.coalesced = iter % 2 == 0;
+    snap.degraded_shards = set.degraded_shards();
+    snap.matches = set.matches();
+    const std::string snap_frame = *EncodeFrame(EncodeSnapshot(snap));
+    EXPECT_EQ(*EncodeSnapshotFrame(snap.round, snap.time, snap.coalesced, set),
+              snap_frame);
+
+    UpdateBatchMsg batch;
+    batch.time = iter;
+    batch.evaluate = iter % 2 == 1;
+    batch.objects.resize(rng.NextBounded(5));
+    for (LocationUpdate& u : batch.objects) {
+      u.oid = static_cast<ObjectId>(rng.NextU64());
+      u.position = Point{static_cast<double>(rng.NextBounded(1000)), 2.5};
+    }
+    batch.queries.resize(rng.NextBounded(5));
+    for (QueryUpdate& u : batch.queries) {
+      u.qid = static_cast<QueryId>(rng.NextU64());
+      u.range_width = 3.0;
+    }
+    EXPECT_EQ(*EncodeUpdateBatchFrame(batch),
+              *EncodeFrame(EncodeUpdateBatch(batch)));
+  }
+}
+
+TEST(FrameEncoderTest, OversizedResultFramesAreRefusedBeforeEncoding) {
+  ResultSet huge;
+  const size_t n = kMaxFramePayload / sizeof(Match) + 1;
+  for (size_t i = 0; i < n; ++i) {
+    huge.Add(static_cast<QueryId>(i >> 16), static_cast<ObjectId>(i));
+  }
+  Result<std::string> snap = EncodeSnapshotFrame(1, 1, false, huge);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kResourceExhausted);
+  ResultDelta delta;
+  delta.added = huge.matches();
+  EXPECT_GT(DeltaFrameBytes(delta) - kFrameHeaderBytes,
+            size_t{kMaxFramePayload});
+  Result<std::string> frame = EncodeDeltaFrame(delta);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kResourceExhausted);
+  // The same refusal as the payload path, message included.
+  EXPECT_EQ(frame.status().ToString(),
+            CheckFramePayload(DeltaFrameBytes(delta) - kFrameHeaderBytes)
+                .ToString());
+}
+
+TEST(FrameEncoderTest, DecoderConsumesManyFramesFedInRandomChunks) {
+  // The decoder consumes through an offset and compacts lazily; every frame
+  // must still come out whole and in order, however the bytes arrive.
+  Rng rng(9);
+  std::string stream;
+  std::vector<std::string> payloads;
+  for (int i = 0; i < 500; ++i) {
+    payloads.push_back(EncodeTick(TickMsg{static_cast<Timestamp>(i)}) +
+                       std::string(rng.NextBounded(40), 'x'));
+    stream += *EncodeFrame(payloads.back());
+  }
+  FrameDecoder decoder;
+  size_t fed = 0;
+  size_t got = 0;
+  std::string payload;
+  while (got < payloads.size()) {
+    const size_t chunk =
+        std::min<size_t>(stream.size() - fed, 1 + rng.NextBounded(200));
+    decoder.Append(std::string_view(stream).substr(fed, chunk));
+    fed += chunk;
+    while (true) {
+      Result<bool> next = decoder.Next(&payload);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      if (!*next) break;
+      ASSERT_LT(got, payloads.size());
+      EXPECT_EQ(payload, payloads[got]);
+      ++got;
+    }
+    ASSERT_EQ(decoder.buffered_bytes(), fed - [&] {
+      size_t consumed = 0;
+      for (size_t i = 0; i < got; ++i) {
+        consumed += kFrameHeaderBytes + payloads[i].size();
+      }
+      return consumed;
+    }());
+  }
+  EXPECT_EQ(fed, stream.size());
 }
 
 }  // namespace
