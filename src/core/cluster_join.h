@@ -18,12 +18,16 @@
 // scalar loops they replaced, so results, counters and EngineStateHash stay
 // bit-identical at every thread count (docs/ARCHITECTURE.md §10).
 //
-// A round is Prepare() then one or more ScanWindow() calls: all JoinViews are
-// precomputed once per round into an immutable per-round table, and a
+// A round is Prepare() then one or more ScanWindow() calls. Prepare()
+// precomputes every JoinView once into an immutable per-round table. A
 // window's worker tasks pull contiguous chunks of view slots (ascending cid
-// order) off a shared atomic cursor, each emitting into its own
-// ResultSet/Counters, merged (and Normalize()d once) per window. The scan resolves cluster ids through a dense cid→slot table (no hashing) and
-// reads a flattened CSR snapshot of the grid's cell entries.
+// order) off a shared atomic cursor, each emitting into its own match buffer
+// and Counters. The window's answer is one radix sort (ResultSet::
+// AssignNormalized) that scatters straight out of those buffers and uses
+// them as its scratch; the executor keeps them across rounds, so assembling
+// the answer allocates nothing in steady state. The scan resolves cluster ids
+// through a dense cid→slot table (no hashing) and reads a flattened CSR
+// snapshot of the grid's cell entries.
 // The scan is cluster-major: a task walks each of its clusters' sorted cells
 // in ascending order and meets every co-resident cluster with a higher slot.
 // A per-task stamp array marks the partner on first contact, so the cell
@@ -31,7 +35,7 @@
 // the pair is evaluated there only — once per round, with no cross-task
 // seen-set. A mixed cluster self-joins only in its own lowest cell. Results
 // and counters are identical at every thread count; only the emission order
-// before the final Normalize() depends on the scan order.
+// before the final sort depends on the scan order.
 
 #ifndef SCUBA_CORE_CLUSTER_JOIN_H_
 #define SCUBA_CORE_CLUSTER_JOIN_H_
@@ -135,12 +139,22 @@ class ClusterJoinExecutor {
   }
 
   /// Seconds spent inside member-level join-within work since the last
-  /// Prepare(), summed across tasks (0 unless telemetry is attached). The join-between
-  /// share is last_worker_seconds() minus this.
+  /// Prepare(), summed across tasks (0 unless telemetry is attached). The
+  /// join-between share is the window scans' worker seconds (what
+  /// last_worker_seconds() gained after Prepare() returned) minus this.
   double last_within_seconds() const { return last_within_seconds_; }
 
+  /// Wall seconds the window scans since the last Prepare() spent sorting
+  /// their task buffers into each window's answer (0 unless telemetry is
+  /// attached).
+  double last_sort_seconds() const { return last_sort_seconds_; }
+
   /// Scratch-space heap footprint: the SoA slab arena, view table, dense
-  /// cid→slot table, CSR grid snapshot and per-task kernel scratch.
+  /// cid→slot table, CSR grid snapshot and per-task kernel scratch. The
+  /// per-task match buffers and the radix histograms are left out: they hold
+  /// the round's answer, which the engine's estimate has never counted (nor
+  /// its windows' result slices), so adaptive shedding does not depend on
+  /// how the answer is assembled.
   size_t EstimateMemoryUsage() const;
 
  private:
@@ -277,6 +291,7 @@ class ClusterJoinExecutor {
   bool collect_phase_timings_ = false;
   std::vector<double> last_task_busy_seconds_;
   double last_within_seconds_ = 0.0;
+  double last_sort_seconds_ = 0.0;
   HistogramMetric task_busy_histogram_;
   /// Per-round view table (slot-compacted; cluster ids are sparse after long
   /// runs). Rebuilt each Prepare(), kept until the next round so the adaptive
@@ -307,6 +322,11 @@ class ClusterJoinExecutor {
   uint32_t max_view_objects_ = 0;
   uint32_t max_view_queries_ = 0;
   std::vector<JoinScratch> scratch_;  ///< One per worker task.
+  /// Per-task match buffers, kept across rounds: ScanViews emits into them
+  /// and ResultSet::AssignNormalized sorts out of them, using them as its
+  /// ping-pong scratch (so they trade buffers with the window's answer).
+  std::vector<ResultSet> task_results_;
+  std::vector<uint32_t> radix_counts_;  ///< The sort's digit histograms.
   /// Created on first parallel Prepare(); never for resolved_threads_ == 1.
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -4,6 +4,7 @@
 #define SCUBA_CORE_RESULT_SET_H_
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/memory_usage.h"
@@ -23,6 +24,14 @@ struct Match {
 /// The answer set of one evaluation round. Duplicates may be added (e.g. the
 /// same pair discovered through two cluster pairs); Normalize() sorts and
 /// dedups, and is called by engines before returning.
+///
+/// The sort is an LSD radix sort over the 64-bit key (qid << 32 | oid),
+/// never a comparison sort from 256 matches on: key bits that are the same
+/// across the whole set are skipped, and the rest of each 32-bit half is cut
+/// into digits of at most 16 bits (8 below 8,192 matches, where small
+/// histograms pay), so a large set with ids below 65,536 takes two scatter
+/// passes. The order is total and duplicates are equal bytes, so the result
+/// is byte-identical to std::sort + std::unique.
 class ResultSet {
  public:
   void Add(QueryId qid, ObjectId oid) { matches_.push_back(Match{qid, oid}); }
@@ -32,31 +41,22 @@ class ResultSet {
     degraded_shards_.clear();
   }
 
-  /// Pre-sizes the match buffer (capacity only; size is untouched). Engines
-  /// seed this with the previous round's match count — continuous queries
-  /// change answers incrementally, so last round is an excellent estimate.
+  /// Pre-sizes the match buffer (capacity only; size is untouched).
   void Reserve(size_t n) { matches_.reserve(n); }
 
-  /// Steals `other`'s matches into this set (duplicates allowed until
-  /// Normalize). When this set is empty and under-sized the donor buffer is
-  /// adopted wholesale; otherwise the elements are appended in bulk. Either
-  /// way `other` is left empty.
-  void AppendFrom(ResultSet&& other) {
-    if (matches_.empty() && matches_.capacity() < other.matches_.size()) {
-      matches_ = std::move(other.matches_);
-    } else {
-      matches_.insert(matches_.end(), other.matches_.begin(),
-                      other.matches_.end());
-    }
-    other.matches_.clear();
-  }
-
   /// Sorts matches and removes duplicates.
-  void Normalize() {
-    std::sort(matches_.begin(), matches_.end());
-    matches_.erase(std::unique(matches_.begin(), matches_.end()),
-                   matches_.end());
-  }
+  void Normalize();
+
+  /// Replaces the matches with the sorted, deduplicated union of `parts`
+  /// (any order, duplicates allowed; none of them this set). Degraded-mode
+  /// provenance is untouched.
+  /// The first radix pass scatters straight out of the parts, and their
+  /// buffers then serve as the sort's ping-pong scratch, so a caller that
+  /// keeps the parts (and `counts`, the digit histograms) across rounds
+  /// allocates nothing in steady state. Every part is left empty with its
+  /// capacity kept; this set's buffer may trade places with a part's.
+  void AssignNormalized(std::span<ResultSet> parts,
+                        std::vector<uint32_t>* counts);
 
   /// Replaces the matches with the normalized union of `slices`, each of
   /// which must already be normalized. The slices are copied back to back

@@ -224,7 +224,10 @@ Status ScubaEngine::IngestBatch(std::span<const LocationUpdate> objects,
 }
 
 Status ScubaEngine::JoinWindows(ResultSet* results) {
+  Stopwatch prepare;
   SCUBA_RETURN_IF_ERROR(join_executor_.Prepare(store_, grid_));
+  const double prepare_seconds = prepare.ElapsedSeconds();
+  const double prepare_worker = join_executor_.last_worker_seconds();
   const uint32_t n = shard_count();
   const bool supervised = supervisor_ != nullptr;
   // Stale windows: quarantined before the round, or failed during it under
@@ -274,23 +277,43 @@ Status ScubaEngine::JoinWindows(ResultSet* results) {
   // Every slice is normalized, and owner-cell dedup makes fresh slices
   // disjoint; a stale slice may overlap fresh ones (its pairs' owner cells
   // can have moved since it was published). Merging the sorted slices and
-  // deduplicating seals the round's set without a full re-sort.
-  std::vector<const ResultSet*> slices(n);
-  bool degraded = false;
-  for (uint32_t w = 0; w < n; ++w) {
-    const Window& window = windows_[w];
-    slices[w] = stale[w] ? &window.last_good_results : &window.results;
-    degraded = degraded || stale[w];
-  }
+  // deduplicating seals the round's set without a full re-sort. One fresh
+  // window is the whole answer already: it is handed over by swap.
+  Stopwatch merge;
   results->Clear();
-  results->MergeNormalized(slices);
-  for (uint32_t w = 0; w < n; ++w) {
-    if (stale[w]) results->MarkDegraded(w);
+  bool degraded = false;
+  if (n == 1 && !stale[0]) {
+    std::swap(*results, windows_[0].results);
+  } else {
+    std::vector<const ResultSet*> slices(n);
+    for (uint32_t w = 0; w < n; ++w) {
+      const Window& window = windows_[w];
+      slices[w] = stale[w] ? &window.last_good_results : &window.results;
+      degraded = degraded || stale[w];
+    }
+    results->MergeNormalized(slices);
+    for (uint32_t w = 0; w < n; ++w) {
+      if (stale[w]) results->MarkDegraded(w);
+    }
   }
+  const double merge_seconds = merge.ElapsedSeconds();
   if (degraded) supervisor_->NoteDegradedRound();
   if (telemetry_ != nullptr) {
+    // join.prepare: the view build; join.between/within: the window scans'
+    // worker time, split at the member-level join-within; join.merge: each
+    // window's sort plus the cross-window merge.
     TraceCollector& tc = telemetry_->trace();
     const int32_t join_span = tc.EnsureSpan(tc.root(), "join");
+    const double scan_worker =
+        join_executor_.last_worker_seconds() - prepare_worker;
+    const double within = join_executor_.last_within_seconds();
+    tc.Accumulate(tc.EnsureSpan(join_span, "prepare"), prepare_seconds,
+                  prepare_worker);
+    tc.Accumulate(tc.EnsureSpan(join_span, "between"),
+                  std::max(0.0, scan_worker - within));
+    tc.Accumulate(tc.EnsureSpan(join_span, "within"), within);
+    tc.Accumulate(tc.EnsureSpan(join_span, "merge"),
+                  join_executor_.last_sort_seconds() + merge_seconds);
     for (uint32_t w = 0; w < n; ++w) {
       if (stale[w]) continue;  // no fresh work this round
       tc.Accumulate(
@@ -334,11 +357,6 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
     const int32_t join_span = tc.EnsureSpan(tc.root(), "join");
     tc.Accumulate(join_span, stats_.last_join_seconds,
                   stats_.last_join_worker_seconds);
-    const double within = join_executor_.last_within_seconds();
-    tc.Accumulate(
-        tc.EnsureSpan(join_span, "between"),
-        std::max(0.0, stats_.last_join_worker_seconds - within));
-    tc.Accumulate(tc.EnsureSpan(join_span, "within"), within);
   }
 
   // *** Phase 3: cluster post-join maintenance. ***

@@ -1,68 +1,87 @@
 #include "serve/protocol.h"
 
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 namespace scuba::serve {
 namespace {
 
-void PutLocationUpdate(ByteWriter* w, const LocationUpdate& u) {
-  w->PutU32(u.oid);
-  w->PutDouble(u.position.x);
-  w->PutDouble(u.position.y);
-  w->PutI64(u.time);
-  w->PutDouble(u.speed);
-  w->PutU32(u.dest_node);
-  w->PutDouble(u.dest_position.x);
-  w->PutDouble(u.dest_position.y);
-  w->PutU64(u.attrs);
+// Each update travels as one fixed block: its fields packed back to back in
+// the order ForEachField names them, little-endian (doubles as their IEEE-754
+// bit patterns). PutUpdate packs a local buffer and writes it with one
+// PutBlock; GetUpdate reads one GetBlock and unpacks it. ForEachField is the
+// one statement of each layout: the packers and the block sizes (which also
+// bound hostile counts) derive from it.
+
+template <typename U, typename Fn>
+  requires std::same_as<std::remove_const_t<U>, LocationUpdate>
+constexpr void ForEachField(U& u, Fn&& fn) {
+  fn(u.oid);
+  fn(u.position.x);
+  fn(u.position.y);
+  fn(u.time);
+  fn(u.speed);
+  fn(u.dest_node);
+  fn(u.dest_position.x);
+  fn(u.dest_position.y);
+  fn(u.attrs);
 }
 
-Status GetLocationUpdate(ByteReader* r, LocationUpdate* u) {
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->oid));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetI64(&u->time));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->speed));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->dest_node));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.y));
-  return r->GetU64(&u->attrs);
+template <typename U, typename Fn>
+  requires std::same_as<std::remove_const_t<U>, QueryUpdate>
+constexpr void ForEachField(U& u, Fn&& fn) {
+  fn(u.qid);
+  fn(u.position.x);
+  fn(u.position.y);
+  fn(u.time);
+  fn(u.speed);
+  fn(u.dest_node);
+  fn(u.dest_position.x);
+  fn(u.dest_position.y);
+  fn(u.range_width);
+  fn(u.range_height);
+  fn(u.attrs);
+  fn(u.required_attrs);
 }
 
-void PutQueryUpdate(ByteWriter* w, const QueryUpdate& u) {
-  w->PutU32(u.qid);
-  w->PutDouble(u.position.x);
-  w->PutDouble(u.position.y);
-  w->PutI64(u.time);
-  w->PutDouble(u.speed);
-  w->PutU32(u.dest_node);
-  w->PutDouble(u.dest_position.x);
-  w->PutDouble(u.dest_position.y);
-  w->PutDouble(u.range_width);
-  w->PutDouble(u.range_height);
-  w->PutU64(u.attrs);
-  w->PutU64(u.required_attrs);
+template <typename Update>
+constexpr size_t BlockBytes() {
+  Update u{};
+  size_t bytes = 0;
+  ForEachField(u, [&bytes](const auto& field) { bytes += sizeof(field); });
+  return bytes;
 }
 
-Status GetQueryUpdate(ByteReader* r, QueryUpdate* u) {
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->qid));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetI64(&u->time));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->speed));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&u->dest_node));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.x));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->dest_position.y));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->range_width));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&u->range_height));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&u->attrs));
-  return r->GetU64(&u->required_attrs);
+/// Encoded size of one update; a count prefix promising more updates than
+/// the remaining bytes hold is refused before anything is reserved.
+constexpr size_t kLocationUpdateBytes = BlockBytes<LocationUpdate>();
+constexpr size_t kQueryUpdateBytes = BlockBytes<QueryUpdate>();
+static_assert(kLocationUpdateBytes == 64, "LocationUpdate wire layout moved");
+static_assert(kQueryUpdateBytes == 88, "QueryUpdate wire layout moved");
+
+template <typename Update>
+void PutUpdate(ByteWriter* w, const Update& u) {
+  char block[BlockBytes<Update>()];
+  char* at = block;
+  ForEachField(u, [&at](const auto& field) {
+    std::memcpy(at, &field, sizeof(field));
+    at += sizeof(field);
+  });
+  w->PutBlock(block, sizeof(block));
 }
 
-/// Per-element minimum encoded sizes, used to bound hostile count prefixes
-/// before reserving (an element cannot encode smaller than this).
-constexpr uint64_t kLocationUpdateBytes = 60;
-constexpr uint64_t kQueryUpdateBytes = 84;
+template <typename Update>
+Status GetUpdate(ByteReader* r, Update* u) {
+  char block[BlockBytes<Update>()];
+  SCUBA_RETURN_IF_ERROR(r->GetBlock(block, sizeof(block)));
+  const char* at = block;
+  ForEachField(*u, [&at](auto& field) {
+    std::memcpy(&field, at, sizeof(field));
+    at += sizeof(field);
+  });
+  return Status::OK();
+}
 
 Status CheckCount(uint64_t n, uint64_t element_bytes, size_t remaining,
                   const char* what) {
@@ -117,9 +136,9 @@ void PutUpdateBatchBody(ByteWriter* w, const UpdateBatchMsg& msg) {
   w->PutI64(msg.time);
   w->PutBool(msg.evaluate);
   w->PutU64(msg.objects.size());
-  for (const LocationUpdate& u : msg.objects) PutLocationUpdate(w, u);
+  for (const LocationUpdate& u : msg.objects) PutUpdate(w, u);
   w->PutU64(msg.queries.size());
-  for (const QueryUpdate& u : msg.queries) PutQueryUpdate(w, u);
+  for (const QueryUpdate& u : msg.queries) PutUpdate(w, u);
 }
 
 /// Exact framed size of a snapshot of `matches` matches carrying
@@ -224,11 +243,11 @@ Result<std::string> EncodeSnapshotFrame(uint64_t round, Timestamp time,
 }
 
 Result<std::string> EncodeUpdateBatchFrame(const UpdateBatchMsg& msg) {
-  // type | time | evaluate | object count | objects | query count | queries;
-  // a location update encodes in 64 bytes, a query update in 88.
-  ByteWriter w = BeginFrame(MessageType::kUpdateBatch,
-                            1 + 8 + 1 + 8 + 64 * msg.objects.size() + 8 +
-                                88 * msg.queries.size());
+  // type | time | evaluate | object count | objects | query count | queries
+  ByteWriter w = BeginFrame(
+      MessageType::kUpdateBatch,
+      1 + 8 + 1 + 8 + kLocationUpdateBytes * msg.objects.size() + 8 +
+          kQueryUpdateBytes * msg.queries.size());
   PutUpdateBatchBody(&w, msg);
   return FinishFrame(std::move(w));
 }
@@ -317,14 +336,14 @@ Status DecodeHelloAck(std::string_view payload, HelloAckMsg* msg) {
 
 std::string EncodeRegister(const RegisterMsg& msg) {
   ByteWriter w = BeginPayload(MessageType::kRegister);
-  PutQueryUpdate(&w, msg.query);
+  PutUpdate(&w, msg.query);
   return w.Release();
 }
 
 Status DecodeRegister(std::string_view payload, RegisterMsg* msg) {
   Result<ByteReader> r = BeginDecode(payload, MessageType::kRegister);
   if (!r.ok()) return r.status();
-  SCUBA_RETURN_IF_ERROR(GetQueryUpdate(&*r, &msg->query));
+  SCUBA_RETURN_IF_ERROR(GetUpdate(&*r, &msg->query));
   return FinishDecode(*r);
 }
 
@@ -385,7 +404,7 @@ Status DecodeUpdateBatch(std::string_view payload, UpdateBatchMsg* msg) {
   msg->objects.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     LocationUpdate u;
-    SCUBA_RETURN_IF_ERROR(GetLocationUpdate(&*r, &u));
+    SCUBA_RETURN_IF_ERROR(GetUpdate(&*r, &u));
     msg->objects.push_back(u);
   }
   SCUBA_RETURN_IF_ERROR(r->GetU64(&n));
@@ -395,7 +414,7 @@ Status DecodeUpdateBatch(std::string_view payload, UpdateBatchMsg* msg) {
   msg->queries.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
     QueryUpdate u;
-    SCUBA_RETURN_IF_ERROR(GetQueryUpdate(&*r, &u));
+    SCUBA_RETURN_IF_ERROR(GetUpdate(&*r, &u));
     msg->queries.push_back(u);
   }
   return FinishDecode(*r);

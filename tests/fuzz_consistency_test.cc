@@ -263,5 +263,89 @@ TEST_P(FuzzExactTest, ChaoticMotionStaysExact) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzExactTest,
                          ::testing::Values(11, 22, 33, 44, 55));
 
+// The join keeps its per-task match buffers across rounds, sorts out of them
+// into each window's slice, and hands a lone window's slice to the caller by
+// swap. Answers that grow, shrink to nothing and grow again — above and
+// below the sort's 256-match fallback, with one ResultSet passed to every
+// engine in turn — must still equal the oracle's every round: a buffer that
+// kept or leaked an earlier round's matches would show here.
+TEST(BufferReuseTest, AnswersGrowShrinkToEmptyAndGrowAgain) {
+  Rng rng(2113);
+  ScubaOptions options;
+  options.region = Rect{0, 0, 2000, 2000};
+  options.grid_cells = 20;
+  std::vector<EngineHandle> production;
+  std::vector<std::string> labels;
+  for (uint32_t shards : {1u, 2u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      ScubaOptions o = options;
+      o.shards = shards;
+      o.join_threads = threads;
+      Result<EngineHandle> handle = MakeEngine(o);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      production.push_back(std::move(*handle));
+      labels.push_back("shards=" + std::to_string(shards) +
+                       " threads=" + std::to_string(threads));
+    }
+  }
+  NaiveJoinEngine oracle;
+
+  // Query side length per round; 0.001 leaves every query (almost surely)
+  // empty.
+  const double kRanges[] = {20,    80,  250, 400,   0.001, 0.001,
+                            120,   400, 250, 0.001, 400,   60};
+  constexpr uint32_t kObjects = 400;
+  constexpr uint32_t kQueries = 200;
+  std::vector<size_t> sizes;
+  ResultSet want;
+  ResultSet got;
+  Timestamp t = 0;
+  for (double range : kRanges) {
+    ++t;
+    auto place = [&rng] {
+      return Point{rng.NextDouble(0, 2000), rng.NextDouble(0, 2000)};
+    };
+    for (uint32_t i = 1; i <= kObjects; ++i) {
+      LocationUpdate u;
+      u.oid = i;
+      u.position = place();
+      u.time = t;
+      u.dest_node = 0;
+      u.dest_position = u.position;
+      ASSERT_TRUE(oracle.IngestObjectUpdate(u).ok());
+      for (EngineHandle& h : production) {
+        ASSERT_TRUE(h.engine->IngestObjectUpdate(u).ok());
+      }
+    }
+    for (uint32_t i = 1; i <= kQueries; ++i) {
+      QueryUpdate u;
+      u.qid = i;
+      u.position = place();
+      u.time = t;
+      u.dest_node = 0;
+      u.dest_position = u.position;
+      u.range_width = range;
+      u.range_height = range;
+      ASSERT_TRUE(oracle.IngestQueryUpdate(u).ok());
+      for (EngineHandle& h : production) {
+        ASSERT_TRUE(h.engine->IngestQueryUpdate(u).ok());
+      }
+    }
+    ASSERT_TRUE(oracle.Evaluate(t, &want).ok());
+    sizes.push_back(want.size());
+    for (size_t e = 0; e < production.size(); ++e) {
+      ASSERT_TRUE(production[e].engine->Evaluate(t, &got).ok()) << labels[e];
+      EXPECT_EQ(got, want) << labels[e] << " tick " << t << ": "
+                           << got.size() << " vs " << want.size();
+    }
+  }
+  // The schedule really crossed both sides of the fallback and emptied.
+  EXPECT_EQ(sizes[4], 0u);
+  EXPECT_EQ(sizes[5], 0u);
+  EXPECT_LT(sizes[1], 256u);
+  EXPECT_GT(sizes[3], 1000u);
+  EXPECT_GT(sizes[7], 1000u);
+}
+
 }  // namespace
 }  // namespace scuba

@@ -399,7 +399,9 @@ TEST_P(WindowPartitionTest, DisjointWindowsPartitionTheJoin) {
                 owned_in(self_owners, bounds[w], bounds[w + 1]))
           << "window " << w;
       sum += run.counters;
-      concatenated.AppendFrom(std::move(run.results));
+      for (const Match& m : run.results.matches()) {
+        concatenated.Add(m.qid, m.oid);
+      }
     }
     EXPECT_TRUE(CountersEqual(sum, whole.counters()));
     const size_t emitted = concatenated.size();
@@ -415,7 +417,7 @@ TEST_P(WindowPartitionTest, DisjointWindowsPartitionTheJoin) {
     for (uint32_t w = windows; w-- > 0;) {
       ResultSet slice;
       ASSERT_TRUE(shared.ScanWindow(bounds[w], bounds[w + 1], &slice).ok());
-      reversed.AppendFrom(std::move(slice));
+      for (const Match& m : slice.matches()) reversed.Add(m.qid, m.oid);
     }
     EXPECT_TRUE(CountersEqual(shared.counters(), whole.counters()));
     reversed.Normalize();

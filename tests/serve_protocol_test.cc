@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/serializer.h"
 
 namespace scuba::serve {
 namespace {
@@ -382,6 +383,104 @@ TEST(MessageTest, EveryTruncationFailsCleanly) {
       }
       EXPECT_FALSE(s.ok()) << MessageTypeName(*type) << " cut at " << cut;
     }
+  }
+}
+
+/// A batch of `objects` + `queries` updates whose every field comes from
+/// `seed`: raw 64-bit patterns for the doubles too, so NaN payloads and
+/// negative zeros are on the wire.
+UpdateBatchMsg SeededBatch(uint64_t seed, size_t objects, size_t queries) {
+  Rng rng(seed);
+  auto next_double = [&rng] {
+    const uint64_t bits = rng.NextU64();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  };
+  UpdateBatchMsg msg;
+  msg.time = static_cast<Timestamp>(rng.NextU64());
+  msg.evaluate = rng.NextBool();
+  for (size_t i = 0; i < objects; ++i) {
+    LocationUpdate u;
+    u.oid = static_cast<ObjectId>(rng.NextU64());
+    u.position = {next_double(), next_double()};
+    u.time = static_cast<Timestamp>(rng.NextU64());
+    u.speed = next_double();
+    u.dest_node = static_cast<NodeId>(rng.NextU64());
+    u.dest_position = {next_double(), next_double()};
+    u.attrs = rng.NextU64();
+    msg.objects.push_back(u);
+  }
+  for (size_t i = 0; i < queries; ++i) {
+    QueryUpdate u;
+    u.qid = static_cast<QueryId>(rng.NextU64());
+    u.position = {next_double(), next_double()};
+    u.time = static_cast<Timestamp>(rng.NextU64());
+    u.speed = next_double();
+    u.dest_node = static_cast<NodeId>(rng.NextU64());
+    u.dest_position = {next_double(), next_double()};
+    u.range_width = next_double();
+    u.range_height = next_double();
+    u.attrs = rng.NextU64();
+    u.required_attrs = rng.NextU64();
+    msg.queries.push_back(u);
+  }
+  return msg;
+}
+
+TEST(MessageTest, UpdateBytesMatchTheGoldenEncoding) {
+  // The wire bytes of an update batch and a register message are pinned by
+  // length and CRC, taken from the field-by-field encoder: a change to how
+  // updates are packed must not change a byte.
+  const UpdateBatchMsg batch = SeededBatch(2101, 37, 23);
+  const std::string bytes = EncodeUpdateBatch(batch);
+  EXPECT_EQ(bytes.size(), 1 + 8 + 1 + 8 + 37 * 64 + 8 + 23 * 88);
+  EXPECT_EQ(Crc32(bytes), 1781173823u);
+  RegisterMsg reg;
+  reg.query = batch.queries[5];
+  const std::string reg_bytes = EncodeRegister(reg);
+  EXPECT_EQ(reg_bytes.size(), 1 + 88);
+  EXPECT_EQ(Crc32(reg_bytes), 405992216u);
+
+  // And the bytes decode back to the same fields, bit for bit.
+  UpdateBatchMsg out;
+  ASSERT_TRUE(DecodeUpdateBatch(bytes, &out).ok());
+  EXPECT_EQ(EncodeUpdateBatch(out), bytes);
+  ASSERT_EQ(out.objects.size(), batch.objects.size());
+  ASSERT_EQ(out.queries.size(), batch.queries.size());
+  EXPECT_EQ(out.objects[3].oid, batch.objects[3].oid);
+  EXPECT_EQ(out.objects[3].attrs, batch.objects[3].attrs);
+  EXPECT_EQ(out.queries[7].required_attrs, batch.queries[7].required_attrs);
+  EXPECT_EQ(std::memcmp(&out.queries[7].range_height,
+                        &batch.queries[7].range_height, sizeof(double)),
+            0);
+}
+
+TEST(MessageTest, HostileUpdateCountsAreRefusedBeforeReserving) {
+  // One update more than the remaining bytes can hold: the count check
+  // refuses it up front (a typed error naming the count), instead of
+  // reserving for it and failing on a truncated update later. The batch
+  // sizes are large enough that an understated element size (60 or 84
+  // bytes) would let the hostile count through.
+  for (int kind = 0; kind < 2; ++kind) {
+    const UpdateBatchMsg batch =
+        kind == 0 ? SeededBatch(7, 20, 0) : SeededBatch(7, 0, 23);
+    std::string bytes = EncodeUpdateBatch(batch);
+    // type | time | evaluate | object count ...
+    const size_t count_at = kind == 0 ? 1 + 8 + 1 : 1 + 8 + 1 + 8;
+    const size_t element = kind == 0 ? 64 : 88;
+    const size_t remaining = bytes.size() - count_at - 8;
+    const uint64_t hostile = remaining / element + 1;
+    std::memcpy(bytes.data() + count_at, &hostile, sizeof(hostile));
+    UpdateBatchMsg out;
+    const Status s = DecodeUpdateBatch(bytes, &out);
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << s.ToString();
+    EXPECT_NE(s.message().find("count " + std::to_string(hostile) +
+                               " overruns"),
+              std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(out.objects.capacity() + out.queries.capacity(), 0u)
+        << "reserved for a count the payload cannot hold";
   }
 }
 

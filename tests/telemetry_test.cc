@@ -383,6 +383,14 @@ TEST(TelemetryTest, MetricsAndTraceFilesValidateAgainstSchema) {
                 std::string::npos)
           << "round " << i << " missing phase " << phase << ": " << lines[i];
     }
+    // The join's parts, every round, at one window too (where the window's
+    // sorted slice is the answer and no cross-window merge runs).
+    for (const char* part : {"prepare", "between", "within", "merge"}) {
+      EXPECT_NE(lines[i].find("\"name\":\"" + std::string(part) + "\""),
+                std::string::npos)
+          << "round " << i << " missing join part " << part << ": "
+          << lines[i];
+    }
     // Wall times are finite, non-negative numbers (JsonDouble already clamps
     // non-finite, so presence of a parseable value is the check; negativity
     // would print a leading '-').
@@ -519,8 +527,8 @@ TEST(TelemetryTest, MetricsMatchAcrossWindowCountsAndSpansArePresent) {
   const std::vector<std::string> lines = ReadLines(four.telemetry.trace_out);
   ASSERT_EQ(lines.size(), rounds.size() + 1);
   for (size_t i = 1; i < lines.size(); ++i) {
-    for (const char* span : {"ingest", "between", "within", "tighten", "shed",
-                             "expire", "translate"}) {
+    for (const char* span : {"ingest", "prepare", "between", "within", "merge",
+                             "tighten", "shed", "expire", "translate"}) {
       EXPECT_NE(lines[i].find("\"name\":\"" + std::string(span) + "\""),
                 std::string::npos)
           << "round " << i << " missing span " << span << ": " << lines[i];

@@ -41,12 +41,15 @@ SPAN_KEYS = {"id", "name", "parent", "wall_seconds", "count", "index",
 SPAN_REQUIRED = {"id", "name", "parent", "wall_seconds", "count"}
 JOIN_KEYS = {"shards", "imbalance"}
 
-# The complete span-name universe the engine emits. "engine_shard" is one
-# join window's scan; "recovery" covers online window recovery.
+# The complete span-name universe the engine emits. Under "join": "prepare"
+# builds the round's views, "between"/"within" split the window scans' worker
+# time, "merge" sorts each window's answer and merges the windows, and
+# "engine_shard" is one join window's scan. "recovery" covers online window
+# recovery.
 KNOWN_SPAN_NAMES = {
-    "round", "ingest", "join", "between", "within", "engine_shard",
-    "postjoin", "tighten", "shed", "expire", "translate", "recovery",
-    "checkpoint", "wal", "snapshot",
+    "round", "ingest", "join", "prepare", "between", "within", "merge",
+    "engine_shard", "postjoin", "tighten", "shed", "expire", "translate",
+    "recovery", "checkpoint", "wal", "snapshot",
 }
 # Per-window spans must be indexed (the window id) so consumers can attribute
 # load; their parent must be the phase span named here.
