@@ -1,25 +1,123 @@
 #include "cluster/cluster_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
+#include "common/check.h"
 #include "common/memory_usage.h"
 
 namespace scuba {
 
+namespace {
+
+constexpr size_t kMinBuckets = 16;
+
+uint32_t Tag(ClusterStore::Slot slot, EntityKind kind) {
+  return ((slot + 1) << 1) | static_cast<uint32_t>(kind);
+}
+
+std::string RefName(EntityRef ref) {
+  return std::string(ref.kind == EntityKind::kObject ? "object " : "query ") +
+         std::to_string(ref.id);
+}
+
+}  // namespace
+
+size_t ClusterStore::Probe(EntityRef ref) const {
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread the dense,
+  // sequential ids a workload assigns across the table.
+  const uint64_t key = (static_cast<uint64_t>(ref.kind) << 32) | ref.id;
+  const size_t mask = buckets_.size() - 1;
+  const int shift = 64 - std::countr_zero(buckets_.size());
+  size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+  const uint32_t kind = static_cast<uint32_t>(ref.kind);
+  for (;;) {
+    const Bucket& b = buckets_[i];
+    if (b.tag == 0 || (b.id == ref.id && (b.tag & 1u) == kind)) return i;
+    i = (i + 1) & mask;
+  }
+}
+
+ClusterStore::Slot ClusterStore::FindSlot(EntityRef ref) const {
+  if (buckets_.empty()) return kNoSlot;
+  const Bucket& b = buckets_[Probe(ref)];
+  return b.tag == 0 ? kNoSlot : (b.tag >> 1) - 1;
+}
+
+void ClusterStore::Grow() {
+  const size_t capacity = std::max(kMinBuckets, 2 * buckets_.size());
+  // Tags keep slot + 1 in 31 bits.
+  SCUBA_CHECK_MSG(capacity / 2 < (size_t{1} << 31), "entity slot table full");
+  buckets_.assign(capacity, Bucket{});
+  rows_.reserve(capacity / 2);
+  for (Slot s = 0; s < rows_.size(); ++s) {
+    const SlotRow& row = rows_[s];
+    buckets_[Probe(row.Ref())] = Bucket{row.id, Tag(s, row.kind)};
+  }
+}
+
+ClusterStore::Slot ClusterStore::InternSlot(EntityRef ref) {
+  if (2 * (rows_.size() + 1) > buckets_.size()) Grow();
+  Bucket& b = buckets_[Probe(ref)];
+  if (b.tag != 0) return (b.tag >> 1) - 1;
+  const Slot slot = static_cast<Slot>(rows_.size());
+  b = Bucket{ref.id, Tag(slot, ref.kind)};
+  SlotRow row;
+  row.id = ref.id;
+  row.kind = ref.kind;
+  rows_.push_back(row);
+  return slot;
+}
+
+ClusterStore::Slot ClusterStore::UpsertAttrs(EntityRef ref, uint64_t attrs) {
+  const Slot slot = InternSlot(ref);
+  SlotRow& row = rows_[slot];
+  if (!row.has_attrs) {
+    row.has_attrs = true;
+    ++attr_rows_[static_cast<size_t>(ref.kind)];
+  }
+  row.attrs = attrs;
+  return slot;
+}
+
+void ClusterStore::HomeSlot(Slot slot, ClusterId cid, uint32_t member_index) {
+  SlotRow& row = rows_[slot];
+  row.home = cid;
+  row.member_index = member_index;
+}
+
+void ClusterStore::RepointMember(EntityRef ref, uint32_t member_index) {
+  const Slot slot = FindSlot(ref);
+  SCUBA_CHECK_MSG(slot != kNoSlot, "moved member has no entity slot");
+  rows_[slot].member_index = member_index;
+}
+
 Status ClusterStore::AddCluster(MovingCluster cluster) {
-  ClusterId cid = cluster.cid();
+  const ClusterId cid = cluster.cid();
   if (clusters_.contains(cid)) {
     return Status::AlreadyExists("cluster " + std::to_string(cid) +
                                  " already stored");
   }
-  for (const ClusterMember& m : cluster.members()) {
-    if (home_.contains(m.Ref())) {
-      return Status::AlreadyExists("member already belongs to another cluster");
+  const std::vector<ClusterMember>& members = cluster.members();
+  for (size_t i = 0; i < members.size(); ++i) {
+    const Slot slot = InternSlot(members[i].Ref());
+    if (rows_[slot].home == kInvalidClusterId) {
+      HomeSlot(slot, cid, static_cast<uint32_t>(i));
+      continue;
     }
-  }
-  for (const ClusterMember& m : cluster.members()) {
-    home_.emplace(m.Ref(), cid);
+    // Already homed elsewhere, or homed by an earlier member of this very
+    // cluster (a duplicate): undo this call's homes. Slots it appended stay,
+    // unhomed and attr-less, which no query distinguishes from absent.
+    const bool duplicate = rows_[slot].home == cid;
+    for (size_t j = 0; j < i; ++j) {
+      const Slot undo = FindSlot(members[j].Ref());
+      if (rows_[undo].home == cid) UnhomeSlot(undo);
+    }
+    return Status::AlreadyExists(
+        RefName(members[i].Ref()) +
+        (duplicate ? " is listed twice in cluster " + std::to_string(cid)
+                   : " already belongs to another cluster"));
   }
   clusters_.emplace(cid, std::move(cluster));
   return Status::OK();
@@ -41,52 +139,74 @@ Status ClusterStore::RemoveCluster(ClusterId cid) {
     return Status::NotFound("cluster " + std::to_string(cid) + " not stored");
   }
   for (const ClusterMember& m : it->second.members()) {
-    home_.erase(m.Ref());
+    const Slot slot = FindSlot(m.Ref());
+    if (slot != kNoSlot && rows_[slot].home == cid) UnhomeSlot(slot);
   }
   clusters_.erase(it);
   return Status::OK();
 }
 
 ClusterId ClusterStore::HomeOf(EntityRef ref) const {
-  auto it = home_.find(ref);
-  return it == home_.end() ? kInvalidClusterId : it->second;
+  const Slot slot = FindSlot(ref);
+  return slot == kNoSlot ? kInvalidClusterId : rows_[slot].home;
 }
 
-Status ClusterStore::SetHome(EntityRef ref, ClusterId cid) {
+Status ClusterStore::SetHome(EntityRef ref, ClusterId cid,
+                             uint32_t member_index) {
   if (!clusters_.contains(cid)) {
     return Status::NotFound("cluster " + std::to_string(cid) + " not stored");
   }
-  auto [it, inserted] = home_.emplace(ref, cid);
-  (void)it;
-  if (!inserted) {
+  const Slot slot = InternSlot(ref);
+  if (rows_[slot].home != kInvalidClusterId) {
     return Status::AlreadyExists("entity already has a home cluster");
   }
+  HomeSlot(slot, cid, member_index);
   return Status::OK();
 }
 
 Status ClusterStore::ClearHome(EntityRef ref) {
-  if (home_.erase(ref) == 0) {
+  const Slot slot = FindSlot(ref);
+  if (slot == kNoSlot || rows_[slot].home == kInvalidClusterId) {
     return Status::NotFound("entity has no home cluster");
   }
+  UnhomeSlot(slot);
   return Status::OK();
 }
 
 Result<uint64_t> ClusterStore::ObjectAttrs(ObjectId oid) const {
-  auto it = objects_.find(oid);
-  if (it == objects_.end()) {
+  const Slot slot = FindSlot(EntityRef{EntityKind::kObject, oid});
+  if (slot == kNoSlot || !rows_[slot].has_attrs) {
     return Status::NotFound("object " + std::to_string(oid) +
                             " not in ObjectsTable");
   }
-  return it->second;
+  return rows_[slot].attrs;
 }
 
 Result<uint64_t> ClusterStore::QueryAttrs(QueryId qid) const {
-  auto it = queries_.find(qid);
-  if (it == queries_.end()) {
+  const Slot slot = FindSlot(EntityRef{EntityKind::kQuery, qid});
+  if (slot == kNoSlot || !rows_[slot].has_attrs) {
     return Status::NotFound("query " + std::to_string(qid) +
                             " not in QueriesTable");
   }
-  return it->second;
+  return rows_[slot].attrs;
+}
+
+std::vector<std::pair<uint32_t, uint64_t>> ClusterStore::SortedAttrRows(
+    EntityKind kind) const {
+  std::vector<std::pair<uint32_t, uint64_t>> rows;
+  rows.reserve(attr_rows_[static_cast<size_t>(kind)]);
+  for (const SlotRow& row : rows_) {
+    if (row.has_attrs && row.kind == kind) rows.emplace_back(row.id, row.attrs);
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+size_t ClusterStore::HomeCount() const {
+  return static_cast<size_t>(
+      std::count_if(rows_.begin(), rows_.end(), [](const SlotRow& row) {
+        return row.home != kInvalidClusterId;
+      }));
 }
 
 std::vector<ClusterId> ClusterStore::SortedClusterIds() const {
@@ -102,12 +222,12 @@ std::vector<ClusterId> ClusterStore::SortedClusterIds() const {
 
 void ClusterStore::Clear() {
   clusters_.clear();
-  home_.clear();
-  objects_.clear();
-  queries_.clear();
+  buckets_ = {};
+  rows_ = {};
+  attr_rows_[0] = attr_rows_[1] = 0;
 }
 
-Status ClusterStore::ValidateConsistency() const {
+Status ClusterStore::ValidateHomeTotals() const {
   size_t member_total = 0;
   for (const auto& [cid, cluster] : clusters_) {
     if (cluster.cid() != cid) {
@@ -118,27 +238,50 @@ Status ClusterStore::ValidateConsistency() const {
                               " should have been dissolved");
     }
     member_total += cluster.size();
-    for (const ClusterMember& m : cluster.members()) {
-      auto it = home_.find(m.Ref());
-      if (it == home_.end()) {
-        return Status::Internal("member has no ClusterHome entry");
-      }
-      if (it->second != cid) {
-        return Status::Internal("member's ClusterHome points elsewhere");
-      }
-    }
   }
-  if (member_total != home_.size()) {
-    return Status::Internal("ClusterHome has entries for non-members");
+  const size_t homed = HomeCount();
+  if (homed != member_total) {
+    return Status::Internal(std::to_string(homed) + " homed entity slots for " +
+                            std::to_string(member_total) + " cluster members");
   }
   return Status::OK();
 }
 
+Status ClusterStore::ValidateMemberSlots(const MovingCluster& cluster) const {
+  const std::vector<ClusterMember>& members = cluster.members();
+  for (size_t i = 0; i < members.size(); ++i) {
+    const EntityRef ref = members[i].Ref();
+    auto fail = [&](const std::string& what) {
+      return Status::Internal("member " + RefName(ref) + " at index " +
+                              std::to_string(i) + what);
+    };
+    const Slot slot = FindSlot(ref);
+    if (slot == kNoSlot) return fail(" has no entity slot");
+    const SlotRow& row = rows_[slot];
+    if (row.home == kInvalidClusterId) return fail(" has no home");
+    if (row.home != cluster.cid()) {
+      return fail("'s slot is homed at cluster " + std::to_string(row.home));
+    }
+    if (row.member_index != i) {
+      return fail("'s slot names index " + std::to_string(row.member_index));
+    }
+  }
+  return Status::OK();
+}
+
+Status ClusterStore::ValidateConsistency() const {
+  for (const auto& [cid, cluster] : clusters_) {
+    if (Status s = ValidateMemberSlots(cluster); !s.ok()) {
+      return Status::Internal("cluster " + std::to_string(cid) + ": " +
+                              s.message());
+    }
+  }
+  return ValidateHomeTotals();
+}
+
 size_t ClusterStore::EstimateMemoryUsage() const {
   size_t bytes = UnorderedMapMemoryUsage(clusters_) +
-                 UnorderedMapMemoryUsage(home_) +
-                 UnorderedMapMemoryUsage(objects_) +
-                 UnorderedMapMemoryUsage(queries_);
+                 VectorMemoryUsage(buckets_) + VectorMemoryUsage(rows_);
   for (const auto& [cid, cluster] : clusters_) {
     (void)cid;
     bytes += cluster.EstimateMemoryUsage();

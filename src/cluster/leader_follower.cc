@@ -87,38 +87,43 @@ Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
   const NodeId dest = (kind == EntityKind::kObject) ? obj->dest_node
                                                     : qry->dest_node;
   const uint32_t id = (kind == EntityKind::kObject) ? obj->oid : qry->qid;
+  const uint64_t attrs = (kind == EntityKind::kObject) ? obj->attrs
+                                                       : qry->attrs;
   const EntityRef ref{kind, id};
 
-  // Keep the paper's ObjectsTable / QueriesTable current.
-  if (kind == EntityKind::kObject) {
-    store_->UpsertObjectAttrs(obj->oid, obj->attrs);
-  } else {
-    store_->UpsertQueryAttrs(qry->qid, qry->attrs);
-  }
+  // The update's one slot-table lookup: keeps the paper's ObjectsTable /
+  // QueriesTable current and yields the entity's home and member index.
+  const ClusterStore::Slot slot = store_->UpsertAttrs(ref, attrs);
 
   // Fast path: the entity already lives in a cluster; refresh it in place if
   // it still satisfies the admission conditions.
-  ClusterId home = store_->HomeOf(ref);
+  const ClusterId home = store_->SlotHome(slot);
   if (home != kInvalidClusterId) {
     MovingCluster* cluster = store_->GetCluster(home);
     SCUBA_CHECK_MSG(cluster != nullptr, "ClusterHome points at a missing cluster");
+    const size_t index = store_->SlotMemberIndex(slot);
     if (cluster->SatisfiesJoinConditions(position, speed, dest,
                                          options_.theta_d, options_.theta_s)) {
       Status s = (kind == EntityKind::kObject)
-                     ? cluster->UpdateObjectMember(*obj)
-                     : cluster->UpdateQueryMember(*qry);
+                     ? cluster->UpdateObjectMember(index, *obj)
+                     : cluster->UpdateQueryMember(index, *qry);
       SCUBA_RETURN_IF_ERROR(s);
       ++stats_.members_refreshed;
       if (nucleus_radius_ > 0.0 &&
-          cluster->ShedMemberIfInNucleus(ref, nucleus_radius_)) {
+          cluster->ShedMemberIfInNucleus(index, nucleus_radius_)) {
         ++stats_.members_shed;
       }
       return SyncGrid(cluster);
     }
     // Conditions no longer hold (typically: passed a connection node and the
-    // destination changed) — leave and re-cluster below.
-    SCUBA_RETURN_IF_ERROR(cluster->RemoveMember(ref));
-    SCUBA_RETURN_IF_ERROR(store_->ClearHome(ref));
+    // destination changed) — leave and re-cluster below. The swap-remove
+    // moves the tail member into the hole; its slot follows it.
+    SCUBA_RETURN_IF_ERROR(cluster->RemoveMember(index, ref));
+    store_->UnhomeSlot(slot);
+    if (index < cluster->size()) {
+      store_->RepointMember(cluster->members()[index].Ref(),
+                            static_cast<uint32_t>(index));
+    }
     ++stats_.members_departed;
     if (cluster->size() == 0) {
       SCUBA_RETURN_IF_ERROR(grid_->Remove(home));
@@ -138,10 +143,11 @@ Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
     } else {
       cluster->AbsorbQuery(*qry);
     }
-    SCUBA_RETURN_IF_ERROR(store_->SetHome(ref, target));
+    const size_t index = cluster->size() - 1;  // absorbed at the back
+    store_->HomeSlot(slot, target, static_cast<uint32_t>(index));
     ++stats_.members_absorbed;
     if (nucleus_radius_ > 0.0 &&
-        cluster->ShedMemberIfInNucleus(ref, nucleus_radius_)) {
+        cluster->ShedMemberIfInNucleus(index, nucleus_radius_)) {
       ++stats_.members_shed;
     }
     return SyncGrid(cluster);

@@ -1,10 +1,11 @@
 #include "cluster/moving_cluster.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
-#include "common/memory_usage.h"
 
 namespace scuba {
 
@@ -36,7 +37,6 @@ MovingCluster MovingCluster::FromObject(ClusterId cid, const LocationUpdate& u) 
   m.attrs = u.attrs;
   m.update_time = u.time;
   c.members_.push_back(m);
-  c.member_index_.emplace(m.Ref(), 0);
   c.object_count_ = 1;
   return c;
 }
@@ -55,7 +55,6 @@ MovingCluster MovingCluster::FromQuery(ClusterId cid, const QueryUpdate& u) {
   m.required_attrs = u.required_attrs;
   m.update_time = u.time;
   c.members_.push_back(m);
-  c.member_index_.emplace(m.Ref(), 0);
   c.query_count_ = 1;
   c.query_reach_ = MemberReach(m);
   return c;
@@ -103,7 +102,6 @@ void MovingCluster::AbsorbCommon(ClusterMember m, Point position) {
   } else {
     ++query_count_;
   }
-  member_index_.emplace(m.Ref(), members_.size());
   members_.push_back(m);
   query_reach_ = std::max(query_reach_, MemberReach(members_.back()));
   SetCentroid(new_centroid);
@@ -133,20 +131,16 @@ void MovingCluster::AbsorbQuery(const QueryUpdate& u) {
   AbsorbCommon(m, u.position);
 }
 
-size_t MovingCluster::MemberIndexOf(EntityRef ref) const {
-  auto it = member_index_.find(ref);
-  return it == member_index_.end() ? members_.size() : it->second;
-}
-
-Status MovingCluster::UpdateCommon(EntityRef ref, Point position, double speed,
+Status MovingCluster::UpdateCommon(size_t index, EntityRef ref,
+                                   Point position, double speed,
                                    uint64_t attrs, Timestamp time,
                                    double range_w, double range_h,
                                    uint64_t required_attrs) {
-  size_t index = MemberIndexOf(ref);
-  if (index == members_.size()) {
-    return Status::NotFound("entity is not a member of this cluster");
+  if (index >= members_.size() || members_[index].Ref() != ref) {
+    return Status::NotFound("entity is not member " + std::to_string(index) +
+                            " of cluster " + std::to_string(cid_));
   }
-  auto it = members_.begin() + static_cast<ptrdiff_t>(index);
+  auto it = members_.begin() + static_cast<std::ptrdiff_t>(index);
   Point old_pos = MemberPosition(*it);
   position_sum_.x += position.x - old_pos.x;
   position_sum_.y += position.y - old_pos.y;
@@ -171,23 +165,24 @@ Status MovingCluster::UpdateCommon(EntityRef ref, Point position, double speed,
   return Status::OK();
 }
 
-Status MovingCluster::UpdateObjectMember(const LocationUpdate& u) {
-  return UpdateCommon(EntityRef{EntityKind::kObject, u.oid}, u.position,
+Status MovingCluster::UpdateObjectMember(size_t index,
+                                         const LocationUpdate& u) {
+  return UpdateCommon(index, EntityRef{EntityKind::kObject, u.oid}, u.position,
                       u.speed, u.attrs, u.time, 0.0, 0.0, 0);
 }
 
-Status MovingCluster::UpdateQueryMember(const QueryUpdate& u) {
-  return UpdateCommon(EntityRef{EntityKind::kQuery, u.qid}, u.position, u.speed,
-                      u.attrs, u.time, u.range_width, u.range_height,
+Status MovingCluster::UpdateQueryMember(size_t index, const QueryUpdate& u) {
+  return UpdateCommon(index, EntityRef{EntityKind::kQuery, u.qid}, u.position,
+                      u.speed, u.attrs, u.time, u.range_width, u.range_height,
                       u.required_attrs);
 }
 
-Status MovingCluster::RemoveMember(EntityRef ref) {
-  size_t index = MemberIndexOf(ref);
-  if (index == members_.size()) {
-    return Status::NotFound("entity is not a member of this cluster");
+Status MovingCluster::RemoveMember(size_t index, EntityRef ref) {
+  if (index >= members_.size() || members_[index].Ref() != ref) {
+    return Status::NotFound("entity is not member " + std::to_string(index) +
+                            " of cluster " + std::to_string(cid_));
   }
-  auto it = members_.begin() + static_cast<ptrdiff_t>(index);
+  auto it = members_.begin() + static_cast<std::ptrdiff_t>(index);
   Point pos = MemberPosition(*it);
   position_sum_.x -= pos.x;
   position_sum_.y -= pos.y;
@@ -197,12 +192,8 @@ Status MovingCluster::RemoveMember(EntityRef ref) {
   } else {
     --query_count_;
   }
-  member_index_.erase(ref);
   *it = members_.back();
   members_.pop_back();
-  if (index < members_.size()) {
-    member_index_[it->Ref()] = index;  // the swapped-in tail member moved
-  }
   if (!members_.empty()) {
     const double n = static_cast<double>(members_.size());
     SetCentroid(Point{position_sum_.x / n, position_sum_.y / n});
@@ -211,8 +202,10 @@ Status MovingCluster::RemoveMember(EntityRef ref) {
 }
 
 const ClusterMember* MovingCluster::FindMember(EntityRef ref) const {
-  size_t index = MemberIndexOf(ref);
-  return index == members_.size() ? nullptr : &members_[index];
+  for (const ClusterMember& m : members_) {
+    if (m.Ref() == ref) return &m;
+  }
+  return nullptr;
 }
 
 void MovingCluster::CountExactMembers(size_t* exact_objects,
@@ -370,10 +363,10 @@ size_t MovingCluster::ShedPositions(double nucleus_radius) {
   return shed_count;
 }
 
-bool MovingCluster::ShedMemberIfInNucleus(EntityRef ref, double nucleus_radius) {
+bool MovingCluster::ShedMemberIfInNucleus(size_t index,
+                                          double nucleus_radius) {
   if (nucleus_radius <= 0.0) return false;
-  size_t index = MemberIndexOf(ref);
-  if (index == members_.size() || members_[index].shed) return false;
+  if (index >= members_.size() || members_[index].shed) return false;
   EnsureNucleus(nucleus_radius);
   const Point nc = NucleusCenter();
   if (SquaredDistance(MemberPosition(members_[index]), nc) >
@@ -386,27 +379,11 @@ bool MovingCluster::ShedMemberIfInNucleus(EntityRef ref, double nucleus_radius) 
   return true;
 }
 
-Status MovingCluster::ValidateMemberIndex() const {
-  if (member_index_.size() != members_.size()) {
-    return Status::Internal(
-        "cluster " + std::to_string(cid_) + ": member index has " +
-        std::to_string(member_index_.size()) + " entries for " +
-        std::to_string(members_.size()) + " members");
-  }
+Status MovingCluster::ValidateMemberCounts() const {
   size_t objects = 0;
   size_t queries = 0;
-  for (size_t i = 0; i < members_.size(); ++i) {
-    const ClusterMember& m = members_[i];
+  for (const ClusterMember& m : members_) {
     (m.kind == EntityKind::kObject ? objects : queries) += 1;
-    auto it = member_index_.find(m.Ref());
-    if (it == member_index_.end() || it->second != i) {
-      return Status::Internal(
-          "cluster " + std::to_string(cid_) + ": member " +
-          std::to_string(m.id) + " at slot " + std::to_string(i) +
-          (it == member_index_.end() ? " missing from the index"
-                                     : " indexed at slot " +
-                                           std::to_string(it->second)));
-    }
   }
   if (objects != object_count_ || queries != query_count_) {
     return Status::Internal(
@@ -422,7 +399,7 @@ size_t MovingCluster::EstimateMemoryUsage() const {
   // A maintained member pays for its full record; a shed member's position
   // state (polar coordinate + anchor) is discarded (paper §5).
   constexpr size_t kPositionBytes = sizeof(PolarCoord) + sizeof(Point);
-  size_t bytes = sizeof(MovingCluster) + UnorderedMapMemoryUsage(member_index_);
+  size_t bytes = sizeof(MovingCluster);
   for (const ClusterMember& m : members_) {
     bytes += sizeof(ClusterMember);
     if (m.shed) bytes -= kPositionBytes;

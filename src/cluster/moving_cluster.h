@@ -22,11 +22,16 @@
 // lets the join evaluate one predicate per (query, nucleus) instead of one
 // per shed member. The nucleus re-anchors to the centroid during post-join
 // maintenance so it travels with the cluster.
+//
+// Member operations take the member's index in members(); the ClusterStore's
+// entity slot remembers each homed entity's index, so the ingest path reaches
+// a member without any per-cluster lookup structure. RemoveMember swap-
+// removes: the tail member moves into the hole, and the caller re-points that
+// member's slot.
 
 #ifndef SCUBA_CLUSTER_MOVING_CLUSTER_H_
 #define SCUBA_CLUSTER_MOVING_CLUSTER_H_
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -127,19 +132,21 @@ class MovingCluster {
   void AbsorbObject(const LocationUpdate& u);
   void AbsorbQuery(const QueryUpdate& u);
 
-  /// Refreshes an existing member from a new update. NotFound if absent.
-  Status UpdateObjectMember(const LocationUpdate& u);
-  Status UpdateQueryMember(const QueryUpdate& u);
+  /// Refreshes members()[index] from a new update. NotFound unless that
+  /// member is the update's entity.
+  Status UpdateObjectMember(size_t index, const LocationUpdate& u);
+  Status UpdateQueryMember(size_t index, const QueryUpdate& u);
 
-  /// Removes a member (it re-clusters elsewhere). NotFound if absent.
-  Status RemoveMember(EntityRef ref);
+  /// Removes members()[index] (it re-clusters elsewhere) by moving the tail
+  /// member into the hole. NotFound unless that member is `ref`.
+  Status RemoveMember(size_t index, EntityRef ref);
 
   /// Reconstructed absolute position of a member.
   Point MemberPosition(const ClusterMember& m) const {
     return FromPolar(m.rel, m.anchor + translation_);
   }
 
-  /// Looks up a member by reference; nullptr if absent.
+  /// Looks up a member by reference (a linear scan); nullptr if absent.
   const ClusterMember* FindMember(EntityRef ref) const;
 
   /// Tallies the exact (non-shed) members by kind without reconstructing
@@ -175,10 +182,10 @@ class MovingCluster {
   /// cluster has none yet. Returns the number of members shed.
   size_t ShedPositions(double nucleus_radius);
 
-  /// Targeted single-member variant used on the ingest path: sheds `ref` iff
-  /// it currently lies within the (possibly newly created) nucleus. Returns
-  /// true when the member was shed.
-  bool ShedMemberIfInNucleus(EntityRef ref, double nucleus_radius);
+  /// Targeted single-member variant used on the ingest path: sheds
+  /// members()[index] iff it currently lies within the (possibly newly
+  /// created) nucleus. Returns true when the member was shed.
+  bool ShedMemberIfInNucleus(size_t index, double nucleus_radius);
 
   /// Bookkeeping for lazy ClusterGrid registration: the (padded) circle this
   /// cluster is currently registered under. Owned by the grid-sync logic; a
@@ -192,11 +199,11 @@ class MovingCluster {
   /// has_nucleus().
   Point NucleusCenter() const { return nucleus_anchor_ + translation_; }
 
-  /// Verifies the member bookkeeping invariants: the id->index side map is a
-  /// exact bijection onto members_, and object/query counts match the member
-  /// tally. Internal status naming the first violation; OK otherwise. Audit
-  /// aid (ScubaEngine::AuditInvariants).
-  Status ValidateMemberIndex() const;
+  /// Verifies that the object/query counts match the member tally. Internal
+  /// status naming the mismatch; OK otherwise. Audit aid
+  /// (ScubaEngine::AuditInvariants; the member <-> slot bijection is the
+  /// store's ClusterStore::ValidateMemberSlots).
+  Status ValidateMemberCounts() const;
 
   /// Analytic heap bytes. Shed members do not pay for position state (the
   /// paper's memory saving); maintained members pay the full member record.
@@ -210,12 +217,8 @@ class MovingCluster {
   /// Shared absorb path; `m.rel`/`m.anchor` set from `position`.
   void AbsorbCommon(ClusterMember m, Point position);
 
-  /// Index of `ref` in members_, or members_.size() if absent (O(1) via the
-  /// member_index_ side map).
-  size_t MemberIndexOf(EntityRef ref) const;
-
   /// Shared member-refresh path.
-  Status UpdateCommon(EntityRef ref, Point position, double speed,
+  Status UpdateCommon(size_t index, EntityRef ref, Point position, double speed,
                       uint64_t attrs, Timestamp time, double range_w,
                       double range_h, uint64_t required_attrs);
 
@@ -251,10 +254,6 @@ class MovingCluster {
   double nucleus_radius_ = 0.0;
   Circle registered_bounds_;    ///< See registered_bounds().
   std::vector<ClusterMember> members_;
-  /// Member reference -> index in members_, maintained with swap-and-pop on
-  /// removal, so the per-update hot path (refresh/depart lookups) is O(1)
-  /// instead of a linear scan over the member vector.
-  std::unordered_map<EntityRef, size_t, EntityRefHash> member_index_;
 };
 
 }  // namespace scuba

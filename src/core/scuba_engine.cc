@@ -411,7 +411,7 @@ InvariantAuditReport ScubaEngine::AuditCells(uint32_t cell_begin,
     return cell >= cell_begin && cell < cell_end;
   };
   if (in_window(0)) {
-    if (Status s = store_.ValidateConsistency(); !s.ok()) {
+    if (Status s = store_.ValidateHomeTotals(); !s.ok()) {
       AddViolation(&report, prefix + "store: " + s.message());
     }
   }
@@ -430,7 +430,12 @@ InvariantAuditReport ScubaEngine::AuditCells(uint32_t cell_begin,
     // registered cell, so every cluster is checked by exactly one window.
     if (in_window(expected.front())) {
       ++report.clusters_checked;
-      if (Status s = cluster->ValidateMemberIndex(); !s.ok()) {
+      // Member bookkeeping: each member's entity slot names this cluster
+      // and the member's index, and the kind counts match the members.
+      if (Status s = store_.ValidateMemberSlots(*cluster); !s.ok()) {
+        AddViolation(&report, tag + ": " + s.message());
+      }
+      if (Status s = cluster->ValidateMemberCounts(); !s.ok()) {
         AddViolation(&report, tag + ": " + s.message());
       }
       // Radius invariant: the bounding circle covers every reconstructed

@@ -45,17 +45,6 @@ Status GetCircle(ByteReader* r, Circle* c) {
   return r->GetDouble(&c->radius);
 }
 
-template <typename Id>
-void PutAttrTable(ByteWriter* w, const std::unordered_map<Id, uint64_t>& t) {
-  std::vector<std::pair<Id, uint64_t>> rows(t.begin(), t.end());
-  std::sort(rows.begin(), rows.end());
-  w->PutU64(rows.size());
-  for (const auto& [id, attrs] : rows) {
-    w->PutU32(id);
-    w->PutU64(attrs);
-  }
-}
-
 }  // namespace
 
 uint64_t OptionsFingerprint(const ScubaOptions& options) {
@@ -212,10 +201,15 @@ Result<MovingCluster> PersistAccess::LoadCluster(ByteReader* r) {
     SCUBA_RETURN_IF_ERROR(r->GetI64(&m.update_time));
     SCUBA_RETURN_IF_ERROR(r->GetBool(&m.shed));
     SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.approx_radius));
-    c.member_index_.emplace(m.Ref(), c.members_.size());
     c.members_.push_back(std::move(m));
   }
-  if (c.member_index_.size() != c.members_.size()) {
+  std::vector<uint64_t> refs;
+  refs.reserve(c.members_.size());
+  for (const ClusterMember& m : c.members_) {
+    refs.push_back((static_cast<uint64_t>(m.kind) << 32) | m.id);
+  }
+  std::sort(refs.begin(), refs.end());
+  if (std::adjacent_find(refs.begin(), refs.end()) != refs.end()) {
     return Status::DataLoss("cluster " + std::to_string(cid) +
                             " carries duplicate member references");
   }
@@ -225,13 +219,24 @@ Result<MovingCluster> PersistAccess::LoadCluster(ByteReader* r) {
 void PersistAccess::SaveStoreState(const ClusterStore& store,
                                    const GridIndex& grid, ByteWriter* w) {
   w->PutU32(store.next_cid_);
-  PutAttrTable(w, store.objects_);
-  PutAttrTable(w, store.queries_);
+  SaveAttrTables(store, w);
   const std::vector<ClusterId> cids = store.SortedClusterIds();
   w->PutU64(cids.size());
   for (ClusterId cid : cids) {
     SaveCluster(*store.GetCluster(cid), w);
     w->PutBool(grid.Contains(cid));
+  }
+}
+
+void PersistAccess::SaveAttrTables(const ClusterStore& store, ByteWriter* w) {
+  for (EntityKind kind : {EntityKind::kObject, EntityKind::kQuery}) {
+    const std::vector<std::pair<uint32_t, uint64_t>> rows =
+        store.SortedAttrRows(kind);
+    w->PutU64(rows.size());
+    for (const auto& [id, attrs] : rows) {
+      w->PutU32(id);
+      w->PutU64(attrs);
+    }
   }
 }
 
@@ -336,12 +341,15 @@ void PersistAccess::NoteAdmitted(UpdateValidator* v, EntityKind kind,
 
 void PersistAccess::SaveEvalStats(const EvalStats& s, ByteWriter* w) {
   // Fixed field order — extend only by appending (bump the manifest version
-  // when the layout changes incompatibly).
+  // when the layout changes incompatibly). Every wall-clock seconds slot is
+  // written as 0.0 so two checkpoints of one run are byte-identical; timing
+  // totals restart at zero after a restore.
+  constexpr double kWallClock = 0.0;
   w->PutU64(s.evaluations);
-  w->PutDouble(s.total_join_seconds);
-  w->PutDouble(s.total_maintenance_seconds);
-  w->PutDouble(s.last_join_seconds);
-  w->PutDouble(s.last_maintenance_seconds);
+  w->PutDouble(kWallClock);  // total_join_seconds
+  w->PutDouble(kWallClock);  // total_maintenance_seconds
+  w->PutDouble(kWallClock);  // last_join_seconds
+  w->PutDouble(kWallClock);  // last_maintenance_seconds
   w->PutU64(s.total_results);
   w->PutU64(s.last_result_count);
   w->PutU64(s.comparisons);
@@ -349,28 +357,27 @@ void PersistAccess::SaveEvalStats(const EvalStats& s, ByteWriter* w) {
   w->PutU64(s.cluster_pairs_tested);
   w->PutU64(s.cluster_pairs_overlapping);
   w->PutU32(s.join_threads);
-  w->PutDouble(s.last_join_worker_seconds);
-  w->PutDouble(s.total_join_worker_seconds);
+  w->PutDouble(kWallClock);  // last_join_worker_seconds
+  w->PutDouble(kWallClock);  // total_join_worker_seconds
   // Retired slot: the ingest thread count, always 1 (ingest is serial).
   w->PutU32(1);
-  w->PutDouble(s.last_ingest_seconds);
-  w->PutDouble(s.total_ingest_seconds);
-  w->PutDouble(s.last_postjoin_seconds);
-  w->PutDouble(s.total_postjoin_seconds);
-  // Retired slots: the ingest worker seconds, which always equalled the
-  // serial ingest wall seconds.
-  w->PutDouble(s.last_ingest_seconds);
-  w->PutDouble(s.total_ingest_seconds);
-  w->PutDouble(s.last_postjoin_worker_seconds);
-  w->PutDouble(s.total_postjoin_worker_seconds);
+  w->PutDouble(kWallClock);  // last_ingest_seconds
+  w->PutDouble(kWallClock);  // total_ingest_seconds
+  w->PutDouble(kWallClock);  // last_postjoin_seconds
+  w->PutDouble(kWallClock);  // total_postjoin_seconds
+  // Retired slots: the ingest worker seconds.
+  w->PutDouble(kWallClock);
+  w->PutDouble(kWallClock);
+  w->PutDouble(kWallClock);  // last_postjoin_worker_seconds
+  w->PutDouble(kWallClock);  // total_postjoin_worker_seconds
   w->PutU64(s.updates_quarantined);
   w->PutU64(s.invariant_audits);
   w->PutU64(s.invariant_violations);
   w->PutU64(s.invariant_repairs);
   w->PutU64(s.checkpoints_written);
   w->PutU64(s.last_checkpoint_bytes);
-  w->PutDouble(s.last_checkpoint_seconds);
-  w->PutDouble(s.total_checkpoint_seconds);
+  w->PutDouble(kWallClock);  // last_checkpoint_seconds
+  w->PutDouble(kWallClock);  // total_checkpoint_seconds
   w->PutU64(s.wal_records_appended);
   w->PutU64(s.wal_fsyncs);
   w->PutU64(s.wal_bytes_appended);

@@ -94,6 +94,10 @@ struct PersistAccess {
   /// flag telling whether `grid` holds it.
   static void SaveStoreState(const ClusterStore& store, const GridIndex& grid,
                              ByteWriter* w);
+  /// The ObjectsTable then the QueriesTable as (id, attrs) rows ascending by
+  /// id (ClusterStore::SortedAttrRows), so the bytes do not depend on the
+  /// store's slot order.
+  static void SaveAttrTables(const ClusterStore& store, ByteWriter* w);
   static void SaveCluster(const MovingCluster& cluster, ByteWriter* w);
   static Result<MovingCluster> LoadCluster(ByteReader* r);
   static void SaveValidatorState(const UpdateValidator& v, ByteWriter* w);

@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,18 +19,6 @@ namespace scuba {
 namespace {
 
 namespace fs = std::filesystem;
-
-template <typename Id>
-void PutSortedAttrTable(ByteWriter* w,
-                        const std::unordered_map<Id, uint64_t>& table) {
-  std::vector<std::pair<Id, uint64_t>> rows(table.begin(), table.end());
-  std::sort(rows.begin(), rows.end());
-  w->PutU64(rows.size());
-  for (const auto& [id, attrs] : rows) {
-    w->PutU32(id);
-    w->PutU64(attrs);
-  }
-}
 
 std::string ShardDir(const std::string& root, uint32_t shard_index) {
   return (fs::path(root) / ShardDirName(shard_index)).string();
@@ -255,8 +242,7 @@ void PersistAccess::SaveCoordinatorState(const ScubaEngine& e,
                                          const UpdateValidator* validator,
                                          const Rng* rng, ByteWriter* w) {
   w->PutU32(e.store_.next_cid_);
-  PutSortedAttrTable(w, e.store_.objects_);
-  PutSortedAttrTable(w, e.store_.queries_);
+  SaveAttrTables(e.store_, w);
   SaveEvalStats(e.stats_, w);
   w->PutU64(e.phase_stats_.clusters_dissolved_expired);
   w->PutU64(e.phase_stats_.members_shed_maintenance);
@@ -268,9 +254,10 @@ void PersistAccess::SaveCoordinatorState(const ScubaEngine& e,
   w->PutU64(cs.members_departed);
   w->PutU64(cs.clusters_dissolved_empty);
   w->PutU64(cs.members_shed);
-  // Pending ingest wall and worker seconds: equal, ingest being serial.
-  w->PutDouble(e.pending_prejoin_seconds_);
-  w->PutDouble(e.pending_prejoin_seconds_);
+  // Pending ingest wall and worker seconds: wall-clock, so written as 0.0
+  // like the EvalStats timing slots (SaveEvalStats).
+  w->PutDouble(0.0);
+  w->PutDouble(0.0);
   // Retired shard counters (handoffs, border reads, rebalance
   // recommendations and the last recommendation), kept in the layout.
   w->PutU64(0);
@@ -309,11 +296,9 @@ Status PersistAccess::LoadCoordinatorState(ByteReader* r, ScubaEngine* e,
       uint64_t attrs = 0;
       SCUBA_RETURN_IF_ERROR(r->GetU32(&id));
       SCUBA_RETURN_IF_ERROR(r->GetU64(&attrs));
-      if (table == 0) {
-        e->store_.UpsertObjectAttrs(id, attrs);
-      } else {
-        e->store_.UpsertQueryAttrs(id, attrs);
-      }
+      e->store_.UpsertAttrs(
+          EntityRef{table == 0 ? EntityKind::kObject : EntityKind::kQuery, id},
+          attrs);
     }
   }
   e->store_.next_cid_ = next_cid;

@@ -331,6 +331,77 @@ TEST(InvariantAuditTest, WindowAuditsSumToTheWholeAudit) {
   EXPECT_EQ(members, whole.members_checked);
 }
 
+/// The window that audits `cid`'s store side: its lowest registered cell's.
+uint32_t StoreSideWindow(const ScubaEngine& engine, ClusterId cid) {
+  std::vector<uint32_t> cells;
+  engine.cluster_grid().CellsForCircle(
+      engine.store().GetCluster(cid)->registered_bounds(), &cells);
+  return engine.router().ShardOfCell(
+      *std::min_element(cells.begin(), cells.end()));
+}
+
+/// Re-homes member 1 of the lowest-cid cluster with at least two members
+/// through `rehome(store, victim, ref)`, then requires exactly the victim's
+/// window to fail its audit, naming the victim cluster and the member.
+template <typename Rehome>
+void ExpectSlotDamageBlamesItsCluster(Rehome rehome) {
+  ScubaOptions options;
+  options.shards = 4;
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
+  IngestRound(engine.get(), 1);
+  ResultSet results;
+  ASSERT_TRUE(engine->Evaluate(2, &results).ok());
+  ClusterStore& store = ScubaEngineAuditPeer(engine.get()).store();
+  ClusterId victim = kInvalidClusterId;
+  for (ClusterId cid : store.SortedClusterIds()) {
+    if (store.GetCluster(cid)->size() >= 2) {
+      victim = cid;
+      break;
+    }
+  }
+  ASSERT_NE(victim, kInvalidClusterId);
+  const ClusterMember& member = store.GetCluster(victim)->members()[1];
+  const EntityRef ref = member.Ref();
+  ASSERT_TRUE(store.ClearHome(ref).ok());
+  rehome(&store, victim, ref);
+
+  const std::string blame =
+      "cluster " + std::to_string(victim) + ": member " +
+      (ref.kind == EntityKind::kObject ? "object " : "query ") +
+      std::to_string(ref.id) + " at index 1";
+  const uint32_t damaged = StoreSideWindow(*engine, victim);
+  for (uint32_t w = 0; w < engine->shard_count(); ++w) {
+    const InvariantAuditReport report = engine->AuditShardStripe(w);
+    EXPECT_EQ(report.clean(), w != damaged)
+        << "window " << w << ": " << report.ToString();
+    if (w == damaged) {
+      EXPECT_TRUE(MentionedIn(report, blame)) << report.ToString();
+    }
+  }
+  const InvariantAuditReport whole = engine->AuditInvariants();
+  EXPECT_TRUE(MentionedIn(whole, blame)) << whole.ToString();
+}
+
+TEST(InvariantAuditTest, SlotNamingAnotherMemberIsBlamedOnItsCluster) {
+  ExpectSlotDamageBlamesItsCluster(
+      [](ClusterStore* store, ClusterId victim, EntityRef ref) {
+        // Member 1's slot names member 0 of the same cluster.
+        ASSERT_TRUE(store->SetHome(ref, victim, 0).ok());
+      });
+}
+
+TEST(InvariantAuditTest, SlotHomedAtAnotherClusterIsBlamedOnItsCluster) {
+  ExpectSlotDamageBlamesItsCluster(
+      [](ClusterStore* store, ClusterId victim, EntityRef ref) {
+        ClusterId other = kInvalidClusterId;
+        for (ClusterId cid : store->SortedClusterIds()) {
+          if (cid != victim) other = cid;
+        }
+        ASSERT_NE(other, kInvalidClusterId);
+        ASSERT_TRUE(store->SetHome(ref, other, 1).ok());
+      });
+}
+
 // --- The periodic audit hook, at one and four join windows. ---
 
 class PeriodicAuditTest : public ::testing::TestWithParam<uint32_t> {

@@ -1,6 +1,7 @@
 #include "cluster/moving_cluster.h"
 
 #include <cmath>
+#include <cstddef>
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,21 @@ QueryUpdate Qry(QueryId qid, Point p, double w = 40, double h = 40,
   u.range_width = w;
   u.range_height = h;
   return u;
+}
+
+/// Index of `ref` in the cluster's members (a linear scan), or size() when
+/// absent — how tests name the member the index-taking operations act on.
+size_t IndexOf(const MovingCluster& c, EntityRef ref) {
+  const ClusterMember* m = c.FindMember(ref);
+  return m == nullptr ? c.size() : static_cast<size_t>(m - c.members().data());
+}
+
+Status Refresh(MovingCluster* c, const LocationUpdate& u) {
+  return c->UpdateObjectMember(IndexOf(*c, {EntityKind::kObject, u.oid}), u);
+}
+
+Status Remove(MovingCluster* c, EntityRef ref) {
+  return c->RemoveMember(IndexOf(*c, ref), ref);
 }
 
 TEST(MovingClusterTest, FromObjectSingleton) {
@@ -106,9 +122,9 @@ TEST(MovingClusterTest, AverageSpeedTracksMembers) {
   MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}, 10.0));
   c.AbsorbObject(Obj(2, {1, 0}, 20.0));
   EXPECT_DOUBLE_EQ(c.average_speed(), 15.0);
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(2, {1, 0}, 30.0)).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(2, {1, 0}, 30.0)).ok());
   EXPECT_DOUBLE_EQ(c.average_speed(), 20.0);
-  ASSERT_TRUE(c.RemoveMember({EntityKind::kObject, 2}).ok());
+  ASSERT_TRUE(Remove(&c, {EntityKind::kObject, 2}).ok());
   EXPECT_DOUBLE_EQ(c.average_speed(), 10.0);
 }
 
@@ -132,7 +148,7 @@ TEST(MovingClusterTest, SatisfiesJoinConditions) {
 TEST(MovingClusterTest, UpdateMemberMovesCentroid) {
   MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}));
   c.AbsorbObject(Obj(2, {10, 0}));
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(1, {4, 0})).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(1, {4, 0})).ok());
   EXPECT_NEAR(c.centroid().x, 7.0, 1e-9);
   const ClusterMember* m1 = c.FindMember({EntityKind::kObject, 1});
   EXPECT_TRUE(ApproxEqual(c.MemberPosition(*m1), {4, 0}, 1e-9));
@@ -140,9 +156,14 @@ TEST(MovingClusterTest, UpdateMemberMovesCentroid) {
 
 TEST(MovingClusterTest, UpdateMissingMemberIsNotFound) {
   MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}));
-  EXPECT_TRUE(c.UpdateObjectMember(Obj(99, {1, 1})).IsNotFound());
-  EXPECT_TRUE(c.UpdateQueryMember(Qry(99, {1, 1})).IsNotFound());
-  EXPECT_TRUE(c.RemoveMember({EntityKind::kQuery, 99}).IsNotFound());
+  // The member at the index must be the update's entity...
+  EXPECT_TRUE(c.UpdateObjectMember(0, Obj(99, {1, 1})).IsNotFound());
+  EXPECT_TRUE(c.UpdateQueryMember(0, Qry(1, {1, 1})).IsNotFound());
+  EXPECT_TRUE(c.RemoveMember(0, {EntityKind::kQuery, 1}).IsNotFound());
+  // ...and the index must exist.
+  EXPECT_TRUE(c.UpdateObjectMember(1, Obj(1, {1, 1})).IsNotFound());
+  EXPECT_TRUE(c.RemoveMember(5, {EntityKind::kObject, 1}).IsNotFound());
+  EXPECT_EQ(c.size(), 1u);
 }
 
 TEST(MovingClusterTest, RemoveMemberAdjustsState) {
@@ -150,7 +171,7 @@ TEST(MovingClusterTest, RemoveMemberAdjustsState) {
   c.AbsorbObject(Obj(2, {10, 0}));
   c.AbsorbQuery(Qry(3, {5, 0}));
   EXPECT_TRUE(c.HasMixedKinds());
-  ASSERT_TRUE(c.RemoveMember({EntityKind::kQuery, 3}).ok());
+  ASSERT_TRUE(Remove(&c, {EntityKind::kQuery, 3}).ok());
   EXPECT_EQ(c.size(), 2u);
   EXPECT_EQ(c.query_count(), 0u);
   EXPECT_FALSE(c.HasMixedKinds());
@@ -169,7 +190,7 @@ TEST(MovingClusterTest, TranslateMovesEveryone) {
   EXPECT_TRUE(ApproxEqual(c.MemberPosition(*m1), {5, -3}, 1e-9));
   EXPECT_EQ(c.translation(), (Vec2{5, -3}));
   // A fresh update after translation re-anchors exactly.
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(1, {100, 100})).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(1, {100, 100})).ok());
   EXPECT_TRUE(ApproxEqual(c.MemberPosition(*c.FindMember({EntityKind::kObject, 1})),
                           {100, 100}, 1e-9));
 }
@@ -222,11 +243,13 @@ TEST(MovingClusterTest, ShedMemberIfInNucleus) {
   MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}));
   c.AbsorbObject(Obj(2, {50, 0}));
   // Member 2 is ~25 from the centroid (25, 0): nucleus 10 misses it.
-  EXPECT_FALSE(c.ShedMemberIfInNucleus({EntityKind::kObject, 2}, 10.0));
-  EXPECT_TRUE(c.ShedMemberIfInNucleus({EntityKind::kObject, 2}, 30.0));
+  const size_t index = IndexOf(c, {EntityKind::kObject, 2});
+  EXPECT_FALSE(c.ShedMemberIfInNucleus(index, 10.0));
+  EXPECT_TRUE(c.ShedMemberIfInNucleus(index, 30.0));
   EXPECT_TRUE(c.FindMember({EntityKind::kObject, 2})->shed);
-  // Missing member: false.
-  EXPECT_FALSE(c.ShedMemberIfInNucleus({EntityKind::kObject, 77}, 30.0));
+  // Already shed, or no member at the index: false.
+  EXPECT_FALSE(c.ShedMemberIfInNucleus(index, 30.0));
+  EXPECT_FALSE(c.ShedMemberIfInNucleus(77, 30.0));
 }
 
 TEST(MovingClusterTest, UpdateUnshedsMember) {
@@ -234,7 +257,7 @@ TEST(MovingClusterTest, UpdateUnshedsMember) {
   c.AbsorbObject(Obj(2, {2, 0}));
   c.ShedPositions(10.0);
   ASSERT_TRUE(c.FindMember({EntityKind::kObject, 2})->shed);
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(2, {3, 0})).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(2, {3, 0})).ok());
   const ClusterMember* m = c.FindMember({EntityKind::kObject, 2});
   EXPECT_FALSE(m->shed);
   EXPECT_EQ(m->approx_radius, 0.0);
@@ -267,8 +290,8 @@ TEST(MovingClusterTest, NucleusLifecycle) {
     EXPECT_TRUE(ApproxEqual(c.MemberPosition(m), c.NucleusCenter(), 1e-9));
   }
   // Fresh updates unshed everyone; tightening then clears the nucleus.
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(1, {10, 0})).ok());
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(2, {30, 0})).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(1, {10, 0})).ok());
+  ASSERT_TRUE(Refresh(&c, Obj(2, {30, 0})).ok());
   c.RecomputeTightBounds();
   EXPECT_FALSE(c.has_nucleus());
   EXPECT_EQ(c.nucleus_radius(), 0.0);
@@ -310,41 +333,15 @@ TEST(MovingClusterTest, TranslationCarriesShedMembers) {
   EXPECT_TRUE(ApproxEqual(after, before + Vec2{7, 7}, 1e-9));
 }
 
-TEST(MovingClusterTest, MemberIndexSurvivesSwapAndPop) {
-  // RemoveMember fills the hole with the tail member; every other member's
-  // index changes under it. The id->index map must track those moves so
-  // lookups stay O(1)-correct through arbitrary churn.
+TEST(MovingClusterTest, RemoveMemberSwapsTailIntoHole) {
   MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}));
-  for (uint32_t i = 2; i <= 12; ++i) {
-    c.AbsorbObject(Obj(i, {static_cast<double>(i), 0}));
-  }
-  // Remove from the middle, front-of-tail, and head of the member vector.
-  for (uint32_t victim : {6u, 12u, 1u, 3u}) {
-    ASSERT_TRUE(c.RemoveMember({EntityKind::kObject, victim}).ok());
-    EXPECT_EQ(c.FindMember({EntityKind::kObject, victim}), nullptr);
-    for (const ClusterMember& m : c.members()) {
-      const ClusterMember* found = c.FindMember(m.Ref());
-      ASSERT_NE(found, nullptr);
-      EXPECT_EQ(found, &m) << "index points at the wrong slot for id " << m.id;
-    }
-  }
-  // Updates must land on the member that was swapped into a new slot.
-  ASSERT_TRUE(c.UpdateObjectMember(Obj(11, {99, 0})).ok());
-  const ClusterMember* moved = c.FindMember({EntityKind::kObject, 11});
-  ASSERT_NE(moved, nullptr);
-  EXPECT_TRUE(ApproxEqual(c.MemberPosition(*moved), Point{99, 0}, 1e-9));
-}
-
-TEST(MovingClusterTest, MemoryEstimateIncludesMemberIndex) {
-  MovingCluster c = MovingCluster::FromObject(0, Obj(1, {0, 0}));
-  for (uint32_t i = 2; i <= 64; ++i) {
-    c.AbsorbObject(Obj(i, {static_cast<double>(i % 7), 0}));
-  }
-  // The estimate must account for the id->index side map, not just the
-  // member vector.
-  size_t vector_only =
-      sizeof(MovingCluster) + c.members().capacity() * sizeof(ClusterMember);
-  EXPECT_GT(c.EstimateMemoryUsage(), vector_only);
+  c.AbsorbObject(Obj(2, {10, 0}));
+  c.AbsorbObject(Obj(3, {20, 0}));
+  ASSERT_TRUE(Remove(&c, {EntityKind::kObject, 1}).ok());
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.members()[0].id, 3u);  // the tail filled index 0
+  EXPECT_EQ(c.members()[1].id, 2u);
+  EXPECT_TRUE(ApproxEqual(c.MemberPosition(c.members()[0]), {20, 0}, 1e-9));
 }
 
 // Property: random absorb/update/remove sequences keep the centroid equal to
@@ -365,11 +362,11 @@ TEST_P(ClusterInvariantTest, CentroidIsMeanAndRadiusCovers) {
     } else if (action < 0.8) {
       uint32_t id = live[rng.NextBounded(live.size())];
       Point p{rng.NextDouble(-50, 50), rng.NextDouble(-50, 50)};
-      ASSERT_TRUE(c.UpdateObjectMember(Obj(id, p)).ok());
+      ASSERT_TRUE(Refresh(&c, Obj(id, p)).ok());
     } else {
       size_t idx = rng.NextBounded(live.size());
-      ASSERT_TRUE(c.RemoveMember({EntityKind::kObject, live[idx]}).ok());
-      live.erase(live.begin() + static_cast<ptrdiff_t>(idx));
+      ASSERT_TRUE(Remove(&c, {EntityKind::kObject, live[idx]}).ok());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
     // Invariants.
     Point sum{0, 0};

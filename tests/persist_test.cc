@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -494,6 +495,77 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
   ASSERT_TRUE(snapshots.ok());
   EXPECT_EQ(snapshots->size(), 2u);
   EXPECT_GT(engine->StatsSnapshot().eval.wal_records_appended, 0u);
+}
+
+/// Every regular file under `root`, keyed by its path relative to `root`.
+std::map<std::string, std::string> ReadTree(const std::string& root) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[fs::relative(entry.path(), root).string()] =
+        std::string(std::istreambuf_iterator<char>(in), {});
+  }
+  return files;
+}
+
+TEST(SnapshotTest, CheckpointsOfOneRunAreByteIdentical) {
+  // Wall-clock timing slots are written as zero, so the durable directory is
+  // a pure function of the input: two runs write the same bytes, manifest
+  // included, though their measured seconds differ.
+  std::vector<Round> rounds = MakeRounds(29, 8);
+  std::map<std::string, std::string> trees[2];
+  for (int run = 0; run < 2; ++run) {
+    ScopedTempDir dir("persist_test_reproducible_" + std::to_string(run));
+    ScubaOptions opt;
+    opt.checkpoint.every_n_rounds = 3;
+    std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
+    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
+        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
+                                       engine.get(), /*validator=*/nullptr,
+                                       /*rng=*/nullptr, /*crash=*/nullptr);
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    for (int r = 0; r < 8; ++r) {
+      ASSERT_TRUE((*manager)
+                      ->LogBatch(static_cast<Timestamp>(r + 1), true,
+                                 rounds[r].objects, rounds[r].queries)
+                      .ok());
+      ASSERT_TRUE(
+          engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+      ResultSet results;
+      ASSERT_TRUE(
+          engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+      ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+    }
+    ASSERT_TRUE((*manager)->ForceCheckpoint().ok());
+    ASSERT_GT(engine->StatsSnapshot().eval.total_join_seconds, 0.0);
+    trees[run] = ReadTree(dir.path());
+  }
+  ASSERT_GE(trees[0].size(), 3u);  // manifests, snapshots and the WAL
+  ASSERT_EQ(trees[0].size(), trees[1].size());
+  for (const auto& [path, bytes] : trees[0]) {
+    auto other = trees[1].find(path);
+    ASSERT_NE(other, trees[1].end()) << path;
+    EXPECT_TRUE(bytes == other->second) << path << " differs between runs";
+  }
+}
+
+TEST(SnapshotTest, RestoredTimingTotalsStartAtZero) {
+  ScopedTempDir dir("persist_test_timing_reset");
+  std::vector<Round> rounds = MakeRounds(31, 4);
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  Drive(engine.get(), rounds, 0, 4);
+  ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
+  std::unique_ptr<ScubaEngine> restored = MakeEngine(ScubaOptions{});
+  ASSERT_TRUE(restored->Restore(dir.path()).ok());
+  const EvalStats stats = restored->StatsSnapshot().eval;
+  EXPECT_EQ(stats.evaluations, 4u);  // counts survive
+  EXPECT_EQ(stats.total_join_seconds, 0.0);
+  EXPECT_EQ(stats.total_ingest_seconds, 0.0);
+  EXPECT_EQ(stats.total_postjoin_seconds, 0.0);
+  EXPECT_EQ(stats.total_join_worker_seconds, 0.0);
+  EXPECT_EQ(stats.last_maintenance_seconds, 0.0);
 }
 
 // ---------------------------------------------------------------------------
