@@ -1,8 +1,8 @@
 // Durability-overhead benchmark (docs/ARCHITECTURE.md §8): replays the §6.1
 // workload three ways — no durability, WAL-only, WAL + checkpoint cadence —
 // and reports the WAL append tax over the baseline, checkpoint write latency
-// and size, cold Restore latency, and RecoverShardedEngine's WAL-replay
-// throughput, at one shard and at four.
+// and size, cold Restore latency, and RecoverEngine's WAL-replay
+// throughput, at one join window and at four.
 // Durability must never change the answer: every run's result count is
 // asserted equal to the baseline, and the restored/recovered engines must
 // hash identical to the engines they replace. Writes BENCH_checkpoint.json
@@ -16,8 +16,8 @@
 
 #include "bench/bench_common.h"
 #include "common/stopwatch.h"
-#include "shard/shard_durability.h"
 #include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/snapshot.h"
 #include "stream/pipeline.h"
 
@@ -52,8 +52,8 @@ ScubaOptions MakeOptions(const ExperimentData& data,
 }
 
 /// One durable replay of the trace: one WAL (one record and one fsync per
-/// batch at any shard count) under manifest-committed checkpoint
-/// generations.
+/// batch at any window count) under manifest-committed checkpoint
+/// generations, each one snapshot plus the manifest naming it.
 DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
                           const CheckpointPolicy& policy, uint32_t shards = 1) {
   ScubaOptions options = MakeOptions(data, policy);
@@ -61,10 +61,10 @@ DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
   Result<std::unique_ptr<ScubaEngine>> engine =
       ScubaEngine::Create(options);
   SCUBA_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
-  Result<std::unique_ptr<ShardedDurabilityManager>> durability =
-      ShardedDurabilityManager::Open(dir, policy, engine->get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> durability =
+      DurabilityManager::Open(dir, policy, engine->get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   SCUBA_CHECK_MSG(durability.ok(), durability.status().ToString().c_str());
 
   DurableOutcome out;
@@ -147,8 +147,9 @@ int Main() {
                   "checkpointing must not change the answer");
   SCUBA_CHECK_MSG(ckpt.checkpoints_written > 0, "no snapshots were written");
 
-  // 3b. The same policy over 4 shards: same answer, same state hash and the
-  // same WAL (one record and one fsync per batch) as the one-shard run.
+  // 3b. The same policy over 4 join windows: same answer, same state hash
+  // and the same WAL (one record and one fsync per batch) as the one-window
+  // run.
   constexpr uint32_t kBenchShards = 4;
   DurableOutcome sharded =
       RunDurable(data, sharded_dir, ckpt_policy, kBenchShards);
@@ -162,14 +163,14 @@ int Main() {
               static_cast<unsigned long long>(sharded.wal_fsyncs),
               static_cast<unsigned long long>(sharded.checkpoints_written));
   SCUBA_CHECK_MSG(sharded.total_results == base.total_results,
-                  "sharded durability must not change the answer");
+                  "join windows must not change the durable answer");
   SCUBA_CHECK_MSG(sharded.state_hash == ckpt.state_hash,
-                  "4-shard durable run diverged from the one-shard run");
+                  "4-window durable run diverged from the one-window run");
   SCUBA_CHECK_MSG(sharded.checkpoints_written > 0,
-                  "sharded run wrote no checkpoint generations");
+                  "4-window run wrote no checkpoint generations");
   SCUBA_CHECK_MSG(sharded.wal_fsyncs == ckpt.wal_fsyncs &&
                       sharded.wal_bytes == ckpt.wal_bytes,
-                  "the WAL must not depend on the shard count");
+                  "the WAL does not depend on the window count");
 
   // 4. Cold restore of the newest generation into a fresh engine.
   ScubaOptions restore_options = MakeOptions(data, ckpt_policy);
@@ -198,9 +199,9 @@ int Main() {
     recovered_results += results.size();
   };
   Stopwatch recover_watch;
-  Result<ShardedRecoveryReport> report =
-      RecoverShardedEngine(wal_dir, recovered->get(), /*validator=*/nullptr,
-                           /*rng=*/nullptr, recover_sink);
+  Result<RecoveryReport> report =
+      RecoverEngine(wal_dir, recovered->get(), /*validator=*/nullptr,
+                    /*rng=*/nullptr, recover_sink);
   const double recover_seconds = recover_watch.ElapsedSeconds();
   SCUBA_CHECK_MSG(report.ok(), report.status().ToString().c_str());
   // One WAL record per batch.
@@ -220,8 +221,8 @@ int Main() {
               static_cast<unsigned long long>(report->rounds_replayed),
               recover_seconds, records_per_second);
 
-  // 6. Sharded recovery: newest committed generation + WAL replay, restored
-  // into a DIFFERENT shard count to price re-partition.
+  // 6. Recovery into a DIFFERENT window count: newest committed generation
+  // + WAL replay, pricing re-partition.
   ScubaOptions sharded_recover_options = MakeOptions(data, ckpt_policy);
   sharded_recover_options.shards = 2;
   Result<std::unique_ptr<ScubaEngine>> sharded_recovered =
@@ -229,7 +230,7 @@ int Main() {
   SCUBA_CHECK_MSG(sharded_recovered.ok(),
                   sharded_recovered.status().ToString().c_str());
   Stopwatch sharded_recover_watch;
-  Result<ShardedRecoveryReport> sharded_report = RecoverShardedEngine(
+  Result<RecoveryReport> sharded_report = RecoverEngine(
       sharded_dir, sharded_recovered->get(), /*validator=*/nullptr,
       /*rng=*/nullptr);
   const double sharded_recover_seconds =
@@ -237,8 +238,8 @@ int Main() {
   SCUBA_CHECK_MSG(sharded_report.ok(),
                   sharded_report.status().ToString().c_str());
   SCUBA_CHECK_MSG(EngineStateHash(**sharded_recovered) == sharded.state_hash,
-                  "sharded recovery (4 -> 2 shards) diverged");
-  std::printf("sharded recovery (4 -> 2 shards): generation %llu + %llu "
+                  "recovery from 4 into 2 join windows diverged");
+  std::printf("recovery (4 -> 2 windows): generation %llu + %llu "
               "batches in %.4fs, state hash ok\n",
               static_cast<unsigned long long>(sharded_report->generation),
               static_cast<unsigned long long>(sharded_report->batches_replayed),

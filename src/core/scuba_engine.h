@@ -153,12 +153,13 @@ class ScubaEngine : public QueryProcessor {
 
   /// Writes one complete manifest-committed checkpoint into `dir` (snapshot
   /// first, manifest last). Stand-alone convenience; runs with a durable
-  /// directory use ShardedDurabilityManager instead. Defined in
-  /// src/shard/shard_durability.cc (link scuba_shard).
+  /// directory use DurabilityManager instead. Defined in
+  /// src/persist/durability.cc (link scuba_persist).
   Status Checkpoint(const std::string& dir);
   /// Restores from the NEWEST manifest in `dir` only — no silent fallback to
-  /// older generations (RecoverShardedEngine implements the explicit-fallback
-  /// policy). A directory in a retired layout is kFailedPrecondition.
+  /// older generations (RecoverEngine implements the explicit-fallback
+  /// policy). A manifest or snapshot of another format version is
+  /// kFailedPrecondition.
   Status Restore(const std::string& dir);
 
   // --- Window supervision (docs/ARCHITECTURE.md §13) ---
@@ -168,7 +169,7 @@ class ScubaEngine : public QueryProcessor {
   const ShardSupervisor* supervisor() const { return supervisor_.get(); }
 
   /// Online recovery hook, wired by callers owning a durable directory (the
-  /// engine factory wires RecoverShardStripe). Recovery probes run without
+  /// engine factory wires RecoverWindow). Recovery probes run without
   /// it; only a window whose audit stays dirty needs the rebuild — absent
   /// the hook such a window fails its attempts and is evicted.
   using StripeRecoveryFn = std::function<Status(ScubaEngine*, uint32_t)>;

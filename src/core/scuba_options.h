@@ -117,8 +117,8 @@ struct LoadSheddingOptions {
   double relax_fraction = 0.7;
 };
 
-/// When and how much durable state a ShardedDurabilityManager retains (see
-/// docs/ARCHITECTURE.md §8, §12). Orthogonal to query semantics: the
+/// When and how much durable state a DurabilityManager retains (see
+/// docs/ARCHITECTURE.md §8). Orthogonal to query semantics: the
 /// checkpoint policy never changes what an engine computes, only what
 /// survives a crash.
 struct CheckpointPolicy {
@@ -202,7 +202,7 @@ struct ScubaOptions {
   ShardSupervisionOptions supervision;
 
   /// Checkpoint cadence / retention for runs with a durable directory
-  /// attached (StreamPipeline / ReplayTrace with a ShardedDurabilityManager).
+  /// attached (StreamPipeline / ReplayTrace with a DurabilityManager).
   /// Ignored — and harmless — when no durability is wired up.
   CheckpointPolicy checkpoint;
 

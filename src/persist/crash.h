@@ -5,7 +5,7 @@
 // point, which occurrence), fires deterministically, and leaves behind
 // exactly the on-disk state a real crash at that point would — a half-written
 // WAL record, an orphaned snapshot temp file, a checksum-torn manifest. The
-// harness then abandons the in-memory engine and proves RecoverShardedEngine
+// harness then abandons the in-memory engine and proves RecoverEngine
 // reconstructs it bit-identically from the durable directory alone. The
 // injection is in-process: the injected "crash" surfaces as
 // Status::Internal("crash injected ...") so tests (and the CLI's --crash-at)
@@ -39,10 +39,10 @@ enum class CrashPoint : uint8_t {
   /// Before any checkpoint byte is written: the previous manifest generation
   /// (if any) remains the recovery base.
   kBeforeSnapshotWrite,
-  // --- Manifest-committed checkpoint generations (§12). ---
-  /// Mid-write of the generation's snapshot: a partial temp file in its
-  /// shard-0000 directory, no final file, no manifest — the previous
-  /// generation stays the recovery base.
+  // --- Manifest-committed checkpoint generations. ---
+  /// Mid-write of the generation's snapshot: a partial temp file under
+  /// snapshots/, no final file, no manifest — the previous generation stays
+  /// the recovery base.
   kMidShardSnapshotWrite,
   /// The snapshot is durable but the manifest was never published
   /// (only its temp file exists): the previous generation remains committed.

@@ -1,4 +1,4 @@
-#include "shard/shard_durability.h"
+#include "persist/durability.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -20,26 +20,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string ShardDir(const std::string& root, uint32_t shard_index) {
-  return (fs::path(root) / ShardDirName(shard_index)).string();
-}
-
-/// Serializes the coordinator state and the snapshot and publishes the
-/// manifest — the shared write path behind ForceCheckpoint and
-/// ScubaEngine::Checkpoint.
+/// Writes the generation's snapshot and publishes the manifest naming it —
+/// the shared write path behind ForceCheckpoint and ScubaEngine::Checkpoint.
 Status WriteCheckpoint(const std::string& dir, const ScubaEngine& engine,
                        const UpdateValidator* validator, const Rng* rng,
                        uint64_t generation, uint64_t wal_next_seq,
                        uint64_t rounds, CrashInjector* crash,
                        uint64_t* total_bytes) {
-  ManifestInfo info;
-  info.fingerprint = OptionsFingerprint(engine.options());
-  info.generation = generation;
-  info.wal_next_seq = wal_next_seq;
-  info.rounds = rounds;
-  const std::string payload =
-      PersistAccess::SerializeEngineSnapshot(engine, wal_next_seq, rounds);
-  const std::string snapshot_dir = ShardDir(dir, 0);
+  const std::string payload = PersistAccess::SaveEngineSnapshot(
+      engine, validator, rng, wal_next_seq, rounds);
+  const std::string snapshot_dir = SnapshotDirOf(dir);
   if (crash != nullptr &&
       crash->ShouldCrash(CrashPoint::kMidShardSnapshotWrite)) {
     std::error_code ec;
@@ -58,11 +48,12 @@ Status WriteCheckpoint(const std::string& dir, const ScubaEngine& engine,
   uint64_t bytes = 0;
   SCUBA_RETURN_IF_ERROR(
       WriteSnapshotFile(snapshot_dir, generation, payload, &bytes));
-  info.shards.push_back(ManifestShardEntry{generation, Fnv1a64(payload)});
-  ByteWriter coord;
-  PersistAccess::SaveCoordinatorState(engine, validator, rng, &coord);
-  info.coordinator_state = coord.Release();
-  bytes += info.coordinator_state.size();
+  ManifestInfo info;
+  info.fingerprint = OptionsFingerprint(engine.options());
+  info.generation = generation;
+  info.wal_next_seq = wal_next_seq;
+  info.rounds = rounds;
+  info.snapshot_hash = Fnv1a64(payload);
   // The commit point: the snapshot is durable, now the manifest names it.
   SCUBA_RETURN_IF_ERROR(WriteManifestFile(dir, info, crash));
   if (crash != nullptr &&
@@ -74,55 +65,46 @@ Status WriteCheckpoint(const std::string& dir, const ScubaEngine& engine,
   return Status::OK();
 }
 
-/// Validates one manifest generation's artifacts and returns its snapshot
-/// payloads (one per entry), or kDataLoss naming the first damaged artifact.
-Result<std::vector<std::string>> ReadGenerationPayloads(
-    const std::string& dir, const ManifestInfo& info) {
-  std::vector<std::string> payloads;
-  payloads.reserve(info.shards.size());
-  for (uint32_t s = 0; s < info.shards.size(); ++s) {
-    const std::string path =
-        (fs::path(ShardDir(dir, s)) / SnapshotFileName(info.shards[s].snapshot_seq))
-            .string();
-    Result<std::string> payload = ReadSnapshotPayload(path);
-    if (!payload.ok()) {
-      // A missing or torn artifact invalidates the generation either way.
-      return Status::DataLoss("generation " + std::to_string(info.generation) +
-                              ": " + payload.status().message());
-    }
-    if (Fnv1a64(*payload) != info.shards[s].state_hash) {
-      return Status::DataLoss(
-          path + " does not hash to the value its manifest recorded");
-    }
-    Result<SnapshotMeta> meta = PeekSnapshotMeta(*payload);
-    if (!meta.ok()) return meta.status();
-    if (meta->wal_next_seq != info.wal_next_seq ||
-        meta->options_fingerprint != info.fingerprint) {
-      return Status::DataLoss(
-          path + " belongs to a different checkpoint than its manifest");
-    }
-    payloads.push_back(std::move(*payload));
+/// Reads and verifies the snapshot `info` names. kDataLoss for a missing,
+/// torn or substituted file (the caller may fall back a generation);
+/// kFailedPrecondition for another format version.
+Result<std::string> ReadGenerationSnapshot(const std::string& dir,
+                                           const ManifestInfo& info) {
+  const std::string path =
+      (fs::path(SnapshotDirOf(dir)) / SnapshotFileName(info.generation))
+          .string();
+  Result<std::string> payload = ReadSnapshotPayload(path);
+  if (!payload.ok()) {
+    if (payload.status().IsFailedPrecondition()) return payload.status();
+    // A missing or torn snapshot invalidates the generation either way.
+    return Status::DataLoss("generation " + std::to_string(info.generation) +
+                            ": " + payload.status().message());
   }
-  return payloads;
+  if (Fnv1a64(*payload) != info.snapshot_hash) {
+    return Status::DataLoss(
+        path + " does not hash to the value its manifest recorded");
+  }
+  Result<SnapshotMeta> meta = PeekSnapshotMeta(*payload);
+  if (!meta.ok()) return meta.status();
+  if (meta->wal_next_seq != info.wal_next_seq ||
+      meta->options_fingerprint != info.fingerprint) {
+    return Status::DataLoss(
+        path + " belongs to a different checkpoint than its manifest");
+  }
+  return payload;
 }
 
-/// Loads a verified generation into `engine`: the coordinator state wipes
-/// and re-seeds it, then every snapshot entry adds its clusters.
-Status LoadGeneration(const ManifestInfo& info,
-                      const std::vector<std::string>& payloads,
+/// Loads a verified snapshot into `engine`, which must then audit clean.
+Status LoadGeneration(uint64_t generation, const std::string& payload,
                       ScubaEngine* engine, UpdateValidator* validator,
                       Rng* rng) {
-  ByteReader coord(info.coordinator_state);
   SCUBA_RETURN_IF_ERROR(
-      PersistAccess::LoadCoordinatorState(&coord, engine, validator, rng));
-  for (const std::string& payload : payloads) {
-    SCUBA_RETURN_IF_ERROR(PersistAccess::ApplyEngineSnapshot(payload, engine));
-  }
+      PersistAccess::LoadEngineSnapshot(payload, engine, validator, rng));
   // CRC and payload hash vouch for the bytes, not for what they decode to:
   // a generation must also restore a state that audits clean.
   const InvariantAuditReport audit = engine->AuditInvariants();
   if (!audit.clean()) {
-    return Status::DataLoss("generation " + std::to_string(info.generation) +
+    return Status::DataLoss("generation " + std::to_string(generation) +
                             " restores a state that fails its audit: " +
                             audit.ToString());
   }
@@ -132,98 +114,6 @@ Status LoadGeneration(const ManifestInfo& info,
 }  // namespace
 
 // --- PersistAccess engine statics -----------------------------------------
-
-std::string PersistAccess::SerializeEngineSnapshot(const ScubaEngine& e,
-                                                   uint64_t wal_next_seq,
-                                                   uint64_t rounds) {
-  ByteWriter w;
-  w.PutU64(OptionsFingerprint(e.options()));
-  w.PutU64(wal_next_seq);
-  w.PutU64(rounds);
-  w.PutU32(0);  // entry index
-  w.PutU32(1);  // entry count
-  const std::vector<ClusterId> cids = e.store_.SortedClusterIds();
-  w.PutU64(cids.size());
-  for (ClusterId cid : cids) {
-    SaveCluster(*e.store_.GetCluster(cid), &w);
-    w.PutBool(e.grid_.Contains(cid));
-  }
-  const ClusterJoinExecutor::Counters& jc = e.join_executor_.counters_;
-  w.PutU64(jc.comparisons);
-  w.PutU64(jc.bounds_checks);
-  w.PutU64(jc.pairs_tested);
-  w.PutU64(jc.pairs_overlapping);
-  w.PutU64(jc.within_joins_single);
-  w.PutU64(jc.within_joins_pair);
-  w.PutDouble(e.shedder_.eta_);
-  w.PutU64(e.shedder_.adjustments_);
-  w.PutDouble(e.clusterer_.nucleus_radius());
-  return w.Release();
-}
-
-Status PersistAccess::ApplyEngineSnapshot(const std::string& payload,
-                                          ScubaEngine* e) {
-  ByteReader r(payload);
-  SnapshotMeta meta;
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.options_fingerprint));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.wal_next_seq));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&meta.rounds));
-  if (meta.options_fingerprint != OptionsFingerprint(e->options())) {
-    return Status::FailedPrecondition(
-        "snapshot was taken under different engine options; restore "
-        "requires semantically identical ScubaOptions");
-  }
-  uint32_t entry = 0, entries = 0;
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&entry));
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&entries));
-  if (entries == 0 || entry >= entries) {
-    return Status::DataLoss("snapshot names entry " + std::to_string(entry) +
-                            " of " + std::to_string(entries));
-  }
-  uint64_t cluster_count = 0;
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&cluster_count));
-  for (uint64_t i = 0; i < cluster_count; ++i) {
-    Result<MovingCluster> cluster = LoadCluster(&r);
-    if (!cluster.ok()) return cluster.status();
-    bool registered = false;
-    SCUBA_RETURN_IF_ERROR(r.GetBool(&registered));
-    const ClusterId cid = cluster->cid();
-    const Circle bounds = cluster->registered_bounds();
-    if (Status s = e->store_.AddCluster(std::move(cluster).value()); !s.ok()) {
-      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
-                              " rejected by the store: " + s.message());
-    }
-    if (!registered) continue;
-    if (Status s = e->grid_.Insert(cid, bounds); !s.ok()) {
-      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
-                              " rejected by the grid: " + s.message());
-    }
-  }
-  ClusterJoinExecutor::Counters jc;
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.comparisons));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.bounds_checks));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.pairs_tested));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.pairs_overlapping));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.within_joins_single));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&jc.within_joins_pair));
-  double eta = 0.0, nucleus_radius = 0.0;
-  uint64_t adjustments = 0;
-  SCUBA_RETURN_IF_ERROR(r.GetDouble(&eta));
-  SCUBA_RETURN_IF_ERROR(r.GetU64(&adjustments));
-  SCUBA_RETURN_IF_ERROR(r.GetDouble(&nucleus_radius));
-  if (!r.AtEnd()) {
-    return Status::DataLoss("snapshot payload carries trailing bytes");
-  }
-  // Per-shard entries of older generations each carry their own share of
-  // the join counters; the sums are the engine's.
-  e->join_executor_.counters_ += jc;
-  if (entry == 0) {
-    e->shedder_.eta_ = eta;
-    e->shedder_.adjustments_ = adjustments;
-    e->clusterer_.set_nucleus_radius(nucleus_radius);
-  }
-  return Status::OK();
-}
 
 void PersistAccess::AdoptEngineState(const ScubaEngine& twin,
                                      ScubaEngine* live) {
@@ -236,127 +126,6 @@ void PersistAccess::AdoptEngineState(const ScubaEngine& twin,
   live->shedder_.eta_ = twin.shedder_.eta_;
   live->shedder_.adjustments_ = twin.shedder_.adjustments_;
   live->clusterer_.set_nucleus_radius(twin.clusterer_.nucleus_radius());
-}
-
-void PersistAccess::SaveCoordinatorState(const ScubaEngine& e,
-                                         const UpdateValidator* validator,
-                                         const Rng* rng, ByteWriter* w) {
-  w->PutU32(e.store_.next_cid_);
-  SaveAttrTables(e.store_, w);
-  SaveEvalStats(e.stats_, w);
-  w->PutU64(e.phase_stats_.clusters_dissolved_expired);
-  w->PutU64(e.phase_stats_.members_shed_maintenance);
-  w->PutU64(e.phase_stats_.clusters_split);
-  const ClustererStats& cs = e.clusterer_.stats_;
-  w->PutU64(cs.clusters_created);
-  w->PutU64(cs.members_absorbed);
-  w->PutU64(cs.members_refreshed);
-  w->PutU64(cs.members_departed);
-  w->PutU64(cs.clusters_dissolved_empty);
-  w->PutU64(cs.members_shed);
-  // Pending ingest wall and worker seconds: wall-clock, so written as 0.0
-  // like the EvalStats timing slots (SaveEvalStats).
-  w->PutDouble(0.0);
-  w->PutDouble(0.0);
-  // Retired shard counters (handoffs, border reads, rebalance
-  // recommendations and the last recommendation), kept in the layout.
-  w->PutU64(0);
-  w->PutU64(0);
-  w->PutU64(0);
-  w->PutString("");
-  w->PutBool(validator != nullptr);
-  if (validator != nullptr) SaveValidatorState(*validator, w);
-  w->PutBool(rng != nullptr);
-  if (rng != nullptr) {
-    const RngState state = rng->SaveState();
-    for (uint64_t word : state.s) w->PutU64(word);
-    w->PutBool(state.has_cached_gaussian);
-    w->PutDouble(state.cached_gaussian);
-  }
-}
-
-Status PersistAccess::LoadCoordinatorState(ByteReader* r, ScubaEngine* e,
-                                           UpdateValidator* validator,
-                                           Rng* rng) {
-  // Wipe the whole engine: the coordinator blob + snapshot entries together
-  // replace every piece of durable state.
-  e->store_.Clear();
-  e->grid_.Clear();
-  e->join_executor_.counters_ = ClusterJoinExecutor::Counters{};
-  e->shedder_.eta_ = e->options_.shedding.eta;
-  e->shedder_.adjustments_ = 0;
-  e->clusterer_.set_nucleus_radius(e->shedder_.nucleus_radius());
-  uint32_t next_cid = 0;
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&next_cid));
-  for (int table = 0; table < 2; ++table) {
-    uint64_t rows = 0;
-    SCUBA_RETURN_IF_ERROR(r->GetU64(&rows));
-    for (uint64_t i = 0; i < rows; ++i) {
-      uint32_t id = 0;
-      uint64_t attrs = 0;
-      SCUBA_RETURN_IF_ERROR(r->GetU32(&id));
-      SCUBA_RETURN_IF_ERROR(r->GetU64(&attrs));
-      e->store_.UpsertAttrs(
-          EntityRef{table == 0 ? EntityKind::kObject : EntityKind::kQuery, id},
-          attrs);
-    }
-  }
-  e->store_.next_cid_ = next_cid;
-  SCUBA_RETURN_IF_ERROR(LoadEvalStats(r, &e->stats_));
-  // The restored engine reports its own parallelism (results are identical
-  // across thread counts by contract).
-  e->stats_.join_threads = e->resolved_threads_;
-  SCUBA_RETURN_IF_ERROR(
-      r->GetU64(&e->phase_stats_.clusters_dissolved_expired));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.members_shed_maintenance));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&e->phase_stats_.clusters_split));
-  ClustererStats& cs = e->clusterer_.stats_;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_created));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_absorbed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_refreshed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_departed));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.clusters_dissolved_empty));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&cs.members_shed));
-  double pending_worker_seconds = 0.0;
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&e->pending_prejoin_seconds_));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&pending_worker_seconds));
-  // Retired shard counters: read past.
-  uint64_t retired = 0;
-  for (int counter = 0; counter < 3; ++counter) {
-    SCUBA_RETURN_IF_ERROR(r->GetU64(&retired));
-  }
-  std::string retired_recommendation;
-  SCUBA_RETURN_IF_ERROR(r->GetString(&retired_recommendation));
-  bool has_validator = false;
-  SCUBA_RETURN_IF_ERROR(r->GetBool(&has_validator));
-  if (has_validator) {
-    if (validator != nullptr) {
-      SCUBA_RETURN_IF_ERROR(LoadValidatorState(r, validator));
-    } else {
-      UpdateValidator scratch((ValidatorConfig()));
-      Status s = LoadValidatorState(r, &scratch);
-      if (!s.ok() && !s.IsFailedPrecondition()) return s;
-      if (s.IsFailedPrecondition()) {
-        return Status::DataLoss(
-            "checkpoint carries validator state; pass a validator configured "
-            "with the original quarantine capacity to restore it");
-      }
-    }
-  }
-  bool has_rng = false;
-  SCUBA_RETURN_IF_ERROR(r->GetBool(&has_rng));
-  if (has_rng) {
-    RngState state;
-    for (uint64_t& word : state.s) SCUBA_RETURN_IF_ERROR(r->GetU64(&word));
-    SCUBA_RETURN_IF_ERROR(r->GetBool(&state.has_cached_gaussian));
-    SCUBA_RETURN_IF_ERROR(r->GetDouble(&state.cached_gaussian));
-    if (rng != nullptr) rng->RestoreState(state);
-  }
-  if (!r->AtEnd()) {
-    return Status::DataLoss(
-        "coordinator state carries unexpected trailing bytes");
-  }
-  return Status::OK();
 }
 
 EvalStats* PersistAccess::MutableStats(ScubaEngine* e) { return &e->stats_; }
@@ -382,7 +151,6 @@ Status ScubaEngine::Checkpoint(const std::string& dir) {
 }
 
 Status ScubaEngine::Restore(const std::string& dir) {
-  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
   if (!manifests.ok()) return manifests.status();
@@ -397,16 +165,15 @@ Status ScubaEngine::Restore(const std::string& dir) {
         "checkpoint was taken under different engine options; restore "
         "requires semantically identical ScubaOptions");
   }
-  Result<std::vector<std::string>> payloads =
-      ReadGenerationPayloads(dir, *info);
-  if (!payloads.ok()) return payloads.status();
-  return LoadGeneration(*info, *payloads, this, /*validator=*/nullptr,
-                        /*rng=*/nullptr);
+  Result<std::string> payload = ReadGenerationSnapshot(dir, *info);
+  if (!payload.ok()) return payload.status();
+  return LoadGeneration(info->generation, *payload, this,
+                        /*validator=*/nullptr, /*rng=*/nullptr);
 }
 
-// --- ShardedDurabilityManager ----------------------------------------------
+// --- DurabilityManager -----------------------------------------------------
 
-Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open(
+Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     const std::string& dir, const CheckpointPolicy& policy,
     ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
     CrashInjector* crash) {
@@ -416,15 +183,13 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   if (policy.keep_last_k == 0) {
     return Status::InvalidArgument("keep_last_k must be at least 1");
   }
-  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) {
     return Status::IoError("cannot create " + dir + ": " + ec.message());
   }
-  std::unique_ptr<ShardedDurabilityManager> manager(
-      new ShardedDurabilityManager(dir, policy, engine, validator, rng,
-                                   crash));
+  std::unique_ptr<DurabilityManager> manager(
+      new DurabilityManager(dir, policy, engine, validator, rng, crash));
   // The newest COMMITTED generation supplies the base sequence; the newest
   // file name (readable or not) keeps generation numbers monotonic.
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
@@ -453,7 +218,7 @@ Result<std::unique_ptr<ShardedDurabilityManager>> ShardedDurabilityManager::Open
   return manager;
 }
 
-Status ShardedDurabilityManager::LogBatch(
+Status DurabilityManager::LogBatch(
     Timestamp batch_time, bool evaluate_after,
     std::span<const LocationUpdate> objects,
     std::span<const QueryUpdate> queries) {
@@ -484,13 +249,13 @@ Status ShardedDurabilityManager::LogBatch(
   return status;
 }
 
-Status ShardedDurabilityManager::OnRoundComplete() {
+Status DurabilityManager::OnRoundComplete() {
   if (policy_.every_n_rounds == 0) return Status::OK();
   if (++rounds_since_checkpoint_ < policy_.every_n_rounds) return Status::OK();
   return ForceCheckpoint();
 }
 
-Status ShardedDurabilityManager::ForceCheckpoint() {
+Status DurabilityManager::ForceCheckpoint() {
   if (crash_ != nullptr &&
       crash_->ShouldCrash(CrashPoint::kBeforeSnapshotWrite)) {
     return crash_->CrashStatus();
@@ -521,12 +286,12 @@ Status ShardedDurabilityManager::ForceCheckpoint() {
   return Status::OK();
 }
 
-Status ShardedDurabilityManager::Prune() {
+Status DurabilityManager::Prune() {
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir_);
   if (!manifests.ok()) return manifests.status();
-  // Retention counts manifest GENERATIONS, not raw snapshots: a shard
-  // snapshot or WAL segment stays on disk as long as ANY retained manifest
+  // Retention counts manifest GENERATIONS, not raw snapshots: a snapshot
+  // or WAL segment stays on disk as long as ANY retained manifest
   // references it, so falling back a generation always finds its artifacts.
   const size_t keep = policy_.keep_last_k;
   std::error_code ec;
@@ -557,29 +322,21 @@ Status ShardedDurabilityManager::Prune() {
     }
     min_wal_seq = std::min(min_wal_seq, info->wal_next_seq);
   }
-  // Every shard directory, extinct layouts' included: the WAL lives under
-  // wal/, so a shard directory holds only snapshots, and one no retained
-  // generation names is garbage whatever layout wrote it.
-  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
-      ListShardDirs(dir_);
-  if (!shard_dirs.ok()) return shard_dirs.status();
-  for (const auto& [index, shard_dir] : *shard_dirs) {
-    Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-        ListSnapshots(shard_dir);
-    if (!snapshots.ok()) return snapshots.status();
-    for (const auto& [seq, path] : *snapshots) {
-      // Shard snapshot file names carry their generation.
-      if (retained_generations.count(seq) == 0) {
-        fs::remove(path, ec);
-        if (ec) {
-          return Status::IoError("remove " + path + ": " + ec.message());
-        }
+  const std::string snapshot_dir = SnapshotDirOf(dir_);
+  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
+      ListSnapshots(snapshot_dir);
+  if (!snapshots.ok()) return snapshots.status();
+  for (const auto& [generation, path] : *snapshots) {
+    if (retained_generations.count(generation) == 0) {
+      fs::remove(path, ec);
+      if (ec) {
+        return Status::IoError("remove " + path + ": " + ec.message());
       }
     }
-    for (const fs::directory_entry& entry :
-         fs::directory_iterator(shard_dir, ec)) {
-      if (entry.path().extension() == ".tmp") fs::remove(entry.path(), ec);
-    }
+  }
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(snapshot_dir, ec)) {
+    if (entry.path().extension() == ".tmp") fs::remove(entry.path(), ec);
   }
   Result<size_t> removed = wal_->PruneSegmentsBelow(min_wal_seq);
   if (!removed.ok()) return removed.status();
@@ -591,15 +348,14 @@ Status ShardedDurabilityManager::Prune() {
 
 // --- Recovery ---------------------------------------------------------------
 
-std::string ShardedRecoveryReport::ToString() const {
+std::string RecoveryReport::ToString() const {
   std::ostringstream out;
   if (manifest_path.empty()) {
     out << "recovered from an empty base (no committed manifest)";
   } else {
     out << "recovered from " << manifest_path << " (generation " << generation
-        << ", " << manifest_shards << " snapshot entries, seq " << base_seq
-        << ", " << snapshot_rounds << " rounds) into " << engine_shards
-        << " join windows";
+        << ", seq " << base_seq << ", " << snapshot_rounds << " rounds) into "
+        << engine_shards << " join windows";
   }
   out << ", replayed " << batches_replayed << " batches (" << rounds_replayed
       << " rounds), next seq " << next_seq;
@@ -611,11 +367,10 @@ std::string ShardedRecoveryReport::ToString() const {
   return out.str();
 }
 
-std::string ShardedRecoveryReport::ToJson() const {
+std::string RecoveryReport::ToJson() const {
   std::ostringstream out;
   out << "{\"manifest_path\":\"" << JsonEscape(manifest_path) << "\""
       << ",\"generation\":" << generation
-      << ",\"manifest_shards\":" << manifest_shards
       << ",\"engine_shards\":" << engine_shards << ",\"base_seq\":" << base_seq
       << ",\"snapshot_rounds\":" << snapshot_rounds
       << ",\"batches_replayed\":" << batches_replayed
@@ -632,19 +387,19 @@ std::string ShardedRecoveryReport::ToJson() const {
   return out.str();
 }
 
-Result<ShardedRecoveryReport> RecoverShardedEngine(
-    const std::string& dir, ScubaEngine* engine, UpdateValidator* validator,
-    Rng* rng, const ResultSink& sink) {
+Result<RecoveryReport> RecoverEngine(const std::string& dir,
+                                     ScubaEngine* engine,
+                                     UpdateValidator* validator, Rng* rng,
+                                     const ResultSink& sink) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
-  SCUBA_RETURN_IF_ERROR(RejectRetiredLayout(dir));
-  ShardedRecoveryReport report;
+  RecoveryReport report;
   report.engine_shards = engine->shard_count();
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
   if (!manifests.ok()) return manifests.status();
-  // Newest committed generation whose every artifact verifies; torn or
+  // Newest committed generation whose snapshot verifies; torn or
   // hash-mismatched generations fall back to the previous one — that is why
   // retention keeps keep_last_k generations.
   uint64_t base_seq = 0;
@@ -664,21 +419,19 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
           "checkpoint was taken under different engine options (manifest " +
           path + "); recovery requires semantically identical ScubaOptions");
     }
-    Result<std::vector<std::string>> payloads =
-        ReadGenerationPayloads(dir, *info);
-    if (!payloads.ok()) {
-      if (payloads.status().IsDataLoss()) {
-        report.data_loss.push_back(payloads.status().message());
+    Result<std::string> payload = ReadGenerationSnapshot(dir, *info);
+    if (!payload.ok()) {
+      if (payload.status().IsDataLoss()) {
+        report.data_loss.push_back(payload.status().message());
         ++report.generations_skipped;
         continue;
       }
-      return payloads.status();
+      return payload.status();
     }
     SCUBA_RETURN_IF_ERROR(
-        LoadGeneration(*info, *payloads, engine, validator, rng));
+        LoadGeneration(generation, *payload, engine, validator, rng));
     report.manifest_path = path;
     report.generation = generation;
-    report.manifest_shards = info->shards.size();
     report.base_seq = info->wal_next_seq;
     report.snapshot_rounds = info->rounds;
     base_seq = info->wal_next_seq;
@@ -728,9 +481,8 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
   return report;
 }
 
-Status RecoverShardStripe(const std::string& dir, ScubaEngine* engine,
-                          uint32_t window,
-                          const ValidatorConfig* validator_config) {
+Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
+                     uint32_t window, const ValidatorConfig* validator_config) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
@@ -749,8 +501,8 @@ Status RecoverShardStripe(const std::string& dir, ScubaEngine* engine,
     scratch_validator.emplace(*validator_config);
     validator = &*scratch_validator;
   }
-  Result<ShardedRecoveryReport> replay =
-      RecoverShardedEngine(dir, twin->get(), validator, nullptr);
+  Result<RecoveryReport> replay =
+      RecoverEngine(dir, twin->get(), validator, nullptr);
   if (!replay.ok()) return replay.status();
   if (replay->manifest_path.empty() && replay->batches_replayed == 0) {
     // An empty root would "recover" the engine to empty — data loss, not

@@ -1,29 +1,27 @@
 // Durability for the ScubaEngine: manifest-committed checkpoints, one WAL
-// and crash-consistent recovery (docs/ARCHITECTURE.md §12).
+// and crash-consistent recovery (docs/ARCHITECTURE.md §8).
 //
 // Directory layout under one durable root:
 //
-//   manifest-<generation>.scubamf      committed checkpoint generations
-//   wal/ wal-<first_seq>.log           the root's one WAL
-//   shard-0000/ snapshot-<gen>.scuba   the engine's state at each generation
+//   manifest-<generation>.scubamf         committed checkpoint generations
+//   snapshots/snapshot-<generation>.scuba  the engine's state at each one
+//   wal/wal-<first_seq>.log                the root's one WAL
 //
 // Logging: each admitted batch is appended whole to the one WAL as a single
 // record, in delivery order, with one fsync — join windows split the
 // engine's work, not its history, so the window count never reaches the log.
 //
-// Checkpointing is two-phase: the snapshot is written and fsynced first, the
-// manifest renames into place last. The manifest is the commit point —
-// recovery only trusts artifacts a readable manifest references (checked by
-// CRC and by the payload hash recorded in the manifest), falling back
-// generation by generation past torn ones.
-//
-// Older builds wrote one snapshot entry per shard (shard-0000/ ...
-// shard-NNNN/) under the same manifest and payload formats. Recovery still
-// reads them: every entry's clusters join the one store. Windows are
-// recomputed from the options, so any window count recovers any generation.
+// Checkpointing is two-phase: the generation's one snapshot is written and
+// fsynced first, the manifest naming it renames into place last. The
+// manifest is the commit point — recovery only trusts a snapshot a readable
+// manifest names (checked by CRC and by the payload hash the manifest
+// recorded), falling back generation by generation past torn ones. A
+// manifest or snapshot of another format version is refused
+// (kFailedPrecondition), never skipped. Windows are recomputed from the
+// options, so any window count recovers any generation.
 
-#ifndef SCUBA_SHARD_SHARD_DURABILITY_H_
-#define SCUBA_SHARD_SHARD_DURABILITY_H_
+#ifndef SCUBA_PERSIST_DURABILITY_H_
+#define SCUBA_PERSIST_DURABILITY_H_
 
 #include <memory>
 #include <string>
@@ -44,15 +42,15 @@ namespace scuba {
 /// manifest-committed checkpoints per CheckpointPolicy. With engine telemetry
 /// on, appends land in the round's checkpoint.wal span and checkpoints in
 /// checkpoint.snapshot.
-class ShardedDurabilityManager : public DurabilitySink {
+class DurabilityManager : public DurabilitySink {
  public:
   /// Opens (creating if needed) the durable root for `engine`: the WAL
   /// resumes after its last intact record (a torn tail is truncated away).
-  /// A retired layout is kFailedPrecondition. All pointers are unowned and
-  /// must outlive the manager; `validator` / `rng` (nullable) join every
-  /// checkpoint's coordinator state; `crash` (nullable) arms injection
-  /// across the append and checkpoint paths.
-  static Result<std::unique_ptr<ShardedDurabilityManager>> Open(
+  /// A manifest of another format version is kFailedPrecondition. All
+  /// pointers are unowned and must outlive the manager; `validator` / `rng`
+  /// (nullable) join every checkpoint's snapshot; `crash` (nullable) arms
+  /// injection across the append and checkpoint paths.
+  static Result<std::unique_ptr<DurabilityManager>> Open(
       const std::string& dir, const CheckpointPolicy& policy,
       ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
       CrashInjector* crash);
@@ -79,9 +77,9 @@ class ShardedDurabilityManager : public DurabilitySink {
   uint64_t next_generation() const { return next_generation_; }
 
  private:
-  ShardedDurabilityManager(std::string dir, const CheckpointPolicy& policy,
-                           ScubaEngine* engine, UpdateValidator* validator,
-                           Rng* rng, CrashInjector* crash)
+  DurabilityManager(std::string dir, const CheckpointPolicy& policy,
+                    ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
+                    CrashInjector* crash)
       : dir_(std::move(dir)),
         policy_(policy),
         engine_(engine),
@@ -90,9 +88,9 @@ class ShardedDurabilityManager : public DurabilitySink {
         crash_(crash) {}
 
   /// Deletes manifests beyond keep_last_k generations, then every snapshot
-  /// no retained manifest references (older per-shard layouts' directories
-  /// included), orphaned temp files, and the WAL segments wholly below every
-  /// retained manifest's wal_next_seq.
+  /// no retained manifest names, orphaned temp files, and the WAL segments
+  /// wholly below every retained manifest's wal_next_seq. Touches nothing
+  /// but manifest-* files, snapshots/, wal/ and .tmp files.
   Status Prune();
 
   std::string dir_;
@@ -106,13 +104,10 @@ class ShardedDurabilityManager : public DurabilitySink {
   uint32_t rounds_since_checkpoint_ = 0;
 };
 
-/// What RecoverShardedEngine reconstructed and from where.
-struct ShardedRecoveryReport {
+/// What RecoverEngine reconstructed and from where.
+struct RecoveryReport {
   std::string manifest_path;  ///< Empty when no manifest was usable.
   uint64_t generation = 0;    ///< Generation recovered from (0 = none).
-  /// Snapshot entries in the recovered generation (1; older builds wrote one
-  /// per shard).
-  uint64_t manifest_shards = 0;
   uint64_t engine_shards = 0;    ///< Join windows of the recovering engine.
   uint64_t base_seq = 0;         ///< Checkpoint's wal_next_seq.
   uint64_t snapshot_rounds = 0;
@@ -135,18 +130,19 @@ struct ShardedRecoveryReport {
 };
 
 /// Rebuilds `engine` (and optionally `validator` / `rng`) from a durable
-/// root: picks the newest manifest whose every referenced artifact verifies
-/// (CRC + recorded payload hash), falling back generation by generation past
-/// kDataLoss; loads the chosen generation into the engine; then replays every
-/// WAL record at or past the checkpoint's sequence, re-evaluating at the
-/// recorded round boundaries and feeding `sink` (nullable). The engine must
-/// be freshly created with the SAME semantic options as the original run
+/// root: picks the newest manifest whose snapshot verifies (CRC + recorded
+/// payload hash), falling back generation by generation past kDataLoss;
+/// loads that snapshot into the engine; then replays every WAL record at or
+/// past the checkpoint's sequence, re-evaluating at the recorded round
+/// boundaries and feeding `sink` (nullable). The engine must be freshly
+/// created with the SAME semantic options as the original run
 /// (kFailedPrecondition on fingerprint mismatch); its window count is free. A
-/// WAL whose records skip past the checkpoint's sequence is kDataLoss; a
-/// retired layout is kFailedPrecondition.
-Result<ShardedRecoveryReport> RecoverShardedEngine(
-    const std::string& dir, ScubaEngine* engine, UpdateValidator* validator,
-    Rng* rng, const ResultSink& sink = nullptr);
+/// manifest or snapshot of another format version is kFailedPrecondition; a
+/// WAL whose records skip past the checkpoint's sequence is kDataLoss.
+Result<RecoveryReport> RecoverEngine(const std::string& dir,
+                                     ScubaEngine* engine,
+                                     UpdateValidator* validator, Rng* rng,
+                                     const ResultSink& sink = nullptr);
 
 /// Online recovery of a failed join window (docs/ARCHITECTURE.md §13):
 /// recovers a pristine twin engine from `dir` (same semantic options;
@@ -156,13 +152,12 @@ Result<ShardedRecoveryReport> RecoverShardedEngine(
 /// engine's whole store and grid (plus join counters and shedder state) with
 /// the twin's. `window` only names the failure in errors. `validator_config`
 /// (nullable) must echo the run's screening config when the root's
-/// checkpoints carry validator state (LoadCoordinatorState rejects a
+/// checkpoints carry validator state (LoadEngineSnapshot rejects a
 /// validator-bearing payload otherwise). Wired as
 /// ScubaEngine::set_stripe_recovery by callers owning a durable directory.
-Status RecoverShardStripe(const std::string& dir, ScubaEngine* engine,
-                          uint32_t window,
-                          const ValidatorConfig* validator_config);
+Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
+                     uint32_t window, const ValidatorConfig* validator_config);
 
 }  // namespace scuba
 
-#endif  // SCUBA_SHARD_SHARD_DURABILITY_H_
+#endif  // SCUBA_PERSIST_DURABILITY_H_

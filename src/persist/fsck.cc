@@ -1,8 +1,6 @@
 #include "persist/fsck.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -25,16 +23,6 @@ void Problem(FsckReport* report, int code, std::string message) {
   report->exit_code = std::max(report->exit_code, code);
 }
 
-void AppendJsonStrings(std::ostringstream* out, const char* key,
-                       const std::vector<std::string>& values) {
-  *out << "\"" << key << "\":[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) *out << ",";
-    *out << "\"" << JsonEscape(values[i]) << "\"";
-  }
-  *out << "]";
-}
-
 void ScanTempOrphans(const std::string& dir, FsckReport* report) {
   std::error_code ec;
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
@@ -47,7 +35,7 @@ void ScanTempOrphans(const std::string& dir, FsckReport* report) {
 }
 
 /// Scans the root's WAL: segment framing, contiguity, a torn tail, and that
-/// replay from the newest committed base (`base_seq`) finds no gap.
+/// replay from the last valid manifest's base (`base_seq`) finds no gap.
 void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
@@ -67,7 +55,7 @@ void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
     if (record.seq < base_seq) continue;
     if (record.seq != base_seq) {
       Problem(report, kFsckWalGap,
-              dir + ": replay from the newest manifest's seq " +
+              dir + ": replay from the last valid manifest's seq " +
                   std::to_string(base_seq) + " would start at seq " +
                   std::to_string(record.seq));
     }
@@ -75,94 +63,38 @@ void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
   }
 }
 
-void FsckLayout(
-    const std::string& dir,
-    const std::vector<std::pair<uint64_t, std::string>>& manifests,
-    FsckReport* report) {
-  // Manifests and the artifacts they reference.
-  std::set<std::pair<uint32_t, uint64_t>> referenced;  // (shard, snapshot seq)
-  uint64_t newest_valid_base = 0;
-  uint64_t newest_valid_shards = 0;
-  bool have_valid = false;
-  for (const auto& [generation, path] : manifests) {
-    ++report->manifests_scanned;
-    Result<ManifestInfo> info = ReadManifest(path);
-    if (!info.ok()) {
-      Problem(report, kFsckBadManifest, info.status().message());
-      continue;
-    }
-    ++report->manifests_valid;
-    if (!have_valid || generation >= info->generation) {
-      newest_valid_base = info->wal_next_seq;
-      newest_valid_shards = info->shards.size();
-      have_valid = true;
-    }
-    for (uint32_t s = 0; s < info->shards.size(); ++s) {
-      const ManifestShardEntry& entry = info->shards[s];
-      referenced.insert({s, entry.snapshot_seq});
-      const std::string snap_path =
-          (fs::path(dir) / ShardDirName(s) /
-           SnapshotFileName(entry.snapshot_seq))
-              .string();
-      ++report->snapshots_scanned;
-      std::error_code ec;
-      if (!fs::exists(snap_path, ec)) {
-        Problem(report, kFsckMissingArtifact,
-                path + " references missing " + snap_path);
-        continue;
-      }
-      Result<std::string> payload = ReadSnapshotPayload(snap_path);
-      if (!payload.ok()) {
-        Problem(report, kFsckBadSnapshot,
-                snap_path + ": " + payload.status().message());
-        continue;
-      }
-      if (Fnv1a64(*payload) != entry.state_hash) {
-        Problem(report, kFsckBadSnapshot,
-                snap_path + " does not hash to the value " + path +
-                    " recorded");
-        continue;
-      }
-      Result<SnapshotMeta> meta = PeekSnapshotMeta(*payload);
-      if (!meta.ok() || meta->wal_next_seq != info->wal_next_seq ||
-          meta->options_fingerprint != info->fingerprint) {
-        Problem(report, kFsckBadSnapshot,
-                snap_path + " belongs to a different checkpoint than " + path);
-        continue;
-      }
-      ++report->snapshots_valid;
-    }
-  }
-
-  // Shard directories: orphaned snapshots and temp files.
-  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
-      ListShardDirs(dir);
-  if (!shard_dirs.ok()) {
-    Problem(report, kFsckOrphan, shard_dirs.status().message());
+/// Checks one manifest's snapshot: present, intact, of this version, and
+/// the very payload the manifest recorded.
+void FsckSnapshot(const std::string& manifest_path, const ManifestInfo& info,
+                  const std::string& snapshot_dir, FsckReport* report) {
+  const std::string path =
+      (fs::path(snapshot_dir) / SnapshotFileName(info.generation)).string();
+  ++report->snapshots_scanned;
+  std::error_code ec;
+  if (!fs::exists(path, ec)) {
+    Problem(report, kFsckMissingArtifact,
+            manifest_path + " references missing " + path);
     return;
   }
-  for (const auto& [index, shard_dir] : *shard_dirs) {
-    if (have_valid && index >= newest_valid_shards) {
-      report->notes.push_back(shard_dir +
-                              ": extinct shard layout (newest manifest has " +
-                              std::to_string(newest_valid_shards) +
-                              " shards); inert once older manifests age out");
-    }
-    Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-        ListSnapshots(shard_dir);
-    if (snapshots.ok()) {
-      for (const auto& [seq, path] : *snapshots) {
-        if (referenced.count({index, seq}) == 0) {
-          Problem(report, kFsckOrphan,
-                  path + ": no readable manifest references this snapshot "
-                         "(interrupted checkpoint or prune)");
-        }
-      }
-    }
-    ScanTempOrphans(shard_dir, report);
+  Result<std::string> payload = ReadSnapshotPayload(path);
+  if (!payload.ok()) {
+    Problem(report, kFsckBadSnapshot, payload.status().message());
+    return;
   }
-  ScanWal(WalDirOf(dir), newest_valid_base, report);
-  ScanTempOrphans(dir, report);
+  if (Fnv1a64(*payload) != info.snapshot_hash) {
+    Problem(report, kFsckBadSnapshot,
+            path + " does not hash to the value " + manifest_path +
+                " recorded");
+    return;
+  }
+  Result<SnapshotMeta> meta = PeekSnapshotMeta(*payload);
+  if (!meta.ok() || meta->wal_next_seq != info.wal_next_seq ||
+      meta->options_fingerprint != info.fingerprint) {
+    Problem(report, kFsckBadSnapshot,
+            path + " belongs to a different checkpoint than " + manifest_path);
+    return;
+  }
+  ++report->snapshots_valid;
 }
 
 }  // namespace
@@ -175,7 +107,6 @@ std::string FsckReport::ToString() const {
       << wal_segments_scanned << " segments";
   out << (problems.empty() ? "\nclean" : "");
   for (const std::string& p : problems) out << "\nproblem: " << p;
-  for (const std::string& n : notes) out << "\nnote: " << n;
   return out.str();
 }
 
@@ -188,11 +119,12 @@ std::string FsckReport::ToJson() const {
       << ",\"wal_segments_scanned\":" << wal_segments_scanned
       << ",\"wal_records_scanned\":" << wal_records_scanned
       << ",\"exit_code\":" << exit_code << ",\"clean\":"
-      << (problems.empty() ? "true" : "false") << ",";
-  AppendJsonStrings(&out, "problems", problems);
-  out << ",";
-  AppendJsonStrings(&out, "notes", notes);
-  out << "}";
+      << (problems.empty() ? "true" : "false") << ",\"problems\":[";
+  for (size_t i = 0; i < problems.size(); ++i) {
+    if (i > 0) out << ",";
+    out << "\"" << JsonEscape(problems[i]) << "\"";
+  }
+  out << "]}";
   return out.str();
 }
 
@@ -208,11 +140,34 @@ Result<FsckReport> FsckDurableDir(const std::string& dir) {
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir);
   if (!manifests.ok()) return manifests.status();
-  if (Status retired = RejectRetiredLayout(dir); !retired.ok()) {
-    if (!retired.IsFailedPrecondition()) return retired;
-    Problem(&report, kFsckRetiredLayout, retired.message());
+  const std::string snapshot_dir = SnapshotDirOf(dir);
+  std::set<uint64_t> referenced;  // generations of readable manifests
+  uint64_t base_seq = 0;
+  for (const auto& [generation, path] : *manifests) {
+    ++report.manifests_scanned;
+    Result<ManifestInfo> info = ReadManifest(path);
+    if (!info.ok()) {
+      Problem(&report, kFsckBadManifest, info.status().message());
+      continue;
+    }
+    ++report.manifests_valid;
+    base_seq = info->wal_next_seq;  // ascending: the last valid one wins
+    referenced.insert(generation);
+    FsckSnapshot(path, *info, snapshot_dir, &report);
   }
-  FsckLayout(dir, *manifests, &report);
+  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
+      ListSnapshots(snapshot_dir);
+  if (!snapshots.ok()) return snapshots.status();
+  for (const auto& [generation, path] : *snapshots) {
+    if (referenced.count(generation) == 0) {
+      Problem(&report, kFsckOrphan,
+              path + ": no readable manifest references this snapshot "
+                     "(interrupted checkpoint or prune)");
+    }
+  }
+  ScanTempOrphans(snapshot_dir, &report);
+  ScanWal(WalDirOf(dir), base_seq, &report);
+  ScanTempOrphans(dir, &report);
   return report;
 }
 

@@ -1,13 +1,13 @@
-// Read-only verification of a durable directory (`scuba_cli fsck <dir>`).
+// Read-only verification of a durable root (`scuba_cli fsck <dir>`).
 //
-// Walks every artifact a durable directory can hold — manifests, per-shard
-// snapshots and the root's one WAL (persist/manifest.h) — and verifies
-// framing CRCs, manifest-recorded payload hashes, WAL sequence contiguity
-// and that the WAL picks up where the newest committed manifest left off. A
-// directory in a retired layout (bare snapshots and WAL at the root, or
-// per-shard WAL chains) gets its own verdict: no current build reads it.
-// Never writes a byte: a torn WAL tail is *reported*, exactly as recovery
-// would discard it, but the repair itself is left to recovery.
+// Walks every artifact the root can hold (docs/ARCHITECTURE.md §8): the
+// manifests at the top level, the snapshots under snapshots/ and the one WAL
+// under wal/. It verifies framing CRCs and format versions, the snapshot
+// hash each manifest recorded, WAL sequence contiguity, and that the WAL
+// picks up where the last valid manifest left off. A manifest or snapshot
+// of another format version is reported as a bad manifest (24) or a bad
+// snapshot (22). Never writes a byte: a torn WAL tail is *reported*, exactly
+// as recovery would discard it, but the repair itself is left to recovery.
 
 #ifndef SCUBA_PERSIST_FSCK_H_
 #define SCUBA_PERSIST_FSCK_H_
@@ -30,19 +30,17 @@ inline constexpr int kFsckTornTail = 20;
 /// Temp files or snapshots no readable manifest references (interrupted
 /// write or prune). Inert: recovery never reads them.
 inline constexpr int kFsckOrphan = 21;
-/// A snapshot fails its CRC, or disagrees with the manifest that names it.
+/// A snapshot fails its CRC or version check, or disagrees with the
+/// manifest that names it.
 inline constexpr int kFsckBadSnapshot = 22;
 /// A sequence gap or mid-log corruption in the WAL, or a WAL that resumes
-/// past the newest committed manifest's sequence.
+/// past the last valid manifest's sequence.
 inline constexpr int kFsckWalGap = 23;
-/// A manifest file fails its CRC or does not parse.
+/// A manifest file fails its CRC or version check, does not parse, or names
+/// a generation other than its file name's.
 inline constexpr int kFsckBadManifest = 24;
 /// A manifest references a snapshot file that does not exist.
 inline constexpr int kFsckMissingArtifact = 25;
-/// The root holds a retired layout — bare snapshot-*.scuba / wal-*.log
-/// files at the root, or wal-*.log chains under shard-NNNN/; run, restore
-/// and recover refuse it.
-inline constexpr int kFsckRetiredLayout = 26;
 
 struct FsckReport {
   uint64_t manifests_scanned = 0;
@@ -51,9 +49,6 @@ struct FsckReport {
   uint64_t snapshots_valid = 0;
   uint64_t wal_segments_scanned = 0;
   uint64_t wal_records_scanned = 0;
-  /// Tolerated residue and layout facts (extinct shard dirs);
-  /// informational, never affects exit_code.
-  std::vector<std::string> notes;
   /// Each problem raised exit_code to at least its verdict code.
   std::vector<std::string> problems;
   int exit_code = kFsckOk;
@@ -63,7 +58,7 @@ struct FsckReport {
   /// {"manifests_scanned":...,"manifests_valid":...,
   ///  "snapshots_scanned":...,"snapshots_valid":...,
   ///  "wal_segments_scanned":...,"wal_records_scanned":...,
-  ///  "exit_code":...,"clean":...,"problems":[...],"notes":[...]}
+  ///  "exit_code":...,"clean":...,"problems":[...]}
   std::string ToJson() const;
 };
 

@@ -1,5 +1,5 @@
 // Low-level durable file IO shared by the snapshot, WAL and manifest writers
-// (docs/ARCHITECTURE.md §8, §12).
+// (docs/ARCHITECTURE.md §8).
 //
 // Extracted from snapshot.cc so every artifact in a durable directory —
 // engine snapshots, per-shard snapshots, coordinator manifests — goes through

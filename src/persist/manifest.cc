@@ -10,8 +10,6 @@
 
 #include "common/serializer.h"
 #include "persist/fsio.h"
-#include "persist/snapshot.h"
-#include "persist/wal.h"
 
 namespace scuba {
 
@@ -20,7 +18,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kManifestMagic[8] = {'S', 'C', 'U', 'B', 'A', 'M', 'F', '1'};
-constexpr uint32_t kManifestVersion = 1;
+constexpr uint32_t kManifestVersion = 2;
 constexpr char kManifestPrefix[] = "manifest-";
 constexpr char kManifestSuffix[] = ".scubamf";
 
@@ -30,12 +28,7 @@ std::string EncodeManifestPayload(const ManifestInfo& info) {
   w.PutU64(info.generation);
   w.PutU64(info.wal_next_seq);
   w.PutU64(info.rounds);
-  w.PutU32(static_cast<uint32_t>(info.shards.size()));
-  for (const ManifestShardEntry& shard : info.shards) {
-    w.PutU64(shard.snapshot_seq);
-    w.PutU64(shard.state_hash);
-  }
-  w.PutString(info.coordinator_state);
+  w.PutU64(info.snapshot_hash);
   return w.Release();
 }
 
@@ -45,23 +38,29 @@ Status DecodeManifestPayload(std::string_view payload, ManifestInfo* info) {
   SCUBA_RETURN_IF_ERROR(r.GetU64(&info->generation));
   SCUBA_RETURN_IF_ERROR(r.GetU64(&info->wal_next_seq));
   SCUBA_RETURN_IF_ERROR(r.GetU64(&info->rounds));
-  uint32_t shard_count = 0;
-  SCUBA_RETURN_IF_ERROR(r.GetU32(&shard_count));
-  if (shard_count == 0 || shard_count > r.Remaining()) {
-    return Status::DataLoss("manifest shard count " +
-                            std::to_string(shard_count) +
-                            " is implausible for the payload size");
-  }
-  info->shards.resize(shard_count);
-  for (ManifestShardEntry& shard : info->shards) {
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&shard.snapshot_seq));
-    SCUBA_RETURN_IF_ERROR(r.GetU64(&shard.state_hash));
-  }
-  SCUBA_RETURN_IF_ERROR(r.GetString(&info->coordinator_state));
+  SCUBA_RETURN_IF_ERROR(r.GetU64(&info->snapshot_hash));
   if (!r.AtEnd()) {
     return Status::DataLoss("manifest payload carries trailing bytes");
   }
   return Status::OK();
+}
+
+/// The generation a manifest file name carries; false for any other name.
+bool ParseManifestName(const std::string& name, uint64_t* generation) {
+  constexpr size_t kPrefix = sizeof(kManifestPrefix) - 1;
+  constexpr size_t kSuffix = sizeof(kManifestSuffix) - 1;
+  if (name.size() <= kPrefix + kSuffix ||
+      name.compare(0, kPrefix, kManifestPrefix) != 0 ||
+      name.compare(name.size() - kSuffix, kSuffix, kManifestSuffix) != 0) {
+    return false;
+  }
+  const std::string digits =
+      name.substr(kPrefix, name.size() - kPrefix - kSuffix);
+  if (digits.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  *generation = std::strtoull(digits.c_str(), nullptr, 10);
+  return true;
 }
 
 std::string EncodeManifestFile(const ManifestInfo& info) {
@@ -84,39 +83,12 @@ std::string ManifestFileName(uint64_t generation) {
   return buf;
 }
 
-std::string ShardDirName(uint32_t shard_index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "shard-%04u", shard_index);
-  return buf;
-}
-
 std::string WalDirOf(const std::string& dir) {
   return (fs::path(dir) / "wal").string();
 }
 
-Result<std::vector<std::pair<uint32_t, std::string>>> ListShardDirs(
-    const std::string& dir) {
-  std::vector<std::pair<uint32_t, std::string>> out;
-  std::error_code ec;
-  if (!fs::exists(dir, ec)) return out;
-  fs::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot list " + dir + ": " + ec.message());
-  }
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_directory(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("shard-", 0) != 0) continue;
-    const std::string digits = name.substr(6);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    out.emplace_back(
-        static_cast<uint32_t>(std::strtoul(digits.c_str(), nullptr, 10)),
-        entry.path().string());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+std::string SnapshotDirOf(const std::string& dir) {
+  return (fs::path(dir) / "snapshots").string();
 }
 
 Result<std::vector<std::pair<uint64_t, std::string>>> ListManifests(
@@ -129,23 +101,10 @@ Result<std::vector<std::pair<uint64_t, std::string>>> ListManifests(
     return Status::IoError("cannot list " + dir + ": " + ec.message());
   }
   for (const fs::directory_entry& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(kManifestPrefix, 0) != 0) continue;
-    if (name.size() <=
-        sizeof(kManifestPrefix) - 1 + sizeof(kManifestSuffix) - 1)
-      continue;
-    if (name.substr(name.size() - (sizeof(kManifestSuffix) - 1)) !=
-        kManifestSuffix)
-      continue;
-    const std::string digits =
-        name.substr(sizeof(kManifestPrefix) - 1,
-                    name.size() - (sizeof(kManifestPrefix) - 1) -
-                        (sizeof(kManifestSuffix) - 1));
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    out.emplace_back(std::strtoull(digits.c_str(), nullptr, 10),
-                     entry.path().string());
+    uint64_t generation = 0;
+    if (ParseManifestName(entry.path().filename().string(), &generation)) {
+      out.emplace_back(generation, entry.path().string());
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -200,8 +159,9 @@ Result<ManifestInfo> ReadManifest(const std::string& path) {
   uint32_t version = 0;
   std::memcpy(&version, data.data() + sizeof(kManifestMagic), sizeof(version));
   if (version != kManifestVersion) {
-    return Status::DataLoss(path + ": unsupported manifest version " +
-                            std::to_string(version));
+    return Status::FailedPrecondition(
+        path + ": manifest format version " + std::to_string(version) +
+        "; this build reads only version " + std::to_string(kManifestVersion));
   }
   uint64_t payload_len = 0;
   std::memcpy(&payload_len,
@@ -222,41 +182,14 @@ Result<ManifestInfo> ReadManifest(const std::string& path) {
   if (Status s = DecodeManifestPayload(payload, &info); !s.ok()) {
     return Status::DataLoss(path + ": " + s.message());
   }
+  uint64_t named = 0;
+  if (!ParseManifestName(fs::path(path).filename().string(), &named) ||
+      named != info.generation) {
+    return Status::DataLoss(path + ": payload names generation " +
+                            std::to_string(info.generation) +
+                            ", which its file name does not");
+  }
   return info;
-}
-
-Status RejectRetiredLayout(const std::string& dir) {
-  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir);
-  if (!snapshots.ok()) return snapshots.status();
-  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
-      ListWalSegments(dir);
-  if (!segments.ok()) return segments.status();
-  if (!snapshots->empty() || !segments->empty()) {
-    return Status::FailedPrecondition(
-        dir + " holds the retired single-engine durable layout (" +
-        std::to_string(snapshots->size()) + " bare snapshot-*.scuba and " +
-        std::to_string(segments->size()) +
-        " wal-*.log files at the root); only the manifest layout is "
-        "readable — re-create the directory with a current run");
-  }
-  Result<std::vector<std::pair<uint32_t, std::string>>> shard_dirs =
-      ListShardDirs(dir);
-  if (!shard_dirs.ok()) return shard_dirs.status();
-  for (const auto& [index, shard_dir] : *shard_dirs) {
-    Result<std::vector<std::pair<uint64_t, std::string>>> chain =
-        ListWalSegments(shard_dir);
-    if (!chain.ok()) return chain.status();
-    if (!chain->empty()) {
-      return Status::FailedPrecondition(
-          dir + " holds the retired per-shard WAL-chain durable layout (" +
-          std::to_string(chain->size()) + " wal-*.log files under " +
-          ShardDirName(index) +
-          "/); the current layout keeps one WAL under wal/ — re-create the "
-          "directory with a current run");
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace scuba

@@ -21,9 +21,11 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'S', 'C', 'U', 'B', 'S', 'N', 'P', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
+constexpr uint32_t kSnapshotVersion = 2;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".scuba";
+/// The SnapshotMeta header at the front of every payload: three u64s.
+constexpr size_t kSnapshotMetaBytes = 3 * sizeof(uint64_t);
 
 void PutPoint(ByteWriter* w, Point p) {
   w->PutDouble(p.x);
@@ -43,6 +45,68 @@ void PutCircle(ByteWriter* w, const Circle& c) {
 Status GetCircle(ByteReader* r, Circle* c) {
   SCUBA_RETURN_IF_ERROR(GetPoint(r, &c->center));
   return r->GetDouble(&c->radius);
+}
+
+/// The EvalStats counts a snapshot keeps, in payload order. Wall-clock
+/// seconds and join_threads describe the process, not the state, so they
+/// stay out and two checkpoints of one input are byte-identical at any
+/// thread count.
+constexpr uint64_t EvalStats::*kDurableEvalCounts[] = {
+    &EvalStats::evaluations,
+    &EvalStats::total_results,
+    &EvalStats::last_result_count,
+    &EvalStats::comparisons,
+    &EvalStats::bounds_checks,
+    &EvalStats::cluster_pairs_tested,
+    &EvalStats::cluster_pairs_overlapping,
+    &EvalStats::updates_quarantined,
+    &EvalStats::invariant_audits,
+    &EvalStats::invariant_violations,
+    &EvalStats::invariant_repairs,
+    &EvalStats::checkpoints_written,
+    &EvalStats::last_checkpoint_bytes,
+    &EvalStats::wal_records_appended,
+    &EvalStats::wal_fsyncs,
+    &EvalStats::wal_bytes_appended,
+    &EvalStats::recovery_replay_rounds,
+};
+
+constexpr uint64_t ClusterJoinExecutor::Counters::*kJoinCounts[] = {
+    &ClusterJoinExecutor::Counters::comparisons,
+    &ClusterJoinExecutor::Counters::bounds_checks,
+    &ClusterJoinExecutor::Counters::pairs_tested,
+    &ClusterJoinExecutor::Counters::pairs_overlapping,
+    &ClusterJoinExecutor::Counters::within_joins_single,
+    &ClusterJoinExecutor::Counters::within_joins_pair,
+};
+
+constexpr uint64_t ScubaPhaseStats::*kPhaseCounts[] = {
+    &ScubaPhaseStats::clusters_dissolved_expired,
+    &ScubaPhaseStats::members_shed_maintenance,
+    &ScubaPhaseStats::clusters_split,
+};
+
+constexpr uint64_t ClustererStats::*kClustererCounts[] = {
+    &ClustererStats::clusters_created,
+    &ClustererStats::members_absorbed,
+    &ClustererStats::members_refreshed,
+    &ClustererStats::members_departed,
+    &ClustererStats::clusters_dissolved_empty,
+    &ClustererStats::members_shed,
+};
+
+template <typename T, size_t N>
+void PutCounts(ByteWriter* w, const T& stats,
+               uint64_t T::* const (&fields)[N]) {
+  for (uint64_t T::*field : fields) w->PutU64(stats.*field);
+}
+
+template <typename T, size_t N>
+Status GetCounts(ByteReader* r, T* stats, uint64_t T::* const (&fields)[N]) {
+  for (uint64_t T::*field : fields) {
+    SCUBA_RETURN_IF_ERROR(r->GetU64(&(stats->*field)));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -76,10 +140,10 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   return Fnv1a64(w.bytes());
 }
 
-std::string SnapshotFileName(uint64_t wal_next_seq) {
+std::string SnapshotFileName(uint64_t generation) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%s%020llu%s", kSnapshotPrefix,
-                static_cast<unsigned long long>(wal_next_seq), kSnapshotSuffix);
+                static_cast<unsigned long long>(generation), kSnapshotSuffix);
   return buf;
 }
 
@@ -228,6 +292,128 @@ void PersistAccess::SaveStoreState(const ClusterStore& store,
   }
 }
 
+std::string PersistAccess::SaveEngineSnapshot(const ScubaEngine& e,
+                                              const UpdateValidator* validator,
+                                              const Rng* rng,
+                                              uint64_t wal_next_seq,
+                                              uint64_t rounds) {
+  ByteWriter w;
+  w.PutU64(OptionsFingerprint(e.options()));
+  w.PutU64(wal_next_seq);
+  w.PutU64(rounds);
+  SaveStoreState(e.store_, e.grid_, &w);
+  PutCounts(&w, e.join_executor_.counters_, kJoinCounts);
+  w.PutDouble(e.shedder_.eta_);
+  w.PutU64(e.shedder_.adjustments_);
+  w.PutDouble(e.clusterer_.nucleus_radius());
+  PutCounts(&w, e.stats_, kDurableEvalCounts);
+  PutCounts(&w, e.phase_stats_, kPhaseCounts);
+  PutCounts(&w, e.clusterer_.stats_, kClustererCounts);
+  w.PutBool(validator != nullptr);
+  if (validator != nullptr) SaveValidatorState(*validator, &w);
+  w.PutBool(rng != nullptr);
+  if (rng != nullptr) {
+    const RngState state = rng->SaveState();
+    for (uint64_t word : state.s) w.PutU64(word);
+    w.PutBool(state.has_cached_gaussian);
+    w.PutDouble(state.cached_gaussian);
+  }
+  return w.Release();
+}
+
+Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
+                                         ScubaEngine* e,
+                                         UpdateValidator* validator, Rng* rng) {
+  Result<SnapshotMeta> meta = PeekSnapshotMeta(payload);
+  if (!meta.ok()) return meta.status();
+  if (meta->options_fingerprint != OptionsFingerprint(e->options())) {
+    return Status::FailedPrecondition(
+        "snapshot was taken under different engine options; restore "
+        "requires semantically identical ScubaOptions");
+  }
+  ByteReader r(std::string_view(payload).substr(kSnapshotMetaBytes));
+  e->store_.Clear();
+  e->grid_.Clear();
+  uint32_t next_cid = 0;
+  SCUBA_RETURN_IF_ERROR(r.GetU32(&next_cid));
+  for (EntityKind kind : {EntityKind::kObject, EntityKind::kQuery}) {
+    uint64_t rows = 0;
+    SCUBA_RETURN_IF_ERROR(r.GetU64(&rows));
+    for (uint64_t i = 0; i < rows; ++i) {
+      uint32_t id = 0;
+      uint64_t attrs = 0;
+      SCUBA_RETURN_IF_ERROR(r.GetU32(&id));
+      SCUBA_RETURN_IF_ERROR(r.GetU64(&attrs));
+      e->store_.UpsertAttrs(EntityRef{kind, id}, attrs);
+    }
+  }
+  e->store_.next_cid_ = next_cid;
+  uint64_t cluster_count = 0;
+  SCUBA_RETURN_IF_ERROR(r.GetU64(&cluster_count));
+  for (uint64_t i = 0; i < cluster_count; ++i) {
+    Result<MovingCluster> cluster = LoadCluster(&r);
+    if (!cluster.ok()) return cluster.status();
+    bool registered = false;
+    SCUBA_RETURN_IF_ERROR(r.GetBool(&registered));
+    const ClusterId cid = cluster->cid();
+    const Circle bounds = cluster->registered_bounds();
+    if (Status s = e->store_.AddCluster(std::move(cluster).value()); !s.ok()) {
+      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
+                              " rejected by the store: " + s.message());
+    }
+    if (!registered) continue;
+    if (Status s = e->grid_.Insert(cid, bounds); !s.ok()) {
+      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
+                              " rejected by the grid: " + s.message());
+    }
+  }
+  SCUBA_RETURN_IF_ERROR(GetCounts(&r, &e->join_executor_.counters_,
+                                  kJoinCounts));
+  double nucleus_radius = 0.0;
+  SCUBA_RETURN_IF_ERROR(r.GetDouble(&e->shedder_.eta_));
+  SCUBA_RETURN_IF_ERROR(r.GetU64(&e->shedder_.adjustments_));
+  SCUBA_RETURN_IF_ERROR(r.GetDouble(&nucleus_radius));
+  e->clusterer_.set_nucleus_radius(nucleus_radius);
+  // Timings restart at zero; the engine reports its own parallelism.
+  EvalStats stats;
+  stats.join_threads = e->resolved_threads_;
+  SCUBA_RETURN_IF_ERROR(GetCounts(&r, &stats, kDurableEvalCounts));
+  e->stats_ = stats;
+  e->pending_prejoin_seconds_ = 0.0;
+  SCUBA_RETURN_IF_ERROR(GetCounts(&r, &e->phase_stats_, kPhaseCounts));
+  SCUBA_RETURN_IF_ERROR(
+      GetCounts(&r, &e->clusterer_.stats_, kClustererCounts));
+  bool has_validator = false;
+  SCUBA_RETURN_IF_ERROR(r.GetBool(&has_validator));
+  if (has_validator) {
+    if (validator != nullptr) {
+      SCUBA_RETURN_IF_ERROR(LoadValidatorState(&r, validator));
+    } else {
+      UpdateValidator scratch((ValidatorConfig()));
+      Status s = LoadValidatorState(&r, &scratch);
+      if (s.IsFailedPrecondition()) {
+        return Status::DataLoss(
+            "checkpoint carries validator state; pass a validator configured "
+            "with the original quarantine capacity to restore it");
+      }
+      SCUBA_RETURN_IF_ERROR(s);
+    }
+  }
+  bool has_rng = false;
+  SCUBA_RETURN_IF_ERROR(r.GetBool(&has_rng));
+  if (has_rng) {
+    RngState state;
+    for (uint64_t& word : state.s) SCUBA_RETURN_IF_ERROR(r.GetU64(&word));
+    SCUBA_RETURN_IF_ERROR(r.GetBool(&state.has_cached_gaussian));
+    SCUBA_RETURN_IF_ERROR(r.GetDouble(&state.cached_gaussian));
+    if (rng != nullptr) rng->RestoreState(state);
+  }
+  if (!r.AtEnd()) {
+    return Status::DataLoss("snapshot payload carries trailing bytes");
+  }
+  return Status::OK();
+}
+
 void PersistAccess::SaveAttrTables(const ClusterStore& store, ByteWriter* w) {
   for (EntityKind kind : {EntityKind::kObject, EntityKind::kQuery}) {
     const std::vector<std::pair<uint32_t, uint64_t>> rows =
@@ -339,93 +525,7 @@ void PersistAccess::NoteAdmitted(UpdateValidator* v, EntityKind kind,
   if (!inserted && time > it->second) it->second = time;
 }
 
-void PersistAccess::SaveEvalStats(const EvalStats& s, ByteWriter* w) {
-  // Fixed field order — extend only by appending (bump the manifest version
-  // when the layout changes incompatibly). Every wall-clock seconds slot is
-  // written as 0.0 so two checkpoints of one run are byte-identical; timing
-  // totals restart at zero after a restore.
-  constexpr double kWallClock = 0.0;
-  w->PutU64(s.evaluations);
-  w->PutDouble(kWallClock);  // total_join_seconds
-  w->PutDouble(kWallClock);  // total_maintenance_seconds
-  w->PutDouble(kWallClock);  // last_join_seconds
-  w->PutDouble(kWallClock);  // last_maintenance_seconds
-  w->PutU64(s.total_results);
-  w->PutU64(s.last_result_count);
-  w->PutU64(s.comparisons);
-  w->PutU64(s.bounds_checks);
-  w->PutU64(s.cluster_pairs_tested);
-  w->PutU64(s.cluster_pairs_overlapping);
-  w->PutU32(s.join_threads);
-  w->PutDouble(kWallClock);  // last_join_worker_seconds
-  w->PutDouble(kWallClock);  // total_join_worker_seconds
-  // Retired slot: the ingest thread count, always 1 (ingest is serial).
-  w->PutU32(1);
-  w->PutDouble(kWallClock);  // last_ingest_seconds
-  w->PutDouble(kWallClock);  // total_ingest_seconds
-  w->PutDouble(kWallClock);  // last_postjoin_seconds
-  w->PutDouble(kWallClock);  // total_postjoin_seconds
-  // Retired slots: the ingest worker seconds.
-  w->PutDouble(kWallClock);
-  w->PutDouble(kWallClock);
-  w->PutDouble(kWallClock);  // last_postjoin_worker_seconds
-  w->PutDouble(kWallClock);  // total_postjoin_worker_seconds
-  w->PutU64(s.updates_quarantined);
-  w->PutU64(s.invariant_audits);
-  w->PutU64(s.invariant_violations);
-  w->PutU64(s.invariant_repairs);
-  w->PutU64(s.checkpoints_written);
-  w->PutU64(s.last_checkpoint_bytes);
-  w->PutDouble(kWallClock);  // last_checkpoint_seconds
-  w->PutDouble(kWallClock);  // total_checkpoint_seconds
-  w->PutU64(s.wal_records_appended);
-  w->PutU64(s.wal_fsyncs);
-  w->PutU64(s.wal_bytes_appended);
-  w->PutU64(s.recovery_replay_rounds);
-}
-
-Status PersistAccess::LoadEvalStats(ByteReader* r, EvalStats* s) {
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->evaluations));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_maintenance_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_maintenance_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->total_results));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_result_count));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->comparisons));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->bounds_checks));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_tested));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->cluster_pairs_overlapping));
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&s->join_threads));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_join_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_join_worker_seconds));
-  uint32_t retired_u32 = 0;
-  double retired_double = 0.0;
-  SCUBA_RETURN_IF_ERROR(r->GetU32(&retired_u32));  // ingest thread count
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_ingest_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_ingest_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_seconds));
-  // The two ingest worker-seconds slots.
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&retired_double));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&retired_double));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_postjoin_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_postjoin_worker_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->updates_quarantined));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_audits));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_violations));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->invariant_repairs));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->checkpoints_written));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->last_checkpoint_bytes));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->last_checkpoint_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetDouble(&s->total_checkpoint_seconds));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_records_appended));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_fsyncs));
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&s->wal_bytes_appended));
-  return r->GetU64(&s->recovery_replay_rounds);
-}
-
-Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
+Status WriteSnapshotFile(const std::string& dir, uint64_t generation,
                          const std::string& payload, uint64_t* bytes_written) {
   std::error_code ec;
   fs::create_directories(dir, ec);
@@ -440,7 +540,7 @@ Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
   file.PutU32(Crc32(payload));
   const std::string& bytes = file.bytes();
   const std::string final_path =
-      (fs::path(dir) / SnapshotFileName(wal_next_seq)).string();
+      (fs::path(dir) / SnapshotFileName(generation)).string();
   const std::string tmp_path = final_path + ".tmp";
   SCUBA_RETURN_IF_ERROR(WriteFileDurably(tmp_path, bytes));
   fs::rename(tmp_path, final_path, ec);
@@ -472,9 +572,9 @@ Result<std::string> ReadSnapshotPayload(const std::string& path) {
   SCUBA_RETURN_IF_ERROR(header.GetU32(&version));
   SCUBA_RETURN_IF_ERROR(header.GetU64(&payload_len));
   if (version != kSnapshotVersion) {
-    return Status::DataLoss("snapshot " + path + " has version " +
-                            std::to_string(version) + "; this build reads " +
-                            std::to_string(kSnapshotVersion));
+    return Status::FailedPrecondition(
+        "snapshot " + path + " has format version " + std::to_string(version) +
+        "; this build reads only version " + std::to_string(kSnapshotVersion));
   }
   if (file.size() != kHeader + payload_len + sizeof(uint32_t)) {
     return Status::DataLoss("snapshot " + path + " is torn: header declares " +

@@ -1,17 +1,26 @@
 // Snapshot files: versioned, checksummed containers for the engine's state
-// at a checkpoint generation (docs/ARCHITECTURE.md §8, §12).
+// at one checkpoint generation (docs/ARCHITECTURE.md §8). A generation is one
+// snapshot file, <root>/snapshots/snapshot-<generation>.scuba, plus the
+// manifest that names it (persist/manifest.h).
 //
 // File layout (all integers little-endian):
 //
-//   magic "SCUBSNP1" (8 bytes) | version u32 | payload_len u64
+//   magic "SCUBSNP1" (8 bytes) | version u32 (2) | payload_len u64
 //   payload (payload_len bytes) | crc32(payload) u32
 //
-// Every payload starts with the SnapshotMeta fields (ScubaOptions
-// fingerprint, the WAL sequence number the snapshot is consistent as of, the
-// evaluation-round count); the rest is the engine's clusters, join counters
-// and shedder state (PersistAccess::SerializeEngineSnapshot). Every double is
-// persisted as its IEEE-754 bit pattern, so a restored engine is
-// *bit-identical* to the checkpointed one: same digests, same future results.
+// Payload, in order (PersistAccess::SaveEngineSnapshot):
+//   1. the SnapshotMeta header: options fingerprint, wal_next_seq, rounds;
+//   2. SaveStoreState: the exact bytes EngineStateHash covers (id allocator,
+//      ObjectsTable and QueriesTable, clusters with grid-registration flags);
+//   3. the join counters, the shedder's eta and adjustments, the nucleus
+//      radius;
+//   4. the EvalStats counts (never a wall-clock slot or a thread count);
+//   5. the phase and clusterer stats;
+//   6. optional validator and rng sections, each behind a presence flag.
+// Every double is persisted as its IEEE-754 bit pattern, so a restored
+// engine is *bit-identical* to the checkpointed one: same digests, same
+// future results. A file with the right magic but another version is
+// kFailedPrecondition; there is no reader for older versions.
 //
 // Restore re-registers each cluster in the grid from its saved
 // registered_bounds in ascending cid order. Grid cell placement is a pure
@@ -53,22 +62,25 @@ struct SnapshotMeta {
 /// into a threads=1 engine (and the crash harness relies on exactly that).
 uint64_t OptionsFingerprint(const ScubaOptions& options);
 
-/// "snapshot-<seq, zero-padded>.scuba" — lexicographic order == seq order.
-std::string SnapshotFileName(uint64_t wal_next_seq);
+/// "snapshot-<generation, zero-padded>.scuba" — lexicographic order ==
+/// generation order.
+std::string SnapshotFileName(uint64_t generation);
 
-/// All snapshot files in `dir` as (wal_next_seq, full path), ascending seq.
-/// An unreadable directory is IoError; an empty/missing one is an empty list.
+/// All snapshot files in `dir` as (generation, full path), ascending. An
+/// unreadable directory is IoError; an empty/missing one is an empty list.
 Result<std::vector<std::pair<uint64_t, std::string>>> ListSnapshots(
     const std::string& dir);
 
-/// Writes header + payload + CRC to `dir`/SnapshotFileName(seq) atomically
-/// (temp file, fsync, rename, directory fsync). Returns the total file size
-/// via `*bytes_written` (nullable).
-Status WriteSnapshotFile(const std::string& dir, uint64_t wal_next_seq,
+/// Writes header + payload + CRC to `dir`/SnapshotFileName(generation)
+/// atomically (temp file, fsync, rename, directory fsync). Returns the total
+/// file size via `*bytes_written` (nullable).
+Status WriteSnapshotFile(const std::string& dir, uint64_t generation,
                          const std::string& payload, uint64_t* bytes_written);
 
 /// Reads a snapshot file and verifies magic, version, length and CRC.
-/// kDataLoss on any mismatch or truncation; the payload otherwise.
+/// kFailedPrecondition for another format version (naming the file, its
+/// version and this build's); kDataLoss on any other mismatch or truncation;
+/// the payload otherwise.
 Result<std::string> ReadSnapshotPayload(const std::string& path);
 
 /// Parses only the leading meta fields of a verified payload.
@@ -107,41 +119,25 @@ struct PersistAccess {
   static void NoteAdmitted(UpdateValidator* v, EntityKind kind, uint32_t id,
                            Timestamp time);
 
-  /// The coordinator-state blob's EvalStats section (fixed field order).
-  static void SaveEvalStats(const EvalStats& stats, ByteWriter* w);
-  static Status LoadEvalStats(ByteReader* r, EvalStats* stats);
-
-  // --- Engine durability (defined in src/shard/shard_durability.cc; the
-  // persist library declares but never links them — only binaries linking
-  // scuba_shard resolve these). ---
-
-  /// The generation's snapshot payload: the PeekSnapshotMeta header
-  /// (fingerprint, wal_next_seq, rounds), the entry index and entry count
-  /// (always 0 of 1 now), the clusters with their grid-registration flags,
-  /// and the join counters / shedder state.
-  static std::string SerializeEngineSnapshot(const ScubaEngine& engine,
-                                             uint64_t wal_next_seq,
-                                             uint64_t rounds);
-  /// Applies one snapshot payload into `engine`: its clusters join the
-  /// store (and the grid, when flagged) and its join counters add onto the
-  /// engine's. The shedder state comes from entry 0. Older generations wrote
-  /// one entry per shard; applying each of them in turn merges them into the
-  /// one store.
-  static Status ApplyEngineSnapshot(const std::string& payload,
-                                    ScubaEngine* engine);
+  /// The generation's snapshot payload (field order in the file comment).
+  /// `validator` and `rng` are nullable; each present one gets its section.
+  static std::string SaveEngineSnapshot(const ScubaEngine& engine,
+                                        const UpdateValidator* validator,
+                                        const Rng* rng, uint64_t wal_next_seq,
+                                        uint64_t rounds);
+  /// Replaces every piece of `engine`'s durable state with the payload's:
+  /// counters are assigned, timings restart at zero and join_threads stays
+  /// the live engine's. kFailedPrecondition when the payload's fingerprint
+  /// differs from the engine's options; kDataLoss when it does not decode,
+  /// or when it carries validator state and `validator` is null but the
+  /// state does not fit a default-configured validator.
+  static Status LoadEngineSnapshot(const std::string& payload,
+                                   ScubaEngine* engine,
+                                   UpdateValidator* validator, Rng* rng);
   /// Online recovery (docs/ARCHITECTURE.md §13): replaces `live`'s store,
   /// grid, join counters and shedder state with `twin`'s — a twin recovered
   /// from the durable root to the same round.
   static void AdoptEngineState(const ScubaEngine& twin, ScubaEngine* live);
-  /// Coordinator state: id allocator + attr tables, EvalStats / phase /
-  /// clusterer stats, retired shard counters (written as 0), and optional
-  /// validator / rng sections — everything durable outside the snapshot.
-  static void SaveCoordinatorState(const ScubaEngine& engine,
-                                   const UpdateValidator* validator,
-                                   const Rng* rng, ByteWriter* w);
-  /// Wipes the engine's durable state, then loads the coordinator blob.
-  static Status LoadCoordinatorState(ByteReader* r, ScubaEngine* engine,
-                                     UpdateValidator* validator, Rng* rng);
   /// Durability counters live in the engine's EvalStats; the manager and
   /// recovery update them through this accessor.
   static EvalStats* MutableStats(ScubaEngine* engine);

@@ -57,11 +57,10 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
         "--durable-dir requires --engine scuba (snapshots cover SCUBA "
         "engine state)");
   }
-  Result<std::unique_ptr<ShardedDurabilityManager>> d =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->scuba,
-                                     screen, /*rng=*/nullptr, crash);
+  Result<std::unique_ptr<DurabilityManager>> d = DurabilityManager::Open(
+      dir, opt.checkpoint, engine->scuba, screen, /*rng=*/nullptr, crash);
   if (!d.ok()) return d.status();
-  handle.sharded = d->get();
+  handle.manager = d->get();
   handle.sink = std::move(d).value();
   // A supervised durable run can heal a failed window online: the recovery
   // hook rebuilds the engine's state from the durable root between rounds.
@@ -71,8 +70,7 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
     const bool has_validator = screen != nullptr;
     engine->scuba->set_stripe_recovery(
         [dir, vconfig, has_validator](ScubaEngine* e, uint32_t w) {
-          return RecoverShardStripe(dir, e, w,
-                                    has_validator ? &vconfig : nullptr);
+          return RecoverWindow(dir, e, w, has_validator ? &vconfig : nullptr);
         });
   }
   return handle;

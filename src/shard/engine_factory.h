@@ -19,7 +19,7 @@
 #include "core/query_processor.h"
 #include "core/scuba_engine.h"
 #include "persist/crash.h"
-#include "shard/shard_durability.h"
+#include "persist/durability.h"
 #include "stream/update_validator.h"
 
 namespace scuba {
@@ -50,14 +50,14 @@ Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
 /// A durability sink bound to an engine, plus its typed view.
 struct DurabilityHandle {
   std::unique_ptr<DurabilitySink> sink;  ///< null when no durable dir was given
-  ShardedDurabilityManager* sharded = nullptr;
+  DurabilityManager* manager = nullptr;
 };
 
 /// Opens manifest + WAL durability under `dir` for `engine` (which must be
 /// the SCUBA engine — baselines have no snapshot form) and, for a supervised
 /// engine, installs the online recovery hook that rebuilds a failed window's
-/// state from `dir` between rounds. A directory in a retired layout (the
-/// single-engine one, or per-shard WAL chains) is kFailedPrecondition.
+/// state from `dir` between rounds. A root whose manifest is of another
+/// format version is kFailedPrecondition.
 /// `screen` (nullable) is the validator whose state rides the snapshots;
 /// `vconfig` must describe it when non-null. `crash` (nullable) arms crash
 /// injection. An empty `dir` returns an empty handle, so callers can wire

@@ -23,7 +23,7 @@ namespace scuba {
 using ResultSink = std::function<void(Timestamp, const ResultSet&)>;
 
 /// Durability hooks the stream drivers call around ingestion. Implemented by
-/// ShardedDurabilityManager (one WAL record per batch in the durable root's
+/// DurabilityManager (one WAL record per batch in the durable root's
 /// one log + periodic checkpoint generations); declared here as an abstract
 /// interface so the stream layer stays independent of persistence.
 class DurabilitySink {

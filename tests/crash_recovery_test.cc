@@ -1,4 +1,4 @@
-// Crash-recovery matrix (docs/ARCHITECTURE.md §12): for every crash point on
+// Crash-recovery matrix (docs/ARCHITECTURE.md §8): for every crash point on
 // the durability path, at shards {1,2,4} and join threads {1,4}, a run that
 // crashes mid-stream and is then recovered (newest manifest whose artifacts
 // verify + WAL replay) and driven to completion produces
@@ -23,8 +23,8 @@
 #include "persist/snapshot.h"
 #include "gen/trace.h"
 #include "persist/crash.h"
+#include "persist/durability.h"
 #include "persist/manifest.h"
-#include "shard/shard_durability.h"
 #include "state_digest.h"
 #include "stream/pipeline.h"
 #include "stream/update_validator.h"
@@ -170,9 +170,9 @@ size_t RunUntilCrash(const std::vector<Round>& rounds, uint32_t threads,
   const ScubaOptions opt = MakeOptions(threads, shards);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   UpdateValidator validator(MakeValidatorConfig());
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                     &validator, /*rng=*/nullptr, crash);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                              &validator, /*rng=*/nullptr, crash);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = 0; r < rounds.size(); ++r) {
     Status s = (*manager)->LogBatch(static_cast<Timestamp>(r + 1),
@@ -201,12 +201,12 @@ size_t RunUntilCrash(const std::vector<Round>& rounds, uint32_t threads,
 void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
                       uint32_t shards, const std::string& dir,
                       const RunLog& base,
-                      ShardedRecoveryReport* report_out = nullptr) {
+                      RecoveryReport* report_out = nullptr) {
   const ScubaOptions opt = MakeOptions(threads, shards);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   UpdateValidator validator(MakeValidatorConfig());
   std::vector<std::pair<Timestamp, ResultSet>> replayed;
-  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+  Result<RecoveryReport> report = RecoverEngine(
       dir, engine.get(), &validator, /*rng=*/nullptr,
       [&](Timestamp now, const ResultSet& results) {
         replayed.emplace_back(now, results);
@@ -229,10 +229,10 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
   }
   EXPECT_EQ(engine->StatsSnapshot().eval.evaluations, covered);
 
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                     &validator, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                              &validator, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = covered; r < rounds.size(); ++r) {
     ASSERT_TRUE((*manager)
@@ -258,7 +258,7 @@ struct CrashCase {
   uint64_t occurrence;
 };
 
-TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
+TEST(CrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
   const CrashCase kMatrix[] = {
       {CrashPoint::kBeforeWalAppend, 5},
       {CrashPoint::kMidWalAppend, 5},
@@ -294,7 +294,7 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
 
         // Recover at the other thread count: the fingerprint excludes
         // thread counts, and results are identical across them.
-        ShardedRecoveryReport report;
+        RecoveryReport report;
         RecoverAndFinish(rounds, threads == 1 ? 4 : 1, shards, dir.path(),
                          base, &report);
         if (c.point == CrashPoint::kMidShardSnapshotWrite &&
@@ -324,9 +324,8 @@ TEST(ShardedCrashRecoveryTest, EveryCrashPointRecoversBitIdentically) {
 
 /// Window counts are not durable: a directory crashed at N windows recovers
 /// at M, finishes durably, and a SECOND recovery over the finished directory
-/// still reproduces the twin exactly. Every generation holds one snapshot
-/// entry whatever the window count.
-TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
+/// still reproduces the twin exactly.
+TEST(CrashRecoveryTest, RecoversAcrossShardCounts) {
   const struct {
     uint32_t from;
     uint32_t to;
@@ -345,18 +344,15 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
     ASSERT_TRUE(crash.fired());
     ASSERT_LT(done, static_cast<size_t>(kRounds));
 
-    ShardedRecoveryReport report;
+    RecoveryReport report;
     RecoverAndFinish(rounds, /*threads=*/2, rs.to, dir.path(), base, &report);
     EXPECT_EQ(report.engine_shards, rs.to);
-    if (!report.manifest_path.empty()) {
-      EXPECT_EQ(report.manifest_shards, 1u);
-    }
 
     // Recovery over the finished directory must still land on the twin.
     std::unique_ptr<ScubaEngine> again =
         MakeSharded(MakeOptions(1, rs.to));
     UpdateValidator validator(MakeValidatorConfig());
-    Result<ShardedRecoveryReport> second = RecoverShardedEngine(
+    Result<RecoveryReport> second = RecoverEngine(
         dir.path(), again.get(), &validator, /*rng=*/nullptr);
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     EXPECT_EQ(second->next_seq, static_cast<uint64_t>(kRounds));
@@ -364,15 +360,15 @@ TEST(ShardedCrashRecoveryTest, RecoversAcrossShardCounts) {
   }
 }
 
-/// Validator and quarantine state survive sharded recovery: per-entity
+/// Validator and quarantine state survive recovery: per-entity
 /// timestamp floors, per-reason counters and the quarantine ring all ride in
-/// the manifest's coordinator blob, so a crash recovered at a checkpoint
+/// the generation's snapshot, so a crash recovered at a checkpoint
 /// boundary ends with validator stats bit-identical to the uninterrupted
 /// twin's, even across a re-partition. (The crash lands before the FIRST
 /// batch after a checkpoint reaches the WAL, leaving no WAL suffix —
 /// replayed WAL batches advance floors via NoteAdmitted but cannot
 /// reconstruct screen counters, because rejected tuples are never durable.)
-TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
+TEST(CrashRecoveryTest, ValidatorStateSurvivesRecovery) {
   std::vector<Round> rounds = MakeRounds(0x7A1D, kRounds);
   // Poison the stream: a stale timestamp and an off-map position per round,
   // all quarantined — floors and per-reason counters become load-bearing.
@@ -416,10 +412,10 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
     // fires on batch 4 — the first one past the seq-4 checkpoint — before
     // any of its bytes reach the WAL.
     CrashInjector crash(CrashPoint::kBeforeWalAppend, 5);
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir.path(), opt4.checkpoint,
-                                       engine.get(), &validator,
-                                       /*rng=*/nullptr, &crash);
+    Result<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(dir.path(), opt4.checkpoint,
+                                engine.get(), &validator,
+                                /*rng=*/nullptr, &crash);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     Status s = ReplayTrace(trace, engine.get(), /*delta=*/2, nullptr,
                            &validator, manager->get());
@@ -429,7 +425,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   const ScubaOptions opt2 = MakeOptions(1, 2);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt2);
   UpdateValidator validator(MakeValidatorConfig());
-  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+  Result<RecoveryReport> report = RecoverEngine(
       dir.path(), engine.get(), &validator, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The crashed batch never reached the WAL, so recovery lands exactly on
@@ -438,10 +434,10 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
   ASSERT_EQ(report->next_seq, 4u);
   EXPECT_EQ(report->batches_replayed, 0u);
   ASSERT_LT(report->next_seq, trace.TickCount());
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir.path(), opt2.checkpoint, engine.get(),
-                                     &validator, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir.path(), opt2.checkpoint, engine.get(),
+                              &validator, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   ASSERT_TRUE(ReplayTrace(trace, engine.get(), /*delta=*/2, nullptr,
                           &validator, manager->get(),
@@ -458,7 +454,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorStateSurvivesShardedRecovery) {
 /// The shard counts the targeted recovery cases run at.
 constexpr uint32_t kShardCounts[] = {1u, 2u, 4u};
 
-TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
+TEST(CrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
   // Batches ingest every tick but rounds evaluate every second batch; the
   // WAL's evaluate_after bit must reproduce the same boundaries on replay,
   // including a crash in the middle of an evaluation window.
@@ -492,10 +488,10 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     // The append of batch 4, an ingest-only mid-window batch.
     CrashInjector crash(CrashPoint::kAfterWalAppend, 5);
     {
-      Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-          ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                         engine.get(), /*validator=*/nullptr,
-                                         /*rng=*/nullptr, &crash);
+      Result<std::unique_ptr<DurabilityManager>> manager =
+          DurabilityManager::Open(dir.path(), opt.checkpoint,
+                                  engine.get(), /*validator=*/nullptr,
+                                  /*rng=*/nullptr, &crash);
       ASSERT_TRUE(manager.ok());
       for (size_t r = 0; r < rounds.size(); ++r) {
         Status s = (*manager)->LogBatch(static_cast<Timestamp>(r + 1),
@@ -521,7 +517,7 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     // without evaluating.
     std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     std::vector<ResultSet> replayed;
-    Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+    Result<RecoveryReport> report = RecoverEngine(
         dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr,
         [&](Timestamp, const ResultSet& results) {
           replayed.push_back(results);
@@ -551,7 +547,7 @@ TEST(ShardedCrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
   }
 }
 
-TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
+TEST(CrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
   // With no checkpoint at all, the validator's per-entity floors exist only
   // by virtue of NoteAdmitted during WAL replay; a stale tuple that the
   // pre-crash validator would have rejected must still be rejected.
@@ -564,10 +560,10 @@ TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     UpdateValidator validator(MakeValidatorConfig());
     {
-      Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-          ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                         engine.get(), &validator,
-                                         /*rng=*/nullptr, /*crash=*/nullptr);
+      Result<std::unique_ptr<DurabilityManager>> manager =
+          DurabilityManager::Open(dir.path(), opt.checkpoint,
+                                  engine.get(), &validator,
+                                  /*rng=*/nullptr, /*crash=*/nullptr);
       ASSERT_TRUE(manager.ok());
       for (size_t r = 0; r < rounds.size(); ++r) {
         ASSERT_TRUE((*manager)
@@ -585,7 +581,7 @@ TEST(ShardedCrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
 
     std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     UpdateValidator recovered_validator(MakeValidatorConfig());
-    Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+    Result<RecoveryReport> report = RecoverEngine(
         dir.path(), recovered.get(), &recovered_validator, /*rng=*/nullptr);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->batches_replayed, 4u);

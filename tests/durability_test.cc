@@ -1,10 +1,11 @@
-// Unit coverage for the durability artifacts (docs/ARCHITECTURE.md §12):
-// manifest framing and corruption detection, fsck verdicts (one exit code per
-// damage class, read-only), generation-based prune retention, the
+// Unit coverage for the durable root (docs/ARCHITECTURE.md §8): manifest
+// framing and corruption detection, a manifest whose generation disagrees
+// with its file name, fsck verdicts (one exit code per damage class,
+// read-only), generation-based prune retention, the
 // ScubaEngine::Checkpoint/Restore convenience pair across window counts, one
-// WAL record and one fsync per batch at any window count, one snapshot entry
-// per generation, recovery of older per-shard generations, and refusal of
-// the retired durable layouts.
+// WAL record and one fsync per batch at any window count, one snapshot per
+// generation, and refusal of a manifest or snapshot of another format
+// version.
 
 #include <gtest/gtest.h>
 
@@ -12,16 +13,17 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/fsck.h"
 #include "persist/manifest.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
-#include "shard/shard_durability.h"
 #include "state_digest.h"
 
 namespace scuba {
@@ -107,10 +109,10 @@ std::unique_ptr<ScubaEngine> MakeSharded(const ScubaOptions& opt) {
 std::string RunDurably(const std::vector<Round>& rounds,
                        const ScubaOptions& opt, const std::string& dir) {
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = 0; r < rounds.size(); ++r) {
     EXPECT_TRUE((*manager)
@@ -140,6 +142,12 @@ std::map<std::string, std::string> DirContents(const std::string& dir) {
   return out;
 }
 
+/// The snapshot generation `generation` of the root `dir` writes.
+std::string SnapshotPath(const std::string& dir, uint64_t generation) {
+  return (fs::path(SnapshotDirOf(dir)) / SnapshotFileName(generation))
+      .string();
+}
+
 void CorruptByteAt(const std::string& path, uint64_t offset) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(f.good()) << path;
@@ -151,15 +159,14 @@ void CorruptByteAt(const std::string& path, uint64_t offset) {
   f.write(&c, 1);
 }
 
-TEST(ShardedDurabilityTest, ManifestRoundTrips) {
+TEST(DurabilityTest, ManifestRoundTrips) {
   ScopedTempDir dir("manifest_roundtrip");
   ManifestInfo info;
   info.fingerprint = 0xFEEDFACECAFEBEEFull;
   info.generation = 7;
   info.wal_next_seq = 42;
   info.rounds = 40;
-  info.shards = {{7, 111}, {7, 222}, {7, 333}};
-  info.coordinator_state = std::string("opaque\0blob", 11);
+  info.snapshot_hash = 0x0123456789ABCDEFull;
   ASSERT_TRUE(WriteManifestFile(dir.path(), info, nullptr).ok());
 
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
@@ -176,21 +183,15 @@ TEST(ShardedDurabilityTest, ManifestRoundTrips) {
   EXPECT_EQ(read->generation, info.generation);
   EXPECT_EQ(read->wal_next_seq, info.wal_next_seq);
   EXPECT_EQ(read->rounds, info.rounds);
-  ASSERT_EQ(read->shards.size(), 3u);
-  for (size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(read->shards[s].snapshot_seq, info.shards[s].snapshot_seq);
-    EXPECT_EQ(read->shards[s].state_hash, info.shards[s].state_hash);
-  }
-  EXPECT_EQ(read->coordinator_state, info.coordinator_state);
+  EXPECT_EQ(read->snapshot_hash, info.snapshot_hash);
 }
 
-TEST(ShardedDurabilityTest, ManifestCorruptionIsDataLoss) {
+TEST(DurabilityTest, ManifestCorruptionIsDataLoss) {
   ScopedTempDir dir("manifest_corruption");
   ManifestInfo info;
   info.fingerprint = 1;
   info.generation = 1;
-  info.shards = {{1, 9}};
-  info.coordinator_state = "state";
+  info.snapshot_hash = 9;
   ASSERT_TRUE(WriteManifestFile(dir.path(), info, nullptr).ok());
   const std::string path =
       (fs::path(dir.path()) / ManifestFileName(1)).string();
@@ -209,7 +210,7 @@ TEST(ShardedDurabilityTest, ManifestCorruptionIsDataLoss) {
   EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
 }
 
-TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
+TEST(DurabilityTest, FsckVerdictsPerDamageClass) {
   // 6 rounds, checkpoint every 2: committed base 6 after the final round's
   // checkpoint; re-log two more batches without a checkpoint so WAL tails
   // exist past the base.
@@ -218,10 +219,10 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   const ScubaOptions opt = MakeOptions(4);
   {
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                       engine.get(), nullptr, nullptr,
-                                       nullptr);
+    Result<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(dir.path(), opt.checkpoint,
+                                engine.get(), nullptr, nullptr,
+                                nullptr);
     ASSERT_TRUE(manager.ok());
     for (size_t r = 0; r < rounds.size(); ++r) {
       ASSERT_TRUE((*manager)
@@ -234,7 +235,9 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
       ASSERT_TRUE(
           engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
       // Checkpoint only through round 6: seqs 6..7 stay WAL-only.
-      if (r < 6) ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+      if (r < 6) {
+        ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+      }
     }
   }
 
@@ -249,7 +252,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
 
   // Orphaned temp file -> kFsckOrphan.
   const std::string tmp =
-      (fs::path(dir.path()) / ShardDirName(0) / "snapshot-junk.tmp").string();
+      (fs::path(SnapshotDirOf(dir.path())) / "snapshot-junk.tmp").string();
   { std::ofstream(tmp, std::ios::binary) << "partial"; }
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
@@ -294,7 +297,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   EXPECT_EQ(report->exit_code, kFsckWalGap) << report->ToString();
   {
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
-    Result<ShardedRecoveryReport> gap = RecoverShardedEngine(
+    Result<RecoveryReport> gap = RecoverEngine(
         dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
     EXPECT_TRUE(gap.status().IsDataLoss()) << gap.status().ToString();
   }
@@ -304,13 +307,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir.path());
   ASSERT_TRUE(manifests.ok());
-  Result<ManifestInfo> newest = ReadManifest(manifests->back().second);
-  ASSERT_TRUE(newest.ok());
-  ASSERT_EQ(newest->shards.size(), 1u) << "one snapshot entry per generation";
-  const std::string snap =
-      (fs::path(dir.path()) / ShardDirName(0) /
-       SnapshotFileName(newest->shards[0].snapshot_seq))
-          .string();
+  const std::string snap = SnapshotPath(dir.path(), manifests->back().first);
   CorruptByteAt(snap, fs::file_size(snap) / 2);
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
@@ -332,7 +329,7 @@ TEST(ShardedDurabilityTest, FsckVerdictsPerDamageClass) {
   EXPECT_EQ(report->exit_code, kFsckBadManifest) << report->ToString();
 }
 
-TEST(ShardedDurabilityTest, FsckReportToJsonMirrorsTheReport) {
+TEST(DurabilityTest, FsckReportToJsonMirrorsTheReport) {
   std::vector<Round> rounds = MakeRounds(4);
   ScopedTempDir dir("fsck_json");
   const ScubaOptions opt = MakeOptions(2);
@@ -358,7 +355,7 @@ TEST(ShardedDurabilityTest, FsckReportToJsonMirrorsTheReport) {
   // Damage the directory: the verdict and the problem text (JSON-escaped,
   // quoted) must appear.
   const std::string tmp =
-      (fs::path(dir.path()) / ShardDirName(0) / "snapshot-junk.tmp").string();
+      (fs::path(SnapshotDirOf(dir.path())) / "snapshot-junk.tmp").string();
   { std::ofstream(tmp, std::ios::binary) << "partial"; }
   report = FsckDurableDir(dir.path());
   ASSERT_TRUE(report.ok());
@@ -373,7 +370,7 @@ TEST(ShardedDurabilityTest, FsckReportToJsonMirrorsTheReport) {
   EXPECT_NE(json.find("\"problems\":[\""), std::string::npos) << json;
 }
 
-TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
+TEST(DurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   // 10 rounds, checkpoint every 2, keep 2 -> generations 1..5 written,
   // {4, 5} retained.
   std::vector<Round> rounds = MakeRounds(10);
@@ -387,12 +384,8 @@ TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   ASSERT_EQ(manifests->size(), 2u) << "keep_last_k=2 retains 2 generations";
   EXPECT_EQ((*manifests)[0].first, 4u);
   EXPECT_EQ((*manifests)[1].first, 5u);
-  Result<std::vector<std::pair<uint32_t, std::string>>> snapshot_dirs =
-      ListShardDirs(dir.path());
-  ASSERT_TRUE(snapshot_dirs.ok());
-  ASSERT_EQ(snapshot_dirs->size(), 1u) << "one snapshot entry at 2 windows";
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots((fs::path(dir.path()) / ShardDirName(0)).string());
+      ListSnapshots(SnapshotDirOf(dir.path()));
   ASSERT_TRUE(snapshots.ok());
   ASSERT_EQ(snapshots->size(), 2u);
   EXPECT_EQ((*snapshots)[0].first, 4u);
@@ -404,7 +397,7 @@ TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   // snapshots AND every WAL record from ITS base onward.
   fs::remove((*manifests)[1].second);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
-  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+  Result<RecoveryReport> report = RecoverEngine(
       dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->generation, 4u);
@@ -414,7 +407,7 @@ TEST(ShardedDurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   EXPECT_EQ(StateDigest(*engine), final_digest);
 }
 
-TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
+TEST(DurabilityTest, CheckpointRestoresAcrossShardCounts) {
   std::vector<Round> rounds = MakeRounds(5);
   ScopedTempDir dir("checkpoint_restore");
   std::unique_ptr<ScubaEngine> engine = MakeSharded(MakeOptions(4));
@@ -444,19 +437,19 @@ TEST(ShardedDurabilityTest, CheckpointRestoresAcrossShardCounts) {
   EXPECT_TRUE(s.IsFailedPrecondition()) << s.ToString();
 }
 
-TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
+TEST(DurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
   // Windows partition the engine's work, not its history: at 4 shards every
-  // batch is still one record and one fsync in the root's one WAL, and no
-  // shard directory holds a log.
+  // batch is still one record and one fsync in the root's one WAL, and one
+  // snapshot per generation; the root holds nothing else.
   std::vector<Round> rounds = MakeRounds(5);
   ScopedTempDir dir("one_wal_per_batch");
   const ScubaOptions opt = MakeOptions(4);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   {
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                       engine.get(), /*validator=*/nullptr,
-                                       /*rng=*/nullptr, /*crash=*/nullptr);
+    Result<std::unique_ptr<DurabilityManager>> manager =
+        DurabilityManager::Open(dir.path(), opt.checkpoint,
+                                engine.get(), /*validator=*/nullptr,
+                                /*rng=*/nullptr, /*crash=*/nullptr);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     for (size_t r = 0; r < rounds.size(); ++r) {
       ASSERT_TRUE((*manager)
@@ -485,17 +478,28 @@ TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
     EXPECT_EQ(record.queries.size(), rounds[record.seq].queries.size());
   }
   EXPECT_EQ(wal->records.back().seq, rounds.size() - 1);
-  for (uint32_t s = 0; s < 4; ++s) {
-    Result<std::vector<std::pair<uint64_t, std::string>>> chain =
-        ListWalSegments((fs::path(dir.path()) / ShardDirName(s)).string());
-    ASSERT_TRUE(chain.ok());
-    EXPECT_TRUE(chain->empty()) << "shard " << s << " holds a WAL";
+  std::set<std::string> top_level;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    top_level.insert(name.rfind("manifest-", 0) == 0 ? "manifest-*" : name);
+  }
+  EXPECT_EQ(top_level,
+            (std::set<std::string>{"manifest-*", "snapshots", "wal"}));
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
+      ListSnapshots(SnapshotDirOf(dir.path()));
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_TRUE(snapshots.ok());
+  ASSERT_EQ(snapshots->size(), manifests->size());
+  for (size_t i = 0; i < snapshots->size(); ++i) {
+    EXPECT_EQ((*snapshots)[i].first, (*manifests)[i].first);
   }
 
   // 5 rounds with checkpoints every 2: the final batch (seq 4) replays from
   // the WAL on top of the seq-4 checkpoint.
   std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
-  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+  Result<RecoveryReport> report = RecoverEngine(
       dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->base_seq, 4u);
@@ -504,72 +508,119 @@ TEST(ShardedDurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
   EXPECT_EQ(StateDigest(*recovered), StateDigest(*engine));
 }
 
-/// Every path that opens a durable root refuses `dir` with
-/// kFailedPrecondition naming `layout`; fsck gives it verdict 26; and none
-/// of them changes a byte.
-void ExpectLayoutRefused(const std::string& dir, const std::string& layout) {
+/// Overwrites the u32 format version (bytes 8-11, outside the CRC) of the
+/// manifest or snapshot at `path` with `version`.
+void PatchVersion(const std::string& path, uint32_t version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good()) << path;
+  f.seekp(8);
+  f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+}
+
+/// Restore and recovery (and, when `open_refuses`, opening the manager)
+/// refuse `dir` with kFailedPrecondition naming `file` and both versions;
+/// fsck gives it `fsck_code`; and none of them changes a byte.
+void ExpectVersionRefused(const std::string& dir, const std::string& file,
+                          bool open_refuses, int fsck_code) {
   const std::map<std::string, std::string> before = DirContents(dir);
-  auto names_layout = [&layout](const Status& s) {
+  auto names_versions = [&file](const Status& s) {
     return s.IsFailedPrecondition() &&
-           s.message().find(layout) != std::string::npos;
+           s.message().find(file) != std::string::npos &&
+           s.message().find("version 1") != std::string::npos &&
+           s.message().find("only version 2") != std::string::npos;
   };
   for (uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     const ScubaOptions opt = MakeOptions(shards);
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
-    // run --durable-dir / serve --durable-dir open the manager.
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                       /*validator=*/nullptr,
-                                       /*rng=*/nullptr, /*crash=*/nullptr);
-    EXPECT_TRUE(names_layout(manager.status())) << manager.status().ToString();
-    // restore
-    Status restored = engine->Restore(dir);
-    EXPECT_TRUE(names_layout(restored)) << restored.ToString();
-    // recover
-    Result<ShardedRecoveryReport> recovered = RecoverShardedEngine(
-        dir, engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
-    EXPECT_TRUE(names_layout(recovered.status()))
+    {
+      // run --durable-dir / serve --durable-dir open the manager, which
+      // reads manifests but not snapshots.
+      Result<std::unique_ptr<DurabilityManager>> manager =
+          DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                                  /*validator=*/nullptr, /*rng=*/nullptr,
+                                  /*crash=*/nullptr);
+      if (open_refuses) {
+        EXPECT_TRUE(names_versions(manager.status()))
+            << manager.status().ToString();
+      } else {
+        EXPECT_TRUE(manager.ok()) << manager.status().ToString();
+      }
+    }
+    Status restored = MakeSharded(opt)->Restore(dir);
+    EXPECT_TRUE(names_versions(restored)) << restored.ToString();
+    Result<RecoveryReport> recovered =
+        RecoverEngine(dir, MakeSharded(opt).get(), /*validator=*/nullptr,
+                      /*rng=*/nullptr);
+    EXPECT_TRUE(names_versions(recovered.status()))
         << recovered.status().ToString();
   }
-  // fsck reports it with its own verdict.
   Result<FsckReport> report = FsckDurableDir(dir);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->exit_code, kFsckRetiredLayout) << report->ToString();
-  // Nothing was written or repaired along the way.
+  EXPECT_EQ(report->exit_code, fsck_code) << report->ToString();
+  if (!open_refuses) return;  // an opened manager owns the root's WAL
   EXPECT_EQ(DirContents(dir), before);
 }
 
-TEST(ShardedDurabilityTest, RetiredSingleEngineLayoutIsRefused) {
-  // A root in the retired single-engine layout: a bare snapshot and a WAL
-  // segment at the top level, no manifest, no shard directories.
-  ScopedTempDir dir("retired_layout");
-  ASSERT_TRUE(WriteSnapshotFile(dir.path(), 4, "payload", nullptr).ok());
-  {
-    std::ofstream(dir.path() + "/wal-00000000000000000000.log",
-                  std::ios::binary)
-        << "frame";
-  }
-  ExpectLayoutRefused(dir.path(), "retired single-engine");
+TEST(DurabilityTest, ManifestOfAnotherVersionIsRefused) {
+  // Every manifest-era root written before format version 2 holds a
+  // version-1 manifest: it is refused, never skipped as a torn generation.
+  std::vector<Round> rounds = MakeRounds(4);
+  ScopedTempDir dir("manifest_version");
+  RunDurably(rounds, MakeOptions(2), dir.path());
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_EQ(manifests->size(), 2u);
+  PatchVersion(manifests->back().second, 1);
+  ExpectVersionRefused(dir.path(), manifests->back().second,
+                       /*open_refuses=*/true, kFsckBadManifest);
 }
 
-TEST(ShardedDurabilityTest, RetiredPerShardWalChainLayoutIsRefused) {
-  // A root in the retired per-shard WAL-chain layout: a committed manifest
-  // and its shard snapshots, with the log kept as one chain per shard
-  // directory instead of one WAL under wal/.
+TEST(DurabilityTest, SnapshotOfAnotherVersionIsRefused) {
   std::vector<Round> rounds = MakeRounds(4);
-  ScopedTempDir dir("retired_chain_layout");
+  ScopedTempDir dir("snapshot_version");
   RunDurably(rounds, MakeOptions(2), dir.path());
-  Result<std::vector<std::pair<uint64_t, std::string>>> segments =
-      ListWalSegments(WalDirOf(dir.path()));
-  ASSERT_TRUE(segments.ok());
-  ASSERT_FALSE(segments->empty());
-  for (const auto& [seq, path] : *segments) {
-    fs::rename(path, fs::path(dir.path()) / ShardDirName(0) /
-                         fs::path(path).filename());
-  }
-  fs::remove(WalDirOf(dir.path()));
-  ExpectLayoutRefused(dir.path(), "retired per-shard WAL-chain");
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_FALSE(manifests->empty());
+  const std::string snap = SnapshotPath(dir.path(), manifests->back().first);
+  PatchVersion(snap, 1);
+  ExpectVersionRefused(dir.path(), snap, /*open_refuses=*/false,
+                       kFsckBadSnapshot);
+}
+
+TEST(DurabilityTest, ManifestNamingAnotherGenerationFallsBack) {
+  // Generation 1's manifest copied over generation 2's file name: the
+  // payload names generation 1, so the file is damage, not generation 2.
+  std::vector<Round> rounds = MakeRounds(4);
+  ScopedTempDir dir("manifest_generation");
+  const ScubaOptions opt = MakeOptions(2);
+  const std::string digest = RunDurably(rounds, opt, dir.path());
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_EQ(manifests->size(), 2u);
+  ASSERT_EQ((*manifests)[0].first, 1u);
+  ASSERT_EQ((*manifests)[1].first, 2u);
+  fs::copy_file((*manifests)[0].second, (*manifests)[1].second,
+                fs::copy_options::overwrite_existing);
+
+  Result<ManifestInfo> read = ReadManifest((*manifests)[1].second);
+  EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
+  Result<FsckReport> report = FsckDurableDir(dir.path());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->exit_code, kFsckBadManifest) << report->ToString();
+
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
+  Result<RecoveryReport> recovered = RecoverEngine(
+      dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->generation, 1u);
+  EXPECT_EQ(recovered->generations_skipped, 1u);
+  EXPECT_EQ(recovered->rounds_replayed, 2u);
+  EXPECT_EQ(StateDigest(*engine), digest);
 }
 
 }  // namespace

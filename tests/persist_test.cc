@@ -3,8 +3,8 @@
 // (digest-identical restore, clean audit, fingerprint gating, corruption
 // detection), the WAL (append/read round-trip, segment rotation, torn-tail
 // tolerance, mid-log corruption, reopen, pruning) and seeded mutation fuzzing
-// of the WAL and manifest decoders. The end-to-end crash matrix lives in
-// sharded_crash_recovery_test.cc.
+// of the WAL, manifest and snapshot decoders. The end-to-end crash matrix
+// lives in crash_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +28,11 @@
 #include "gen/trace.h"
 #include "network/network_builder.h"
 #include "network/network_io.h"
+#include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/manifest.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
-#include "shard/shard_durability.h"
-#include "core/scuba_engine.h"
 #include "state_digest.h"
 #include "stream/update_validator.h"
 
@@ -330,7 +330,7 @@ TEST(SnapshotTest, CorruptedPayloadByteIsDataLoss) {
   Drive(engine.get(), rounds, 0, 3);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path() + "/" + ShardDirName(0));
+      ListSnapshots(SnapshotDirOf(dir.path()));
   ASSERT_TRUE(snapshots.ok());
   ASSERT_EQ(snapshots->size(), 1u);
   const std::string& path = snapshots->front().second;
@@ -358,7 +358,7 @@ TEST(SnapshotTest, TruncatedFileIsDataLoss) {
   Drive(engine.get(), rounds, 0, 3);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path() + "/" + ShardDirName(0));
+      ListSnapshots(SnapshotDirOf(dir.path()));
   ASSERT_TRUE(snapshots.ok());
   const std::string& path = snapshots->front().second;
   fs::resize_file(path, fs::file_size(path) * 2 / 3);
@@ -389,14 +389,12 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
   }
   ASSERT_GT(validator.stats().TotalRejected(), 0u);
 
-  ByteWriter w;
-  PersistAccess::SaveCoordinatorState(*engine, &validator, /*rng=*/nullptr,
-                                      &w);
+  const std::string payload = PersistAccess::SaveEngineSnapshot(
+      *engine, &validator, /*rng=*/nullptr, /*wal_next_seq=*/0, 4);
   std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
   UpdateValidator validator2(config);
-  ByteReader r(w.bytes());
-  Status loaded = PersistAccess::LoadCoordinatorState(
-      &r, engine2.get(), &validator2, /*rng=*/nullptr);
+  Status loaded = PersistAccess::LoadEngineSnapshot(
+      payload, engine2.get(), &validator2, /*rng=*/nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   EXPECT_EQ(validator2.stats().screened, validator.stats().screened);
   EXPECT_EQ(validator2.stats().admitted, validator.stats().admitted);
@@ -425,16 +423,14 @@ TEST(SnapshotTest, RngStateSurvivesRoundTrip) {
   Rng rng(0xABCDEF);
   rng.NextDouble(0, 1);  // advance off the seed state
   rng.NextDouble(0, 1);
-  ByteWriter w;
-  PersistAccess::SaveCoordinatorState(*engine, /*validator=*/nullptr, &rng,
-                                      &w);
+  const std::string payload = PersistAccess::SaveEngineSnapshot(
+      *engine, /*validator=*/nullptr, &rng, /*wal_next_seq=*/0, 2);
   const double expected = rng.NextDouble(0, 1);
 
   std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
   Rng rng2(1);  // different seed; state comes from the checkpoint
-  ByteReader r(w.bytes());
-  ASSERT_TRUE(PersistAccess::LoadCoordinatorState(
-                  &r, engine2.get(), /*validator=*/nullptr, &rng2)
+  ASSERT_TRUE(PersistAccess::LoadEngineSnapshot(payload, engine2.get(),
+                                                /*validator=*/nullptr, &rng2)
                   .ok());
   EXPECT_EQ(rng2.NextDouble(0, 1), expected);
 }
@@ -466,10 +462,10 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
   opt.checkpoint.every_n_rounds = 2;
   opt.checkpoint.keep_last_k = 2;
   std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   for (int r = 0; r < 8; ++r) {
     ASSERT_TRUE((*manager)
@@ -491,7 +487,7 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
   EXPECT_EQ(manifests->front().first, 3u);
   EXPECT_EQ(manifests->back().first, 4u);
   Result<std::vector<std::pair<uint64_t, std::string>>> snapshots =
-      ListSnapshots(dir.path() + "/" + ShardDirName(0));
+      ListSnapshots(SnapshotDirOf(dir.path()));
   ASSERT_TRUE(snapshots.ok());
   EXPECT_EQ(snapshots->size(), 2u);
   EXPECT_GT(engine->StatsSnapshot().eval.wal_records_appended, 0u);
@@ -511,43 +507,56 @@ std::map<std::string, std::string> ReadTree(const std::string& root) {
 }
 
 TEST(SnapshotTest, CheckpointsOfOneRunAreByteIdentical) {
-  // Wall-clock timing slots are written as zero, so the durable directory is
-  // a pure function of the input: two runs write the same bytes, manifest
-  // included, though their measured seconds differ.
+  // Checkpoints carry no wall-clock seconds and no thread count, and the
+  // window count never reaches the durable root, so the whole directory is
+  // a pure function of the input: runs at windows {1,4} x threads {1,4}
+  // write the same bytes, manifests included, though their measured
+  // seconds differ.
   std::vector<Round> rounds = MakeRounds(29, 8);
-  std::map<std::string, std::string> trees[2];
-  for (int run = 0; run < 2; ++run) {
-    ScopedTempDir dir("persist_test_reproducible_" + std::to_string(run));
-    ScubaOptions opt;
-    opt.checkpoint.every_n_rounds = 3;
-    std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-    Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-        ShardedDurabilityManager::Open(dir.path(), opt.checkpoint,
-                                       engine.get(), /*validator=*/nullptr,
-                                       /*rng=*/nullptr, /*crash=*/nullptr);
-    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
-    for (int r = 0; r < 8; ++r) {
-      ASSERT_TRUE((*manager)
-                      ->LogBatch(static_cast<Timestamp>(r + 1), true,
-                                 rounds[r].objects, rounds[r].queries)
-                      .ok());
-      ASSERT_TRUE(
-          engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
-      ResultSet results;
-      ASSERT_TRUE(
-          engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
-      ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+  std::vector<std::map<std::string, std::string>> trees;
+  for (uint32_t shards : {1u, 4u}) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " threads=" + std::to_string(threads));
+      ScopedTempDir dir("persist_test_reproducible_s" +
+                        std::to_string(shards) + "_t" +
+                        std::to_string(threads));
+      ScubaOptions opt;
+      opt.shards = shards;
+      opt.join_threads = threads;
+      opt.checkpoint.every_n_rounds = 3;
+      std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
+      Result<std::unique_ptr<DurabilityManager>> manager =
+          DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
+                                  /*validator=*/nullptr, /*rng=*/nullptr,
+                                  /*crash=*/nullptr);
+      ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+      for (int r = 0; r < 8; ++r) {
+        ASSERT_TRUE((*manager)
+                        ->LogBatch(static_cast<Timestamp>(r + 1), true,
+                                   rounds[r].objects, rounds[r].queries)
+                        .ok());
+        ASSERT_TRUE(
+            engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+        ResultSet results;
+        ASSERT_TRUE(
+            engine->Evaluate(static_cast<Timestamp>(r + 1), &results).ok());
+        ASSERT_TRUE((*manager)->OnRoundComplete().ok());
+      }
+      ASSERT_TRUE((*manager)->ForceCheckpoint().ok());
+      ASSERT_GT(engine->StatsSnapshot().eval.total_join_seconds, 0.0);
+      trees.push_back(ReadTree(dir.path()));
     }
-    ASSERT_TRUE((*manager)->ForceCheckpoint().ok());
-    ASSERT_GT(engine->StatsSnapshot().eval.total_join_seconds, 0.0);
-    trees[run] = ReadTree(dir.path());
   }
   ASSERT_GE(trees[0].size(), 3u);  // manifests, snapshots and the WAL
-  ASSERT_EQ(trees[0].size(), trees[1].size());
-  for (const auto& [path, bytes] : trees[0]) {
-    auto other = trees[1].find(path);
-    ASSERT_NE(other, trees[1].end()) << path;
-    EXPECT_TRUE(bytes == other->second) << path << " differs between runs";
+  for (size_t run = 1; run < trees.size(); ++run) {
+    SCOPED_TRACE("run " + std::to_string(run) + " vs run 0");
+    ASSERT_EQ(trees[0].size(), trees[run].size());
+    for (const auto& [path, bytes] : trees[0]) {
+      auto other = trees[run].find(path);
+      ASSERT_NE(other, trees[run].end()) << path;
+      EXPECT_TRUE(bytes == other->second) << path << " differs between runs";
+    }
   }
 }
 
@@ -625,10 +634,10 @@ TEST(WalTest, EngineCountsOnlyDurableAppends) {
   CheckpointPolicy policy;
   policy.wal_segment_bytes = 1;  // every record opens a new segment
   CrashInjector crash(CrashPoint::kMidWalAppend, 2);
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir.path(), policy, engine.get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     &crash);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir.path(), policy, engine.get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              &crash);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   auto log = [&](int r) {
     return (*manager)->LogBatch(static_cast<Timestamp>(r + 1), true,
@@ -1094,19 +1103,9 @@ TEST(DecoderFuzzTest, ReframedWalPayloadMutationsFailTyped) {
 }
 
 bool SameManifest(const ManifestInfo& a, const ManifestInfo& b) {
-  if (a.fingerprint != b.fingerprint || a.generation != b.generation ||
-      a.wal_next_seq != b.wal_next_seq || a.rounds != b.rounds ||
-      a.coordinator_state != b.coordinator_state ||
-      a.shards.size() != b.shards.size()) {
-    return false;
-  }
-  for (size_t s = 0; s < a.shards.size(); ++s) {
-    if (a.shards[s].snapshot_seq != b.shards[s].snapshot_seq ||
-        a.shards[s].state_hash != b.shards[s].state_hash) {
-      return false;
-    }
-  }
-  return true;
+  return a.fingerprint == b.fingerprint && a.generation == b.generation &&
+         a.wal_next_seq == b.wal_next_seq && a.rounds == b.rounds &&
+         a.snapshot_hash == b.snapshot_hash;
 }
 
 TEST(DecoderFuzzTest, ManifestMutationsReadIdenticalOrDataLoss) {
@@ -1116,17 +1115,22 @@ TEST(DecoderFuzzTest, ManifestMutationsReadIdenticalOrDataLoss) {
   info.generation = 3;
   info.wal_next_seq = 17;
   info.rounds = 9;
-  info.shards = {{3, 0xAAAA}, {3, 0xBBBB}, {3, 0xCCCC}};
-  info.coordinator_state = std::string("coordinator\0state blob", 22);
+  info.snapshot_hash = 0xAAAABBBBCCCCull;
   ASSERT_TRUE(WriteManifestFile(dir.path(), info, nullptr).ok());
   const std::string path =
       (fs::path(dir.path()) / ManifestFileName(info.generation)).string();
   const std::string bytes = ReadFileBytes(path);
-  auto expect_identical_or_data_loss = [&](bool must_fail) {
+  // Damage to the version field (bytes 8-11, outside the CRC) is the one
+  // kFailedPrecondition; everything else reads identical or as kDataLoss.
+  auto expect_identical_or_data_loss = [&](bool must_fail,
+                                           bool version_damaged = false) {
     Result<ManifestInfo> read = ReadManifest(path);
     if (read.ok()) {
       EXPECT_FALSE(must_fail);
       EXPECT_TRUE(SameManifest(*read, info));
+    } else if (version_damaged) {
+      EXPECT_TRUE(read.status().IsFailedPrecondition())
+          << read.status().ToString();
     } else {
       EXPECT_TRUE(read.status().IsDataLoss()) << read.status().ToString();
     }
@@ -1139,10 +1143,11 @@ TEST(DecoderFuzzTest, ManifestMutationsReadIdenticalOrDataLoss) {
   Rng rng(0x3A41);
   for (int trial = 0; trial < 400; ++trial) {
     std::string damaged = bytes;
-    damaged[static_cast<size_t>(rng.NextBounded(bytes.size()))] ^=
-        static_cast<char>(rng.NextInt(1, 255));
+    const size_t at = static_cast<size_t>(rng.NextBounded(bytes.size()));
+    damaged[at] ^= static_cast<char>(rng.NextInt(1, 255));
     WriteFileBytes(path, damaged);
-    expect_identical_or_data_loss(/*must_fail=*/true);
+    expect_identical_or_data_loss(/*must_fail=*/true,
+                                  /*version_damaged=*/at >= 8 && at < 12);
   }
   // Payload mutations re-framed under a valid length and CRC reach the
   // payload decoder itself.
@@ -1167,108 +1172,23 @@ TEST(DecoderFuzzTest, ManifestMutationsReadIdenticalOrDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot payloads: older per-shard generations, and seeded mutations
-// re-framed under a valid CRC and manifest hash.
+// Snapshot payloads: seeded mutations re-framed under a valid CRC and
+// manifest hash.
 
-/// Commits generation `generation` by hand: `payloads[s]` as the snapshot
-/// in shard-000s/ and `coordinator` as the coordinator state, the manifest
-/// naming every entry by payload hash.
+/// Commits generation `generation` by hand: `payload` as its snapshot under
+/// snapshots/, and the manifest naming it by payload hash.
 void WriteGeneration(const std::string& dir, const ScubaOptions& opt,
                      uint64_t generation, uint64_t rounds,
-                     const std::vector<std::string>& payloads,
-                     const std::string& coordinator) {
+                     const std::string& payload) {
+  ASSERT_TRUE(
+      WriteSnapshotFile(SnapshotDirOf(dir), generation, payload, nullptr).ok());
   ManifestInfo info;
   info.fingerprint = OptionsFingerprint(opt);
   info.generation = generation;
   info.wal_next_seq = 0;
   info.rounds = rounds;
-  info.coordinator_state = coordinator;
-  for (size_t s = 0; s < payloads.size(); ++s) {
-    const std::string shard_dir =
-        (fs::path(dir) / ShardDirName(static_cast<uint32_t>(s))).string();
-    ASSERT_TRUE(
-        WriteSnapshotFile(shard_dir, generation, payloads[s], nullptr).ok());
-    info.shards.push_back(ManifestShardEntry{generation, Fnv1a64(payloads[s])});
-  }
+  info.snapshot_hash = Fnv1a64(payload);
   ASSERT_TRUE(WriteManifestFile(dir, info, nullptr).ok());
-}
-
-/// Entry `index` of `count` in the per-shard payload layout older builds
-/// wrote: the header, the given clusters of `engine` with their grid flags,
-/// then a join-counter share and shedder state.
-std::string LegacyEntry(const ScubaEngine& engine, uint32_t index,
-                        uint32_t count, const std::vector<ClusterId>& cids,
-                        uint64_t comparisons, double eta) {
-  ByteWriter w;
-  w.PutU64(OptionsFingerprint(engine.options()));
-  w.PutU64(0);  // wal_next_seq
-  w.PutU64(engine.StatsSnapshot().eval.evaluations);
-  w.PutU32(index);
-  w.PutU32(count);
-  w.PutU64(cids.size());
-  for (ClusterId cid : cids) {
-    PersistAccess::SaveCluster(*engine.store().GetCluster(cid), &w);
-    w.PutBool(engine.cluster_grid().Contains(cid));
-  }
-  w.PutU64(comparisons);
-  for (int counter = 0; counter < 5; ++counter) w.PutU64(0);
-  w.PutDouble(eta);
-  w.PutU64(0);  // shedder adjustments
-  w.PutDouble(eta * engine.options().theta_d);
-  return w.Release();
-}
-
-/// A two-entry generation of `engine`'s state: clusters split by cid parity,
-/// join comparisons split between the entries, and a decoy shedder state in
-/// entry 1 that must be ignored.
-std::vector<std::string> LegacyTwoEntryPayloads(const ScubaEngine& engine) {
-  std::vector<ClusterId> even, odd;
-  for (ClusterId cid : engine.store().SortedClusterIds()) {
-    (cid % 2 == 0 ? even : odd).push_back(cid);
-  }
-  const uint64_t comparisons = engine.StatsSnapshot().join.comparisons;
-  const double eta = engine.StatsSnapshot().shedder.eta;
-  return {LegacyEntry(engine, 0, 2, even, comparisons / 3, eta),
-          LegacyEntry(engine, 1, 2, odd, comparisons - comparisons / 3,
-                      eta + 0.25)};
-}
-
-std::string CoordinatorState(const ScubaEngine& engine) {
-  ByteWriter w;
-  PersistAccess::SaveCoordinatorState(engine, /*validator=*/nullptr,
-                                      /*rng=*/nullptr, &w);
-  return w.Release();
-}
-
-TEST(SnapshotTest, LegacyTwoEntryGenerationRestoresIntoOneStore) {
-  ScopedTempDir dir("persist_test_legacy_generation");
-  std::vector<Round> rounds = MakeRounds(83, 4);
-  ScubaOptions opt;
-  opt.region = kRegion;
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-  Drive(engine.get(), rounds, 0, 3);
-  WriteGeneration(dir.path(), opt, 1, 3, LegacyTwoEntryPayloads(*engine),
-                  CoordinatorState(*engine));
-  for (uint32_t shards : {1u, 3u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ScubaOptions restore_opt = opt;
-    restore_opt.shards = shards;
-    std::unique_ptr<ScubaEngine> restored = MakeEngine(restore_opt);
-    ASSERT_TRUE(restored->Restore(dir.path()).ok());
-    EXPECT_EQ(StateDigest(*restored), StateDigest(*engine));
-    EXPECT_EQ(EngineStateHash(*restored), EngineStateHash(*engine));
-    EXPECT_EQ(restored->StatsSnapshot().join.comparisons,
-              engine->StatsSnapshot().join.comparisons);
-    EXPECT_EQ(restored->StatsSnapshot().shedder.eta,
-              engine->StatsSnapshot().shedder.eta);
-    EXPECT_TRUE(restored->AuditInvariants().clean());
-    // And it continues exactly like the engine that wrote it.
-    std::vector<ResultSet> want, got;
-    std::unique_ptr<ScubaEngine> twin = MakeEngine(opt);
-    Drive(twin.get(), rounds, 0, 4, &want);
-    Drive(restored.get(), rounds, 3, 4, &got);
-    EXPECT_EQ(got.back(), want.back());
-  }
 }
 
 TEST(DecoderFuzzTest, ReframedSnapshotPayloadMutationsFailTypedOrAuditClean) {
@@ -1280,33 +1200,24 @@ TEST(DecoderFuzzTest, ReframedSnapshotPayloadMutationsFailTypedOrAuditClean) {
   Drive(engine.get(), rounds, 0, 3);
   ASSERT_TRUE(engine->Checkpoint(dir.path()).ok());
   Result<std::string> current = ReadSnapshotPayload(
-      (fs::path(dir.path()) / ShardDirName(0) / SnapshotFileName(1)).string());
+      (fs::path(SnapshotDirOf(dir.path())) / SnapshotFileName(1)).string());
   ASSERT_TRUE(current.ok()) << current.status().ToString();
-  const std::string coordinator = CoordinatorState(*engine);
-  // The generation shapes under test: today's one entry, and a hand-built
-  // two-entry generation in the older per-shard layout.
-  const std::vector<std::vector<std::string>> generations = {
-      {*current}, LegacyTwoEntryPayloads(*engine)};
   Rng rng(0x5A17);
   uint64_t restored_clean = 0;
-  for (const std::vector<std::string>& payloads : generations) {
-    for (int trial = 0; trial < 300; ++trial) {
-      std::vector<std::string> mutated = payloads;
-      std::string& victim = mutated[static_cast<size_t>(trial) % mutated.size()];
-      victim = MutatePayload(victim, trial, &rng);
-      fs::remove_all(dir.path());
-      WriteGeneration(dir.path(), opt, 1, 3, mutated, coordinator);
-      std::unique_ptr<ScubaEngine> restored = MakeEngine(opt);
-      const Status s = restored->Restore(dir.path());
-      if (s.ok()) {
-        const InvariantAuditReport audit = restored->AuditInvariants();
-        EXPECT_TRUE(audit.clean()) << "trial " << trial << ": "
-                                   << audit.ToString();
-        ++restored_clean;
-      } else {
-        EXPECT_TRUE(s.IsDataLoss() || s.IsFailedPrecondition())
-            << "trial " << trial << ": " << s.ToString();
-      }
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::string mutated = MutatePayload(*current, trial, &rng);
+    fs::remove_all(dir.path());
+    WriteGeneration(dir.path(), opt, 1, 3, mutated);
+    std::unique_ptr<ScubaEngine> restored = MakeEngine(opt);
+    const Status s = restored->Restore(dir.path());
+    if (s.ok()) {
+      const InvariantAuditReport audit = restored->AuditInvariants();
+      EXPECT_TRUE(audit.clean()) << "trial " << trial << ": "
+                                 << audit.ToString();
+      ++restored_clean;
+    } else {
+      EXPECT_TRUE(s.IsDataLoss() || s.IsFailedPrecondition())
+          << "trial " << trial << ": " << s.ToString();
     }
   }
   // Flips that land in padding-free doubles restore a different but

@@ -15,8 +15,8 @@
 
 #include "core/result_set.h"
 #include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/snapshot.h"
-#include "shard/shard_durability.h"
 #include "shard/shard_fault_injector.h"
 #include "shard/shard_supervisor.h"
 
@@ -110,13 +110,13 @@ ChaosOutcome RunChaos(const std::vector<Round>& rounds, const std::string& dir,
 
   Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine->get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine->get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   (*engine)->set_stripe_recovery([dir](ScubaEngine* e, uint32_t s) {
-    return RecoverShardStripe(dir, e, s, /*validator_config=*/nullptr);
+    return RecoverWindow(dir, e, s, /*validator_config=*/nullptr);
   });
 
   ChaosOutcome out;

@@ -17,8 +17,8 @@
 
 #include "core/result_set.h"
 #include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/snapshot.h"
-#include "shard/shard_durability.h"
 #include "shard/shard_fault_injector.h"
 #include "shard/shard_supervisor.h"
 
@@ -361,14 +361,14 @@ TEST(ShardSupervisionTest, DurableRecoveryHealsCorruptionAndConvergesExactly) {
   opt.supervision.fault_spec = "3:1:corrupt-state";
 
   std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   const std::string root = dir.path();
   engine->set_stripe_recovery([root](ScubaEngine* e, uint32_t s) {
-    return RecoverShardStripe(root, e, s, /*validator_config=*/nullptr);
+    return RecoverWindow(root, e, s, /*validator_config=*/nullptr);
   });
 
   DriveLog log;

@@ -21,8 +21,8 @@
 #include "common/rng.h"
 #include "core/engine_metrics.h"
 #include "core/scuba_engine.h"
+#include "persist/durability.h"
 #include "persist/snapshot.h"
-#include "shard/shard_durability.h"
 
 namespace scuba {
 namespace {
@@ -690,10 +690,10 @@ TEST(TelemetryTest, DurabilitySinkEmitsCheckpointSpans) {
   opt.checkpoint.every_n_rounds = 1;
   std::unique_ptr<ScubaEngine> engine =
       std::move(ScubaEngine::Create(opt).value());
-  Result<std::unique_ptr<ShardedDurabilityManager>> manager =
-      ShardedDurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                     /*validator=*/nullptr, /*rng=*/nullptr,
-                                     /*crash=*/nullptr);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   const std::vector<Round> rounds = MakeRounds(61, 3);
   Timestamp now = 0;

@@ -24,21 +24,20 @@
 // (an unsigned integer in range, an integer, or a finite number) exits 1 and
 // names the flag.
 //
-// Durability (docs/ARCHITECTURE.md §8, §12): `run --durable-dir DIR` logs
-// every admitted batch to the directory's one WAL and commits checkpoint
-// generations through manifests per --checkpoint-every; --crash-at POINT
-// [--crash-after N] injects a crash at the N-th occurrence of that point and
-// exits nonzero, leaving realistic partial state behind. `recover` rebuilds
-// the engine from DIR (newest manifest whose artifacts verify + WAL
-// replay; --json prints the report as one JSON object) and finishes the
-// trace; `checkpoint` / `restore` exercise the bare checkpoint round-trip.
-// Each durable command prints a `state-hash:` line — equal hashes mean
-// bit-identical engine state — and a directory written at one window count
-// recovers into any other (older per-shard generations included). A directory in a retired layout (bare
-// snapshot-*.scuba / wal-*.log files at the root, or per-shard
-// shard-NNNN/wal-*.log chains) is refused with exit 5. `fsck
-// DIR` verifies a durable directory read-only and exits with a distinct code
-// per damage class.
+// Durability (docs/ARCHITECTURE.md §8): `run --durable-dir DIR` logs every
+// admitted batch to DIR/wal/ and commits checkpoint generations (one
+// DIR/snapshots/ file plus the manifest naming it) per --checkpoint-every;
+// --crash-at POINT [--crash-after N] injects a crash at the N-th occurrence
+// of that point and exits nonzero, leaving realistic partial state behind.
+// `recover` rebuilds the engine from DIR (newest manifest whose snapshot
+// verifies + WAL replay; --json prints the report as one JSON object) and
+// finishes the trace; `checkpoint` / `restore` exercise the bare checkpoint
+// round-trip. Each durable command prints a `state-hash:` line — equal
+// hashes mean bit-identical engine state — and a directory written at one
+// window count recovers into any other. A manifest or snapshot of another
+// format version (every root written before format version 2) is refused
+// with exit 5. `fsck DIR` verifies a durable directory read-only and exits
+// with a distinct code per damage class.
 //
 // Exit codes mirror StatusCode (1 = invalid argument, 5 = failed
 // precondition, 7 = internal/injected crash, 11 = data loss, ...); 0 is
@@ -71,11 +70,11 @@
 #include "network/grid_city.h"
 #include "network/network_io.h"
 #include "persist/crash.h"
+#include "persist/durability.h"
 #include "persist/fsck.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "shard/engine_factory.h"
-#include "shard/shard_durability.h"
 #include "stream/fault_injector.h"
 #include "stream/pipeline.h"
 #include "stream/update_validator.h"
@@ -622,7 +621,7 @@ int CmdRecover(const Flags& flags) {
 
   // WAL sequence numbers are global batch indices (seq 0 = trace batch 0),
   // so the replayed log tells us exactly where to resume the trace.
-  Result<ShardedRecoveryReport> report = RecoverShardedEngine(
+  Result<RecoveryReport> report = RecoverEngine(
       durable_dir, handle->scuba, screen, /*rng=*/nullptr, sink);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s\n",
@@ -766,7 +765,7 @@ int CmdRender(const Flags& flags) {
 }
 
 /// Read-only verification of a durable directory: `scuba_cli fsck DIR`.
-/// Exits 0 when clean, else with the worst damage class found (values 20-26,
+/// Exits 0 when clean, else with the worst damage class found (values 20-25,
 /// persist/fsck.h) — distinct from the StatusCode exit codes so scripts can
 /// tell "the directory is damaged" from "fsck itself failed". Never mutates.
 int CmdFsck(int argc, char** argv) {
@@ -1120,12 +1119,13 @@ int Usage() {
       "                  --burst-size N]\n"
       "  metrics-schema  (one JSON line per metric: name, kind, help)\n\n"
       "run with --durable-dir WAL-logs every admitted batch (one record per\n"
-      "batch in DIR/wal) and commits a manifest checkpoint generation every\n"
+      "batch in DIR/wal) and commits a checkpoint generation (one snapshot\n"
+      "in DIR/snapshots plus the manifest naming it) every\n"
       "--checkpoint-every rounds; recover rebuilds the engine from the\n"
       "newest verified generation + WAL replay, then finishes the trace. A\n"
-      "directory written at one window count recovers into any other; one in\n"
-      "a retired layout (single-engine, or per-shard WAL chains) is refused\n"
-      "(exit 5).\n"
+      "directory written at one window count recovers into any other; one\n"
+      "whose manifest or snapshot has another format version is refused\n"
+      "(exit 5; fsck 24 or 22).\n"
       "--crash-at points: before-wal-append mid-wal-append after-wal-append\n"
       "before-snapshot-write mid-shard-snapshot-write before-manifest-rename\n"
       "torn-manifest-rename after-manifest-rename mid-manifest-prune\n"
