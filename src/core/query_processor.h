@@ -97,8 +97,8 @@ class QueryProcessor {
 
   /// Absorbs one tick's worth of updates at once — all objects, then all
   /// queries, semantically equivalent to the per-update calls in that order.
-  /// Engines with a parallel ingest path override this; the default just
-  /// loops.
+  /// ScubaEngine overrides this to validate the whole batch up front; the
+  /// default just loops.
   virtual Status IngestBatch(std::span<const LocationUpdate> objects,
                              std::span<const QueryUpdate> queries) {
     for (const LocationUpdate& u : objects) {

@@ -444,7 +444,10 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
     report.data_loss.push_back(wal->torn_detail);
   }
   report.next_seq = base_seq;
-  ResultSet results;
+  // The WAL holds admitted batches: replay commits them without logging or
+  // checkpointing again.
+  RoundStep step(engine, /*validator=*/nullptr, /*durability=*/nullptr);
+  const RoundHandoff handoff = sink;
   for (const WalRecord& record : wal->records) {
     if (record.seq < base_seq) continue;  // covered by the checkpoint
     if (record.seq != report.next_seq) {
@@ -467,15 +470,12 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
                                     u.time);
       }
     }
-    SCUBA_RETURN_IF_ERROR(engine->IngestBatch(record.objects, record.queries));
-    if (record.evaluate_after) {
-      SCUBA_RETURN_IF_ERROR(engine->Evaluate(record.batch_time, &results));
-      if (sink) sink(record.batch_time, results);
-      ++report.rounds_replayed;
-    }
+    SCUBA_RETURN_IF_ERROR(step.Commit(record.batch_time, record.evaluate_after,
+                                      record.objects, record.queries, handoff));
     ++report.batches_replayed;
     ++report.next_seq;
   }
+  report.rounds_replayed = step.rounds();
   PersistAccess::MutableStats(engine)->recovery_replay_rounds +=
       report.rounds_replayed;
   return report;

@@ -34,9 +34,11 @@ void ScanTempOrphans(const std::string& dir, FsckReport* report) {
   }
 }
 
-/// Scans the root's WAL: segment framing, contiguity, a torn tail, and that
-/// replay from the last valid manifest's base (`base_seq`) finds no gap.
-void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
+/// Scans the root's WAL: segment framing, contiguity, a torn tail, and,
+/// unless recovery would refuse the root, that replay from recovery's base
+/// (`base_seq`) finds no gap.
+void ScanWal(const std::string& dir, uint64_t base_seq, bool refused,
+             FsckReport* report) {
   Result<std::vector<std::pair<uint64_t, std::string>>> segments =
       ListWalSegments(dir);
   if (segments.ok()) {
@@ -51,6 +53,7 @@ void ScanWal(const std::string& dir, uint64_t base_seq, FsckReport* report) {
   if (contents->torn_tail) {
     Problem(report, kFsckTornTail, dir + ": " + contents->torn_detail);
   }
+  if (refused) return;
   for (const WalRecord& record : contents->records) {
     if (record.seq < base_seq) continue;
     if (record.seq != base_seq) {
@@ -142,16 +145,23 @@ Result<FsckReport> FsckDurableDir(const std::string& dir) {
   if (!manifests.ok()) return manifests.status();
   const std::string snapshot_dir = SnapshotDirOf(dir);
   std::set<uint64_t> referenced;  // generations of readable manifests
+  // Recovery replays the WAL from the newest manifest that is not torn
+  // (ascending, so the last one wins), or from seq 0 with none. When that
+  // manifest is of another format version, recovery refuses the root, so
+  // there is no replay base to check the WAL against.
   uint64_t base_seq = 0;
+  bool refused = false;
   for (const auto& [generation, path] : *manifests) {
     ++report.manifests_scanned;
     Result<ManifestInfo> info = ReadManifest(path);
     if (!info.ok()) {
       Problem(&report, kFsckBadManifest, info.status().message());
+      if (!info.status().IsDataLoss()) refused = true;
       continue;
     }
     ++report.manifests_valid;
-    base_seq = info->wal_next_seq;  // ascending: the last valid one wins
+    base_seq = info->wal_next_seq;
+    refused = false;
     referenced.insert(generation);
     FsckSnapshot(path, *info, snapshot_dir, &report);
   }
@@ -166,7 +176,7 @@ Result<FsckReport> FsckDurableDir(const std::string& dir) {
     }
   }
   ScanTempOrphans(snapshot_dir, &report);
-  ScanWal(WalDirOf(dir), base_seq, &report);
+  ScanWal(WalDirOf(dir), base_seq, refused, &report);
   ScanTempOrphans(dir, &report);
   return report;
 }

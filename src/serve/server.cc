@@ -11,7 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 namespace scuba::serve {
@@ -95,7 +94,7 @@ ScubaServer::ScubaServer(const ServeOptions& options, const ServerDeps& deps,
       port_(port),
       pipe_r_(pipe_r),
       pipe_w_(pipe_w),
-      prev_time_(std::numeric_limits<Timestamp>::min()) {}
+      step_(deps.engine, deps.screen, deps.durability) {}
 
 ScubaServer::~ScubaServer() {
   RequestStop();
@@ -364,34 +363,22 @@ void ScubaServer::HandleMessage(Session* session, std::string_view payload) {
       const QueryId qid = msg.query.qid;
       std::vector<QueryUpdate> queries{msg.query};
       std::vector<LocationUpdate> objects;
-      // Registration is out-of-band with round pacing: screened with no batch
-      // floor (several sessions may register at the same stamp), WAL-logged as
-      // a non-evaluating batch, ingested, then subscribed. prev_time_ is
-      // untouched, so a driver's batch clock is unaffected.
-      if (deps_.screen != nullptr) {
-        st = deps_.screen->ScreenBatch(kNoBatchTime, &objects, &queries);
-        if (!st.ok()) {
-          SendError(session, st, /*fatal=*/false);
-          return;
-        }
-        if (queries.empty()) {
-          SendError(session,
-                    Status::InvalidArgument(
-                        "query " + std::to_string(qid) +
-                        " rejected by stream screening"),
-                    /*fatal=*/false);
-          return;
-        }
+      // Registration is out of band with round pacing: admitted with no batch
+      // floor (several sessions may register at one stamp, and a driver's
+      // batch clock is unaffected), logged as a batch that closes no round,
+      // ingested, then subscribed.
+      Result<Timestamp> admitted =
+          step_.Admit(std::nullopt, &objects, &queries);
+      if (admitted.ok() && queries.empty()) {
+        admitted = Status::InvalidArgument("query " + std::to_string(qid) +
+                                           " rejected by stream screening");
       }
-      if (deps_.durability != nullptr) {
-        st = deps_.durability->LogBatch(msg.query.time, /*evaluate_after=*/
-                                        false, objects, queries);
-        if (!st.ok()) {
-          terminal_ = st;
-          return;
-        }
+      if (!admitted.ok()) {
+        SendError(session, admitted.status(), /*fatal=*/false);
+        return;
       }
-      st = deps_.engine->IngestBatch(objects, queries);
+      st = step_.Commit(msg.query.time, /*evaluate=*/false, objects, queries,
+                        nullptr);
       if (!st.ok()) {
         terminal_ = st;
         return;
@@ -483,69 +470,35 @@ Status ScubaServer::HandleBatch(Session* session, Timestamp time,
                                 bool evaluate,
                                 std::vector<LocationUpdate>* objects,
                                 std::vector<QueryUpdate>* queries) {
-  // Mirror of ReplayTrace's batch step (src/stream/pipeline.cc): the same
-  // strictly-increasing time contract, the same screen → log → ingest →
-  // evaluate order — this is what makes a served trace reproduce the offline
-  // replay bit-for-bit.
-  Timestamp batch_time = time;
-  const bool resync =
-      deps_.screen != nullptr &&
-      deps_.screen->config().policy == BadUpdatePolicy::kRepair;
-  if (batch_time <= prev_time_) {
-    if (!resync) {
-      // The batch never reached the WAL or the engine, so rejecting only it
-      // (not the whole server, unlike an offline replay abort) keeps state
-      // exactly aligned with a replay of the accepted prefix.
-      SendError(session,
-                Status::FailedPrecondition(
-                    "batch time " + std::to_string(batch_time) +
-                    " does not advance past " + std::to_string(prev_time_)),
-                /*fatal=*/false);
-      return Status::OK();
-    }
-    batch_time = prev_time_ + 1;
+  Result<Timestamp> admitted = step_.Admit(time, objects, queries);
+  if (!admitted.ok()) {
+    // The batch never reached the WAL or the engine, so rejecting only it
+    // (where an offline replay would stop) keeps state exactly aligned with a
+    // replay of the accepted prefix.
+    SendError(session, admitted.status(), /*fatal=*/false);
+    return Status::OK();
   }
-  if (deps_.screen != nullptr) {
-    Status st = deps_.screen->ScreenBatch(batch_time, objects, queries);
-    if (!st.ok()) {
-      // Strict screening: the tuple's tagged error goes to the sender and the
-      // batch is rejected whole, before any durable or engine effect.
-      SendError(session, st, /*fatal=*/false);
-      return Status::OK();
-    }
-  }
-  if (deps_.durability != nullptr) {
-    SCUBA_RETURN_IF_ERROR(deps_.durability->LogBatch(batch_time, evaluate,
-                                                     *objects, *queries));
-  }
-  SCUBA_RETURN_IF_ERROR(deps_.engine->IngestBatch(*objects, *queries));
-  prev_time_ = batch_time;
+  // Push deltas first (the round's set moves into the session manager, which
+  // retains it for the next diff and hands back the buffer it held), then ack
+  // the driver: a driver that is also subscribed sees its own delta before
+  // the tick-ack.
+  SCUBA_RETURN_IF_ERROR(step_.Commit(
+      *admitted, evaluate, *objects, *queries,
+      [this, session](Timestamp now, ResultSet& results) {
+        TickAckMsg ack;
+        ack.round = step_.rounds();
+        ack.time = now;
+        ack.matches = results.size();
+        ack.degraded = results.degraded();
+        results = sessions_.PushRound(ack.round, now, std::move(results));
+        sessions_.EnqueueMessage(session, MessageType::kTickAck,
+                                 EncodeTickAck(ack));
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        last_round_matches_ = ack.matches;
+        last_round_degraded_ = ack.degraded;
+      }));
   sessions_.metrics().batches_total.Increment();
-  if (evaluate) return RunRound(session, batch_time);
-  return Status::OK();
-}
-
-Status ScubaServer::RunRound(Session* driver, Timestamp now) {
-  SCUBA_RETURN_IF_ERROR(deps_.engine->Evaluate(now, &results_));
-  ++rounds_;
-  TickAckMsg ack;
-  ack.round = rounds_;
-  ack.time = now;
-  ack.matches = results_.size();
-  ack.degraded = results_.degraded();
-  // Push deltas first (the ResultSink analogue), then ack the driver: a
-  // driver that is also subscribed sees its own delta before the tick-ack.
-  // The round's set moves into the session manager (it is retained for the
-  // next diff); the buffer it hands back is the next Evaluate's output.
-  results_ = sessions_.PushRound(rounds_, now, std::move(results_));
-  sessions_.EnqueueMessage(driver, MessageType::kTickAck, EncodeTickAck(ack));
-  if (deps_.durability != nullptr) {
-    SCUBA_RETURN_IF_ERROR(deps_.durability->OnRoundComplete());
-  }
-  sessions_.ObservePressure(deps_.engine->EstimateMemoryUsage());
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  last_round_matches_ = ack.matches;
-  last_round_degraded_ = ack.degraded;
+  if (evaluate) sessions_.ObservePressure(deps_.engine->EstimateMemoryUsage());
   return Status::OK();
 }
 

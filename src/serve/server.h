@@ -6,13 +6,13 @@
 // interface (the ScubaEngine or a baseline — the server does not care),
 // and pushes per-session result deltas after every evaluation round.
 //
-// Round semantics mirror ReplayTrace (src/stream/pipeline.cc) exactly —
-// screen → WAL-log → ingest → evaluate → push → round-complete, with the
-// same strictly-increasing batch-time contract (kRepair resyncs, otherwise
-// the offending batch is rejected before it touches the WAL or the engine) —
-// so a client replaying a trace through the server reproduces the offline
-// per-round ResultSets and final EngineStateHash bit-for-bit, and
-// --durable-dir recovery works unchanged.
+// Every batch runs through the one RoundStep (src/stream/pipeline.h) that
+// offline replay and recovery use too: the batch-time floor, screen, WAL-log,
+// ingest, evaluate, push, round-complete. So a client replaying a trace
+// through the server reproduces the offline per-round ResultSets and final
+// EngineStateHash bit-for-bit, and --durable-dir recovery works unchanged.
+// A batch that fails admission is rejected for its sender only, before it
+// touches the WAL or the engine.
 //
 // Clients own round pacing: a batch's `evaluate` flag (or a kTick) closes a
 // round. Engine-level failures after a batch is WAL-logged are terminal (the
@@ -105,7 +105,6 @@ class ScubaServer {
   Status HandleBatch(Session* session, Timestamp time, bool evaluate,
                      std::vector<LocationUpdate>* objects,
                      std::vector<QueryUpdate>* queries);
-  Status RunRound(Session* driver, Timestamp now);
   /// Flushes as much of the session's queue as the socket accepts.
   void WriteSession(Session* session);
   void SendError(Session* session, const Status& error, bool fatal);
@@ -126,10 +125,7 @@ class ScubaServer {
   bool stopping_ = false;  ///< Graceful: drain queues, then exit.
   Status terminal_ = Status::OK();
 
-  // Round state (event-loop thread only).
-  Timestamp prev_time_;
-  ResultSet results_;  ///< Evaluate's output buffer (swapped each round).
-  uint64_t rounds_ = 0;
+  RoundStep step_;  ///< Event-loop thread only.
 
   mutable std::mutex stats_mu_;  ///< Guards the last-round fields.
   uint64_t last_round_matches_ = 0;

@@ -2,10 +2,55 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 
 namespace scuba {
+
+RoundStep::RoundStep(QueryProcessor* engine, UpdateValidator* validator,
+                     DurabilitySink* durability, Timestamp floor)
+    : engine_(engine),
+      validator_(validator),
+      durability_(durability),
+      floor_(floor) {}
+
+Result<Timestamp> RoundStep::Admit(std::optional<Timestamp> time,
+                                   std::vector<LocationUpdate>* objects,
+                                   std::vector<QueryUpdate>* queries) {
+  Timestamp batch_time = time.value_or(kNoBatchTime);
+  if (time && *time <= floor_) {
+    // Batches are consecutive ticks, so their stamps strictly increase.
+    if (validator_ == nullptr ||
+        validator_->config().policy != BadUpdatePolicy::kRepair) {
+      return Status::FailedPrecondition(
+          "batch time " + std::to_string(*time) + " does not advance past " +
+          std::to_string(floor_));
+    }
+    batch_time = floor_ + 1;
+  }
+  if (validator_ != nullptr) {
+    SCUBA_RETURN_IF_ERROR(validator_->ScreenBatch(batch_time, objects, queries));
+  }
+  if (time) floor_ = batch_time;
+  return batch_time;
+}
+
+Status RoundStep::Commit(Timestamp time, bool evaluate,
+                         std::span<const LocationUpdate> objects,
+                         std::span<const QueryUpdate> queries,
+                         const RoundHandoff& handoff) {
+  if (durability_ != nullptr) {
+    SCUBA_RETURN_IF_ERROR(
+        durability_->LogBatch(time, evaluate, objects, queries));
+  }
+  SCUBA_RETURN_IF_ERROR(engine_->IngestBatch(objects, queries));
+  if (!evaluate) return Status::OK();
+  SCUBA_RETURN_IF_ERROR(engine_->Evaluate(time, &results_));
+  ++rounds_;
+  if (handoff) handoff(time, results_);
+  return durability_ != nullptr ? durability_->OnRoundComplete() : Status::OK();
+}
 
 Result<StreamPipeline> StreamPipeline::Create(ObjectSimulator* simulator,
                                               QueryProcessor* engine,
@@ -23,52 +68,33 @@ Result<StreamPipeline> StreamPipeline::Create(ObjectSimulator* simulator,
   }
   Result<SimulationClock> clock = SimulationClock::Create(delta);
   if (!clock.ok()) return clock.status();
-  return StreamPipeline(simulator, engine, std::move(clock).value(),
-                        update_fraction, validator, durability);
+  return StreamPipeline(simulator, std::move(clock).value(), update_fraction,
+                        RoundStep(engine, validator, durability));
 }
 
 StreamPipeline::StreamPipeline(ObjectSimulator* simulator,
-                               QueryProcessor* engine, SimulationClock clock,
-                               double update_fraction,
-                               UpdateValidator* validator,
-                               DurabilitySink* durability)
+                               SimulationClock clock, double update_fraction,
+                               RoundStep step)
     : simulator_(simulator),
-      engine_(engine),
       clock_(clock),
       update_fraction_(update_fraction),
-      validator_(validator),
-      durability_(durability) {}
+      step_(std::move(step)) {}
 
 Status StreamPipeline::RunTicks(int ticks, const ResultSink& sink) {
-  ResultSet results;
+  const RoundHandoff handoff = sink;
   for (int i = 0; i < ticks; ++i) {
     simulator_->Step();
-    bool evaluate = clock_.Advance();
+    const bool evaluate = clock_.Advance();
     SCUBA_CHECK_MSG(simulator_->now() == clock_.now(),
                     "simulator and clock diverged");
     object_buffer_.clear();
     query_buffer_.clear();
     simulator_->EmitUpdates(update_fraction_, &object_buffer_, &query_buffer_);
-    if (validator_ != nullptr) {
-      SCUBA_RETURN_IF_ERROR(validator_->ScreenBatch(
-          clock_.now(), &object_buffer_, &query_buffer_));
-    }
-    if (durability_ != nullptr) {
-      // Write-ahead: the batch becomes durable before it mutates the engine.
-      SCUBA_RETURN_IF_ERROR(durability_->LogBatch(
-          clock_.now(), evaluate, object_buffer_, query_buffer_));
-    }
-    // One tick = one batch: engines with a parallel ingest path classify the
-    // whole tick at once; the default implementation loops per update.
-    SCUBA_RETURN_IF_ERROR(engine_->IngestBatch(object_buffer_, query_buffer_));
-    if (evaluate) {
-      SCUBA_RETURN_IF_ERROR(engine_->Evaluate(clock_.now(), &results));
-      ++evaluations_;
-      if (sink) sink(clock_.now(), results);
-      if (durability_ != nullptr) {
-        SCUBA_RETURN_IF_ERROR(durability_->OnRoundComplete());
-      }
-    }
+    Result<Timestamp> time =
+        step_.Admit(clock_.now(), &object_buffer_, &query_buffer_);
+    if (!time.ok()) return time.status();
+    SCUBA_RETURN_IF_ERROR(step_.Commit(*time, evaluate, object_buffer_,
+                                       query_buffer_, handoff));
   }
   return Status::OK();
 }
@@ -87,63 +113,30 @@ Status ReplayTrace(const Trace& trace, QueryProcessor* engine, Timestamp delta,
                               " exceeds the trace's " +
                               std::to_string(trace.TickCount()) + " batches");
   }
-  const bool resync =
-      validator != nullptr &&
-      validator->config().policy == BadUpdatePolicy::kRepair;
-  // Resuming mid-trace keeps the monotonicity floor anchored at the last
-  // batch the engine already saw (as recorded in the trace; a recovery resume
-  // implies a clean, strictly increasing prefix).
-  Timestamp prev_time = start_index == 0
-                            ? std::numeric_limits<Timestamp>::min()
-                            : trace.batch(start_index - 1).time;
-  ResultSet results;
+  RoundStep step(engine, validator, durability,
+                 start_index == 0 ? std::numeric_limits<Timestamp>::min()
+                                  : trace.batch(start_index - 1).time);
+  const RoundHandoff handoff = sink;
   std::vector<LocationUpdate> objects;
   std::vector<QueryUpdate> queries;
   for (size_t i = start_index; i < trace.TickCount(); ++i) {
     const TickBatch& batch = trace.batch(i);
-    // Batches are defined as consecutive ticks, so their stamps must strictly
-    // increase; a regressed batch either fails the replay or — under kRepair —
-    // is resynced to the tick after its predecessor.
-    Timestamp batch_time = batch.time;
-    if (batch_time <= prev_time) {
-      if (!resync) {
-        return Status::FailedPrecondition(
-            "trace batch " + std::to_string(i) + " time " +
-            std::to_string(batch_time) + " does not advance past " +
-            std::to_string(prev_time));
-      }
-      batch_time = prev_time + 1;
-    }
-    prev_time = batch_time;
-    // Round boundaries follow the global batch index so a resumed replay
-    // evaluates at exactly the ticks the uninterrupted run did.
-    const bool evaluate = (i + 1) % static_cast<size_t>(delta) == 0;
+    // The screen filters in place, so it works on a copy of the batch.
     if (validator != nullptr) {
       objects = batch.object_updates;
       queries = batch.query_updates;
-      SCUBA_RETURN_IF_ERROR(
-          validator->ScreenBatch(batch_time, &objects, &queries));
-      if (durability != nullptr) {
-        SCUBA_RETURN_IF_ERROR(
-            durability->LogBatch(batch_time, evaluate, objects, queries));
-      }
-      SCUBA_RETURN_IF_ERROR(engine->IngestBatch(objects, queries));
-    } else {
-      if (durability != nullptr) {
-        SCUBA_RETURN_IF_ERROR(durability->LogBatch(batch_time, evaluate,
-                                                   batch.object_updates,
-                                                   batch.query_updates));
-      }
-      SCUBA_RETURN_IF_ERROR(
-          engine->IngestBatch(batch.object_updates, batch.query_updates));
     }
-    if (evaluate) {
-      SCUBA_RETURN_IF_ERROR(engine->Evaluate(batch_time, &results));
-      if (sink) sink(batch_time, results);
-      if (durability != nullptr) {
-        SCUBA_RETURN_IF_ERROR(durability->OnRoundComplete());
-      }
+    Result<Timestamp> time = step.Admit(batch.time, &objects, &queries);
+    if (!time.ok()) {
+      return Status(time.status().code(), "trace batch " + std::to_string(i) +
+                                              ": " + time.status().message());
     }
+    // Round boundaries follow the global batch index so a resumed replay
+    // evaluates at exactly the ticks the uninterrupted run did.
+    const bool evaluate = (i + 1) % static_cast<size_t>(delta) == 0;
+    SCUBA_RETURN_IF_ERROR(step.Commit(
+        *time, evaluate, validator != nullptr ? objects : batch.object_updates,
+        validator != nullptr ? queries : batch.query_updates, handoff));
   }
   return Status::OK();
 }

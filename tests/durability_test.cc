@@ -577,6 +577,30 @@ TEST(DurabilityTest, ManifestOfAnotherVersionIsRefused) {
                        /*open_refuses=*/true, kFsckBadManifest);
 }
 
+TEST(DurabilityTest, RootOfAnotherVersionReportsNoReplayGap) {
+  // A root whose every manifest is of another version is refused (24); its
+  // WAL, pruned past seq 0, is not a replay gap, because recovery never gets
+  // as far as replaying it. MakeOptions' smallest WAL segments let the prune
+  // drop the log's head.
+  ScopedTempDir dir("root_version");
+  RunDurably(MakeRounds(8), MakeOptions(2), dir.path());
+  Result<WalContents> wal = ReadWal(WalDirOf(dir.path()));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  ASSERT_FALSE(wal->records.empty());
+  ASSERT_GT(wal->records.front().seq, 0u) << "prune kept the whole WAL";
+  Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+      ListManifests(dir.path());
+  ASSERT_TRUE(manifests.ok());
+  ASSERT_FALSE(manifests->empty());
+  for (const auto& [generation, path] : *manifests) PatchVersion(path, 1);
+  Result<FsckReport> report = FsckDurableDir(dir.path());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->exit_code, kFsckBadManifest) << report->ToString();
+  for (const std::string& problem : report->problems) {
+    EXPECT_EQ(problem.find("replay from"), std::string::npos) << problem;
+  }
+}
+
 TEST(DurabilityTest, SnapshotOfAnotherVersionIsRefused) {
   std::vector<Round> rounds = MakeRounds(4);
   ScopedTempDir dir("snapshot_version");

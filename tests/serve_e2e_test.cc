@@ -4,8 +4,9 @@
 // delta stream via ApplyDelta, must reproduce the offline engine's per-round
 // ResultSets bit-for-bit and land on the identical EngineStateHash — across
 // shards {1,4} × join threads {1,4}. Subscription slices filter
-// deterministically, and a supervised degraded round propagates its
-// degraded-shard provenance through the delta stream to every subscriber.
+// deterministically, a supervised degraded round propagates its
+// degraded-shard provenance through the delta stream to every subscriber,
+// and a screened stream (repair, quarantine) lands where ReplayTrace does.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,9 @@
 #include "serve/client.h"
 #include "serve/server.h"
 #include "shard/engine_factory.h"
+#include "stream/fault_injector.h"
+#include "stream/pipeline.h"
+#include "stream/update_validator.h"
 
 namespace scuba::serve {
 namespace {
@@ -223,6 +227,110 @@ TEST_P(ServeDeterminismTest, DeltaStreamBitMatchesOfflineReplay) {
 INSTANTIATE_TEST_SUITE_P(ShardsByThreads, ServeDeterminismTest,
                          ::testing::Combine(::testing::Values(1u, 4u),
                                             ::testing::Values(1u, 4u)));
+
+/// MakeTicks as a trace whose tuples a seeded FaultInjector corrupts (every
+/// fault class). With `regress_stamps`, every fourth batch is stamped two
+/// ticks back, behind the batch before it.
+Trace CorruptedTrace(const std::vector<TickBatch>& ticks, const Rect& region,
+                     bool regress_stamps) {
+  FaultInjector injector(FaultPlan::AllFaults(0.05, region, /*node_count=*/0),
+                         /*seed=*/0x5C0BA);
+  Trace trace;
+  for (size_t t = 0; t < ticks.size(); ++t) {
+    scuba::TickBatch batch;
+    batch.time = static_cast<Timestamp>(t + 1);
+    batch.object_updates = ticks[t].objects;
+    batch.query_updates = ticks[t].queries;
+    injector.CorruptBatch(batch.time, &batch.object_updates,
+                          &batch.query_updates, nullptr, nullptr);
+    if (regress_stamps && t % 4 == 3) batch.time -= 2;
+    trace.Append(std::move(batch));
+  }
+  EXPECT_GT(injector.stats().TotalInjected(), 0u);
+  return trace;
+}
+
+class ServeScreenedTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(ServeScreenedTest, ScreenedStreamMatchesOfflineReplay) {
+  // A dirty stream served under a screen must fold, round by round, to
+  // ReplayTrace's ResultSets under an identical screen and land on its
+  // state: repair with regressed batch stamps, quarantine with tuple faults.
+  const uint32_t shards = GetParam();
+  const int kTicks = 12;
+  const int kDelta = 2;
+  for (BadUpdatePolicy policy :
+       {BadUpdatePolicy::kRepair, BadUpdatePolicy::kQuarantine}) {
+    SCOPED_TRACE(std::string(BadUpdatePolicyName(policy)));
+    ScubaOptions opt;
+    opt.shards = shards;
+    opt.on_bad_update = policy;
+    ValidatorConfig config;
+    config.policy = policy;
+    config.bounds = opt.region;
+    config.check_bounds = true;
+    const Trace trace =
+        CorruptedTrace(MakeTicks(kTicks), opt.region,
+                       /*regress_stamps=*/policy == BadUpdatePolicy::kRepair);
+
+    Result<EngineHandle> offline = MakeEngine(opt);
+    ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+    UpdateValidator offline_screen(config);
+    std::vector<ResultSet> expected;
+    Status replayed = ReplayTrace(
+        trace, offline->engine.get(), kDelta,
+        [&](Timestamp, const ResultSet& r) { expected.push_back(r); },
+        &offline_screen);
+    ASSERT_TRUE(replayed.ok()) << replayed.ToString();
+    ASSERT_EQ(expected.size(), static_cast<size_t>(kTicks / kDelta));
+    ASSERT_GT(offline_screen.stats().TotalRejected(), 0u);
+
+    Result<EngineHandle> served = MakeEngine(opt);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    UpdateValidator screen(config);
+    ServerDeps deps;
+    deps.engine = served->engine.get();
+    deps.screen = &screen;
+    Result<std::unique_ptr<ScubaServer>> server =
+        ScubaServer::Create(ServeOptions{}, deps);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    ASSERT_TRUE((*server)->Start().ok());
+    Result<ScubaClient> driver = ScubaClient::Connect((*server)->port());
+    ASSERT_TRUE(driver.ok()) << driver.status().ToString();
+    Result<ScubaClient> sub = ScubaClient::Connect((*server)->port());
+    ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+    ASSERT_TRUE(sub->SubscribeAll().ok());
+
+    uint64_t round = 0;
+    for (size_t i = 0; i < trace.TickCount(); ++i) {
+      UpdateBatchMsg batch;
+      batch.time = trace.batch(i).time;
+      batch.evaluate = (i + 1) % kDelta == 0;
+      batch.objects = trace.batch(i).object_updates;
+      batch.queries = trace.batch(i).query_updates;
+      Result<TickAckMsg> ack = driver->SendBatch(batch);
+      ASSERT_TRUE(ack.ok()) << "batch " << i << ": "
+                            << ack.status().ToString();
+      if (!batch.evaluate) continue;
+      ++round;
+      ASSERT_EQ(ack->round, round);
+      // Repair resyncs a regressed batch to the tick after its predecessor.
+      EXPECT_EQ(ack->time, static_cast<Timestamp>(i + 1));
+      ASSERT_TRUE(sub->PumpUntilRound(round).ok());
+      EXPECT_TRUE(sub->folded() == expected[round - 1])
+          << "diverged at round " << round;
+    }
+    EXPECT_EQ(sub->coalesced_snapshots(), 0u);
+    EXPECT_TRUE(sub->Bye().ok());
+    ASSERT_TRUE(driver->Shutdown().ok());
+    EXPECT_TRUE((*server)->Wait().ok());
+    EXPECT_EQ(served->StateHash(), offline->StateHash());
+    EXPECT_EQ(screen.FormatStats(), offline_screen.FormatStats());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Windows, ServeScreenedTest,
+                         ::testing::Values(1u, 4u));
 
 TEST(ServeE2eTest, DegradedRoundPropagatesToSubscribers) {
   // A supervised shard fault (shard 1 fails in round 3) completes the round

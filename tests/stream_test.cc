@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "baseline/naive_join_engine.h"
 #include "gen/workload_generator.h"
@@ -237,6 +239,199 @@ TEST(ReplayTraceTest, RepairValidatorResyncsNonMonotonicBatches) {
   EXPECT_EQ(validator.stats().admitted, 3u);
   EXPECT_EQ(validator.stats().repaired, 2u);  // stamps 1,1 lifted to 2,3
   EXPECT_EQ(validator.stats().TotalRejected(), 0u);
+}
+
+/// Engine and durability sink that append each call to one shared log.
+class RecordingEngine : public QueryProcessor {
+ public:
+  explicit RecordingEngine(std::vector<std::string>* calls) : calls_(calls) {}
+  std::string_view name() const override { return "recording"; }
+  Status IngestObjectUpdate(const LocationUpdate&) override {
+    return Status::OK();
+  }
+  Status IngestQueryUpdate(const QueryUpdate&) override { return Status::OK(); }
+  Status IngestBatch(std::span<const LocationUpdate> objects,
+                     std::span<const QueryUpdate> queries) override {
+    calls_->push_back("ingest " + std::to_string(objects.size()) + "+" +
+                      std::to_string(queries.size()));
+    return Status::OK();
+  }
+  Status Evaluate(Timestamp now, ResultSet* results) override {
+    calls_->push_back("evaluate " + std::to_string(now));
+    results->Clear();
+    return Status::OK();
+  }
+  size_t EstimateMemoryUsage() const override { return 0; }
+  const EvalStats& stats() const override { return stats_; }
+
+ private:
+  std::vector<std::string>* calls_;
+  EvalStats stats_;
+};
+
+class RecordingSink : public DurabilitySink {
+ public:
+  explicit RecordingSink(std::vector<std::string>* calls) : calls_(calls) {}
+  Status LogBatch(Timestamp batch_time, bool evaluate_after,
+                  std::span<const LocationUpdate> objects,
+                  std::span<const QueryUpdate>) override {
+    calls_->push_back("log " + std::to_string(batch_time) +
+                      (evaluate_after ? " eval " : " ") +
+                      std::to_string(objects.size()));
+    return Status::OK();
+  }
+  Status OnRoundComplete() override {
+    calls_->push_back("round-complete");
+    return Status::OK();
+  }
+
+ private:
+  std::vector<std::string>* calls_;
+};
+
+/// One well-formed object update stamped `time`.
+std::vector<LocationUpdate> OneObject(Timestamp time) {
+  return TraceWithTimes({time}).batch(0).object_updates;
+}
+
+TEST(RoundStepTest, LogsBeforeIngestAndHandsOffBeforeRoundComplete) {
+  std::vector<std::string> calls;
+  RecordingEngine engine(&calls);
+  RecordingSink durability(&calls);
+  RoundStep step(&engine, /*validator=*/nullptr, &durability);
+  const RoundHandoff handoff = [&](Timestamp t, ResultSet&) {
+    calls.push_back("handoff " + std::to_string(t) + " round " +
+                    std::to_string(step.rounds()));
+  };
+  std::vector<LocationUpdate> objects = OneObject(1);
+  std::vector<QueryUpdate> queries;
+  for (Timestamp t : {1, 2}) {
+    Result<Timestamp> time = step.Admit(t, &objects, &queries);
+    ASSERT_TRUE(time.ok()) << time.status().ToString();
+    EXPECT_EQ(*time, t);
+    EXPECT_EQ(step.floor(), t);
+    ASSERT_TRUE(step.Commit(*time, /*evaluate=*/t == 2, objects, queries,
+                            handoff)
+                    .ok());
+  }
+  EXPECT_EQ(calls, (std::vector<std::string>{
+                       "log 1 1", "ingest 1+0", "log 2 eval 1", "ingest 1+0",
+                       "evaluate 2", "handoff 2 round 1", "round-complete"}));
+  EXPECT_EQ(step.rounds(), 1u);
+
+  // ReplayTrace runs the same order, with its sink as the handoff.
+  calls.clear();
+  ASSERT_TRUE(ReplayTrace(TraceWithTimes({1, 2}), &engine, 2,
+                          [&](Timestamp t, const ResultSet&) {
+                            calls.push_back("sink " + std::to_string(t));
+                          },
+                          /*validator=*/nullptr, &durability)
+                  .ok());
+  EXPECT_EQ(calls, (std::vector<std::string>{"log 1 1", "ingest 1+0",
+                                             "log 2 eval 1", "ingest 1+0",
+                                             "evaluate 2", "sink 2",
+                                             "round-complete"}));
+}
+
+TEST(RoundStepTest, RejectedBatchReachesNoSinkWalOrEngine) {
+  std::vector<std::string> calls;
+  RecordingEngine engine(&calls);
+  RecordingSink durability(&calls);
+  int handoffs = 0;
+  std::vector<QueryUpdate> queries;
+
+  // A regressed or stalled stamp without a repairing screen.
+  for (BadUpdatePolicy policy :
+       {BadUpdatePolicy::kStrict, BadUpdatePolicy::kQuarantine}) {
+    ValidatorConfig config;
+    config.policy = policy;
+    UpdateValidator validator(config);
+    for (UpdateValidator* screen : {static_cast<UpdateValidator*>(nullptr),
+                                    &validator}) {
+      calls.clear();
+      RoundStep step(&engine, screen, &durability, /*floor=*/5);
+      for (Timestamp t : {5, 4}) {
+        std::vector<LocationUpdate> objects = OneObject(t);
+        Result<Timestamp> time = step.Admit(t, &objects, &queries);
+        EXPECT_TRUE(time.status().IsFailedPrecondition())
+            << time.status().ToString();
+        EXPECT_EQ(objects.size(), 1u);  // not screened
+      }
+      EXPECT_EQ(step.floor(), 5);
+      EXPECT_TRUE(calls.empty());
+    }
+  }
+
+  // A strict screen failure.
+  ValidatorConfig config;
+  UpdateValidator strict(config);
+  RoundStep step(&engine, &strict, &durability, /*floor=*/5);
+  std::vector<LocationUpdate> objects = OneObject(6);
+  objects[0].speed = -1.0;
+  Result<Timestamp> time = step.Admit(6, &objects, &queries);
+  EXPECT_FALSE(time.ok());
+  EXPECT_FALSE(time.status().IsFailedPrecondition()) << time.status().ToString();
+  EXPECT_EQ(step.floor(), 5);
+  EXPECT_EQ(step.rounds(), 0u);
+  EXPECT_TRUE(calls.empty());
+  EXPECT_EQ(handoffs, 0);
+
+  // ReplayTrace stops on the rejected batch: nothing of it is logged or
+  // ingested, and the round it would close never runs.
+  EXPECT_TRUE(ReplayTrace(TraceWithTimes({1, 2, 2}), &engine, 3,
+                          [&](Timestamp, const ResultSet&) { ++handoffs; },
+                          /*validator=*/nullptr, &durability)
+                  .IsFailedPrecondition());
+  EXPECT_EQ(calls, (std::vector<std::string>{"log 1 1", "ingest 1+0",
+                                             "log 2 1", "ingest 1+0"}));
+  EXPECT_EQ(handoffs, 0);
+}
+
+TEST(RoundStepTest, RepairResyncsRegressedBatchPastTheFloor) {
+  std::vector<std::string> calls;
+  RecordingEngine engine(&calls);
+  ValidatorConfig config;
+  config.policy = BadUpdatePolicy::kRepair;
+  UpdateValidator validator(config);
+  RoundStep step(&engine, &validator, /*durability=*/nullptr, /*floor=*/5);
+  std::vector<LocationUpdate> objects = OneObject(3);
+  std::vector<QueryUpdate> queries;
+  Result<Timestamp> time = step.Admit(3, &objects, &queries);
+  ASSERT_TRUE(time.ok()) << time.status().ToString();
+  EXPECT_EQ(*time, 6);
+  EXPECT_EQ(step.floor(), 6);
+  ASSERT_EQ(objects.size(), 1u);
+  EXPECT_EQ(objects[0].time, 6);  // the tuple's stamp is repaired too
+
+  // Out of band: no floor check, and the floor stays put.
+  objects = OneObject(2);
+  time = step.Admit(std::nullopt, &objects, &queries);
+  ASSERT_TRUE(time.ok()) << time.status().ToString();
+  EXPECT_EQ(step.floor(), 6);
+}
+
+TEST(ReplayTraceTest, StartIndexSetsTheFloorFromThePreviousBatch) {
+  std::vector<std::string> calls;
+  RecordingEngine engine(&calls);
+  // Batch 0 is already inside the engine; batch 1 does not advance past it.
+  EXPECT_TRUE(ReplayTrace(TraceWithTimes({9, 1, 2}), &engine, 1, nullptr,
+                          nullptr, nullptr, /*start_index=*/1)
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(calls.empty());
+
+  ValidatorConfig config;
+  config.policy = BadUpdatePolicy::kRepair;
+  UpdateValidator validator(config);
+  std::vector<Timestamp> sink_times;
+  ASSERT_TRUE(ReplayTrace(TraceWithTimes({9, 1, 2}), &engine, 1,
+                          [&](Timestamp t, const ResultSet&) {
+                            sink_times.push_back(t);
+                          },
+                          &validator, nullptr, /*start_index=*/1)
+                  .ok());
+  EXPECT_EQ(sink_times, (std::vector<Timestamp>{10, 11}));
+  EXPECT_EQ(calls, (std::vector<std::string>{"ingest 1+0", "evaluate 10",
+                                             "ingest 1+0", "evaluate 11"}));
 }
 
 }  // namespace

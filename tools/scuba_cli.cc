@@ -357,6 +357,69 @@ Result<Rect> ResolveRegion(const std::string& map_path, const Trace& trace,
   return region;
 }
 
+/// --region "minx,miny,maxx,maxy" (serve).
+Result<Rect> ParseRegion(const std::string& spec) {
+  Rect r{};
+  if (std::sscanf(spec.c_str(), "%lf,%lf,%lf,%lf", &r.min_x, &r.min_y,
+                  &r.max_x, &r.max_y) != 4 ||
+      r.min_x >= r.max_x || r.min_y >= r.max_y) {
+    return Status::InvalidArgument(
+        "--region wants minx,miny,maxx,maxy with min < max: " + spec);
+  }
+  return r;
+}
+
+/// What run, checkpoint, restore, recover, serve and serve-replay set up
+/// before they act.
+struct CommandSetup {
+  Trace trace;  ///< Empty for serve, which reads no trace.
+  ValidatorConfig vconfig;
+  ScubaOptions opt;
+  /// Screens the stream only under the drop/repair policies; a strict run
+  /// leaves it null, and the engine's own validation fails the replay on
+  /// the first bad tuple.
+  std::unique_ptr<UpdateValidator> screen;
+  EngineHandle handle;
+};
+
+/// The shared setup, in order: parse --on-bad-update, load --trace, resolve
+/// the region, read the engine options, reject unknown flags, then build the
+/// screen and the engine. The region comes from --map (independent of a
+/// possibly corrupted trace), else from the trace contents; `serving`
+/// (serve) reads no trace, so there --region wins, else the map, else the
+/// default box. A server and any offline comparison replay MUST resolve the
+/// same region or their engines diverge.
+Result<CommandSetup> SetupCommand(const Flags& flags, bool serving,
+                                  std::string_view engine_name = "scuba") {
+  CommandSetup setup;
+  const std::string map_path = flags.GetString("map", "");
+  const std::string region_spec = serving ? flags.GetString("region", "") : "";
+  Result<BadUpdatePolicy> policy =
+      ParseBadUpdatePolicy(flags.GetString("on-bad-update", "strict"));
+  if (!policy.ok()) return policy.status();
+  if (!serving) {
+    Result<Trace> trace = LoadTrace(flags.GetString("trace", "run.trace"));
+    if (!trace.ok()) return trace.status();
+    setup.trace = std::move(trace).value();
+  }
+  setup.vconfig.policy = *policy;
+  Result<Rect> region =
+      region_spec.empty() ? ResolveRegion(map_path, setup.trace, &setup.vconfig)
+                          : ParseRegion(region_spec);
+  if (!region.ok()) return region.status();
+  Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
+  if (!opt.ok()) return opt.status();
+  setup.opt = *opt;
+  SCUBA_RETURN_IF_ERROR(flags.Validate());
+  if (*policy != BadUpdatePolicy::kStrict) {
+    setup.screen = std::make_unique<UpdateValidator>(setup.vconfig);
+  }
+  Result<EngineHandle> handle = MakeEngine(setup.opt, engine_name);
+  if (!handle.ok()) return handle.status();
+  setup.handle = std::move(handle).value();
+  return setup;
+}
+
 /// --crash-at NAME [--crash-after N]: a disarmed injector when absent.
 Result<CrashInjector> CrashInjectorFromFlags(const Flags& flags) {
   const std::string at = flags.GetString("crash-at", "");
@@ -380,52 +443,22 @@ void PrintStateHash(uint64_t hash) {
 }
 
 int CmdRun(const Flags& flags) {
-  std::string trace_path = flags.GetString("trace", "run.trace");
   std::string engine_name = flags.GetString("engine", "scuba");
-  std::string map_path = flags.GetString("map", "");
-  Timestamp delta = flags.GetInt("delta", 2);
   bool quiet = flags.GetBool("quiet", false);
   std::string csv_path = flags.GetString("csv", "");
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
   std::string durable_dir = flags.GetString("durable-dir", "");
   Result<CrashInjector> crash = CrashInjectorFromFlags(flags);
   if (!crash.ok()) return Fail(crash.status());
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/false,
+                                            engine_name);
+  if (!setup.ok()) return Fail(setup.status());
+  QueryProcessor* engine = setup->handle.engine.get();
+  ScubaEngine* scuba_engine = setup->handle.scuba;
+  UpdateValidator* screen = setup->screen.get();
 
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
-
-  Result<Trace> trace = LoadTrace(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
-
-  // With a map the region comes from the road network — independent of the
-  // (possibly corrupted) trace contents — and arms the validator's off-map
-  // and unknown-destination checks.
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region_result = ResolveRegion(map_path, *trace, &vconfig);
-  if (!region_result.ok()) return Fail(region_result.status());
-  const Rect region = *region_result;
-  // The validator screens the stream only under the drop/repair policies; a
-  // strict run keeps the legacy path, where the engine's own validation
-  // fails the replay on the first bad tuple.
-  UpdateValidator validator(vconfig);
-  UpdateValidator* screen =
-      *policy == BadUpdatePolicy::kStrict ? nullptr : &validator;
-
-  Result<ScubaOptions> scuba_opt_result =
-      ScubaOptionsFromFlags(flags, region, *policy);
-  if (!scuba_opt_result.ok()) return Fail(scuba_opt_result.status());
-  const ScubaOptions scuba_opt = *scuba_opt_result;
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
-
-  Result<EngineHandle> handle = MakeEngine(scuba_opt, engine_name);
-  if (!handle.ok()) return Fail(handle.status());
-  QueryProcessor* engine = handle->engine.get();
-  ScubaEngine* scuba_engine = handle->scuba;
-
-  Result<DurabilityHandle> durability = OpenDurability(
-      durable_dir, scuba_opt, &*handle, screen, vconfig, &*crash);
+  Result<DurabilityHandle> durability =
+      OpenDurability(durable_dir, setup->opt, &setup->handle, screen,
+                     setup->vconfig, &*crash);
   if (!durability.ok()) return Fail(durability.status());
 
   std::ofstream csv;
@@ -435,7 +468,7 @@ int CmdRun(const Flags& flags) {
     csv << "tick,matches,join_seconds,maintenance_seconds,memory_bytes\n";
   }
   if (!quiet) std::printf("%8s %10s\n", "tick", "matches");
-  Status s = ReplayTrace(*trace, engine, delta,
+  Status s = ReplayTrace(setup->trace, engine, setup->opt.delta,
                          [&](Timestamp now, const ResultSet& r) {
                            if (!quiet) {
                              std::printf("%8lld %10zu\n",
@@ -453,12 +486,12 @@ int CmdRun(const Flags& flags) {
   if (csv.is_open() && !csv.good()) {
     return Fail(Status::IoError("csv write failed: " + csv_path));
   }
-  if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
+  if (Status ft = setup->handle.FlushTelemetry(); !ft.ok()) return Fail(ft);
   std::printf("%s\n", StatsLine(*engine).c_str());
   std::printf("memory: %s\n", FormatBytes(engine->EstimateMemoryUsage()).c_str());
   if (scuba_engine != nullptr) {
     std::printf("shards: %u\n", scuba_engine->shard_count());
-    PrintStateHash(handle->StateHash());
+    PrintStateHash(setup->handle.StateHash());
     if (scuba_engine->supervisor() != nullptr) {
       std::printf("%s\n", scuba_engine->supervisor()->HealthDump().c_str());
     }
@@ -484,48 +517,28 @@ int CmdRun(const Flags& flags) {
 /// Replays a trace to completion and writes one checkpoint generation of the
 /// final engine state (no WAL) — the bare Checkpoint() surface.
 int CmdCheckpoint(const Flags& flags) {
-  std::string trace_path = flags.GetString("trace", "run.trace");
-  std::string map_path = flags.GetString("map", "");
   std::string durable_dir = flags.GetString("durable-dir", "");
-  Timestamp delta = flags.GetInt("delta", 2);
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
   if (durable_dir.empty()) {
     return Fail(Status::InvalidArgument("--durable-dir is required"));
   }
-  Result<Trace> trace = LoadTrace(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region = ResolveRegion(map_path, *trace, &vconfig);
-  if (!region.ok()) return Fail(region.status());
-  Result<ScubaOptions> opt_result =
-      ScubaOptionsFromFlags(flags, *region, *policy);
-  if (!opt_result.ok()) return Fail(opt_result.status());
-  const ScubaOptions opt = *opt_result;
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
-
-  UpdateValidator validator(vconfig);
-  UpdateValidator* screen =
-      *policy == BadUpdatePolicy::kStrict ? nullptr : &validator;
-  Result<EngineHandle> handle = MakeEngine(opt);
-  if (!handle.ok()) return Fail(handle.status());
-  Status s = ReplayTrace(*trace, handle->engine.get(), delta, nullptr, screen);
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/false);
+  if (!setup.ok()) return Fail(setup.status());
+  EngineHandle& handle = setup->handle;
+  Status s = ReplayTrace(setup->trace, handle.engine.get(), setup->opt.delta,
+                         nullptr, setup->screen.get());
   if (!s.ok()) return Fail(s);
-  s = handle->scuba->Checkpoint(durable_dir);
+  s = handle.scuba->Checkpoint(durable_dir);
   if (!s.ok()) return Fail(s);
-  if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  const EngineSnapshotStats snapshot = handle->scuba->StatsSnapshot();
+  if (Status ft = handle.FlushTelemetry(); !ft.ok()) return Fail(ft);
+  const EngineSnapshotStats snapshot = handle.scuba->StatsSnapshot();
   std::printf(
       "checkpointed %zu clusters after %llu rounds to %s (%s; %u shards)\n",
-      handle->scuba->ClusterCount(),
+      handle.scuba->ClusterCount(),
       static_cast<unsigned long long>(snapshot.eval.evaluations),
       durable_dir.c_str(),
       FormatBytes(snapshot.eval.last_checkpoint_bytes).c_str(),
-      handle->scuba->shard_count());
-  PrintStateHash(handle->StateHash());
+      handle.scuba->shard_count());
+  PrintStateHash(handle.StateHash());
   return 0;
 }
 
@@ -533,43 +546,26 @@ int CmdCheckpoint(const Flags& flags) {
 /// WAL replay) at this run's --shards windows, audits it and
 /// prints its state hash — must equal the hash `checkpoint` printed.
 int CmdRestore(const Flags& flags) {
-  std::string trace_path = flags.GetString("trace", "run.trace");
-  std::string map_path = flags.GetString("map", "");
   std::string durable_dir = flags.GetString("durable-dir", "");
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
   if (durable_dir.empty()) {
     return Fail(Status::InvalidArgument("--durable-dir is required"));
   }
   // The trace is read only to re-derive the region: the engine must be
   // rebuilt with the exact options of the run that checkpointed.
-  Result<Trace> trace = LoadTrace(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region = ResolveRegion(map_path, *trace, &vconfig);
-  if (!region.ok()) return Fail(region.status());
-  Result<ScubaOptions> opt_result =
-      ScubaOptionsFromFlags(flags, *region, *policy);
-  if (!opt_result.ok()) return Fail(opt_result.status());
-  const ScubaOptions opt = *opt_result;
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
-
-  Result<EngineHandle> handle = MakeEngine(opt);
-  if (!handle.ok()) return Fail(handle.status());
-  Status s = handle->scuba->Restore(durable_dir);
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/false);
+  if (!setup.ok()) return Fail(setup.status());
+  EngineHandle& handle = setup->handle;
+  Status s = handle.scuba->Restore(durable_dir);
   if (!s.ok()) return Fail(s);
-  const InvariantAuditReport audit = handle->scuba->AuditInvariants();
+  const InvariantAuditReport audit = handle.scuba->AuditInvariants();
   std::printf(
       "restored %zu clusters (%llu rounds) from %s into %u shards; audit: %s\n",
-      handle->scuba->ClusterCount(),
+      handle.scuba->ClusterCount(),
       static_cast<unsigned long long>(
-          handle->scuba->StatsSnapshot().eval.evaluations),
-      durable_dir.c_str(), handle->scuba->shard_count(),
+          handle.scuba->StatsSnapshot().eval.evaluations),
+      durable_dir.c_str(), handle.scuba->shard_count(),
       audit.clean() ? "clean" : "DIRTY");
-  PrintStateHash(handle->StateHash());
+  PrintStateHash(handle.StateHash());
   return audit.clean() ? 0 : Fail(Status::Corruption(audit.ToString()));
 }
 
@@ -579,36 +575,18 @@ int CmdRestore(const Flags& flags) {
 /// remainder just like `run`. A directory written at any shard count
 /// recovers into --shards N.
 int CmdRecover(const Flags& flags) {
-  std::string trace_path = flags.GetString("trace", "run.trace");
-  std::string map_path = flags.GetString("map", "");
   std::string durable_dir = flags.GetString("durable-dir", "");
-  Timestamp delta = flags.GetInt("delta", 2);
   bool quiet = flags.GetBool("quiet", false);
   bool json = flags.GetBool("json", false);
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
   if (durable_dir.empty()) {
     return Fail(Status::InvalidArgument("--durable-dir is required"));
   }
-  Result<Trace> trace = LoadTrace(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region = ResolveRegion(map_path, *trace, &vconfig);
-  if (!region.ok()) return Fail(region.status());
-  Result<ScubaOptions> opt_result =
-      ScubaOptionsFromFlags(flags, *region, *policy);
-  if (!opt_result.ok()) return Fail(opt_result.status());
-  const ScubaOptions opt = *opt_result;
   Result<CrashInjector> crash = CrashInjectorFromFlags(flags);
   if (!crash.ok()) return Fail(crash.status());
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
-
-  UpdateValidator validator(vconfig);
-  UpdateValidator* screen =
-      *policy == BadUpdatePolicy::kStrict ? nullptr : &validator;
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/false);
+  if (!setup.ok()) return Fail(setup.status());
+  EngineHandle& handle = setup->handle;
+  UpdateValidator* screen = setup->screen.get();
   if (!quiet) std::printf("%8s %10s\n", "tick", "matches");
   const ResultSink sink = [&](Timestamp now, const ResultSet& r) {
     if (!quiet) {
@@ -616,31 +594,28 @@ int CmdRecover(const Flags& flags) {
     }
   };
 
-  Result<EngineHandle> handle = MakeEngine(opt);
-  if (!handle.ok()) return Fail(handle.status());
-
   // WAL sequence numbers are global batch indices (seq 0 = trace batch 0),
   // so the replayed log tells us exactly where to resume the trace.
   Result<RecoveryReport> report = RecoverEngine(
-      durable_dir, handle->scuba, screen, /*rng=*/nullptr, sink);
+      durable_dir, handle.scuba, screen, /*rng=*/nullptr, sink);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s\n",
               json ? report->ToJson().c_str() : report->ToString().c_str());
   const uint64_t next_seq = report->next_seq;
-  if (next_seq < trace->TickCount()) {
+  if (next_seq < setup->trace.TickCount()) {
     Result<DurabilityHandle> durability = OpenDurability(
-        durable_dir, opt, &*handle, screen, vconfig, &*crash);
+        durable_dir, setup->opt, &handle, screen, setup->vconfig, &*crash);
     if (!durability.ok()) return Fail(durability.status());
-    Status s = ReplayTrace(*trace, handle->engine.get(), delta, sink, screen,
-                           durability->sink.get(),
+    Status s = ReplayTrace(setup->trace, handle.engine.get(), setup->opt.delta,
+                           sink, screen, durability->sink.get(),
                            static_cast<size_t>(next_seq));
     if (!s.ok()) return Fail(s);
   }
-  if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
-  std::printf("%s\n", handle->scuba->StatsSnapshot()
-                         .Format(handle->engine->name())
+  if (Status ft = handle.FlushTelemetry(); !ft.ok()) return Fail(ft);
+  std::printf("%s\n", handle.scuba->StatsSnapshot()
+                         .Format(handle.engine->name())
                          .c_str());
-  PrintStateHash(handle->StateHash());
+  PrintStateHash(handle.StateHash());
   return 0;
 }
 
@@ -791,30 +766,6 @@ int CmdFsck(int argc, char** argv) {
   return report->exit_code;
 }
 
-/// Region for the serving commands: --region "minx,miny,maxx,maxy" wins,
-/// else the road network's bounds (arming the validator's map checks), else
-/// the RegionFromTrace default box. The server and any offline comparison
-/// replay MUST resolve the same region or their engines diverge.
-Result<Rect> ResolveServeRegion(const std::string& map_path,
-                                const std::string& region_spec,
-                                ValidatorConfig* vconfig) {
-  if (!region_spec.empty()) {
-    Rect r{};
-    if (std::sscanf(region_spec.c_str(), "%lf,%lf,%lf,%lf", &r.min_x,
-                    &r.min_y, &r.max_x, &r.max_y) != 4 ||
-        r.min_x >= r.max_x || r.min_y >= r.max_y) {
-      return Status::InvalidArgument(
-          "--region wants minx,miny,maxx,maxy with min < max: " + region_spec);
-    }
-    return r;
-  }
-  if (!map_path.empty()) {
-    Trace empty;
-    return ResolveRegion(map_path, empty, vconfig);
-  }
-  return Rect{0, 0, 1000, 1000};
-}
-
 /// Long-lived subscription server (docs/ARCHITECTURE.md §14): clients
 /// register continuous queries and stream update batches; every evaluation
 /// round pushes per-session result deltas. Runs until a client sends
@@ -823,9 +774,6 @@ Result<Rect> ResolveServeRegion(const std::string& map_path,
 /// same stream.
 int CmdServe(const Flags& flags) {
   std::string engine_name = flags.GetString("engine", "scuba");
-  std::string map_path = flags.GetString("map", "");
-  std::string region_spec = flags.GetString("region", "");
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
   std::string durable_dir = flags.GetString("durable-dir", "");
   std::string port_file = flags.GetString("port-file", "");
   serve::ServeOptions serve_opt;
@@ -842,34 +790,21 @@ int CmdServe(const Flags& flags) {
   serve_opt.slow_consumer = *slow;
   Result<CrashInjector> crash = CrashInjectorFromFlags(flags);
   if (!crash.ok()) return Fail(crash.status());
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
-
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region = ResolveServeRegion(map_path, region_spec, &vconfig);
-  if (!region.ok()) return Fail(region.status());
-  UpdateValidator validator(vconfig);
-  UpdateValidator* screen =
-      *policy == BadUpdatePolicy::kStrict ? nullptr : &validator;
-
-  Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
-  if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
-
-  Result<EngineHandle> handle = MakeEngine(*opt, engine_name);
-  if (!handle.ok()) return Fail(handle.status());
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/true,
+                                            engine_name);
+  if (!setup.ok()) return Fail(setup.status());
+  EngineHandle& handle = setup->handle;
+  UpdateValidator* screen = setup->screen.get();
   Result<DurabilityHandle> durability = OpenDurability(
-      durable_dir, *opt, &*handle, screen, vconfig, &*crash);
+      durable_dir, setup->opt, &handle, screen, setup->vconfig, &*crash);
   if (!durability.ok()) return Fail(durability.status());
 
   // With telemetry on, serve metrics register on the engine registry so the
   // scuba_serve_* family rides the per-round JSONL stream (schema v4).
   EngineTelemetry* telemetry =
-      handle->scuba != nullptr ? handle->scuba->telemetry() : nullptr;
+      handle.scuba != nullptr ? handle.scuba->telemetry() : nullptr;
   serve::ServerDeps deps;
-  deps.engine = handle->engine.get();
+  deps.engine = handle.engine.get();
   deps.screen = screen;
   deps.durability = durability->sink.get();
   deps.registry = telemetry != nullptr ? &telemetry->registry() : nullptr;
@@ -878,7 +813,7 @@ int CmdServe(const Flags& flags) {
   if (!server.ok()) return Fail(server.status());
   if (Status s = (*server)->Start(); !s.ok()) return Fail(s);
   std::printf("serving %s on 127.0.0.1:%u (protocol v%u, slow-consumer=%s)\n",
-              std::string(handle->engine->name()).c_str(), (*server)->port(),
+              std::string(handle.engine->name()).c_str(), (*server)->port(),
               serve::kProtocolVersion,
               std::string(serve::SlowConsumerPolicyName(serve_opt.slow_consumer))
                   .c_str());
@@ -894,7 +829,7 @@ int CmdServe(const Flags& flags) {
   Status s = (*server)->Wait();
   if (!s.ok()) return Fail(s);
   const serve::ServerStats st = (*server)->stats();
-  if (Status ft = handle->FlushTelemetry(); !ft.ok()) return Fail(ft);
+  if (Status ft = handle.FlushTelemetry(); !ft.ok()) return Fail(ft);
   std::printf(
       "serve: sessions=%llu batches=%llu rounds=%llu deltas=%llu "
       "coalesces=%llu disconnects=%llu last-round-matches=%llu%s\n",
@@ -909,7 +844,7 @@ int CmdServe(const Flags& flags) {
   if (screen != nullptr) {
     std::printf("validator: %s\n", screen->FormatStats().c_str());
   }
-  PrintStateHash(handle->StateHash());
+  PrintStateHash(handle.StateHash());
   return 0;
 }
 
@@ -922,30 +857,14 @@ int CmdServe(const Flags& flags) {
 /// printed for comparison with the server's. --shutdown stops the server
 /// afterwards (it then prints ITS state hash).
 int CmdServeReplay(const Flags& flags) {
-  std::string trace_path = flags.GetString("trace", "run.trace");
-  std::string map_path = flags.GetString("map", "");
-  std::string policy_name = flags.GetString("on-bad-update", "strict");
-  Timestamp delta = flags.GetInt("delta", 2);
   int port = flags.GetUnsigned<uint16_t>("port", 0);
   std::string port_file = flags.GetString("port-file", "");
   const bool shutdown = flags.GetBool("shutdown", false);
   const bool compare = flags.GetBool("compare-offline", true);
-  if (delta <= 0) {
-    return Fail(Status::InvalidArgument("delta must be positive"));
-  }
-
-  Result<BadUpdatePolicy> policy = ParseBadUpdatePolicy(policy_name);
-  if (!policy.ok()) return Fail(policy.status());
-  Result<Trace> trace = LoadTrace(trace_path);
-  if (!trace.ok()) return Fail(trace.status());
-  ValidatorConfig vconfig;
-  vconfig.policy = *policy;
-  Result<Rect> region = ResolveRegion(map_path, *trace, &vconfig);
-  if (!region.ok()) return Fail(region.status());
-  Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
-  if (!opt.ok()) return Fail(opt.status());
-  Status consumed = flags.Validate();
-  if (!consumed.ok()) return Fail(consumed);
+  Result<CommandSetup> setup = SetupCommand(flags, /*serving=*/false);
+  if (!setup.ok()) return Fail(setup.status());
+  const Trace& trace = setup->trace;
+  const size_t delta = static_cast<size_t>(setup->opt.delta);
 
   if (port == 0) {
     if (port_file.empty()) {
@@ -977,11 +896,11 @@ int CmdServeReplay(const Flags& flags) {
   // Replay: one kUpdateBatch per trace tick; the client owns the evaluate
   // flag, so rounds close at exactly the offline ReplayTrace boundaries.
   std::vector<ResultSet> served;
-  for (size_t i = 0; i < trace->TickCount(); ++i) {
-    const TickBatch& batch = trace->batch(i);
+  for (size_t i = 0; i < trace.TickCount(); ++i) {
+    const TickBatch& batch = trace.batch(i);
     serve::UpdateBatchMsg msg;
     msg.time = batch.time;
-    msg.evaluate = (i + 1) % static_cast<size_t>(delta) == 0;
+    msg.evaluate = (i + 1) % delta == 0;
     msg.objects = batch.object_updates;
     msg.queries = batch.query_updates;
     Result<serve::TickAckMsg> ack = client->SendBatch(msg);
@@ -992,7 +911,7 @@ int CmdServeReplay(const Flags& flags) {
       "serve-replay: %zu batches, %zu rounds, %llu deltas "
       "(%llu coalesced snapshots), %llu result bytes, final fold %zu "
       "matches\n",
-      trace->TickCount(), served.size(),
+      trace.TickCount(), served.size(),
       static_cast<unsigned long long>(client->deltas_received()),
       static_cast<unsigned long long>(client->coalesced_snapshots()),
       static_cast<unsigned long long>(client->result_bytes_received()),
@@ -1000,16 +919,11 @@ int CmdServeReplay(const Flags& flags) {
 
   int exit_code = 0;
   if (compare) {
-    UpdateValidator validator(vconfig);
-    UpdateValidator* screen =
-        *policy == BadUpdatePolicy::kStrict ? nullptr : &validator;
-    Result<EngineHandle> offline = MakeEngine(*opt, "scuba");
-    if (!offline.ok()) return Fail(offline.status());
     size_t round = 0;
     size_t mismatched_round = 0;
     ResultSet last_offline;
     Status s = ReplayTrace(
-        *trace, offline->engine.get(), delta,
+        trace, setup->handle.engine.get(), setup->opt.delta,
         [&](Timestamp, const ResultSet& r) {
           if (round < served.size() && mismatched_round == 0 &&
               !(served[round] == r)) {
@@ -1018,7 +932,7 @@ int CmdServeReplay(const Flags& flags) {
           last_offline = r;
           ++round;
         },
-        screen, nullptr);
+        setup->screen.get(), nullptr);
     if (!s.ok()) return Fail(s);
     // A coalesced snapshot legally skips rounds, so per-round comparison
     // only binds when the delta stream arrived whole; the final fold must
@@ -1043,7 +957,7 @@ int CmdServeReplay(const Flags& flags) {
           "(%zu rounds%s)\n",
           round, whole_stream ? "" : ", final fold only after coalesce");
     }
-    PrintStateHash(offline->StateHash());
+    PrintStateHash(setup->handle.StateHash());
   }
 
   Status s = shutdown ? client->Shutdown() : client->Bye();
