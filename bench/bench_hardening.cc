@@ -58,7 +58,6 @@ void Run() {
     ScubaOptions opt;
     opt.region = data.region;
     opt.delta = 2;
-    opt.on_bad_update = BadUpdatePolicy::kQuarantine;
     opt.audit_every_n_rounds = 1;
     Result<std::unique_ptr<ScubaEngine>> engine = ScubaEngine::Create(opt);
     SCUBA_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());

@@ -68,9 +68,6 @@ constexpr EngineMetricRow kTable[] = {
                [](const Snap& s) { return s.phase.members_shed_maintenance; }),
     CounterRow("scuba_clusters_split_total", "Oversized clusters split",
                [](const Snap& s) { return s.phase.clusters_split; }),
-    CounterRow("scuba_updates_quarantined_total",
-               "Updates dropped by validation",
-               [](const Snap& s) { return s.eval.updates_quarantined; }),
     CounterRow("scuba_invariant_audits_total", "Invariant audit passes",
                [](const Snap& s) { return s.eval.invariant_audits; }),
     CounterRow("scuba_invariant_violations_total",

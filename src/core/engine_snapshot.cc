@@ -22,15 +22,8 @@ std::string EngineSnapshotStats::Format(std::string_view engine_name) const {
                        " threads=%u speedup=%.2fx", eval.join_threads,
                        JoinParallelSpeedup());
   }
-  // Hardening counters appear only when something actually happened, so
-  // clean serial runs keep the historical one-line format byte for byte.
-  if (eval.updates_quarantined > 0 && n > 0 &&
-      static_cast<size_t>(n) < sizeof(buf)) {
-    n += std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),
-                       " quarantined=%llu",
-                       static_cast<unsigned long long>(
-                           eval.updates_quarantined));
-  }
+  // Audit counters appear only when an audit ran, so unaudited runs keep the
+  // historical one-line format byte for byte.
   if (eval.invariant_audits > 0 && n > 0 &&
       static_cast<size_t>(n) < sizeof(buf)) {
     n += std::snprintf(buf + n, sizeof(buf) - static_cast<size_t>(n),

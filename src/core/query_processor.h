@@ -54,11 +54,6 @@ struct EvalStats {
   double total_postjoin_seconds = 0.0;
   double last_postjoin_worker_seconds = 0.0;
   double total_postjoin_worker_seconds = 0.0;
-  /// Stream hardening (docs/ARCHITECTURE.md §7). Updates dropped by the
-  /// engine's own ingest screening under BadUpdatePolicy::kQuarantine/kRepair
-  /// (tuples an upstream UpdateValidator already removed are not counted
-  /// here).
-  uint64_t updates_quarantined = 0;
   /// Invariant-audit lifecycle: audits run, violations detected across them,
   /// and grid rebuilds performed to heal a detected divergence.
   uint64_t invariant_audits = 0;
@@ -97,8 +92,9 @@ class QueryProcessor {
 
   /// Absorbs one tick's worth of updates at once — all objects, then all
   /// queries, semantically equivalent to the per-update calls in that order.
-  /// ScubaEngine overrides this to validate the whole batch up front; the
-  /// default just loops.
+  /// ScubaEngine overrides this as its one ingest body (its per-update calls
+  /// are batches of one) and rejects the whole batch, ingesting nothing, if
+  /// any tuple fails ValidateUpdate; the default just loops.
   virtual Status IngestBatch(std::span<const LocationUpdate> objects,
                              std::span<const QueryUpdate> queries) {
     for (const LocationUpdate& u : objects) {

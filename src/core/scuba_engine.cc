@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cluster/splitter.h"
@@ -149,69 +148,28 @@ ThreadPool* ScubaEngine::PostJoinPool() {
   return postjoin_pool_.get();
 }
 
-template <typename Update>
-Status ScubaEngine::IngestOne(const Update& update) {
-  if (Status v = ValidateUpdate(update); !v.ok()) {
-    if (options_.on_bad_update == BadUpdatePolicy::kStrict) return v;
-    ++stats_.updates_quarantined;
-    return Status::OK();
-  }
-  TelemetryEnsureRound();
-  Stopwatch sw;
-  Status s;
-  if constexpr (std::is_same_v<Update, LocationUpdate>) {
-    s = clusterer_.ProcessObjectUpdate(update);
-  } else {
-    s = clusterer_.ProcessQueryUpdate(update);
-  }
-  const double elapsed = sw.ElapsedSeconds();
-  pending_prejoin_seconds_ += elapsed;
-  if (telemetry_ != nullptr) {
-    TraceCollector& tc = telemetry_->trace();
-    tc.Accumulate(tc.EnsureSpan(tc.root(), "ingest"), elapsed);
-  }
-  return s;
-}
-
 Status ScubaEngine::IngestObjectUpdate(const LocationUpdate& update) {
-  return IngestOne(update);
+  return IngestBatch(std::span(&update, 1), {});
 }
 
 Status ScubaEngine::IngestQueryUpdate(const QueryUpdate& update) {
-  return IngestOne(update);
+  return IngestBatch({}, std::span(&update, 1));
 }
 
 Status ScubaEngine::IngestBatch(std::span<const LocationUpdate> objects,
                                 std::span<const QueryUpdate> queries) {
-  size_t bad = 0;
-  Status first_bad = Status::OK();
   for (const LocationUpdate& u : objects) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
-    }
+    SCUBA_RETURN_IF_ERROR(ValidateUpdate(u));
   }
   for (const QueryUpdate& u : queries) {
-    if (Status v = ValidateUpdate(u); !v.ok()) {
-      if (first_bad.ok()) first_bad = std::move(v);
-      ++bad;
-    }
+    SCUBA_RETURN_IF_ERROR(ValidateUpdate(u));
   }
-  if (bad > 0 && options_.on_bad_update == BadUpdatePolicy::kStrict) {
-    return first_bad;
-  }
-  stats_.updates_quarantined += bad;
   TelemetryEnsureRound();
   Stopwatch sw;
-  // Invalid tuples (non-strict policies only) are skipped exactly where the
-  // per-update path would skip them, so both ingest paths stay bit-identical
-  // on dirty streams too.
   for (const LocationUpdate& u : objects) {
-    if (bad > 0 && !ValidateUpdate(u).ok()) continue;
     SCUBA_RETURN_IF_ERROR(clusterer_.ProcessObjectUpdate(u));
   }
   for (const QueryUpdate& u : queries) {
-    if (bad > 0 && !ValidateUpdate(u).ok()) continue;
     SCUBA_RETURN_IF_ERROR(clusterer_.ProcessQueryUpdate(u));
   }
   const double wall = sw.ElapsedSeconds();

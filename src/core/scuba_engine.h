@@ -87,11 +87,13 @@ class ScubaEngine : public QueryProcessor {
   std::string_view name() const override { return "scuba"; }
   Status IngestObjectUpdate(const LocationUpdate& update) override;
   Status IngestQueryUpdate(const QueryUpdate& update) override;
-  /// Batched ingest: the whole batch is validated up front (strict rejects
-  /// it before anything is ingested, quarantine drops exactly the tuples the
-  /// per-update path would skip), then every update runs the per-update path
-  /// in delivery order — all objects, then all queries — so the result is
-  /// bit-identical to the per-update calls.
+  /// The one ingest body; the per-update calls above are batches of one.
+  /// The whole batch is validated first: the first tuple failing
+  /// ValidateUpdate is returned and nothing is ingested. Then every update
+  /// runs through the clusterer in delivery order — all objects, then all
+  /// queries. The engine knows no drop policy; a stream that must survive
+  /// bad tuples passes an UpdateValidator screen first
+  /// (docs/ARCHITECTURE.md §7).
   Status IngestBatch(std::span<const LocationUpdate> objects,
                      std::span<const QueryUpdate> queries) override;
   Status Evaluate(Timestamp now, ResultSet* results) override;
@@ -195,10 +197,6 @@ class ScubaEngine : public QueryProcessor {
   /// engines through the base interface). Private on the concrete type:
   /// direct ScubaEngine callers use StatsSnapshot().
   const EvalStats& stats() const override { return stats_; }
-
-  /// Validation + timing shared by both per-update ingest calls.
-  template <typename Update>
-  Status IngestOne(const Update& update);
 
   /// Phase 2: prepares the join, scans every window (supervised when a
   /// supervisor exists) and merges the slices into `results`.

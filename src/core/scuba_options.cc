@@ -7,27 +7,6 @@
 
 namespace scuba {
 
-std::string_view BadUpdatePolicyName(BadUpdatePolicy policy) {
-  switch (policy) {
-    case BadUpdatePolicy::kStrict:
-      return "strict";
-    case BadUpdatePolicy::kQuarantine:
-      return "quarantine";
-    case BadUpdatePolicy::kRepair:
-      return "repair";
-  }
-  return "unknown";
-}
-
-Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name) {
-  if (name == "strict") return BadUpdatePolicy::kStrict;
-  if (name == "quarantine") return BadUpdatePolicy::kQuarantine;
-  if (name == "repair") return BadUpdatePolicy::kRepair;
-  return Status::InvalidArgument("unknown bad-update policy: " +
-                                 std::string(name) +
-                                 " (strict|quarantine|repair)");
-}
-
 std::string_view ShardFailurePolicyName(ShardFailurePolicy policy) {
   switch (policy) {
     case ShardFailurePolicy::kFail:

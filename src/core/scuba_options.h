@@ -16,30 +16,6 @@
 
 namespace scuba {
 
-/// What an ingest surface does with an update that fails validation
-/// (stream hardening; see docs/ARCHITECTURE.md §7).
-enum class BadUpdatePolicy : uint8_t {
-  /// Reject the ingest call with the validation error (the historical
-  /// behaviour): the stream stops at the first bad tuple.
-  kStrict = 0,
-  /// Drop the bad tuple, count it under its rejection reason and keep going.
-  /// An UpdateValidator additionally retains dropped tuples in its
-  /// QuarantineLog dead-letter buffer.
-  kQuarantine,
-  /// Clamp what is clampable (off-map positions into bounds, negative speed
-  /// to zero, regressed timestamps to the batch time) and admit the repaired
-  /// tuple; unrepairable tuples (non-finite fields, unknown destinations)
-  /// fall back to quarantine. Only an UpdateValidator repairs; engines treat
-  /// kRepair like kQuarantine.
-  kRepair,
-};
-
-/// Stable lowercase name ("strict", "quarantine", "repair").
-std::string_view BadUpdatePolicyName(BadUpdatePolicy policy);
-
-/// Parses a policy name; InvalidArgument on anything else.
-Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name);
-
 /// What a supervised round does when one window's join task fails (throws,
 /// stalls past the round deadline, or finds its window's state corrupt); see
 /// docs/ARCHITECTURE.md §13.
@@ -184,12 +160,6 @@ struct ScubaOptions {
   /// one each at every value. 1 (default) = one window over the whole map.
   /// Results, counters and state hashes are bit-identical for every value.
   uint32_t shards = 1;
-  /// What the engine's ingest paths do with updates that fail ValidateUpdate.
-  /// kStrict (default) keeps the historical reject-the-call behaviour;
-  /// kQuarantine/kRepair drop the tuple, bump EvalStats::updates_quarantined
-  /// and keep the stream flowing (the degrade-gracefully mode for dirty
-  /// production streams).
-  BadUpdatePolicy on_bad_update = BadUpdatePolicy::kStrict;
   /// Run AuditInvariants() after every N-th evaluation round and self-heal
   /// grid-side divergence by rebuilding the grid from the store. 0
   /// (default) disables the continuous audit; 1 audits every round.

@@ -94,6 +94,17 @@ Result<std::string> ReadGenerationSnapshot(const std::string& dir,
   return payload;
 }
 
+/// The refusal of a generation whose manifest fingerprint differs from the
+/// engine's options. The fingerprint's layout is part of the snapshot
+/// format, so a root written under another snapshot version differs too:
+/// that version refusal wins, naming the real cause.
+Status OptionsMismatch(const std::string& dir, const ManifestInfo& info,
+                       std::string message) {
+  Result<std::string> payload = ReadGenerationSnapshot(dir, info);
+  if (payload.status().IsFailedPrecondition()) return payload.status();
+  return Status::FailedPrecondition(std::move(message));
+}
+
 /// Loads a verified snapshot into `engine`, which must then audit clean.
 Status LoadGeneration(uint64_t generation, const std::string& payload,
                       ScubaEngine* engine, UpdateValidator* validator,
@@ -161,7 +172,8 @@ Status ScubaEngine::Restore(const std::string& dir) {
   Result<ManifestInfo> info = ReadManifest(manifests->back().second);
   if (!info.ok()) return info.status();
   if (info->fingerprint != OptionsFingerprint(options_)) {
-    return Status::FailedPrecondition(
+    return OptionsMismatch(
+        dir, *info,
         "checkpoint was taken under different engine options; restore "
         "requires semantically identical ScubaOptions");
   }
@@ -205,7 +217,8 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
       return info.status();
     }
     if (info->fingerprint != OptionsFingerprint(engine->options())) {
-      return Status::FailedPrecondition(
+      return OptionsMismatch(
+          dir, *info,
           "durable directory belongs to a run with different engine options");
     }
     base_seq = info->wal_next_seq;
@@ -415,7 +428,8 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
       return info.status();
     }
     if (info->fingerprint != OptionsFingerprint(engine->options())) {
-      return Status::FailedPrecondition(
+      return OptionsMismatch(
+          dir, *info,
           "checkpoint was taken under different engine options (manifest " +
           path + "); recovery requires semantically identical ScubaOptions");
     }

@@ -21,7 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'S', 'C', 'U', 'B', 'S', 'N', 'P', '1'};
-constexpr uint32_t kSnapshotVersion = 2;
+constexpr uint32_t kSnapshotVersion = 3;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".scuba";
 /// The SnapshotMeta header at the front of every payload: three u64s.
@@ -50,16 +50,13 @@ Status GetCircle(ByteReader* r, Circle* c) {
 /// The EvalStats counts a snapshot keeps, in payload order. Wall-clock
 /// seconds and join_threads describe the process, not the state, so they
 /// stay out and two checkpoints of one input are byte-identical at any
-/// thread count.
+/// thread count. The four join counts EvalStats mirrors (comparisons,
+/// bounds_checks, cluster_pairs_*) are written once, in kJoinCounts, and
+/// copied back on load.
 constexpr uint64_t EvalStats::*kDurableEvalCounts[] = {
     &EvalStats::evaluations,
     &EvalStats::total_results,
     &EvalStats::last_result_count,
-    &EvalStats::comparisons,
-    &EvalStats::bounds_checks,
-    &EvalStats::cluster_pairs_tested,
-    &EvalStats::cluster_pairs_overlapping,
-    &EvalStats::updates_quarantined,
     &EvalStats::invariant_audits,
     &EvalStats::invariant_violations,
     &EvalStats::invariant_repairs,
@@ -126,7 +123,6 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   w.PutDouble(options.grid_sync_padding);
   w.PutBool(options.enable_cluster_splitting);
   w.PutDouble(options.split_radius_factor);
-  w.PutU8(static_cast<uint8_t>(options.on_bad_update));
   w.PutU32(options.audit_every_n_rounds);
   w.PutU8(static_cast<uint8_t>(options.shedding.mode));
   w.PutDouble(options.shedding.eta);
@@ -378,6 +374,11 @@ Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
   EvalStats stats;
   stats.join_threads = e->resolved_threads_;
   SCUBA_RETURN_IF_ERROR(GetCounts(&r, &stats, kDurableEvalCounts));
+  const ClusterJoinExecutor::Counters& join = e->join_executor_.counters_;
+  stats.comparisons = join.comparisons;
+  stats.bounds_checks = join.bounds_checks;
+  stats.cluster_pairs_tested = join.pairs_tested;
+  stats.cluster_pairs_overlapping = join.pairs_overlapping;
   e->stats_ = stats;
   e->pending_prejoin_seconds_ = 0.0;
   SCUBA_RETURN_IF_ERROR(GetCounts(&r, &e->phase_stats_, kPhaseCounts));

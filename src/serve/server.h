@@ -38,8 +38,11 @@ namespace scuba::serve {
 /// required.
 struct ServerDeps {
   QueryProcessor* engine = nullptr;
-  /// Screens inbound batches under drop/repair policies (null = strict:
-  /// engine-level validation failures are terminal, as in offline replay).
+  /// The only place a bad-update policy lives: screens inbound batches,
+  /// dropping or repairing bad tuples before the engine sees them. Null =
+  /// no screen; the engine, which always rejects a batch holding a tuple
+  /// that fails ValidateUpdate, makes such a failure terminal, as in
+  /// offline replay.
   UpdateValidator* screen = nullptr;
   /// WAL/snapshot sink; batches become durable before they mutate the engine.
   DurabilitySink* durability = nullptr;

@@ -23,19 +23,43 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "core/scuba_options.h"
 #include "gen/update.h"
 #include "geometry/rect.h"
 
 namespace scuba {
 
 struct PersistAccess;  // snapshot serialization back door (src/persist)
+
+/// What the screen does with an update that fails validation. Engines know
+/// no policy: they reject any batch holding a tuple that fails
+/// ValidateUpdate, so a stream that must survive bad tuples runs through a
+/// non-strict screen first.
+enum class BadUpdatePolicy : uint8_t {
+  /// Fail the screen with the first bad tuple's tagged error: the stream
+  /// stops there.
+  kStrict = 0,
+  /// Drop the bad tuple, count it under its rejection reason, retain it in
+  /// the QuarantineLog dead-letter buffer and keep going.
+  kQuarantine,
+  /// Clamp what is clampable (off-map positions into bounds, negative speed
+  /// to zero, regressed timestamps to the batch time) and admit the repaired
+  /// tuple; unrepairable tuples (non-finite fields, unknown destinations)
+  /// fall back to quarantine.
+  kRepair,
+};
+
+/// Stable lowercase name ("strict", "quarantine", "repair").
+std::string_view BadUpdatePolicyName(BadUpdatePolicy policy);
+
+/// Parses a policy name; InvalidArgument on anything else.
+Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name);
 
 /// The fault taxonomy. Every rejected tuple is counted under exactly one
 /// reason (the first failing check wins; checks run in this order).

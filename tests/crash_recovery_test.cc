@@ -113,7 +113,6 @@ ScubaOptions MakeOptions(uint32_t threads, uint32_t shards) {
   ScubaOptions opt;
   opt.join_threads = threads;
   opt.shards = shards;
-  opt.on_bad_update = BadUpdatePolicy::kQuarantine;
   // Checkpoint every 2 rounds, small segments: one 8-round run exercises
   // rotation, generation retention and multi-generation fallback.
   opt.checkpoint.every_n_rounds = 2;

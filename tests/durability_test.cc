@@ -518,16 +518,20 @@ void PatchVersion(const std::string& path, uint32_t version) {
 }
 
 /// Restore and recovery (and, when `open_refuses`, opening the manager)
-/// refuse `dir` with kFailedPrecondition naming `file` and both versions;
-/// fsck gives it `fsck_code`; and none of them changes a byte.
+/// refuse `dir` with kFailedPrecondition naming `file`, the version it
+/// holds and the one version this build reads; fsck gives it `fsck_code`;
+/// and none of them changes a byte.
 void ExpectVersionRefused(const std::string& dir, const std::string& file,
-                          bool open_refuses, int fsck_code) {
+                          uint32_t found, uint32_t readable, bool open_refuses,
+                          int fsck_code) {
   const std::map<std::string, std::string> before = DirContents(dir);
-  auto names_versions = [&file](const Status& s) {
+  auto names_versions = [&](const Status& s) {
     return s.IsFailedPrecondition() &&
            s.message().find(file) != std::string::npos &&
-           s.message().find("version 1") != std::string::npos &&
-           s.message().find("only version 2") != std::string::npos;
+           s.message().find("version " + std::to_string(found)) !=
+               std::string::npos &&
+           s.message().find("only version " + std::to_string(readable)) !=
+               std::string::npos;
   };
   for (uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -573,8 +577,9 @@ TEST(DurabilityTest, ManifestOfAnotherVersionIsRefused) {
   ASSERT_TRUE(manifests.ok());
   ASSERT_EQ(manifests->size(), 2u);
   PatchVersion(manifests->back().second, 1);
-  ExpectVersionRefused(dir.path(), manifests->back().second,
-                       /*open_refuses=*/true, kFsckBadManifest);
+  ExpectVersionRefused(dir.path(), manifests->back().second, /*found=*/1,
+                       /*readable=*/2, /*open_refuses=*/true,
+                       kFsckBadManifest);
 }
 
 TEST(DurabilityTest, RootOfAnotherVersionReportsNoReplayGap) {
@@ -602,17 +607,63 @@ TEST(DurabilityTest, RootOfAnotherVersionReportsNoReplayGap) {
 }
 
 TEST(DurabilityTest, SnapshotOfAnotherVersionIsRefused) {
-  std::vector<Round> rounds = MakeRounds(4);
-  ScopedTempDir dir("snapshot_version");
-  RunDurably(rounds, MakeOptions(2), dir.path());
+  // Version 2 is what builds before snapshot format 3 wrote under today's
+  // version-2 manifests: its payload still holds the bad-update policy byte
+  // and the duplicated join counts, so it must be refused, never misread.
+  for (uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    std::vector<Round> rounds = MakeRounds(4);
+    ScopedTempDir dir("snapshot_version");
+    RunDurably(rounds, MakeOptions(2), dir.path());
+    Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
+        ListManifests(dir.path());
+    ASSERT_TRUE(manifests.ok());
+    ASSERT_FALSE(manifests->empty());
+    const std::string snap = SnapshotPath(dir.path(), manifests->back().first);
+    PatchVersion(snap, version);
+    ExpectVersionRefused(dir.path(), snap, version, /*readable=*/3,
+                         /*open_refuses=*/false, kFsckBadSnapshot);
+  }
+}
+
+TEST(DurabilityTest, RootOfAnOlderSnapshotFormatNamesTheVersion) {
+  // A root a snapshot-version-2 build wrote also carries manifests whose
+  // options fingerprint differs (the version-2 fingerprint covered a
+  // bad-update-policy byte). The refusal names the snapshot version, the
+  // real cause, not the options. Writing under other options stands in for
+  // the old fingerprint.
+  ScopedTempDir dir("old_snapshot_format");
+  ScubaOptions old_opt = MakeOptions(2);
+  old_opt.theta_d += 1.0;
+  RunDurably(MakeRounds(4), old_opt, dir.path());
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
       ListManifests(dir.path());
   ASSERT_TRUE(manifests.ok());
   ASSERT_FALSE(manifests->empty());
-  const std::string snap = SnapshotPath(dir.path(), manifests->back().first);
-  PatchVersion(snap, 1);
-  ExpectVersionRefused(dir.path(), snap, /*open_refuses=*/false,
-                       kFsckBadSnapshot);
+  for (const auto& [generation, path] : *manifests) {
+    PatchVersion(SnapshotPath(dir.path(), generation), 2);
+  }
+  auto names_version = [](const Status& s) {
+    return s.IsFailedPrecondition() &&
+           s.message().find("format version 2") != std::string::npos &&
+           s.message().find("only version 3") != std::string::npos;
+  };
+  const ScubaOptions opt = MakeOptions(2);
+  std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
+  Result<std::unique_ptr<DurabilityManager>> manager = DurabilityManager::Open(
+      dir.path(), opt.checkpoint, engine.get(), /*validator=*/nullptr,
+      /*rng=*/nullptr, /*crash=*/nullptr);
+  EXPECT_TRUE(names_version(manager.status())) << manager.status().ToString();
+  Status restored = MakeSharded(opt)->Restore(dir.path());
+  EXPECT_TRUE(names_version(restored)) << restored.ToString();
+  Result<RecoveryReport> recovered =
+      RecoverEngine(dir.path(), MakeSharded(opt).get(), /*validator=*/nullptr,
+                    /*rng=*/nullptr);
+  EXPECT_TRUE(names_version(recovered.status()))
+      << recovered.status().ToString();
+  Result<FsckReport> report = FsckDurableDir(dir.path());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->exit_code, kFsckBadSnapshot) << report->ToString();
 }
 
 TEST(DurabilityTest, ManifestNamingAnotherGenerationFallsBack) {

@@ -311,68 +311,6 @@ TEST(FaultInjectorTest, ValidatorRecoversExactlyTheReferenceStream) {
             dup_injected);
 }
 
-/// Feeds pre-corrupted rounds to an engine under BadUpdatePolicy::kQuarantine,
-/// either through the serial per-update API or through IngestBatch at the
-/// given thread count, digesting state after every Evaluate.
-std::vector<std::string> RunEngineOnDirty(const std::vector<Round>& dirty,
-                                          uint32_t ingest_threads,
-                                          bool use_batch_api,
-                                          uint64_t* quarantined_out) {
-  ScubaOptions opt;
-  opt.ingest_threads = ingest_threads;
-  opt.on_bad_update = BadUpdatePolicy::kQuarantine;
-  std::unique_ptr<ScubaEngine> engine =
-      std::move(ScubaEngine::Create(opt).value());
-  std::vector<std::string> digests;
-  Timestamp now = 0;
-  for (const Round& round : dirty) {
-    now += 2;
-    if (use_batch_api) {
-      EXPECT_TRUE(engine->IngestBatch(round.objects, round.queries).ok());
-    } else {
-      for (const LocationUpdate& u : round.objects) {
-        EXPECT_TRUE(engine->IngestObjectUpdate(u).ok());
-      }
-      for (const QueryUpdate& u : round.queries) {
-        EXPECT_TRUE(engine->IngestQueryUpdate(u).ok());
-      }
-    }
-    ResultSet results;
-    EXPECT_TRUE(engine->Evaluate(now, &results).ok());
-    digests.push_back(StateDigest(*engine));
-  }
-  *quarantined_out = engine->StatsSnapshot().eval.updates_quarantined;
-  return digests;
-}
-
-TEST(FaultInjectionEngineTest, BatchQuarantineMatchesSerialAcrossThreads) {
-  // Corrupt a workload with every fault class, then require the engine-level
-  // quarantine path to be bit-identical between the serial per-update API and
-  // IngestBatch at 1 and 4 threads.
-  std::vector<Round> dirty = MakeCleanRounds(31, 5);
-  FaultPlan plan = FaultPlan::AllFaults(0.1, kRegion, /*node_count=*/0);
-  FaultInjector injector(plan, /*seed=*/0xD1A7);
-  for (size_t r = 0; r < dirty.size(); ++r) {
-    injector.CorruptBatch(static_cast<Timestamp>(r + 1), &dirty[r].objects,
-                          &dirty[r].queries, nullptr, nullptr);
-  }
-  uint64_t serial_quarantined = 0;
-  std::vector<std::string> serial =
-      RunEngineOnDirty(dirty, 1, /*use_batch_api=*/false, &serial_quarantined);
-  EXPECT_GT(serial_quarantined, 0u) << "workload must exercise quarantine";
-  for (uint32_t threads : {1u, 4u}) {
-    uint64_t batch_quarantined = 0;
-    std::vector<std::string> batch =
-        RunEngineOnDirty(dirty, threads, /*use_batch_api=*/true,
-                         &batch_quarantined);
-    EXPECT_EQ(batch_quarantined, serial_quarantined) << "threads=" << threads;
-    ASSERT_EQ(batch.size(), serial.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(batch[i], serial[i]) << "threads=" << threads << " round=" << i;
-    }
-  }
-}
-
 TEST(FaultInjectionEngineTest, ScreenedDirtyStreamMatchesCleanRunBitForBit) {
   // The end-to-end hardening property: validator(corrupted stream) drives an
   // engine to the same state and results as the clean reference stream, and
@@ -383,7 +321,6 @@ TEST(FaultInjectionEngineTest, ScreenedDirtyStreamMatchesCleanRunBitForBit) {
   UpdateValidator validator(QuarantineConfig());
 
   ScubaOptions hardened_opt;
-  hardened_opt.on_bad_update = BadUpdatePolicy::kQuarantine;
   hardened_opt.audit_every_n_rounds = 1;
   std::unique_ptr<ScubaEngine> hardened =
       std::move(ScubaEngine::Create(hardened_opt).value());
@@ -411,9 +348,9 @@ TEST(FaultInjectionEngineTest, ScreenedDirtyStreamMatchesCleanRunBitForBit) {
     EXPECT_EQ(hardened_results, clean_results) << "round " << r;
     EXPECT_EQ(StateDigest(*hardened), StateDigest(*clean)) << "round " << r;
   }
-  // The validator is strictly stricter than the engine's own screen, so the
-  // engine-level quarantine never fires on the screened stream.
-  EXPECT_EQ(hardened->StatsSnapshot().eval.updates_quarantined, 0u);
+  // The screen did the dropping; the always-strict engine accepted every
+  // batch above (see AdmittedTuplesPassEngineValidation).
+  EXPECT_GT(validator.stats().TotalRejected(), 0u);
   EXPECT_EQ(hardened->StatsSnapshot().eval.invariant_audits, rounds.size());
   EXPECT_EQ(hardened->StatsSnapshot().eval.invariant_violations, 0u);
   EXPECT_EQ(hardened->StatsSnapshot().eval.invariant_repairs, 0u);

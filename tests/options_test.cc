@@ -175,26 +175,10 @@ TEST(ScubaOptionsTest, NonFiniteFloatsAreRejected) {
   }
 }
 
-TEST(ScubaOptionsTest, BadUpdatePolicyNamesRoundTrip) {
-  for (BadUpdatePolicy policy :
-       {BadUpdatePolicy::kStrict, BadUpdatePolicy::kQuarantine,
-        BadUpdatePolicy::kRepair}) {
-    Result<BadUpdatePolicy> parsed =
-        ParseBadUpdatePolicy(BadUpdatePolicyName(policy));
-    ASSERT_TRUE(parsed.ok()) << BadUpdatePolicyName(policy);
-    EXPECT_EQ(*parsed, policy);
-  }
-  EXPECT_TRUE(ParseBadUpdatePolicy("").status().IsInvalidArgument());
-  EXPECT_TRUE(ParseBadUpdatePolicy("drop").status().IsInvalidArgument());
-  EXPECT_TRUE(ParseBadUpdatePolicy("Strict").status().IsInvalidArgument());
-}
-
 TEST(ScubaOptionsTest, HardeningFieldsAreValid) {
   ScubaOptions opt;
-  opt.on_bad_update = BadUpdatePolicy::kQuarantine;
   opt.audit_every_n_rounds = 1;
   EXPECT_TRUE(opt.Validate().ok());
-  opt.on_bad_update = BadUpdatePolicy::kRepair;
   opt.audit_every_n_rounds = 1000;
   EXPECT_TRUE(opt.Validate().ok());
 }

@@ -256,6 +256,15 @@ TEST(SnapshotTest, RestoreReproducesDigestAndFutureRounds) {
   EXPECT_EQ(StateDigest(*restored), StateDigest(*original));
   EXPECT_EQ(EngineStateHash(*restored), EngineStateHash(*original));
   EXPECT_EQ(restored->StatsSnapshot().eval.evaluations, original->StatsSnapshot().eval.evaluations);
+  // The join counts are persisted once, as join counters; the EvalStats
+  // copies are assigned from them on load.
+  const EngineSnapshotStats snap = restored->StatsSnapshot();
+  EXPECT_GT(snap.join.comparisons, 0u);
+  EXPECT_EQ(snap.eval.comparisons, snap.join.comparisons);
+  EXPECT_EQ(snap.eval.bounds_checks, snap.join.bounds_checks);
+  EXPECT_EQ(snap.eval.cluster_pairs_tested, snap.join.pairs_tested);
+  EXPECT_EQ(snap.eval.cluster_pairs_overlapping, snap.join.pairs_overlapping);
+  EXPECT_EQ(snap.eval.comparisons, original->StatsSnapshot().eval.comparisons);
   InvariantAuditReport audit = restored->AuditInvariants();
   EXPECT_TRUE(audit.clean()) << audit.ToString();
 

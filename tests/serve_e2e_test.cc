@@ -264,7 +264,6 @@ TEST_P(ServeScreenedTest, ScreenedStreamMatchesOfflineReplay) {
     SCOPED_TRACE(std::string(BadUpdatePolicyName(policy)));
     ScubaOptions opt;
     opt.shards = shards;
-    opt.on_bad_update = policy;
     ValidatorConfig config;
     config.policy = policy;
     config.bounds = opt.region;

@@ -23,6 +23,7 @@
 #include "persist/snapshot.h"
 #include "shard/engine_factory.h"
 #include "state_digest.h"
+#include "stream/update_validator.h"
 
 namespace scuba {
 namespace {
@@ -173,7 +174,6 @@ void ExpectStatsMatch(const EngineSnapshotStats& want,
   EXPECT_EQ(want.eval.cluster_pairs_tested, got.eval.cluster_pairs_tested);
   EXPECT_EQ(want.eval.cluster_pairs_overlapping,
             got.eval.cluster_pairs_overlapping);
-  EXPECT_EQ(want.eval.updates_quarantined, got.eval.updates_quarantined);
   EXPECT_EQ(want.clusterer.clusters_created,
             got.clusterer.clusters_created);
   EXPECT_EQ(want.clusterer.members_absorbed,
@@ -424,17 +424,24 @@ TEST(ShardedEngineTest, MapSmallerThanOneWindow) {
 }
 
 TEST(ShardedEngineTest, QuarantinePolicyMatchesOneWindow) {
-  ScubaOptions opt = BaseOptions(4, 1);
-  opt.on_bad_update = BadUpdatePolicy::kQuarantine;
-  ScubaOptions reference = BaseOptions(1, 1);
-  reference.on_bad_update = BadUpdatePolicy::kQuarantine;
   Workload w = MakeWorkload(/*seed=*/3, /*ticks=*/4, /*objects=*/60,
                             /*queries=*/12);
-  // Poison a few tuples; both configurations must quarantine the same set.
+  // Poison a few tuples. Engines reject bad tuples, so a kQuarantine screen
+  // sits in front of both configurations and drops the same three.
   w.ticks[1].objects[0].position.x = std::numeric_limits<double>::quiet_NaN();
   w.ticks[2].objects[1].speed = -5.0;
   w.ticks[3].queries[0].dest_node = kInvalidNodeId;
-  ExpectWindowsMatchReference(w, reference, opt);
+  ValidatorConfig config;
+  config.policy = BadUpdatePolicy::kQuarantine;
+  UpdateValidator screen(config);
+  for (size_t t = 0; t < w.ticks.size(); ++t) {
+    ASSERT_TRUE(screen
+                    .ScreenBatch(static_cast<Timestamp>(t), &w.ticks[t].objects,
+                                 &w.ticks[t].queries)
+                    .ok());
+  }
+  EXPECT_EQ(screen.stats().TotalRejected(), 3u);
+  ExpectWindowsMatchReference(w, BaseOptions(1, 1), BaseOptions(4, 1));
 }
 
 TEST(ShardedEngineTest, RejectsInvalidShardCounts) {

@@ -1,7 +1,9 @@
 // UpdateValidator coverage: every RejectReason fires with its counter,
 // StatusCode tag and dead-letter entry; the three policies (strict /
 // quarantine / repair) behave per contract; batch screening preserves the
-// relative order of admitted tuples.
+// relative order of admitted tuples; and whatever a non-strict screen admits
+// passes the engine's ValidateUpdate, so a screened stream never trips the
+// engine's always-strict ingest.
 
 #include "stream/update_validator.h"
 
@@ -11,6 +13,9 @@
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
+#include "stream/fault_injector.h"
 
 namespace scuba {
 namespace {
@@ -280,6 +285,47 @@ TEST(UpdateValidatorTest, ResetForgetsHistory) {
   EXPECT_EQ(v.stats().admitted, 1u);
 }
 
+TEST(UpdateValidatorTest, AdmittedTuplesPassEngineValidation) {
+  // The engine knows no drop policy: it fails any batch holding a tuple
+  // that fails ValidateUpdate. A non-strict screen must therefore admit only
+  // tuples ValidateUpdate accepts, whatever fault class hit them. Each tuple
+  // carries at most one fault, so one all-faults stream covers every class
+  // on its own.
+  const Rect region = Config(BadUpdatePolicy::kQuarantine).bounds;
+  const FaultPlan plan = FaultPlan::AllFaults(0.15, region, /*node_count=*/10);
+  for (BadUpdatePolicy policy :
+       {BadUpdatePolicy::kQuarantine, BadUpdatePolicy::kRepair}) {
+    SCOPED_TRACE(std::string(BadUpdatePolicyName(policy)));
+    UpdateValidator v(Config(policy));
+    FaultInjector injector(plan, /*seed=*/0xADD);
+    Rng rng(17);
+    for (Timestamp tick = 1; tick <= 24; ++tick) {
+      std::vector<LocationUpdate> objects;
+      std::vector<QueryUpdate> queries;
+      for (uint32_t id = 1; id <= 40; ++id) {
+        LocationUpdate o = Obj(id, tick);
+        o.position = Point{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
+        objects.push_back(o);
+        QueryUpdate q = Qry(id, tick);
+        q.position = Point{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
+        queries.push_back(q);
+      }
+      injector.CorruptBatch(tick, &objects, &queries, nullptr, nullptr);
+      ASSERT_TRUE(v.ScreenBatch(tick, &objects, &queries).ok());
+      for (const LocationUpdate& u : objects) {
+        EXPECT_TRUE(ValidateUpdate(u).ok()) << u.ToString();
+      }
+      for (const QueryUpdate& u : queries) {
+        EXPECT_TRUE(ValidateUpdate(u).ok()) << u.ToString();
+      }
+    }
+    for (size_t f = 0; f < kFaultClassCount; ++f) {
+      EXPECT_GT(injector.stats().injected[f], 0u)
+          << FaultClassName(static_cast<FaultClass>(f)) << " never injected";
+    }
+  }
+}
+
 TEST(UpdateValidatorTest, PolicyNamesRoundTrip) {
   for (BadUpdatePolicy p :
        {BadUpdatePolicy::kStrict, BadUpdatePolicy::kQuarantine,
@@ -289,7 +335,10 @@ TEST(UpdateValidatorTest, PolicyNamesRoundTrip) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_TRUE(ParseBadUpdatePolicy("lenient").status().IsInvalidArgument());
+  for (const char* name : {"", "drop", "Strict", "lenient"}) {
+    EXPECT_TRUE(ParseBadUpdatePolicy(name).status().IsInvalidArgument())
+        << name;
+  }
 }
 
 }  // namespace

@@ -292,8 +292,7 @@ Result<Trace> LoadTrace(const std::string& path) {
 /// fingerprint enforces it — so they all read the same flags through this
 /// one helper.
 Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
-                                           const Rect& region,
-                                           BadUpdatePolicy policy) {
+                                           const Rect& region) {
   ScubaOptions opt;
   opt.region = region;
   opt.grid_cells = flags.GetUnsigned<uint32_t>("grid-cells", 100);
@@ -305,7 +304,6 @@ Result<ScubaOptions> ScubaOptionsFromFlags(const Flags& flags,
   // Join windows (docs/ARCHITECTURE.md §11). Results are bit-identical at
   // every window count, so the options fingerprint excludes the flag.
   opt.shards = flags.GetUnsigned<uint32_t>("shards", 1);
-  opt.on_bad_update = policy;
   opt.audit_every_n_rounds = flags.GetUnsigned<uint32_t>("audit-every", 0);
   opt.checkpoint.every_n_rounds =
       flags.GetUnsigned<uint32_t>("checkpoint-every", 0);
@@ -407,7 +405,7 @@ Result<CommandSetup> SetupCommand(const Flags& flags, bool serving,
       region_spec.empty() ? ResolveRegion(map_path, setup.trace, &setup.vconfig)
                           : ParseRegion(region_spec);
   if (!region.ok()) return region.status();
-  Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region, *policy);
+  Result<ScubaOptions> opt = ScubaOptionsFromFlags(flags, *region);
   if (!opt.ok()) return opt.status();
   setup.opt = *opt;
   SCUBA_RETURN_IF_ERROR(flags.Validate());
