@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of SCUBA's hot-path primitives:
-// geometry predicates, polar transforms, grid-index operations, cluster
+// geometry predicates, grid-index operations, cluster
 // absorb/refresh, Leader-Follower update routing, the join-between test, and
 // the sort that assembles a round's answer.
 
@@ -12,7 +12,6 @@
 #include "cluster/moving_cluster.h"
 #include "common/rng.h"
 #include "core/result_set.h"
-#include "geometry/polar.h"
 #include "geometry/rect.h"
 #include "index/grid_index.h"
 
@@ -29,17 +28,6 @@ LocationUpdate MakeObj(ObjectId oid, Point p, double speed = 10.0,
   u.dest_position = Point{9000, 9000};
   return u;
 }
-
-void BM_PolarRoundTrip(benchmark::State& state) {
-  Rng rng(1);
-  Point pole{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
-  Point p{rng.NextDouble(0, 1000), rng.NextDouble(0, 1000)};
-  for (auto _ : state) {
-    PolarCoord pc = ToPolar(p, pole);
-    benchmark::DoNotOptimize(FromPolar(pc, pole));
-  }
-}
-BENCHMARK(BM_PolarRoundTrip);
 
 void BM_CircleOverlap(benchmark::State& state) {
   Circle a{{100, 100}, 50};

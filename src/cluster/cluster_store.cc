@@ -1,7 +1,6 @@
 #include "cluster/cluster_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <string>
 
 #include "common/check.h"
@@ -25,12 +24,8 @@ std::string RefName(EntityRef ref) {
 }  // namespace
 
 size_t ClusterStore::Probe(EntityRef ref) const {
-  // Fibonacci hashing: the top bits of key * 2^64/phi spread the dense,
-  // sequential ids a workload assigns across the table.
-  const uint64_t key = (static_cast<uint64_t>(ref.kind) << 32) | ref.id;
   const size_t mask = buckets_.size() - 1;
-  const int shift = 64 - std::countr_zero(buckets_.size());
-  size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+  size_t i = HomeBucket(ref);
   const uint32_t kind = static_cast<uint32_t>(ref.kind);
   for (;;) {
     const Bucket& b = buckets_[i];

@@ -25,6 +25,7 @@
 #ifndef SCUBA_CLUSTER_CLUSTER_STORE_H_
 #define SCUBA_CLUSTER_CLUSTER_STORE_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
@@ -78,6 +79,19 @@ class ClusterStore {
   void HomeSlot(Slot slot, ClusterId cid, uint32_t member_index);
   /// Clears a slot's home.
   void UnhomeSlot(Slot slot) { rows_[slot].home = kInvalidClusterId; }
+
+  /// Prefetch hints for a batch loop that looks ahead of the update it
+  /// applies; neither changes any state. PrefetchBucket starts loading the
+  /// slot-table bucket `ref` hashes to. PrefetchRow probes the table (its
+  /// bucket should be in cache by then) and starts loading the slot row of
+  /// an entity already seen, for writing; it does nothing for a new one.
+  void PrefetchBucket(EntityRef ref) const {
+    if (!buckets_.empty()) __builtin_prefetch(&buckets_[HomeBucket(ref)]);
+  }
+  void PrefetchRow(EntityRef ref) const {
+    const Slot slot = FindSlot(ref);
+    if (slot != kNoSlot) __builtin_prefetch(&rows_[slot], /*rw=*/1);
+  }
 
   /// Departure fix-up: a swap-remove moved the homed member `ref` to
   /// `member_index` of its cluster; re-points its slot (one lookup).
@@ -163,6 +177,15 @@ class ClusterStore {
 
     EntityRef Ref() const { return EntityRef{kind, id}; }
   };
+
+  /// Bucket `ref` hashes to: where its probe sequence starts. Requires a
+  /// non-empty table. Fibonacci hashing: the top bits of key * 2^64/phi
+  /// spread the dense, sequential ids a workload assigns across the table.
+  size_t HomeBucket(EntityRef ref) const {
+    const uint64_t key = (static_cast<uint64_t>(ref.kind) << 32) | ref.id;
+    const int shift = 64 - std::countr_zero(buckets_.size());
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+  }
 
   /// Bucket holding `ref`, or the empty bucket where it would go. Requires
   /// a non-empty table.

@@ -31,7 +31,6 @@ MovingCluster MovingCluster::FromObject(ClusterId cid, const LocationUpdate& u) 
   ClusterMember m;
   m.kind = EntityKind::kObject;
   m.id = u.oid;
-  m.rel = PolarCoord{0.0, 0.0};
   m.anchor = u.position;
   m.speed = u.speed;
   m.attrs = u.attrs;
@@ -46,7 +45,6 @@ MovingCluster MovingCluster::FromQuery(ClusterId cid, const QueryUpdate& u) {
   ClusterMember m;
   m.kind = EntityKind::kQuery;
   m.id = u.qid;
-  m.rel = PolarCoord{0.0, 0.0};
   m.anchor = u.position;
   m.speed = u.speed;
   m.attrs = u.attrs;
@@ -94,7 +92,7 @@ void MovingCluster::AbsorbCommon(ClusterMember m, Point position) {
 
   // Anchor the member so reconstruction returns `position` exactly.
   m.anchor = new_centroid - translation_;
-  m.rel = ToPolar(position, new_centroid);
+  m.offset = position - new_centroid;
 
   speed_sum_ += m.speed;
   if (m.kind == EntityKind::kObject) {
@@ -155,7 +153,7 @@ Status MovingCluster::UpdateCommon(size_t index, EntityRef ref,
   it->range_height = range_h;
   it->required_attrs = required_attrs;
   it->anchor = new_centroid - translation_;
-  it->rel = ToPolar(position, new_centroid);
+  it->offset = position - new_centroid;
   it->shed = false;
   it->approx_radius = 0.0;
   query_reach_ = std::max(query_reach_, MemberReach(*it));
@@ -226,7 +224,7 @@ std::pair<size_t, size_t> MovingCluster::ExportExactMembers(
   size_t queries = 0;
   for (const ClusterMember& m : members_) {
     if (m.shed) continue;
-    const Point pos = FromPolar(m.rel, m.anchor + translation_);
+    const Point pos = MemberPosition(m);
     if (m.kind == EntityKind::kObject) {
       out.obj_xs[objects] = pos.x;
       out.obj_ys[objects] = pos.y;
@@ -338,7 +336,7 @@ void MovingCluster::ShedMemberAt(size_t index, Point nucleus_center) {
   Point pos = MemberPosition(m);
   position_sum_.x += nucleus_center.x - pos.x;
   position_sum_.y += nucleus_center.y - pos.y;
-  m.rel = PolarCoord{0.0, 0.0};
+  m.offset = Vec2{};
   m.anchor = nucleus_anchor_;
   m.shed = true;
   m.approx_radius = nucleus_radius_;
@@ -397,8 +395,8 @@ Status MovingCluster::ValidateMemberCounts() const {
 
 size_t MovingCluster::EstimateMemoryUsage() const {
   // A maintained member pays for its full record; a shed member's position
-  // state (polar coordinate + anchor) is discarded (paper §5).
-  constexpr size_t kPositionBytes = sizeof(PolarCoord) + sizeof(Point);
+  // state (offset + anchor) is discarded (paper §5).
+  constexpr size_t kPositionBytes = sizeof(Vec2) + sizeof(Point);
   size_t bytes = sizeof(MovingCluster);
   for (const ClusterMember& m : members_) {
     bytes += sizeof(ClusterMember);

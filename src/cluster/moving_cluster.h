@@ -3,16 +3,24 @@
 //
 // State follows the paper's (m.cid, m.loc_t, m.n, m.oids, m.qids, m.aveSpeed,
 // m.cnLoc, m.r, m.expTime) tuple. Member positions are stored relative to the
-// cluster in polar form; a per-cluster *translation vector* accumulates the
-// centroid relocations applied between periodic executions, so member
-// absolutes are reconstructed only when a join-within needs them:
+// cluster as a Cartesian offset from a pole; a per-cluster *translation
+// vector* accumulates the centroid relocations applied between periodic
+// executions, so member absolutes are reconstructed only when a join-within
+// needs them:
 //
-//     absolute(member) = FromPolar(member.rel, member.anchor + translation)
+//     absolute(member) = (member.anchor + translation) + member.offset
 //
-// where member.anchor was fixed when the member's position was last refreshed
-// (anchor = centroid_at_refresh - translation_at_refresh). A member refreshed
-// this tick reconstructs exactly; a stale member implicitly travels with the
-// cluster — precisely the paper's approximation.
+// where the pole member.anchor + translation was the centroid when the
+// member's position was last refreshed (anchor = centroid_at_refresh -
+// translation_at_refresh) and offset = reported position - that centroid. A
+// member refreshed this tick reconstructs exactly; a stale member implicitly
+// travels with the cluster — precisely the paper's approximation.
+//
+// The paper (§3.1) writes the relative position in polar form about the
+// centroid. The offset is the same relative position in Cartesian form: the
+// same two doubles and the same travel-with-the-cluster model, but no
+// atan2/sqrt to store it and no cos/sin to read it back on every absorb,
+// refresh, tighten, shed and join export.
 //
 // Load shedding (§5): each cluster owns at most one *nucleus*, a disk of
 // radius Theta_N anchored at the centroid, into which member positions are
@@ -39,7 +47,7 @@
 #include "common/types.h"
 #include "gen/update.h"
 #include "geometry/circle.h"
-#include "geometry/polar.h"
+#include "geometry/point.h"
 
 namespace scuba {
 
@@ -49,7 +57,7 @@ struct PersistAccess;  // snapshot serialization back door (src/persist)
 struct ClusterMember {
   EntityKind kind = EntityKind::kObject;
   uint32_t id = 0;
-  PolarCoord rel;          ///< Position relative to `anchor` (zero when shed).
+  Vec2 offset;             ///< Position minus the pole (zero when shed).
   Point anchor;            ///< Pole minus the translation at refresh time.
   double speed = 0.0;
   uint64_t attrs = kAttrNone;
@@ -141,9 +149,10 @@ class MovingCluster {
   /// member into the hole. NotFound unless that member is `ref`.
   Status RemoveMember(size_t index, EntityRef ref);
 
-  /// Reconstructed absolute position of a member.
+  /// Reconstructed absolute position of a member: its pole (anchor plus
+  /// the cluster's translation) plus its offset.
   Point MemberPosition(const ClusterMember& m) const {
-    return FromPolar(m.rel, m.anchor + translation_);
+    return (m.anchor + translation_) + m.offset;
   }
 
   /// Looks up a member by reference (a linear scan); nullptr if absent.
@@ -205,8 +214,10 @@ class MovingCluster {
   /// store's ClusterStore::ValidateMemberSlots).
   Status ValidateMemberCounts() const;
 
-  /// Analytic heap bytes. Shed members do not pay for position state (the
-  /// paper's memory saving); maintained members pay the full member record.
+  /// Analytic heap bytes. Shed members do not pay for position state, their
+  /// offset and anchor (the paper's memory saving); maintained members pay
+  /// the full member record. The Cartesian offset is the same 16 bytes the
+  /// paper's polar (r, theta) would be.
   size_t EstimateMemoryUsage() const;
 
  private:
@@ -214,7 +225,7 @@ class MovingCluster {
   MovingCluster(ClusterId cid, Point centroid, double speed, NodeId dest_node,
                 Point dest_position);
 
-  /// Shared absorb path; `m.rel`/`m.anchor` set from `position`.
+  /// Shared absorb path; `m.offset`/`m.anchor` set from `position`.
   void AbsorbCommon(ClusterMember m, Point position);
 
   /// Shared member-refresh path.

@@ -20,6 +20,39 @@ namespace {
 /// a different floating-point order.
 constexpr double kAuditEps = 1e-6;
 
+/// Look-ahead of the batch ingest loop: while update i is applied, the
+/// slot-table bucket of update i + kBucketLookahead and the slot row of
+/// update i + kRowLookahead start loading. The bucket hint runs first, so
+/// the row hint's probe finds its bucket in cache.
+constexpr size_t kBucketLookahead = 16;
+constexpr size_t kRowLookahead = 8;
+
+EntityRef RefOf(const LocationUpdate& u) {
+  return EntityRef{EntityKind::kObject, u.oid};
+}
+EntityRef RefOf(const QueryUpdate& u) {
+  return EntityRef{EntityKind::kQuery, u.qid};
+}
+
+/// Applies `updates` one by one, in order, prefetching ahead (above). The
+/// hints read the store but never change it, so the answers are those of
+/// one update per call.
+template <typename Update, typename Apply>
+Status ApplyInOrder(std::span<const Update> updates, const ClusterStore& store,
+                    Apply apply) {
+  const size_t n = updates.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kBucketLookahead < n) {
+      store.PrefetchBucket(RefOf(updates[i + kBucketLookahead]));
+    }
+    if (i + kRowLookahead < n) {
+      store.PrefetchRow(RefOf(updates[i + kRowLookahead]));
+    }
+    SCUBA_RETURN_IF_ERROR(apply(updates[i]));
+  }
+  return Status::OK();
+}
+
 void AddViolation(InvariantAuditReport* report, std::string msg) {
   ++report->violations_total;
   if (report->violations.size() < InvariantAuditReport::kMaxViolationMessages) {
@@ -166,12 +199,14 @@ Status ScubaEngine::IngestBatch(std::span<const LocationUpdate> objects,
   }
   TelemetryEnsureRound();
   Stopwatch sw;
-  for (const LocationUpdate& u : objects) {
-    SCUBA_RETURN_IF_ERROR(clusterer_.ProcessObjectUpdate(u));
-  }
-  for (const QueryUpdate& u : queries) {
-    SCUBA_RETURN_IF_ERROR(clusterer_.ProcessQueryUpdate(u));
-  }
+  SCUBA_RETURN_IF_ERROR(
+      ApplyInOrder(objects, store_, [this](const LocationUpdate& u) {
+        return clusterer_.ProcessObjectUpdate(u);
+      }));
+  SCUBA_RETURN_IF_ERROR(
+      ApplyInOrder(queries, store_, [this](const QueryUpdate& u) {
+        return clusterer_.ProcessQueryUpdate(u);
+      }));
   const double wall = sw.ElapsedSeconds();
   pending_prejoin_seconds_ += wall;
   if (telemetry_ != nullptr) {

@@ -114,41 +114,70 @@ Status GridIndex::Insert(uint32_t key, const Circle& c) {
   return InsertIntoCells(key, std::move(cell_ids));
 }
 
+void GridIndex::EraseFromCell(uint32_t cell, uint32_t key) {
+  std::vector<uint32_t>& entries = cells_[cell];
+  auto pos = std::find(entries.begin(), entries.end(), key);
+  SCUBA_CHECK(pos != entries.end());
+  *pos = entries.back();
+  entries.pop_back();
+}
+
 Status GridIndex::Remove(uint32_t key) {
   auto it = placements_.find(key);
   if (it == placements_.end()) {
     return Status::NotFound("key " + std::to_string(key) + " is not indexed");
   }
-  for (uint32_t cell : it->second) {
-    std::vector<uint32_t>& entries = cells_[cell];
-    auto pos = std::find(entries.begin(), entries.end(), key);
-    SCUBA_CHECK(pos != entries.end());
-    *pos = entries.back();
-    entries.pop_back();
-  }
+  for (uint32_t cell : it->second) EraseFromCell(cell, key);
   placements_.erase(it);
   ++generation_;
   return Status::OK();
 }
 
+Status GridIndex::MoveToCells(uint32_t key, std::vector<uint32_t> cell_ids) {
+  auto it = placements_.find(key);
+  if (it == placements_.end()) {
+    return Status::NotFound("key " + std::to_string(key) + " is not indexed");
+  }
+  // Both lists ascend: one merge walk finds the cells the key leaves and
+  // the cells it joins; cells in both keep their entry untouched.
+  const std::vector<uint32_t>& old_ids = it->second;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < old_ids.size() || j < cell_ids.size()) {
+    if (j == cell_ids.size() ||
+        (i < old_ids.size() && old_ids[i] < cell_ids[j])) {
+      EraseFromCell(old_ids[i++], key);
+    } else if (i == old_ids.size() || cell_ids[j] < old_ids[i]) {
+      cells_[cell_ids[j++]].push_back(key);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  it->second = std::move(cell_ids);
+  ++generation_;
+  return Status::OK();
+}
+
 Status GridIndex::Update(uint32_t key, Point p) {
-  SCUBA_RETURN_IF_ERROR(Remove(key));
-  return Insert(key, p);
+  return MoveToCells(key, {CellIndexOf(p)});
 }
 
 Status GridIndex::Update(uint32_t key, const Rect& bounds) {
-  // Validate before removing so a bad argument cannot strand the key
-  // half-removed.
+  // Validate before touching the placement so a bad argument changes
+  // nothing.
   if (bounds.Empty()) {
     return Status::InvalidArgument("cannot index an empty rectangle");
   }
-  SCUBA_RETURN_IF_ERROR(Remove(key));
-  return Insert(key, bounds);
+  std::vector<uint32_t> cell_ids;
+  CellsOverlapping(bounds, &cell_ids);
+  return MoveToCells(key, std::move(cell_ids));
 }
 
 Status GridIndex::Update(uint32_t key, const Circle& c) {
-  SCUBA_RETURN_IF_ERROR(Remove(key));
-  return Insert(key, c);
+  std::vector<uint32_t> cell_ids;
+  CellsForCircle(c, &cell_ids);
+  return MoveToCells(key, std::move(cell_ids));
 }
 
 void GridIndex::CellsForRect(const Rect& r, std::vector<uint32_t>* out) const {

@@ -9,6 +9,12 @@
 //
 // Keys are opaque uint32 ids (ClusterId / ObjectId / QueryId). The index
 // remembers each key's cell placement, so Remove/Update need only the key.
+// A placement always ascends: every cell list is built row-major (row, then
+// column), which is ascending cell order. Update relies on that to diff the
+// old and new placements in one merge walk, so re-registering a cluster
+// touches only the cells it leaves or joins. The order of keys inside a
+// cell's entry list is therefore a product of history and carries no
+// meaning (see CellEntries).
 // Points outside the region clamp into the border cells (generated maps are
 // jittered, so entities can momentarily step just outside the nominal region).
 
@@ -70,18 +76,22 @@ class GridIndex {
   /// Removes `key` from all its cells. NotFound if absent.
   Status Remove(uint32_t key);
 
-  /// Remove + Insert in one call.
+  /// Re-places `key` under new geometry, as Remove + Insert would, but
+  /// touches only the cells whose membership changes: the key is erased
+  /// from cells it leaves and appended to cells it joins. NotFound if the
+  /// key is absent, InvalidArgument for an empty rect; a failed Update
+  /// changes nothing, generation() included.
   Status Update(uint32_t key, Point p);
   Status Update(uint32_t key, const Rect& bounds);
   Status Update(uint32_t key, const Circle& c);
 
-  /// Keys registered in cell `cell` (unordered).
+  /// Keys registered in cell `cell`, in no meaningful order.
   const std::vector<uint32_t>& CellEntries(uint32_t cell) const {
     return cells_[cell];
   }
 
-  /// Cells `key` is registered in (insertion order, not sorted), or nullptr
-  /// if the key is absent. Lets read-only consumers (the parallel join's
+  /// Cells `key` is registered in (ascending), or nullptr if the key is
+  /// absent. Lets read-only consumers (the parallel join's
   /// owner-cell rule) see a key's full placement without re-deriving it from
   /// geometry.
   const std::vector<uint32_t>* CellsOf(uint32_t key) const {
@@ -147,6 +157,13 @@ class GridIndex {
   void CellsOverlapping(const Rect& bounds, std::vector<uint32_t>* out) const;
 
   Status InsertIntoCells(uint32_t key, std::vector<uint32_t> cell_ids);
+
+  /// The body of every Update: moves an indexed key's placement to
+  /// `cell_ids` (ascending) by one merge walk over the old and new lists.
+  Status MoveToCells(uint32_t key, std::vector<uint32_t> cell_ids);
+
+  /// Swap-removes `key` from one cell's entries; the key must be there.
+  void EraseFromCell(uint32_t cell, uint32_t key);
 
   Rect region_;
   uint32_t cells_per_side_ = 0;

@@ -21,7 +21,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'S', 'C', 'U', 'B', 'S', 'N', 'P', '1'};
-constexpr uint32_t kSnapshotVersion = 3;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".scuba";
 /// The SnapshotMeta header at the front of every payload: three u64s.
@@ -133,6 +132,7 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   // deliberately excluded: results are bit-identical across them, so
   // snapshots stay portable across thread counts, window counts, supervision
   // settings and retention settings.
+  w.PutU32(kSnapshotVersion);
   return Fnv1a64(w.bytes());
 }
 
@@ -194,8 +194,8 @@ void PersistAccess::SaveCluster(const MovingCluster& c, ByteWriter* w) {
   for (const ClusterMember& m : c.members_) {  // order is state: keep it
     w->PutU8(static_cast<uint8_t>(m.kind));
     w->PutU32(m.id);
-    w->PutDouble(m.rel.r);
-    w->PutDouble(m.rel.theta);
+    w->PutDouble(m.offset.x);
+    w->PutDouble(m.offset.y);
     PutPoint(w, m.anchor);
     w->PutDouble(m.speed);
     w->PutU64(m.attrs);
@@ -250,8 +250,8 @@ Result<MovingCluster> PersistAccess::LoadCluster(ByteReader* r) {
     }
     m.kind = static_cast<EntityKind>(kind);
     SCUBA_RETURN_IF_ERROR(r->GetU32(&m.id));
-    SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.rel.r));
-    SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.rel.theta));
+    SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.offset.x));
+    SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.offset.y));
     SCUBA_RETURN_IF_ERROR(GetPoint(r, &m.anchor));
     SCUBA_RETURN_IF_ERROR(r->GetDouble(&m.speed));
     SCUBA_RETURN_IF_ERROR(r->GetU64(&m.attrs));

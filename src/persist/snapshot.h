@@ -5,8 +5,8 @@
 //
 // File layout (all integers little-endian):
 //
-//   magic "SCUBSNP1" (8 bytes) | version u32 (2) | payload_len u64
-//   payload (payload_len bytes) | crc32(payload) u32
+//   magic "SCUBSNP1" (8 bytes) | version u32 (kSnapshotVersion, below)
+//   payload_len u64 | payload (payload_len bytes) | crc32(payload) u32
 //
 // Payload, in order (PersistAccess::SaveEngineSnapshot):
 //   1. the SnapshotMeta header: options fingerprint, wal_next_seq, rounds;
@@ -45,6 +45,11 @@
 
 namespace scuba {
 
+/// The one snapshot format version this build writes and reads. Version 4
+/// stores each cluster member's position as a Cartesian offset (x, y) where
+/// version 3 stored the same two doubles as polar (r, theta).
+inline constexpr uint32_t kSnapshotVersion = 4;
+
 /// Descriptive header fields of a snapshot payload.
 struct SnapshotMeta {
   uint64_t options_fingerprint = 0;
@@ -60,6 +65,9 @@ struct SnapshotMeta {
 /// supervision / the checkpoint policy are excluded — results are bit-identical across them by the parallel
 /// executors' contract, so a snapshot taken at threads=4 restores cleanly
 /// into a threads=1 engine (and the crash harness relies on exactly that).
+/// It also covers kSnapshotVersion, so the manifests of a root another
+/// snapshot format wrote never match: every path that checks the
+/// fingerprint refuses such a root, naming its snapshot version.
 uint64_t OptionsFingerprint(const ScubaOptions& options);
 
 /// "snapshot-<generation, zero-padded>.scuba" — lexicographic order ==
@@ -92,7 +100,8 @@ Result<SnapshotMeta> PeekSnapshotMeta(const std::string& payload);
 /// equal hashes are indistinguishable to every later round; a recovered
 /// engine must hash equal to the uninterrupted one (the CLI prints this for
 /// the CI smoke). The byte layout predates join windows, so hashes compare
-/// across versions and window counts.
+/// across window counts, and across builds of one snapshot format (a format
+/// change, such as version 4's member offsets, changes every hash).
 uint64_t EngineStateHash(const ScubaEngine& engine);
 
 /// Serialization back doors into the private state of the engine's

@@ -607,10 +607,13 @@ TEST(DurabilityTest, RootOfAnotherVersionReportsNoReplayGap) {
 }
 
 TEST(DurabilityTest, SnapshotOfAnotherVersionIsRefused) {
-  // Version 2 is what builds before snapshot format 3 wrote under today's
-  // version-2 manifests: its payload still holds the bad-update policy byte
-  // and the duplicated join counts, so it must be refused, never misread.
-  for (uint32_t version : {1u, 2u}) {
+  // A snapshot of another version under a manifest this build wrote, so
+  // that only the snapshot is foreign. The previous version's payload means
+  // something else (format 4 replaced polar member positions with Cartesian
+  // offsets), so restore and recovery must refuse it, never misread it, and
+  // likewise the first version and a newer one.
+  for (uint32_t version :
+       {1u, kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     SCOPED_TRACE("version=" + std::to_string(version));
     std::vector<Round> rounds = MakeRounds(4);
     ScopedTempDir dir("snapshot_version");
@@ -621,17 +624,18 @@ TEST(DurabilityTest, SnapshotOfAnotherVersionIsRefused) {
     ASSERT_FALSE(manifests->empty());
     const std::string snap = SnapshotPath(dir.path(), manifests->back().first);
     PatchVersion(snap, version);
-    ExpectVersionRefused(dir.path(), snap, version, /*readable=*/3,
+    ExpectVersionRefused(dir.path(), snap, version,
+                         /*readable=*/kSnapshotVersion,
                          /*open_refuses=*/false, kFsckBadSnapshot);
   }
 }
 
 TEST(DurabilityTest, RootOfAnOlderSnapshotFormatNamesTheVersion) {
-  // A root a snapshot-version-2 build wrote also carries manifests whose
-  // options fingerprint differs (the version-2 fingerprint covered a
-  // bad-update-policy byte). The refusal names the snapshot version, the
-  // real cause, not the options. Writing under other options stands in for
-  // the old fingerprint.
+  // A root the previous build wrote also carries manifests whose options
+  // fingerprint differs (the fingerprint covers the snapshot version). The
+  // refusal names the snapshot version, the real cause, not the options.
+  // Writing under other options stands in for the old fingerprint, and a
+  // root patched to the previous version for the previous build's.
   ScopedTempDir dir("old_snapshot_format");
   ScubaOptions old_opt = MakeOptions(2);
   old_opt.theta_d += 1.0;
@@ -640,13 +644,17 @@ TEST(DurabilityTest, RootOfAnOlderSnapshotFormatNamesTheVersion) {
       ListManifests(dir.path());
   ASSERT_TRUE(manifests.ok());
   ASSERT_FALSE(manifests->empty());
+  const uint32_t previous = kSnapshotVersion - 1;
   for (const auto& [generation, path] : *manifests) {
-    PatchVersion(SnapshotPath(dir.path(), generation), 2);
+    PatchVersion(SnapshotPath(dir.path(), generation), previous);
   }
-  auto names_version = [](const Status& s) {
+  auto names_version = [&](const Status& s) {
     return s.IsFailedPrecondition() &&
-           s.message().find("format version 2") != std::string::npos &&
-           s.message().find("only version 3") != std::string::npos;
+           s.message().find("format version " + std::to_string(previous)) !=
+               std::string::npos &&
+           s.message().find("only version " +
+                            std::to_string(kSnapshotVersion)) !=
+               std::string::npos;
   };
   const ScubaOptions opt = MakeOptions(2);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);

@@ -5,7 +5,6 @@
 #include "common/rng.h"
 #include "geometry/circle.h"
 #include "geometry/point.h"
-#include "geometry/polar.h"
 #include "geometry/rect.h"
 
 namespace scuba {
@@ -78,50 +77,6 @@ TEST(PointTest, ToStringFormat) {
   EXPECT_EQ((Point{1.5, -2.0}).ToString(), "(1.5, -2)");
   EXPECT_EQ((Vec2{0.0, 3.25}).ToString(), "<0, 3.25>");
 }
-
-// ---------- Polar ----------
-
-TEST(PolarTest, Cardinal) {
-  Point pole{0, 0};
-  PolarCoord east = ToPolar({5, 0}, pole);
-  EXPECT_DOUBLE_EQ(east.r, 5.0);
-  EXPECT_DOUBLE_EQ(east.theta, 0.0);
-  PolarCoord north = ToPolar({0, 5}, pole);
-  EXPECT_NEAR(north.theta, M_PI / 2, 1e-12);
-  PolarCoord west = ToPolar({-5, 0}, pole);
-  EXPECT_NEAR(std::fabs(west.theta), M_PI, 1e-12);
-}
-
-TEST(PolarTest, PoleMapsToOrigin) {
-  PolarCoord pc = ToPolar({3, 3}, {3, 3});
-  EXPECT_EQ(pc.r, 0.0);
-  EXPECT_EQ(pc.theta, 0.0);
-}
-
-TEST(PolarTest, FromPolarBasics) {
-  Point pole{10, 10};
-  Point p = FromPolar({5.0, M_PI / 2}, pole);
-  EXPECT_NEAR(p.x, 10.0, 1e-12);
-  EXPECT_NEAR(p.y, 15.0, 1e-12);
-}
-
-// Property sweep: polar round-trip is exact to floating tolerance for random
-// points and poles.
-class PolarRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(PolarRoundTripTest, RoundTrip) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 1000; ++i) {
-    Point pole{rng.NextDouble(-1e4, 1e4), rng.NextDouble(-1e4, 1e4)};
-    Point p{rng.NextDouble(-1e4, 1e4), rng.NextDouble(-1e4, 1e4)};
-    Point back = FromPolar(ToPolar(p, pole), pole);
-    EXPECT_NEAR(back.x, p.x, 1e-8);
-    EXPECT_NEAR(back.y, p.y, 1e-8);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PolarRoundTripTest,
-                         ::testing::Values(1, 2, 3, 4, 5));
 
 // ---------- Circle ----------
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -270,6 +272,135 @@ TEST_P(GridIndexPropertyTest, CollectMatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexPropertyTest,
                          ::testing::Values(101, 202, 303));
+
+// Differential: random Insert/Update/Remove sequences over point, rect and
+// circle keys against a map model (key -> cell set). The model's cells come
+// from the grid's pure geometry (CellIndexOf, CellsForRect, CellsForCircle),
+// so this checks the mutation logic: Update's cell diff, Remove and the
+// placements. After every step each placement equals the model and ascends,
+// every cell lists exactly the model's inverse, and a failed Update changes
+// nothing, generation() included.
+class GridIndexDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(GridIndexDifferentialTest, MatchesMapModel) {
+  Rng rng(GetParam());
+  GridIndex g = MakeGrid(100.0, 10);
+  std::map<uint32_t, std::set<uint32_t>> model;
+  constexpr uint32_t kKeys = 24;
+
+  // A random shape, the cells the grid places it in, and a mutation that
+  // applies it (Insert or Update) to `key`.
+  struct Shape {
+    int kind = 0;  // 0 point, 1 rect, 2 circle
+    Point p;
+    Rect r;
+    Circle c;
+  };
+  auto random_shape = [&]() {
+    Shape s;
+    s.kind = static_cast<int>(rng.NextBounded(3));
+    const double x = rng.NextDouble(-10, 110);
+    const double y = rng.NextDouble(-10, 110);
+    s.p = Point{x, y};
+    s.r = Rect{x, y, x + rng.NextDouble(0, 40), y + rng.NextDouble(0, 40)};
+    s.c = Circle{{x, y}, rng.NextDouble(0, 25)};
+    return s;
+  };
+  auto cells_of = [&](const Shape& s) {
+    std::vector<uint32_t> cells;
+    if (s.kind == 0) cells.push_back(g.CellIndexOf(s.p));
+    if (s.kind == 1) g.CellsForRect(s.r, &cells);
+    if (s.kind == 2) g.CellsForCircle(s.c, &cells);
+    return std::set<uint32_t>(cells.begin(), cells.end());
+  };
+  auto update = [&](uint32_t key, const Shape& s) {
+    if (s.kind == 0) return g.Update(key, s.p);
+    if (s.kind == 1) return g.Update(key, s.r);
+    return g.Update(key, s.c);
+  };
+  auto insert = [&](uint32_t key, const Shape& s) {
+    if (s.kind == 0) return g.Insert(key, s.p);
+    if (s.kind == 1) return g.Insert(key, s.r);
+    return g.Insert(key, s.c);
+  };
+  auto all_entries = [&]() {
+    std::vector<std::vector<uint32_t>> cells;
+    for (uint32_t c = 0; c < g.CellCount(); ++c) {
+      cells.push_back(g.CellEntries(c));
+    }
+    return cells;
+  };
+  auto all_placements = [&]() {
+    std::map<uint32_t, std::vector<uint32_t>> placed;
+    for (uint32_t key : g.Keys()) placed[key] = *g.CellsOf(key);
+    return placed;
+  };
+  auto check = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ASSERT_EQ(g.size(), model.size());
+    std::vector<std::set<uint32_t>> inverse(g.CellCount());
+    for (const auto& [key, cells] : model) {
+      const std::vector<uint32_t>* placed = g.CellsOf(key);
+      ASSERT_NE(placed, nullptr) << "key " << key;
+      EXPECT_EQ(*placed, std::vector<uint32_t>(cells.begin(), cells.end()))
+          << "key " << key;
+      EXPECT_TRUE(std::is_sorted(placed->begin(), placed->end()));
+      for (uint32_t cell : cells) inverse[cell].insert(key);
+    }
+    for (uint32_t c = 0; c < g.CellCount(); ++c) {
+      std::vector<uint32_t> entries = g.CellEntries(c);
+      std::sort(entries.begin(), entries.end());
+      EXPECT_EQ(std::adjacent_find(entries.begin(), entries.end()),
+                entries.end())
+          << "cell " << c << " lists a key twice";
+      EXPECT_EQ(entries,
+                std::vector<uint32_t>(inverse[c].begin(), inverse[c].end()))
+          << "cell " << c;
+    }
+  };
+
+  for (int step = 0; step < 600; ++step) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextBounded(kKeys));
+    const bool present = model.contains(key);
+    const double action = rng.NextDouble();
+    if (!present && action < 0.6) {
+      const Shape s = random_shape();
+      if (s.kind == 1 && s.r.Empty()) continue;
+      ASSERT_TRUE(insert(key, s).ok());
+      model[key] = cells_of(s);
+    } else if (!present || action < 0.08) {
+      // A failed Update: an absent key (NotFound) or an empty rect
+      // (InvalidArgument). Nothing may change.
+      const auto entries = all_entries();
+      const auto placements = all_placements();
+      const uint64_t generation = g.generation();
+      if (present) {
+        EXPECT_TRUE(g.Update(key, Rect{50, 50, 40, 40}).IsInvalidArgument());
+      } else {
+        const Shape s = random_shape();
+        if (s.kind == 1 && s.r.Empty()) continue;
+        EXPECT_TRUE(update(key, s).IsNotFound());
+      }
+      EXPECT_EQ(all_entries(), entries);
+      EXPECT_EQ(all_placements(), placements);
+      EXPECT_EQ(g.generation(), generation);
+    } else if (action < 0.85) {
+      const Shape s = random_shape();
+      if (s.kind == 1 && s.r.Empty()) continue;
+      const uint64_t generation = g.generation();
+      ASSERT_TRUE(update(key, s).ok());
+      EXPECT_GT(g.generation(), generation);
+      model[key] = cells_of(s);
+    } else {
+      ASSERT_TRUE(g.Remove(key).ok());
+      model.erase(key);
+    }
+    check(step);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexDifferentialTest,
+                         ::testing::Values(5, 6, 7, 8));
 
 TEST(GridIndexTest, GenerationCountsEveryMutation) {
   GridIndex grid = GridIndex::Create(Rect{0, 0, 1000, 1000}, 10).value();

@@ -1,5 +1,6 @@
 #include "cluster/moving_cluster.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 
@@ -343,6 +344,48 @@ TEST(MovingClusterTest, RemoveMemberSwapsTailIntoHole) {
   EXPECT_EQ(c.members()[1].id, 2u);
   EXPECT_TRUE(ApproxEqual(c.MemberPosition(c.members()[0]), {20, 0}, 1e-9));
 }
+
+// Property: a member's Cartesian offset travels with the cluster. After an
+// absorb or a refresh reports position p, any run of Translate calls leaves
+// MemberPosition at p plus the summed deltas.
+class MemberOffsetTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MemberOffsetTest, MemberTravelsWithSummedTranslations) {
+  Rng rng(GetParam());
+  MovingCluster c = MovingCluster::FromObject(
+      0, Obj(0, {rng.NextDouble(0, 10000), rng.NextDouble(0, 10000)}));
+  uint32_t next_id = 1;
+  for (int step = 0; step < 300; ++step) {
+    const Point p{c.centroid().x + rng.NextDouble(-200, 200),
+                  c.centroid().y + rng.NextDouble(-200, 200)};
+    uint32_t id = 0;
+    if (rng.NextDouble() < 0.5) {
+      id = next_id++;
+      c.AbsorbObject(Obj(id, p));
+    } else {
+      id = static_cast<uint32_t>(rng.NextBounded(next_id));
+      ASSERT_TRUE(Refresh(&c, Obj(id, p)).ok());
+    }
+    Vec2 summed{0, 0};
+    const uint64_t translations = rng.NextBounded(6);
+    for (uint64_t t = 0; t < translations; ++t) {
+      const Vec2 delta{rng.NextDouble(-150, 150), rng.NextDouble(-150, 150)};
+      c.Translate(delta);
+      summed += delta;
+    }
+    const ClusterMember* m = c.FindMember({EntityKind::kObject, id});
+    ASSERT_NE(m, nullptr);
+    const Point expected = p + summed;
+    const Point got = c.MemberPosition(*m);
+    const double tolerance =
+        1e-9 * std::max({1.0, std::fabs(expected.x), std::fabs(expected.y)});
+    EXPECT_NEAR(got.x, expected.x, tolerance) << "step " << step;
+    EXPECT_NEAR(got.y, expected.y, tolerance) << "step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemberOffsetTest,
+                         ::testing::Values(11, 12, 13, 14));
 
 // Property: random absorb/update/remove sequences keep the centroid equal to
 // the mean of reconstructed member positions and the radius covering.

@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "core/scuba_engine.h"
+#include "persist/snapshot.h"
 #include "state_digest.h"
 
 namespace scuba {
@@ -111,6 +112,7 @@ bool StatsEqual(const ClustererStats& a, const ClustererStats& b) {
 struct RunOutcome {
   std::vector<ResultSet> rounds;
   std::vector<std::string> digests;
+  std::vector<uint64_t> state_hashes;
   ClustererStats clusterer;
   uint64_t dissolved_expired = 0;
 };
@@ -144,6 +146,7 @@ RunOutcome RunWorkload(const std::vector<Round>& rounds, uint32_t threads,
     EXPECT_TRUE(engine->Evaluate(now, &results).ok());
     out.rounds.push_back(std::move(results));
     out.digests.push_back(StateDigest(*engine));
+    out.state_hashes.push_back(EngineStateHash(*engine));
   }
   out.clusterer = engine->StatsSnapshot().clusterer;
   out.dissolved_expired = engine->StatsSnapshot().phase.clusters_dissolved_expired;
@@ -196,6 +199,71 @@ TEST(ParallelIngestTest, DeterministicUnderLoadShedding) {
       EXPECT_EQ(batch.digests[i], serial.digests[i]) << "round=" << i;
     }
     EXPECT_TRUE(StatsEqual(batch.clusterer, serial.clusterer));
+  }
+}
+
+/// Rounds of exactly `batch` objects and `batch` queries. Updates alternate
+/// between first-seen entities (so the entity slot table grows inside a
+/// batch) and returning ones (a random id already seen, possibly twice in
+/// one batch), in five co-travelling groups so the rounds match.
+std::vector<Round> MakeMixedRounds(uint64_t seed, size_t batch, int rounds) {
+  Rng rng(seed);
+  uint32_t next_id[2] = {1, 1};  // next fresh oid, qid
+  auto pick = [&](int kind, size_t i) {
+    const bool fresh = next_id[kind] == 1 || i % 2 == 0;
+    return fresh ? next_id[kind]++
+                 : static_cast<uint32_t>(1 + rng.NextBounded(next_id[kind] - 1));
+  };
+  auto place = [&](uint32_t id) {
+    const int group = static_cast<int>(id % 5);
+    return Point{800.0 + 1500.0 * group + rng.NextDouble(-80, 80),
+                 3000.0 + rng.NextDouble(-80, 80)};
+  };
+  std::vector<Round> out(rounds);
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t i = 0; i < batch; ++i) {
+      LocationUpdate o;
+      o.oid = pick(0, i);
+      o.position = place(o.oid);
+      o.speed = 10.0;
+      o.dest_node = static_cast<NodeId>(o.oid % 5);
+      o.dest_position = Point{9500, 9500};
+      o.time = static_cast<Timestamp>(r + 1);
+      out[r].objects.push_back(o);
+      QueryUpdate q;
+      q.qid = pick(1, i);
+      q.position = place(q.qid);
+      q.speed = 10.0;
+      q.dest_node = static_cast<NodeId>(q.qid % 5);
+      q.dest_position = Point{9500, 9500};
+      q.range_width = 150.0;
+      q.range_height = 150.0;
+      q.time = static_cast<Timestamp>(r + 1);
+      out[r].queries.push_back(q);
+    }
+  }
+  return out;
+}
+
+TEST(ParallelIngestTest, LookAheadBoundariesMatchOneUpdatePerCall) {
+  // The batch loop prefetches 8 and 16 updates ahead; batch sizes around
+  // those distances (and a long batch whose slot table grows several times
+  // mid-batch) must give the answers of one update per call.
+  for (size_t batch : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 300u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    std::vector<Round> rounds = MakeMixedRounds(batch + 3, batch, 4);
+    RunOutcome single = RunWorkload(rounds, 1, /*use_batch_api=*/false);
+    RunOutcome batched = RunWorkload(rounds, 1, /*use_batch_api=*/true);
+    ASSERT_EQ(batched.rounds.size(), single.rounds.size());
+    for (size_t i = 0; i < single.rounds.size(); ++i) {
+      EXPECT_EQ(batched.rounds[i], single.rounds[i]) << "round=" << i;
+      EXPECT_EQ(batched.state_hashes[i], single.state_hashes[i])
+          << "round=" << i;
+      EXPECT_EQ(batched.digests[i], single.digests[i]) << "round=" << i;
+    }
+    if (batch == 300) {
+      EXPECT_GT(single.rounds.back().size(), 0u) << "workload must match";
+    }
   }
 }
 

@@ -66,8 +66,8 @@ inline void AppendClusterDigest(std::string* out, const MovingCluster* c,
     }
     for (const ClusterMember& m : c->members()) {  // order matters
       d += (m.kind == EntityKind::kObject ? "o" : "q") + std::to_string(m.id);
-      AppendDouble(&d, m.rel.r);
-      AppendDouble(&d, m.rel.theta);
+      AppendDouble(&d, m.offset.x);
+      AppendDouble(&d, m.offset.y);
       AppendDouble(&d, m.anchor.x);
       AppendDouble(&d, m.anchor.y);
       AppendDouble(&d, m.speed);

@@ -35,7 +35,7 @@
 // round-trip. Each durable command prints a `state-hash:` line — equal
 // hashes mean bit-identical engine state — and a directory written at one
 // window count recovers into any other. A manifest or snapshot of another
-// format version (every root written before format version 2) is refused
+// format version (every root written before snapshot format 4) is refused
 // with exit 5. `fsck DIR` verifies a durable directory read-only and exits
 // with a distinct code per damage class.
 //
