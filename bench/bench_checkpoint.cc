@@ -63,7 +63,7 @@ DurableOutcome RunDurable(const ExperimentData& data, const std::string& dir,
   SCUBA_CHECK_MSG(engine.ok(), engine.status().ToString().c_str());
   Result<std::unique_ptr<DurabilityManager>> durability =
       DurabilityManager::Open(dir, policy, engine->get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               /*crash=*/nullptr);
   SCUBA_CHECK_MSG(durability.ok(), durability.status().ToString().c_str());
 
@@ -201,7 +201,7 @@ int Main() {
   Stopwatch recover_watch;
   Result<RecoveryReport> report =
       RecoverEngine(wal_dir, recovered->get(), /*validator=*/nullptr,
-                    /*rng=*/nullptr, recover_sink);
+                    recover_sink);
   const double recover_seconds = recover_watch.ElapsedSeconds();
   SCUBA_CHECK_MSG(report.ok(), report.status().ToString().c_str());
   // One WAL record per batch.
@@ -231,8 +231,7 @@ int Main() {
                   sharded_recovered.status().ToString().c_str());
   Stopwatch sharded_recover_watch;
   Result<RecoveryReport> sharded_report = RecoverEngine(
-      sharded_dir, sharded_recovered->get(), /*validator=*/nullptr,
-      /*rng=*/nullptr);
+      sharded_dir, sharded_recovered->get(), /*validator=*/nullptr);
   const double sharded_recover_seconds =
       sharded_recover_watch.ElapsedSeconds();
   SCUBA_CHECK_MSG(sharded_report.ok(),
@@ -245,59 +244,54 @@ int Main() {
               static_cast<unsigned long long>(sharded_report->batches_replayed),
               sharded_recover_seconds);
 
-  const char* path = "BENCH_checkpoint.json";
-  std::FILE* json = std::fopen(path, "w");
-  SCUBA_CHECK_MSG(json != nullptr, "cannot open BENCH_checkpoint.json");
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"checkpoint\",\n"
-               "  \"workload\": {\"objects\": %u, \"queries\": %u, "
-               "\"ticks\": %d},\n"
-               "  \"baseline\": {\"wall_seconds\": %.6f, \"results\": %llu},\n",
-               scale.objects, scale.queries, scale.ticks, base.wall_seconds,
-               static_cast<unsigned long long>(base.total_results));
-  std::fprintf(
-      json,
-      "  \"wal_only\": {\"wall_seconds\": %.6f, \"overhead_pct\": %.2f, "
-      "\"records\": %llu, \"bytes\": %llu, \"fsyncs\": %llu},\n",
-      wal.wall_seconds, wal_overhead_pct,
-      static_cast<unsigned long long>(wal.wal_records),
-      static_cast<unsigned long long>(wal.wal_bytes),
-      static_cast<unsigned long long>(wal.wal_fsyncs));
-  std::fprintf(
-      json,
-      "  \"checkpointed\": {\"wall_seconds\": %.6f, \"overhead_pct\": %.2f, "
-      "\"fsyncs\": %llu, \"checkpoints\": %llu, \"last_snapshot_bytes\": %llu, "
-      "\"last_snapshot_seconds\": %.6f, \"total_snapshot_seconds\": %.6f},\n",
-      ckpt.wall_seconds, ckpt_overhead_pct,
-      static_cast<unsigned long long>(ckpt.wal_fsyncs),
-      static_cast<unsigned long long>(ckpt.checkpoints_written),
-      static_cast<unsigned long long>(ckpt.last_checkpoint_bytes),
-      ckpt.last_checkpoint_seconds, ckpt.total_checkpoint_seconds);
-  std::fprintf(
-      json,
-      "  \"sharded\": {\"shards\": %u, \"wall_seconds\": %.6f, "
-      "\"overhead_pct\": %.2f, \"wal_bytes\": %llu, \"fsyncs\": %llu, "
-      "\"checkpoints\": %llu, \"recover_seconds\": %.6f, "
-      "\"recover_shards\": 2},\n",
-      kBenchShards, sharded.wall_seconds, sharded_overhead_pct,
-      static_cast<unsigned long long>(sharded.wal_bytes),
-      static_cast<unsigned long long>(sharded.wal_fsyncs),
-      static_cast<unsigned long long>(sharded.checkpoints_written),
-      sharded_recover_seconds);
-  std::fprintf(json,
-               "  \"restore\": {\"seconds\": %.6f, \"clusters\": %zu},\n",
-               restore_seconds, (*restored)->ClusterCount());
-  std::fprintf(
-      json,
-      "  \"recovery\": {\"seconds\": %.6f, \"records_replayed\": %llu, "
-      "\"rounds_replayed\": %llu, \"records_per_second\": %.0f}\n"
-      "}\n",
-      recover_seconds, static_cast<unsigned long long>(report->batches_replayed),
-      static_cast<unsigned long long>(report->rounds_replayed),
-      records_per_second);
-  std::fclose(json);
-  std::printf("wrote %s\n", path);
+  JsonWriter json;
+  json.Str("bench", "checkpoint");
+  json.Object("workload");
+  json.Int("objects", scale.objects);
+  json.Int("queries", scale.queries);
+  json.Int("ticks", scale.ticks);
+  json.Close();
+  json.Object("baseline");
+  json.Num("wall_seconds", base.wall_seconds, 6);
+  json.Int("results", base.total_results);
+  json.Close();
+  json.Object("wal_only");
+  json.Num("wall_seconds", wal.wall_seconds, 6);
+  json.Num("overhead_pct", wal_overhead_pct, 2);
+  json.Int("records", wal.wal_records);
+  json.Int("bytes", wal.wal_bytes);
+  json.Int("fsyncs", wal.wal_fsyncs);
+  json.Close();
+  json.Object("checkpointed");
+  json.Num("wall_seconds", ckpt.wall_seconds, 6);
+  json.Num("overhead_pct", ckpt_overhead_pct, 2);
+  json.Int("fsyncs", ckpt.wal_fsyncs);
+  json.Int("checkpoints", ckpt.checkpoints_written);
+  json.Int("last_snapshot_bytes", ckpt.last_checkpoint_bytes);
+  json.Num("last_snapshot_seconds", ckpt.last_checkpoint_seconds, 6);
+  json.Num("total_snapshot_seconds", ckpt.total_checkpoint_seconds, 6);
+  json.Close();
+  json.Object("sharded");
+  json.Int("shards", kBenchShards);
+  json.Num("wall_seconds", sharded.wall_seconds, 6);
+  json.Num("overhead_pct", sharded_overhead_pct, 2);
+  json.Int("wal_bytes", sharded.wal_bytes);
+  json.Int("fsyncs", sharded.wal_fsyncs);
+  json.Int("checkpoints", sharded.checkpoints_written);
+  json.Num("recover_seconds", sharded_recover_seconds, 6);
+  json.Int("recover_shards", 2);
+  json.Close();
+  json.Object("restore");
+  json.Num("seconds", restore_seconds, 6);
+  json.Int("clusters", (*restored)->ClusterCount());
+  json.Close();
+  json.Object("recovery");
+  json.Num("seconds", recover_seconds, 6);
+  json.Int("records_replayed", report->batches_replayed);
+  json.Int("rounds_replayed", report->rounds_replayed);
+  json.Num("records_per_second", records_per_second, 0);
+  json.Close();
+  json.Save("BENCH_checkpoint.json");
 
   fs::remove_all(root, ec);
   return 0;

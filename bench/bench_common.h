@@ -9,15 +9,20 @@
 #ifndef SCUBA_BENCH_BENCH_COMMON_H_
 #define SCUBA_BENCH_BENCH_COMMON_H_
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "baseline/grid_join_engine.h"
 #include "common/check.h"
 #include "core/scuba_engine.h"
 #include "eval/experiment.h"
+#include "obs/telemetry.h"
 
 namespace scuba::bench {
 
@@ -118,6 +123,86 @@ inline BenchOutcome RunRegular(const ExperimentData& data, Timestamp delta,
                     (*engine)->query_grid().EstimateMemoryUsage();
   return out;
 }
+
+/// Builds one BENCH_*.json document: a root object whose fields, nested
+/// objects and arrays appear in call order, one per line. Object() and
+/// Array() open a scope that Close() ends; inside an array pass no key.
+/// Save() closes what is still open and writes the file.
+class JsonWriter {
+ public:
+  JsonWriter() : out_("{") { closers_.push_back('}'); }
+
+  void Object(const char* key = nullptr) { Open(key, '{', '}'); }
+  void Array(const char* key) { Open(key, '[', ']'); }
+  void Close() {
+    SCUBA_CHECK(closers_.size() > 1);
+    const char closer = closers_.back();
+    closers_.pop_back();
+    Newline();
+    out_ += closer;
+    first_ = false;
+  }
+
+  template <typename T>
+    requires std::is_integral_v<T>
+  void Int(const char* key, T value) {
+    Item(key);
+    out_ += std::to_string(value);
+  }
+  /// A fixed-point number with `decimals` digits; non-finite values, which
+  /// JSON cannot spell, are written as null.
+  void Num(const char* key, double value, int decimals) {
+    Item(key);
+    if (!std::isfinite(value)) {
+      out_ += "null";
+      return;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    out_ += buf;
+  }
+  void Str(const char* key, std::string_view value) {
+    Item(key);
+    out_ += '"' + JsonEscape(value) + '"';
+  }
+  void Bool(const char* key, bool value) {
+    Item(key);
+    out_ += value ? "true" : "false";
+  }
+
+  void Save(const char* path) {
+    while (closers_.size() > 1) Close();
+    closers_.clear();
+    out_ += "\n}\n";
+    std::FILE* file = std::fopen(path, "w");
+    SCUBA_CHECK_MSG(file != nullptr, path);
+    std::fputs(out_.c_str(), file);
+    SCUBA_CHECK_MSG(std::fclose(file) == 0, path);
+    std::printf("wrote %s\n", path);
+  }
+
+ private:
+  void Open(const char* key, char opener, char closer) {
+    Item(key);
+    out_ += opener;
+    closers_.push_back(closer);
+    first_ = true;
+  }
+  void Item(const char* key) {
+    if (!first_) out_ += ',';
+    first_ = false;
+    Newline();
+    if (key != nullptr) out_ += '"' + JsonEscape(key) + "\": ";
+  }
+  void Newline() {
+    out_ += '\n';
+    out_.append(2 * closers_.size(), ' ');
+  }
+
+  std::string out_;
+  std::vector<char> closers_;  ///< One per open scope, the root's first.
+  bool first_ = true;          ///< No item yet in the innermost scope.
+};
 
 inline void PrintBanner(const char* figure, const char* title) {
   BenchScale scale = ReadScale();

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -253,27 +254,20 @@ int Main() {
                 r.speedup());
   }
 
-  const char* path = "BENCH_kernels.json";
-  std::FILE* json = std::fopen(path, "w");
-  SCUBA_CHECK_MSG(json != nullptr, "cannot open BENCH_kernels.json");
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"join_kernels\",\n"
-               "  \"members\": %zu,\n"
-               "  \"probes\": %zu,\n"
-               "  \"kernels\": [\n",
-               scale.members, scale.probes);
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(json,
-                 "    {\"name\": \"%s\", \"scalar_members_per_sec\": %.0f, "
-                 "\"soa_members_per_sec\": %.0f, \"speedup\": %.4f}%s\n",
-                 r.name, r.scalar_members_per_sec, r.soa_members_per_sec,
-                 r.speedup(), i + 1 < results.size() ? "," : "");
+  JsonWriter json;
+  json.Str("bench", "join_kernels");
+  json.Int("members", scale.members);
+  json.Int("probes", scale.probes);
+  json.Array("kernels");
+  for (const KernelResult& r : results) {
+    json.Object();
+    json.Str("name", r.name);
+    json.Num("scalar_members_per_sec", r.scalar_members_per_sec, 0);
+    json.Num("soa_members_per_sec", r.soa_members_per_sec, 0);
+    json.Num("speedup", r.speedup(), 4);
+    json.Close();
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", path);
+  json.Save("BENCH_kernels.json");
   return 0;
 }
 

@@ -82,19 +82,16 @@ int Main() {
               "(%+.2f%%)\n",
               plain_wall, telemetry_wall, 100.0 * overhead);
 
-  const char* path = "BENCH_parallel.json";
-  std::FILE* json = std::fopen(path, "w");
-  SCUBA_CHECK_MSG(json != nullptr, "cannot open BENCH_parallel.json");
   BenchScale scale = ReadScale();
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"parallel_scaling\",\n"
-               "  \"workload\": {\"objects\": %u, \"queries\": %u, "
-               "\"ticks\": %d},\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"sweep\": [\n",
-               scale.objects, scale.queries, scale.ticks,
-               ThreadPool::DefaultThreadCount());
+  JsonWriter json;
+  json.Str("bench", "parallel_scaling");
+  json.Object("workload");
+  json.Int("objects", scale.objects);
+  json.Int("queries", scale.queries);
+  json.Int("ticks", scale.ticks);
+  json.Close();
+  json.Int("hardware_threads", ThreadPool::DefaultThreadCount());
+  json.Array("sweep");
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const BenchOutcome& out = outcomes[i];
     double speedup = outcomes.front().join_seconds > 0.0
@@ -102,26 +99,24 @@ int Main() {
                          : 0.0;
     double join_share =
         out.wall_seconds > 0.0 ? out.join_seconds / out.wall_seconds : 0.0;
-    std::fprintf(json,
-                 "    {\"threads\": %u, \"join_seconds\": %.6f, "
-                 "\"worker_seconds\": %.6f, \"speedup_vs_serial\": %.4f, "
-                 "\"wall_seconds\": %.6f, \"join_share_of_wall\": %.4f, "
-                 "\"results\": %llu, \"comparisons\": %llu}%s\n",
-                 sweep[i], out.join_seconds, out.join_worker_seconds, speedup,
-                 out.wall_seconds, join_share,
-                 static_cast<unsigned long long>(out.total_results),
-                 static_cast<unsigned long long>(out.comparisons),
-                 i + 1 < outcomes.size() ? "," : "");
+    json.Object();
+    json.Int("threads", sweep[i]);
+    json.Num("join_seconds", out.join_seconds, 6);
+    json.Num("worker_seconds", out.join_worker_seconds, 6);
+    json.Num("speedup_vs_serial", speedup, 4);
+    json.Num("wall_seconds", out.wall_seconds, 6);
+    json.Num("join_share_of_wall", join_share, 4);
+    json.Int("results", out.total_results);
+    json.Int("comparisons", out.comparisons);
+    json.Close();
   }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"telemetry\": {\"plain_wall_seconds\": %.6f, "
-               "\"instrumented_wall_seconds\": %.6f, "
-               "\"overhead_fraction\": %.4f}\n"
-               "}\n",
-               plain_wall, telemetry_wall, overhead);
-  std::fclose(json);
-  std::printf("\nwrote %s\n", path);
+  json.Close();
+  json.Object("telemetry");
+  json.Num("plain_wall_seconds", plain_wall, 6);
+  json.Num("instrumented_wall_seconds", telemetry_wall, 6);
+  json.Num("overhead_fraction", overhead, 4);
+  json.Close();
+  json.Save("BENCH_parallel.json");
   return 0;
 }
 

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/scuba_options.h"
@@ -423,55 +424,46 @@ void Run() {
                   "coalescing should cost the slow consumer fewer wire bytes "
                   "than the full stream");
 
-  const char* path = "BENCH_serve.json";
-  std::FILE* json = std::fopen(path, "w");
-  SCUBA_CHECK_MSG(json != nullptr, "cannot open BENCH_serve.json");
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"serve\",\n"
-               "  \"protocol_version\": %u,\n"
-               "  \"workload\": {\"objects\": %u, \"queries\": %u, "
-               "\"ticks\": %d, \"delta\": %lld},\n"
-               "  \"sweep\": [\n",
-               serve::kProtocolVersion, scale.objects, scale.queries,
-               scale.ticks, static_cast<long long>(delta));
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const SweepOutcome& out = outcomes[i];
+  JsonWriter json;
+  json.Str("bench", "serve");
+  json.Int("protocol_version", serve::kProtocolVersion);
+  json.Object("workload");
+  json.Int("objects", scale.objects);
+  json.Int("queries", scale.queries);
+  json.Int("ticks", scale.ticks);
+  json.Int("delta", delta);
+  json.Close();
+  json.Array("sweep");
+  for (const SweepOutcome& out : outcomes) {
     const double ratio =
         out.full_wire_bytes > 0
             ? static_cast<double>(out.delta_wire_bytes) /
                   static_cast<double>(out.full_wire_bytes)
             : 0.0;
-    std::fprintf(json,
-                 "    {\"sessions\": %u, \"rounds\": %llu, "
-                 "\"wall_seconds\": %.6f, \"updates_per_second\": %.0f, "
-                 "\"avg_fanout_ms\": %.4f, \"delta_wire_bytes\": %llu, "
-                 "\"full_wire_bytes\": %llu, \"delta_to_full_ratio\": %.4f, "
-                 "\"final_matches\": %llu}%s\n",
-                 out.sessions, static_cast<unsigned long long>(out.rounds),
-                 out.wall_seconds, out.updates_per_second, out.avg_fanout_ms,
-                 static_cast<unsigned long long>(out.delta_wire_bytes),
-                 static_cast<unsigned long long>(out.full_wire_bytes), ratio,
-                 static_cast<unsigned long long>(out.final_matches),
-                 i + 1 < outcomes.size() ? "," : "");
+    json.Object();
+    json.Int("sessions", out.sessions);
+    json.Int("rounds", out.rounds);
+    json.Num("wall_seconds", out.wall_seconds, 6);
+    json.Num("updates_per_second", out.updates_per_second, 0);
+    json.Num("avg_fanout_ms", out.avg_fanout_ms, 4);
+    json.Int("delta_wire_bytes", out.delta_wire_bytes);
+    json.Int("full_wire_bytes", out.full_wire_bytes);
+    json.Num("delta_to_full_ratio", ratio, 4);
+    json.Int("final_matches", out.final_matches);
+    json.Close();
   }
-  std::fprintf(json,
-               "  ],\n"
-               "  \"slow_consumer\": {\"policy\": \"coalesce\", "
-               "\"queue_cap_bytes\": %zu, \"rounds\": %llu, "
-               "\"coalesces\": %llu, \"fast_deltas\": %llu, "
-               "\"slow_wire_bytes\": %llu, \"fast_wire_bytes\": %llu, "
-               "\"caught_up\": %s}\n"
-               "}\n",
-               slow.queue_cap_bytes,
-               static_cast<unsigned long long>(slow.rounds),
-               static_cast<unsigned long long>(slow.coalesces),
-               static_cast<unsigned long long>(slow.fast_deltas),
-               static_cast<unsigned long long>(slow.slow_wire_bytes),
-               static_cast<unsigned long long>(slow.fast_wire_bytes),
-               slow.slow_caught_up ? "true" : "false");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", path);
+  json.Close();
+  json.Object("slow_consumer");
+  json.Str("policy", "coalesce");
+  json.Int("queue_cap_bytes", slow.queue_cap_bytes);
+  json.Int("rounds", slow.rounds);
+  json.Int("coalesces", slow.coalesces);
+  json.Int("fast_deltas", slow.fast_deltas);
+  json.Int("slow_wire_bytes", slow.slow_wire_bytes);
+  json.Int("fast_wire_bytes", slow.fast_wire_bytes);
+  json.Bool("caught_up", slow.slow_caught_up);
+  json.Close();
+  json.Save("BENCH_serve.json");
 }
 
 }  // namespace

@@ -99,43 +99,35 @@ int Main() {
   std::vector<WindowOutcome> outcomes;
   for (uint32_t skew : {100u, 10u}) RunSweep(skew, &outcomes);
 
-  const char* path = "BENCH_shards.json";
-  std::FILE* json = std::fopen(path, "w");
-  SCUBA_CHECK_MSG(json != nullptr, "cannot open BENCH_shards.json");
   BenchScale scale = ReadScale();
-  std::fprintf(json,
-               "{\n"
-               "  \"bench\": \"shard_scaling\",\n"
-               "  \"workload\": {\"objects\": %u, \"queries\": %u, "
-               "\"ticks\": %d},\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"join_threads\": 4,\n"
-               "  \"sweep\": [\n",
-               scale.objects, scale.queries, scale.ticks,
-               ThreadPool::DefaultThreadCount());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const WindowOutcome& out = outcomes[i];
-    std::fprintf(json,
-                 "    {\"skew\": %u, \"shards\": %u, "
-                 "\"state_hash\": \"%016llx\", \"wall_seconds\": %.6f, "
-                 "\"join_seconds\": %.6f, \"worker_seconds\": %.6f, "
-                 "\"speedup_vs_one_shard\": %.4f, "
-                 "\"results\": %llu, \"comparisons\": %llu, "
-                 "\"pairs_tested\": %llu}%s\n",
-                 out.skew, out.shards,
-                 static_cast<unsigned long long>(out.state_hash),
-                 out.base.wall_seconds, out.base.join_seconds,
-                 out.base.join_worker_seconds, out.speedup,
-                 static_cast<unsigned long long>(out.base.total_results),
-                 static_cast<unsigned long long>(out.base.comparisons),
-                 static_cast<unsigned long long>(out.pairs_tested),
-                 i + 1 < outcomes.size() ? "," : "");
+  JsonWriter json;
+  json.Str("bench", "shard_scaling");
+  json.Object("workload");
+  json.Int("objects", scale.objects);
+  json.Int("queries", scale.queries);
+  json.Int("ticks", scale.ticks);
+  json.Close();
+  json.Int("hardware_threads", ThreadPool::DefaultThreadCount());
+  json.Int("join_threads", 4);
+  json.Array("sweep");
+  for (const WindowOutcome& out : outcomes) {
+    char state_hash[17];
+    std::snprintf(state_hash, sizeof(state_hash), "%016llx",
+                  static_cast<unsigned long long>(out.state_hash));
+    json.Object();
+    json.Int("skew", out.skew);
+    json.Int("shards", out.shards);
+    json.Str("state_hash", state_hash);
+    json.Num("wall_seconds", out.base.wall_seconds, 6);
+    json.Num("join_seconds", out.base.join_seconds, 6);
+    json.Num("worker_seconds", out.base.join_worker_seconds, 6);
+    json.Num("speedup_vs_one_shard", out.speedup, 4);
+    json.Int("results", out.base.total_results);
+    json.Int("comparisons", out.base.comparisons);
+    json.Int("pairs_tested", out.pairs_tested);
+    json.Close();
   }
-  std::fprintf(json,
-               "  ]\n"
-               "}\n");
-  std::fclose(json);
-  std::printf("\nwrote %s\n", path);
+  json.Save("BENCH_shards.json");
   return 0;
 }
 

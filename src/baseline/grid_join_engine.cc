@@ -89,7 +89,6 @@ Status GridJoinEngine::Evaluate(Timestamp now, ResultSet* results) {
   results->Normalize();
   stats_.last_join_seconds = sw.ElapsedSeconds();
   stats_.total_join_seconds += stats_.last_join_seconds;
-  stats_.last_result_count = results->size();
   stats_.total_results += results->size();
   ++stats_.evaluations;
   stats_.last_maintenance_seconds = pending_maintenance_seconds_;

@@ -36,7 +36,6 @@ Status NaiveJoinEngine::Evaluate(Timestamp now, ResultSet* results) {
   results->Normalize();
   stats_.last_join_seconds = sw.ElapsedSeconds();
   stats_.total_join_seconds += stats_.last_join_seconds;
-  stats_.last_result_count = results->size();
   stats_.total_results += results->size();
   ++stats_.evaluations;
   return Status::OK();

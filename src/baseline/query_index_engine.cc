@@ -63,7 +63,6 @@ Status QueryIndexEngine::Evaluate(Timestamp now, ResultSet* results) {
   results->Normalize();
   stats_.last_join_seconds = join_sw.ElapsedSeconds();
   stats_.total_join_seconds += stats_.last_join_seconds;
-  stats_.last_result_count = results->size();
   stats_.total_results += results->size();
   ++stats_.evaluations;
   return Status::OK();

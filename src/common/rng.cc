@@ -87,20 +87,6 @@ double Rng::NextGaussian(double mean, double stddev) {
   return mean + stddev * NextGaussian();
 }
 
-RngState Rng::SaveState() const {
-  RngState state;
-  for (size_t i = 0; i < 4; ++i) state.s[i] = s_[i];
-  state.has_cached_gaussian = has_cached_gaussian_;
-  state.cached_gaussian = cached_gaussian_;
-  return state;
-}
-
-void Rng::RestoreState(const RngState& state) {
-  for (size_t i = 0; i < 4; ++i) s_[i] = state.s[i];
-  has_cached_gaussian_ = state.has_cached_gaussian;
-  cached_gaussian_ = state.cached_gaussian;
-}
-
 Rng Rng::Fork() {
   // Mix two fresh outputs into a child seed; advances this generator.
   uint64_t a = NextU64();

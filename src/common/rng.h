@@ -18,17 +18,6 @@ namespace scuba {
 /// SplitMix64 step; used for seeding and as a cheap standalone mixer.
 uint64_t SplitMix64(uint64_t* state);
 
-/// Complete generator state: restoring it resumes the stream exactly where it
-/// was saved (durability snapshots persist this so a recovered run continues
-/// the same random sequence).
-struct RngState {
-  uint64_t s[4] = {0, 0, 0, 0};
-  bool has_cached_gaussian = false;
-  double cached_gaussian = 0.0;
-
-  friend bool operator==(const RngState&, const RngState&) = default;
-};
-
 /// Deterministic random number generator (xoshiro256**).
 class Rng {
  public:
@@ -79,10 +68,6 @@ class Rng {
   /// Forks an independent child generator; children with distinct fork indices
   /// produce decorrelated streams even from the same parent state.
   Rng Fork();
-
-  /// Captures / reinstates the full generator state (see RngState).
-  RngState SaveState() const;
-  void RestoreState(const RngState& state);
 
  private:
   uint64_t s_[4];

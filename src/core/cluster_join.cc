@@ -446,16 +446,8 @@ Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
   }
 
   // CSR snapshot of the grid for the scan: contiguous entry slab, no
-  // per-cell heap buffer chasing. Buffers are reused across rounds, and the
-  // rebuild is skipped entirely when the grid's generation counter shows no
-  // mutation since the snapshot was last taken.
-  if (cached_grid_ != &grid || cached_generation_ != grid.generation()) {
-    grid.FlattenEntries(&cell_offsets_, &cell_entries_);
-    cached_grid_ = &grid;
-    cached_generation_ = grid.generation();
-  } else {
-    ++flatten_reuses_;
-  }
+  // per-cell heap buffer chasing. Buffers are reused across rounds.
+  grid.FlattenEntries(&cell_offsets_, &cell_entries_);
   cell_count_ = static_cast<uint32_t>(grid.CellCount());
   return Status::OK();
 }

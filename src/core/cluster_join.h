@@ -113,10 +113,6 @@ class ClusterJoinExecutor {
 
   const Counters& counters() const { return counters_; }
 
-  /// Rounds whose CSR grid snapshot was reused because the grid's generation
-  /// counter had not moved since the previous Prepare() against it.
-  uint64_t flatten_reuses() const { return flatten_reuses_; }
-
   /// Worker tasks Prepare() and ScanWindow() fan out to (>= 1).
   uint32_t resolved_threads() const { return resolved_threads_; }
 
@@ -304,15 +300,10 @@ class ClusterJoinExecutor {
   /// how many clusters the engine has ever created.
   std::vector<uint32_t> slot_by_cid_;
   ClusterId slot_base_cid_ = 0;
-  /// CSR snapshot of the grid's cell entries for the round (FlattenEntries),
-  /// keyed by (grid identity, generation): when the same grid arrives with an
-  /// unchanged generation counter the previous snapshot is still valid and
-  /// the rebuild is skipped.
+  /// CSR snapshot of the grid's cell entries (FlattenEntries), rebuilt by
+  /// every Prepare(): each round's ingest mutates the grid.
   std::vector<uint32_t> cell_offsets_;
   std::vector<uint32_t> cell_entries_;
-  const GridIndex* cached_grid_ = nullptr;
-  uint64_t cached_generation_ = 0;
-  uint64_t flatten_reuses_ = 0;
   /// Sizing-pass scratch (slot-indexed), reused across rounds.
   std::vector<const MovingCluster*> cluster_refs_;
   std::vector<const std::vector<uint32_t>*> cell_lists_;

@@ -4,6 +4,14 @@
 
 namespace scuba {
 
+namespace {
+
+/// Adaptive mode relaxes eta once memory falls below this fraction of the
+/// budget; the gap to the budget keeps eta from flapping every round.
+constexpr double kRelaxFraction = 0.7;
+
+}  // namespace
+
 LoadShedder::LoadShedder(const LoadSheddingOptions& options, double theta_d)
     : options_(options),
       theta_d_(theta_d),
@@ -18,7 +26,7 @@ void LoadShedder::ObserveMemoryUsage(size_t bytes) {
       ++adjustments_;
     }
   } else if (static_cast<double>(bytes) <
-             options_.relax_fraction *
+             kRelaxFraction *
                  static_cast<double>(options_.memory_budget_bytes)) {
     double next = std::max(0.0, eta_ - options_.eta_step);
     if (next != eta_) {

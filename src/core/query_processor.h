@@ -28,7 +28,6 @@ struct EvalStats {
   double last_join_seconds = 0.0;
   double last_maintenance_seconds = 0.0;
   uint64_t total_results = 0;
-  uint64_t last_result_count = 0;
   /// Individual object x query predicate evaluations (join-within work).
   uint64_t comparisons = 0;
   /// Cheap per-query cluster-bounds pre-checks (fine filter), counted apart
@@ -52,7 +51,6 @@ struct EvalStats {
   double total_ingest_seconds = 0.0;
   double last_postjoin_seconds = 0.0;
   double total_postjoin_seconds = 0.0;
-  double last_postjoin_worker_seconds = 0.0;
   double total_postjoin_worker_seconds = 0.0;
   /// Invariant-audit lifecycle: audits run, violations detected across them,
   /// and grid rebuilds performed to heal a detected divergence.

@@ -317,6 +317,14 @@ Status ScubaEngine::JoinWindows(ResultSet* results) {
   return Status::OK();
 }
 
+void ScubaEngine::SyncJoinStats() {
+  const ClusterJoinExecutor::Counters& ctr = join_executor_.counters();
+  stats_.comparisons = ctr.comparisons;
+  stats_.bounds_checks = ctr.bounds_checks;
+  stats_.cluster_pairs_tested = ctr.pairs_tested;
+  stats_.cluster_pairs_overlapping = ctr.pairs_overlapping;
+}
+
 Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
   if (results == nullptr) {
     return Status::InvalidArgument("results must be non-null");
@@ -337,14 +345,9 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
   stats_.total_join_seconds += stats_.last_join_seconds;
   stats_.last_join_worker_seconds = join_executor_.last_worker_seconds();
   stats_.total_join_worker_seconds += stats_.last_join_worker_seconds;
-  stats_.last_result_count = results->size();
   stats_.total_results += results->size();
   ++stats_.evaluations;
-  const ClusterJoinExecutor::Counters& ctr = join_executor_.counters();
-  stats_.comparisons = ctr.comparisons;
-  stats_.bounds_checks = ctr.bounds_checks;
-  stats_.cluster_pairs_tested = ctr.pairs_tested;
-  stats_.cluster_pairs_overlapping = ctr.pairs_overlapping;
+  SyncJoinStats();
   if (telemetry_ != nullptr) {
     TraceCollector& tc = telemetry_->trace();
     const int32_t join_span = tc.EnsureSpan(tc.root(), "join");
@@ -360,7 +363,6 @@ Status ScubaEngine::Evaluate(Timestamp now, ResultSet* results) {
       now, &postjoin_worker, telemetry_ != nullptr ? &postjoin_timings : nullptr);
   stats_.last_postjoin_seconds = maint_sw.ElapsedSeconds();
   stats_.total_postjoin_seconds += stats_.last_postjoin_seconds;
-  stats_.last_postjoin_worker_seconds = postjoin_worker;
   stats_.total_postjoin_worker_seconds += postjoin_worker;
   stats_.last_ingest_seconds = pending_prejoin_seconds_;
   stats_.total_ingest_seconds += pending_prejoin_seconds_;

@@ -202,6 +202,11 @@ class ScubaEngine : public QueryProcessor {
   /// supervisor exists) and merges the slices into `results`.
   Status JoinWindows(ResultSet* results);
 
+  /// Copies the join counters into EvalStats' four mirrors (comparisons,
+  /// bounds_checks, cluster_pairs_*). Every writer of the counters calls it:
+  /// Evaluate, snapshot load and online window recovery.
+  void SyncJoinStats();
+
   /// Phase 3 (see class comment). Per-cluster upkeep (tighten, shed, expiry,
   /// translate) runs on join_threads tasks (inline at one); dissolutions and
   /// grid re-registrations are planned per task and applied serially in

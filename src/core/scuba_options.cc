@@ -110,9 +110,6 @@ Status ScubaOptions::Validate() const {
     if (!(shedding.eta_step > 0.0 && shedding.eta_step <= 1.0)) {
       return Status::InvalidArgument("eta_step must be in (0, 1]");
     }
-    if (!(shedding.relax_fraction > 0.0 && shedding.relax_fraction < 1.0)) {
-      return Status::InvalidArgument("relax_fraction must be in (0, 1)");
-    }
   }
   return Status::OK();
 }

@@ -88,9 +88,6 @@ struct LoadSheddingOptions {
   size_t memory_budget_bytes = 0;
   /// kAdaptive: eta adjustment per maintenance round.
   double eta_step = 0.25;
-  /// kAdaptive: relax shedding when memory falls below this fraction of the
-  /// budget.
-  double relax_fraction = 0.7;
 };
 
 /// When and how much durable state a DurabilityManager retains (see

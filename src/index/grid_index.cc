@@ -76,7 +76,6 @@ Status GridIndex::InsertIntoCells(uint32_t key, std::vector<uint32_t> cell_ids) 
   }
   for (uint32_t cell : cell_ids) cells_[cell].push_back(key);
   placements_.emplace(key, std::move(cell_ids));
-  ++generation_;
   return Status::OK();
 }
 
@@ -129,7 +128,6 @@ Status GridIndex::Remove(uint32_t key) {
   }
   for (uint32_t cell : it->second) EraseFromCell(cell, key);
   placements_.erase(it);
-  ++generation_;
   return Status::OK();
 }
 
@@ -155,7 +153,6 @@ Status GridIndex::MoveToCells(uint32_t key, std::vector<uint32_t> cell_ids) {
     }
   }
   it->second = std::move(cell_ids);
-  ++generation_;
   return Status::OK();
 }
 
@@ -230,7 +227,6 @@ std::vector<uint32_t> GridIndex::Keys() const {
 void GridIndex::Clear() {
   for (auto& cell : cells_) cell.clear();
   placements_.clear();
-  ++generation_;
 }
 
 size_t GridIndex::InjectDropFromCells(uint32_t key, uint32_t cell_begin,
@@ -247,7 +243,6 @@ size_t GridIndex::InjectDropFromCells(uint32_t key, uint32_t cell_begin,
   std::erase_if(placed, [&](uint32_t cell) {
     return cell >= cell_begin && cell < cell_end;
   });
-  if (placed.size() != before) ++generation_;
   return before - placed.size();
 }
 

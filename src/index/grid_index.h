@@ -50,12 +50,6 @@ class GridIndex {
   size_t size() const { return placements_.size(); }
   bool Contains(uint32_t key) const { return placements_.contains(key); }
 
-  /// Monotonic counter bumped by every successful mutation (Insert, Remove,
-  /// Update, Clear). Two reads returning the same value bracket a span with
-  /// no cell-content change, so derived snapshots (FlattenEntries CSR) taken
-  /// inside it are still valid and need not be rebuilt.
-  uint64_t generation() const { return generation_; }
-
   /// Index of the cell containing `p` (clamped into the region).
   uint32_t CellIndexOf(Point p) const;
 
@@ -80,7 +74,7 @@ class GridIndex {
   /// touches only the cells whose membership changes: the key is erased
   /// from cells it leaves and appended to cells it joins. NotFound if the
   /// key is absent, InvalidArgument for an empty rect; a failed Update
-  /// changes nothing, generation() included.
+  /// changes no cell and no placement.
   Status Update(uint32_t key, Point p);
   Status Update(uint32_t key, const Rect& bounds);
   Status Update(uint32_t key, const Circle& c);
@@ -171,7 +165,6 @@ class GridIndex {
   double cell_height_ = 0.0;
   std::vector<std::vector<uint32_t>> cells_;
   std::unordered_map<uint32_t, std::vector<uint32_t>> placements_;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace scuba

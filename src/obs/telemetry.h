@@ -22,37 +22,9 @@
 //       ("index":I,)? ("worker_seconds":S)?}...],
 //    ("join":{"shards":K,"imbalance":X})?}
 //
-// v1 -> v2 migration: the line shapes are unchanged; v2 adds the sharded
-// engine's surface (docs/ARCHITECTURE.md §11) — per-shard "engine_shard"
-// spans under "join" (indexed by shard id) and a root-level "handoff" span,
-// plus the scuba_shard_handoffs_total / scuba_shard_ghosts_total /
-// scuba_rebalance_recommendations_total counters and the scuba_shards gauge.
-//
-// v2 -> v3 migration: line shapes again unchanged; v3 adds the shard fault
-// isolation surface (docs/ARCHITECTURE.md §13) — the
-// scuba_shard_failures_total / scuba_shard_recoveries_total /
-// scuba_shard_evictions_total / scuba_degraded_rounds_total counters, the
-// per-stripe scuba_shard_health_<s> gauges (0 healthy, 1 degraded,
-// 2 recovering, 3 evicted), and a root-level "recovery" span covering online
-// stripe rebuilds. v2 consumers only need to accept the new names;
-// tools/check_telemetry.py now validates them (and rejects unknown span
-// names).
-//
-// v3 -> v4 migration: line shapes once more unchanged; v4 adds the serving
-// front-end surface (docs/ARCHITECTURE.md §14) — the scuba_serve_* metric
-// family (sessions/rounds/batches/deltas/snapshots/coalesces/disconnects/
-// errors counters, sessions_active and queue_bytes gauges, and the
-// scuba_serve_push_latency_ms histogram), registered on the engine's
-// registry when `scuba_cli serve` runs with telemetry enabled so serve
-// counters ride the same per-round JSONL stream. No span changes. v4 is the
-// version emitted (kTelemetrySchemaVersion).
-//
-// Within v4, join windows replaced the per-stripe engines: "engine_shard"
-// spans are now one per join window (indexed by window), and the round's
-// "join" summary is the max/mean imbalance of their busy times. The handoff,
-// ghost and rebalance-recommendation counters and the "handoff",
-// "classify", "apply" and per-task "shard" spans are no longer emitted; the
-// shard_* failure counters and health gauges count windows.
+// kTelemetrySchemaVersion is the version emitted. "engine_shard" spans are
+// one per join window (indexed by window), and the round's "join" summary is
+// the max/mean imbalance of their busy times.
 //
 // Counters with a zero round delta and histograms with no new observations
 // are omitted from the round line; gauges are always present. Content is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -23,12 +22,11 @@ namespace fs = std::filesystem;
 /// Writes the generation's snapshot and publishes the manifest naming it —
 /// the shared write path behind ForceCheckpoint and ScubaEngine::Checkpoint.
 Status WriteCheckpoint(const std::string& dir, const ScubaEngine& engine,
-                       const UpdateValidator* validator, const Rng* rng,
-                       uint64_t generation, uint64_t wal_next_seq,
-                       uint64_t rounds, CrashInjector* crash,
-                       uint64_t* total_bytes) {
+                       const UpdateValidator* validator, uint64_t generation,
+                       uint64_t wal_next_seq, uint64_t rounds,
+                       CrashInjector* crash, uint64_t* total_bytes) {
   const std::string payload = PersistAccess::SaveEngineSnapshot(
-      engine, validator, rng, wal_next_seq, rounds);
+      engine, validator, wal_next_seq, rounds);
   const std::string snapshot_dir = SnapshotDirOf(dir);
   if (crash != nullptr &&
       crash->ShouldCrash(CrashPoint::kMidShardSnapshotWrite)) {
@@ -107,10 +105,9 @@ Status OptionsMismatch(const std::string& dir, const ManifestInfo& info,
 
 /// Loads a verified snapshot into `engine`, which must then audit clean.
 Status LoadGeneration(uint64_t generation, const std::string& payload,
-                      ScubaEngine* engine, UpdateValidator* validator,
-                      Rng* rng) {
+                      ScubaEngine* engine, UpdateValidator* validator) {
   SCUBA_RETURN_IF_ERROR(
-      PersistAccess::LoadEngineSnapshot(payload, engine, validator, rng));
+      PersistAccess::LoadEngineSnapshot(payload, engine, validator));
   // CRC and payload hash vouch for the bytes, not for what they decode to:
   // a generation must also restore a state that audits clean.
   const InvariantAuditReport audit = engine->AuditInvariants();
@@ -130,10 +127,8 @@ void PersistAccess::AdoptEngineState(const ScubaEngine& twin,
                                      ScubaEngine* live) {
   live->store_ = twin.store_;
   live->grid_ = twin.grid_;
-  // The copied grid carries the twin's generation counter, which may equal
-  // one the executor cached for the live grid: force a fresh CSR snapshot.
-  live->join_executor_.cached_grid_ = nullptr;
   live->join_executor_.counters_ = twin.join_executor_.counters_;
+  live->SyncJoinStats();
   live->shedder_.eta_ = twin.shedder_.eta_;
   live->shedder_.adjustments_ = twin.shedder_.adjustments_;
   live->clusterer_.set_nucleus_radius(twin.clusterer_.nucleus_radius());
@@ -152,8 +147,8 @@ Status ScubaEngine::Checkpoint(const std::string& dir) {
       manifests->empty() ? 1 : manifests->back().first + 1;
   uint64_t bytes = 0;
   SCUBA_RETURN_IF_ERROR(WriteCheckpoint(
-      dir, *this, /*validator=*/nullptr, /*rng=*/nullptr, generation,
-      /*wal_next_seq=*/0, stats_.evaluations, /*crash=*/nullptr, &bytes));
+      dir, *this, /*validator=*/nullptr, generation, /*wal_next_seq=*/0,
+      stats_.evaluations, /*crash=*/nullptr, &bytes));
   ++stats_.checkpoints_written;
   stats_.last_checkpoint_bytes = bytes;
   stats_.last_checkpoint_seconds = sw.ElapsedSeconds();
@@ -180,15 +175,14 @@ Status ScubaEngine::Restore(const std::string& dir) {
   Result<std::string> payload = ReadGenerationSnapshot(dir, *info);
   if (!payload.ok()) return payload.status();
   return LoadGeneration(info->generation, *payload, this,
-                        /*validator=*/nullptr, /*rng=*/nullptr);
+                        /*validator=*/nullptr);
 }
 
 // --- DurabilityManager -----------------------------------------------------
 
 Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     const std::string& dir, const CheckpointPolicy& policy,
-    ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
-    CrashInjector* crash) {
+    ScubaEngine* engine, UpdateValidator* validator, CrashInjector* crash) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
@@ -201,7 +195,7 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     return Status::IoError("cannot create " + dir + ": " + ec.message());
   }
   std::unique_ptr<DurabilityManager> manager(
-      new DurabilityManager(dir, policy, engine, validator, rng, crash));
+      new DurabilityManager(dir, policy, engine, validator, crash));
   // The newest COMMITTED generation supplies the base sequence; the newest
   // file name (readable or not) keeps generation numbers monotonic.
   Result<std::vector<std::pair<uint64_t, std::string>>> manifests =
@@ -276,9 +270,9 @@ Status DurabilityManager::ForceCheckpoint() {
   Stopwatch sw;
   EvalStats* stats = PersistAccess::MutableStats(engine_);
   uint64_t bytes = 0;
-  SCUBA_RETURN_IF_ERROR(WriteCheckpoint(
-      dir_, *engine_, validator_, rng_, next_generation_, wal_->next_seq(),
-      stats->evaluations, crash_, &bytes));
+  SCUBA_RETURN_IF_ERROR(WriteCheckpoint(dir_, *engine_, validator_,
+                                        next_generation_, wal_->next_seq(),
+                                        stats->evaluations, crash_, &bytes));
   ++next_generation_;
   ++stats->checkpoints_written;
   stats->last_checkpoint_bytes = bytes;
@@ -402,7 +396,7 @@ std::string RecoveryReport::ToJson() const {
 
 Result<RecoveryReport> RecoverEngine(const std::string& dir,
                                      ScubaEngine* engine,
-                                     UpdateValidator* validator, Rng* rng,
+                                     UpdateValidator* validator,
                                      const ResultSink& sink) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
@@ -443,7 +437,7 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
       return payload.status();
     }
     SCUBA_RETURN_IF_ERROR(
-        LoadGeneration(generation, *payload, engine, validator, rng));
+        LoadGeneration(generation, *payload, engine, validator));
     report.manifest_path = path;
     report.generation = generation;
     report.base_seq = info->wal_next_seq;
@@ -496,7 +490,7 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
 }
 
 Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
-                     uint32_t window, const ValidatorConfig* validator_config) {
+                     uint32_t window) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must be non-null");
   }
@@ -509,14 +503,8 @@ Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
   twin_options.telemetry = TelemetryOptions{};
   Result<std::unique_ptr<ScubaEngine>> twin = ScubaEngine::Create(twin_options);
   if (!twin.ok()) return twin.status();
-  std::optional<UpdateValidator> scratch_validator;
-  UpdateValidator* validator = nullptr;
-  if (validator_config != nullptr) {
-    scratch_validator.emplace(*validator_config);
-    validator = &*scratch_validator;
-  }
   Result<RecoveryReport> replay =
-      RecoverEngine(dir, twin->get(), validator, nullptr);
+      RecoverEngine(dir, twin->get(), /*validator=*/nullptr);
   if (!replay.ok()) return replay.status();
   if (replay->manifest_path.empty() && replay->batches_replayed == 0) {
     // An empty root would "recover" the engine to empty — data loss, not

@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "core/scuba_engine.h"
 #include "persist/crash.h"
@@ -47,13 +46,12 @@ class DurabilityManager : public DurabilitySink {
   /// Opens (creating if needed) the durable root for `engine`: the WAL
   /// resumes after its last intact record (a torn tail is truncated away).
   /// A manifest of another format version is kFailedPrecondition. All
-  /// pointers are unowned and must outlive the manager; `validator` / `rng`
-  /// (nullable) join every checkpoint's snapshot; `crash` (nullable) arms
+  /// pointers are unowned and must outlive the manager; `validator`
+  /// (nullable) joins every checkpoint's snapshot; `crash` (nullable) arms
   /// injection across the append and checkpoint paths.
   static Result<std::unique_ptr<DurabilityManager>> Open(
       const std::string& dir, const CheckpointPolicy& policy,
-      ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
-      CrashInjector* crash);
+      ScubaEngine* engine, UpdateValidator* validator, CrashInjector* crash);
 
   /// DurabilitySink: appends the batch as one fsynced WAL record and, once
   /// it is durable, counts the record, its fsync and its bytes in the
@@ -72,19 +70,15 @@ class DurabilityManager : public DurabilitySink {
 
   /// Sequence number the next LogBatch stamps on its record.
   uint64_t next_seq() const { return wal_->next_seq(); }
-  const std::string& dir() const { return dir_; }
-  /// Generation the next checkpoint will commit.
-  uint64_t next_generation() const { return next_generation_; }
 
  private:
   DurabilityManager(std::string dir, const CheckpointPolicy& policy,
-                    ScubaEngine* engine, UpdateValidator* validator, Rng* rng,
+                    ScubaEngine* engine, UpdateValidator* validator,
                     CrashInjector* crash)
       : dir_(std::move(dir)),
         policy_(policy),
         engine_(engine),
         validator_(validator),
-        rng_(rng),
         crash_(crash) {}
 
   /// Deletes manifests beyond keep_last_k generations, then every snapshot
@@ -97,7 +91,6 @@ class DurabilityManager : public DurabilitySink {
   CheckpointPolicy policy_;
   ScubaEngine* engine_;
   UpdateValidator* validator_;  ///< Nullable.
-  Rng* rng_;                    ///< Nullable.
   CrashInjector* crash_;        ///< Nullable.
   std::unique_ptr<WalWriter> wal_;
   uint64_t next_generation_ = 1;
@@ -129,11 +122,11 @@ struct RecoveryReport {
   std::string ToJson() const;
 };
 
-/// Rebuilds `engine` (and optionally `validator` / `rng`) from a durable
-/// root: picks the newest manifest whose snapshot verifies (CRC + recorded
-/// payload hash), falling back generation by generation past kDataLoss;
-/// loads that snapshot into the engine; then replays every WAL record at or
-/// past the checkpoint's sequence, re-evaluating at the recorded round
+/// Rebuilds `engine` (and optionally `validator`) from a durable root: picks
+/// the newest manifest whose snapshot verifies (CRC + recorded payload hash),
+/// falling back generation by generation past kDataLoss; loads that snapshot
+/// into the engine; then replays every WAL record at or past the
+/// checkpoint's sequence, re-evaluating at the recorded round
 /// boundaries and feeding `sink` (nullable). The engine must be freshly
 /// created with the SAME semantic options as the original run
 /// (kFailedPrecondition on fingerprint mismatch); its window count is free. A
@@ -141,7 +134,7 @@ struct RecoveryReport {
 /// WAL whose records skip past the checkpoint's sequence is kDataLoss.
 Result<RecoveryReport> RecoverEngine(const std::string& dir,
                                      ScubaEngine* engine,
-                                     UpdateValidator* validator, Rng* rng,
+                                     UpdateValidator* validator,
                                      const ResultSink& sink = nullptr);
 
 /// Online recovery of a failed join window (docs/ARCHITECTURE.md §13):
@@ -150,13 +143,11 @@ Result<RecoveryReport> RecoverEngine(const std::string& dir,
 /// the live engine's round count (kFailedPrecondition when the durable root
 /// lags — e.g. rounds ran without being logged), then replaces the live
 /// engine's whole store and grid (plus join counters and shedder state) with
-/// the twin's. `window` only names the failure in errors. `validator_config`
-/// (nullable) must echo the run's screening config when the root's
-/// checkpoints carry validator state (LoadEngineSnapshot rejects a
-/// validator-bearing payload otherwise). Wired as
-/// ScubaEngine::set_stripe_recovery by callers owning a durable directory.
+/// the twin's. `window` only names the failure in errors. The twin needs no
+/// validator: a checkpoint's validator section is decoded and dropped. Wired
+/// as ScubaEngine::set_stripe_recovery by callers owning a durable directory.
 Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
-                     uint32_t window, const ValidatorConfig* validator_config);
+                     uint32_t window);
 
 }  // namespace scuba
 

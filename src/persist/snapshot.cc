@@ -55,7 +55,6 @@ Status GetCircle(ByteReader* r, Circle* c) {
 constexpr uint64_t EvalStats::*kDurableEvalCounts[] = {
     &EvalStats::evaluations,
     &EvalStats::total_results,
-    &EvalStats::last_result_count,
     &EvalStats::invariant_audits,
     &EvalStats::invariant_violations,
     &EvalStats::invariant_repairs,
@@ -127,7 +126,6 @@ uint64_t OptionsFingerprint(const ScubaOptions& options) {
   w.PutDouble(options.shedding.eta);
   w.PutU64(options.shedding.memory_budget_bytes);
   w.PutDouble(options.shedding.eta_step);
-  w.PutDouble(options.shedding.relax_fraction);
   // join_threads / ingest_threads / shards / supervision / checkpoint policy
   // deliberately excluded: results are bit-identical across them, so
   // snapshots stay portable across thread counts, window counts, supervision
@@ -290,7 +288,6 @@ void PersistAccess::SaveStoreState(const ClusterStore& store,
 
 std::string PersistAccess::SaveEngineSnapshot(const ScubaEngine& e,
                                               const UpdateValidator* validator,
-                                              const Rng* rng,
                                               uint64_t wal_next_seq,
                                               uint64_t rounds) {
   ByteWriter w;
@@ -307,19 +304,12 @@ std::string PersistAccess::SaveEngineSnapshot(const ScubaEngine& e,
   PutCounts(&w, e.clusterer_.stats_, kClustererCounts);
   w.PutBool(validator != nullptr);
   if (validator != nullptr) SaveValidatorState(*validator, &w);
-  w.PutBool(rng != nullptr);
-  if (rng != nullptr) {
-    const RngState state = rng->SaveState();
-    for (uint64_t word : state.s) w.PutU64(word);
-    w.PutBool(state.has_cached_gaussian);
-    w.PutDouble(state.cached_gaussian);
-  }
   return w.Release();
 }
 
 Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
                                          ScubaEngine* e,
-                                         UpdateValidator* validator, Rng* rng) {
+                                         UpdateValidator* validator) {
   Result<SnapshotMeta> meta = PeekSnapshotMeta(payload);
   if (!meta.ok()) return meta.status();
   if (meta->options_fingerprint != OptionsFingerprint(e->options())) {
@@ -374,12 +364,8 @@ Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
   EvalStats stats;
   stats.join_threads = e->resolved_threads_;
   SCUBA_RETURN_IF_ERROR(GetCounts(&r, &stats, kDurableEvalCounts));
-  const ClusterJoinExecutor::Counters& join = e->join_executor_.counters_;
-  stats.comparisons = join.comparisons;
-  stats.bounds_checks = join.bounds_checks;
-  stats.cluster_pairs_tested = join.pairs_tested;
-  stats.cluster_pairs_overlapping = join.pairs_overlapping;
   e->stats_ = stats;
+  e->SyncJoinStats();
   e->pending_prejoin_seconds_ = 0.0;
   SCUBA_RETURN_IF_ERROR(GetCounts(&r, &e->phase_stats_, kPhaseCounts));
   SCUBA_RETURN_IF_ERROR(
@@ -387,27 +373,9 @@ Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
   bool has_validator = false;
   SCUBA_RETURN_IF_ERROR(r.GetBool(&has_validator));
   if (has_validator) {
-    if (validator != nullptr) {
-      SCUBA_RETURN_IF_ERROR(LoadValidatorState(&r, validator));
-    } else {
-      UpdateValidator scratch((ValidatorConfig()));
-      Status s = LoadValidatorState(&r, &scratch);
-      if (s.IsFailedPrecondition()) {
-        return Status::DataLoss(
-            "checkpoint carries validator state; pass a validator configured "
-            "with the original quarantine capacity to restore it");
-      }
-      SCUBA_RETURN_IF_ERROR(s);
-    }
-  }
-  bool has_rng = false;
-  SCUBA_RETURN_IF_ERROR(r.GetBool(&has_rng));
-  if (has_rng) {
-    RngState state;
-    for (uint64_t& word : state.s) SCUBA_RETURN_IF_ERROR(r.GetU64(&word));
-    SCUBA_RETURN_IF_ERROR(r.GetBool(&state.has_cached_gaussian));
-    SCUBA_RETURN_IF_ERROR(r.GetDouble(&state.cached_gaussian));
-    if (rng != nullptr) rng->RestoreState(state);
+    UpdateValidator scratch((ValidatorConfig()));
+    SCUBA_RETURN_IF_ERROR(
+        LoadValidatorState(&r, validator != nullptr ? validator : &scratch));
   }
   if (!r.AtEnd()) {
     return Status::DataLoss("snapshot payload carries trailing bytes");
@@ -446,7 +414,6 @@ void PersistAccess::SaveValidatorState(const UpdateValidator& v,
     w->PutI64(time);
   }
   const QuarantineLog& log = v.log_;
-  w->PutU64(log.capacity_);
   w->PutU64(log.total_);
   w->PutU64(log.next_);
   w->PutU64(log.ring_.size());
@@ -482,18 +449,11 @@ Status PersistAccess::LoadValidatorState(ByteReader* r, UpdateValidator* v) {
     }
     v->last_time_[EntityRef{static_cast<EntityKind>(kind), id}] = time;
   }
-  uint64_t capacity = 0, total = 0, next = 0, ring = 0;
-  SCUBA_RETURN_IF_ERROR(r->GetU64(&capacity));
+  uint64_t total = 0, next = 0, ring = 0;
   SCUBA_RETURN_IF_ERROR(r->GetU64(&total));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&next));
   SCUBA_RETURN_IF_ERROR(r->GetU64(&ring));
-  if (capacity != v->log_.capacity_) {
-    return Status::FailedPrecondition(
-        "validator quarantine capacity mismatch: snapshot has " +
-        std::to_string(capacity) + ", this validator has " +
-        std::to_string(v->log_.capacity_));
-  }
-  if (ring > capacity || next >= std::max<uint64_t>(capacity, 1)) {
+  if (ring > kQuarantineCapacity || next >= kQuarantineCapacity) {
     return Status::DataLoss("validator quarantine ring state is inconsistent");
   }
   v->log_.total_ = total;
@@ -520,7 +480,6 @@ Status PersistAccess::LoadValidatorState(ByteReader* r, UpdateValidator* v) {
 
 void PersistAccess::NoteAdmitted(UpdateValidator* v, EntityKind kind,
                                  uint32_t id, Timestamp time) {
-  if (!v->config_.check_time_regression) return;
   // Mirrors the screening path's admit bookkeeping exactly.
   auto [it, inserted] = v->last_time_.try_emplace(EntityRef{kind, id}, time);
   if (!inserted && time > it->second) it->second = time;

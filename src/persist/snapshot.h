@@ -16,7 +16,7 @@
 //      radius;
 //   4. the EvalStats counts (never a wall-clock slot or a thread count);
 //   5. the phase and clusterer stats;
-//   6. optional validator and rng sections, each behind a presence flag.
+//   6. the optional validator section, behind a presence flag.
 // Every double is persisted as its IEEE-754 bit pattern, so a restored
 // engine is *bit-identical* to the checkpointed one: same digests, same
 // future results. A file with the right magic but another version is
@@ -37,7 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/serializer.h"
 #include "core/scuba_engine.h"
@@ -45,10 +44,10 @@
 
 namespace scuba {
 
-/// The one snapshot format version this build writes and reads. Version 4
-/// stores each cluster member's position as a Cartesian offset (x, y) where
-/// version 3 stored the same two doubles as polar (r, theta).
-inline constexpr uint32_t kSnapshotVersion = 4;
+/// The one snapshot format version this build writes and reads. Version 5
+/// dropped the rng section, the quarantine capacity and the last round's
+/// result count from the payload.
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 /// Descriptive header fields of a snapshot payload.
 struct SnapshotMeta {
@@ -129,23 +128,22 @@ struct PersistAccess {
                            Timestamp time);
 
   /// The generation's snapshot payload (field order in the file comment).
-  /// `validator` and `rng` are nullable; each present one gets its section.
+  /// `validator` is nullable; a present one gets its section.
   static std::string SaveEngineSnapshot(const ScubaEngine& engine,
                                         const UpdateValidator* validator,
-                                        const Rng* rng, uint64_t wal_next_seq,
-                                        uint64_t rounds);
+                                        uint64_t wal_next_seq, uint64_t rounds);
   /// Replaces every piece of `engine`'s durable state with the payload's:
   /// counters are assigned, timings restart at zero and join_threads stays
-  /// the live engine's. kFailedPrecondition when the payload's fingerprint
-  /// differs from the engine's options; kDataLoss when it does not decode,
-  /// or when it carries validator state and `validator` is null but the
-  /// state does not fit a default-configured validator.
+  /// the live engine's. A validator section is loaded into `validator`, or
+  /// decoded and dropped when it is null. kFailedPrecondition when the
+  /// payload's fingerprint differs from the engine's options; kDataLoss when
+  /// it does not decode.
   static Status LoadEngineSnapshot(const std::string& payload,
                                    ScubaEngine* engine,
-                                   UpdateValidator* validator, Rng* rng);
+                                   UpdateValidator* validator);
   /// Online recovery (docs/ARCHITECTURE.md §13): replaces `live`'s store,
-  /// grid, join counters and shedder state with `twin`'s — a twin recovered
-  /// from the durable root to the same round.
+  /// grid, join counters (with their EvalStats copies) and shedder state with
+  /// `twin`'s — a twin recovered from the durable root to the same round.
   static void AdoptEngineState(const ScubaEngine& twin, ScubaEngine* live);
   /// Durability counters live in the engine's EvalStats; the manager and
   /// recovery update them through this accessor.

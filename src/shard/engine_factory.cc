@@ -48,7 +48,7 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
                                         const ScubaOptions& opt,
                                         EngineHandle* engine,
                                         UpdateValidator* screen,
-                                        const ValidatorConfig& vconfig,
+                                        const ValidatorConfig& /*vconfig*/,
                                         CrashInjector* crash) {
   DurabilityHandle handle;
   if (dir.empty()) return handle;
@@ -58,20 +58,15 @@ Result<DurabilityHandle> OpenDurability(const std::string& dir,
         "engine state)");
   }
   Result<std::unique_ptr<DurabilityManager>> d = DurabilityManager::Open(
-      dir, opt.checkpoint, engine->scuba, screen, /*rng=*/nullptr, crash);
+      dir, opt.checkpoint, engine->scuba, screen, crash);
   if (!d.ok()) return d.status();
-  handle.manager = d->get();
   handle.sink = std::move(d).value();
   // A supervised durable run can heal a failed window online: the recovery
   // hook rebuilds the engine's state from the durable root between rounds.
   if (engine->scuba->supervisor() != nullptr) {
-    // The durable root carries validator state only when the run screens
-    // (screen was passed to Open above); the twin must mirror that.
-    const bool has_validator = screen != nullptr;
-    engine->scuba->set_stripe_recovery(
-        [dir, vconfig, has_validator](ScubaEngine* e, uint32_t w) {
-          return RecoverWindow(dir, e, w, has_validator ? &vconfig : nullptr);
-        });
+    engine->scuba->set_stripe_recovery([dir](ScubaEngine* e, uint32_t w) {
+      return RecoverWindow(dir, e, w);
+    });
   }
   return handle;
 }

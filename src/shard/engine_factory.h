@@ -47,10 +47,9 @@ struct EngineHandle {
 Result<EngineHandle> MakeEngine(const ScubaOptions& opt,
                                 std::string_view name = "scuba");
 
-/// A durability sink bound to an engine, plus its typed view.
+/// A durability sink bound to an engine.
 struct DurabilityHandle {
   std::unique_ptr<DurabilitySink> sink;  ///< null when no durable dir was given
-  DurabilityManager* manager = nullptr;
 };
 
 /// Opens manifest + WAL durability under `dir` for `engine` (which must be
@@ -59,9 +58,9 @@ struct DurabilityHandle {
 /// state from `dir` between rounds. A root whose manifest is of another
 /// format version is kFailedPrecondition.
 /// `screen` (nullable) is the validator whose state rides the snapshots;
-/// `vconfig` must describe it when non-null. `crash` (nullable) arms crash
-/// injection. An empty `dir` returns an empty handle, so callers can wire
-/// durability unconditionally.
+/// `vconfig` is unused and kept because bench_e2e passes it. `crash`
+/// (nullable) arms crash injection. An empty `dir` returns an empty handle,
+/// so callers can wire durability unconditionally.
 Result<DurabilityHandle> OpenDurability(const std::string& dir,
                                         const ScubaOptions& opt,
                                         EngineHandle* engine,

@@ -28,15 +28,6 @@ Result<ShardFaultClass> ParseShardFaultClass(std::string_view name) {
       " (task-failure|corrupt-state|stall|recovery-failure)");
 }
 
-ShardFaultPlan ShardFaultPlan::AllFaults(double p) {
-  ShardFaultPlan plan;
-  plan.task_failure = p;
-  plan.corrupt_state = p;
-  plan.stall = p;
-  plan.recovery_failure = p;
-  return plan;
-}
-
 Result<ShardFaultPlan> ShardFaultPlan::ParseSpec(std::string_view spec) {
   ShardFaultPlan plan;
   size_t pos = 0;
@@ -107,13 +98,10 @@ void ShardFaultInjector::BeginRound(uint64_t round, uint32_t shards) {
   // same number of draws per round regardless of outcomes only if every class
   // rolls, so roll all four classes for every shard and apply first-hit-wins
   // afterwards — the schedule is a pure function of (seed, round index).
-  const double rates[kShardFaultClassCount] = {
-      plan_.task_failure, plan_.corrupt_state, plan_.stall,
-      plan_.recovery_failure};
   for (uint32_t s = 0; s < shards; ++s) {
     std::optional<ShardFaultClass> hit;
     for (size_t c = 0; c < kShardFaultClassCount; ++c) {
-      const bool rolled = rates[c] > 0.0 && rng_.NextDouble() < rates[c];
+      const bool rolled = plan_.rate > 0.0 && rng_.NextDouble() < plan_.rate;
       if (rolled && !hit.has_value()) hit = static_cast<ShardFaultClass>(c);
     }
     round_faults_[s] = hit;

@@ -53,18 +53,13 @@ struct ShardFaultDirective {
   ShardFaultClass fault = ShardFaultClass::kTaskFailure;
 };
 
-/// Injection plan: per-class probabilities rolled per (round, shard) in enum
-/// order with the first hit winning (at most one fault per shard per round),
-/// plus exact directives that override the dice for their (round, shard).
+/// Injection plan: every class rolled at probability `rate` per (round,
+/// shard) in enum order with the first hit winning (at most one fault per
+/// shard per round), plus exact directives that override the dice for their
+/// (round, shard).
 struct ShardFaultPlan {
-  double task_failure = 0.0;
-  double corrupt_state = 0.0;
-  double stall = 0.0;
-  double recovery_failure = 0.0;
+  double rate = 0.0;
   std::vector<ShardFaultDirective> directives;
-
-  /// Every fault class at probability `p`.
-  static ShardFaultPlan AllFaults(double p);
 
   /// Parses "round:shard:class[,round:shard:class...]", e.g.
   /// "3:1:task-failure,5:0:corrupt-state". Whitespace-free.

@@ -27,13 +27,14 @@ Result<std::unique_ptr<ShardSupervisor>> ShardSupervisor::Create(
   std::unique_ptr<ShardSupervisor> supervisor(
       new ShardSupervisor(options, shards));
   if (options.FaultsArmed()) {
-    ShardFaultPlan plan = ShardFaultPlan::AllFaults(options.fault_rate);
+    ShardFaultPlan plan;
     if (!options.fault_spec.empty()) {
       Result<ShardFaultPlan> parsed =
           ShardFaultPlan::ParseSpec(options.fault_spec);
       if (!parsed.ok()) return parsed.status();
-      plan.directives = std::move(parsed.value().directives);
+      plan = std::move(parsed).value();
     }
+    plan.rate = options.fault_rate;
     supervisor->injector_ =
         std::make_unique<ShardFaultInjector>(plan, options.fault_seed);
   }

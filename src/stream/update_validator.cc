@@ -33,8 +33,6 @@ std::string_view RejectReasonName(RejectReason reason) {
   switch (reason) {
     case RejectReason::kNonFinite:
       return "non-finite";
-    case RejectReason::kZeroId:
-      return "zero-id";
     case RejectReason::kDuplicateInBatch:
       return "duplicate-in-batch";
     case RejectReason::kBadSpeed:
@@ -64,7 +62,6 @@ StatusCode RejectReasonStatusCode(RejectReason reason) {
     case RejectReason::kUnknownDestNode:
       return StatusCode::kNotFound;
     case RejectReason::kNonFinite:
-    case RejectReason::kZeroId:
     case RejectReason::kBadSpeed:
     case RejectReason::kBadRange:
     case RejectReason::kNegativeTime:
@@ -119,7 +116,7 @@ uint64_t ValidatorStats::TotalRejected() const {
 }
 
 UpdateValidator::UpdateValidator(const ValidatorConfig& config)
-    : config_(config), log_(config.quarantine_capacity) {}
+    : config_(config), log_(kQuarantineCapacity) {}
 
 bool UpdateValidator::Screen(Timestamp batch_time, EntityKind kind,
                              uint32_t id, Point* position, Timestamp* time,
@@ -139,9 +136,8 @@ bool UpdateValidator::Screen(Timestamp batch_time, EntityKind kind,
        (!std::isfinite(*range_width) || !std::isfinite(*range_height)))) {
     return fail(RejectReason::kNonFinite);
   }
-  if (config_.reject_zero_ids && id == 0) return fail(RejectReason::kZeroId);
   const EntityRef ref{kind, id};
-  if (config_.check_duplicates_in_batch && seen_in_batch_.contains(ref)) {
+  if (seen_in_batch_.contains(ref)) {
     return fail(RejectReason::kDuplicateInBatch);
   }
   bool fixed = false;
@@ -159,17 +155,15 @@ bool UpdateValidator::Screen(Timestamp batch_time, EntityKind kind,
     *time = batch_time >= 0 ? batch_time : 0;
     fixed = true;
   }
-  if (config_.check_time_regression) {
-    Timestamp floor = batch_time >= 0
-                          ? batch_time
-                          : std::numeric_limits<Timestamp>::min();
-    auto it = last_time_.find(ref);
-    if (it != last_time_.end()) floor = std::max(floor, it->second);
-    if (*time < floor) {
-      if (!repair) return fail(RejectReason::kTimeRegression);
-      *time = floor;  // resynchronize to the newest credible time
-      fixed = true;
-    }
+  Timestamp floor =
+      batch_time >= 0 ? batch_time : std::numeric_limits<Timestamp>::min();
+  if (auto it = last_time_.find(ref); it != last_time_.end()) {
+    floor = std::max(floor, it->second);
+  }
+  if (*time < floor) {
+    if (!repair) return fail(RejectReason::kTimeRegression);
+    *time = floor;  // resynchronize to the newest credible time
+    fixed = true;
   }
   if (dest_node == kInvalidNodeId ||
       (config_.node_count > 0 && dest_node >= config_.node_count)) {
@@ -185,10 +179,8 @@ bool UpdateValidator::Screen(Timestamp batch_time, EntityKind kind,
   }
 
   seen_in_batch_.insert(ref);
-  if (config_.check_time_regression) {
-    auto [it, inserted] = last_time_.try_emplace(ref, *time);
-    if (!inserted && *time > it->second) it->second = *time;
-  }
+  auto [it, inserted] = last_time_.try_emplace(ref, *time);
+  if (!inserted && *time > it->second) it->second = *time;
   if (fixed) ++stats_.repaired;
   return true;
 }

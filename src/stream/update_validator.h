@@ -65,7 +65,6 @@ Result<BadUpdatePolicy> ParseBadUpdatePolicy(std::string_view name);
 /// reason (the first failing check wins; checks run in this order).
 enum class RejectReason : uint8_t {
   kNonFinite = 0,     ///< NaN/Inf position, destination, speed or range.
-  kZeroId,            ///< Id 0 where ids are declared to start at 1.
   kDuplicateInBatch,  ///< Same entity appeared earlier in this batch.
   kBadSpeed,          ///< Finite but negative speed.
   kBadRange,          ///< Finite but non-positive query range extents.
@@ -76,7 +75,7 @@ enum class RejectReason : uint8_t {
   kOffMap,            ///< Finite position outside the configured bounds.
 };
 
-inline constexpr size_t kRejectReasonCount = 9;
+inline constexpr size_t kRejectReasonCount = 8;
 
 /// Stable lowercase name ("non-finite", "off-map", ...).
 std::string_view RejectReasonName(RejectReason reason);
@@ -139,17 +138,10 @@ struct ValidatorConfig {
   /// Unknown-destination check: dest_node must be < node_count. 0 skips the
   /// range part (a missing kInvalidNodeId destination is always rejected).
   uint64_t node_count = 0;
-  /// Reject id 0 (deployments using 0 as a sentinel). Off by default: the
-  /// workload generator numbers entities from 0.
-  bool reject_zero_ids = false;
-  /// Per-entity monotonic-timestamp enforcement.
-  bool check_time_regression = true;
-  /// Reject the second and later occurrences of an entity within one batch.
-  /// Streams that legitimately carry late corrections should disable this.
-  bool check_duplicates_in_batch = true;
-  /// Dead-letter ring capacity.
-  size_t quarantine_capacity = 64;
 };
+
+/// Entries the validator's dead-letter ring retains.
+inline constexpr size_t kQuarantineCapacity = 64;
 
 struct ValidatorStats {
   uint64_t screened = 0;   ///< Tuples seen.

@@ -215,46 +215,6 @@ TEST_P(ClusterJoinPropertyTest, SingletonClustersMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterJoinPropertyTest,
                          ::testing::Values(1, 2, 3, 4));
 
-TEST(ClusterJoinTest, FlattenSnapshotReusedWhileGridUnchanged) {
-  JoinFixture f;
-  for (int i = 0; i < 10; ++i) {
-    MovingCluster c = MovingCluster::FromObject(
-        f.store.NextClusterId(), Obj(i + 1, {100.0 + 40 * i, 100.0}));
-    c.AbsorbQuery(Qry(i + 1, {110.0 + 40 * i, 105.0}, 80, 80));
-    f.Add(std::move(c));
-  }
-  ClusterJoinExecutor executor;
-  ResultSet first, second, third;
-  ASSERT_TRUE(executor.Execute(f.store, f.grid, &first).ok());
-  EXPECT_EQ(executor.flatten_reuses(), 0u);
-
-  // Same grid generation: the CSR snapshot must be reused, with identical
-  // results.
-  ASSERT_TRUE(executor.Execute(f.store, f.grid, &second).ok());
-  EXPECT_EQ(executor.flatten_reuses(), 1u);
-  EXPECT_EQ(first, second);
-
-  // Any grid mutation invalidates the snapshot.
-  const ClusterId cid = f.store.SortedClusterIds().front();
-  ASSERT_TRUE(f.grid.Update(cid, Circle{{5000, 5000}, 60}).ok());
-  ASSERT_TRUE(executor.Execute(f.store, f.grid, &third).ok());
-  EXPECT_EQ(executor.flatten_reuses(), 1u);
-}
-
-TEST(ClusterJoinTest, FlattenSnapshotNotSharedAcrossGrids) {
-  // The cache keys on (grid identity, generation): a different grid with a
-  // coincidentally equal generation must not reuse the snapshot.
-  JoinFixture f1, f2;
-  f1.Add(MovingCluster::FromObject(f1.store.NextClusterId(), Obj(1, {50, 50})));
-  f2.Add(MovingCluster::FromObject(f2.store.NextClusterId(),
-                                   Obj(2, {9000, 9000})));
-  ClusterJoinExecutor executor;
-  ResultSet results;
-  ASSERT_TRUE(executor.Execute(f1.store, f1.grid, &results).ok());
-  ASSERT_TRUE(executor.Execute(f2.store, f2.grid, &results).ok());
-  EXPECT_EQ(executor.flatten_reuses(), 0u);
-}
-
 TEST(ClusterJoinTest, SlotTableSizedByLiveCidSpan) {
   // A long-running engine's live cids are large but span a narrow range:
   // the cid->slot table must cover that span, not every cid ever created.

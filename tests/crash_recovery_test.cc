@@ -171,7 +171,7 @@ size_t RunUntilCrash(const std::vector<Round>& rounds, uint32_t threads,
   UpdateValidator validator(MakeValidatorConfig());
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                              &validator, /*rng=*/nullptr, crash);
+                              &validator, crash);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = 0; r < rounds.size(); ++r) {
     Status s = (*manager)->LogBatch(static_cast<Timestamp>(r + 1),
@@ -206,7 +206,7 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
   UpdateValidator validator(MakeValidatorConfig());
   std::vector<std::pair<Timestamp, ResultSet>> replayed;
   Result<RecoveryReport> report = RecoverEngine(
-      dir, engine.get(), &validator, /*rng=*/nullptr,
+      dir, engine.get(), &validator,
       [&](Timestamp now, const ResultSet& results) {
         replayed.emplace_back(now, results);
       });
@@ -230,7 +230,7 @@ void RecoverAndFinish(const std::vector<Round>& rounds, uint32_t threads,
 
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                              &validator, /*rng=*/nullptr,
+                              &validator,
                               /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = covered; r < rounds.size(); ++r) {
@@ -352,7 +352,7 @@ TEST(CrashRecoveryTest, RecoversAcrossShardCounts) {
         MakeSharded(MakeOptions(1, rs.to));
     UpdateValidator validator(MakeValidatorConfig());
     Result<RecoveryReport> second = RecoverEngine(
-        dir.path(), again.get(), &validator, /*rng=*/nullptr);
+        dir.path(), again.get(), &validator);
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     EXPECT_EQ(second->next_seq, static_cast<uint64_t>(kRounds));
     EXPECT_EQ(StateDigest(*again), base.digests.back());
@@ -413,8 +413,7 @@ TEST(CrashRecoveryTest, ValidatorStateSurvivesRecovery) {
     CrashInjector crash(CrashPoint::kBeforeWalAppend, 5);
     Result<std::unique_ptr<DurabilityManager>> manager =
         DurabilityManager::Open(dir.path(), opt4.checkpoint,
-                                engine.get(), &validator,
-                                /*rng=*/nullptr, &crash);
+                                engine.get(), &validator, &crash);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     Status s = ReplayTrace(trace, engine.get(), /*delta=*/2, nullptr,
                            &validator, manager->get());
@@ -425,7 +424,7 @@ TEST(CrashRecoveryTest, ValidatorStateSurvivesRecovery) {
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt2);
   UpdateValidator validator(MakeValidatorConfig());
   Result<RecoveryReport> report = RecoverEngine(
-      dir.path(), engine.get(), &validator, /*rng=*/nullptr);
+      dir.path(), engine.get(), &validator);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // The crashed batch never reached the WAL, so recovery lands exactly on
   // the checkpoint: empty replay window, full validator state restored.
@@ -435,7 +434,7 @@ TEST(CrashRecoveryTest, ValidatorStateSurvivesRecovery) {
   ASSERT_LT(report->next_seq, trace.TickCount());
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir.path(), opt2.checkpoint, engine.get(),
-                              &validator, /*rng=*/nullptr,
+                              &validator,
                               /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   ASSERT_TRUE(ReplayTrace(trace, engine.get(), /*delta=*/2, nullptr,
@@ -489,8 +488,7 @@ TEST(CrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     {
       Result<std::unique_ptr<DurabilityManager>> manager =
           DurabilityManager::Open(dir.path(), opt.checkpoint,
-                                  engine.get(), /*validator=*/nullptr,
-                                  /*rng=*/nullptr, &crash);
+                                  engine.get(), /*validator=*/nullptr, &crash);
       ASSERT_TRUE(manager.ok());
       for (size_t r = 0; r < rounds.size(); ++r) {
         Status s = (*manager)->LogBatch(static_cast<Timestamp>(r + 1),
@@ -517,7 +515,7 @@ TEST(CrashRecoveryTest, DeltaTwoRoundBoundariesSurviveRecovery) {
     std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     std::vector<ResultSet> replayed;
     Result<RecoveryReport> report = RecoverEngine(
-        dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr,
+        dir.path(), recovered.get(), /*validator=*/nullptr,
         [&](Timestamp, const ResultSet& results) {
           replayed.push_back(results);
         });
@@ -561,8 +559,7 @@ TEST(CrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
     {
       Result<std::unique_ptr<DurabilityManager>> manager =
           DurabilityManager::Open(dir.path(), opt.checkpoint,
-                                  engine.get(), &validator,
-                                  /*rng=*/nullptr, /*crash=*/nullptr);
+                                  engine.get(), &validator, /*crash=*/nullptr);
       ASSERT_TRUE(manager.ok());
       for (size_t r = 0; r < rounds.size(); ++r) {
         ASSERT_TRUE((*manager)
@@ -581,7 +578,7 @@ TEST(CrashRecoveryTest, ValidatorTimestampFloorsSurviveWalReplay) {
     std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
     UpdateValidator recovered_validator(MakeValidatorConfig());
     Result<RecoveryReport> report = RecoverEngine(
-        dir.path(), recovered.get(), &recovered_validator, /*rng=*/nullptr);
+        dir.path(), recovered.get(), &recovered_validator);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->batches_replayed, 4u);
 

@@ -111,7 +111,7 @@ std::string RunDurably(const std::vector<Round>& rounds,
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               /*crash=*/nullptr);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   for (size_t r = 0; r < rounds.size(); ++r) {
@@ -221,8 +221,7 @@ TEST(DurabilityTest, FsckVerdictsPerDamageClass) {
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     Result<std::unique_ptr<DurabilityManager>> manager =
         DurabilityManager::Open(dir.path(), opt.checkpoint,
-                                engine.get(), nullptr, nullptr,
-                                nullptr);
+                                engine.get(), nullptr, nullptr);
     ASSERT_TRUE(manager.ok());
     for (size_t r = 0; r < rounds.size(); ++r) {
       ASSERT_TRUE((*manager)
@@ -298,7 +297,7 @@ TEST(DurabilityTest, FsckVerdictsPerDamageClass) {
   {
     std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
     Result<RecoveryReport> gap = RecoverEngine(
-        dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+        dir.path(), engine.get(), /*validator=*/nullptr);
     EXPECT_TRUE(gap.status().IsDataLoss()) << gap.status().ToString();
   }
   restore();
@@ -398,7 +397,7 @@ TEST(DurabilityTest, PruneRetainsOnlyManifestReferencedGenerations) {
   fs::remove((*manifests)[1].second);
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<RecoveryReport> report = RecoverEngine(
-      dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+      dir.path(), engine.get(), /*validator=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->generation, 4u);
   EXPECT_EQ(report->base_seq, 8u);
@@ -449,7 +448,7 @@ TEST(DurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
     Result<std::unique_ptr<DurabilityManager>> manager =
         DurabilityManager::Open(dir.path(), opt.checkpoint,
                                 engine.get(), /*validator=*/nullptr,
-                                /*rng=*/nullptr, /*crash=*/nullptr);
+                                /*crash=*/nullptr);
     ASSERT_TRUE(manager.ok()) << manager.status().ToString();
     for (size_t r = 0; r < rounds.size(); ++r) {
       ASSERT_TRUE((*manager)
@@ -500,7 +499,7 @@ TEST(DurabilityTest, OneWalRecordAndOneFsyncPerBatch) {
   // the WAL on top of the seq-4 checkpoint.
   std::unique_ptr<ScubaEngine> recovered = MakeSharded(opt);
   Result<RecoveryReport> report = RecoverEngine(
-      dir.path(), recovered.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+      dir.path(), recovered.get(), /*validator=*/nullptr);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->base_seq, 4u);
   EXPECT_EQ(report->batches_replayed, 1u);
@@ -542,7 +541,7 @@ void ExpectVersionRefused(const std::string& dir, const std::string& file,
       // reads manifests but not snapshots.
       Result<std::unique_ptr<DurabilityManager>> manager =
           DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                                  /*validator=*/nullptr, /*rng=*/nullptr,
+                                  /*validator=*/nullptr,
                                   /*crash=*/nullptr);
       if (open_refuses) {
         EXPECT_TRUE(names_versions(manager.status()))
@@ -554,8 +553,7 @@ void ExpectVersionRefused(const std::string& dir, const std::string& file,
     Status restored = MakeSharded(opt)->Restore(dir);
     EXPECT_TRUE(names_versions(restored)) << restored.ToString();
     Result<RecoveryReport> recovered =
-        RecoverEngine(dir, MakeSharded(opt).get(), /*validator=*/nullptr,
-                      /*rng=*/nullptr);
+        RecoverEngine(dir, MakeSharded(opt).get(), /*validator=*/nullptr);
     EXPECT_TRUE(names_versions(recovered.status()))
         << recovered.status().ToString();
   }
@@ -660,13 +658,12 @@ TEST(DurabilityTest, RootOfAnOlderSnapshotFormatNamesTheVersion) {
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<std::unique_ptr<DurabilityManager>> manager = DurabilityManager::Open(
       dir.path(), opt.checkpoint, engine.get(), /*validator=*/nullptr,
-      /*rng=*/nullptr, /*crash=*/nullptr);
+      /*crash=*/nullptr);
   EXPECT_TRUE(names_version(manager.status())) << manager.status().ToString();
   Status restored = MakeSharded(opt)->Restore(dir.path());
   EXPECT_TRUE(names_version(restored)) << restored.ToString();
   Result<RecoveryReport> recovered =
-      RecoverEngine(dir.path(), MakeSharded(opt).get(), /*validator=*/nullptr,
-                    /*rng=*/nullptr);
+      RecoverEngine(dir.path(), MakeSharded(opt).get(), /*validator=*/nullptr);
   EXPECT_TRUE(names_version(recovered.status()))
       << recovered.status().ToString();
   Result<FsckReport> report = FsckDurableDir(dir.path());
@@ -698,7 +695,7 @@ TEST(DurabilityTest, ManifestNamingAnotherGenerationFallsBack) {
 
   std::unique_ptr<ScubaEngine> engine = MakeSharded(opt);
   Result<RecoveryReport> recovered = RecoverEngine(
-      dir.path(), engine.get(), /*validator=*/nullptr, /*rng=*/nullptr);
+      dir.path(), engine.get(), /*validator=*/nullptr);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(recovered->generation, 1u);
   EXPECT_EQ(recovered->generations_skipped, 1u);

@@ -56,9 +56,7 @@ TEST(GridIndexTest, NonFinitePointsClampIntoTheGrid) {
 TEST(GridIndexTest, InjectDropFromCellsKeepsTheRestOfThePlacement) {
   GridIndex g = MakeGrid(100.0, 10);
   ASSERT_TRUE(g.Insert(7, Rect{5, 5, 25, 25}).ok());  // cells 0-2, 10-12, 20-22
-  const uint64_t generation = g.generation();
   EXPECT_EQ(g.InjectDropFromCells(7, 10, 20), 3u);
-  EXPECT_GT(g.generation(), generation);
   std::vector<uint32_t> cells = *g.CellsOf(7);
   std::sort(cells.begin(), cells.end());
   EXPECT_EQ(cells, (std::vector<uint32_t>{0, 1, 2, 20, 21, 22}));
@@ -279,7 +277,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexPropertyTest,
 // so this checks the mutation logic: Update's cell diff, Remove and the
 // placements. After every step each placement equals the model and ascends,
 // every cell lists exactly the model's inverse, and a failed Update changes
-// nothing, generation() included.
+// no cell and no placement.
 class GridIndexDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(GridIndexDifferentialTest, MatchesMapModel) {
@@ -373,7 +371,6 @@ TEST_P(GridIndexDifferentialTest, MatchesMapModel) {
       // (InvalidArgument). Nothing may change.
       const auto entries = all_entries();
       const auto placements = all_placements();
-      const uint64_t generation = g.generation();
       if (present) {
         EXPECT_TRUE(g.Update(key, Rect{50, 50, 40, 40}).IsInvalidArgument());
       } else {
@@ -383,13 +380,10 @@ TEST_P(GridIndexDifferentialTest, MatchesMapModel) {
       }
       EXPECT_EQ(all_entries(), entries);
       EXPECT_EQ(all_placements(), placements);
-      EXPECT_EQ(g.generation(), generation);
     } else if (action < 0.85) {
       const Shape s = random_shape();
       if (s.kind == 1 && s.r.Empty()) continue;
-      const uint64_t generation = g.generation();
       ASSERT_TRUE(update(key, s).ok());
-      EXPECT_GT(g.generation(), generation);
       model[key] = cells_of(s);
     } else {
       ASSERT_TRUE(g.Remove(key).ok());
@@ -401,29 +395,6 @@ TEST_P(GridIndexDifferentialTest, MatchesMapModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridIndexDifferentialTest,
                          ::testing::Values(5, 6, 7, 8));
-
-TEST(GridIndexTest, GenerationCountsEveryMutation) {
-  GridIndex grid = GridIndex::Create(Rect{0, 0, 1000, 1000}, 10).value();
-  EXPECT_EQ(grid.generation(), 0u);
-  ASSERT_TRUE(grid.Insert(1, Point{100, 100}).ok());
-  const uint64_t after_insert = grid.generation();
-  EXPECT_GT(after_insert, 0u);
-  // Update re-places the key: the generation must advance (consumers caching
-  // FlattenEntries snapshots key on it).
-  ASSERT_TRUE(grid.Update(1, Point{900, 900}).ok());
-  const uint64_t after_update = grid.generation();
-  EXPECT_GT(after_update, after_insert);
-  ASSERT_TRUE(grid.Remove(1).ok());
-  const uint64_t after_remove = grid.generation();
-  EXPECT_GT(after_remove, after_update);
-  // Reads leave the generation alone.
-  std::vector<uint32_t> offsets, entries;
-  grid.FlattenEntries(&offsets, &entries);
-  (void)grid.CellEntries(0);
-  EXPECT_EQ(grid.generation(), after_remove);
-  grid.Clear();
-  EXPECT_GT(grid.generation(), after_remove);
-}
 
 }  // namespace
 }  // namespace scuba

@@ -56,7 +56,6 @@ TEST(LoadShedderTest, AdaptiveRelaxesWhenMemoryFalls) {
   opt.mode = LoadSheddingMode::kAdaptive;
   opt.memory_budget_bytes = 1000;
   opt.eta_step = 0.5;
-  opt.relax_fraction = 0.7;
   LoadShedder s(opt, 100.0);
   s.ObserveMemoryUsage(2000);
   EXPECT_DOUBLE_EQ(s.eta(), 0.5);

@@ -109,11 +109,6 @@ TEST(ScubaOptionsTest, SheddingBranches) {
   opt.shedding.eta_step = 1.5;
   EXPECT_TRUE(opt.Validate().IsInvalidArgument());
   opt.shedding.eta_step = 0.25;
-  opt.shedding.relax_fraction = 0.0;
-  EXPECT_TRUE(opt.Validate().IsInvalidArgument());
-  opt.shedding.relax_fraction = 1.0;
-  EXPECT_TRUE(opt.Validate().IsInvalidArgument());
-  opt.shedding.relax_fraction = 0.7;
   EXPECT_TRUE(opt.Validate().ok());
 
   // Fixed mode ignores adaptive-only fields.
@@ -149,12 +144,6 @@ TEST(ScubaOptionsTest, NonFiniteFloatsAreRejected) {
          o->shedding.mode = LoadSheddingMode::kAdaptive;
          o->shedding.memory_budget_bytes = 1024;
          o->shedding.eta_step = v;
-       }},
-      {"relax_fraction",
-       [](ScubaOptions* o, double v) {
-         o->shedding.mode = LoadSheddingMode::kAdaptive;
-         o->shedding.memory_budget_bytes = 1024;
-         o->shedding.relax_fraction = v;
        }},
       {"round_deadline_seconds",
        [](ScubaOptions* o, double v) {

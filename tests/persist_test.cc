@@ -399,11 +399,11 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
   ASSERT_GT(validator.stats().TotalRejected(), 0u);
 
   const std::string payload = PersistAccess::SaveEngineSnapshot(
-      *engine, &validator, /*rng=*/nullptr, /*wal_next_seq=*/0, 4);
+      *engine, &validator, /*wal_next_seq=*/0, 4);
   std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
   UpdateValidator validator2(config);
   Status loaded = PersistAccess::LoadEngineSnapshot(
-      payload, engine2.get(), &validator2, /*rng=*/nullptr);
+      payload, engine2.get(), &validator2);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
   EXPECT_EQ(validator2.stats().screened, validator.stats().screened);
   EXPECT_EQ(validator2.stats().admitted, validator.stats().admitted);
@@ -423,25 +423,6 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
   EXPECT_EQ(stale.objects.size(), stale2.objects.size());
   EXPECT_EQ(validator.stats().Rejected(RejectReason::kTimeRegression),
             validator2.stats().Rejected(RejectReason::kTimeRegression));
-}
-
-TEST(SnapshotTest, RngStateSurvivesRoundTrip) {
-  std::vector<Round> rounds = MakeRounds(61, 2);
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
-  Drive(engine.get(), rounds, 0, 2);
-  Rng rng(0xABCDEF);
-  rng.NextDouble(0, 1);  // advance off the seed state
-  rng.NextDouble(0, 1);
-  const std::string payload = PersistAccess::SaveEngineSnapshot(
-      *engine, /*validator=*/nullptr, &rng, /*wal_next_seq=*/0, 2);
-  const double expected = rng.NextDouble(0, 1);
-
-  std::unique_ptr<ScubaEngine> engine2 = MakeEngine(ScubaOptions{});
-  Rng rng2(1);  // different seed; state comes from the checkpoint
-  ASSERT_TRUE(PersistAccess::LoadEngineSnapshot(payload, engine2.get(),
-                                                /*validator=*/nullptr, &rng2)
-                  .ok());
-  EXPECT_EQ(rng2.NextDouble(0, 1), expected);
 }
 
 TEST(SnapshotTest, RepeatedCheckpointsRestoreTheNewest) {
@@ -473,7 +454,7 @@ TEST(SnapshotTest, ManagerPrunesGenerationsToKeepLastK) {
   std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   for (int r = 0; r < 8; ++r) {
@@ -537,7 +518,7 @@ TEST(SnapshotTest, CheckpointsOfOneRunAreByteIdentical) {
       std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
       Result<std::unique_ptr<DurabilityManager>> manager =
           DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
-                                  /*validator=*/nullptr, /*rng=*/nullptr,
+                                  /*validator=*/nullptr,
                                   /*crash=*/nullptr);
       ASSERT_TRUE(manager.ok()) << manager.status().ToString();
       for (int r = 0; r < 8; ++r) {
@@ -645,7 +626,7 @@ TEST(WalTest, EngineCountsOnlyDurableAppends) {
   CrashInjector crash(CrashPoint::kMidWalAppend, 2);
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir.path(), policy, engine.get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               &crash);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   auto log = [&](int r) {

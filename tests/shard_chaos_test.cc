@@ -112,11 +112,11 @@ ChaosOutcome RunChaos(const std::vector<Round>& rounds, const std::string& dir,
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, opt.checkpoint, engine->get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               /*crash=*/nullptr);
   EXPECT_TRUE(manager.ok()) << manager.status().ToString();
   (*engine)->set_stripe_recovery([dir](ScubaEngine* e, uint32_t s) {
-    return RecoverWindow(dir, e, s, /*validator_config=*/nullptr);
+    return RecoverWindow(dir, e, s);
   });
 
   ChaosOutcome out;

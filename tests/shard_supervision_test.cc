@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -174,7 +175,7 @@ TEST(ShardFaultInjectorTest, DirectivesOverrideTheDice) {
 }
 
 TEST(ShardFaultInjectorTest, SameSeedRollsTheSameSchedule) {
-  const ShardFaultPlan plan = ShardFaultPlan::AllFaults(0.3);
+  const ShardFaultPlan plan{.rate = 0.3, .directives = {}};
   ShardFaultInjector a(plan, 7), b(plan, 7), c(plan, 8);
   bool diverged_from_c = false;
   for (uint64_t round = 1; round <= 50; ++round) {
@@ -187,6 +188,46 @@ TEST(ShardFaultInjectorTest, SameSeedRollsTheSameSchedule) {
     }
   }
   EXPECT_TRUE(diverged_from_c) << "different seeds rolled identical faults";
+}
+
+TEST(ShardFaultInjectorTest, ScheduleMatchesTheGoldenRolls) {
+  // Schedules rolled by the build that still had one rate per fault class
+  // (all four set to the same value), 4 windows x 20 rounds, one character
+  // per (round, window) in that order: '.' = no fault, otherwise the class
+  // initial (T)ask-failure, (C)orrupt-state, (S)tall, (R)ecovery-failure.
+  // Every class still takes its own draw, so the rolls must match exactly.
+  struct Golden {
+    uint64_t seed;
+    double rate;
+    std::string schedule;
+  };
+  const Golden goldens[] = {
+      {0x5C0BA, 0.1,
+       "TT.R..R...R.TTT...T....TT.S.R.T....R...."
+       "TSS.C..R...CC..R.C.S.C.R.....T.T........"},
+      {0x5C0BA, 0.3,
+       "TT.CTCTTCTSSTTTCT.TS...TT.SCTTT.TC.RTTSS"
+       "TSTSCSCR.TTCC.TCTCRTTT.RCSS.TTRT.TTTTSRT"},
+      {7, 0.1,
+       ".S....SS...C........TR..T..S.R..CT......"
+       "T..S.CC....CT.CT.TTTRR....C.TRR..R.R...."},
+      {7, 0.3,
+       "CSC.TTCT..CC.TTTRSTRTRTTTR.S.RRTCTCSS..."
+       "TCTS.CC..CSCTCTTCTTTCS.C.TT.TTRT.TTR...."},
+  };
+  for (const Golden& g : goldens) {
+    const ShardFaultPlan plan{.rate = g.rate, .directives = {}};
+    ShardFaultInjector injector(plan, g.seed);
+    std::string schedule;
+    for (uint64_t round = 1; round <= 20; ++round) {
+      injector.BeginRound(round, 4);
+      for (uint32_t w = 0; w < 4; ++w) {
+        const std::optional<ShardFaultClass> fault = injector.FaultFor(w);
+        schedule += fault ? "TCSR"[static_cast<size_t>(*fault)] : '.';
+      }
+    }
+    EXPECT_EQ(schedule, g.schedule) << "seed " << g.seed << " rate " << g.rate;
+  }
 }
 
 TEST(ShardSupervisionTest, MalformedFaultSpecFailsEngineCreation) {
@@ -352,6 +393,41 @@ TEST(ShardSupervisionTest, WindowAuditCatchesInjectedGridCorruption) {
 
 // --- online recovery from the durable root ---
 
+/// Drives every round through a durable root under `dir`, CLI ordering: the
+/// batch is WAL-logged before it is evaluated, so when round r's join fails
+/// the durable root already holds round r — the recovery twin replays to
+/// exactly the live engine's round.
+std::unique_ptr<ScubaEngine> DriveDurable(const std::vector<Round>& rounds,
+                                          const ScubaOptions& opt,
+                                          const std::string& dir,
+                                          DriveLog* log) {
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
+  Result<std::unique_ptr<DurabilityManager>> manager =
+      DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
+                              /*validator=*/nullptr, /*crash=*/nullptr);
+  EXPECT_TRUE(manager.ok()) << manager.status().ToString();
+  if (!manager.ok()) return engine;
+  engine->set_stripe_recovery([dir](ScubaEngine* e, uint32_t s) {
+    return RecoverWindow(dir, e, s);
+  });
+  ResultSet results;
+  for (size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_TRUE((*manager)
+                    ->LogBatch(static_cast<Timestamp>(r + 1), true,
+                               rounds[r].objects, rounds[r].queries)
+                    .ok());
+    EXPECT_TRUE(
+        engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
+    Status s = engine->Evaluate(static_cast<Timestamp>(r + 1), &results);
+    EXPECT_TRUE(s.ok()) << "round " << (r + 1) << ": " << s.ToString();
+    log->rounds.push_back(results);
+    log->degraded.push_back(results.degraded_shards());
+    EXPECT_TRUE((*manager)->OnRoundComplete().ok());
+  }
+  log->final_hash = EngineStateHash(*engine);
+  return engine;
+}
+
 TEST(ShardSupervisionTest, DurableRecoveryHealsCorruptionAndConvergesExactly) {
   const std::vector<Round> rounds = MakeRounds(6);
   ScopedTempDir dir("supervision_recovery_dir");
@@ -359,37 +435,9 @@ TEST(ShardSupervisionTest, DurableRecoveryHealsCorruptionAndConvergesExactly) {
   opt.checkpoint.every_n_rounds = 2;
   opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
   opt.supervision.fault_spec = "3:1:corrupt-state";
-
-  std::unique_ptr<ScubaEngine> engine = MakeEngine(opt);
-  Result<std::unique_ptr<DurabilityManager>> manager =
-      DurabilityManager::Open(dir.path(), opt.checkpoint, engine.get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
-                              /*crash=*/nullptr);
-  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
-  const std::string root = dir.path();
-  engine->set_stripe_recovery([root](ScubaEngine* e, uint32_t s) {
-    return RecoverWindow(root, e, s, /*validator_config=*/nullptr);
-  });
-
   DriveLog log;
-  ResultSet results;
-  for (size_t r = 0; r < rounds.size(); ++r) {
-    // CLI ordering: the batch is WAL-logged before it is evaluated, so when
-    // round r's join fails the durable root already holds round r — the
-    // recovery twin replays to exactly the live engine's round.
-    ASSERT_TRUE((*manager)
-                    ->LogBatch(static_cast<Timestamp>(r + 1), true,
-                               rounds[r].objects, rounds[r].queries)
-                    .ok());
-    ASSERT_TRUE(
-        engine->IngestBatch(rounds[r].objects, rounds[r].queries).ok());
-    Status s = engine->Evaluate(static_cast<Timestamp>(r + 1), &results);
-    ASSERT_TRUE(s.ok()) << "round " << (r + 1) << ": " << s.ToString();
-    log.rounds.push_back(results);
-    log.degraded.push_back(results.degraded_shards());
-    ASSERT_TRUE((*manager)->OnRoundComplete().ok());
-  }
-  log.final_hash = EngineStateHash(*engine);
+  std::unique_ptr<ScubaEngine> engine =
+      DriveDurable(rounds, opt, dir.path(), &log);
 
   ASSERT_EQ(
       engine->supervisor()->injector()->stats().Injected(
@@ -410,6 +458,29 @@ TEST(ShardSupervisionTest, DurableRecoveryHealsCorruptionAndConvergesExactly) {
     EXPECT_EQ(log.rounds[r], clean.rounds[r]) << "round " << (r + 1);
   }
   EXPECT_EQ(log.final_hash, clean.final_hash);
+}
+
+TEST(ShardSupervisionTest, FinalRoundRecoveryKeepsEvalStatsOnTheJoinCounters) {
+  // The recovery adopts the twin's join counters after the round's Evaluate
+  // wrote EvalStats' copies; with no later round to overwrite them, the
+  // adoption itself must keep the two in step.
+  const std::vector<Round> rounds = MakeRounds(3);
+  ScopedTempDir dir("supervision_final_round_dir");
+  ScubaOptions opt = MakeOptions(4);
+  opt.checkpoint.every_n_rounds = 1;
+  opt.supervision.on_failure = ShardFailurePolicy::kDegrade;
+  opt.supervision.fault_spec = "3:1:corrupt-state";
+  DriveLog log;
+  std::unique_ptr<ScubaEngine> engine =
+      DriveDurable(rounds, opt, dir.path(), &log);
+  ASSERT_EQ(engine->supervisor()->stats().shard_recoveries, 1u);
+
+  const EngineSnapshotStats stats = engine->StatsSnapshot();
+  EXPECT_EQ(stats.eval.comparisons, stats.join.comparisons);
+  EXPECT_EQ(stats.eval.bounds_checks, stats.join.bounds_checks);
+  EXPECT_EQ(stats.eval.cluster_pairs_tested, stats.join.pairs_tested);
+  EXPECT_EQ(stats.eval.cluster_pairs_overlapping,
+            stats.join.pairs_overlapping);
 }
 
 TEST(ShardSupervisionTest, RecoveryFailureInjectionDrivesBackoffToEviction) {

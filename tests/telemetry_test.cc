@@ -692,7 +692,7 @@ TEST(TelemetryTest, DurabilitySinkEmitsCheckpointSpans) {
       std::move(ScubaEngine::Create(opt).value());
   Result<std::unique_ptr<DurabilityManager>> manager =
       DurabilityManager::Open(dir, opt.checkpoint, engine.get(),
-                              /*validator=*/nullptr, /*rng=*/nullptr,
+                              /*validator=*/nullptr,
                               /*crash=*/nullptr);
   ASSERT_TRUE(manager.ok()) << manager.status().ToString();
   const std::vector<Round> rounds = MakeRounds(61, 3);

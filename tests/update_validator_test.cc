@@ -215,16 +215,11 @@ TEST(UpdateValidatorTest, RepairNeverFabricatesRangesOrCoordinates) {
   EXPECT_EQ(v.stats().repaired, 0u);
 }
 
-TEST(UpdateValidatorTest, ZeroIdRejectedOnlyWhenConfigured) {
-  ValidatorConfig config = Config(BadUpdatePolicy::kQuarantine);
-  UpdateValidator lax(config);
-  ASSERT_TRUE(ScreenOne(&lax, Obj(0)).ok());
-  EXPECT_EQ(lax.stats().admitted, 1u);
-
-  config.reject_zero_ids = true;
-  UpdateValidator picky(config);
-  ASSERT_TRUE(ScreenOne(&picky, Obj(0)).ok());
-  EXPECT_EQ(picky.stats().Rejected(RejectReason::kZeroId), 1u);
+TEST(UpdateValidatorTest, ZeroIdIsAdmitted) {
+  // The workload generator numbers entities from 0.
+  UpdateValidator v(Config(BadUpdatePolicy::kQuarantine));
+  ASSERT_TRUE(ScreenOne(&v, Obj(0)).ok());
+  EXPECT_EQ(v.stats().admitted, 1u);
 }
 
 TEST(UpdateValidatorTest, BoundsAndNodeChecksAreOptIn) {

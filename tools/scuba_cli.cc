@@ -595,7 +595,7 @@ int CmdRecover(const Flags& flags) {
   // WAL sequence numbers are global batch indices (seq 0 = trace batch 0),
   // so the replayed log tells us exactly where to resume the trace.
   Result<RecoveryReport> report = RecoverEngine(
-      durable_dir, handle.scuba, screen, /*rng=*/nullptr, sink);
+      durable_dir, handle.scuba, screen, sink);
   if (!report.ok()) return Fail(report.status());
   std::printf("%s\n",
               json ? report->ToJson().c_str() : report->ToString().c_str());
