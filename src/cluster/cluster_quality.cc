@@ -19,8 +19,8 @@ ClusterQuality EvaluateClusterQuality(const ClusterStore& store) {
   ClusterQuality q;
   double radius_sum = 0.0;
   double sq_dist_sum = 0.0;
-  for (const auto& [cid, cluster] : store.clusters()) {
-    (void)cid;
+  for (ClusterId cid : store.SortedClusterIds()) {
+    const MovingCluster& cluster = *store.GetCluster(cid);
     ++q.cluster_count;
     q.member_count += cluster.size();
     if (cluster.size() == 1) ++q.singleton_count;

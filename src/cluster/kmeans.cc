@@ -128,33 +128,28 @@ Status PopulateFromKMeans(const std::vector<LocationUpdate>& objs,
   }
 
   // Build one MovingCluster per non-empty k-means cluster by absorbing its
-  // members in input order.
-  std::unordered_map<uint32_t, ClusterId> kmeans_to_cid;
-  std::unordered_map<ClusterId, MovingCluster> building;
+  // members in input order; cids follow first appearance.
+  std::unordered_map<uint32_t, size_t> building_index;
+  std::vector<MovingCluster> building;
   for (size_t i = 0; i < result.assignment.size(); ++i) {
-    uint32_t c = result.assignment[i];
     const bool is_object = i < objs.size();
-    auto it = kmeans_to_cid.find(c);
-    if (it == kmeans_to_cid.end()) {
-      ClusterId cid = store->NextClusterId();
-      kmeans_to_cid.emplace(c, cid);
-      MovingCluster fresh =
-          is_object ? MovingCluster::FromObject(cid, objs[i])
-                    : MovingCluster::FromQuery(cid, qrys[i - objs.size()]);
-      building.emplace(cid, std::move(fresh));
+    const auto [it, fresh] =
+        building_index.try_emplace(result.assignment[i], building.size());
+    if (fresh) {
+      const ClusterId cid = store->NextClusterId();
+      building.push_back(is_object
+                             ? MovingCluster::FromObject(cid, objs[i])
+                             : MovingCluster::FromQuery(cid, qrys[i - objs.size()]));
+    } else if (is_object) {
+      building[it->second].AbsorbObject(objs[i]);
     } else {
-      MovingCluster& cluster = building.at(it->second);
-      if (is_object) {
-        cluster.AbsorbObject(objs[i]);
-      } else {
-        cluster.AbsorbQuery(qrys[i - objs.size()]);
-      }
+      building[it->second].AbsorbQuery(qrys[i - objs.size()]);
     }
   }
 
-  for (auto& [cid, cluster] : building) {
+  for (MovingCluster& cluster : building) {
     cluster.RecomputeTightBounds();
-    SCUBA_RETURN_IF_ERROR(grid->Insert(cid, cluster.Bounds()));
+    SCUBA_RETURN_IF_ERROR(grid->Insert(cluster.cid(), cluster.Bounds()));
     SCUBA_RETURN_IF_ERROR(store->AddCluster(std::move(cluster)));
   }
   return Status::OK();

@@ -45,26 +45,28 @@ Status LeaderFollowerClusterer::SyncGrid(MovingCluster* cluster) {
                          options_.grid_sync_padding);
 }
 
-ClusterId LeaderFollowerClusterer::FindCompatibleCluster(Point position,
-                                                         double speed,
-                                                         NodeId dest) const {
-  auto check = [&](ClusterId cid) {
-    const MovingCluster* c = store_->GetCluster(cid);
-    return c != nullptr &&
-           c->SatisfiesJoinConditions(position, speed, dest, options_.theta_d,
-                                      options_.theta_s);
-  };
-
+ClusterStore::ClusterSlot LeaderFollowerClusterer::FindCompatibleCluster(
+    Point position, double speed, NodeId dest) const {
   // The minimum compatible cid wins regardless of where candidates sit in a
   // cell's entry vector (see the header: this keeps clustering decisions
   // independent of grid-registration order).
   ClusterId best = kInvalidClusterId;
+  ClusterStore::ClusterSlot best_slot = ClusterStore::kNoSlot;
+  auto consider = [&](ClusterId cid) {
+    if (best != kInvalidClusterId && cid >= best) return;
+    const ClusterStore::ClusterSlot slot = store_->FindCluster(cid);
+    if (slot != ClusterStore::kNoSlot &&
+        store_->ClusterAt(slot)->SatisfiesJoinConditions(
+            position, speed, dest, options_.theta_d, options_.theta_s)) {
+      best = cid;
+      best_slot = slot;
+    }
+  };
+
   if (!options_.probe_theta_d_disk) {
     // Paper step 1: probe the cell under the update.
-    for (uint32_t cid : grid_->EntriesNear(position)) {
-      if ((best == kInvalidClusterId || cid < best) && check(cid)) best = cid;
-    }
-    return best;
+    for (uint32_t cid : grid_->EntriesNear(position)) consider(cid);
+    return best_slot;
   }
 
   // Ablation variant: gather candidates from every cell within theta_d.
@@ -72,10 +74,8 @@ ClusterId LeaderFollowerClusterer::FindCompatibleCluster(Point position,
   Rect probe{position.x - options_.theta_d, position.y - options_.theta_d,
              position.x + options_.theta_d, position.y + options_.theta_d};
   grid_->CollectInRect(probe, &candidates);
-  for (uint32_t cid : candidates) {
-    if ((best == kInvalidClusterId || cid < best) && check(cid)) best = cid;
-  }
-  return best;
+  for (uint32_t cid : candidates) consider(cid);
+  return best_slot;
 }
 
 Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
@@ -95,12 +95,13 @@ Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
   // QueriesTable current and yields the entity's home and member index.
   const ClusterStore::Slot slot = store_->UpsertAttrs(ref, attrs);
 
-  // Fast path: the entity already lives in a cluster; refresh it in place if
-  // it still satisfies the admission conditions.
-  const ClusterId home = store_->SlotHome(slot);
-  if (home != kInvalidClusterId) {
-    MovingCluster* cluster = store_->GetCluster(home);
-    SCUBA_CHECK_MSG(cluster != nullptr, "ClusterHome points at a missing cluster");
+  // Fast path: the entity already lives in a cluster, reached through the
+  // row's cluster slot; refresh it in place if it still satisfies the
+  // admission conditions.
+  const ClusterStore::ClusterSlot home = store_->SlotHome(slot);
+  if (home != ClusterStore::kNoSlot) {
+    MovingCluster* cluster = store_->ClusterAt(home);
+    SCUBA_CHECK_MSG(cluster != nullptr, "ClusterHome points at a free slot");
     const size_t index = store_->SlotMemberIndex(slot);
     if (cluster->SatisfiesJoinConditions(position, speed, dest,
                                          options_.theta_d, options_.theta_s)) {
@@ -126,8 +127,9 @@ Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
     }
     ++stats_.members_departed;
     if (cluster->size() == 0) {
-      SCUBA_RETURN_IF_ERROR(grid_->Remove(home));
-      SCUBA_RETURN_IF_ERROR(store_->RemoveCluster(home));
+      const ClusterId cid = cluster->cid();
+      SCUBA_RETURN_IF_ERROR(grid_->Remove(cid));
+      SCUBA_RETURN_IF_ERROR(store_->RemoveCluster(cid));
       ++stats_.clusters_dissolved_empty;
     } else {
       SCUBA_RETURN_IF_ERROR(SyncGrid(cluster));
@@ -135,9 +137,10 @@ Status LeaderFollowerClusterer::ProcessUpdate(EntityKind kind,
   }
 
   // Paper steps 1+3+4: probe the grid and join the first compatible cluster.
-  ClusterId target = FindCompatibleCluster(position, speed, dest);
-  if (target != kInvalidClusterId) {
-    MovingCluster* cluster = store_->GetCluster(target);
+  const ClusterStore::ClusterSlot target =
+      FindCompatibleCluster(position, speed, dest);
+  if (target != ClusterStore::kNoSlot) {
+    MovingCluster* cluster = store_->ClusterAt(target);
     if (kind == EntityKind::kObject) {
       cluster->AbsorbObject(*obj);
     } else {

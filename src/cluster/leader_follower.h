@@ -97,14 +97,15 @@ class LeaderFollowerClusterer {
   Status ProcessUpdate(EntityKind kind, const LocationUpdate* obj,
                        const QueryUpdate* qry);
 
-  /// Finds the lowest-cid compatible cluster near `position` (paper step
-  /// 1/3). Picking the minimum cid — rather than the first compatible entry
+  /// Slot of the lowest-cid compatible cluster near `position` (paper step
+  /// 1/3), or ClusterStore::kNoSlot. Picking the minimum cid — rather than the first compatible entry
   /// in grid-cell order — makes the choice independent of how registrations
   /// happen to be ordered inside a cell (cell-entry order depends on the
   /// history of removals and re-registrations, including post-join's
   /// cid-ordered apply and snapshot restores).
-  ClusterId FindCompatibleCluster(Point position, double speed,
-                                  NodeId dest) const;
+  ClusterStore::ClusterSlot FindCompatibleCluster(Point position,
+                                                  double speed,
+                                                  NodeId dest) const;
 
   /// Re-registers a cluster's (possibly changed) bounds in the grid.
   Status SyncGrid(MovingCluster* cluster);

@@ -395,9 +395,10 @@ Status MovingCluster::ValidateMemberCounts() const {
 
 size_t MovingCluster::EstimateMemoryUsage() const {
   // A maintained member pays for its full record; a shed member's position
-  // state (offset + anchor) is discarded (paper §5).
+  // state (offset + anchor) is discarded (paper §5). The inline bytes are
+  // the holder's to count.
   constexpr size_t kPositionBytes = sizeof(Vec2) + sizeof(Point);
-  size_t bytes = sizeof(MovingCluster);
+  size_t bytes = 0;
   for (const ClusterMember& m : members_) {
     bytes += sizeof(ClusterMember);
     if (m.shed) bytes -= kPositionBytes;

@@ -214,7 +214,8 @@ class MovingCluster {
   /// store's ClusterStore::ValidateMemberSlots).
   Status ValidateMemberCounts() const;
 
-  /// Analytic heap bytes. Shed members do not pay for position state, their
+  /// Analytic heap bytes of the member records (the inline bytes are the
+  /// holder's to count). Shed members do not pay for position state, their
   /// offset and anchor (the paper's memory saving); maintained members pay
   /// the full member record. The Cartesian offset is the same 16 bytes the
   /// paper's polar (r, theta) would be.

@@ -4,12 +4,11 @@
 #define SCUBA_COMMON_STOPWATCH_H_
 
 #include <chrono>
-#include <cstdint>
 
 namespace scuba {
 
-/// Measures elapsed monotonic time. Start() resets; Elapsed*() reads without
-/// stopping, so one stopwatch can bracket several phases.
+/// Measures elapsed monotonic time. Start() resets; ElapsedSeconds() reads
+/// without stopping, so one stopwatch can bracket several phases.
 class Stopwatch {
  public:
   Stopwatch() { Start(); }
@@ -18,14 +17,6 @@ class Stopwatch {
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
-  int64_t ElapsedNanos() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                start_)
-        .count();
   }
 
  private:

@@ -10,12 +10,6 @@
 #include "core/join_kernels.h"
 
 namespace scuba {
-namespace {
-
-/// slot_by_cid_ sentinel: cid not registered this round.
-constexpr uint32_t kNoSlot = UINT32_MAX;
-
-}  // namespace
 
 ClusterJoinExecutor::ClusterJoinExecutor(bool query_reach_aware,
                                          uint32_t threads)
@@ -69,20 +63,16 @@ size_t ClusterJoinExecutor::SlabArena::EstimateMemoryUsage() const {
          VectorMemoryUsage(cells);
 }
 
-void ClusterJoinExecutor::FillView(uint32_t slot,
-                                   const MovingCluster& cluster) {
-  JoinView& view = views_[slot];
+void ClusterJoinExecutor::FillView(JoinView* out, const MovingCluster& cluster,
+                                   const std::vector<uint32_t>& cells) {
+  JoinView& view = *out;
   view.bounds = cluster.Bounds();
   view.coarse = query_reach_aware_ ? cluster.JoinBounds() : cluster.Bounds();
   view.mixed = cluster.HasMixedKinds();
   view.has_objects = cluster.object_count() > 0;
   view.has_queries = cluster.query_count() > 0;
-
-  // Cell list: copy into the arena span, sorted ascending (owner-cell rule).
-  const std::vector<uint32_t>& cells = *cell_lists_[slot];
-  uint32_t* cell_span = arena_.cells.data() + view.cells_begin;
-  std::copy(cells.begin(), cells.end(), cell_span);
-  std::sort(cell_span, cell_span + view.cells_count);
+  // Cell list: a grid placement already ascends (owner-cell rule).
+  std::copy(cells.begin(), cells.end(), arena_.cells.data() + view.cells_begin);
 
   // Exact members into the SoA slabs (members() order, shed skipped).
   MemberExportSpans spans;
@@ -227,14 +217,6 @@ void ClusterJoinExecutor::JoinObjectsToQueries(const JoinView& objects_view,
   }
 }
 
-uint32_t ClusterJoinExecutor::SlotOf(ClusterId cid) const {
-  // Unsigned wrap sends cids below the base past the table's end.
-  const size_t index = static_cast<size_t>(cid - slot_base_cid_);
-  SCUBA_CHECK_MSG(index < slot_by_cid_.size() && slot_by_cid_[index] != kNoSlot,
-                  "grid references a missing cluster");
-  return slot_by_cid_[index];
-}
-
 void ClusterJoinExecutor::JoinPair(const JoinView& a, const JoinView& b,
                                    JoinScratch* scratch, Counters* counters,
                                    ResultSet* results,
@@ -250,108 +232,90 @@ void ClusterJoinExecutor::JoinPair(const JoinView& a, const JoinView& b,
   }
 }
 
-void ClusterJoinExecutor::ScanViews(std::atomic<uint32_t>* next_slot,
-                                    uint32_t chunk_size, uint32_t cell_begin,
-                                    uint32_t cell_end, JoinScratch* scratch,
-                                    Counters* counters, ResultSet* results,
-                                    double* within_seconds) const {
-  const uint32_t view_count = static_cast<uint32_t>(views_.size());
-  const uint32_t* entries_base = cell_entries_.data();
-  const uint32_t* all_cells = arena_.cells.data();
+void ClusterJoinExecutor::ScanView(uint32_t a, uint32_t cell_begin,
+                                   uint32_t cell_end, JoinScratch* scratch,
+                                   Counters* counters, ResultSet* results,
+                                   double* within_seconds) const {
+  const JoinView& aview = views_[a];
+  const uint32_t* acells = arena_.cells.data() + aview.cells_begin;
+  const uint32_t acount = aview.cells_count;
+  // Every pair (and the self-join) this view owns has its owner cell among
+  // acells, so an empty view, or one wholly outside the window, owns nothing
+  // here.
+  if (acount == 0 || acells[0] >= cell_end || acells[acount - 1] < cell_begin) {
+    return;
+  }
+  // Same-cluster join-within, evaluated only in the cluster's lowest cell
+  // (once per round, even though the cluster appears in every cell its
+  // circle overlaps).
+  if (aview.mixed && acells[0] >= cell_begin) {
+    ++counters->within_joins_single;
+    JoinPair(aview, aview, scratch, counters, results, within_seconds);
+  }
+  // Owner-cell rule: acells ascend, so the first cell where the walk meets b
+  // is the lowest cell the pair shares. The stamp skips b in every later
+  // shared cell, and the pair is taken from its lower slot only, so each
+  // pair is evaluated once — by the window holding that cell. Cells before
+  // the window are still walked: they may be a pair's owner cell, which then
+  // lies in another window.
   uint32_t* stamp = scratch->stamp.data();
-  for (;;) {
-    const uint32_t begin =
-        next_slot->fetch_add(chunk_size, std::memory_order_relaxed);
-    if (begin >= view_count) return;
-    const uint32_t end = std::min(begin + chunk_size, view_count);
-    for (uint32_t a = begin; a < end; ++a) {
-      const JoinView& aview = views_[a];
-      const uint32_t* acells = all_cells + aview.cells_begin;
-      const uint32_t acount = aview.cells_count;
-      // Every pair (and the self-join) this view owns has its owner cell
-      // among acells, so a view wholly outside the window owns nothing here.
-      if (acells[0] >= cell_end || acells[acount - 1] < cell_begin) continue;
-      // Same-cluster join-within, evaluated only in the cluster's lowest
-      // cell (once per round, even though the cluster appears in every cell
-      // its circle overlaps).
-      if (aview.mixed && acells[0] >= cell_begin) {
-        ++counters->within_joins_single;
-        JoinPair(aview, aview, scratch, counters, results, within_seconds);
-      }
-      // Owner-cell rule: acells ascend, so the first cell where the walk
-      // meets b is the lowest cell the pair shares. The stamp skips b in
-      // every later shared cell, and the pair is taken from its lower slot
-      // only, so each pair is evaluated once — by the window holding that
-      // cell. Cells before the window are still walked: they may be a
-      // pair's owner cell, which then lies in another window.
-      for (uint32_t k = 0; k < acount && acells[k] < cell_end; ++k) {
-        const uint32_t cell = acells[k];
-        const uint32_t* entries = entries_base + cell_offsets_[cell];
-        const uint32_t entry_count =
-            cell_offsets_[cell + 1] - cell_offsets_[cell];
-        for (uint32_t i = 0; i < entry_count; ++i) {
-          const uint32_t b = SlotOf(entries[i]);
-          if (b <= a || stamp[b] == a) continue;
-          stamp[b] = a;
-          if (cell < cell_begin) continue;
-          const JoinView& bview = views_[b];
-          // Only kind-complementary pairs can produce results (Alg. 1
-          // line 18).
-          const bool complementary = (aview.has_objects && bview.has_queries) ||
-                                     (aview.has_queries && bview.has_objects);
-          if (!complementary) continue;
-          ++counters->pairs_tested;
-          if (!Overlaps(aview.coarse, bview.coarse)) continue;
-          ++counters->pairs_overlapping;
-          ++counters->within_joins_pair;
-          // Cross combinations only; same-cluster combinations come from the
-          // per-cluster join-within above, so the union-based Algorithm 3
-          // result is preserved without duplicate work.
-          JoinPair(aview, bview, scratch, counters, results, within_seconds);
-        }
-      }
+  for (uint32_t k = 0; k < acount && acells[k] < cell_end; ++k) {
+    const uint32_t cell = acells[k];
+    const uint32_t* entries = cell_entries_.data() + cell_offsets_[cell];
+    const uint32_t entry_count = cell_offsets_[cell + 1] - cell_offsets_[cell];
+    for (uint32_t i = 0; i < entry_count; ++i) {
+      const uint32_t b = entries[i];
+      if (b <= a || stamp[b] == a) continue;
+      stamp[b] = a;
+      if (cell < cell_begin) continue;
+      const JoinView& bview = views_[b];
+      // Only kind-complementary pairs can produce results (Alg. 1 line 18).
+      const bool complementary = (aview.has_objects && bview.has_queries) ||
+                                 (aview.has_queries && bview.has_objects);
+      if (!complementary) continue;
+      ++counters->pairs_tested;
+      if (!Overlaps(aview.coarse, bview.coarse)) continue;
+      ++counters->pairs_overlapping;
+      ++counters->within_joins_pair;
+      // Cross combinations only; same-cluster combinations come from the
+      // per-cluster join-within above, so the union-based Algorithm 3 result
+      // is preserved without duplicate work.
+      JoinPair(aview, bview, scratch, counters, results, within_seconds);
     }
   }
+}
+
+template <typename Fn>
+Status ClusterJoinExecutor::ForEachView(std::vector<double>* busy, Fn fn) {
+  // Several chunks per task, so one dense chunk cannot serialize the round.
+  const uint32_t view_count = static_cast<uint32_t>(views_.size());
+  const uint32_t chunk = view_count / (resolved_threads_ * 8 + 1) + 1;
+  std::atomic<uint32_t> next_slot{0};
+  return RunTaskSet(pool_.get(), resolved_threads_, [&](uint32_t t) {
+    Stopwatch clock;
+    for (uint32_t begin = 0;
+         (begin = next_slot.fetch_add(chunk, std::memory_order_relaxed)) <
+         view_count;) {
+      const uint32_t end = std::min(begin + chunk, view_count);
+      for (uint32_t slot = begin; slot < end; ++slot) fn(t, slot);
+    }
+    if (!busy->empty()) (*busy)[t] += clock.ElapsedSeconds();
+  }, &last_worker_seconds_);
 }
 
 Status ClusterJoinExecutor::Execute(const ClusterStore& store,
                                     const GridIndex& grid,
                                     ResultSet* results) {
-  if (results == nullptr) {
-    return Status::InvalidArgument("results must be non-null");
-  }
   SCUBA_RETURN_IF_ERROR(Prepare(store, grid));
   return ScanWindow(0, CellCount(), results);
 }
 
 Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
                                     const GridIndex& grid) {
-  // Round setup (serial): enumerate the clusters registered in the grid,
-  // resolve each to its stored cluster (a key the store does not hold is
-  // skipped) and assign each a dense view slot. Sorted by cid so slot
-  // assignment — and with it every downstream buffer — is independent of
-  // hash-map iteration order. The cid→slot mapping is a dense table over the
-  // live cid span (live cids are compact enough that one uint32 per id beats
-  // per-entry hashing in the scan by a wide margin); kNoSlot marks ids absent
-  // this round.
-  std::vector<ClusterId> cids = grid.Keys();
-  cluster_refs_.clear();
-  size_t kept = 0;
-  for (ClusterId cid : cids) {
-    const MovingCluster* cluster = store.GetCluster(cid);
-    if (cluster == nullptr) continue;
-    cids[kept++] = cid;
-    cluster_refs_.push_back(cluster);
-  }
-  cids.resize(kept);
-  const uint32_t view_count = static_cast<uint32_t>(cids.size());
+  // View v is store slot v; a free slot or a cluster without a grid
+  // placement gets an empty view that the scan skips.
+  const uint32_t view_count = store.ClusterSlotCount();
   views_.resize(view_count);
-  slot_base_cid_ = cids.empty() ? 0 : cids.front();
-  slot_by_cid_.assign(cids.empty() ? 0 : cids.back() - slot_base_cid_ + 1,
-                      kNoSlot);
-  for (uint32_t slot = 0; slot < view_count; ++slot) {
-    slot_by_cid_[cids[slot] - slot_base_cid_] = slot;
-  }
 
   const uint32_t tasks = resolved_threads_;
   if (tasks > 1 && pool_ == nullptr) {
@@ -359,43 +323,29 @@ Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
   }
 
   last_worker_seconds_ = 0.0;
-  const bool timed = collect_phase_timings_;
-  last_task_busy_seconds_.assign(timed ? tasks : 0, 0.0);
+  last_task_busy_seconds_.assign(collect_phase_timings_ ? tasks : 0, 0.0);
   last_within_seconds_ = 0.0;
   last_sort_seconds_ = 0.0;
 
-  const uint32_t slot_chunk = SlotChunk();
-
-  // Phase A1 (parallel): per-slot sizing — exact-member counts and grid
-  // cell list, no position reconstruction yet.
-  cell_lists_.resize(view_count);
-  obj_counts_.resize(view_count);
-  qry_counts_.resize(view_count);
-  {
-    std::atomic<uint32_t> next_slot{0};
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(pool_.get(), tasks, [&](uint32_t t) {
-      Stopwatch busy;
-      for (;;) {
-        const uint32_t begin =
-            next_slot.fetch_add(slot_chunk, std::memory_order_relaxed);
-        if (begin >= view_count) break;
-        const uint32_t end = std::min(begin + slot_chunk, view_count);
-        for (uint32_t slot = begin; slot < end; ++slot) {
-          const MovingCluster* cluster = cluster_refs_[slot];
-          const std::vector<uint32_t>* cells = grid.CellsOf(cids[slot]);
-          SCUBA_CHECK_MSG(cells != nullptr && !cells->empty(),
-                          "view built for an unregistered cluster");
-          cell_lists_[slot] = cells;
-          size_t exact_objects = 0;
-          size_t exact_queries = 0;
-          cluster->CountExactMembers(&exact_objects, &exact_queries);
-          obj_counts_[slot] = static_cast<uint32_t>(exact_objects);
-          qry_counts_[slot] = static_cast<uint32_t>(exact_queries);
-        }
-      }
-      if (timed) last_task_busy_seconds_[t] += busy.ElapsedSeconds();
-    }, &last_worker_seconds_));
-  }
+  // Phase A1 (parallel): per-slot sizing — exact-member and grid-cell
+  // counts, no position reconstruction yet.
+  auto size_view = [&](uint32_t, uint32_t slot) {
+    JoinView& view = views_[slot];
+    const MovingCluster* cluster = store.ClusterAt(slot);
+    const std::vector<uint32_t>* cells =
+        cluster == nullptr ? nullptr : grid.CellsOf(cluster->cid());
+    if (cells == nullptr) {
+      view = JoinView{};
+      return;
+    }
+    size_t exact_objects = 0;
+    size_t exact_queries = 0;
+    cluster->CountExactMembers(&exact_objects, &exact_queries);
+    view.obj_count = static_cast<uint32_t>(exact_objects);
+    view.qry_count = static_cast<uint32_t>(exact_queries);
+    view.cells_count = static_cast<uint32_t>(cells->size());
+  };
+  SCUBA_RETURN_IF_ERROR(ForEachView(&last_task_busy_seconds_, size_view));
 
   // Phase A2 (serial): prefix sums assign every view its disjoint arena
   // spans; one arena resize replaces the per-view vector allocations.
@@ -404,14 +354,10 @@ Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
   size_t cell_total = 0;
   max_view_objects_ = 0;
   max_view_queries_ = 0;
-  for (uint32_t slot = 0; slot < view_count; ++slot) {
-    JoinView& view = views_[slot];
+  for (JoinView& view : views_) {
     view.obj_begin = static_cast<uint32_t>(obj_total);
-    view.obj_count = obj_counts_[slot];
     view.qry_begin = static_cast<uint32_t>(qry_total);
-    view.qry_count = qry_counts_[slot];
     view.cells_begin = static_cast<uint32_t>(cell_total);
-    view.cells_count = static_cast<uint32_t>(cell_lists_[slot]->size());
     obj_total += view.obj_count;
     qry_total += view.qry_count;
     cell_total += view.cells_count;
@@ -425,29 +371,25 @@ Status ClusterJoinExecutor::Prepare(const ClusterStore& store,
     scratch.mask.resize(max_view_queries_);
   }
 
-  // Phase A3 (parallel): fill every JoinView — metadata, SoA slabs, hoisted
-  // query rects, nuclei. The table is immutable from here on — the scan
-  // below only reads it.
-  {
-    std::atomic<uint32_t> next_slot{0};
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(pool_.get(), tasks, [&](uint32_t t) {
-      Stopwatch busy;
-      for (;;) {
-        const uint32_t begin =
-            next_slot.fetch_add(slot_chunk, std::memory_order_relaxed);
-        if (begin >= view_count) break;
-        const uint32_t end = std::min(begin + slot_chunk, view_count);
-        for (uint32_t slot = begin; slot < end; ++slot) {
-          FillView(slot, *cluster_refs_[slot]);
-        }
-      }
-      if (timed) last_task_busy_seconds_[t] += busy.ElapsedSeconds();
-    }, &last_worker_seconds_));
-  }
+  // Phase A3 (parallel): fill every non-empty JoinView — metadata, SoA
+  // slabs, hoisted query rects, nuclei. The table is immutable from here on
+  // — the scan below only reads it.
+  auto fill_view = [&](uint32_t, uint32_t slot) {
+    if (views_[slot].cells_count == 0) return;
+    const MovingCluster& cluster = *store.ClusterAt(slot);
+    FillView(&views_[slot], cluster, *grid.CellsOf(cluster.cid()));
+  };
+  SCUBA_RETURN_IF_ERROR(ForEachView(&last_task_busy_seconds_, fill_view));
 
   // CSR snapshot of the grid for the scan: contiguous entry slab, no
-  // per-cell heap buffer chasing. Buffers are reused across rounds.
+  // per-cell heap buffer chasing, each entry turned from a cid into its
+  // store slot here, once. Buffers are reused across rounds.
   grid.FlattenEntries(&cell_offsets_, &cell_entries_);
+  for (uint32_t& entry : cell_entries_) {
+    entry = store.FindCluster(entry);
+    SCUBA_CHECK_MSG(entry != ClusterStore::kNoSlot,
+                    "grid references a missing cluster");
+  }
   cell_count_ = static_cast<uint32_t>(grid.CellCount());
   return Status::OK();
 }
@@ -467,30 +409,26 @@ Status ClusterJoinExecutor::ScanWindow(uint32_t cell_begin, uint32_t cell_end,
   // every window, so windows may be scanned in any order.
   const uint32_t view_count = static_cast<uint32_t>(views_.size());
   for (JoinScratch& scratch : scratch_) {
-    scratch.stamp.assign(view_count, kNoSlot);
+    scratch.stamp.assign(view_count, ClusterStore::kNoSlot);
   }
   const bool timed = collect_phase_timings_;
   std::vector<double> task_within(timed ? tasks : 0, 0.0);
+  std::vector<double> task_busy(timed ? tasks : 0, 0.0);
   const uint32_t cell_limit = std::min(cell_end, cell_count_);
   task_results_.resize(tasks);
   for (ResultSet& r : task_results_) r.Clear();
   std::vector<Counters> task_counters(tasks);
-  {
-    std::atomic<uint32_t> next_slot{0};
-    const uint32_t slot_chunk = SlotChunk();
-    SCUBA_RETURN_IF_ERROR(RunTaskSet(pool_.get(), tasks, [&](uint32_t t) {
-      Stopwatch busy;
-      ScanViews(&next_slot, slot_chunk, cell_begin, cell_limit, &scratch_[t],
-                &task_counters[t], &task_results_[t],
-                timed ? &task_within[t] : nullptr);
-      if (timed) {
-        const double elapsed = busy.ElapsedSeconds();
-        last_task_busy_seconds_[t] += elapsed;
-        task_busy_histogram_.Observe(elapsed);
-      }
-    }, &last_worker_seconds_));
-  }
+  SCUBA_RETURN_IF_ERROR(ForEachView(&task_busy, [&](uint32_t t, uint32_t a) {
+    ScanView(a, cell_begin, cell_limit, &scratch_[t], &task_counters[t],
+             &task_results_[t], timed ? &task_within[t] : nullptr);
+  }));
   for (double w : task_within) last_within_seconds_ += w;
+  // Busy times are observed here, on the calling thread: one observation
+  // per task per window, and no metric is written from a worker.
+  for (uint32_t t = 0; t < task_busy.size(); ++t) {
+    last_task_busy_seconds_[t] += task_busy[t];
+    task_busy_histogram_.Observe(task_busy[t]);
+  }
 
   // The window's answer: one radix sort straight out of the task buffers.
   if (timed) {
@@ -506,12 +444,8 @@ Status ClusterJoinExecutor::ScanWindow(uint32_t cell_begin, uint32_t cell_end,
 
 size_t ClusterJoinExecutor::EstimateMemoryUsage() const {
   size_t bytes = VectorMemoryUsage(views_) + arena_.EstimateMemoryUsage() +
-                 VectorMemoryUsage(slot_by_cid_) +
                  VectorMemoryUsage(cell_offsets_) +
-                 VectorMemoryUsage(cell_entries_) +
-                 VectorMemoryUsage(cluster_refs_) +
-                 VectorMemoryUsage(cell_lists_) +
-                 VectorMemoryUsage(obj_counts_) + VectorMemoryUsage(qry_counts_);
+                 VectorMemoryUsage(cell_entries_);
   bytes += VectorMemoryUsage(scratch_);
   for (const JoinScratch& scratch : scratch_) {
     bytes += VectorMemoryUsage(scratch.indices) +

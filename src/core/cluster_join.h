@@ -19,23 +19,23 @@
 // bit-identical at every thread count (docs/ARCHITECTURE.md §10).
 //
 // A round is Prepare() then one or more ScanWindow() calls. Prepare()
-// precomputes every JoinView once into an immutable per-round table. A
-// window's worker tasks pull contiguous chunks of view slots (ascending cid
-// order) off a shared atomic cursor, each emitting into its own match buffer
-// and Counters. The window's answer is one radix sort (ResultSet::
-// AssignNormalized) that scatters straight out of those buffers and uses
-// them as its scratch; the executor keeps them across rounds, so assembling
-// the answer allocates nothing in steady state. The scan resolves cluster ids
-// through a dense cid→slot table (no hashing) and reads a flattened CSR
-// snapshot of the grid's cell entries.
+// precomputes every JoinView once into an immutable per-round table indexed
+// by store cluster slot (view v is ClusterStore slot v). A window's worker
+// tasks pull contiguous chunks of view slots off a shared atomic cursor, each
+// emitting into its own match buffer and Counters. The window's answer is
+// one radix sort (ResultSet::AssignNormalized) that scatters straight out of
+// those buffers and uses them as its scratch; the executor keeps them across
+// rounds, so assembling the answer allocates nothing in steady state. The
+// scan reads a flattened CSR snapshot of the grid's cell entries whose cids
+// Prepare() turned into store slots, so it resolves no cluster id.
 // The scan is cluster-major: a task walks each of its clusters' sorted cells
 // in ascending order and meets every co-resident cluster with a higher slot.
 // A per-task stamp array marks the partner on first contact, so the cell
 // where a pair first meets is its lowest shared cell (the owner cell) and
 // the pair is evaluated there only — once per round, with no cross-task
 // seen-set. A mixed cluster self-joins only in its own lowest cell. Results
-// and counters are identical at every thread count; only the emission order
-// before the final sort depends on the scan order.
+// and counters are identical at every thread count and for any slot order;
+// only the emission order before the final sort depends on the scan order.
 
 #ifndef SCUBA_CORE_CLUSTER_JOIN_H_
 #define SCUBA_CORE_CLUSTER_JOIN_H_
@@ -89,13 +89,14 @@ class ClusterJoinExecutor {
   ~ClusterJoinExecutor();
 
   /// Runs one full joining phase: Prepare() plus ScanWindow() over every
-  /// cell. Every cluster in `grid` must exist in `store`. Results are
-  /// normalized.
+  /// cell. Every cluster in `grid` must exist in `store` (checked). Results
+  /// are normalized.
   Status Execute(const ClusterStore& store, const GridIndex& grid,
                  ResultSet* results);
 
-  /// Builds the round's join state once: a view of every cluster registered
-  /// in `grid` (read from `store`) and the CSR snapshot of the grid's cells.
+  /// Builds the round's join state once: a view per store cluster slot
+  /// (empty unless the slot holds a cluster registered in `grid`) and the
+  /// CSR snapshot of the grid's cells, entries as store slots.
   /// `store` and `grid` must not change until the round's last ScanWindow().
   Status Prepare(const ClusterStore& store, const GridIndex& grid);
 
@@ -145,8 +146,8 @@ class ClusterJoinExecutor {
   /// attached).
   double last_sort_seconds() const { return last_sort_seconds_; }
 
-  /// Scratch-space heap footprint: the SoA slab arena, view table, dense
-  /// cid→slot table, CSR grid snapshot and per-task kernel scratch. The
+  /// Scratch-space heap footprint: the SoA slab arena, view table, CSR grid
+  /// snapshot and per-task kernel scratch. The
   /// per-task match buffers and the radix histograms are left out: they hold
   /// the round's answer, which the engine's estimate has never counted (nor
   /// its windows' result slices), so adaptive shedding does not depend on
@@ -177,8 +178,9 @@ class ClusterJoinExecutor {
     std::vector<NucleusObject> objects;
     std::vector<ExactQuery> queries;  ///< Shed queries (center = nucleus).
   };
-  /// Per-cluster join-side view, rebuilt once per Prepare() for every cluster
-  /// registered in the grid. Immutable during the window scans. Member and
+  /// Per-cluster join-side view, rebuilt once per Prepare() for every store
+  /// cluster slot (empty: no cells, no members, for a free slot or a cluster
+  /// the grid does not hold). Immutable during the window scans. Member and
   /// cell data live in the executor's slab arena; the view only carries
   /// [begin, begin + count) spans into it. Nucleus groups (load-shedding
   /// only) remain per-view vectors — they are rare and tiny.
@@ -195,7 +197,8 @@ class ClusterJoinExecutor {
     uint32_t obj_count = 0;
     uint32_t qry_begin = 0;    ///< Exact-query span in the arena.
     uint32_t qry_count = 0;
-    /// The cluster's grid cells (arena span), sorted ascending;
+    /// The cluster's grid cells (arena span), ascending like every grid
+    /// placement;
     /// cell 0 of the span owns the self-join, the smallest common cell of a
     /// pair owns the pair join.
     uint32_t cells_begin = 0;
@@ -243,8 +246,15 @@ class ClusterJoinExecutor {
     std::vector<uint32_t> stamp;
   };
 
-  /// Builds views_[slot] from `cluster` into the pre-sized arena spans.
-  void FillView(uint32_t slot, const MovingCluster& cluster);
+  /// Fills a view whose counts and arena spans are set from `cluster` and
+  /// its grid placement `cells`.
+  void FillView(JoinView* view, const MovingCluster& cluster,
+                const std::vector<uint32_t>& cells);
+  /// Runs `fn(task, slot)` for every view slot on the worker tasks, which
+  /// pull slot chunks off a shared cursor; adds each task's busy seconds to
+  /// `(*busy)[task]` unless `busy` is empty (telemetry off).
+  template <typename Fn>
+  Status ForEachView(std::vector<double>* busy, Fn fn);
   void JoinObjectsToQueries(const JoinView& objects_view,
                             const JoinView& queries_view, JoinScratch* scratch,
                             Counters* counters, ResultSet* results) const;
@@ -259,22 +269,13 @@ class ClusterJoinExecutor {
   void JoinPair(const JoinView& a, const JoinView& b, JoinScratch* scratch,
                 Counters* counters, ResultSet* results,
                 double* within_seconds) const;
-  /// One worker task's share of the scan: drains contiguous view-slot chunks
-  /// off the shared cursor and evaluates every pair and self-join whose owner
-  /// cell lies in [cell_begin, cell_end), into task-local buffers.
-  /// `within_seconds` (nullable) accumulates time spent in member-level
-  /// join-within work.
-  void ScanViews(std::atomic<uint32_t>* next_slot, uint32_t chunk_size,
-                 uint32_t cell_begin, uint32_t cell_end, JoinScratch* scratch,
-                 Counters* counters, ResultSet* results,
-                 double* within_seconds) const;
-  /// Slot of a cluster the grid references; aborts when no view holds it.
-  uint32_t SlotOf(ClusterId cid) const;
-  /// View slots a worker task claims per cursor step.
-  uint32_t SlotChunk() const {
-    return static_cast<uint32_t>(views_.size()) / (resolved_threads_ * 8 + 1) +
-           1;
-  }
+  /// View `a`'s share of the scan: every pair it takes from its lower slot
+  /// and its self-join whose owner cell lies in [cell_begin, cell_end), into
+  /// one worker task's buffers. `within_seconds` (nullable) accumulates time
+  /// spent in member-level join-within work.
+  void ScanView(uint32_t a, uint32_t cell_begin, uint32_t cell_end,
+                JoinScratch* scratch, Counters* counters, ResultSet* results,
+                double* within_seconds) const;
 
   bool query_reach_aware_;
   uint32_t resolved_threads_;
@@ -289,31 +290,22 @@ class ClusterJoinExecutor {
   double last_within_seconds_ = 0.0;
   double last_sort_seconds_ = 0.0;
   HistogramMetric task_busy_histogram_;
-  /// Per-round view table (slot-compacted; cluster ids are sparse after long
-  /// runs). Rebuilt each Prepare(), kept until the next round so the adaptive
-  /// load shedder sees the scratch footprint the join really used.
+  /// Per-round view table indexed by store cluster slot, so it is sized by
+  /// the store's slots, not by cluster ids. Rebuilt each Prepare(), kept
+  /// until the next round so the adaptive load shedder sees the scratch
+  /// footprint the join really used.
   std::vector<JoinView> views_;
   SlabArena arena_;
-  /// Dense cid→slot table indexed by cid − slot_base_cid_ (the smallest cid
-  /// in a view this round; kNoSlot = absent), rebuilt each round. Offsetting
-  /// by the smallest live cid keeps it sized by the live cid span, not by
-  /// how many clusters the engine has ever created.
-  std::vector<uint32_t> slot_by_cid_;
-  ClusterId slot_base_cid_ = 0;
-  /// CSR snapshot of the grid's cell entries (FlattenEntries), rebuilt by
-  /// every Prepare(): each round's ingest mutates the grid.
+  /// CSR snapshot of the grid's cell entries (FlattenEntries, each cid then
+  /// replaced by its store slot), rebuilt by every Prepare(): each round's
+  /// ingest mutates the grid.
   std::vector<uint32_t> cell_offsets_;
   std::vector<uint32_t> cell_entries_;
-  /// Sizing-pass scratch (slot-indexed), reused across rounds.
-  std::vector<const MovingCluster*> cluster_refs_;
-  std::vector<const std::vector<uint32_t>*> cell_lists_;
-  std::vector<uint32_t> obj_counts_;
-  std::vector<uint32_t> qry_counts_;
   /// Largest single-view slab sizes this round (scratch sizing).
   uint32_t max_view_objects_ = 0;
   uint32_t max_view_queries_ = 0;
   std::vector<JoinScratch> scratch_;  ///< One per worker task.
-  /// Per-task match buffers, kept across rounds: ScanViews emits into them
+  /// Per-task match buffers, kept across rounds: ScanView emits into them
   /// and ResultSet::AssignNormalized sorts out of them, using them as its
   /// ping-pong scratch (so they trade buffers with the window's answer).
   std::vector<ResultSet> task_results_;

@@ -77,8 +77,8 @@ Result<std::vector<KnnNeighbor>> BruteForceKnn(const ClusterStore& store,
                                                Point query, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   std::vector<KnnNeighbor> neighbors;
-  for (const auto& [cid, cluster] : store.clusters()) {
-    (void)cid;
+  for (ClusterId cid : store.SortedClusterIds()) {
+    const MovingCluster& cluster = *store.GetCluster(cid);
     for (const ClusterMember& m : cluster.members()) {
       if (m.kind != EntityKind::kObject) continue;
       double d = Distance(query, cluster.MemberPosition(m));

@@ -54,7 +54,8 @@ Result<std::string> RenderClustersSvg(const ClusterStore& store,
          options.image_width, proj.height, options.image_width, proj.height);
   out << "<rect width=\"100%\" height=\"100%\" fill=\"#fafafa\"/>\n";
 
-  for (const auto& [cid, cluster] : store.clusters()) {
+  for (ClusterId cid : store.SortedClusterIds()) {
+    const MovingCluster& cluster = *store.GetCluster(cid);
     const int hue = HueOf(cid);
     if (options.draw_clusters) {
       Append(out,

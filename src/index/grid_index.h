@@ -111,10 +111,10 @@ class GridIndex {
   /// walking all cells (a key in many cells appears once).
   std::vector<uint32_t> Keys() const;
 
-  /// Appends the exact cell set Insert(key, c) would register `key` in —
-  /// bounding-box cells refined by a circle-cell intersection test, with the
-  /// center cell as fallback. Pure geometry (no index state), so callers may
-  /// plan registrations concurrently with readers.
+  /// Appends, ascending, the exact cell set Insert(key, c) would register
+  /// `key` in — bounding-box cells refined by a circle-cell intersection
+  /// test, with the center cell as fallback. Pure geometry (no index
+  /// state), so callers may plan registrations concurrently with readers.
   void CellsForCircle(const Circle& c, std::vector<uint32_t>* out) const;
 
   /// Appends every cell overlapping `r` (row-major). Pure geometry, like

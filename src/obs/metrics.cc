@@ -32,43 +32,15 @@ std::string_view MetricKindName(MetricKind kind) {
   return "counter";
 }
 
-uint32_t ThreadShardIndex() {
-  static std::atomic<uint32_t> next{0};
-  thread_local const uint32_t index =
-      next.fetch_add(1, std::memory_order_relaxed) % MetricsRegistry::kShards;
-  return index;
-}
-
-uint64_t Counter::Value() const {
-  if (cells_ == nullptr) return 0;
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < MetricsRegistry::kShards; ++i) {
-    total += cells_[i].value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Gauge::Value() const {
-  if (bits_ == nullptr) return 0.0;
-  return std::bit_cast<double>(bits_->load(std::memory_order_relaxed));
-}
-
-void Gauge::Set(double value) {
-  if (bits_ != nullptr) {
-    bits_->store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
-  }
-}
-
 void HistogramMetric::Observe(double value) {
   if (cells_ == nullptr) return;
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_->begin(), bounds_->end(), value) -
       bounds_->begin());
-  MetricCell* shard = cells_ + ThreadShardIndex() * stride_;
-  shard[bucket].value.fetch_add(1, std::memory_order_relaxed);
-  // Shard sum: CAS loop on the bit pattern. Contention is rare (only threads
-  // hashed onto the same shard) and the loop is wait-free in practice.
-  std::atomic<uint64_t>& sum_bits = shard[stride_ - 1].value;
+  cells_[bucket].fetch_add(1, std::memory_order_relaxed);
+  // Sum: CAS loop on the bit pattern (wait-free in practice; observers are
+  // one thread at a time).
+  std::atomic<uint64_t>& sum_bits = cells_[bounds_->size() + 1];
   uint64_t old_bits = sum_bits.load(std::memory_order_relaxed);
   for (;;) {
     const uint64_t new_bits =
@@ -80,9 +52,6 @@ void HistogramMetric::Observe(double value) {
   }
 }
 
-MetricsRegistry::MetricsRegistry() = default;
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricsRegistry::Metric* MetricsRegistry::FindOrNull(const std::string& name,
                                                      MetricKind kind) {
   auto it = index_.find(name);
@@ -91,37 +60,37 @@ MetricsRegistry::Metric* MetricsRegistry::FindOrNull(const std::string& name,
   return m->kind == kind ? m : nullptr;
 }
 
+std::atomic<uint64_t>* MetricsRegistry::Add(std::string name, std::string help,
+                                            MetricKind kind,
+                                            std::vector<double> bounds) {
+  auto metric = std::make_unique<Metric>();
+  metric->name = std::move(name);
+  metric->help = std::move(help);
+  metric->kind = kind;
+  metric->bounds = std::move(bounds);
+  // Value-initialized: a zero count, and 0.0's bit pattern for a gauge or a
+  // histogram sum.
+  metric->cells = std::make_unique<std::atomic<uint64_t>[]>(
+      kind == MetricKind::kHistogram ? metric->bounds.size() + 2 : 1);
+  index_.emplace(metric->name, metrics_.size());
+  metrics_.push_back(std::move(metric));
+  return metrics_.back()->cells.get();
+}
+
 Counter MetricsRegistry::RegisterCounter(std::string name, std::string help) {
   if (index_.contains(name)) {
     Metric* existing = FindOrNull(name, MetricKind::kCounter);
     return existing != nullptr ? Counter(existing->cells.get()) : Counter();
   }
-  auto metric = std::make_unique<Metric>();
-  metric->name = std::move(name);
-  metric->help = std::move(help);
-  metric->kind = MetricKind::kCounter;
-  metric->cells = std::make_unique<MetricCell[]>(kShards);
-  Counter handle(metric->cells.get());
-  index_.emplace(metric->name, metrics_.size());
-  metrics_.push_back(std::move(metric));
-  return handle;
+  return Counter(Add(std::move(name), std::move(help), MetricKind::kCounter));
 }
 
 Gauge MetricsRegistry::RegisterGauge(std::string name, std::string help) {
   if (index_.contains(name)) {
     Metric* existing = FindOrNull(name, MetricKind::kGauge);
-    return existing != nullptr ? Gauge(&existing->gauge_bits) : Gauge();
+    return existing != nullptr ? Gauge(existing->cells.get()) : Gauge();
   }
-  auto metric = std::make_unique<Metric>();
-  metric->name = std::move(name);
-  metric->help = std::move(help);
-  metric->kind = MetricKind::kGauge;
-  metric->gauge_bits.store(std::bit_cast<uint64_t>(0.0),
-                           std::memory_order_relaxed);
-  Gauge handle(&metric->gauge_bits);
-  index_.emplace(metric->name, metrics_.size());
-  metrics_.push_back(std::move(metric));
-  return handle;
+  return Gauge(Add(std::move(name), std::move(help), MetricKind::kGauge));
 }
 
 Result<HistogramMetric> MetricsRegistry::RegisterHistogram(
@@ -139,25 +108,11 @@ Result<HistogramMetric> MetricsRegistry::RegisterHistogram(
       return Status::InvalidArgument(
           "metric '" + name + "' already registered with different buckets");
     }
-    return HistogramMetric(existing->cells.get(), &existing->bounds,
-                           existing->stride);
+    return HistogramMetric(existing->cells.get(), &existing->bounds);
   }
-  auto metric = std::make_unique<Metric>();
-  metric->name = std::move(name);
-  metric->help = std::move(help);
-  metric->kind = MetricKind::kHistogram;
-  metric->bounds = std::move(upper_bounds);
-  // Per shard: one cell per finite bucket, one overflow cell, one sum cell.
-  metric->stride = static_cast<uint32_t>(metric->bounds.size()) + 2;
-  metric->cells = std::make_unique<MetricCell[]>(kShards * metric->stride);
-  for (uint32_t i = 0; i < kShards; ++i) {
-    metric->cells[i * metric->stride + metric->stride - 1].value.store(
-        std::bit_cast<uint64_t>(0.0), std::memory_order_relaxed);
-  }
-  HistogramMetric handle(metric->cells.get(), &metric->bounds, metric->stride);
-  index_.emplace(metric->name, metrics_.size());
-  metrics_.push_back(std::move(metric));
-  return handle;
+  std::atomic<uint64_t>* cells = Add(std::move(name), std::move(help),
+                                     MetricKind::kHistogram, upper_bounds);
+  return HistogramMetric(cells, &metrics_.back()->bounds);
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
@@ -173,27 +128,19 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
         snap.counter = Counter(m->cells.get()).Value();
         break;
       case MetricKind::kGauge:
-        snap.gauge = Gauge(&m->gauge_bits).Value();
+        snap.gauge = Gauge(m->cells.get()).Value();
         break;
       case MetricKind::kHistogram: {
-        // Reconstruct each shard as a bucketed Histogram and Merge (shards
-        // share one layout by construction, so Merge cannot fail).
-        Result<Histogram> merged = Histogram::WithBuckets(m->bounds);
-        SCUBA_CHECK(merged.ok());
-        for (uint32_t s = 0; s < kShards; ++s) {
-          const MetricCell* shard = m->cells.get() + s * m->stride;
-          std::vector<uint64_t> counts(m->bounds.size() + 1);
-          for (size_t b = 0; b < counts.size(); ++b) {
-            counts[b] = shard[b].value.load(std::memory_order_relaxed);
-          }
-          const double sum = std::bit_cast<double>(
-              shard[m->stride - 1].value.load(std::memory_order_relaxed));
-          Result<Histogram> piece =
-              Histogram::FromBucketData(m->bounds, std::move(counts), sum);
-          SCUBA_CHECK(piece.ok());
-          SCUBA_CHECK(merged->Merge(*piece).ok());
+        std::vector<uint64_t> counts(m->bounds.size() + 1);
+        for (size_t b = 0; b < counts.size(); ++b) {
+          counts[b] = m->cells[b].load(std::memory_order_relaxed);
         }
-        snap.histogram = std::move(merged).value();
+        const double sum = std::bit_cast<double>(
+            m->cells[counts.size()].load(std::memory_order_relaxed));
+        Result<Histogram> histogram =
+            Histogram::FromBucketData(m->bounds, std::move(counts), sum);
+        SCUBA_CHECK(histogram.ok());
+        snap.histogram = std::move(histogram).value();
         break;
       }
     }

@@ -2,13 +2,13 @@
 // observability (docs/ARCHITECTURE.md §9).
 //
 // Hot-path contract: a counter increment or histogram observation is one
-// relaxed atomic add into a per-thread shard (16 cache-line-padded cells per
-// metric, threads hashed onto cells by a thread-local index), so concurrent
-// workers never contend on a line. Shards are merged on read (Snapshot), not
-// on write. Registration happens single-threaded at setup time; handles are
-// trivially copyable value types whose default-constructed state is a no-op,
-// so instrumented code needs no null checks and pays nothing when no registry
-// is attached.
+// relaxed atomic add on the metric's own cell (a histogram adds to its
+// bucket and its sum). Every write site runs on the engine or server
+// thread; parallel workers report their timings to the thread that started
+// them, which observes them afterwards. Registration happens single-threaded
+// at setup time; handles are trivially copyable value types whose
+// default-constructed state is a no-op, so instrumented code needs no null
+// checks and pays nothing when no registry is attached.
 //
 // Determinism contract: counters and gauges must carry *semantic* event
 // counts (identical at any thread count); wall-time and other
@@ -19,6 +19,7 @@
 #define SCUBA_OBS_METRICS_H_
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -35,49 +36,45 @@ enum class MetricKind : uint8_t { kCounter = 0, kGauge, kHistogram };
 /// Stable lowercase name ("counter", "gauge", "histogram").
 std::string_view MetricKindName(MetricKind kind);
 
-/// One cache line per shard cell so concurrent adds from different threads
-/// never share a line.
-struct alignas(64) MetricCell {
-  std::atomic<uint64_t> value{0};
-};
-
-/// The shard a calling thread adds into: a thread-local index assigned from a
-/// process-wide counter, modulo the shard count.
-uint32_t ThreadShardIndex();
-
 /// Monotonic counter handle. Default-constructed = detached no-op.
 class Counter {
  public:
   Counter() = default;
 
   void Increment(uint64_t n = 1) {
-    if (cells_ != nullptr) {
-      cells_[ThreadShardIndex()].value.fetch_add(n,
-                                                 std::memory_order_relaxed);
-    }
+    if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// The total, shards merged (0 when detached). For readers off the hot
-  /// path, such as a server's stats(); cost is one load per shard.
-  uint64_t Value() const;
+  /// The total (0 when detached).
+  uint64_t Value() const {
+    return cell_ == nullptr ? 0 : cell_->load(std::memory_order_relaxed);
+  }
 
-  explicit operator bool() const { return cells_ != nullptr; }
+  explicit operator bool() const { return cell_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(MetricCell* cells) : cells_(cells) {}
-  MetricCell* cells_ = nullptr;
+  explicit Counter(std::atomic<uint64_t>* cell) : cell_(cell) {}
+  std::atomic<uint64_t>* cell_ = nullptr;
 };
 
-/// Last-write-wins double gauge. Not sharded: gauges are set from the
-/// single-threaded engine loop (between rounds), never from workers.
+/// Last-write-wins double gauge, set from the single-threaded engine loop
+/// (between rounds), never from workers.
 class Gauge {
  public:
   Gauge() = default;
 
-  void Set(double value);
+  void Set(double value) {
+    if (bits_ != nullptr) {
+      bits_->store(std::bit_cast<uint64_t>(value), std::memory_order_relaxed);
+    }
+  }
   /// The last value set (0 when detached).
-  double Value() const;
+  double Value() const {
+    return bits_ == nullptr ? 0.0
+                            : std::bit_cast<double>(
+                                  bits_->load(std::memory_order_relaxed));
+  }
 
   explicit operator bool() const { return bits_ != nullptr; }
 
@@ -89,7 +86,7 @@ class Gauge {
 
 /// Bucketed histogram handle (timings and other scheduling-dependent
 /// distributions). Observe is one relaxed add on the bucket cell plus a
-/// relaxed CAS loop on the shard's sum cell.
+/// relaxed CAS loop on the sum cell.
 class HistogramMetric {
  public:
   HistogramMetric() = default;
@@ -100,15 +97,15 @@ class HistogramMetric {
 
  private:
   friend class MetricsRegistry;
-  HistogramMetric(MetricCell* cells, const std::vector<double>* bounds,
-                  uint32_t stride)
-      : cells_(cells), bounds_(bounds), stride_(stride) {}
-  MetricCell* cells_ = nullptr;
+  HistogramMetric(std::atomic<uint64_t>* cells,
+                  const std::vector<double>* bounds)
+      : cells_(cells), bounds_(bounds) {}
+  /// One cell per finite bucket, one overflow cell, then the sum's bits.
+  std::atomic<uint64_t>* cells_ = nullptr;
   const std::vector<double>* bounds_ = nullptr;
-  uint32_t stride_ = 0;  ///< Cells per shard: bounds + overflow + sum.
 };
 
-/// Point-in-time value of one metric, shards merged.
+/// Point-in-time value of one metric.
 struct MetricSnapshot {
   std::string name;  ///< Full identity, label set included.
   std::string help;
@@ -120,10 +117,7 @@ struct MetricSnapshot {
 
 class MetricsRegistry {
  public:
-  static constexpr uint32_t kShards = 16;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -141,7 +135,7 @@ class MetricsRegistry {
   Result<HistogramMetric> RegisterHistogram(std::string name, std::string help,
                                             std::vector<double> upper_bounds);
 
-  /// Merged view of every metric, in registration order (deterministic).
+  /// View of every metric, in registration order (deterministic).
   std::vector<MetricSnapshot> Snapshot() const;
 
   /// Prometheus text exposition (HELP/TYPE + one line per sample; histograms
@@ -155,13 +149,16 @@ class MetricsRegistry {
     std::string name;
     std::string help;
     MetricKind kind;
-    std::vector<double> bounds;            ///< Histogram only.
-    uint32_t stride = 0;                   ///< Histogram: cells per shard.
-    std::unique_ptr<MetricCell[]> cells;   ///< Counter/histogram shards.
-    std::atomic<uint64_t> gauge_bits{0};   ///< Gauge only.
+    std::vector<double> bounds;  ///< Histogram only.
+    /// Counter: the count. Gauge: the value's bits. Histogram: one cell per
+    /// finite bucket, the overflow cell, then the sum's bits.
+    std::unique_ptr<std::atomic<uint64_t>[]> cells;
   };
 
   Metric* FindOrNull(const std::string& name, MetricKind kind);
+  /// Appends a new metric and returns its zeroed cells.
+  std::atomic<uint64_t>* Add(std::string name, std::string help,
+                             MetricKind kind, std::vector<double> bounds = {});
 
   std::vector<std::unique_ptr<Metric>> metrics_;
   std::unordered_map<std::string, size_t> index_;

@@ -123,15 +123,14 @@ Status LoadGeneration(uint64_t generation, const std::string& payload,
 
 // --- PersistAccess engine statics -----------------------------------------
 
-void PersistAccess::AdoptEngineState(const ScubaEngine& twin,
-                                     ScubaEngine* live) {
-  live->store_ = twin.store_;
-  live->grid_ = twin.grid_;
-  live->join_executor_.counters_ = twin.join_executor_.counters_;
+void PersistAccess::AdoptEngineState(ScubaEngine* twin, ScubaEngine* live) {
+  live->store_ = std::move(twin->store_);
+  live->grid_ = std::move(twin->grid_);
+  live->join_executor_.counters_ = twin->join_executor_.counters_;
   live->SyncJoinStats();
-  live->shedder_.eta_ = twin.shedder_.eta_;
-  live->shedder_.adjustments_ = twin.shedder_.adjustments_;
-  live->clusterer_.set_nucleus_radius(twin.clusterer_.nucleus_radius());
+  live->shedder_.eta_ = twin->shedder_.eta_;
+  live->shedder_.adjustments_ = twin->shedder_.adjustments_;
+  live->clusterer_.set_nucleus_radius(twin->clusterer_.nucleus_radius());
 }
 
 EvalStats* PersistAccess::MutableStats(ScubaEngine* e) { return &e->stats_; }
@@ -521,7 +520,7 @@ Status RecoverWindow(const std::string& dir, ScubaEngine* engine,
         " but the live engine is at round " + std::to_string(live_rounds) +
         "; online window recovery needs every round logged");
   }
-  PersistAccess::AdoptEngineState(**twin, engine);
+  PersistAccess::AdoptEngineState(twin->get(), engine);
   return Status::OK();
 }
 

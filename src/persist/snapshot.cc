@@ -336,12 +336,21 @@ Status PersistAccess::LoadEngineSnapshot(const std::string& payload,
   e->store_.next_cid_ = next_cid;
   uint64_t cluster_count = 0;
   SCUBA_RETURN_IF_ERROR(r.GetU64(&cluster_count));
+  ClusterId previous = 0;
   for (uint64_t i = 0; i < cluster_count; ++i) {
     Result<MovingCluster> cluster = LoadCluster(&r);
     if (!cluster.ok()) return cluster.status();
     bool registered = false;
     SCUBA_RETURN_IF_ERROR(r.GetBool(&registered));
     const ClusterId cid = cluster->cid();
+    // The writer lists cids ascending, each below the next one to allocate;
+    // a stale next_cid would hand a stored cid out again.
+    if (cid >= next_cid || (i > 0 && cid <= previous)) {
+      return Status::DataLoss("snapshot cluster " + std::to_string(cid) +
+                              " is out of cid order or not below next_cid " +
+                              std::to_string(next_cid));
+    }
+    previous = cid;
     const Circle bounds = cluster->registered_bounds();
     if (Status s = e->store_.AddCluster(std::move(cluster).value()); !s.ok()) {
       return Status::DataLoss("snapshot cluster " + std::to_string(cid) +

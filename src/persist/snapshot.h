@@ -143,8 +143,9 @@ struct PersistAccess {
                                    UpdateValidator* validator);
   /// Online recovery (docs/ARCHITECTURE.md §13): replaces `live`'s store,
   /// grid, join counters (with their EvalStats copies) and shedder state with
-  /// `twin`'s — a twin recovered from the durable root to the same round.
-  static void AdoptEngineState(const ScubaEngine& twin, ScubaEngine* live);
+  /// `twin`'s — a twin recovered from the durable root to the same round,
+  /// whose store and grid are moved out.
+  static void AdoptEngineState(ScubaEngine* twin, ScubaEngine* live);
   /// Durability counters live in the engine's EvalStats; the manager and
   /// recovery update them through this accessor.
   static EvalStats* MutableStats(ScubaEngine* engine);

@@ -215,9 +215,9 @@ TEST_P(ClusterJoinPropertyTest, SingletonClustersMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterJoinPropertyTest,
                          ::testing::Values(1, 2, 3, 4));
 
-TEST(ClusterJoinTest, SlotTableSizedByLiveCidSpan) {
-  // A long-running engine's live cids are large but span a narrow range:
-  // the cid->slot table must cover that span, not every cid ever created.
+TEST(ClusterJoinTest, ScratchIgnoresLargeCids) {
+  // A long-running engine's live cids are large: the join's scratch follows
+  // the store's cluster slots, not the cids ever created.
   ClusterStore store;
   GridIndex grid =
       std::move(GridIndex::Create(Rect{0, 0, 1000, 1000}, 10).value());
@@ -235,6 +235,58 @@ TEST(ClusterJoinTest, SlotTableSizedByLiveCidSpan) {
   EXPECT_TRUE(results.Contains(1, 1));
   EXPECT_TRUE(results.Contains(8, 8));
   EXPECT_LT(executor.EstimateMemoryUsage(), 64u * 1024);
+}
+
+TEST(ClusterJoinTest, ScratchIgnoresCidSpan) {
+  // Two live clusters whose cids lie 10^7 apart: views are indexed by store
+  // slot, so the join allocates for two clusters, not for the span.
+  ClusterStore store;
+  GridIndex grid =
+      std::move(GridIndex::Create(Rect{0, 0, 1000, 1000}, 10).value());
+  const ClusterId cids[] = {0, 10000000};
+  for (uint32_t i = 0; i < 2; ++i) {
+    MovingCluster c = MovingCluster::FromObject(
+        cids[i], Obj(i + 1, {100.0 + 100 * i, 500.0}));
+    c.AbsorbQuery(Qry(i + 1, {110.0 + 100 * i, 505.0}, 80, 80));
+    ASSERT_TRUE(grid.Insert(cids[i], c.JoinBounds()).ok());
+    ASSERT_TRUE(store.AddCluster(std::move(c)).ok());
+  }
+  ClusterJoinExecutor executor;
+  ResultSet results;
+  ASSERT_TRUE(executor.Execute(store, grid, &results).ok());
+  EXPECT_TRUE(results.Contains(1, 1));
+  EXPECT_TRUE(results.Contains(2, 2));
+  EXPECT_LT(executor.EstimateMemoryUsage(), 64u * 1024);
+}
+
+TEST(ClusterJoinTest, FreeAndUnplacedSlotsGetEmptyViews) {
+  // A dissolved cluster's free slot and a stored cluster the grid does not
+  // hold are skipped; the remaining pair joins as usual.
+  JoinFixture f;
+  for (ObjectId oid : {8u, 9u}) {
+    f.Add(MovingCluster::FromObject(f.store.NextClusterId(),
+                                    Obj(oid, {105, 100})));
+  }
+  f.Add(MovingCluster::FromObject(f.store.NextClusterId(),
+                                  Obj(1, {100, 100}, 1)));
+  f.Add(MovingCluster::FromQuery(f.store.NextClusterId(),
+                                 Qry(1, {120, 100}, 80, 80, 2)));
+  for (ClusterId gone : {0u, 1u}) {
+    ASSERT_TRUE(f.grid.Remove(gone).ok());
+    ASSERT_TRUE(f.store.RemoveCluster(gone).ok());
+  }
+  ASSERT_TRUE(f.store
+                  .AddCluster(MovingCluster::FromObject(f.store.NextClusterId(),
+                                                        Obj(2, {110, 100})))
+                  .ok());  // reuses a free slot, never placed in the grid
+  ASSERT_EQ(f.store.ClusterSlotCount(), 4u);  // one slot is still free
+  ClusterJoinExecutor executor;
+  ResultSet results;
+  ASSERT_TRUE(executor.Execute(f.store, f.grid, &results).ok());
+  EXPECT_TRUE(results.Contains(1, 1));
+  EXPECT_FALSE(results.Contains(1, 2));
+  EXPECT_EQ(results.size(), 1u);
+  EXPECT_EQ(executor.counters().pairs_tested, 1u);
 }
 
 }  // namespace

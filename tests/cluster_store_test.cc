@@ -240,9 +240,9 @@ size_t SlotIndex(const ClusterStore& store, EntityRef ref) {
 void Depart(ClusterStore* store, EntityRef ref) {
   const ClusterStore::Slot slot = store->FindSlot(ref);
   ASSERT_NE(slot, ClusterStore::kNoSlot);
-  const ClusterId cid = store->SlotHome(slot);
-  MovingCluster* cluster = store->GetCluster(cid);
+  MovingCluster* cluster = store->ClusterAt(store->SlotHome(slot));
   ASSERT_NE(cluster, nullptr);
+  const ClusterId cid = cluster->cid();
   const size_t index = store->SlotMemberIndex(slot);
   ASSERT_TRUE(cluster->RemoveMember(index, ref).ok());
   store->UnhomeSlot(slot);
@@ -250,7 +250,9 @@ void Depart(ClusterStore* store, EntityRef ref) {
     store->RepointMember(cluster->members()[index].Ref(),
                          static_cast<uint32_t>(index));
   }
-  if (cluster->size() == 0) ASSERT_TRUE(store->RemoveCluster(cid).ok());
+  if (cluster->size() == 0) {
+    ASSERT_TRUE(store->RemoveCluster(cid).ok());
+  }
 }
 
 TEST(ClusterStoreTest, MemberSlotsSurviveSwapAndPop) {
@@ -295,7 +297,7 @@ TEST(ClusterStoreTest, ValidateMemberSlotsNamesTheBadMember) {
   EXPECT_TRUE(s.IsInternal());
   EXPECT_NE(s.message().find("object 2 at index 1"), std::string::npos)
       << s.ToString();
-  EXPECT_TRUE(store.ValidateHomeTotals().ok());  // counts still agree
+  EXPECT_TRUE(store.ValidateTables().ok());  // counts still agree
   EXPECT_TRUE(store.ValidateConsistency().IsInternal());
   // Home at the other cluster instead.
   ASSERT_TRUE(store.ClearHome({EntityKind::kObject, 2}).ok());
@@ -384,7 +386,7 @@ TEST_P(ClusterStoreDifferentialTest, MatchesMapModel) {
       const uint32_t index = static_cast<uint32_t>(c->size() - 1);
       if (const ClusterStore::Slot slot = store.FindSlot(ref);
           slot != ClusterStore::kNoSlot && rng.NextDouble() < 0.5) {
-        store.HomeSlot(slot, cid, index);
+        store.HomeSlot(slot, store.FindCluster(cid), index);
       } else {
         ASSERT_TRUE(store.SetHome(ref, cid, index).ok());
       }
@@ -445,6 +447,157 @@ TEST_P(ClusterStoreDifferentialTest, MatchesMapModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusterStoreDifferentialTest,
                          ::testing::Values(1, 2, 3, 4));
+
+// Differential test of the cluster slots and their cid→slot table against a
+// map model: random adds (cids 0, UINT32_MAX - 1, random and descending),
+// removes, lookups and home edits, with a few Clear() calls and reuse.
+class ClusterSlotDifferentialTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(ClusterSlotDifferentialTest, MatchesMapModel) {
+  Rng rng(GetParam());
+  constexpr uint32_t kEntities = 120;
+  std::map<ClusterId, EntityRef> model;  // single-member clusters
+  std::map<uint32_t, ClusterId> home;    // object id -> cid
+  ClusterStore store;
+  ClusterId descending = 3000000000u;
+  size_t max_live = 0;
+  auto pick_cid = [&]() -> ClusterId {
+    const double r = rng.NextDouble();
+    if (r < 0.05) return 0;
+    if (r < 0.1) return std::numeric_limits<uint32_t>::max() - 1;
+    if (r < 0.5) return descending -= 1 + rng.NextBounded(1000);
+    if (r < 0.7 && !model.empty()) {  // a live cid: a duplicate add
+      auto it = model.begin();
+      std::advance(it, rng.NextBounded(model.size()));
+      return it->first;
+    }
+    return static_cast<ClusterId>(rng.NextBounded(4000000000u));
+  };
+  for (int step = 0; step < 8000; ++step) {
+    const double op = rng.NextDouble();
+    const uint32_t oid = static_cast<uint32_t>(rng.NextBounded(kEntities));
+    const ClusterId cid = pick_cid();
+    if (op < 0.45) {
+      Status s = store.AddCluster(
+          MovingCluster::FromObject(cid, Obj(oid, {1.0 * oid, 0})));
+      const bool ok = !model.contains(cid) && !home.contains(oid);
+      ASSERT_EQ(s.ok(), ok) << s.ToString();
+      if (ok) {
+        model[cid] = EntityRef{EntityKind::kObject, oid};
+        home[oid] = cid;
+      } else {
+        EXPECT_TRUE(s.IsAlreadyExists()) << s.ToString();
+      }
+    } else if (op < 0.8) {
+      // Remove a live cluster, or try an absent cid.
+      ClusterId victim = cid;
+      if (rng.NextDouble() < 0.8 && !model.empty()) {
+        auto it = model.begin();
+        std::advance(it, rng.NextBounded(model.size()));
+        victim = it->first;
+      }
+      Status s = store.RemoveCluster(victim);
+      auto it = model.find(victim);
+      ASSERT_EQ(s.ok(), it != model.end()) << s.ToString();
+      if (it != model.end()) {
+        home.erase(it->second.id);
+        model.erase(it);
+      } else {
+        EXPECT_TRUE(s.IsNotFound());
+      }
+    } else if (op < 0.995) {
+      // Clear a member's home and put it back, or probe an unhomed entity.
+      const EntityRef ref{EntityKind::kObject, oid};
+      auto h = home.find(oid);
+      if (h == home.end()) {
+        EXPECT_TRUE(store.ClearHome(ref).IsNotFound());
+        if (!model.contains(cid)) {
+          EXPECT_TRUE(store.SetHome(ref, cid, 0).IsNotFound());
+        }
+        continue;
+      }
+      ASSERT_TRUE(store.ClearHome(ref).ok());
+      EXPECT_EQ(store.HomeOf(ref), kInvalidClusterId);
+      EXPECT_TRUE(store.SetHome(ref, h->second, 0).ok());
+      EXPECT_TRUE(store.SetHome(ref, h->second, 0).IsAlreadyExists());
+    } else {
+      store.Clear();
+      model.clear();
+      home.clear();
+    }
+    max_live = std::max(max_live, model.size());
+
+    ASSERT_TRUE(store.ValidateConsistency().ok())
+        << "step " << step << ": " << store.ValidateConsistency().ToString();
+    ASSERT_EQ(store.ClusterCount(), model.size());
+    std::vector<ClusterId> cids;
+    for (const auto& [c, ref] : model) cids.push_back(c);
+    ASSERT_EQ(store.SortedClusterIds(), cids);
+    // A store never holds more slots than it ever held clusters at once.
+    ASSERT_LE(store.ClusterSlotCount(), max_live);
+    const MovingCluster* got = store.GetCluster(cid);
+    auto want = model.find(cid);
+    ASSERT_EQ(got != nullptr, want != model.end()) << "cid " << cid;
+    if (got != nullptr) {
+      EXPECT_EQ(got->cid(), cid);
+      EXPECT_EQ(got->members()[0].Ref(), want->second);
+    }
+    for (uint32_t id = oid; id < kEntities; id += 17) {
+      auto h = home.find(id);
+      EXPECT_EQ(store.HomeOf({EntityKind::kObject, id}),
+                h == home.end() ? kInvalidClusterId : h->second);
+    }
+  }
+  // Enough live clusters to have grown the cid table past 16 buckets.
+  EXPECT_GT(max_live, 16u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusterSlotDifferentialTest,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(ClusterStoreTest, ChurnLeavesMemoryBounded) {
+  // A million clusters come and go with at most 16 alive at once: slots are
+  // reused and the cid table drops erased cids, so the estimate stops
+  // growing once the first 16 are stored.
+  constexpr uint32_t kLive = 16;
+  ClusterStore store;
+  size_t settled = 0;
+  for (uint32_t i = 0; i < 1000000; ++i) {
+    if (i >= kLive) {
+      ASSERT_TRUE(store.RemoveCluster(i - kLive).ok());
+    }
+    const ClusterId cid = store.NextClusterId();
+    ASSERT_EQ(cid, i);
+    ASSERT_TRUE(store
+                    .AddCluster(MovingCluster::FromObject(
+                        cid, Obj(i % kLive, {1.0 * (i % kLive), 0})))
+                    .ok());
+    if (i == 2 * kLive) settled = store.EstimateMemoryUsage();
+  }
+  EXPECT_EQ(store.ClusterCount(), kLive);
+  EXPECT_EQ(store.ClusterSlotCount(), kLive);
+  EXPECT_EQ(store.EstimateMemoryUsage(), settled);
+  EXPECT_TRUE(store.ValidateConsistency().ok());
+}
+
+TEST(ClusterStoreTest, EstimateCountsClusterInlineBytesOnce) {
+  // Each stored cluster pays its inline bytes once (its slot) plus its
+  // member record; counting sizeof(MovingCluster) twice would exceed the
+  // upper bound.
+  constexpr size_t kClusters = 1000;
+  ClusterStore store;
+  for (uint32_t i = 0; i < kClusters; ++i) {
+    ASSERT_TRUE(store
+                    .AddCluster(MovingCluster::FromObject(
+                        store.NextClusterId(), Obj(i, {1.0 * i, 0})))
+                    .ok());
+  }
+  const size_t bytes = store.EstimateMemoryUsage();
+  EXPECT_GE(bytes, kClusters * (sizeof(MovingCluster) + sizeof(ClusterMember)));
+  EXPECT_LT(bytes,
+            kClusters * (2 * sizeof(MovingCluster) + sizeof(ClusterMember)));
+}
 
 }  // namespace
 }  // namespace scuba

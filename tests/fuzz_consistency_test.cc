@@ -153,8 +153,8 @@ TEST_P(FuzzConsistencyTest, InvariantsHoldUnderChaos) {
 
     // Cluster-level invariants: radius covers reconstructed members,
     // centroid is their mean, homes point back.
-    for (const auto& [cid, cluster] : first.store().clusters()) {
-      (void)cid;
+    for (ClusterId cid : first.store().SortedClusterIds()) {
+      const MovingCluster& cluster = *first.store().GetCluster(cid);
       Point sum{0, 0};
       for (const ClusterMember& m : cluster.members()) {
         Point p = cluster.MemberPosition(m);

@@ -37,6 +37,18 @@ class ScubaEngineAuditPeer {
   ScubaEngine* engine_;
 };
 
+/// Test back door matching ClusterStore's `friend class
+/// ClusterStoreTestPeer`: damages the cid→slot table directly.
+class ClusterStoreTestPeer {
+ public:
+  /// Files `cid` under `slot` in the cid→slot table.
+  static void Refile(ClusterStore* store, ClusterId cid,
+                     ClusterStore::ClusterSlot slot) {
+    store->cid_table_.Erase(cid);
+    store->cid_table_.FindOrInsert(cid, slot);
+  }
+};
+
 namespace {
 
 /// Deterministic clustered workload: `kGroups` co-travelling groups of
@@ -400,6 +412,33 @@ TEST(InvariantAuditTest, SlotHomedAtAnotherClusterIsBlamedOnItsCluster) {
         ASSERT_NE(other, kInvalidClusterId);
         ASSERT_TRUE(store->SetHome(ref, other, 1).ok());
       });
+}
+
+TEST(InvariantAuditTest, DamagedCidTableEntryIsBlamedOnWindowZero) {
+  // The lowest cid is filed under its neighbour's slot. Windows reach
+  // clusters through their slots, so only window 0's store-wide half sees
+  // the broken cid↔slot bijection, and it names the cluster.
+  ScubaOptions options;
+  options.shards = 4;
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(options);
+  IngestRound(engine.get(), 1);
+  ResultSet results;
+  ASSERT_TRUE(engine->Evaluate(2, &results).ok());
+  ClusterStore& store = ScubaEngineAuditPeer(engine.get()).store();
+  const std::vector<ClusterId> cids = store.SortedClusterIds();
+  ASSERT_GE(cids.size(), 2u);
+  ClusterStoreTestPeer::Refile(&store, cids[0], store.FindCluster(cids[1]));
+
+  const std::string blame = "cluster " + std::to_string(cids[0]) + " in slot";
+  for (uint32_t w = 0; w < engine->shard_count(); ++w) {
+    const InvariantAuditReport report = engine->AuditShardStripe(w);
+    EXPECT_EQ(report.clean(), w != 0)
+        << "window " << w << ": " << report.ToString();
+    if (w == 0) {
+      EXPECT_TRUE(MentionedIn(report, blame)) << report.ToString();
+    }
+  }
+  EXPECT_TRUE(MentionedIn(engine->AuditInvariants(), blame));
 }
 
 // --- The periodic audit hook, at one and four join windows. ---

@@ -425,6 +425,40 @@ TEST(SnapshotTest, ValidatorStateSurvivesRoundTrip) {
             validator2.stats().Rejected(RejectReason::kTimeRegression));
 }
 
+/// A lone object heading for its own destination node, so it starts a new
+/// cluster.
+LocationUpdate LoneObject(ObjectId oid, Point position) {
+  LocationUpdate u;
+  u.oid = oid;
+  u.position = position;
+  u.speed = 5.0;
+  u.dest_node = 1000 + oid;
+  u.dest_position = Point{9500, 9500};
+  u.time = 1;
+  return u;
+}
+
+TEST(SnapshotTest, StaleNextCidIsDataLoss) {
+  std::unique_ptr<ScubaEngine> engine = MakeEngine(ScubaOptions{});
+  const std::vector<LocationUpdate> objects = {LoneObject(1, {1000, 1000}),
+                                               LoneObject(2, {5000, 5000})};
+  ASSERT_TRUE(engine->IngestBatch(objects, {}).ok());
+  ASSERT_EQ(engine->store().SortedClusterIds(),
+            (std::vector<ClusterId>{0, 1}));
+  std::string payload =
+      PersistAccess::SaveEngineSnapshot(*engine, nullptr, 0, 0);
+  // next_cid is the u32 right after the 24-byte meta header; 0 would hand
+  // cluster 0 out again, AlreadyExists on the restored engine's first new
+  // cluster.
+  const uint32_t stale = 0;
+  std::memcpy(payload.data() + 24, &stale, sizeof(stale));
+  std::unique_ptr<ScubaEngine> restored = MakeEngine(ScubaOptions{});
+  const Status s =
+      PersistAccess::LoadEngineSnapshot(payload, restored.get(), nullptr);
+  EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+  EXPECT_NE(s.message().find("cluster 0"), std::string::npos) << s.ToString();
+}
+
 TEST(SnapshotTest, RepeatedCheckpointsRestoreTheNewest) {
   // Every bare Checkpoint() commits a new manifest generation; Restore reads
   // the newest one, never a stale generation.
@@ -1204,6 +1238,12 @@ TEST(DecoderFuzzTest, ReframedSnapshotPayloadMutationsFailTypedOrAuditClean) {
       const InvariantAuditReport audit = restored->AuditInvariants();
       EXPECT_TRUE(audit.clean()) << "trial " << trial << ": "
                                  << audit.ToString();
+      // A clean state can also start a cluster: its next cid is free.
+      std::vector<LocationUpdate> lone = {LoneObject(100000, {5000, 5000})};
+      lone[0].time = 10;
+      const Status ingest = restored->IngestBatch(lone, {});
+      EXPECT_TRUE(ingest.ok()) << "trial " << trial << ": "
+                               << ingest.ToString();
       ++restored_clean;
     } else {
       EXPECT_TRUE(s.IsDataLoss() || s.IsFailedPrecondition())

@@ -194,7 +194,8 @@ TEST(ScubaEngineTest, MaintenanceRelocatesSurvivors) {
   ResultSet results;
   ASSERT_TRUE(e->Evaluate(2, &results).ok());
   ASSERT_EQ(e->ClusterCount(), 1u);
-  const MovingCluster& c = e->store().clusters().begin()->second;
+  const MovingCluster& c =
+      *e->store().GetCluster(e->store().SortedClusterIds()[0]);
   // Velocity is +x at speed 10, delta 2: centroid moved to x=120.
   EXPECT_NEAR(c.centroid().x, 120.0, 1e-6);
   EXPECT_NEAR(c.centroid().y, 100.0, 1e-6);

@@ -152,7 +152,8 @@ TEST(EngineSplittingTest, EngineSplitsDeterioratedClusters) {
   ASSERT_TRUE((*engine)->IngestObjectUpdate(Obj(3, {160, 100})).ok());
   ASSERT_TRUE((*engine)->IngestObjectUpdate(Obj(1, {50, 100})).ok());
   ASSERT_TRUE((*engine)->IngestObjectUpdate(Obj(3, {222, 100})).ok());
-  const MovingCluster& before = (*engine)->store().clusters().begin()->second;
+  const ClusterStore& store = (*engine)->store();
+  const MovingCluster& before = *store.GetCluster(store.SortedClusterIds()[0]);
   ASSERT_EQ((*engine)->ClusterCount(), 1u);
   ASSERT_EQ(before.size(), 3u);
 
